@@ -20,13 +20,13 @@ Exit codes: 0 converged/ok, 2 diverged, 3 max-iterations reached,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
 from .evidence import BINOMIAL, EVIDENCE_VARIANTS, EvidenceSpec
-from .gaussian import ConditioningError
 from .model import (
     Add,
     Const,
@@ -54,11 +54,9 @@ from .solver import (
     DIVERGED,
     MAX_ITERATIONS,
     SolverConfig,
-    SolverError,
     SolverResult,
     solve,
 )
-from .specfun import ConvergenceError
 from .transforms import BETA, PRIOR_FAMILIES, PriorSpec, Transform, TRANSFORM_KINDS
 
 __all__ = [
@@ -413,23 +411,25 @@ def _parse_node(obj, path: str, declared: set[str]) -> Node:
     raise SchemaError(f"{path}.kind", "expected one of ['basic', 'deterministic', 'evidence']")
 
 
+def _boolean(obj: dict, path: str, key: str) -> bool:
+    v = obj[key]
+    if not isinstance(v, bool):
+        raise SchemaError(f"{path}.{key}", "expected true or false")
+    return v
+
+
+# SolverConfig field -> reader of its value, chosen by the type of its default.
+_SOLVER_FIELDS = {
+    f.name: {float: _number, int: _integer, bool: _boolean}[type(f.default)]
+    for f in dataclasses.fields(SolverConfig)
+}
+
+
 def _parse_solver(obj, path: str) -> SolverConfig:
     if not isinstance(obj, dict):
         raise SchemaError(path, "solver must be an object")
-    _require_keys(
-        obj, path, set(), {"epsilon", "divergence_window", "max_iterations", "pool_evidence"}
-    )
-    kwargs = {}
-    if "epsilon" in obj:
-        kwargs["epsilon"] = _number(obj, path, "epsilon")
-    if "divergence_window" in obj:
-        kwargs["divergence_window"] = _integer(obj, path, "divergence_window")
-    if "max_iterations" in obj:
-        kwargs["max_iterations"] = _integer(obj, path, "max_iterations")
-    if "pool_evidence" in obj:
-        if not isinstance(obj["pool_evidence"], bool):
-            raise SchemaError(f"{path}.pool_evidence", "expected true or false")
-        kwargs["pool_evidence"] = obj["pool_evidence"]
+    _require_keys(obj, path, set(), set(_SOLVER_FIELDS))
+    kwargs = {key: read(obj, path, key) for key, read in _SOLVER_FIELDS.items() if key in obj}
     try:
         return SolverConfig(**kwargs)
     except ValueError as err:
@@ -529,11 +529,10 @@ def serialize_model(d: Diagram, cfg: SolverConfig | None = None) -> dict:
 
     doc: dict = {"schema_version": SCHEMA_VERSION, "nodes": nodes}
     if cfg is not None:
-        default = SolverConfig()
         overrides = {
-            key: getattr(cfg, key)
-            for key in ("epsilon", "divergence_window", "max_iterations", "pool_evidence")
-            if getattr(cfg, key) != getattr(default, key)
+            f.name: getattr(cfg, f.name)
+            for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) != f.default
         }
         if overrides:
             doc["solver"] = overrides
@@ -565,19 +564,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-pool", action="store_true", help="keep observations separate")
     p_solve.add_argument("--full-precision", action="store_true", help="print 17 significant digits")
 
-    p_mc = sub.add_parser("oracle", help="Monte Carlo reference posterior")
-    p_mc.add_argument("file")
-    p_mc.add_argument("--samples", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, required=True)
-    p_mc.add_argument("--json", action="store_true")
-    p_mc.add_argument("--full-precision", action="store_true")
-
-    p_cmp = sub.add_parser("compare", help="solver versus Monte Carlo, side by side")
-    p_cmp.add_argument("file")
-    p_cmp.add_argument("--samples", type=int, required=True)
-    p_cmp.add_argument("--seed", type=int, required=True)
-    p_cmp.add_argument("--json", action="store_true")
-    p_cmp.add_argument("--full-precision", action="store_true")
+    for name, summary in (
+        ("oracle", "Monte Carlo reference posterior"),
+        ("compare", "solver versus Monte Carlo, side by side"),
+    ):
+        p_mc = sub.add_parser(name, help=summary)
+        p_mc.add_argument("file")
+        p_mc.add_argument("--samples", type=int, required=True)
+        p_mc.add_argument("--seed", type=int, required=True)
+        p_mc.add_argument("--json", action="store_true")
+        p_mc.add_argument("--full-precision", action="store_true")
 
     return parser
 
@@ -586,9 +582,22 @@ def _fmt(x: float, full: bool) -> str:
     return f"{x:.17g}" if full else f"{x:.6g}"
 
 
-def _load(path: str, check: bool = True):
-    return parse_model(Path(path), check=check)
+def _load(args, check: bool = True) -> tuple[Diagram, SolverConfig] | None:
+    """The model named by ``args``, or None after printing why it is unusable."""
+    try:
+        loaded = parse_model(Path(args.file), check=check)
+    except (OSError, SchemaError, InvalidDiagramError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return None
+    if getattr(args, "samples", 1) < 1:
+        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
+        return None
+    return loaded
 
+
+# Exit-5 failures of solve and mc_posterior: SolverError, ConditioningError,
+# ConvergenceError and the oracle's all-zero weights are RuntimeErrors.
+_NUMERICAL_FAILURES = (RuntimeError, ValueError, OverflowError)
 
 _STATUS_EXIT = {
     CONVERGED: EXIT_OK,
@@ -598,11 +607,10 @@ _STATUS_EXIT = {
 
 
 def _cmd_validate(args) -> int:
-    try:
-        diagram, _ = _load(args.file, check=False)
-    except (OSError, SchemaError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    loaded = _load(args, check=False)
+    if loaded is None:
         return EXIT_INPUT
+    diagram, _ = loaded
     problems = validate(diagram)
     if problems:
         for nid, message in problems:
@@ -652,11 +660,10 @@ def _print_solve_table(result: SolverResult, full: bool) -> None:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        diagram, config = _load(args.file)
-    except (OSError, SchemaError, InvalidDiagramError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    loaded = _load(args)
+    if loaded is None:
         return EXIT_INPUT
+    diagram, config = loaded
     overrides = {}
     if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
@@ -664,23 +671,14 @@ def _cmd_solve(args) -> int:
         overrides["max_iterations"] = args.max_iter
     if args.no_pool:
         overrides["pool_evidence"] = False
-    if overrides:
-        try:
-            config = SolverConfig(
-                **{
-                    **{
-                        k: getattr(config, k)
-                        for k in ("epsilon", "divergence_window", "max_iterations", "pool_evidence")
-                    },
-                    **overrides,
-                }
-            )
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INPUT
+    try:
+        config = dataclasses.replace(config, **overrides)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         result = solve(diagram, config)
-    except (SolverError, ConditioningError, ConvergenceError, OverflowError) as err:
+    except _NUMERICAL_FAILURES as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.json:
@@ -691,17 +689,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        diagram, _ = _load(args.file)
-    except (OSError, SchemaError, InvalidDiagramError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    loaded = _load(args)
+    if loaded is None:
         return EXIT_INPUT
-    if args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return EXIT_INPUT
+    diagram, _ = loaded
     try:
         est = mc_posterior(diagram, args.samples, args.seed)
-    except (RuntimeError, ValueError, OverflowError) as err:
+    except _NUMERICAL_FAILURES as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.json:
@@ -735,18 +729,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        diagram, config = _load(args.file)
-    except (OSError, SchemaError, InvalidDiagramError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    loaded = _load(args)
+    if loaded is None:
         return EXIT_INPUT
-    if args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return EXIT_INPUT
+    diagram, config = loaded
     try:
         result = solve(diagram, config)
         est = mc_posterior(diagram, args.samples, args.seed)
-    except (SolverError, ConditioningError, ConvergenceError, RuntimeError, OverflowError) as err:
+    except _NUMERICAL_FAILURES as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

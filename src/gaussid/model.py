@@ -9,9 +9,11 @@ A diagram is a DAG of named nodes of three kinds:
   basic/deterministic parent.
 
 Expressions are small immutable trees supporting evaluation, exact
-symbolic differentiation, and printing.  :func:`recognize_linear` detects
-expression/transform combinations that are exactly linear on the
-transformed scale, so the solver can skip re-linearizing them.
+symbolic differentiation, and printing.  :func:`gradients`,
+:func:`point_value` and :func:`slopes` are the pieces of linearizing a
+deterministic node, shared by the solver and by :func:`recognize_linear`,
+which detects expression/transform combinations that are exactly linear
+on the transformed scale, so the solver can skip re-linearizing them.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ __all__ = [
     "validate",
     "ensure_valid",
     "topological_order",
+    "gradients",
+    "point_value",
+    "slopes",
     "recognize_linear",
 ]
 
@@ -578,10 +583,38 @@ def topological_order(d: Diagram) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Recognizing exactly linear nodes
+# Linearizing deterministic nodes, and recognizing exactly linear ones
 
 
-def recognize_linear(node: Node, d: Diagram) -> dict[str, float] | None:
+def gradients(node: Node) -> dict[str, Expr]:
+    """Derivative trees of a deterministic node by parent: derive once, evaluate often."""
+    return {p: diff_expr(node.expr, p) for p in node.parents}
+
+
+def point_value(node: Node, env: dict[str, float]) -> float:
+    """``f(env)`` of a deterministic node; ``ValueError`` if undefined or off its support."""
+    y = eval_expr(node.expr, env)
+    if not node.transform.contains(y):
+        raise ValueError(
+            f"value {y} lies outside its transform support {node.transform.support()}"
+        )
+    return y
+
+
+def slopes(
+    node: Node, d: Diagram, grads: dict[str, Expr], env: dict[str, float]
+) -> dict[str, float]:
+    """Transformed-scale slopes ``T'(f(env)) * (df/dy_i)(env) / T'_i(env[i])`` by parent i."""
+    t_out = derivative(node.transform, point_value(node, env))
+    return {
+        p: t_out * eval_expr(grad, env) / derivative(d.nodes[p].transform, env[p])
+        for p, grad in grads.items()
+    }
+
+
+def recognize_linear(
+    node: Node, d: Diagram, grads: dict[str, Expr] | None = None
+) -> dict[str, float] | None:
     """Constant transformed-scale coefficients for ``node``, when they exist.
 
     Detects three shapes whose relation between the node's transformed
@@ -599,18 +632,21 @@ def recognize_linear(node: Node, d: Diagram) -> dict[str, float] | None:
     chain rule at two interior points; any disagreement returns ``None``.
     Returning ``None`` merely means the solver re-linearizes each
     iteration, so unrecognized linear forms cost accuracy nothing.
+    ``grads`` are the node's :func:`gradients`, when the caller has them.
     """
     if node.kind != DETERMINISTIC:
         return None
-    coeffs = _linear_candidate(node, d)
+    if grads is None:
+        grads = gradients(node)
+    coeffs = _linear_candidate(node, d, grads)
     if coeffs is None:
         return None
-    if not _coefficients_check_out(node, d, coeffs):
+    if not _coefficients_check_out(node, d, grads, coeffs):
         return None
     return coeffs
 
 
-def _linear_candidate(node: Node, d: Diagram) -> dict[str, float] | None:
+def _linear_candidate(node: Node, d: Diagram, grads: dict[str, Expr]) -> dict[str, float] | None:
     t = node.transform
     parents = [d.nodes[p] for p in node.parents]
     if any(p.transform is None for p in parents):
@@ -621,7 +657,7 @@ def _linear_candidate(node: Node, d: Diagram) -> dict[str, float] | None:
             return None
         out: dict[str, float] = {}
         for p in parents:
-            grad = diff_expr(node.expr, p.id)
+            grad = grads[p.id]
             if variables(grad):
                 return None
             try:
@@ -642,7 +678,7 @@ def _linear_candidate(node: Node, d: Diagram) -> dict[str, float] | None:
             for p in parents
         ):
             return None
-        powers = _power_product(node.expr)
+        powers = _product(node.expr)
         if powers is None:
             return None
         factor, exponents = powers
@@ -667,30 +703,43 @@ def _unit_logistic(t: Transform) -> bool:
     return t.a == 0.0 and t.b == 1.0
 
 
-def _power_product(e: Expr) -> tuple[float, dict[str, float]] | None:
-    """Decompose ``e`` as constant * product of Var^k; None when it is not."""
+def _var(e: Expr) -> str | None:
+    return e.name if isinstance(e, Var) else None
+
+
+def _complement(e: Expr) -> str | None:
+    if isinstance(e, Sub) and e.left == Const(1.0) and isinstance(e.right, Var):
+        return e.right.name
+    return None
+
+
+def _product(e: Expr, leaf=_var) -> tuple[float, dict[str, float]] | None:
+    """Decompose ``e`` as constant * product of leaves^k; None when it is not.
+
+    ``leaf`` names the variable of a leaf factor: ``Var`` by default, or
+    ``1 - Var`` with :func:`_complement`.
+    """
     if isinstance(e, Const):
         return e.value, {}
-    if isinstance(e, Var):
-        return 1.0, {e.name: 1.0}
+    name = leaf(e)
+    if name is not None:
+        return 1.0, {name: 1.0}
     if isinstance(e, Pow):
-        inner = _power_product(e.base)
+        inner = _product(e.base, leaf)
         if inner is None:
             return None
         factor, exps = inner
         if factor < 0.0:
             return None
         return factor**e.exponent, {v: k * e.exponent for v, k in exps.items()}
-    if isinstance(e, Mul):
-        left = _power_product(e.left)
-        right = _power_product(e.right)
+    if isinstance(e, (Mul, Div)):
+        left = _product(e.left, leaf)
+        right = _product(e.right, leaf)
         if left is None or right is None:
             return None
-        return left[0] * right[0], _merge_exponents(left[1], right[1])
-    if isinstance(e, Div):
-        left = _power_product(e.left)
-        right = _power_product(e.right)
-        if left is None or right is None or right[0] == 0.0:
+        if isinstance(e, Mul):
+            return left[0] * right[0], _merge_exponents(left[1], right[1])
+        if right[0] == 0.0:
             return None
         return left[0] / right[0], _merge_exponents(
             left[1], {v: -k for v, k in right[1].items()}
@@ -705,37 +754,6 @@ def _merge_exponents(a: dict[str, float], b: dict[str, float]) -> dict[str, floa
     return out
 
 
-def _complement_product(e: Expr) -> tuple[float, dict[str, float]] | None:
-    """Decompose ``e`` as constant * product of (1 - Var)^k."""
-    if isinstance(e, Const):
-        return e.value, {}
-    if isinstance(e, Sub) and e.left == Const(1.0) and isinstance(e.right, Var):
-        return 1.0, {e.right.name: 1.0}
-    if isinstance(e, Pow):
-        inner = _complement_product(e.base)
-        if inner is None:
-            return None
-        factor, exps = inner
-        if factor < 0.0:
-            return None
-        return factor**e.exponent, {v: k * e.exponent for v, k in exps.items()}
-    if isinstance(e, Mul):
-        left = _complement_product(e.left)
-        right = _complement_product(e.right)
-        if left is None or right is None:
-            return None
-        return left[0] * right[0], _merge_exponents(left[1], right[1])
-    if isinstance(e, Div):
-        left = _complement_product(e.left)
-        right = _complement_product(e.right)
-        if left is None or right is None or right[0] == 0.0:
-            return None
-        return left[0] / right[0], _merge_exponents(
-            left[1], {v: -k for v, k in right[1].items()}
-        )
-    return None
-
-
 def _odds_composition(e: Expr) -> dict[str, float] | None:
     """Match ``g / (g + h)`` where the odds g/h is a product of parent odds."""
     if not isinstance(e, Div) or not isinstance(e.right, Add):
@@ -744,8 +762,8 @@ def _odds_composition(e: Expr) -> dict[str, float] | None:
     for g, h in ((e.right.left, e.right.right), (e.right.right, e.right.left)):
         if g != num:
             continue
-        gp = _power_product(g)
-        hp = _complement_product(h)
+        gp = _product(g)
+        hp = _product(h, _complement)
         if gp is None or hp is None:
             continue
         g_factor, g_exps = gp
@@ -760,7 +778,9 @@ def _odds_composition(e: Expr) -> dict[str, float] | None:
     return None
 
 
-def _coefficients_check_out(node: Node, d: Diagram, coeffs: dict[str, float]) -> bool:
+def _coefficients_check_out(
+    node: Node, d: Diagram, grads: dict[str, Expr], coeffs: dict[str, float]
+) -> bool:
     """Numerically confirm candidate coefficients at two interior points."""
     for x_probe in (-0.4, 0.35):
         env = {}
@@ -768,15 +788,10 @@ def _coefficients_check_out(node: Node, d: Diagram, coeffs: dict[str, float]) ->
             pt = d.nodes[pid].transform
             env[pid] = inverse_point(pt, x_probe + 0.07 * k)
         try:
-            y = eval_expr(node.expr, env)
-            if not node.transform.contains(y):
-                return False
-            t_out = derivative(node.transform, y)
-            for pid in node.parents:
-                grad = eval_expr(diff_expr(node.expr, pid), env)
-                b = t_out * grad / derivative(d.nodes[pid].transform, env[pid])
-                if abs(b - coeffs[pid]) > 1e-9 * max(1.0, abs(coeffs[pid])):
-                    return False
-        except (EvalError, ValueError, OverflowError):
+            b = slopes(node, d, grads, env)
+        except (ValueError, OverflowError):
             return False
+        for pid in node.parents:
+            if abs(b[pid] - coeffs[pid]) > 1e-9 * max(1.0, abs(coeffs[pid])):
+                return False
     return True

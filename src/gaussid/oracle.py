@@ -6,7 +6,8 @@ priors, deterministic nodes are propagated by exact expression
 evaluation, and every draw is weighted by the product of the exact
 evidence likelihoods on the natural scale (an exact binomial mass at the
 propagated parent value; a Gaussian density for the normal designs).
-Estimates are self-normalized weighted moments.
+Estimates are self-normalized weighted moments, so constant factors of
+the likelihoods, such as binomial coefficients, are left out.
 
 Reproducibility: all randomness comes from ``numpy.random.default_rng``
 (the PCG64 generator) seeded with the caller's seed; a given (seed,
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom as _binom_dist
 
 from .evidence import BINOMIAL as BINOMIAL_EVIDENCE, to_likelihood
 from .model import (
@@ -160,7 +160,8 @@ def mc_posterior(d: Diagram, n_samples: int, seed: int) -> McEstimate:
                 ok = np.isfinite(p) & (p > 0.0) & (p < 1.0)
                 valid &= ok
                 p = np.where(ok, p, 0.5)
-                logw += _binom_dist.logpmf(spec.successes, spec.count, p)
+                s, n = spec.successes, spec.count
+                logw += s * np.log(p) + (n - s) * np.log1p(-p)
             else:
                 like = to_likelihood(spec, parent.transform, parent.prior)
                 x = _forward_array(parent.transform, y)

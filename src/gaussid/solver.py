@@ -43,14 +43,17 @@ from .model import (
     DETERMINISTIC,
     EVIDENCE,
     Diagram,
-    EvalError,
+    Expr,
     Node,
     ensure_valid,
-    eval_expr,
-    diff_expr,
+    gradients,
+    point_value,
     recognize_linear,
+    slopes,
     topological_order,
 )
+from .model import diff_expr, eval_expr  # noqa: F401  wrapped by bench/tracer.py
+from .specfun import ConvergenceError
 from .transforms import (
     BETA,
     LOG_SCALED,
@@ -59,7 +62,7 @@ from .transforms import (
     NORMAL,
     SCALED,
     MomentPair,
-    derivative,
+    derivative,  # noqa: F401  wrapped by bench/tracer.py
     forward_moments,
     forward_point,
     inverse_moments,
@@ -194,6 +197,8 @@ class SolverState:
     post_x: np.ndarray  # previous posterior means of parameters (transformed scale)
     post_y: np.ndarray  # previous posterior means of parameters (natural scale)
     linear_coeffs: dict[str, dict[str, float]]
+    # gradients of every deterministic node not in linear_coeffs, by parent
+    grads: dict[str, dict[str, Expr]]
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
     post_moments: list[dict[str, MomentPair]] = field(default_factory=list)
@@ -232,6 +237,8 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     mean_y = np.zeros(n)
     mean_x = np.zeros(n)
     cond_var = np.zeros(n)
+    linear: dict[str, dict[str, float]] = {}
+    grads: dict[str, dict[str, Expr]] = {}
     for k, pid in enumerate(param_ids):
         node = d.nodes[pid]
         if node.kind == BASIC:
@@ -242,20 +249,20 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         else:
             env = {p: mean_y[index[p]] for p in node.parents}
             try:
-                y = eval_expr(node.expr, env)
-            except EvalError as err:
+                y = point_value(node, env)
+            except ValueError as err:
                 raise InitializationError(
                     f"cannot evaluate {pid!r} at the prior point: {err}", pid
                 ) from err
-            if not node.transform.contains(y):
-                raise InitializationError(
-                    f"prior value {y} of {pid!r} lies outside its transform support "
-                    f"{node.transform.support()}",
-                    pid,
-                )
             mean_y[k] = y
             mean_x[k] = forward_point(node.transform, y)
             cond_var[k] = 0.0
+            node_grads = gradients(node)
+            coeffs = recognize_linear(node, d, node_grads)
+            if coeffs is None:
+                grads[pid] = node_grads
+            else:
+                linear[pid] = coeffs
 
     # Evidence entries: one per node, or one pooled entry per observed
     # parameter, in order of first appearance.
@@ -283,14 +290,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     full_mean = np.concatenate([mean_x, mean_x[ev_parent]])
     full_cond_var = np.concatenate([cond_var, ev_var])
 
-    linear = {}
-    for pid in param_ids:
-        node = d.nodes[pid]
-        if node.kind == DETERMINISTIC:
-            coeffs = recognize_linear(node, d)
-            if coeffs is not None:
-                linear[pid] = coeffs
-
     return SolverState(
         diagram=d,
         config=cfg,
@@ -303,6 +302,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
         linear_coeffs=linear,
+        grads=grads,
     )
 
 
@@ -314,6 +314,12 @@ def _resolve(node: Node, d: Diagram) -> LikelihoodApprox:
         raise InitializationError(
             f"cannot resolve observation {node.id!r}: {err}", node.id
         ) from err
+
+
+def _iteration_error(
+    state: SolverState, what: str, err: Exception, pid: str | None
+) -> IterationError:
+    return IterationError(f"{what} at iteration {state.t + 1}: {err}", pid, state.records)
 
 
 def linearize(state: SolverState) -> np.ndarray:
@@ -335,32 +341,15 @@ def linearize(state: SolverState) -> np.ndarray:
         node = d.nodes[pid]
         if node.kind != DETERMINISTIC:
             continue
-        fixed = state.linear_coeffs.get(pid)
-        if fixed is not None:
-            for parent, c in fixed.items():
-                coeffs[index[parent], k] = c
-            continue
-        env = {p: state.post_y[index[p]] for p in node.parents}
-        try:
-            y = eval_expr(node.expr, env)
-            if not node.transform.contains(y):
-                raise IterationError(
-                    f"value {y} of {pid!r} left its transform support "
-                    f"{node.transform.support()} at iteration {state.t + 1}",
-                    pid,
-                    state.records,
-                )
-            t_out = derivative(node.transform, y)
-            for parent in node.parents:
-                grad = eval_expr(diff_expr(node.expr, parent), env)
-                t_in = derivative(d.nodes[parent].transform, env[parent])
-                coeffs[index[parent], k] = t_out * grad / t_in
-        except (EvalError, ValueError) as err:
-            raise IterationError(
-                f"cannot linearize {pid!r} at iteration {state.t + 1}: {err}",
-                pid,
-                state.records,
-            ) from err
+        node_coeffs = state.linear_coeffs.get(pid)
+        if node_coeffs is None:
+            env = {p: state.post_y[index[p]] for p in node.parents}
+            try:
+                node_coeffs = slopes(node, d, state.grads[pid], env)
+            except ValueError as err:
+                raise _iteration_error(state, f"cannot linearize {pid!r}", err, pid) from err
+        for parent, c in node_coeffs.items():
+            coeffs[index[parent], k] = c
 
     for e, parent in enumerate(state.ev_parent.tolist()):
         coeffs[parent, n + e] = 1.0
@@ -386,20 +375,9 @@ def update_means(state: SolverState, coeffs: np.ndarray) -> np.ndarray:
             continue  # basic parameters never move
         env = {p: state.post_y[index[p]] for p in node.parents}
         try:
-            y = eval_expr(node.expr, env)
-        except EvalError as err:
-            raise IterationError(
-                f"cannot evaluate {pid!r} at iteration {state.t + 1}: {err}",
-                pid,
-                state.records,
-            ) from err
-        if not node.transform.contains(y):
-            raise IterationError(
-                f"value {y} of {pid!r} left its transform support "
-                f"{node.transform.support()} at iteration {state.t + 1}",
-                pid,
-                state.records,
-            )
+            y = point_value(node, env)
+        except ValueError as err:
+            raise _iteration_error(state, f"cannot evaluate {pid!r}", err, pid) from err
         base = forward_point(node.transform, y)
         corr = 0.0
         for parent in node.parents:
@@ -430,11 +408,7 @@ def step(state: SolverState) -> IterationRecord:
     try:
         post_mean, post_cov = condition(st, obs)
     except (ConditioningError, ValueError, np.linalg.LinAlgError) as err:
-        raise IterationError(
-            f"conditioning failed at iteration {state.t + 1}: {err}",
-            None,
-            state.records,
-        ) from err
+        raise _iteration_error(state, "conditioning failed", err, None) from err
 
     post_var = np.maximum(np.diag(post_cov).copy(), 0.0)
     moments: dict[str, MomentPair] = {}
@@ -446,12 +420,9 @@ def step(state: SolverState) -> IterationRecord:
             m = inverse_moments(
                 family, node.transform, MomentPair(float(post_mean[k]), float(post_var[k]))
             )
-        except (ValueError, OverflowError) as err:
-            raise IterationError(
-                f"cannot map {pid!r} back to its natural scale at iteration "
-                f"{state.t + 1}: {err}",
-                pid,
-                state.records,
+        except (ValueError, OverflowError, ConvergenceError) as err:
+            raise _iteration_error(
+                state, f"cannot map {pid!r} back to its natural scale", err, pid
             ) from err
         moments[pid] = m
         new_post_y[k] = m.mean

@@ -1,10 +1,14 @@
 """Expression grammar, model documents, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gaussid
 from gaussid.cli import (
     EXIT_DIVERGED,
     EXIT_INPUT,
@@ -328,3 +332,16 @@ class TestCommands:
     def test_compare_propagates_solver_status(self, diverging_file, capsys):
         code = main(["compare", diverging_file, "--samples", "5000", "--seed", "3"])
         assert code == EXIT_DIVERGED
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(gaussid.__file__).resolve().parent.parent
+    code = "import sys, gaussid.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr or "import gaussid.cli loaded scipy.stats"

@@ -1,8 +1,11 @@
 """The iterative solver: initialization, linearization, stepping, and statuses."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import gaussid.model as model_mod
 import gaussid.solver as solver_mod
 from gaussid.evidence import EvidenceSpec, binomial
 from gaussid.model import (
@@ -326,6 +329,66 @@ class TestSolve:
         assert result.posterior_y["x"].mean == pytest.approx(1.0, abs=1e-12)
         assert result.posterior_y["x"].variance == pytest.approx(4.0, abs=1e-12)
         np.testing.assert_allclose(result.posterior_correlations, np.eye(2), atol=1e-12)
+
+    def test_gradients_are_derived_once_per_node_and_parent(self, monkeypatch):
+        d = Diagram.from_nodes(
+            [
+                beta_p("p1", 2.0, 3.0),
+                beta_p("p2", 4.0, 2.0),
+                lognormal_p("u", 1.0, 0.5),
+                deterministic("q", TLOG, Add(Mul(Var("p1"), Var("u")), Div(Var("p2"), Var("u")))),
+                deterministic(
+                    "r", T01, Div(Var("p1"), Add(Var("p1"), Mul(Const(2.0), Var("p2"))))
+                ),
+                evidence("e1", "p1", EvidenceSpec(variant="binomial", count=20, successes=12)),
+                evidence(
+                    "eq",
+                    "q",
+                    EvidenceSpec(
+                        variant="normal_known_var", count=1, sample_mean=0.3, variance=0.05
+                    ),
+                ),
+                evidence(
+                    "er",
+                    "r",
+                    EvidenceSpec(
+                        variant="normal_known_var", count=1, sample_mean=-1.0, variance=0.1
+                    ),
+                ),
+            ]
+        )
+        assert initialize(d).linear_coeffs == {}  # no node is recognized linear
+        derived = Counter()
+        depth = [0]
+        diff_expr = model_mod.diff_expr
+
+        def counting_diff_expr(e, wrt):
+            # diff_expr recurses through the module global: count only the
+            # outermost call, which is one derivation of a whole tree.
+            if depth[0] == 0:
+                derived[(e, wrt)] += 1
+            depth[0] += 1
+            try:
+                return diff_expr(e, wrt)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(model_mod, "diff_expr", counting_diff_expr)
+        # also any derivation the solver would make through its own import
+        monkeypatch.setattr(solver_mod, "diff_expr", counting_diff_expr, raising=False)
+        result = solve(d)
+        assert result.status == CONVERGED
+        assert len(result.iterations) >= 3
+        assert derived == Counter((d.nodes[j].expr, p) for j in "qr" for p in d.nodes[j].parents)
+
+    def test_beta_inversion_failure_names_the_node(self):
+        # Beta(0.45, 0.45) has a log-odds variance beyond what the moment
+        # inversion reaches; the failure must come back typed, with its node.
+        d = Diagram.from_nodes([beta_p("p", 0.45, 0.45)])
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert exc.value.node_id == "p"
+        assert exc.value.records == []
 
     def test_iteration_cap_status(self):
         result = solve(beta_binomial(), SolverConfig(max_iterations=1))
