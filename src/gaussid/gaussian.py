@@ -5,9 +5,9 @@ The joint distribution is carried in regression form: node j satisfies
     X_j = E X_j + sum_i B_ij (X_i - E X_i) + eps_j,   Var eps_j = v_j
 
 with B strictly upper triangular in a parent-before-child order, so the
-full covariance follows from a forward recursion over that order.
-Evidence is folded in by Gaussian conditioning on the evidence rows, and
-correlations are read off the conditioned covariance.
+full covariance has the closed form (I - B)^-T diag(v) (I - B)^-1.
+Evidence is folded in by Gaussian conditioning, and correlations are read
+off the conditioned covariance.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "GaussianState",
@@ -25,6 +24,7 @@ __all__ = [
     "condition",
     "condition_sequential",
     "correlation",
+    "correlation_matrix",
 ]
 
 # Above this condition number the evidence block is treated as singular.
@@ -78,24 +78,14 @@ class GaussianState:
 
 
 def propagate_covariance(st: GaussianState) -> GaussianState:
-    """Fill the covariance by the forward recursion over the node order.
+    """Fill the covariance with the closed form (I - B)^-T diag(v) (I - B)^-1.
 
-    With s the indices before j:  Sigma_sj = Sigma_ss B_sj  and
-    Sigma_jj = v_j + B_sj' Sigma_ss B_sj, which together equal the closed
-    form (I - B)^-T diag(v) (I - B)^-1.
+    With A = (I - B)^-T diag(sqrt v), one linear solve, the covariance is
+    A A', which is symmetric and positive semidefinite by construction.
     """
     n = len(st.order)
-    cov = np.zeros((n, n))
-    for j in range(n):
-        if j:
-            b = st.coeffs[:j, j]
-            cross = cov[:j, :j] @ b
-            cov[:j, j] = cross
-            cov[j, :j] = cross
-            cov[j, j] = st.cond_var[j] + b @ cross
-        else:
-            cov[j, j] = st.cond_var[j]
-    return replace(st, cov=cov)
+    a = np.linalg.solve(np.eye(n) - st.coeffs.T, np.diag(np.sqrt(st.cond_var)))
+    return replace(st, cov=a @ a.T)
 
 
 def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -107,6 +97,38 @@ def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.nda
     keep = np.array([i for i in range(n) if i not in set(ev.tolist())], dtype=int)
     d = np.array([obs[i] for i in ev.tolist()])
     return ev, keep, d
+
+
+def _gaussian_update(
+    mean: np.ndarray, cov: np.ndarray, cross: np.ndarray, block: np.ndarray, resid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mean + K resid`` and ``cov - K cross'`` with gain ``K = cross block^-1``.
+
+    ``block`` is the covariance of the evidence, ``cross`` that of the
+    updated quantities with the evidence and ``resid`` the evidence minus
+    its mean.  Behind the condition-number guard, the Cholesky factor L of
+    the block gives W = L^-1 cross' and z = L^-1 resid, and the update is
+    ``mean + W' z`` and ``cov - W' W``.
+    """
+    if len(resid) == 0:
+        return mean, cov
+    cond_est = float(np.linalg.cond(block))
+    if not np.isfinite(cond_est) or cond_est >= _MAX_CONDITION:
+        raise ConditioningError(
+            f"evidence covariance block is ill-conditioned (estimate {cond_est:.3e})",
+            cond_est,
+        )
+    try:
+        chol = np.linalg.cholesky(block)
+    except np.linalg.LinAlgError as err:  # pragma: no cover - guarded above
+        raise ConditioningError(
+            f"evidence covariance block is not positive definite: {err}", cond_est
+        ) from err
+
+    wz = np.linalg.solve(chol, np.column_stack([cross.T, resid]))
+    w, z = wz[:, :-1], wz[:, -1]
+    post_cov = cov - w.T @ w
+    return mean + w.T @ z, 0.5 * (post_cov + post_cov.T)
 
 
 def condition(
@@ -121,31 +143,14 @@ def condition(
     """
     if st.cov is None:
         raise ValueError("covariance not populated; call propagate_covariance first")
-    n = len(st.order)
-    ev, keep, d = _split_indices(n, obs)
-    if len(ev) == 0:
-        return st.mean.copy(), st.cov.copy()
-
-    s_dd = st.cov[np.ix_(ev, ev)]
-    s_nd = st.cov[np.ix_(keep, ev)]
-    cond_est = float(np.linalg.cond(s_dd))
-    if not np.isfinite(cond_est) or cond_est >= _MAX_CONDITION:
-        raise ConditioningError(
-            f"evidence covariance block is ill-conditioned (estimate {cond_est:.3e})",
-            cond_est,
-        )
-    try:
-        factor = cho_factor(s_dd, lower=True)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - guarded above
-        raise ConditioningError(
-            f"evidence covariance block is not positive definite: {err}", cond_est
-        ) from err
-
-    gain = cho_solve(factor, s_nd.T).T  # Sigma_ND Sigma_DD^-1
-    post_mean = st.mean[keep] + gain @ (d - st.mean[ev])
-    post_cov = st.cov[np.ix_(keep, keep)] - gain @ s_nd.T
-    post_cov = 0.5 * (post_cov + post_cov.T)
-    return post_mean, post_cov
+    ev, keep, d = _split_indices(len(st.order), obs)
+    return _gaussian_update(
+        st.mean[keep],
+        st.cov[np.ix_(keep, keep)],
+        st.cov[np.ix_(keep, ev)],
+        st.cov[np.ix_(ev, ev)],
+        d - st.mean[ev],
+    )
 
 
 def condition_sequential(
@@ -153,9 +158,9 @@ def condition_sequential(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same contract as :func:`condition`, by rank-one updates per observation.
 
-    Useful when the evidence set is large; verified equivalent to the
-    joint form.  Each step divides by the current marginal variance of the
-    observation being absorbed, with the same singularity guard.
+    The independent reference that tests check :func:`condition` against.
+    Each step divides by the current marginal variance of the observation
+    being absorbed, with the same singularity guard.
     """
     if st.cov is None:
         raise ValueError("covariance not populated; call propagate_covariance first")
@@ -177,16 +182,23 @@ def condition_sequential(
     return mean[keep], cov[np.ix_(keep, keep)]
 
 
-def correlation(post_cov: np.ndarray, i: int, j: int) -> float:
-    """Correlation read from a covariance matrix, with the zero-variance rule.
+def correlation_matrix(cov: np.ndarray) -> np.ndarray:
+    """Correlations read from a covariance matrix, with the zero-variance rule.
 
-    When either diagonal entry is zero (a fully determined quantity) the
-    correlation is defined to be 0; otherwise the usual ratio, clamped to
-    [-1, 1] against rounding.
+    Where either diagonal entry is zero (a fully determined quantity) the
+    correlation is defined to be 0, the diagonal included; elsewhere the
+    usual ratio, clamped to [-1, 1] against rounding, and 1 on the diagonal.
     """
-    vi = post_cov[i, i]
-    vj = post_cov[j, j]
-    if vi <= 0.0 or vj <= 0.0:
-        return 0.0
-    r = post_cov[i, j] / np.sqrt(vi * vj)
-    return float(min(1.0, max(-1.0, r)))
+    var = np.diag(cov)
+    live = var > 0.0
+    both = np.outer(live, live)
+    scale = np.sqrt(np.where(both, np.outer(var, var), 1.0))
+    corr = np.where(both, np.clip(cov / scale, -1.0, 1.0), 0.0)
+    np.fill_diagonal(corr, live.astype(float))
+    return corr
+
+
+def correlation(post_cov: np.ndarray, i: int, j: int) -> float:
+    """Entry (i, j) of :func:`correlation_matrix` of ``post_cov``."""
+    pair = [i, j]
+    return float(correlation_matrix(post_cov[np.ix_(pair, pair)])[0, 1])

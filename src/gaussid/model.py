@@ -220,13 +220,16 @@ def _finite(value: float, e: Expr) -> float:
 
 
 # Smart constructors keep derivative trees small by folding the identities
-# that symbolic differentiation produces constantly (x+0, x*1, x*0, x^1).
+# that symbolic differentiation produces constantly (x+0, x*1, x*0, x^1),
+# against constants built once, since these tests run on every product.
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
 
 
 def _add(left: Expr, right: Expr) -> Expr:
-    if left == Const(0.0):
+    if left == _ZERO:
         return right
-    if right == Const(0.0):
+    if right == _ZERO:
         return left
     if isinstance(left, Const) and isinstance(right, Const):
         return Const(left.value + right.value)
@@ -234,9 +237,9 @@ def _add(left: Expr, right: Expr) -> Expr:
 
 
 def _sub(left: Expr, right: Expr) -> Expr:
-    if right == Const(0.0):
+    if right == _ZERO:
         return left
-    if left == Const(0.0):
+    if left == _ZERO:
         return _neg(right)
     if isinstance(left, Const) and isinstance(right, Const):
         return Const(left.value - right.value)
@@ -252,11 +255,11 @@ def _neg(operand: Expr) -> Expr:
 
 
 def _mul(left: Expr, right: Expr) -> Expr:
-    if left == Const(0.0) or right == Const(0.0):
-        return Const(0.0)
-    if left == Const(1.0):
+    if left == _ZERO or right == _ZERO:
+        return _ZERO
+    if left == _ONE:
         return right
-    if right == Const(1.0):
+    if right == _ONE:
         return left
     if isinstance(left, Const) and isinstance(right, Const):
         return Const(left.value * right.value)
@@ -264,9 +267,9 @@ def _mul(left: Expr, right: Expr) -> Expr:
 
 
 def _div(left: Expr, right: Expr) -> Expr:
-    if left == Const(0.0) and right != Const(0.0):
-        return Const(0.0)
-    if right == Const(1.0):
+    if left == _ZERO and right != _ZERO:
+        return _ZERO
+    if right == _ONE:
         return left
     return Div(left, right)
 
@@ -274,9 +277,9 @@ def _div(left: Expr, right: Expr) -> Expr:
 def diff_expr(e: Expr, wrt: str) -> Expr:
     """Exact partial derivative of ``e`` with respect to variable ``wrt``."""
     if isinstance(e, Const):
-        return Const(0.0)
+        return _ZERO
     if isinstance(e, Var):
-        return Const(1.0) if e.name == wrt else Const(0.0)
+        return _ONE if e.name == wrt else _ZERO
     if isinstance(e, Neg):
         return _neg(diff_expr(e.operand, wrt))
     if isinstance(e, Add):
@@ -296,7 +299,7 @@ def diff_expr(e: Expr, wrt: str) -> Expr:
         )
     if isinstance(e, Pow):
         if e.exponent == 0.0:
-            return Const(0.0)
+            return _ZERO
         inner = diff_expr(e.base, wrt)
         return _mul(_mul(Const(e.exponent), Pow(e.base, e.exponent - 1.0)), inner)
     if isinstance(e, Exp):
@@ -708,7 +711,7 @@ def _var(e: Expr) -> str | None:
 
 
 def _complement(e: Expr) -> str | None:
-    if isinstance(e, Sub) and e.left == Const(1.0) and isinstance(e.right, Var):
+    if isinstance(e, Sub) and e.left == _ONE and isinstance(e.right, Var):
         return e.right.name
     return None
 

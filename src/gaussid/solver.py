@@ -8,9 +8,9 @@ maps the conditioned moments back to the natural scale:
     means (chain rule through the transforms), unless the node was
     recognized as exactly linear, in which case its constant
     coefficients are reused.
-2.  *Update means* of deterministic nodes to first order, propagate the
-    covariance through the triangular recursion, and *condition* on all
-    evidence entries.
+2.  *Update means* of deterministic nodes to first order, form the
+    covariance of the parameters in closed form, and *condition* it on all
+    evidence entries, each a noisy observation of one parameter.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
     parameter, and measure the relative change of the posterior means on
     the transformed scale.
@@ -34,10 +34,11 @@ from .evidence import LikelihoodApprox, pool as pool_likelihoods, to_likelihood
 from .gaussian import (
     ConditioningError,
     GaussianState,
-    condition,
-    correlation,
+    _gaussian_update,
+    correlation_matrix,
     propagate_covariance,
 )
+from .gaussian import condition, correlation  # noqa: F401  wrapped by bench/tracer.py
 from .model import (
     BASIC,
     DETERMINISTIC,
@@ -202,7 +203,7 @@ class SolverState:
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
     post_moments: list[dict[str, MomentPair]] = field(default_factory=list)
-    post_covs: list[np.ndarray] = field(default_factory=list)
+    post_cov: np.ndarray | None = None  # parameter covariance of the latest iteration
 
     @property
     def n_params(self) -> int:
@@ -323,19 +324,17 @@ def _iteration_error(
 
 
 def linearize(state: SolverState) -> np.ndarray:
-    """Coefficient matrix B at the previous posterior point.
+    """Coefficient matrix B over the parameters at the previous posterior point.
 
     Deterministic node j with parent i gets
     ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
     previous natural-scale posterior means; recognized-linear nodes keep
-    their constants; each evidence entry observes its parameter with
-    coefficient one.
+    their constants.
     """
     d = state.diagram
     n = state.n_params
-    total = len(state.order)
     index = {pid: k for k, pid in enumerate(state.param_ids)}
-    coeffs = np.zeros((total, total))
+    coeffs = np.zeros((n, n))
 
     for k, pid in enumerate(state.param_ids):
         node = d.nodes[pid]
@@ -350,9 +349,6 @@ def linearize(state: SolverState) -> np.ndarray:
                 raise _iteration_error(state, f"cannot linearize {pid!r}", err, pid) from err
         for parent, c in node_coeffs.items():
             coeffs[index[parent], k] = c
-
-    for e, parent in enumerate(state.ev_parent.tolist()):
-        coeffs[parent, n + e] = 1.0
     return coeffs
 
 
@@ -385,8 +381,7 @@ def update_means(state: SolverState, coeffs: np.ndarray) -> np.ndarray:
             corr += coeffs[pk, k] * (new_mean[pk] - state.post_x[pk])
         new_mean[k] = base + corr
 
-    for e, parent in enumerate(state.ev_parent.tolist()):
-        new_mean[n + e] = new_mean[parent]
+    new_mean[n:] = new_mean[state.ev_parent]
     return new_mean
 
 
@@ -397,17 +392,18 @@ def step(state: SolverState) -> IterationRecord:
     coeffs = linearize(state)
     new_mean = update_means(state, coeffs)
 
-    st = GaussianState(
-        order=state.order,
-        mean=new_mean,
-        coeffs=coeffs,
-        cond_var=state.cond_var,
+    st = propagate_covariance(
+        GaussianState(state.param_ids, new_mean[:n], coeffs, state.cond_var[:n])
     )
-    st = propagate_covariance(st)
-    obs = {n + e: float(state.ev_obs[e]) for e in range(len(state.ev_obs))}
+    # An evidence entry is its parameter plus independent noise: its block is
+    # Sigma[par, par] + diag(noise) and Sigma[:, par] links it to the parameters.
+    par = state.ev_parent
+    block = st.cov[np.ix_(par, par)] + np.diag(state.cond_var[n:])
     try:
-        post_mean, post_cov = condition(st, obs)
-    except (ConditioningError, ValueError, np.linalg.LinAlgError) as err:
+        post_mean, post_cov = _gaussian_update(
+            st.mean, st.cov, st.cov[:, par], block, state.ev_obs - st.mean[par]
+        )
+    except (ConditioningError, ValueError) as err:
         raise _iteration_error(state, "conditioning failed", err, None) from err
 
     post_var = np.maximum(np.diag(post_cov).copy(), 0.0)
@@ -427,9 +423,7 @@ def step(state: SolverState) -> IterationRecord:
         moments[pid] = m
         new_post_y[k] = m.mean
 
-    r = np.array(
-        [_relative_change(float(post_mean[k]), float(state.post_x[k])) for k in range(n)]
-    )
+    r = np.array([_relative_change(float(a), float(b)) for a, b in zip(post_mean, state.post_x)])
     r_max = float(r.max()) if n else 0.0
 
     state.t += 1
@@ -443,7 +437,7 @@ def step(state: SolverState) -> IterationRecord:
     )
     state.records.append(record)
     state.post_moments.append(moments)
-    state.post_covs.append(post_cov)
+    state.post_cov = post_cov
     state.prior_mean = new_mean
     state.post_x = post_mean.copy()
     state.post_y = new_post_y
@@ -470,8 +464,11 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
     state = initialize(d, cfg)
     status = MAX_ITERATIONS
     increase_run = 0
+    best, best_cov = 0, None  # smallest-r_max iterate so far, for divergence
     for _ in range(cfg.max_iterations):
         record = step(state)
+        if best_cov is None or record.r_max < state.records[best].r_max:
+            best, best_cov = len(state.records) - 1, state.post_cov
         if record.r_max < cfg.epsilon:
             status = CONVERGED
             break
@@ -483,27 +480,14 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
         else:
             increase_run = 0
 
-    if status == DIVERGED:
-        best = min(range(len(state.records)), key=lambda i: state.records[i].r_max)
-    else:
-        best = len(state.records) - 1
-
-    post_cov = state.post_covs[best]
-    n = state.n_params
-    corr = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = correlation(post_cov, i, j)
-            corr[i, j] = c
-            corr[j, i] = c
-    for i in range(n):
-        corr[i, i] = 1.0 if post_cov[i, i] > 0.0 else 0.0
+    if status != DIVERGED:
+        best, best_cov = len(state.records) - 1, state.post_cov
 
     return SolverResult(
         status=status,
         iterations=state.records,
         posterior_y=dict(state.post_moments[best]),
-        posterior_correlations=corr,
+        posterior_correlations=correlation_matrix(best_cov),
         param_ids=state.param_ids,
         reported_iteration=state.records[best].t if state.records else 0,
     )

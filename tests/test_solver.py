@@ -8,6 +8,7 @@ import pytest
 import gaussid.model as model_mod
 import gaussid.solver as solver_mod
 from gaussid.evidence import EvidenceSpec, binomial
+from gaussid.gaussian import ConditioningError, GaussianState, condition, propagate_covariance
 from gaussid.model import (
     Add,
     Const,
@@ -190,8 +191,8 @@ class TestLinearize:
         state = initialize(linear_chain())
         coeffs = linearize(state)
         assert coeffs[0, 1] == pytest.approx(2.0)
-        # the observation row reads its parameter with coefficient one
-        assert coeffs[1, 2] == 1.0
+        # parameters only: the evidence entry gets no row or column
+        assert coeffs.shape == (state.n_params, state.n_params) == (2, 2)
 
     def test_sum_of_log_nodes_at_unit_point(self):
         # w = u + v about (1, 1): each slope is (1/f) * 1 / (1/y) = 1/2.
@@ -279,6 +280,42 @@ class TestStep:
         want_var = trigamma(8.0) + trigamma(4.0)
         assert record.posterior_mean_x[0] == pytest.approx(want_mean, rel=1e-9)
         assert record.posterior_var_x[0] == pytest.approx(want_var, rel=1e-9)
+
+    def test_step_matches_the_augmented_model(self):
+        # Reference: the parameters plus one leaf per evidence entry that reads
+        # its parameter with coefficient one, conditioned exactly on the leaves.
+        d = Diagram.from_nodes(
+            [
+                beta_p("p", 2.0, 3.0),
+                normal_p("x", 1.0, 4.0),
+                deterministic("z", TS, Add(Mul(Var("p"), Var("x")), Const(1.0))),
+                evidence("a", "p", EvidenceSpec(variant="binomial", count=10, successes=7)),
+                evidence("b", "p", EvidenceSpec(variant="binomial", count=4, successes=1)),
+                evidence(
+                    "oz",
+                    "z",
+                    EvidenceSpec(
+                        variant="normal_known_var", count=1, sample_mean=2.5, variance=0.5
+                    ),
+                ),
+            ]
+        )
+        state = initialize(d, SolverConfig(pool_evidence=False))
+        step(state)  # relinearize away from the prior point
+        n, m = state.n_params, len(state.ev_obs)
+        assert m == 3 and state.ev_parent.tolist().count(state.param_ids.index("p")) == 2
+        coeffs = linearize(state)
+        aug = np.zeros((n + m, n + m))
+        aug[:n, :n] = coeffs
+        aug[state.ev_parent, n + np.arange(m)] = 1.0
+        ref = propagate_covariance(
+            GaussianState(state.order, update_means(state, coeffs), aug, state.cond_var)
+        )
+        want_mean, want_cov = condition(ref, {n + e: o for e, o in enumerate(state.ev_obs)})
+        record = step(state)
+        np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0)
+        assert state.post_cov.shape == (n, n)
 
     def test_step_records_accumulate(self):
         state = initialize(beta_binomial())
@@ -390,6 +427,26 @@ class TestSolve:
         assert exc.value.node_id == "p"
         assert exc.value.records == []
 
+    def test_near_duplicate_observations_trip_the_conditioning_guard(self):
+        # Two near-exact looks at one quantity through two copies of it: the
+        # evidence block [[1 + 1e-13, 1], [1, 1 + 1e-13]] has condition 2e13.
+        look = EvidenceSpec(variant="normal_known_var", count=1, sample_mean=0.5, variance=1e-13)
+        d = Diagram.from_nodes(
+            [
+                normal_p("x", 0.0, 1.0),
+                deterministic("q1", TS, Var("x")),
+                deterministic("q2", TS, Var("x")),
+                evidence("o1", "q1", look),
+                evidence("o2", "q2", look),
+            ]
+        )
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert exc.value.records == []
+        cause = exc.value.__cause__
+        assert isinstance(cause, ConditioningError)
+        assert cause.condition_estimate == pytest.approx(2.0e13, rel=1e-2)
+
     def test_iteration_cap_status(self):
         result = solve(beta_binomial(), SolverConfig(max_iterations=1))
         assert result.status == MAX_ITERATIONS
@@ -434,7 +491,7 @@ class TestSolve:
             )
             state.records.append(record)
             state.post_moments.append({"p": MomentPair(r, 0.01)})
-            state.post_covs.append(np.eye(1))
+            state.post_cov = np.eye(1)
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
@@ -462,7 +519,7 @@ class TestSolve:
             )
             state.records.append(record)
             state.post_moments.append({"p": MomentPair(0.5, 0.01)})
-            state.post_covs.append(np.eye(1))
+            state.post_cov = np.eye(1)
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
