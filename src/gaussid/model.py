@@ -8,12 +8,13 @@ A diagram is a DAG of named nodes of three kinds:
 * ``evidence`` — an observation process attached to exactly one
   basic/deterministic parent.
 
-Expressions are small immutable trees supporting evaluation, exact
-symbolic differentiation, and printing.  :func:`gradients`,
-:func:`point_value` and :func:`slopes` are the pieces of linearizing a
-deterministic node, shared by the solver and by :func:`recognize_linear`,
-which detects expression/transform combinations that are exactly linear
-on the transformed scale, so the solver can skip re-linearizing them.
+Expressions are small immutable trees supporting evaluation and printing;
+:func:`value_and_gradient` returns an expression's value and its partials
+together, from one walk.  :func:`point_value` and :func:`slopes` are the
+pieces of linearizing a deterministic node, shared by the solver and by
+:func:`recognize_linear`, which detects expression/transform combinations
+that are exactly linear on the transformed scale, so the solver can skip
+re-linearizing them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .transforms import (
     PriorSpec,
     Transform,
     derivative,
-    forward_point,
     inverse_point,
 )
 
@@ -50,8 +50,8 @@ __all__ = [
     "CycleError",
     "InvalidDiagramError",
     "variables",
+    "value_and_gradient",
     "eval_expr",
-    "diff_expr",
     "format_expr",
     "Node",
     "basic",
@@ -61,7 +61,6 @@ __all__ = [
     "validate",
     "ensure_valid",
     "topological_order",
-    "gradients",
     "point_value",
     "slopes",
     "recognize_linear",
@@ -166,51 +165,65 @@ def variables(e: Expr) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def eval_expr(e: Expr, env: dict[str, float]) -> float:
-    """Evaluate ``e`` with variable values from ``env``.
+def value_and_gradient(e: Expr, env: dict[str, float]) -> tuple[float, dict[str, float]]:
+    """Value of ``e`` and its partials by variable at ``env``, from one walk.
 
-    Raises :class:`EvalError` for unbound variables, division by zero,
-    logs of non-positive values, invalid powers, and non-finite results.
+    Each subexpression carries its value and its partials together
+    (forward mode).  Raises :class:`EvalError` for unbound variables,
+    division by zero, logs of non-positive values, invalid powers, and
+    non-finite values.  Partials are never checked here, so a point where
+    the value is defined but a slope is not (``x^0.5`` at 0) gives an
+    infinite or NaN partial instead of an error; :func:`slopes` rejects it.
     """
     if isinstance(e, Const):
-        return e.value
+        return e.value, {}
     if isinstance(e, Var):
         try:
-            return env[e.name]
+            return float(env[e.name]), {e.name: 1.0}
         except KeyError:
             raise EvalError(f"unbound variable {e.name!r}", format_expr(e)) from None
     if isinstance(e, Neg):
-        return -eval_expr(e.operand, env)
-    if isinstance(e, Add):
-        return _finite(eval_expr(e.left, env) + eval_expr(e.right, env), e)
-    if isinstance(e, Sub):
-        return _finite(eval_expr(e.left, env) - eval_expr(e.right, env), e)
-    if isinstance(e, Mul):
-        return _finite(eval_expr(e.left, env) * eval_expr(e.right, env), e)
-    if isinstance(e, Div):
-        denom = eval_expr(e.right, env)
-        if denom == 0.0:
-            raise EvalError("division by zero", format_expr(e))
-        return _finite(eval_expr(e.left, env) / denom, e)
+        u, du = value_and_gradient(e.operand, env)
+        return -u, _chain(-1.0, du)
+    if isinstance(e, Exp):
+        u, du = value_and_gradient(e.operand, env)
+        if u > 709.0:
+            raise EvalError("exp overflow", format_expr(e))
+        value = math.exp(u)
+        return value, _chain(value, du)
+    if isinstance(e, Ln):
+        u, du = value_and_gradient(e.operand, env)
+        if u <= 0.0:
+            raise EvalError(f"log of non-positive value {u}", format_expr(e))
+        return math.log(u), _chain(1.0 / u, du)
     if isinstance(e, Pow):
-        base = eval_expr(e.base, env)
+        base, db = value_and_gradient(e.base, env)
         k = e.exponent
         if base == 0.0 and k < 0.0:
             raise EvalError("zero raised to a negative power", format_expr(e))
         if base < 0.0 and k != round(k):
             raise EvalError("negative base with non-integer exponent", format_expr(e))
-        return _finite(base**k, e)
-    if isinstance(e, Exp):
-        arg = eval_expr(e.operand, env)
-        if arg > 709.0:
-            raise EvalError("exp overflow", format_expr(e))
-        return math.exp(arg)
-    if isinstance(e, Ln):
-        arg = eval_expr(e.operand, env)
-        if arg <= 0.0:
-            raise EvalError(f"log of non-positive value {arg}", format_expr(e))
-        return math.log(arg)
+        slope = k * _power(base, k - 1.0) if k != 0.0 else 0.0
+        return _finite(_power(base, k), e), _chain(slope, db)
+    u, du = value_and_gradient(e.left, env)
+    v, dv = value_and_gradient(e.right, env)
+    if isinstance(e, Add):
+        return _finite(u + v, e), _sum(du, 1.0, dv, 1.0)
+    if isinstance(e, Sub):
+        return _finite(u - v, e), _sum(du, 1.0, dv, -1.0)
+    if isinstance(e, Mul):
+        return _finite(u * v, e), _sum(du, v, dv, u)
+    if isinstance(e, Div):
+        if v == 0.0:
+            raise EvalError("division by zero", format_expr(e))
+        value = _finite(u / v, e)
+        return value, _sum(du, 1.0 / v, dv, -value / v)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def eval_expr(e: Expr, env: dict[str, float]) -> float:
+    """Value of ``e`` at ``env``, checked as in :func:`value_and_gradient`."""
+    return value_and_gradient(e, env)[0]
 
 
 def _finite(value: float, e: Expr) -> float:
@@ -219,94 +232,28 @@ def _finite(value: float, e: Expr) -> float:
     return value
 
 
-# Smart constructors keep derivative trees small by folding the identities
-# that symbolic differentiation produces constantly (x+0, x*1, x*0, x^1),
-# against constants built once, since these tests run on every product.
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
+def _power(base: float, k: float) -> float:
+    """``base**k``, infinite where Python raises instead (overflow, ``0.0 ** -0.5``)."""
+    try:
+        return base**k
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
-def _add(left: Expr, right: Expr) -> Expr:
-    if left == _ZERO:
-        return right
-    if right == _ZERO:
-        return left
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value + right.value)
-    return Add(left, right)
+# Maps from variable to partial (or to coefficient, or exponent) combine
+# linearly: _chain scales one, _sum adds two with weights.
 
 
-def _sub(left: Expr, right: Expr) -> Expr:
-    if right == _ZERO:
-        return left
-    if left == _ZERO:
-        return _neg(right)
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value - right.value)
-    return Sub(left, right)
+def _chain(c: float, grad: dict[str, float]) -> dict[str, float]:
+    return {v: c * g for v, g in grad.items()}
 
 
-def _neg(operand: Expr) -> Expr:
-    if isinstance(operand, Const):
-        return Const(-operand.value)
-    if isinstance(operand, Neg):
-        return operand.operand
-    return Neg(operand)
-
-
-def _mul(left: Expr, right: Expr) -> Expr:
-    if left == _ZERO or right == _ZERO:
-        return _ZERO
-    if left == _ONE:
-        return right
-    if right == _ONE:
-        return left
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(left.value * right.value)
-    return Mul(left, right)
-
-
-def _div(left: Expr, right: Expr) -> Expr:
-    if left == _ZERO and right != _ZERO:
-        return _ZERO
-    if right == _ONE:
-        return left
-    return Div(left, right)
-
-
-def diff_expr(e: Expr, wrt: str) -> Expr:
-    """Exact partial derivative of ``e`` with respect to variable ``wrt``."""
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e.name == wrt else _ZERO
-    if isinstance(e, Neg):
-        return _neg(diff_expr(e.operand, wrt))
-    if isinstance(e, Add):
-        return _add(diff_expr(e.left, wrt), diff_expr(e.right, wrt))
-    if isinstance(e, Sub):
-        return _sub(diff_expr(e.left, wrt), diff_expr(e.right, wrt))
-    if isinstance(e, Mul):
-        return _add(
-            _mul(diff_expr(e.left, wrt), e.right),
-            _mul(e.left, diff_expr(e.right, wrt)),
-        )
-    if isinstance(e, Div):
-        # (u/v)' = u'/v - u v'/v^2
-        return _sub(
-            _div(diff_expr(e.left, wrt), e.right),
-            _div(_mul(e.left, diff_expr(e.right, wrt)), Pow(e.right, 2.0)),
-        )
-    if isinstance(e, Pow):
-        if e.exponent == 0.0:
-            return _ZERO
-        inner = diff_expr(e.base, wrt)
-        return _mul(_mul(Const(e.exponent), Pow(e.base, e.exponent - 1.0)), inner)
-    if isinstance(e, Exp):
-        return _mul(e, diff_expr(e.operand, wrt))
-    if isinstance(e, Ln):
-        return _div(diff_expr(e.operand, wrt), e.operand)
-    raise TypeError(f"not an expression: {e!r}")
+def _sum(a: dict[str, float], ca: float, b: dict[str, float], cb: float) -> dict[str, float]:
+    """``ca * a + cb * b``, e.g. the partials of ``ca * u + cb * v`` from those of u and v."""
+    out = _chain(ca, a)
+    for v, g in b.items():
+        out[v] = out.get(v, 0.0) + cb * g
+    return out
 
 
 _PREC_ADD = 1
@@ -552,7 +499,7 @@ def topological_order(d: Diagram) -> list[str]:
     exists, naming one cycle.
     """
     index = {nid: i for i, nid in enumerate(d.nodes)}
-    pending = {nid: set(n.parents) & set(d.nodes) for nid, n in d.nodes.items()}
+    pending = {nid: {p for p in n.parents if p in d.nodes} for nid, n in d.nodes.items()}
     children: dict[str, list[str]] = {nid: [] for nid in d.nodes}
     for nid, parents in pending.items():
         for p in parents:
@@ -571,10 +518,11 @@ def topological_order(d: Diagram) -> list[str]:
                 heapq.heappush(ready, index[child])
 
     if len(order) < len(d.nodes):
-        remaining = [nid for nid in d.nodes if nid not in set(order)]
+        remaining = d.nodes.keys() - set(order)
         # walk parent links inside the remaining set until a node repeats
-        trail = [remaining[0]]
-        seen = {remaining[0]}
+        first = next(nid for nid in d.nodes if nid in remaining)
+        trail = [first]
+        seen = {first}
         while True:
             nxt = next(p for p in d.nodes[trail[-1]].parents if p in remaining)
             if nxt in seen:
@@ -589,14 +537,12 @@ def topological_order(d: Diagram) -> list[str]:
 # Linearizing deterministic nodes, and recognizing exactly linear ones
 
 
-def gradients(node: Node) -> dict[str, Expr]:
-    """Derivative trees of a deterministic node by parent: derive once, evaluate often."""
-    return {p: diff_expr(node.expr, p) for p in node.parents}
-
-
 def point_value(node: Node, env: dict[str, float]) -> float:
     """``f(env)`` of a deterministic node; ``ValueError`` if undefined or off its support."""
-    y = eval_expr(node.expr, env)
+    return _on_support(node, eval_expr(node.expr, env))
+
+
+def _on_support(node: Node, y: float) -> float:
     if not node.transform.contains(y):
         raise ValueError(
             f"value {y} lies outside its transform support {node.transform.support()}"
@@ -604,20 +550,24 @@ def point_value(node: Node, env: dict[str, float]) -> float:
     return y
 
 
-def slopes(
-    node: Node, d: Diagram, grads: dict[str, Expr], env: dict[str, float]
-) -> dict[str, float]:
-    """Transformed-scale slopes ``T'(f(env)) * (df/dy_i)(env) / T'_i(env[i])`` by parent i."""
-    t_out = derivative(node.transform, point_value(node, env))
-    return {
-        p: t_out * eval_expr(grad, env) / derivative(d.nodes[p].transform, env[p])
-        for p, grad in grads.items()
-    }
+def slopes(node: Node, d: Diagram, env: dict[str, float]) -> dict[str, float]:
+    """Transformed-scale slopes ``T'(f(env)) * (df/dy_i)(env) / T'_i(env[i])`` by parent i.
+
+    Raises ``ValueError`` where :func:`point_value` does, and
+    :class:`EvalError` when a partial is not finite at ``env``.
+    """
+    y, grad = value_and_gradient(node.expr, env)
+    t_out = derivative(node.transform, _on_support(node, y))
+    out = {}
+    for p in node.parents:
+        g = grad[p]
+        if not math.isfinite(g):
+            raise EvalError(f"non-finite slope {g} along {p!r}", format_expr(node.expr))
+        out[p] = t_out * g / derivative(d.nodes[p].transform, env[p])
+    return out
 
 
-def recognize_linear(
-    node: Node, d: Diagram, grads: dict[str, Expr] | None = None
-) -> dict[str, float] | None:
+def recognize_linear(node: Node, d: Diagram) -> dict[str, float] | None:
     """Constant transformed-scale coefficients for ``node``, when they exist.
 
     Detects three shapes whose relation between the node's transformed
@@ -635,21 +585,18 @@ def recognize_linear(
     chain rule at two interior points; any disagreement returns ``None``.
     Returning ``None`` merely means the solver re-linearizes each
     iteration, so unrecognized linear forms cost accuracy nothing.
-    ``grads`` are the node's :func:`gradients`, when the caller has them.
     """
     if node.kind != DETERMINISTIC:
         return None
-    if grads is None:
-        grads = gradients(node)
-    coeffs = _linear_candidate(node, d, grads)
+    coeffs = _linear_candidate(node, d)
     if coeffs is None:
         return None
-    if not _coefficients_check_out(node, d, grads, coeffs):
+    if not _coefficients_check_out(node, d, coeffs):
         return None
     return coeffs
 
 
-def _linear_candidate(node: Node, d: Diagram, grads: dict[str, Expr]) -> dict[str, float] | None:
+def _linear_candidate(node: Node, d: Diagram) -> dict[str, float] | None:
     t = node.transform
     parents = [d.nodes[p] for p in node.parents]
     if any(p.transform is None for p in parents):
@@ -658,18 +605,13 @@ def _linear_candidate(node: Node, d: Diagram, grads: dict[str, Expr]) -> dict[st
     if t.kind == SCALED:
         if any(p.transform.kind != SCALED for p in parents):
             return None
-        out: dict[str, float] = {}
-        for p in parents:
-            grad = grads[p.id]
-            if variables(grad):
-                return None
-            try:
-                c = eval_expr(grad, {})
-            except EvalError:
-                return None
-            pt = p.transform
-            out[p.id] = c * (pt.b - pt.a) / (t.b - t.a)
-        return out
+        affine = _affine(node.expr)
+        if affine is None:
+            return None
+        return {
+            p.id: affine[p.id] * (p.transform.b - p.transform.a) / (t.b - t.a)
+            for p in parents
+        }
 
     if t.kind == LOG_SCALED:
         if not (t.a == 0.0 and t.b > 0.0):
@@ -711,7 +653,7 @@ def _var(e: Expr) -> str | None:
 
 
 def _complement(e: Expr) -> str | None:
-    if isinstance(e, Sub) and e.left == _ONE and isinstance(e.right, Var):
+    if isinstance(e, Sub) and e.left == Const(1.0) and isinstance(e.right, Var):
         return e.right.name
     return None
 
@@ -734,27 +676,54 @@ def _product(e: Expr, leaf=_var) -> tuple[float, dict[str, float]] | None:
         factor, exps = inner
         if factor < 0.0:
             return None
-        return factor**e.exponent, {v: k * e.exponent for v, k in exps.items()}
+        return factor**e.exponent, _chain(e.exponent, exps)
     if isinstance(e, (Mul, Div)):
         left = _product(e.left, leaf)
         right = _product(e.right, leaf)
         if left is None or right is None:
             return None
         if isinstance(e, Mul):
-            return left[0] * right[0], _merge_exponents(left[1], right[1])
+            return left[0] * right[0], _sum(left[1], 1.0, right[1], 1.0)
         if right[0] == 0.0:
             return None
-        return left[0] / right[0], _merge_exponents(
-            left[1], {v: -k for v, k in right[1].items()}
-        )
+        return left[0] / right[0], _sum(left[1], 1.0, right[1], -1.0)
     return None
 
 
-def _merge_exponents(a: dict[str, float], b: dict[str, float]) -> dict[str, float]:
-    out = dict(a)
-    for v, k in b.items():
-        out[v] = out.get(v, 0.0) + k
-    return out
+def _affine(e: Expr) -> dict[str, float] | None:
+    """Coefficients of ``e`` by variable when ``e`` is affine; None when it is not.
+
+    Structural: a product is affine only when one factor is free of
+    variables, a quotient only when its divisor is, and a power never is.
+    """
+    if not variables(e):
+        return {}
+    if isinstance(e, Var):
+        return {e.name: 1.0}
+    if isinstance(e, Neg):
+        inner = _affine(e.operand)
+        return None if inner is None else _chain(-1.0, inner)
+    if isinstance(e, (Add, Sub)):
+        left = _affine(e.left)
+        right = _affine(e.right)
+        if left is None or right is None:
+            return None
+        return _sum(left, 1.0, right, 1.0 if isinstance(e, Add) else -1.0)
+    if not isinstance(e, (Mul, Div)):
+        return None
+    factor, other = e.right, e.left
+    if isinstance(e, Mul) and not variables(e.left):
+        factor, other = e.left, e.right
+    if variables(factor):
+        return None
+    inner = _affine(other)
+    try:
+        c = eval_expr(factor, {})
+    except EvalError:
+        return None
+    if inner is None or (isinstance(e, Div) and c == 0.0):
+        return None
+    return _chain(c if isinstance(e, Mul) else 1.0 / c, inner)
 
 
 def _odds_composition(e: Expr) -> dict[str, float] | None:
@@ -781,9 +750,7 @@ def _odds_composition(e: Expr) -> dict[str, float] | None:
     return None
 
 
-def _coefficients_check_out(
-    node: Node, d: Diagram, grads: dict[str, Expr], coeffs: dict[str, float]
-) -> bool:
+def _coefficients_check_out(node: Node, d: Diagram, coeffs: dict[str, float]) -> bool:
     """Numerically confirm candidate coefficients at two interior points."""
     for x_probe in (-0.4, 0.35):
         env = {}
@@ -791,7 +758,7 @@ def _coefficients_check_out(
             pt = d.nodes[pid].transform
             env[pid] = inverse_point(pt, x_probe + 0.07 * k)
         try:
-            b = slopes(node, d, grads, env)
+            b = slopes(node, d, env)
         except (ValueError, OverflowError):
             return False
         for pid in node.parents:

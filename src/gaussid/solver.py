@@ -44,16 +44,14 @@ from .model import (
     DETERMINISTIC,
     EVIDENCE,
     Diagram,
-    Expr,
     Node,
     ensure_valid,
-    gradients,
     point_value,
     recognize_linear,
     slopes,
     topological_order,
 )
-from .model import diff_expr, eval_expr  # noqa: F401  wrapped by bench/tracer.py
+from .model import eval_expr, value_and_gradient as diff_expr  # noqa: F401  names bench/tracer.py wraps
 from .specfun import ConvergenceError
 from .transforms import (
     BETA,
@@ -198,8 +196,6 @@ class SolverState:
     post_x: np.ndarray  # previous posterior means of parameters (transformed scale)
     post_y: np.ndarray  # previous posterior means of parameters (natural scale)
     linear_coeffs: dict[str, dict[str, float]]
-    # gradients of every deterministic node not in linear_coeffs, by parent
-    grads: dict[str, dict[str, Expr]]
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
     post_moments: list[dict[str, MomentPair]] = field(default_factory=list)
@@ -239,7 +235,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     mean_x = np.zeros(n)
     cond_var = np.zeros(n)
     linear: dict[str, dict[str, float]] = {}
-    grads: dict[str, dict[str, Expr]] = {}
     for k, pid in enumerate(param_ids):
         node = d.nodes[pid]
         if node.kind == BASIC:
@@ -258,11 +253,8 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
             mean_y[k] = y
             mean_x[k] = forward_point(node.transform, y)
             cond_var[k] = 0.0
-            node_grads = gradients(node)
-            coeffs = recognize_linear(node, d, node_grads)
-            if coeffs is None:
-                grads[pid] = node_grads
-            else:
+            coeffs = recognize_linear(node, d)
+            if coeffs is not None:
                 linear[pid] = coeffs
 
     # Evidence entries: one per node, or one pooled entry per observed
@@ -303,7 +295,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
         linear_coeffs=linear,
-        grads=grads,
     )
 
 
@@ -344,7 +335,7 @@ def linearize(state: SolverState) -> np.ndarray:
         if node_coeffs is None:
             env = {p: state.post_y[index[p]] for p in node.parents}
             try:
-                node_coeffs = slopes(node, d, state.grads[pid], env)
+                node_coeffs = slopes(node, d, env)
             except ValueError as err:
                 raise _iteration_error(state, f"cannot linearize {pid!r}", err, pid) from err
         for parent, c in node_coeffs.items():

@@ -23,14 +23,15 @@ from gaussid.model import (
     Var,
     basic,
     deterministic,
-    diff_expr,
     ensure_valid,
     eval_expr,
     evidence,
     format_expr,
     recognize_linear,
+    slopes,
     topological_order,
     validate,
+    value_and_gradient,
     variables,
 )
 from gaussid.transforms import PriorSpec, Transform
@@ -85,6 +86,7 @@ class TestExpressions:
             (Pow(Var("x"), -2.0), {"x": 0.0}),
             (Var("missing"), {}),
             (Exp(Var("x")), {"x": 1000.0}),
+            (Pow(Var("x"), 2.0), {"x": 1e200}),
         ],
     )
     def test_eval_errors(self, expr, env):
@@ -113,21 +115,20 @@ class TestExpressions:
         for e in exprs:
             for _ in range(10):
                 env = {"x": float(rng.uniform(0.2, 2.0)), "y": float(rng.uniform(0.2, 2.0))}
+                value, grad = value_and_gradient(e, env)
+                assert value == eval_expr(e, env)
                 for name in ("x", "y"):
-                    d = diff_expr(e, name)
                     h = 1e-6
                     hi = dict(env)
                     lo = dict(env)
                     hi[name] += h
                     lo[name] -= h
                     fd = (eval_expr(e, hi) - eval_expr(e, lo)) / (2 * h)
-                    assert eval_expr(d, env) == pytest.approx(fd, rel=1e-4, abs=1e-8)
+                    assert grad.get(name, 0.0) == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_derivative_of_constant_subtree_folds_away(self):
         e = Mul(Exp(Const(2.0)), Var("x"))
-        d = diff_expr(e, "x")
-        assert variables(d) == ()
-        assert eval_expr(d, {}) == pytest.approx(math.exp(2.0))
+        assert value_and_gradient(e, {"x": 0.3})[1] == {"x": pytest.approx(math.exp(2.0))}
 
     def test_format_round_trips_precedence(self):
         e = Mul(Add(Var("a"), Var("b")), Var("c"))
@@ -265,6 +266,37 @@ class TestRecognizeLinear:
         # 3 * (2-0)/(4-0) and -1 * (1-0)/(4-0)
         assert coeffs["x"] == pytest.approx(1.5)
         assert coeffs["y"] == pytest.approx(-0.25)
+
+    @pytest.mark.parametrize(
+        "expr,expected",
+        [
+            (
+                Add(
+                    Sub(Const(0.3), Mul(Const(0.5), Var("x"))),
+                    Mul(Const(0.7), Var("y")),
+                ),
+                {"x": -0.5, "y": 0.7},
+            ),
+            (Div(Neg(Sub(Var("x"), Var("y"))), Const(4.0)), {"x": -0.25, "y": 0.25}),
+            (Mul(Mul(Const(2.0), Var("x")), Const(3.0)), {"x": 6.0}),
+            (Div(Var("x"), Const(0.5)), {"x": 2.0}),
+        ],
+        ids=["0.3 - 0.5*x + 0.7*y", "-(x - y)/4", "2*x*3", "x/0.5"],
+    )
+    def test_affine_forms_over_scaled(self, expr, expected):
+        nodes = [normal_node(v) for v in variables(expr)]
+        d = Diagram.from_nodes(nodes + [deterministic("z", TS, expr)])
+        assert recognize_linear(d.node("z"), d) == expected
+
+    def test_cubic_over_scaled_is_not_affine(self):
+        # The chain-rule slope 3 (x + 0.025)^2 is 0.421875 at both check
+        # points, so only the structural test can reject this node.
+        d = Diagram.from_nodes(
+            [normal_node("x"), deterministic("z", TS, Pow(Add(Var("x"), Const(0.025)), 3.0))]
+        )
+        for x in (-0.4, 0.35):
+            assert slopes(d.node("z"), d, {"x": x}) == {"x": pytest.approx(0.421875)}
+        assert recognize_linear(d.node("z"), d) is None
 
     def test_product_of_powers_over_log(self):
         d = Diagram.from_nodes(

@@ -1,11 +1,8 @@
 """The iterative solver: initialization, linearization, stepping, and statuses."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
-import gaussid.model as model_mod
 import gaussid.solver as solver_mod
 from gaussid.evidence import EvidenceSpec, binomial
 from gaussid.gaussian import ConditioningError, GaussianState, condition, propagate_covariance
@@ -15,6 +12,7 @@ from gaussid.model import (
     Diagram,
     Div,
     Mul,
+    Pow,
     Sub,
     Var,
     basic,
@@ -367,56 +365,20 @@ class TestSolve:
         assert result.posterior_y["x"].variance == pytest.approx(4.0, abs=1e-12)
         np.testing.assert_allclose(result.posterior_correlations, np.eye(2), atol=1e-12)
 
-    def test_gradients_are_derived_once_per_node_and_parent(self, monkeypatch):
+    def test_undefined_slope_at_a_legal_point_names_the_expression(self):
+        # x^0.5 is defined at the prior point x = 0, but its slope is not.
         d = Diagram.from_nodes(
-            [
-                beta_p("p1", 2.0, 3.0),
-                beta_p("p2", 4.0, 2.0),
-                lognormal_p("u", 1.0, 0.5),
-                deterministic("q", TLOG, Add(Mul(Var("p1"), Var("u")), Div(Var("p2"), Var("u")))),
-                deterministic(
-                    "r", T01, Div(Var("p1"), Add(Var("p1"), Mul(Const(2.0), Var("p2"))))
-                ),
-                evidence("e1", "p1", EvidenceSpec(variant="binomial", count=20, successes=12)),
-                evidence(
-                    "eq",
-                    "q",
-                    EvidenceSpec(
-                        variant="normal_known_var", count=1, sample_mean=0.3, variance=0.05
-                    ),
-                ),
-                evidence(
-                    "er",
-                    "r",
-                    EvidenceSpec(
-                        variant="normal_known_var", count=1, sample_mean=-1.0, variance=0.1
-                    ),
-                ),
-            ]
+            [normal_p("x", 0.0, 1.0), deterministic("q", TS, Pow(Var("x"), 0.5))]
         )
-        assert initialize(d).linear_coeffs == {}  # no node is recognized linear
-        derived = Counter()
-        depth = [0]
-        diff_expr = model_mod.diff_expr
-
-        def counting_diff_expr(e, wrt):
-            # diff_expr recurses through the module global: count only the
-            # outermost call, which is one derivation of a whole tree.
-            if depth[0] == 0:
-                derived[(e, wrt)] += 1
-            depth[0] += 1
-            try:
-                return diff_expr(e, wrt)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(model_mod, "diff_expr", counting_diff_expr)
-        # also any derivation the solver would make through its own import
-        monkeypatch.setattr(solver_mod, "diff_expr", counting_diff_expr, raising=False)
-        result = solve(d)
-        assert result.status == CONVERGED
-        assert len(result.iterations) >= 3
-        assert derived == Counter((d.nodes[j].expr, p) for j in "qr" for p in d.nodes[j].parents)
+        assert eval_expr(Pow(Var("x"), 0.5), {"x": 0.0}) == 0.0
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert exc.value.node_id == "q"
+        assert exc.value.records == []
+        message = str(exc.value)
+        assert "at iteration 1" in message
+        assert "x^0.5" in message
+        assert "x^(-0.5)" not in message
 
     def test_beta_inversion_failure_names_the_node(self):
         # Beta(0.45, 0.45) has a log-odds variance beyond what the moment
