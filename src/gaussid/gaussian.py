@@ -5,9 +5,11 @@ The joint distribution is carried in regression form: node j satisfies
     X_j = E X_j + sum_i B_ij (X_i - E X_i) + eps_j,   Var eps_j = v_j
 
 with B strictly upper triangular in a parent-before-child order, so the
-full covariance has the closed form (I - B)^-T diag(v) (I - B)^-1.
-Evidence is folded in by Gaussian conditioning, and correlations are read
-off the conditioned covariance.
+full covariance (I - B)^-T diag(v) (I - B)^-1 follows from one
+forward-substitution pass over the arcs (Shachter & Kenley, "Gaussian
+influence diagrams", Management Science 35(5), 1989).  Evidence is folded
+in by Gaussian conditioning behind a condition-number guard, and
+correlations are read off the conditioned covariance.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ _MAX_CONDITION = 1e12
 class ConditioningError(RuntimeError):
     """The evidence block of the covariance is singular or nearly so.
 
-    ``condition_estimate`` carries the estimated condition number (may be
-    infinite).  This usually indicates a broken model, e.g. two copies of
+    ``condition_estimate`` carries the block's 2-norm condition number:
+    infinite when the block is singular, NaN when it holds a non-finite
+    entry.  This usually indicates a broken model, e.g. two copies of
     a deterministic observation of the same quantity.
     """
 
@@ -78,13 +81,21 @@ class GaussianState:
 
 
 def propagate_covariance(st: GaussianState) -> GaussianState:
-    """Fill the covariance with the closed form (I - B)^-T diag(v) (I - B)^-1.
+    """Fill the covariance (I - B)^-T diag(v) (I - B)^-1 by forward substitution.
 
-    With A = (I - B)^-T diag(sqrt v), one linear solve, the covariance is
-    A A', which is symmetric and positive semidefinite by construction.
+    The covariance is A A' with A = (I - B)^-T diag(sqrt v), which is
+    symmetric and positive semidefinite by construction.  Row j of A is
+    sqrt(v_j) e_j plus sum_i B_ij A_i over its parents i, all earlier in
+    the order, so one pass over the nodes with parents fills it.  Only the
+    columns of nodes with v_j > 0 are kept: the others are zero.
     """
     n = len(st.order)
-    a = np.linalg.solve(np.eye(n) - st.coeffs.T, np.diag(np.sqrt(st.cond_var)))
+    live = np.flatnonzero(st.cond_var > 0.0)
+    a = np.zeros((n, len(live)))
+    a[live, np.arange(len(live))] = np.sqrt(st.cond_var[live])
+    for j in np.flatnonzero(st.coeffs.any(axis=0)):
+        parents = np.flatnonzero(st.coeffs[:, j])
+        a[j] += st.coeffs[parents, j] @ a[parents]
     return replace(st, cov=a @ a.T)
 
 
@@ -94,9 +105,23 @@ def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.nda
         raise ValueError(f"evidence index out of range: {ev.tolist()}")
     if len(set(obs)) != len(obs):
         raise ValueError("duplicate evidence indices")
-    keep = np.array([i for i in range(n) if i not in set(ev.tolist())], dtype=int)
+    keep = np.setdiff1d(np.arange(n), ev)
     d = np.array([obs[i] for i in ev.tolist()])
     return ev, keep, d
+
+
+def _condition_number(block: np.ndarray) -> float:
+    """2-norm condition number of a symmetric matrix, from its eigenvalues.
+
+    The singular values of a symmetric matrix are the absolute values of
+    its eigenvalues, so the number is ``|lambda|max / |lambda|min``:
+    infinite when the smallest is zero, NaN when an entry is not finite.
+    """
+    if not np.isfinite(block).all():
+        return np.nan
+    eig = np.abs(np.linalg.eigvalsh(block))
+    smallest = eig.min()
+    return float(eig.max() / smallest) if smallest > 0.0 else np.inf
 
 
 def _gaussian_update(
@@ -106,13 +131,14 @@ def _gaussian_update(
 
     ``block`` is the covariance of the evidence, ``cross`` that of the
     updated quantities with the evidence and ``resid`` the evidence minus
-    its mean.  Behind the condition-number guard, the Cholesky factor L of
-    the block gives W = L^-1 cross' and z = L^-1 resid, and the update is
-    ``mean + W' z`` and ``cov - W' W``.
+    its mean.  The guard rejects a block whose 2-norm condition number
+    (:func:`_condition_number`) is not finite or reaches 1e12.  Behind it,
+    the Cholesky factor L of the block gives W = L^-1 cross' and
+    z = L^-1 resid, and the update is ``mean + W' z`` and ``cov - W' W``.
     """
     if len(resid) == 0:
         return mean, cov
-    cond_est = float(np.linalg.cond(block))
+    cond_est = _condition_number(block)
     if not np.isfinite(cond_est) or cond_est >= _MAX_CONDITION:
         raise ConditioningError(
             f"evidence covariance block is ill-conditioned (estimate {cond_est:.3e})",

@@ -9,8 +9,8 @@ maps the conditioned moments back to the natural scale:
     recognized as exactly linear, in which case its constant
     coefficients are reused.
 2.  *Update means* of deterministic nodes to first order, form the
-    covariance of the parameters in closed form, and *condition* it on all
-    evidence entries, each a noisy observation of one parameter.
+    covariance of the parameters by forward substitution, and *condition*
+    it on all evidence entries, each a noisy observation of one parameter.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
     parameter, and measure the relative change of the posterior means on
     the transformed scale.

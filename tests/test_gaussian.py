@@ -1,11 +1,14 @@
 """Covariance recursion, Gaussian conditioning, and correlation conventions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
+    _condition_number,
     condition,
     condition_sequential,
     correlation,
@@ -56,6 +59,27 @@ class TestPropagation:
             st = random_state(rng, n)
             got = propagate_covariance(st).cov
             want = closed_form_cov(st.coeffs, st.cond_var)
+            np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
+
+    def test_sparse_dag_matches_closed_form(self):
+        # Forward substitution visits only the arcs and drops zero-variance
+        # columns; on sparse diagrams with deterministic children, noisy
+        # children and a deterministic root it must agree with the dense inverse.
+        rng = np.random.default_rng(19)
+        n = 300
+        for _ in range(5):
+            coeffs = np.zeros((n, n))
+            for j in range(1, n):
+                k = int(rng.integers(0, min(j, 6) + 1))
+                parents = rng.choice(j, size=k, replace=False)
+                coeffs[parents, j] = rng.uniform(-0.5, 0.5, size=k)
+            cond_var = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 2.0, size=n))
+            cond_var[0] = 0.0
+            has_parents = coeffs.any(axis=0)
+            assert np.any(has_parents & (cond_var == 0.0))
+            assert np.any(has_parents & (cond_var > 0.0))
+            got = propagate_covariance(make_state(np.zeros(n), coeffs, cond_var)).cov
+            want = closed_form_cov(coeffs, cond_var)
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
 
     def test_result_is_positive_semidefinite(self):
@@ -185,6 +209,29 @@ class TestConditioning:
         assert exc.value.condition_estimate > 1e12 or not np.isfinite(
             exc.value.condition_estimate
         )
+
+    def test_non_finite_evidence_block_raises(self):
+        st = propagate_covariance(
+            make_state(
+                [0.0, 0.0, 0.0],
+                [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                [1.0, 1.0, 1.0],
+            )
+        )
+        cov = st.cov.copy()
+        cov[1, 2] = cov[2, 1] = np.nan
+        with pytest.raises(ConditioningError) as exc:
+            condition(replace(st, cov=cov), {1: 1.0, 2: 2.0})
+        assert not np.isfinite(exc.value.condition_estimate)
+
+    def test_condition_number_matches_svd(self):
+        # The guard's eigenvalue ratio is the 2-norm condition number.
+        rng = np.random.default_rng(47)
+        for m in (1, 2, 5, 50):
+            for _ in range(10):
+                x = rng.normal(size=(m, m))
+                block = x @ x.T + 1e-3 * np.eye(m)
+                assert _condition_number(block) == pytest.approx(np.linalg.cond(block), rel=1e-8)
 
     def test_unpropagated_state_rejected(self):
         st = make_state([0.0], np.zeros((1, 1)), [1.0])
