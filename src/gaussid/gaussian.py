@@ -5,17 +5,23 @@ The joint distribution is carried in regression form: node j satisfies
     X_j = E X_j + sum_i B_ij (X_i - E X_i) + eps_j,   Var eps_j = v_j
 
 with B strictly upper triangular in a parent-before-child order, so the
-full covariance (I - B)^-T diag(v) (I - B)^-1 follows from one
-forward-substitution pass over the arcs (Shachter & Kenley, "Gaussian
-influence diagrams", Management Science 35(5), 1989).  Evidence is folded
-in by Gaussian conditioning behind a condition-number guard, and
-correlations are read off the conditioned covariance.
+covariance is A A' with the factor A = (I - B)^-T diag(sqrt v), which one
+forward-substitution pass over the arcs builds (Shachter & Kenley,
+"Gaussian influence diagrams", Management Science 35(5), 1989).  Evidence
+is absorbed one group of a-priori correlated entries at a time: each
+group's block is factored once by a symmetric eigendecomposition, which
+also gives the condition-number guard, and the update is carried as a
+second factor W, so the posterior covariance A A' - W'W is only formed
+when it is asked for (Lauritzen & Jensen, "Stable local computation with
+conditional Gaussian distributions", Statistics and Computing 11, 2001).
+Correlations are read off the conditioned covariance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+import copy
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +61,8 @@ class GaussianState:
     i in node j's regression and must vanish on and below the diagonal;
     ``cond_var[j]`` is the noise variance of node j (zero exactly for
     deterministic nodes); ``cov`` is filled by
-    :func:`propagate_covariance`.
+    :func:`propagate_covariance`.  The fields are checked once, when the
+    state is built.
     """
 
     order: tuple[str, ...]
@@ -80,23 +87,77 @@ class GaussianState:
             raise ValueError(f"cov must have shape ({n}, {n}), got {self.cov.shape}")
 
 
+def _forward_factor(coeffs: np.ndarray, cond_var: np.ndarray) -> np.ndarray:
+    """The factor A = (I - B)^-T diag(sqrt v) of the covariance A A'.
+
+    Row j of A is sqrt(v_j) e_j plus sum_i B_ij A_i over its parents i, all
+    earlier in the order, so one pass over the nodes with parents fills
+    it.  Only the columns of nodes with v_j > 0 are kept: the others are
+    zero.  A is n x q, with q the number of nodes with v_j > 0.
+    """
+    n = len(cond_var)
+    live = np.flatnonzero(cond_var > 0.0)
+    a = np.zeros((n, len(live)))
+    a[live, np.arange(len(live))] = np.sqrt(cond_var[live])
+    for j in np.flatnonzero(coeffs.any(axis=0)):
+        parents = np.flatnonzero(coeffs[:, j])
+        a[j] += coeffs[parents, j] @ a[parents]
+    return a
+
+
 def propagate_covariance(st: GaussianState) -> GaussianState:
     """Fill the covariance (I - B)^-T diag(v) (I - B)^-1 by forward substitution.
 
-    The covariance is A A' with A = (I - B)^-T diag(sqrt v), which is
-    symmetric and positive semidefinite by construction.  Row j of A is
-    sqrt(v_j) e_j plus sum_i B_ij A_i over its parents i, all earlier in
-    the order, so one pass over the nodes with parents fills it.  Only the
-    columns of nodes with v_j > 0 are kept: the others are zero.
+    The covariance is A A' with A from :func:`_forward_factor`, symmetric
+    and positive semidefinite by construction.  The returned state shares
+    ``st``'s other arrays, which were validated when ``st`` was built.
     """
-    n = len(st.order)
-    live = np.flatnonzero(st.cond_var > 0.0)
-    a = np.zeros((n, len(live)))
-    a[live, np.arange(len(live))] = np.sqrt(st.cond_var[live])
-    for j in np.flatnonzero(st.coeffs.any(axis=0)):
-        parents = np.flatnonzero(st.coeffs[:, j])
-        a[j] += st.coeffs[parents, j] @ a[parents]
-    return replace(st, cov=a @ a.T)
+    a = _forward_factor(st.coeffs, st.cond_var)
+    out = copy.copy(st)
+    object.__setattr__(out, "cov", a @ a.T)
+    return out
+
+
+def _evidence_components(
+    parents: Sequence[Sequence[int]], live: np.ndarray, observed: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Group evidence entries into the diagonal blocks of their covariance.
+
+    Node j's parents are ``parents[j]``, all earlier in the order, and
+    ``live[j]`` says whether v_j > 0; entry e observes node ``observed[e]``.
+    The covariance of two entries is a sum over the live ancestors (a node
+    included) that their nodes share, so entries are linked when they share
+    one, and a component is a class of the transitive closure of that link.
+    This holds for any coefficients on the arcs: a zero only removes links.
+    Returns one ``(k, s)`` array per component size s, each row the entries
+    of one component in increasing order.
+    """
+    n, m = len(parents), len(observed)
+    live_idx = np.flatnonzero(live)
+    reach = np.zeros((n, len(live_idx)), dtype=bool)  # live ancestors of each node
+    reach[live_idx, np.arange(len(live_idx))] = True
+    for j, ps in enumerate(parents):
+        if len(ps):
+            reach[j] |= reach[list(ps)].any(axis=0)
+
+    root = list(range(m))  # union-find forest over the entries
+
+    def find(e: int) -> int:
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
+
+    first: dict[int, int] = {}  # live ancestor -> first entry that reaches it
+    for e, c in zip(*(ix.tolist() for ix in np.nonzero(reach[observed]))):
+        root[find(e)] = find(first.setdefault(c, e))
+    members: dict[int, list[int]] = {}
+    for e in range(m):
+        members.setdefault(find(e), []).append(e)
+    by_size: dict[int, list[list[int]]] = {}
+    for group in members.values():
+        by_size.setdefault(len(group), []).append(group)
+    return tuple(np.array(by_size[s], dtype=int) for s in sorted(by_size))
 
 
 def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,51 +171,78 @@ def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.nda
     return ev, keep, d
 
 
-def _condition_number(block: np.ndarray) -> float:
+def _condition_number(eigenvalues: np.ndarray) -> float:
     """2-norm condition number of a symmetric matrix, from its eigenvalues.
 
     The singular values of a symmetric matrix are the absolute values of
     its eigenvalues, so the number is ``|lambda|max / |lambda|min``:
-    infinite when the smallest is zero, NaN when an entry is not finite.
+    infinite when the smallest is zero.
     """
-    if not np.isfinite(block).all():
-        return np.nan
-    eig = np.abs(np.linalg.eigvalsh(block))
+    eig = np.abs(eigenvalues)
     smallest = eig.min()
     return float(eig.max() / smallest) if smallest > 0.0 else np.inf
 
 
-def _gaussian_update(
-    mean: np.ndarray, cov: np.ndarray, cross: np.ndarray, block: np.ndarray, resid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``mean + K resid`` and ``cov - K cross'`` with gain ``K = cross block^-1``.
+def _eigh_components(
+    block: np.ndarray, components: tuple[np.ndarray, ...]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and eigenvectors of the diagonal blocks of ``block``.
 
-    ``block`` is the covariance of the evidence, ``cross`` that of the
-    updated quantities with the evidence and ``resid`` the evidence minus
-    its mean.  The guard rejects a block whose 2-norm condition number
-    (:func:`_condition_number`) is not finite or reaches 1e12.  Behind it,
-    the Cholesky factor L of the block gives W = L^-1 cross' and
-    z = L^-1 resid, and the update is ``mean + W' z`` and ``cov - W' W``.
+    ``components`` holds one ``(k, s)`` index array per block size s; the
+    k blocks of one size are stacked into one batched ``eigh`` call.
     """
+    return [np.linalg.eigh(block[idx[:, :, None], idx[:, None, :]]) for idx in components]
+
+
+def _gaussian_update(
+    mean: np.ndarray,
+    cross: np.ndarray,
+    block: np.ndarray,
+    resid: np.ndarray,
+    components: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean ``mean + K resid`` and the factor W of ``K cross = W' W``.
+
+    The gain is ``K = cross' block^-1``.  ``block`` is the covariance of the
+    evidence, zero outside the diagonal blocks that ``components`` lists
+    (as :func:`_evidence_components` returns them); ``cross`` is the
+    covariance of the evidence (rows) with the updated quantities
+    (columns) and ``resid`` the evidence minus its mean.  Each diagonal
+    block is factored once as Q diag(lambda) Q' (:func:`_eigh_components`).
+    The blocks' eigenvalues together are those of ``block``, so they give
+    its 2-norm condition number (:func:`_condition_number`).  The guard
+    rejects a block with a non-finite entry, a number that is not finite
+    or reaches 1e12, and a non-positive eigenvalue.  Behind it
+    W = diag(lambda)^-1/2 Q' cross and z = diag(lambda)^-1/2 Q' resid, per
+    block; the posterior mean is ``mean + W' z`` and the posterior
+    covariance ``cov - W' W``.
+    """
+    n = len(mean)
     if len(resid) == 0:
-        return mean, cov
-    cond_est = _condition_number(block)
+        return mean, np.zeros((0, n))
+    if not np.isfinite(block).all():
+        raise ConditioningError("evidence covariance block has a non-finite entry", np.nan)
+    pairs = _eigh_components(block, components)
+    lam = np.concatenate([val.ravel() for val, _ in pairs])
+    cond_est = _condition_number(lam)
     if not np.isfinite(cond_est) or cond_est >= _MAX_CONDITION:
         raise ConditioningError(
             f"evidence covariance block is ill-conditioned (estimate {cond_est:.3e})",
             cond_est,
         )
-    try:
-        chol = np.linalg.cholesky(block)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - guarded above
+    if lam.min() <= 0.0:
         raise ConditioningError(
-            f"evidence covariance block is not positive definite: {err}", cond_est
-        ) from err
-
-    wz = np.linalg.solve(chol, np.column_stack([cross.T, resid]))
-    w, z = wz[:, :-1], wz[:, -1]
-    post_cov = cov - w.T @ w
-    return mean + w.T @ z, 0.5 * (post_cov + post_cov.T)
+            f"evidence covariance block is not positive definite "
+            f"(smallest eigenvalue {lam.min():.3e})",
+            cond_est,
+        )
+    w, z = [], []
+    for idx, (val, vecs) in zip(components, pairs):
+        scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)  # diag(lambda)^-1/2 Q'
+        w.append((scaled @ cross[idx]).reshape(-1, n))
+        z.append((scaled @ resid[idx][..., None]).ravel())
+    w = np.concatenate(w)
+    return mean + w.T @ np.concatenate(z), w
 
 
 def condition(
@@ -163,20 +251,22 @@ def condition(
     """Posterior mean and covariance of the unobserved nodes given ``obs``.
 
     ``obs`` maps node positions (in ``st.order``) to observed values.
-    The evidence block is solved through a Cholesky factorization behind a
-    condition-number guard; rows and columns of observed nodes do not
-    appear in the result.
+    The evidence block is taken as one component of :func:`_gaussian_update`,
+    whose factor W gives the posterior covariance ``cov - W' W``; rows and
+    columns of observed nodes do not appear in the result.
     """
     if st.cov is None:
         raise ValueError("covariance not populated; call propagate_covariance first")
     ev, keep, d = _split_indices(len(st.order), obs)
-    return _gaussian_update(
+    mean, w = _gaussian_update(
         st.mean[keep],
-        st.cov[np.ix_(keep, keep)],
-        st.cov[np.ix_(keep, ev)],
+        st.cov[np.ix_(ev, keep)],
         st.cov[np.ix_(ev, ev)],
         d - st.mean[ev],
+        (np.arange(len(ev))[None, :],),
     )
+    post_cov = st.cov[np.ix_(keep, keep)] - w.T @ w
+    return mean, 0.5 * (post_cov + post_cov.T)
 
 
 def condition_sequential(

@@ -8,9 +8,14 @@ maps the conditioned moments back to the natural scale:
     means (chain rule through the transforms), unless the node was
     recognized as exactly linear, in which case its constant
     coefficients are reused.
-2.  *Update means* of deterministic nodes to first order, form the
-    covariance of the parameters by forward substitution, and *condition*
-    it on all evidence entries, each a noisy observation of one parameter.
+2.  *Update means* of deterministic nodes to first order, build the
+    factor A of the parameters' covariance A A' by forward substitution,
+    and *condition* on all evidence entries, each a noisy observation of
+    one parameter.  The entries fall into groups that are correlated a
+    priori, found once per solve; each group's block is factored once, and
+    the update is a second factor W.  An iteration needs only the posterior
+    means and variances, so the n x n posterior covariance A A' - W'W is
+    built once, for the reported iterate's correlations.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
     parameter, and measure the relative change of the posterior means on
     the transformed scale.
@@ -33,12 +38,16 @@ import numpy as np
 from .evidence import LikelihoodApprox, pool as pool_likelihoods, to_likelihood
 from .gaussian import (
     ConditioningError,
-    GaussianState,
+    _evidence_components,
+    _forward_factor,
     _gaussian_update,
     correlation_matrix,
+)
+from .gaussian import (  # noqa: F401  wrapped by bench/tracer.py
+    condition,
+    correlation,
     propagate_covariance,
 )
-from .gaussian import condition, correlation  # noqa: F401  wrapped by bench/tracer.py
 from .model import (
     BASIC,
     DETERMINISTIC,
@@ -191,6 +200,7 @@ class SolverState:
     order: tuple[str, ...]
     ev_parent: np.ndarray  # parameter index observed by each evidence entry
     ev_obs: np.ndarray
+    ev_components: tuple[np.ndarray, ...]  # a-priori correlated entries, by group size
     prior_mean: np.ndarray  # E X over the full order, current iteration
     cond_var: np.ndarray  # noise variances over the full order
     post_x: np.ndarray  # previous posterior means of parameters (transformed scale)
@@ -199,7 +209,8 @@ class SolverState:
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
     post_moments: list[dict[str, MomentPair]] = field(default_factory=list)
-    post_cov: np.ndarray | None = None  # parameter covariance of the latest iteration
+    # (A, W) of the latest iteration: its parameter covariance is A A' - W'W
+    post_factors: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_params(self) -> int:
@@ -221,8 +232,10 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     prior means, with conditional variance zero; their transformed means
     follow by applying their transform at that point.  Evidence entries
     are resolved to (observation, variance) pairs, pooled per parameter
-    when the configuration asks for it.  The iteration-0 "posterior"
-    point is defined to be this prior point.
+    when the configuration asks for it, and grouped into the diagonal
+    blocks of their covariance, which the diagram's arcs fix for every
+    iteration.  The iteration-0 "posterior" point is defined to be this
+    prior point.
     """
     cfg = cfg or SolverConfig()
     ensure_valid(d)
@@ -280,6 +293,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     ev_obs = np.array([o for _, _, o, _ in entries])
     ev_var = np.array([v for _, _, _, v in entries])
 
+    parents = [[index[p] for p in d.nodes[pid].parents] for pid in param_ids]
     full_mean = np.concatenate([mean_x, mean_x[ev_parent]])
     full_cond_var = np.concatenate([cond_var, ev_var])
 
@@ -290,6 +304,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         order=order,
         ev_parent=ev_parent,
         ev_obs=ev_obs,
+        ev_components=_evidence_components(parents, cond_var > 0.0, ev_parent),
         prior_mean=full_mean,
         cond_var=full_cond_var,
         post_x=mean_x.copy(),
@@ -383,21 +398,23 @@ def step(state: SolverState) -> IterationRecord:
     coeffs = linearize(state)
     new_mean = update_means(state, coeffs)
 
-    st = propagate_covariance(
-        GaussianState(state.param_ids, new_mean[:n], coeffs, state.cond_var[:n])
-    )
-    # An evidence entry is its parameter plus independent noise: its block is
-    # Sigma[par, par] + diag(noise) and Sigma[:, par] links it to the parameters.
+    # The parameters' covariance is A A'.  An evidence entry is its parameter
+    # plus independent noise: A[par] A' links it to the parameters, and its
+    # block is the columns par of that plus diag(noise).
+    a = _forward_factor(coeffs, state.cond_var[:n])
     par = state.ev_parent
-    block = st.cov[np.ix_(par, par)] + np.diag(state.cond_var[n:])
+    cross = a[par] @ a.T
+    block = cross[:, par]
+    block[np.diag_indices_from(block)] += state.cond_var[n:]
     try:
-        post_mean, post_cov = _gaussian_update(
-            st.mean, st.cov, st.cov[:, par], block, state.ev_obs - st.mean[par]
+        post_mean, w = _gaussian_update(
+            new_mean[:n], cross, block, state.ev_obs - new_mean[par], state.ev_components
         )
     except (ConditioningError, ValueError) as err:
         raise _iteration_error(state, "conditioning failed", err, None) from err
 
-    post_var = np.maximum(np.diag(post_cov).copy(), 0.0)
+    # The diagonal of A A' - W'W: row sums of A^2 less column sums of W^2.
+    post_var = np.maximum(np.einsum("ij,ij->i", a, a) - np.einsum("ij,ij->j", w, w), 0.0)
     moments: dict[str, MomentPair] = {}
     new_post_y = np.zeros(n)
     for k, pid in enumerate(state.param_ids):
@@ -428,7 +445,7 @@ def step(state: SolverState) -> IterationRecord:
     )
     state.records.append(record)
     state.post_moments.append(moments)
-    state.post_cov = post_cov
+    state.post_factors = (a, w)
     state.prior_mean = new_mean
     state.post_x = post_mean.copy()
     state.post_y = new_post_y
@@ -455,11 +472,11 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
     state = initialize(d, cfg)
     status = MAX_ITERATIONS
     increase_run = 0
-    best, best_cov = 0, None  # smallest-r_max iterate so far, for divergence
+    best, best_factors = 0, None  # smallest-r_max iterate so far, for divergence
     for _ in range(cfg.max_iterations):
         record = step(state)
-        if best_cov is None or record.r_max < state.records[best].r_max:
-            best, best_cov = len(state.records) - 1, state.post_cov
+        if best_factors is None or record.r_max < state.records[best].r_max:
+            best, best_factors = len(state.records) - 1, state.post_factors
         if record.r_max < cfg.epsilon:
             status = CONVERGED
             break
@@ -472,13 +489,14 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
             increase_run = 0
 
     if status != DIVERGED:
-        best, best_cov = len(state.records) - 1, state.post_cov
+        best, best_factors = len(state.records) - 1, state.post_factors
 
+    a, w = best_factors
     return SolverResult(
         status=status,
         iterations=state.records,
         posterior_y=dict(state.post_moments[best]),
-        posterior_correlations=correlation_matrix(best_cov),
+        posterior_correlations=correlation_matrix(a @ a.T - w.T @ w),
         param_ids=state.param_ids,
         reported_iteration=state.records[best].t if state.records else 0,
     )

@@ -9,6 +9,10 @@ from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
     _condition_number,
+    _eigh_components,
+    _evidence_components,
+    _forward_factor,
+    _gaussian_update,
     condition,
     condition_sequential,
     correlation,
@@ -95,6 +99,18 @@ class TestPropagation:
         out = propagate_covariance(st)
         assert st.cov is None
         assert out is not st
+
+    def test_propagation_does_not_revalidate(self, monkeypatch):
+        # The state was checked when it was built; filling cov does not redo it.
+        st = random_state(np.random.default_rng(3), 5)
+
+        def refuse(self):
+            raise AssertionError("validated again")
+
+        monkeypatch.setattr(GaussianState, "__post_init__", refuse)
+        out = propagate_covariance(st)
+        np.testing.assert_allclose(out.cov, closed_form_cov(st.coeffs, st.cond_var), atol=1e-10)
+        assert out.mean is st.mean and out.coeffs is st.coeffs
 
 
 class TestStateValidation:
@@ -231,7 +247,18 @@ class TestConditioning:
             for _ in range(10):
                 x = rng.normal(size=(m, m))
                 block = x @ x.T + 1e-3 * np.eye(m)
-                assert _condition_number(block) == pytest.approx(np.linalg.cond(block), rel=1e-8)
+                assert _condition_number(np.linalg.eigvalsh(block)) == pytest.approx(
+                    np.linalg.cond(block), rel=1e-8
+                )
+
+    def test_indefinite_evidence_block_raises(self):
+        # Eigenvalues 3 and -1: a benign ratio, but no covariance.
+        st = propagate_covariance(make_state(np.zeros(3), np.zeros((3, 3)), [1.0, 1.0, 1.0]))
+        cov = st.cov.copy()
+        cov[1, 2] = cov[2, 1] = 2.0
+        with pytest.raises(ConditioningError, match="not positive definite") as exc:
+            condition(GaussianState(st.order, st.mean, st.coeffs, st.cond_var, cov), {1: 0.0, 2: 0.0})
+        assert exc.value.condition_estimate == pytest.approx(3.0)
 
     def test_unpropagated_state_rejected(self):
         st = make_state([0.0], np.zeros((1, 1)), [1.0])
@@ -242,6 +269,81 @@ class TestConditioning:
         st = propagate_covariance(make_state([0.0], np.zeros((1, 1)), [1.0]))
         with pytest.raises(ValueError, match="out of range"):
             condition(st, {3: 1.0})
+
+
+def random_components(rng, sizes):
+    """Interleaved index groups of the given sizes, as ``_evidence_components`` returns them."""
+    perm = rng.permutation(sum(sizes))
+    groups, start = {}, 0
+    for s in sizes:
+        groups.setdefault(s, []).append(sorted(perm[start : start + s].tolist()))
+        start += s
+    return tuple(np.array(groups[s], dtype=int) for s in sorted(groups))
+
+
+def block_diagonal(rng, components):
+    m = sum(idx.size for idx in components)
+    block = np.zeros((m, m))
+    for idx in components:
+        for members in idx:
+            x = rng.normal(size=(len(members), len(members)))
+            block[np.ix_(members, members)] = x @ x.T + 1e-2 * np.eye(len(members))
+    return block
+
+
+class TestComponents:
+    def test_union_of_component_eigenvalues_is_the_condition_number(self):
+        # The spectrum of a block-diagonal matrix is the union of its blocks'.
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            components = random_components(rng, [1, 2, 5])
+            block = block_diagonal(rng, components)
+            eig = np.concatenate([val.ravel() for val, _ in _eigh_components(block, components)])
+            assert _condition_number(eig) == pytest.approx(np.linalg.cond(block), rel=1e-8)
+
+    def test_update_by_components_matches_one_block(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            components = random_components(rng, [1, 1, 2, 3, 3, 5])
+            block = block_diagonal(rng, components)
+            m, n = len(block), 7
+            cross = rng.normal(size=(m, n))
+            mean, resid = rng.normal(size=n), rng.normal(size=m)
+            got_mean, got_w = _gaussian_update(mean, cross, block, resid, components)
+            one = (np.arange(m)[None, :],)
+            want_mean, want_w = _gaussian_update(mean, cross, block, resid, one)
+            np.testing.assert_allclose(got_mean, want_mean, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(got_w.T @ got_w, want_w.T @ want_w, rtol=1e-10, atol=1e-10)
+            gain = cross.T @ np.linalg.inv(block)
+            np.testing.assert_allclose(got_mean, mean + gain @ resid, rtol=1e-9, atol=1e-9)
+
+    def test_components_are_the_diagonal_blocks_of_the_evidence(self):
+        # Entries in different components have exactly zero covariance, and
+        # each component is connected through nonzero covariances.
+        rng = np.random.default_rng(61)
+        n = 40
+        for _ in range(30):
+            coeffs = np.zeros((n, n))
+            for j in range(1, n):
+                k = int(rng.integers(0, min(j, 3) + 1)) * int(rng.random() < 0.5)
+                coeffs[rng.choice(j, size=k, replace=False), j] = rng.uniform(0.2, 1.0, size=k)
+            cond_var = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.5, 2.0, size=n))
+            observed = rng.integers(0, n, size=15)
+            parents = [np.flatnonzero(coeffs[:, j]).tolist() for j in range(n)]
+            components = _evidence_components(parents, cond_var > 0.0, observed)
+            members = sorted(e for idx in components for e in idx.ravel().tolist())
+            assert members == list(range(len(observed)))
+            a = _forward_factor(coeffs, cond_var)
+            cov = (a @ a.T)[np.ix_(observed, observed)]
+            label = np.empty(len(observed), dtype=int)
+            for k, group in enumerate(g for idx in components for g in idx.tolist()):
+                label[group] = k
+                linked = cov[np.ix_(group, group)] != 0.0
+                reached = np.arange(len(group)) == 0
+                for _ in group:
+                    reached |= linked[reached].any(axis=0)
+                assert reached.all()
+            assert np.all(cov[label[:, None] != label[None, :]] == 0.0)
 
 
 class TestCorrelation:

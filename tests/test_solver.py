@@ -1,11 +1,23 @@
 """The iterative solver: initialization, linearization, stepping, and statuses."""
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gaussid.solver as solver_mod
+from gaussid.cli import parse_model
 from gaussid.evidence import EvidenceSpec, binomial
-from gaussid.gaussian import ConditioningError, GaussianState, condition, propagate_covariance
+from gaussid.gaussian import (
+    ConditioningError,
+    GaussianState,
+    condition,
+    condition_sequential,
+    correlation_matrix,
+    propagate_covariance,
+)
 from gaussid.model import (
     Add,
     Const,
@@ -87,6 +99,55 @@ def linear_chain():
             ),
         ]
     )
+
+
+def normal_look(mean, var):
+    return EvidenceSpec(variant="normal_known_var", count=1, sample_mean=mean, variance=var)
+
+
+def correlated_evidence():
+    # Risk differences over overlapping pairs of four proportions share the
+    # proportions, so their three looks form one block of size 3; two looks
+    # at the root r form a block of size 2; s and u are seen once each.
+    td = Transform("scaled", -1.0, 1.0)
+    return Diagram.from_nodes(
+        [
+            beta_p("p1", 2.0, 6.0),
+            beta_p("p2", 2.0, 8.0),
+            beta_p("p3", 3.0, 9.0),
+            beta_p("p4", 2.0, 10.0),
+            normal_p("r", 1.0, 4.0),
+            normal_p("s", 0.0, 2.0),
+            normal_p("u", -1.0, 1.0),
+            deterministic("d12", td, Sub(Var("p1"), Var("p2"))),
+            deterministic("d23", td, Sub(Var("p2"), Var("p3"))),
+            deterministic("d34", td, Sub(Var("p3"), Var("p4"))),
+            evidence("e12", "d12", normal_look(0.05, 0.05)),
+            evidence("e23", "d23", normal_look(-0.03, 0.1)),
+            evidence("e34", "d34", normal_look(0.1, 0.05)),
+            evidence("r_a", "r", normal_look(1.5, 1.0)),
+            evidence("r_b", "r", normal_look(2.0, 0.5)),
+            evidence("s_a", "s", normal_look(-0.5, 1.0)),
+            evidence("u_a", "u", normal_look(0.0, 0.3)),
+        ]
+    )
+
+
+def augmented_reference(state, conditioner):
+    """Next step's posterior from the parameters plus one leaf per evidence entry.
+
+    Each leaf reads its parameter with coefficient one and carries the
+    entry's noise; ``conditioner`` conditions that model exactly on the leaves.
+    """
+    n, m = state.n_params, len(state.ev_obs)
+    coeffs = linearize(state)
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n] = coeffs
+    aug[state.ev_parent, n + np.arange(m)] = 1.0
+    ref = propagate_covariance(
+        GaussianState(state.order, update_means(state, coeffs), aug, state.cond_var)
+    )
+    return conditioner(ref, {n + e: o for e, o in enumerate(state.ev_obs)})
 
 
 class TestInitialize:
@@ -313,7 +374,28 @@ class TestStep:
         record = step(state)
         np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0)
-        assert state.post_cov.shape == (n, n)
+        a, w = state.post_factors
+        assert (a @ a.T - w.T @ w).shape == (n, n)
+
+    @pytest.mark.parametrize("conditioner", [condition, condition_sequential])
+    def test_correlated_evidence_matches_the_augmented_model(self, conditioner):
+        d = correlated_evidence()
+        cfg = SolverConfig(pool_evidence=False)
+        result = solve(d, cfg)
+        assert result.status == CONVERGED
+        state = initialize(d, cfg)
+        assert [c.tolist() for c in state.ev_components] == [[[5], [6]], [[3, 4]], [[0, 1, 2]]]
+        for _ in result.iterations:
+            want_mean, want_cov = augmented_reference(state, conditioner)
+            record = step(state)
+            np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0
+            )
+        np.testing.assert_allclose(
+            result.posterior_correlations, correlation_matrix(want_cov), rtol=0, atol=1e-12
+        )
+        assert abs(result.posterior_correlations[0, 2]) > 1e-3  # p1 and p3, through p2
 
     def test_step_records_accumulate(self):
         state = initialize(beta_binomial())
@@ -453,7 +535,7 @@ class TestSolve:
             )
             state.records.append(record)
             state.post_moments.append({"p": MomentPair(r, 0.01)})
-            state.post_cov = np.eye(1)
+            state.post_factors = (np.eye(1), np.zeros((0, 1)))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
@@ -464,6 +546,45 @@ class TestSolve:
         assert len(result.iterations) == 7
         assert result.reported_iteration == 4
         assert result.posterior_y["p"].mean == pytest.approx(0.5)
+
+    def test_divergence_reports_the_best_iterates_correlations(self, monkeypatch):
+        seq = iter([1.0, 2.0, 3.0, 0.5, 2.0, 3.0, 4.0])
+
+        def fake_step(state):
+            r = next(seq)
+            state.t += 1
+            record = IterationRecord(
+                t=state.t,
+                prior_mean_x=np.zeros(4),
+                posterior_mean_x=np.full(2, r),
+                posterior_var_x=np.ones(2),
+                r=np.array([r, r]),
+                r_max=r,
+            )
+            state.records.append(record)
+            state.post_moments.append({"p": MomentPair(0.5, 0.01), "q": MomentPair(0.5, 0.01)})
+            # covariance A A' - W'W = [[0.75, rho - 0.25], [rho - 0.25, 0.75]]
+            rho = r / 10.0
+            a = np.array([[1.0, 0.0], [rho, np.sqrt(1.0 - rho**2)]])
+            state.post_factors = (a, np.array([[0.5, 0.5]]))
+            return record
+
+        d = Diagram.from_nodes(
+            [
+                beta_p("p"),
+                beta_p("q"),
+                evidence("yp", "p", EvidenceSpec(variant="binomial", count=10, successes=7)),
+                evidence("yq", "q", EvidenceSpec(variant="binomial", count=10, successes=2)),
+            ]
+        )
+        monkeypatch.setattr(solver_mod, "step", fake_step)
+        result = solve(d, SolverConfig(divergence_window=3))
+        assert result.status == DIVERGED
+        assert result.reported_iteration == 4
+        want = (0.05 - 0.25) / 0.75
+        np.testing.assert_allclose(
+            result.posterior_correlations, [[1.0, want], [want, 1.0]], rtol=0, atol=1e-15
+        )
 
     def test_single_increase_does_not_trip_window(self, monkeypatch):
         seq = iter([1.0, 2.0, 1e-9])
@@ -481,13 +602,36 @@ class TestSolve:
             )
             state.records.append(record)
             state.post_moments.append({"p": MomentPair(0.5, 0.01)})
-            state.post_cov = np.eye(1)
+            state.post_factors = (np.eye(1), np.zeros((0, 1)))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
         result = solve(beta_binomial(), SolverConfig(divergence_window=2))
         assert result.status == CONVERGED
         assert result.reported_iteration == 3
+
+
+def test_solve_factors_each_evidence_block_once(monkeypatch):
+    # The eigendecomposition that guards the evidence block also solves with
+    # it: no Cholesky factor and no general solve anywhere in a solve.
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    try:
+        import generate
+    finally:
+        sys.path.remove(str(root / "bench"))
+    models = [parse_model(root / "docs" / "models" / name) for name in generate.GOLDEN_MODELS]
+    doc = generate.mixed_doc(7, **generate.SMOKE_SIZES["mixed_expr"])
+    models.append(parse_model(json.dumps(doc)))
+    models.append((correlated_evidence(), SolverConfig(pool_evidence=False)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("second factorization of the evidence block")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for d, cfg in models:
+        assert solve(d, cfg).status == CONVERGED
 
 
 class TestChangeMeasure:
