@@ -13,6 +13,9 @@ Commands:
 * ``infer oracle <file> --samples N --seed S [--json]``
 * ``infer compare <file> --samples N --seed S [--json]``
 
+``--json`` prints one compact JSON document on a single line;
+``python -m json.tool`` pretty-prints it.
+
 Exit codes: 0 converged/ok, 2 diverged, 3 max-iterations reached,
 4 input/schema error, 5 numerical failure.
 """
@@ -620,6 +623,11 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _print_json(payload: dict) -> None:
+    """Print ``payload`` as one compact line; without ``indent`` the C encoder runs."""
+    print(json.dumps(payload))
+
+
 def _solver_payload(result: SolverResult) -> dict:
     ids = list(result.param_ids)
     return {
@@ -633,7 +641,7 @@ def _solver_payload(result: SolverResult) -> dict:
         },
         "correlations": {
             "parameters": ids,
-            "matrix": [[float(v) for v in row] for row in result.posterior_correlations],
+            "matrix": result.posterior_correlations.tolist(),
         },
     }
 
@@ -651,12 +659,8 @@ def _print_solve_table(result: SolverResult, full: bool) -> None:
     if len(result.param_ids) > 1:
         print("correlations:")
         width = max(len(pid) for pid in result.param_ids)
-        for i, pid in enumerate(result.param_ids):
-            row = "  ".join(
-                _fmt(float(result.posterior_correlations[i, j]), full)
-                for j in range(len(result.param_ids))
-            )
-            print(f"{pid:<{width}}  {row}")
+        for pid, row in zip(result.param_ids, result.posterior_correlations.tolist()):
+            print(f"{pid:<{width}}  " + "  ".join(_fmt(v, full) for v in row))
 
 
 def _cmd_solve(args) -> int:
@@ -682,7 +686,7 @@ def _cmd_solve(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.json:
-        print(json.dumps(_solver_payload(result), indent=2))
+        _print_json(_solver_payload(result))
     else:
         _print_solve_table(result, args.full_precision)
     return _STATUS_EXIT[result.status]
@@ -714,7 +718,7 @@ def _cmd_oracle(args) -> int:
             },
             "warnings": list(est.warnings),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         full = args.full_precision
         print(f"samples: {est.n_samples}  seed: {est.seed}  ess: {_fmt(est.ess, full)}")
@@ -779,7 +783,7 @@ def _cmd_compare(args) -> int:
             "parameters": rows,
             "warnings": list(est.warnings),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         full = args.full_precision
         print(

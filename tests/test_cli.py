@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaussid
@@ -34,6 +35,8 @@ from gaussid.model import (
     Var,
     format_expr,
 )
+from gaussid.oracle import mc_posterior
+from gaussid.solver import solve
 
 MODELS = Path(__file__).resolve().parent.parent / "docs" / "models"
 BETA_BINOMIAL = MODELS / "beta_binomial.json"
@@ -345,3 +348,117 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr or "import gaussid.cli loaded scipy"
+
+
+# ---------------------------------------------------------------------------
+# --json output: one compact document that round-trips the in-process result
+
+
+@pytest.fixture(scope="module")
+def scale_file(tmp_path_factory):
+    """A smoke-size ``scale_1500`` diagram from the benchmark's generator."""
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    try:
+        import generate
+    finally:
+        sys.path.remove(str(root / "bench"))
+    path = tmp_path_factory.mktemp("scale") / "scale.json"
+    path.write_text(json.dumps(generate.scale_doc(7, **generate.SMOKE_SIZES["scale_1500"])))
+    return path
+
+
+@pytest.fixture(params=["beta_binomial", "risk_difference", "scale"])
+def model_file(request):
+    if request.param == "scale":
+        return request.getfixturevalue("scale_file")
+    return MODELS / f"{request.param}.json"
+
+
+def _json_out(capsys, argv: list[str]) -> dict:
+    """Run a ``--json`` command and parse its single line of output.
+
+    A multi-line document would come from the pure-Python encoder.
+    """
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    return json.loads(out)
+
+
+class TestJsonOutput:
+    def test_solve_equals_the_result(self, model_file, capsys):
+        payload = _json_out(capsys, ["solve", str(model_file), "--json"])
+        result = solve(*parse_model(model_file))
+        assert payload["status"] == result.status
+        assert payload["iterations"] == len(result.iterations)
+        assert payload["reported_iteration"] == result.reported_iteration
+        assert payload["r_max"] == [rec.r_max for rec in result.iterations]
+        assert payload["posterior"] == {
+            pid: {"mean": m.mean, "variance": m.variance} for pid, m in result.posterior_y.items()
+        }
+        assert payload["correlations"]["parameters"] == list(result.param_ids)
+        matrix = payload["correlations"]["matrix"]
+        assert all(type(v) is float for row in matrix for v in row)
+        assert (np.array(matrix) == result.posterior_correlations).all()
+
+    def test_oracle_equals_the_estimate(self, model_file, capsys):
+        argv = ["oracle", str(model_file), "--samples", "2000", "--seed", "3", "--json"]
+        payload = _json_out(capsys, argv)
+        est = mc_posterior(parse_model(model_file)[0], 2000, 3)
+        assert payload == {
+            "samples": est.n_samples,
+            "seed": est.seed,
+            "ess": est.ess,
+            "estimates": {
+                pid: {
+                    "mean": est.mean[pid],
+                    "variance": est.variance[pid],
+                    "se_mean": est.se_mean[pid],
+                    "se_var": est.se_var[pid],
+                }
+                for pid in est.param_ids
+            },
+            "warnings": list(est.warnings),
+        }
+
+    def test_compare_equals_solver_and_oracle(self, model_file, capsys):
+        argv = ["compare", str(model_file), "--samples", "2000", "--seed", "3", "--json"]
+        payload = _json_out(capsys, argv)
+        diagram, config = parse_model(model_file)
+        result = solve(diagram, config)
+        est = mc_posterior(diagram, 2000, 3)
+        assert payload["status"] == result.status
+        assert (payload["samples"], payload["seed"], payload["ess"]) == (2000, 3, est.ess)
+        assert payload["warnings"] == list(est.warnings)
+        assert list(payload["parameters"]) == list(result.param_ids)
+        for pid, row in payload["parameters"].items():
+            approx = result.posterior_y[pid]
+            assert row["approx"] == {"mean": approx.mean, "variance": approx.variance}
+            assert row["mc"] == {
+                "mean": est.mean[pid],
+                "variance": est.variance[pid],
+                "se_mean": est.se_mean[pid],
+                "se_var": est.se_var[pid],
+            }
+            assert row["discrepancy"]["mean_abs"] == abs(approx.mean - est.mean[pid])
+            assert row["discrepancy"]["var_abs"] == abs(approx.variance - est.variance[pid])
+        assert payload["flagged"] is any(
+            row["discrepancy"]["flagged"] for row in payload["parameters"].values()
+        )
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_solve_table_prints_every_correlation(self, scale_file, full, capsys):
+        argv = ["solve", str(scale_file)] + (["--full-precision"] if full else [])
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        result = solve(*parse_model(scale_file))
+        ids = result.param_ids
+        width = max(len(pid) for pid in ids)
+        spec = ".17g" if full else ".6g"
+        corr = result.posterior_correlations
+        expected = [
+            f"{pid:<{width}}  " + "  ".join(format(float(corr[i, j]), spec) for j in range(len(ids)))
+            for i, pid in enumerate(ids)
+        ]
+        assert lines[-len(ids) - 1 :] == ["correlations:", *expected]
