@@ -659,8 +659,9 @@ def _print_solve_table(result: SolverResult, full: bool) -> None:
     if len(result.param_ids) > 1:
         print("correlations:")
         width = max(len(pid) for pid in result.param_ids)
+        row_fmt = "  ".join(["{:.17g}" if full else "{:.6g}"] * len(result.param_ids))
         for pid, row in zip(result.param_ids, result.posterior_correlations.tolist()):
-            print(f"{pid:<{width}}  " + "  ".join(_fmt(v, full) for v in row))
+            print(f"{pid:<{width}}  " + row_fmt.format(*row))
 
 
 def _cmd_solve(args) -> int:

@@ -7,14 +7,18 @@ The joint distribution is carried in regression form: node j satisfies
 with B strictly upper triangular in a parent-before-child order, so the
 covariance is A A' with the factor A = (I - B)^-T diag(sqrt v), which one
 forward-substitution pass over the arcs builds (Shachter & Kenley,
-"Gaussian influence diagrams", Management Science 35(5), 1989).  Evidence
-is absorbed one group of a-priori correlated entries at a time: each
-group's block is factored once by a symmetric eigendecomposition, which
-also gives the condition-number guard, and the update is carried as a
-second factor W, so the posterior covariance A A' - W'W is only formed
-when it is asked for (Lauritzen & Jensen, "Stable local computation with
-conditional Gaussian distributions", Statistics and Computing 11, 2001).
-Correlations are read off the conditioned covariance.
+"Gaussian influence diagrams", Management Science 35(5), 1989).  One
+kernel, :func:`_substitute`, solves (I - B') X = X0 with one batched update
+per depth level of the arcs.  A itself and every product with A go through
+it (A rhs is the kernel applied to diag(sqrt v) rhs), so none is a dense
+matrix product, and each costs O(arcs x columns).  Evidence is absorbed
+one group of a-priori correlated entries at a time: each group's block is
+factored once by a symmetric eigendecomposition, which also gives the
+condition-number guard, and the update is carried as a second factor W,
+so the posterior covariance A A' - W'W is only formed when it is asked for
+(Lauritzen & Jensen, "Stable local computation with conditional Gaussian
+distributions", Statistics and Computing 11, 2001).  Correlations are read
+off the conditioned covariance.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ __all__ = [
     "correlation",
     "correlation_matrix",
 ]
+
+# Nodes with parents by depth level, (nodes, par); and with B's coefficients
+# gathered, (nodes, par, c): see _depth_levels and _level_arcs.
+Levels = tuple[tuple[np.ndarray, np.ndarray], ...]
+Arcs = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 # Above this condition number the evidence block is treated as singular.
 _MAX_CONDITION = 1e12
@@ -87,58 +96,135 @@ class GaussianState:
             raise ValueError(f"cov must have shape ({n}, {n}), got {self.cov.shape}")
 
 
-def _forward_factor(coeffs: np.ndarray, cond_var: np.ndarray) -> np.ndarray:
+def _depth_levels(parents: Sequence[Sequence[int]]) -> Levels:
+    """The nodes that have parents, grouped by their depth in the arcs.
+
+    Node j's parents are ``parents[j]``, all earlier in the order.  A node's
+    depth is one more than its deepest parent's (0 without parents), so the
+    parents of a level's nodes all sit in earlier levels.  Each level is a
+    pair ``(nodes, par)`` of its k nodes and their distinct parents, a
+    (k, p) array whose rows are padded with their own node: its
+    coefficient B_jj is zero.
+    """
+    depth = [0] * len(parents)
+    rows: dict[int, list[list[int]]] = {}  # depth -> [node, *parents] per node
+    for j, ps in enumerate(parents):
+        if len(ps):
+            depth[j] = 1 + max(depth[i] for i in ps)
+            rows.setdefault(depth[j], []).append([j, *dict.fromkeys(ps)])
+    levels = []
+    for d in sorted(rows):
+        width = max(map(len, rows[d]))
+        padded = np.array([r + r[:1] * (width - len(r)) for r in rows[d]], dtype=int)
+        levels.append((padded[:, 0], padded[:, 1:]))
+    return tuple(levels)
+
+
+def _level_arcs(levels: Levels, coeffs: np.ndarray) -> Arcs:
+    """B's arcs by depth level: ``(nodes, par, c)`` with ``c[k, 0, :] = B[par[k], nodes[k]]``.
+
+    The coefficients are gathered once, so every :func:`_substitute` pass
+    with the same B reads them as they are, and B itself can be dropped.
+    """
+    return tuple((nodes, par, coeffs[par, nodes[:, None]][:, None, :]) for nodes, par in levels)
+
+
+def _substitute(arcs: Arcs, x: np.ndarray) -> np.ndarray:
+    """Solve (I - B') X = X0 in place, one batch per depth level.
+
+    ``arcs`` is B as :func:`_level_arcs` gives it.  ``x`` holds X0 on entry,
+    1-D or 2-D with rows in the node order, and X on return; it is also
+    returned.  Row j of X is X0[j] plus sum_i B_ij X[i] over j's parents i,
+    which sit in earlier levels, so each level is one gather and one batched
+    product: the cost is O(arcs x columns), and rows without parents are
+    not touched.
+    """
+    rows = x if x.ndim == 2 else x[:, None]
+    for nodes, par, c in arcs:
+        rows[nodes] += (c @ rows[par])[:, 0]
+    return x
+
+
+def _forward_factor(arcs: Arcs, scale: np.ndarray) -> np.ndarray:
     """The factor A = (I - B)^-T diag(sqrt v) of the covariance A A'.
 
-    Row j of A is sqrt(v_j) e_j plus sum_i B_ij A_i over its parents i, all
-    earlier in the order, so one pass over the nodes with parents fills
-    it.  Only the columns of nodes with v_j > 0 are kept: the others are
-    zero.  A is n x q, with q the number of nodes with v_j > 0.
+    ``scale`` is sqrt(v) per node.  Only the columns of nodes with v_j > 0
+    are kept: the others are zero.  A is n x q, with q the number of nodes
+    with v_j > 0, and solves (I - B') A = D with D = diag(sqrt v) on those
+    columns: row j of A is sqrt(v_j) e_j plus sum_i B_ij A_i over its
+    parents i, one :func:`_substitute` pass over B's ``arcs``.
     """
-    n = len(cond_var)
-    live = np.flatnonzero(cond_var > 0.0)
-    a = np.zeros((n, len(live)))
-    a[live, np.arange(len(live))] = np.sqrt(cond_var[live])
-    for j in np.flatnonzero(coeffs.any(axis=0)):
-        parents = np.flatnonzero(coeffs[:, j])
-        a[j] += coeffs[parents, j] @ a[parents]
-    return a
+    live = (scale > 0.0).nonzero()[0]
+    a = np.zeros((len(scale), len(live)))
+    a[live, np.arange(len(live))] = scale[live]
+    return _substitute(arcs, a)
+
+
+def _times_factor(arcs: Arcs, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``A @ rhs`` for the factor A of :func:`_forward_factor`, with no dense product.
+
+    A rhs solves (I - B') X = D rhs, where D rhs is ``rhs`` (q rows) scaled
+    row by row by sqrt(v) and placed on the rows of the nodes with v_j > 0,
+    zero elsewhere; :func:`_substitute` then costs O(arcs x columns).
+    """
+    live = (scale > 0.0).nonzero()[0]
+    x = np.zeros((len(scale), rhs.shape[1]))
+    x[live] = scale[live, None] * rhs
+    return _substitute(arcs, x)
+
+
+def _covariance(arcs: Arcs, scale: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The covariance A A' - W'W, exactly symmetric, with A A' from :func:`_times_factor`.
+
+    Substitution rounds the two triangles of A A' differently, so the result
+    is averaged with its transpose, in place; copying the transpose first is
+    faster than letting the add resolve the overlap.
+    """
+    cov = _times_factor(arcs, scale, a.T)
+    cov -= w.T @ w
+    cov += cov.T.copy()
+    cov *= 0.5
+    return cov
 
 
 def propagate_covariance(st: GaussianState) -> GaussianState:
     """Fill the covariance (I - B)^-T diag(v) (I - B)^-1 by forward substitution.
 
-    The covariance is A A' with A from :func:`_forward_factor`, symmetric
-    and positive semidefinite by construction.  The returned state shares
-    ``st``'s other arrays, which were validated when ``st`` was built.
+    The covariance is A A' with A from :func:`_forward_factor`; both A and
+    A A' are :func:`_substitute` passes over the depth levels of B's nonzero
+    arcs, and the result is symmetric and positive semidefinite.  The
+    returned state shares ``st``'s other arrays, which were validated when
+    ``st`` was built.
     """
-    a = _forward_factor(st.coeffs, st.cond_var)
+    arcs = _level_arcs(_depth_levels([np.flatnonzero(col) for col in st.coeffs.T]), st.coeffs)
+    scale = np.sqrt(st.cond_var)
+    a = _forward_factor(arcs, scale)
     out = copy.copy(st)
-    object.__setattr__(out, "cov", a @ a.T)
+    object.__setattr__(out, "cov", _covariance(arcs, scale, a, np.zeros((0, len(a)))))
     return out
 
 
 def _evidence_components(
-    parents: Sequence[Sequence[int]], live: np.ndarray, observed: np.ndarray
+    levels: Levels, live: np.ndarray, observed: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Group evidence entries into the diagonal blocks of their covariance.
 
-    Node j's parents are ``parents[j]``, all earlier in the order, and
-    ``live[j]`` says whether v_j > 0; entry e observes node ``observed[e]``.
-    The covariance of two entries is a sum over the live ancestors (a node
-    included) that their nodes share, so entries are linked when they share
-    one, and a component is a class of the transitive closure of that link.
-    This holds for any coefficients on the arcs: a zero only removes links.
-    Returns one ``(k, s)`` array per component size s, each row the entries
-    of one component in increasing order.
+    ``levels`` are the depth levels of the arcs (:func:`_depth_levels`),
+    ``live[j]`` says whether v_j > 0, and entry e observes node
+    ``observed[e]``.  The covariance of two entries is a sum over the live
+    ancestors (a node included) that their nodes share, so entries are
+    linked when they share one, and a component is a class of the
+    transitive closure of that link.  This holds for any coefficients on
+    the arcs: a zero only removes links.  Returns one ``(k, s)`` array per
+    component size s, each row the entries of one component in increasing
+    order.
     """
-    n, m = len(parents), len(observed)
+    n, m = len(live), len(observed)
     live_idx = np.flatnonzero(live)
     reach = np.zeros((n, len(live_idx)), dtype=bool)  # live ancestors of each node
     reach[live_idx, np.arange(len(live_idx))] = True
-    for j, ps in enumerate(parents):
-        if len(ps):
-            reach[j] |= reach[list(ps)].any(axis=0)
+    for nodes, par in levels:  # a level's parents are complete before it
+        reach[nodes] |= reach[par].any(axis=1)
 
     root = list(range(m))  # union-find forest over the entries
 
@@ -304,12 +390,17 @@ def correlation_matrix(cov: np.ndarray) -> np.ndarray:
     Where either diagonal entry is zero (a fully determined quantity) the
     correlation is defined to be 0, the diagonal included; elsewhere the
     usual ratio, clamped to [-1, 1] against rounding, and 1 on the diagonal.
+    The ratio is formed in one n x n array, divided and clamped in place;
+    the rows and columns of non-positive variance are then overwritten.
     """
     var = np.diag(cov)
     live = var > 0.0
-    both = np.outer(live, live)
-    scale = np.sqrt(np.where(both, np.outer(var, var), 1.0))
-    corr = np.where(both, np.clip(cov / scale, -1.0, 1.0), 0.0)
+    scale = np.where(live, var, 1.0)  # no zero or negative divisor
+    corr = np.sqrt(np.outer(scale, scale))
+    np.divide(cov, corr, out=corr)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    corr[~live] = 0.0
+    corr[:, ~live] = 0.0
     np.fill_diagonal(corr, live.astype(float))
     return corr
 

@@ -11,11 +11,14 @@ maps the conditioned moments back to the natural scale:
 2.  *Update means* of deterministic nodes to first order, build the
     factor A of the parameters' covariance A A' by forward substitution,
     and *condition* on all evidence entries, each a noisy observation of
-    one parameter.  The entries fall into groups that are correlated a
-    priori, found once per solve; each group's block is factored once, and
-    the update is a second factor W.  An iteration needs only the posterior
-    means and variances, so the n x n posterior covariance A A' - W'W is
-    built once, for the reported iterate's correlations.
+    one parameter.  Every product with A is a forward substitution too,
+    one batch per depth level of the arcs (found once per solve), so no
+    step multiplies dense matrices by A.  The entries fall into groups that
+    are correlated a priori, also found once per solve; each group's block
+    is factored once, and the update is a second factor W.  An iteration
+    needs only the posterior means and variances, so the n x n posterior
+    covariance A A' - W'W is built once, for the reported iterate's
+    correlations.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
     parameter, and measure the relative change of the posterior means on
     the transformed scale.
@@ -37,10 +40,16 @@ import numpy as np
 
 from .evidence import LikelihoodApprox, pool as pool_likelihoods, to_likelihood
 from .gaussian import (
+    Arcs,
     ConditioningError,
+    Levels,
+    _covariance,
+    _depth_levels,
     _evidence_components,
     _forward_factor,
     _gaussian_update,
+    _level_arcs,
+    _times_factor,
     correlation_matrix,
 )
 from .gaussian import (  # noqa: F401  wrapped by bench/tracer.py
@@ -201,6 +210,7 @@ class SolverState:
     ev_parent: np.ndarray  # parameter index observed by each evidence entry
     ev_obs: np.ndarray
     ev_components: tuple[np.ndarray, ...]  # a-priori correlated entries, by group size
+    levels: Levels  # the parameters with parents, by depth of the arcs
     prior_mean: np.ndarray  # E X over the full order, current iteration
     cond_var: np.ndarray  # noise variances over the full order
     post_x: np.ndarray  # previous posterior means of parameters (transformed scale)
@@ -209,8 +219,9 @@ class SolverState:
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
     post_moments: list[dict[str, MomentPair]] = field(default_factory=list)
-    # (A, W) of the latest iteration: its parameter covariance is A A' - W'W
-    post_factors: tuple[np.ndarray, np.ndarray] | None = None
+    # (B by level, A, W) of the latest iteration: its parameter covariance is
+    # A A' - W'W
+    post_factors: tuple[Arcs, np.ndarray, np.ndarray] | None = None
 
     @property
     def n_params(self) -> int:
@@ -293,7 +304,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     ev_obs = np.array([o for _, _, o, _ in entries])
     ev_var = np.array([v for _, _, _, v in entries])
 
-    parents = [[index[p] for p in d.nodes[pid].parents] for pid in param_ids]
+    levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
     full_mean = np.concatenate([mean_x, mean_x[ev_parent]])
     full_cond_var = np.concatenate([cond_var, ev_var])
 
@@ -304,7 +315,8 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         order=order,
         ev_parent=ev_parent,
         ev_obs=ev_obs,
-        ev_components=_evidence_components(parents, cond_var > 0.0, ev_parent),
+        ev_components=_evidence_components(levels, cond_var > 0.0, ev_parent),
+        levels=levels,
         prior_mean=full_mean,
         cond_var=full_cond_var,
         post_x=mean_x.copy(),
@@ -400,10 +412,13 @@ def step(state: SolverState) -> IterationRecord:
 
     # The parameters' covariance is A A'.  An evidence entry is its parameter
     # plus independent noise: A[par] A' links it to the parameters, and its
-    # block is the columns par of that plus diag(noise).
-    a = _forward_factor(coeffs, state.cond_var[:n])
+    # block is the columns par of that plus diag(noise).  A and (A A[par]')'
+    # are both forward substitutions over the arcs.
+    arcs = _level_arcs(state.levels, coeffs)
+    scale = np.sqrt(state.cond_var[:n])
+    a = _forward_factor(arcs, scale)
     par = state.ev_parent
-    cross = a[par] @ a.T
+    cross = _times_factor(arcs, scale, a[par].T).T
     block = cross[:, par]
     block[np.diag_indices_from(block)] += state.cond_var[n:]
     try:
@@ -445,7 +460,7 @@ def step(state: SolverState) -> IterationRecord:
     )
     state.records.append(record)
     state.post_moments.append(moments)
-    state.post_factors = (a, w)
+    state.post_factors = (arcs, a, w)
     state.prior_mean = new_mean
     state.post_x = post_mean.copy()
     state.post_y = new_post_y
@@ -491,12 +506,13 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
     if status != DIVERGED:
         best, best_factors = len(state.records) - 1, state.post_factors
 
-    a, w = best_factors
+    arcs, a, w = best_factors
+    cov = _covariance(arcs, np.sqrt(state.cond_var[: state.n_params]), a, w)
     return SolverResult(
         status=status,
         iterations=state.records,
         posterior_y=dict(state.post_moments[best]),
-        posterior_correlations=correlation_matrix(a @ a.T - w.T @ w),
+        posterior_correlations=correlation_matrix(cov),
         param_ids=state.param_ids,
         reported_iteration=state.records[best].t if state.records else 0,
     )

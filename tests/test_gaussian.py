@@ -4,15 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
     _condition_number,
+    _depth_levels,
     _eigh_components,
     _evidence_components,
     _forward_factor,
     _gaussian_update,
+    _level_arcs,
+    _substitute,
+    _times_factor,
     condition,
     condition_sequential,
     correlation,
@@ -111,6 +117,110 @@ class TestPropagation:
         out = propagate_covariance(st)
         np.testing.assert_allclose(out.cov, closed_form_cov(st.coeffs, st.cond_var), atol=1e-10)
         assert out.mean is st.mean and out.coeffs is st.coeffs
+
+
+def substitute(parents, coeffs, x0):
+    """The kernel on B given by its parent lists and coefficients, on a copy of X0."""
+    x = np.array(x0, dtype=float)
+    out = _substitute(_level_arcs(_depth_levels(parents), coeffs), x)
+    assert out is x  # solved in place
+    return out
+
+
+def dense_solve(coeffs, x0):
+    return np.linalg.solve(np.eye(len(coeffs)) - coeffs.T, x0)
+
+
+def coefficients(parents, rng):
+    coeffs = np.zeros((len(parents), len(parents)))
+    for j, ps in enumerate(parents):
+        coeffs[ps, j] = rng.uniform(-1.5, 1.5, size=len(ps))
+    return coeffs
+
+
+class TestSubstitution:
+    """The level-batched kernel solves (I - B') X = X0 like a dense solve."""
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3)])
+    def test_chain_of_full_depth(self, shape):
+        rng = np.random.default_rng(71)
+        parents = [[]] + [[j - 1] for j in range(1, 40)]
+        assert len(_depth_levels(parents)) == 39
+        coeffs = coefficients(parents, rng)
+        x0 = rng.normal(size=shape)
+        got = substitute(parents, coeffs, x0)
+        np.testing.assert_allclose(got, dense_solve(coeffs, x0), rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 4)])
+    def test_parents_at_different_depths(self, shape):
+        # Node 5 reads a root (depth 0) and node 4 (depth 3); node 3 has three
+        # parents and node 4 one, so one level pads its rows.
+        parents = [[], [], [0], [0, 1, 2], [3], [0, 4]]
+        levels = _depth_levels(parents)
+        assert [nodes.tolist() for nodes, _ in levels] == [[2], [3], [4], [5]]
+        rng = np.random.default_rng(73)
+        coeffs = coefficients(parents, rng)
+        x0 = rng.normal(size=shape)
+        got = substitute(parents, coeffs, x0)
+        np.testing.assert_allclose(got, dense_solve(coeffs, x0), rtol=1e-10, atol=1e-10)
+
+    def test_padding_repeats_the_node_itself(self):
+        levels = _depth_levels([[], [], [0, 1], [0]])
+        assert len(levels) == 1
+        nodes, par = levels[0]
+        assert nodes.tolist() == [2, 3] and par.tolist() == [[0, 1], [0, 3]]
+
+    def test_parent_listed_twice_counts_once(self):
+        coeffs = np.zeros((2, 2))
+        coeffs[0, 1] = 2.0
+        got = substitute([[], [0, 0]], coeffs, np.array([1.0, 1.0]))
+        np.testing.assert_array_equal(got, [1.0, 3.0])
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2)])
+    def test_arc_with_zero_coefficient(self, shape):
+        # The arc 1 -> 4 is in the parent lists but its coefficient is 0.
+        parents = [[], [0], [0, 1], [], [1, 3]]
+        rng = np.random.default_rng(79)
+        coeffs = coefficients(parents, rng)
+        coeffs[1, 4] = 0.0
+        x0 = rng.normal(size=shape)
+        got = substitute(parents, coeffs, x0)
+        np.testing.assert_allclose(got, dense_solve(coeffs, x0), rtol=1e-10, atol=1e-10)
+
+    def test_zero_variance_nodes_with_parents(self):
+        # Nodes 2 and 4 are deterministic children: A has no column for them,
+        # and A, A rhs and A A' all match the dense factor.
+        parents = [[], [0], [0, 1], [2], [1, 3]]
+        rng = np.random.default_rng(83)
+        coeffs = coefficients(parents, rng)
+        cond_var = np.array([1.5, 0.5, 0.0, 2.0, 0.0])
+        arcs = _level_arcs(_depth_levels(parents), coeffs)
+        a = _forward_factor(arcs, np.sqrt(cond_var))
+        want = dense_solve(coeffs, np.diag(np.sqrt(cond_var))[:, [0, 1, 3]])
+        np.testing.assert_allclose(a, want, rtol=1e-10, atol=1e-10)
+        rhs = rng.normal(size=(3, 6))
+        got = _times_factor(arcs, np.sqrt(cond_var), rhs)
+        np.testing.assert_allclose(got, want @ rhs, rtol=1e-10, atol=1e-10)
+        got = _times_factor(arcs, np.sqrt(cond_var), a.T)
+        np.testing.assert_allclose(got, closed_form_cov(coeffs, cond_var), rtol=1e-10, atol=1e-10)
+
+    @given(
+        n=hst.integers(min_value=1, max_value=12),
+        columns=hst.integers(min_value=0, max_value=3),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_dags_match_the_dense_solve(self, n, columns, seed):
+        rng = np.random.default_rng(seed)
+        parents = [
+            sorted(rng.choice(j, size=int(rng.integers(0, j + 1)), replace=False).tolist())
+            for j in range(n)
+        ]
+        coeffs = coefficients(parents, rng)
+        coeffs[rng.random((n, n)) < 0.1] = 0.0  # some arcs carry a zero coefficient
+        x0 = rng.normal(size=(n, columns) if columns else n)
+        got = substitute(parents, coeffs, x0)
+        np.testing.assert_allclose(got, dense_solve(coeffs, x0), rtol=1e-10, atol=1e-10)
 
 
 class TestStateValidation:
@@ -329,11 +439,11 @@ class TestComponents:
                 coeffs[rng.choice(j, size=k, replace=False), j] = rng.uniform(0.2, 1.0, size=k)
             cond_var = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.5, 2.0, size=n))
             observed = rng.integers(0, n, size=15)
-            parents = [np.flatnonzero(coeffs[:, j]).tolist() for j in range(n)]
-            components = _evidence_components(parents, cond_var > 0.0, observed)
+            levels = _depth_levels([np.flatnonzero(coeffs[:, j]).tolist() for j in range(n)])
+            components = _evidence_components(levels, cond_var > 0.0, observed)
             members = sorted(e for idx in components for e in idx.ravel().tolist())
             assert members == list(range(len(observed)))
-            a = _forward_factor(coeffs, cond_var)
+            a = _forward_factor(_level_arcs(levels, coeffs), np.sqrt(cond_var))
             cov = (a @ a.T)[np.ix_(observed, observed)]
             label = np.empty(len(observed), dtype=int)
             for k, group in enumerate(g for idx in components for g in idx.tolist()):

@@ -374,7 +374,7 @@ class TestStep:
         record = step(state)
         np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0)
-        a, w = state.post_factors
+        _, a, w = state.post_factors
         assert (a @ a.T - w.T @ w).shape == (n, n)
 
     @pytest.mark.parametrize("conditioner", [condition, condition_sequential])
@@ -396,6 +396,32 @@ class TestStep:
             result.posterior_correlations, correlation_matrix(want_cov), rtol=0, atol=1e-12
         )
         assert abs(result.posterior_correlations[0, 2]) > 1e-3  # p1 and p3, through p2
+
+    def test_cross_covariance_is_the_dense_product(self, monkeypatch):
+        # step forms the evidence-parameter covariance A[par] A' by forward
+        # substitution; it must equal the dense product of the factor it keeps.
+        crosses = []
+        update = solver_mod._gaussian_update
+
+        def record(mean, cross, *rest):
+            crosses.append(cross.copy())
+            return update(mean, cross, *rest)
+
+        monkeypatch.setattr(solver_mod, "_gaussian_update", record)
+        state = initialize(correlated_evidence(), SolverConfig(pool_evidence=False))
+        for _ in range(3):
+            step(state)
+            _, a, _ = state.post_factors
+            want = a[state.ev_parent] @ a.T
+            assert np.count_nonzero(want) < want.size  # entries with no shared ancestor
+            np.testing.assert_allclose(crosses[-1], want, rtol=1e-12, atol=0)
+
+    def test_posterior_correlations_are_exactly_symmetric(self):
+        # Substitution rounds the two triangles of A A' differently; the
+        # reported matrix must not show it.
+        result = solve(correlated_evidence(), SolverConfig(pool_evidence=False))
+        corr = result.posterior_correlations
+        assert np.array_equal(corr, corr.T)
 
     def test_step_records_accumulate(self):
         state = initialize(beta_binomial())
@@ -535,7 +561,7 @@ class TestSolve:
             )
             state.records.append(record)
             state.post_moments.append({"p": MomentPair(r, 0.01)})
-            state.post_factors = (np.eye(1), np.zeros((0, 1)))
+            state.post_factors = ((), np.eye(1), np.zeros((0, 1)))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
@@ -563,10 +589,13 @@ class TestSolve:
             )
             state.records.append(record)
             state.post_moments.append({"p": MomentPair(0.5, 0.01), "q": MomentPair(0.5, 0.01)})
-            # covariance A A' - W'W = [[0.75, rho - 0.25], [rho - 0.25, 0.75]]
+            # p and q are independent, so B = 0 and A = diag(sqrt v); the
+            # covariance A A' - W'W is [[0.75, rho - 0.25], [rho - 0.25, 0.75]]
+            # scaled by sqrt(v_i v_j)
             rho = r / 10.0
-            a = np.array([[1.0, 0.0], [rho, np.sqrt(1.0 - rho**2)]])
-            state.post_factors = (a, np.array([[0.5, 0.5]]))
+            sd = np.sqrt(state.cond_var[:2])
+            w = np.array([[np.sqrt(0.25 - rho / 2)] * 2, [np.sqrt(rho / 2), -np.sqrt(rho / 2)]])
+            state.post_factors = ((), np.diag(sd), w * sd)
             return record
 
         d = Diagram.from_nodes(
@@ -602,7 +631,7 @@ class TestSolve:
             )
             state.records.append(record)
             state.post_moments.append({"p": MomentPair(0.5, 0.01)})
-            state.post_factors = (np.eye(1), np.zeros((0, 1)))
+            state.post_factors = ((), np.eye(1), np.zeros((0, 1)))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
