@@ -550,11 +550,11 @@ def _on_support(node: Node, y: float) -> float:
     return y
 
 
-def slopes(node: Node, d: Diagram, env: dict[str, float]) -> dict[str, float]:
-    """Transformed-scale slopes ``T'(f(env)) * (df/dy_i)(env) / T'_i(env[i])`` by parent i.
+def slopes(node: Node, d: Diagram, env: dict[str, float]) -> tuple[float, dict[str, float]]:
+    """``f(env)`` and the slopes ``T'(f(env)) * (df/dy_i)(env) / T'_i(env[i])`` by parent i.
 
-    Raises ``ValueError`` where :func:`point_value` does, and
-    :class:`EvalError` when a partial is not finite at ``env``.
+    One walk gives both.  Raises ``ValueError`` where :func:`point_value`
+    does, and :class:`EvalError` when a partial is not finite at ``env``.
     """
     y, grad = value_and_gradient(node.expr, env)
     t_out = derivative(node.transform, _on_support(node, y))
@@ -564,7 +564,7 @@ def slopes(node: Node, d: Diagram, env: dict[str, float]) -> dict[str, float]:
         if not math.isfinite(g):
             raise EvalError(f"non-finite slope {g} along {p!r}", format_expr(node.expr))
         out[p] = t_out * g / derivative(d.nodes[p].transform, env[p])
-    return out
+    return y, out
 
 
 def recognize_linear(node: Node, d: Diagram) -> dict[str, float] | None:
@@ -758,7 +758,7 @@ def _coefficients_check_out(node: Node, d: Diagram, coeffs: dict[str, float]) ->
             pt = d.nodes[pid].transform
             env[pid] = inverse_point(pt, x_probe + 0.07 * k)
         try:
-            b = slopes(node, d, env)
+            _, b = slopes(node, d, env)
         except (ValueError, OverflowError):
             return False
         for pid in node.parents:

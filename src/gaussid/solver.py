@@ -5,14 +5,16 @@ around the previous posterior point, conditions it on the evidence, and
 maps the conditioned moments back to the natural scale:
 
 1.  *Linearize* every deterministic node about the previous posterior
-    means (chain rule through the transforms), unless the node was
-    recognized as exactly linear, in which case its constant
-    coefficients are reused.
-2.  *Update means* of deterministic nodes to first order, build the
-    factor A of the parameters' covariance A A' by forward substitution,
-    and *condition* on all evidence entries, each a noisy observation of
-    one parameter.  Every product with A is a forward substitution too,
-    one batch per depth level of the arcs (found once per solve), so no
+    means y*: one walk of its expression gives its transformed value
+    T_j(f_j(y*)) and, unless the node was recognized as exactly linear
+    (its constant coefficients are reused), its slopes by the chain rule
+    through the transforms.
+2.  *Update means* to first order: the shifts from the previous posterior
+    point solve (I - B') s = x0, one forward substitution over the arcs
+    (one batch per depth level, found once per solve).  Build the factor
+    A of the parameters' covariance A A' by the same kernel, and
+    *condition* on all evidence entries, each a noisy observation of one
+    parameter.  Every product with A is a forward substitution too, so no
     step multiplies dense matrices by A.  The entries fall into groups that
     are correlated a priori, also found once per solve; each group's block
     is factored once, and the update is a second factor W.  An iteration
@@ -49,6 +51,7 @@ from .gaussian import (
     _forward_factor,
     _gaussian_update,
     _level_arcs,
+    _substitute,
     _times_factor,
     correlation_matrix,
 )
@@ -215,6 +218,9 @@ class SolverState:
     cond_var: np.ndarray  # noise variances over the full order
     post_x: np.ndarray  # previous posterior means of parameters (transformed scale)
     post_y: np.ndarray  # previous posterior means of parameters (natural scale)
+    # transformed values at y = post_y as the latest linearize found them:
+    # T_j(f_j(y)) on deterministic nodes, prior means on basic ones
+    point_x: np.ndarray
     linear_coeffs: dict[str, dict[str, float]]
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
@@ -321,6 +327,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         cond_var=full_cond_var,
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
+        point_x=mean_x.copy(),
         linear_coeffs=linear,
     )
 
@@ -347,7 +354,10 @@ def linearize(state: SolverState) -> np.ndarray:
     Deterministic node j with parent i gets
     ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
     previous natural-scale posterior means; recognized-linear nodes keep
-    their constants.
+    their constants.  Each node's expression is walked once, by
+    :func:`slopes` or, for a recognized-linear node, :func:`point_value`;
+    its transformed value T_j(f_j(y*)) is kept in ``state.point_x`` for
+    :func:`update_means`.
     """
     d = state.diagram
     n = state.n_params
@@ -358,47 +368,35 @@ def linearize(state: SolverState) -> np.ndarray:
         node = d.nodes[pid]
         if node.kind != DETERMINISTIC:
             continue
+        env = {p: state.post_y[index[p]] for p in node.parents}
         node_coeffs = state.linear_coeffs.get(pid)
-        if node_coeffs is None:
-            env = {p: state.post_y[index[p]] for p in node.parents}
-            try:
-                node_coeffs = slopes(node, d, env)
-            except ValueError as err:
-                raise _iteration_error(state, f"cannot linearize {pid!r}", err, pid) from err
+        try:
+            if node_coeffs is None:
+                y, node_coeffs = slopes(node, d, env)
+            else:
+                y = point_value(node, env)
+            state.point_x[k] = forward_point(node.transform, y)
+        except ValueError as err:
+            raise _iteration_error(state, f"cannot linearize {pid!r}", err, pid) from err
         for parent, c in node_coeffs.items():
             coeffs[index[parent], k] = c
     return coeffs
 
 
 def update_means(state: SolverState, coeffs: np.ndarray) -> np.ndarray:
-    """First-order update of the transformed means, in topological order.
+    """First-order update of the transformed means, from the values :func:`linearize` left.
 
     Basic parameters keep their prior-moment means; deterministic node j
     becomes ``T_j(f_j(y*)) + sum_i B_ij (E X_i - post_x_i)``, where E X_i
-    is the parent's already-updated mean this iteration and post_x the
-    previous posterior; evidence entries track their parameter's mean.
+    is the parent's updated mean this iteration and post_x the previous
+    posterior; evidence entries track their parameter's mean.  The shifts
+    s = E X - post_x solve (I - B') s = point_x - post_x, one forward
+    substitution over the arcs.
     """
-    d = state.diagram
     n = state.n_params
-    index = {pid: k for k, pid in enumerate(state.param_ids)}
-    new_mean = state.prior_mean.copy()
-
-    for k, pid in enumerate(state.param_ids):
-        node = d.nodes[pid]
-        if node.kind != DETERMINISTIC:
-            continue  # basic parameters never move
-        env = {p: state.post_y[index[p]] for p in node.parents}
-        try:
-            y = point_value(node, env)
-        except ValueError as err:
-            raise _iteration_error(state, f"cannot evaluate {pid!r}", err, pid) from err
-        base = forward_point(node.transform, y)
-        corr = 0.0
-        for parent in node.parents:
-            pk = index[parent]
-            corr += coeffs[pk, k] * (new_mean[pk] - state.post_x[pk])
-        new_mean[k] = base + corr
-
+    shift = _substitute(_level_arcs(state.levels, coeffs), state.point_x - state.post_x)
+    new_mean = np.empty(len(state.order))
+    new_mean[:n] = state.post_x + shift
     new_mean[n:] = new_mean[state.ev_parent]
     return new_mean
 
@@ -446,7 +444,7 @@ def step(state: SolverState) -> IterationRecord:
         moments[pid] = m
         new_post_y[k] = m.mean
 
-    r = np.array([_relative_change(float(a), float(b)) for a, b in zip(post_mean, state.post_x)])
+    r = _relative_change(post_mean, state.post_x)
     r_max = float(r.max()) if n else 0.0
 
     state.t += 1
@@ -467,10 +465,11 @@ def step(state: SolverState) -> IterationRecord:
     return record
 
 
-def _relative_change(new: float, old: float) -> float:
-    if new == old:
-        return 0.0
-    return abs(new - old) / max(abs(new), abs(old))
+def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``|new - old| / max(|new|, |old|)`` elementwise, and 0 where ``new == old``."""
+    moved = new != old
+    scale = np.maximum(np.abs(new), np.abs(old))
+    return np.divide(np.abs(new - old), scale, out=np.zeros(np.shape(moved)), where=moved)
 
 
 def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:

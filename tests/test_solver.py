@@ -52,6 +52,7 @@ from gaussid.transforms import (
     MomentPair,
     PriorSpec,
     Transform,
+    forward_moments,
     forward_point,
     inverse_point,
 )
@@ -312,8 +313,66 @@ class TestLinearize:
             linearize(state)
         assert exc.value.node_id == "q"
 
+    def test_recognized_linear_node_leaving_the_reals_raises(self):
+        # z = 2x + 1 keeps its constant slope, but its value at the point
+        # is still evaluated, once, and 2e308 overflows.
+        state = initialize(linear_chain())
+        assert "z" in state.linear_coeffs
+        step(state)
+        state.post_y = np.array([1e308, 0.5])
+        with pytest.raises(IterationError) as exc:
+            linearize(state)
+        assert exc.value.node_id == "z"
+        assert "at iteration 2" in str(exc.value)
+
+
+def two_level_mixed():
+    # Depth 1: z (affine, recognized linear) and w (a product); depth 2:
+    # u (affine in z and w, recognized linear) and v (a product with x).
+    return Diagram.from_nodes(
+        [
+            normal_p("x", 1.5, 0.5),
+            normal_p("y", -0.8, 0.3),
+            deterministic("z", TS, Sub(Mul(Const(2.0), Var("x")), Var("y"))),
+            deterministic("w", TS, Mul(Var("x"), Var("y"))),
+            deterministic("u", TS, Add(Var("z"), Mul(Const(0.5), Var("w")))),
+            deterministic("v", TS, Add(Mul(Var("z"), Var("w")), Var("x"))),
+            evidence("u_obs", "u", normal_look(2.0, 0.2)),
+            evidence("v_obs", "v", normal_look(-3.0, 0.5)),
+        ]
+    )
+
+
+def first_order_means(state, coeffs):
+    """The first-order means written out node by node, in topological order."""
+    d = state.diagram
+    index = {pid: k for k, pid in enumerate(state.param_ids)}
+    mean = np.zeros(state.n_params)
+    for k, pid in enumerate(state.param_ids):
+        node = d.nodes[pid]
+        if node.kind == "basic":
+            mean[k] = forward_moments(node.prior).mean
+            continue
+        env = {p: state.post_y[index[p]] for p in node.parents}
+        mean[k] = forward_point(node.transform, eval_expr(node.expr, env))
+        for p in node.parents:
+            mean[k] += coeffs[index[p], k] * (mean[index[p]] - state.post_x[index[p]])
+    return np.concatenate([mean, mean[state.ev_parent]])
+
 
 class TestUpdateMeans:
+    def test_matches_the_node_by_node_formula(self):
+        state = initialize(two_level_mixed())
+        assert set(state.linear_coeffs) == {"z", "u"}
+        assert len(state.levels) == 2
+        step(state)
+        step(state)  # two moves off the prior point
+        coeffs = linearize(state)
+        new_mean = update_means(state, coeffs)
+        expected = first_order_means(state, coeffs)
+        assert not np.allclose(new_mean[: state.n_params], state.post_x)
+        np.testing.assert_allclose(new_mean, expected, rtol=1e-13, atol=0.0)
+
     def test_linear_relation_is_preserved_exactly(self):
         state = initialize(linear_chain())
         step(state)  # move the posterior off the prior point
@@ -676,6 +735,17 @@ class TestChangeMeasure:
         large = _relative_change(1.1e9, 1e9)
         assert small == pytest.approx(large)
         assert small == pytest.approx(0.1 / 1.1)
+
+    def test_arrays_match_the_scalar_formula_bitwise(self):
+        rng = np.random.default_rng(7)
+        new = np.concatenate([rng.normal(size=20) * 10.0 ** rng.integers(-9, 9, 20), [0.0, 2.5]])
+        old = np.concatenate([new[:10] * (1.0 + rng.normal(size=10) * 1e-3), -new[10:20], [0.0, 2.5]])
+
+        def scalar(a, b):
+            return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+        expected = [scalar(a, b) for a, b in zip(new.tolist(), old.tolist())]
+        assert _relative_change(new, old).tolist() == expected
 
 
 class TestConfig:

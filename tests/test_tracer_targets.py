@@ -2,7 +2,8 @@
 
 ``bench/tracer.py`` replaces module-global names such as
 ``gaussid.solver.linearize`` with timing wrappers; a name that no longer
-resolves breaks ``bench/run.py --trace 1``.
+resolves breaks ``bench/run.py --trace 1``, and a layer that is no longer
+called through its name reads 0 in the trace.
 """
 
 import importlib
@@ -10,6 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import gaussid.model as model
+import gaussid.solver as solver
+from gaussid.evidence import EvidenceSpec
+from gaussid.model import Add, Const, Diagram, Mul, Var, basic, deterministic, evidence
+from gaussid.transforms import PriorSpec, Transform
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -19,3 +26,45 @@ from tracer import TARGETS  # noqa: E402
 @pytest.mark.parametrize("module,attribute", [(m, a) for m, a, _ in TARGETS])
 def test_tracer_target_resolves(module, attribute):
     assert callable(getattr(importlib.import_module(module), attribute))
+
+
+def test_step_reaches_each_layer_once(monkeypatch):
+    """The ``solver.linearize`` and ``solver.update_means`` spans time one call
+    each per step, and an iteration walks each deterministic expression once."""
+    ts = Transform("scaled", 0.0, 1.0)
+    look = EvidenceSpec(variant="normal_known_var", count=1, sample_mean=0.5, variance=0.4)
+    d = Diagram.from_nodes(
+        [
+            basic("x", PriorSpec(family="normal", transform=ts, mean=1.0, variance=0.5)),
+            basic("y", PriorSpec(family="normal", transform=ts, mean=-0.5, variance=0.3)),
+            deterministic("z", ts, Add(Mul(Const(2.0), Var("x")), Var("y"))),  # linear
+            deterministic("w", ts, Mul(Var("x"), Var("y"))),
+            deterministic("v", ts, Mul(Var("z"), Var("w"))),
+            evidence("v_obs", "v", look),
+        ]
+    )
+    state = solver.initialize(d)
+    assert set(state.linear_coeffs) == {"z"}
+
+    calls = {"linearize": 0, "update_means": 0, "walks": 0}
+    for name in ("linearize", "update_means"):
+        fn = getattr(solver, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    walk, depth = model.value_and_gradient, [0]
+
+    def outermost(e, env):  # the walk recurses through the module global
+        calls["walks"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return walk(e, env)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(model, "value_and_gradient", outermost)
+    solver.step(state)
+    assert calls == {"linearize": 1, "update_means": 1, "walks": 3}
