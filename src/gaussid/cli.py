@@ -28,6 +28,9 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .evidence import BINOMIAL, EVIDENCE_VARIANTS, EvidenceSpec
 from .model import (
@@ -628,7 +631,57 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
+def _row_texts(
+    matrix: np.ndarray, zero: str, sep: str, encode: Callable[[list[float]], str]
+) -> Iterator[str]:
+    """The text of each row of ``matrix``: its entries' texts joined by ``sep``.
+
+    ``encode`` writes a list of floats that way in one call, and ``zero`` is
+    its text for 0.0.  A row is written run by run: a run of +0.0 (not -0.0,
+    which prints differently) is ``zero`` repeated, any other run is one
+    ``encode`` call.  A row with at least one zero/nonzero boundary per eight
+    entries is encoded whole, so a dense matrix costs what one ``encode`` per
+    row costs and a sparse one what its runs do.
+    """
+    m = np.ascontiguousarray(matrix, dtype=np.float64)
+    n = m.shape[1]
+    zeros = m.view(np.uint64) == 0
+    boundaries = zeros[:, 1:] != zeros[:, :-1]
+    zero_run = zero + sep
+    for row, is_zero, changes in zip(m, zeros, boundaries):
+        cuts = np.flatnonzero(changes) + 1
+        if 8 * len(cuts) >= n:
+            yield encode(row.tolist())
+            continue
+        bounds = [0, *cuts.tolist(), n]
+        runs = []
+        run_is_zero = bool(is_zero[0])
+        for start, stop in zip(bounds, bounds[1:]):
+            if run_is_zero:
+                runs.append(zero_run * (stop - start - 1) + zero)
+            else:
+                runs.append(encode(row[start:stop].tolist()))
+            run_is_zero = not run_is_zero
+        yield sep.join(runs)
+
+
+def _json_matrix(matrix: np.ndarray) -> str:
+    """``json.dumps(matrix.tolist())``, written by :func:`_row_texts`."""
+    rows = _row_texts(matrix, "0.0", ", ", lambda values: json.dumps(values)[1:-1])
+    return "[" + ", ".join([f"[{row}]" for row in rows]) + "]"
+
+
+def _table_rows(matrix: np.ndarray, fmt: str) -> Iterator[str]:
+    """Each row of ``matrix`` as ``"  ".join([fmt] * n).format(*row)`` writes it."""
+
+    def encode(values: list[float]) -> str:
+        return "  ".join([fmt] * len(values)).format(*values)
+
+    return _row_texts(matrix, fmt.format(0.0), "  ", encode)
+
+
 def _solver_payload(result: SolverResult) -> dict:
+    """The ``solve --json`` document, with an empty placeholder for the matrix."""
     ids = list(result.param_ids)
     return {
         "status": result.status,
@@ -639,11 +692,16 @@ def _solver_payload(result: SolverResult) -> dict:
             pid: {"mean": m.mean, "variance": m.variance}
             for pid, m in result.posterior_y.items()
         },
-        "correlations": {
-            "parameters": ids,
-            "matrix": result.posterior_correlations.tolist(),
-        },
+        "correlations": {"parameters": ids, "matrix": []},
     }
+
+
+def _print_solve_json(result: SolverResult) -> None:
+    """Print what ``_print_json`` would for the payload with the matrix filled in."""
+    # The matrix is the payload's last entry, so its placeholder is the last
+    # occurrence of the text below.
+    head, _, tail = json.dumps(_solver_payload(result)).rpartition('"matrix": []')
+    print(f'{head}"matrix": {_json_matrix(result.posterior_correlations)}{tail}')
 
 
 def _print_solve_table(result: SolverResult, full: bool) -> None:
@@ -659,9 +717,9 @@ def _print_solve_table(result: SolverResult, full: bool) -> None:
     if len(result.param_ids) > 1:
         print("correlations:")
         width = max(len(pid) for pid in result.param_ids)
-        row_fmt = "  ".join(["{:.17g}" if full else "{:.6g}"] * len(result.param_ids))
-        for pid, row in zip(result.param_ids, result.posterior_correlations.tolist()):
-            print(f"{pid:<{width}}  " + row_fmt.format(*row))
+        rows = _table_rows(result.posterior_correlations, "{:.17g}" if full else "{:.6g}")
+        for pid, row in zip(result.param_ids, rows):
+            print(f"{pid:<{width}}  " + row)
 
 
 def _cmd_solve(args) -> int:
@@ -687,7 +745,7 @@ def _cmd_solve(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.json:
-        _print_json(_solver_payload(result))
+        _print_solve_json(result)
     else:
         _print_solve_table(result, args.full_precision)
     return _STATUS_EXIT[result.status]

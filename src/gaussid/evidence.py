@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import digamma, trigamma
+from .specfun import BetaParams, beta_to_moments
 from .transforms import LOG_SCALED, PriorSpec, Transform, forward_point
 
 __all__ = [
@@ -187,10 +187,8 @@ def binomial(count: int, successes: int, alpha: float, beta: float) -> Likelihoo
         raise ValueError(f"successes must lie in [0, {count}], got {successes}")
     if not (alpha > 0.0 and beta > 0.0):
         raise ValueError(f"reference parameters must be positive, got ({alpha}, {beta})")
-    x1 = digamma(alpha) - digamma(beta)
-    v1 = trigamma(alpha) + trigamma(beta)
-    x2 = digamma(alpha + successes) - digamma(beta + count - successes)
-    v2 = trigamma(alpha + successes) + trigamma(beta + count - successes)
+    x1, v1 = beta_to_moments(BetaParams(alpha, beta))
+    x2, v2 = beta_to_moments(BetaParams(alpha + successes, beta + count - successes))
     if not v2 < v1:
         raise ValueError(
             f"observation adds no precision (v2 = {v2} >= v1 = {v1}); "

@@ -75,56 +75,51 @@ def _require_positive(z: float) -> None:
         raise ValueError(f"polygamma functions require a positive argument, got {z}")
 
 
-def digamma(z: float) -> float:
-    """psi(z), absolute error below 1e-8 for z >= 0.1."""
+def _polygammas(z: float) -> tuple[float, float, float]:
+    """(psi(z), psi'(z), psi''(z)) from one pass of the shift recurrence."""
     _require_positive(z)
-    acc = 0.0
+    psi = psi1 = psi2 = 0.0
     for i in range(_SHIFT):
-        acc -= 1.0 / (z + i)
+        d = z + i
+        d2 = d * d
+        d3 = d2 * d
+        psi -= 1.0 / d
+        # d2 and d3 underflow to 0 only for z below about 1e-162 and 1e-108,
+        # where psi' is inf and psi'' is -inf.
+        psi1 += 1.0 / d2 if d2 else math.inf
+        psi2 -= 2.0 / d3 if d3 else math.inf
     w = z + _SHIFT
     iw = 1.0 / w
     iw2 = iw * iw
-    return acc + math.log(w) - 0.5 * iw - iw2 * (
-        1.0 / 12.0 - iw2 * (1.0 / 120.0 - iw2 / 252.0)
+    return (
+        psi + math.log(w) - 0.5 * iw - iw2 * (1.0 / 12.0 - iw2 * (1.0 / 120.0 - iw2 / 252.0)),
+        psi1 + iw + 0.5 * iw2 + iw * iw2 * (
+            1.0 / 6.0 - iw2 * (1.0 / 30.0 - iw2 / 42.0 + iw2 * iw2 / 30.0)
+        ),
+        psi2 - iw2 - iw * iw2 - 0.5 * iw2 * iw2 + iw2 * iw2 * (iw2 / 6.0 - iw2 * iw2 / 6.0),
     )
+
+
+def digamma(z: float) -> float:
+    """psi(z), absolute error below 1e-8 for z >= 0.1."""
+    return _polygammas(z)[0]
 
 
 def trigamma(z: float) -> float:
     """psi'(z), absolute error below 1e-8 for z >= 0.1."""
-    _require_positive(z)
-    acc = 0.0
-    for i in range(_SHIFT):
-        d = z + i
-        acc += 1.0 / (d * d)
-    w = z + _SHIFT
-    iw = 1.0 / w
-    iw2 = iw * iw
-    return acc + iw + 0.5 * iw2 + iw * iw2 * (
-        1.0 / 6.0 - iw2 * (1.0 / 30.0 - iw2 / 42.0 + iw2 * iw2 / 30.0)
-    )
+    return _polygammas(z)[1]
 
 
 def tetragamma(z: float) -> float:
     """psi''(z), absolute error below 1e-7 for z >= 0.1."""
-    _require_positive(z)
-    acc = 0.0
-    for i in range(_SHIFT):
-        d = z + i
-        acc -= 2.0 / (d * d * d)
-    w = z + _SHIFT
-    iw = 1.0 / w
-    iw2 = iw * iw
-    return acc - iw2 - iw * iw2 - 0.5 * iw2 * iw2 + iw2 * iw2 * (
-        iw2 / 6.0 - iw2 * iw2 / 6.0
-    )
+    return _polygammas(z)[2]
 
 
 def beta_to_moments(p: BetaParams) -> tuple[float, float]:
     """Mean and variance of the log-odds of a Beta(alpha, beta) variable."""
-    return (
-        digamma(p.alpha) - digamma(p.beta),
-        trigamma(p.alpha) + trigamma(p.beta),
-    )
+    psi_a, psi1_a, _ = _polygammas(p.alpha)
+    psi_b, psi1_b, _ = _polygammas(p.beta)
+    return psi_a - psi_b, psi1_a + psi1_b
 
 
 def _initial_guess(mean: float, var: float) -> tuple[float, float]:
@@ -161,15 +156,14 @@ def beta_from_moments(mean: float, var: float) -> BetaParams:
     nudges = 0
     for _ in range(_MAX_NEWTON):
         assert alpha >= _PARAM_FLOOR and beta >= _PARAM_FLOOR
-        f1 = digamma(alpha) - digamma(beta) - mean
-        f2 = trigamma(alpha) + trigamma(beta) - var
+        psi_a, j11, j21 = _polygammas(alpha)
+        psi_b, psi1_b, j22 = _polygammas(beta)
+        f1 = psi_a - psi_b - mean
+        f2 = j11 + psi1_b - var
         if abs(f1) < _RESIDUAL_TOL and abs(f2) < _RESIDUAL_TOL:
             return BetaParams(alpha, beta)
 
-        j11 = trigamma(alpha)
-        j12 = -trigamma(beta)
-        j21 = tetragamma(alpha)
-        j22 = tetragamma(beta)
+        j12 = -psi1_b
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             if nudges >= _MAX_NUDGES:

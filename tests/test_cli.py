@@ -1,6 +1,7 @@
 """Expression grammar, model documents, and the command-line surface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gaussid
 from gaussid.cli import (
@@ -17,6 +20,8 @@ from gaussid.cli import (
     EXIT_OK,
     ExpressionError,
     SchemaError,
+    _json_matrix,
+    _table_rows,
     main,
     parse_expression,
     parse_model,
@@ -462,3 +467,109 @@ class TestJsonOutput:
             for i, pid in enumerate(ids)
         ]
         assert lines[-len(ids) - 1 :] == ["correlations:", *expected]
+
+
+# ---------------------------------------------------------------------------
+# The correlation matrix writer: same text as encoding every entry
+
+
+_PLANTED = (-0.0, math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324)
+_TABLE_FORMATS = ("{:.6g}", "{:.17g}")
+
+
+@st.composite
+def _matrices(draw) -> np.ndarray:
+    """Square matrices over the whole range of sparsity, with planted values and rows.
+
+    Row kinds cover the writer's paths: all +0.0 (one run), all nonzero (one
+    run), alternating every column (the whole-row fallback's worst case).
+    """
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(-20, 3, (n, n))
+    c[rng.random((n, n)) >= draw(st.floats(0.0, 1.0))] = 0.0
+    if n:
+        index = st.integers(0, n - 1)
+        for i, j, value in draw(st.lists(st.tuples(index, index, st.sampled_from(_PLANTED)), max_size=8)):
+            c[i, j] = value
+        for i, kind in draw(st.lists(st.tuples(index, st.sampled_from("zna")), max_size=4)):
+            if kind == "z":
+                c[i] = 0.0
+            elif kind == "n":
+                c[i] = rng.uniform(0.5, 1.0, n)
+            else:
+                c[i] = np.where(np.arange(n) % 2 == 0, 0.0, rng.uniform(-1.0, 1.0, n))
+    return c
+
+
+def _assert_writer_matches(c: np.ndarray) -> None:
+    assert _json_matrix(c) == json.dumps(c.tolist())
+    for fmt in _TABLE_FORMATS:
+        row_fmt = "  ".join([fmt] * c.shape[1])
+        assert list(_table_rows(c, fmt)) == [row_fmt.format(*row) for row in c.tolist()]
+
+
+class TestMatrixWriter:
+    @given(_matrices())
+    @example(np.zeros((0, 0)))
+    @example(np.zeros((1, 1)))
+    @example(np.ones((1, 1)))
+    @example(np.full((1, 1), -0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_encoding_every_entry(self, c):
+        _assert_writer_matches(c)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 60, 257])
+    def test_row_kinds(self, n):
+        rng = np.random.default_rng(n)
+        alternating = np.where(np.arange(n) % 2 == 0, 0.0, rng.uniform(-1.0, 1.0, n))
+        sparse = np.zeros(n)
+        sparse[n // 2 :: 50] = _PLANTED[n % len(_PLANTED)]
+        negative_zero = np.zeros(n)
+        negative_zero[n // 2] = -0.0  # prints as -0.0 / -0, so it is no part of a zero run
+        rows = [np.zeros(n), rng.uniform(-1.0, 1.0, n), alternating, alternating[::-1], sparse]
+        _assert_writer_matches(np.array(rows + [negative_zero]))
+
+
+def _reference_solve_stdout(result, flag: str) -> str:
+    """What ``infer solve`` prints when every entry is encoded on its own."""
+    ids = list(result.param_ids)
+    corr = result.posterior_correlations
+    if flag == "--json":
+        payload = {
+            "status": result.status,
+            "iterations": len(result.iterations),
+            "reported_iteration": result.reported_iteration,
+            "r_max": [rec.r_max for rec in result.iterations],
+            "posterior": {
+                pid: {"mean": m.mean, "variance": m.variance}
+                for pid, m in result.posterior_y.items()
+            },
+            "correlations": {"parameters": ids, "matrix": corr.tolist()},
+        }
+        return json.dumps(payload) + "\n"
+    spec = ".17g" if flag == "--full-precision" else ".6g"
+    lines = [
+        f"status: {result.status}",
+        f"iterations: {len(result.iterations)}  reported: {result.reported_iteration}",
+        "iteration  r_max",
+        *(f"{rec.t:>9}  {rec.r_max:{spec}}" for rec in result.iterations),
+        "posterior:",
+    ]
+    for pid in ids:
+        m = result.posterior_y[pid]
+        lines.append(f"{pid}  mean {m.mean:{spec}}  var {m.variance:{spec}}")
+    if len(ids) > 1:
+        width = max(len(pid) for pid in ids)
+        lines.append("correlations:")
+        for pid, row in zip(ids, corr.tolist()):
+            lines.append(f"{pid:<{width}}  " + "  ".join(format(v, spec) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flag", ["--json", "", "--full-precision"])
+def test_solve_stdout_is_byte_identical_to_entrywise_encoding(model_file, flag, capsys):
+    argv = ["solve", str(model_file)] + ([flag] if flag else [])
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == _reference_solve_stdout(solve(*parse_model(model_file)), flag)

@@ -79,6 +79,13 @@ class TestPolygamma:
         assert all(trigamma(float(z)) > 0 for z in zs)
         assert all(tetragamma(float(z)) < 0 for z in zs)
 
+    @pytest.mark.parametrize("z", [1e-120, 1e-170, 5e-324])
+    def test_tiny_arguments_reach_infinity_without_raising(self, z):
+        # The leading shift terms -1/z, 1/z^2 and -2/z^3 decide the values here.
+        assert digamma(z) == -1.0 / z
+        assert trigamma(z) == (1.0 / (z * z) if z * z else math.inf)
+        assert tetragamma(z) == -math.inf
+
     @pytest.mark.parametrize("fn", [digamma, trigamma, tetragamma])
     @pytest.mark.parametrize("z", [0.0, -1.0, -0.5])
     def test_nonpositive_argument_rejected(self, fn, z):
