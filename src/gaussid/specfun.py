@@ -5,8 +5,8 @@ derivatives are evaluated by shifting the argument up by ten through the
 recurrence ``psi(z) = psi(z + 1) - 1/z`` and closing with a short
 asymptotic series in ``w = z + 10``.  Ten shift terms keep the absolute
 error below 1e-10 for digamma and trigamma and below 1e-9 for the second
-derivative on all arguments this library produces (z >= 0.1 after the
-safeguards in :func:`beta_from_moments`).
+derivative on all arguments this library produces (z >= 0.5, the floor
+:func:`beta_from_moments` keeps its iterates on).
 
 The moment maps connect a Beta(alpha, beta) distribution on (0, 1) to the
 mean and variance of the log-odds ``X = ln(Y / (1 - Y))``:
@@ -15,12 +15,23 @@ mean and variance of the log-odds ``X = ln(Y / (1 - Y))``:
     Var X = psi'(alpha) + psi'(beta)
 
 :func:`beta_from_moments` inverts that map with a damped Newton iteration.
+:func:`_beta_from_moments_lockstep` runs the same iteration on arrays of
+moments at once: each Newton step is one pass of array arithmetic over the
+entries that have not yet converged, in the scalar routine's order of
+operations, with its logarithms and exponentials taken by :mod:`math` one
+entry at a time, so every iterate, and the result, is bit-identical to
+:func:`beta_from_moments`.  Entries that would need the scalar routine's
+Jacobian nudge, or that end anywhere but at a converged finite point, are
+reported as unfinished rather than raised, for the caller to redo with the
+scalar routine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "BetaParams",
@@ -34,6 +45,7 @@ __all__ = [
 
 # Number of recurrence steps applied before the asymptotic series.
 _SHIFT = 10
+_SHIFTS = np.arange(float(_SHIFT))[:, None]
 
 # Newton iteration controls.
 _MAX_NEWTON = 100
@@ -187,3 +199,88 @@ def beta_from_moments(mean: float, var: float) -> BetaParams:
         f"Beta moment inversion did not converge for mean={mean}, var={var}",
         (alpha, beta),
     )
+
+
+def _polygammas_lockstep(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_polygammas` over an array of arguments >= 0.5, bit for bit.
+
+    Row i holds the shift term z + i; ``add.accumulate`` sums the rows in
+    order, as the scalar loop does (it starts from 0.0, so subtracting each
+    term is negating the running sum of the terms).  The terms are formed
+    in two buffers, in place, which keeps the transient memory of a large
+    family small.
+    """
+    d = z + _SHIFTS
+    t = np.divide(1.0, d)
+    psi = -np.add.accumulate(t, out=t)[-1]
+    np.multiply(d, d, out=t)  # d^2
+    d *= t  # d^3
+    np.divide(2.0, d, out=d)
+    psi2 = -np.add.accumulate(d, out=d)[-1]
+    np.divide(1.0, t, out=t)
+    psi1 = np.add.accumulate(t, out=t)[-1]
+    w = z + _SHIFT
+    iw = 1.0 / w
+    iw2 = iw * iw
+    log_w = np.array([math.log(v) for v in w.tolist()])
+    return (
+        psi + log_w - 0.5 * iw - iw2 * (1.0 / 12.0 - iw2 * (1.0 / 120.0 - iw2 / 252.0)),
+        psi1 + iw + 0.5 * iw2 + iw * iw2 * (
+            1.0 / 6.0 - iw2 * (1.0 / 30.0 - iw2 / 42.0 + iw2 * iw2 / 30.0)
+        ),
+        psi2 - iw2 - iw * iw2 - 0.5 * iw2 * iw2 + iw2 * iw2 * (iw2 / 6.0 - iw2 * iw2 / 6.0),
+    )
+
+
+def _beta_from_moments_lockstep(
+    mean: np.ndarray, var: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`beta_from_moments` for arrays of moments: ``(alpha, beta, done)``.
+
+    Runs the scalar routine's Newton iteration on all entries together, from
+    its start point, with its floor, tolerances and order of operations; an
+    entry leaves the iteration when it converges.  Where ``done`` is True,
+    ``alpha`` and ``beta`` equal the scalar routine's result bit for bit.
+    ``done`` is False, and ``alpha`` and ``beta`` are undefined, for every
+    entry the scalar routine would reject, nudge off a singular Jacobian or
+    fail to converge on, and for any step that is not finite; the scalar
+    routine decides those entries.
+    """
+    alpha = np.full(mean.shape, math.nan)
+    beta = np.full(mean.shape, math.nan)
+    done = np.zeros(mean.shape, dtype=bool)
+    act = np.flatnonzero((var > 0.0) & np.isfinite(mean) & np.isfinite(var))
+    m, v = mean[act], var[act]
+    e_pos = np.array([math.exp(x) for x in np.minimum(m, 700.0).tolist()])
+    e_neg = np.array([math.exp(x) for x in np.minimum(-m, 700.0).tolist()])
+    with np.errstate(all="ignore"):
+        a, b = 0.5 + (1.0 + e_pos) / v, 0.5 + (1.0 + e_neg) / v
+        keep = np.isfinite(a) & np.isfinite(b)
+        act, m, v, a, b = act[keep], m[keep], v[keep], a[keep], b[keep]
+        for _ in range(_MAX_NEWTON):
+            if not act.size:
+                break
+            k = act.size
+            psi, psi1, psi2 = _polygammas_lockstep(np.concatenate([a, b]))
+            psi_a, psi_b = psi[:k], psi[k:]
+            j11, psi1_b = psi1[:k], psi1[k:]
+            j21, j22 = psi2[:k], psi2[k:]
+            f1 = psi_a - psi_b - m
+            f2 = j11 + psi1_b - v
+            hit = (np.abs(f1) < _RESIDUAL_TOL) & (np.abs(f2) < _RESIDUAL_TOL)
+            alpha[act[hit]], beta[act[hit]], done[act[hit]] = a[hit], b[hit], True
+
+            j12 = -psi1_b
+            det = j11 * j22 - j12 * j21
+            step_a = (j22 * f1 - j12 * f2) / det
+            step_b = (-j21 * f1 + j11 * f2) / det
+            a = np.maximum(a - step_a, _PARAM_FLOOR)
+            b = np.maximum(b - step_b, _PARAM_FLOOR)
+            # A singular or non-finite Jacobian takes the scalar routine's
+            # nudge, and a NaN step meets Python's max(); both go back to it.
+            ok = ~hit & (det != 0.0) & np.isfinite(det) & np.isfinite(step_a) & np.isfinite(step_b)
+            small = ok & (np.maximum(np.abs(step_a), np.abs(step_b)) < _STEP_TOL)
+            alpha[act[small]], beta[act[small]], done[act[small]] = a[small], b[small], True
+            go = ok & ~small
+            act, m, v, a, b = act[go], m[go], v[go], a[go], b[go]
+    return alpha, beta, done

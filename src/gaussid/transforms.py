@@ -21,6 +21,10 @@ Moment maps translate a prior on Y into (mean, variance) of X and back:
   polygamma identities in :mod:`gaussid.specfun`; the inverse direction
   recovers Beta parameters by Newton inversion and then reports the exact
   Beta mean and variance rescaled to (a, b).
+
+:func:`inverse_moments` maps one quantity; ``_inverse_moments_array`` maps
+many quantities of one family at once, bit-identically, and leaves any entry
+it cannot finish to the scalar map.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import BetaParams, beta_from_moments, beta_to_moments
+import numpy as np
+
+from .specfun import BetaParams, _beta_from_moments_lockstep, beta_from_moments, beta_to_moments
 
 __all__ = [
     "SCALED",
@@ -261,3 +267,47 @@ def inverse_moments(family: str, t: Transform, m: MomentPair) -> MomentPair:
         scale = t.b - t.a
         return MomentPair(t.a + scale * frac_mean, frac_var * scale * scale)
     raise ValueError(f"unknown prior family {family!r}")
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """``math.exp`` entrywise, whose rounding ``np.exp`` does not share.
+
+    Arguments from 709 up give inf: ``math.exp`` overflows just above, and
+    any result built on an inf is not finite, so the scalar map redoes it.
+    """
+    return np.array([math.exp(v) if v < 709.0 else math.inf for v in x.tolist()])
+
+
+def _inverse_moments_array(
+    family: str, a: np.ndarray, b: np.ndarray, mean: np.ndarray, var: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`inverse_moments` for many quantities of one family: ``(mean_y, var_y, done)``.
+
+    Entry i maps Gaussian moments (mean[i], var[i]) of X through the
+    transform with reference points (a[i], b[i]).  Where ``done`` is True the
+    natural-scale moments equal what :func:`inverse_moments` returns, bit for
+    bit.  ``done`` is False wherever the scalar map might raise: moments that
+    are not a valid :class:`MomentPair`, a Beta inversion
+    :func:`~gaussid.specfun._beta_from_moments_lockstep` did not finish, an
+    overflow, or a result that is not finite or has a negative variance.
+    """
+    scale = b - a
+    done = np.isfinite(mean) & np.isfinite(var) & (var >= 0.0)
+    with np.errstate(all="ignore"):
+        if family == NORMAL:
+            mean_y, var_y = a + scale * mean, var * scale * scale
+        elif family == LOGNORMAL:
+            mean_ratio = _exp(mean + 0.5 * var)
+            var_ratio = (_exp(var) - 1.0) * _exp(2.0 * mean + var)
+            mean_y, var_y = a + scale * mean_ratio, var_ratio * scale * scale
+        elif family == BETA:
+            alpha, beta, inverted = _beta_from_moments_lockstep(mean, var)
+            total = alpha + beta
+            frac_mean = alpha / total
+            frac_var = alpha * beta / (total * total * (total + 1.0))
+            mean_y, var_y = a + scale * frac_mean, frac_var * scale * scale
+            done &= inverted
+        else:
+            raise ValueError(f"unknown prior family {family!r}")
+    done &= np.isfinite(mean_y) & np.isfinite(var_y) & (var_y >= 0.0)
+    return mean_y, var_y, done

@@ -23,6 +23,7 @@ from gaussid.model import (
     Const,
     Diagram,
     Div,
+    Exp,
     Mul,
     Pow,
     Sub,
@@ -768,3 +769,130 @@ class TestConfig:
         assert cfg.divergence_window == 3
         assert cfg.max_iterations == 50
         assert cfg.pool_evidence is True
+
+
+def bench_generate():
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    try:
+        import generate
+    finally:
+        sys.path.remove(str(root / "bench"))
+    return generate
+
+
+def scalar_error(d, monkeypatch):
+    """The IterationError of a solve with every family mapped one by one."""
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "_BATCH_MIN", 10**9)
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+    return exc.value
+
+
+def spy_batches(monkeypatch):
+    """The list of families the solver maps as arrays, filled as it runs."""
+    batched = []
+    array_map = solver_mod._inverse_moments_array
+
+    def spy(family, *args):
+        batched.append(family)
+        return array_map(family, *args)
+
+    monkeypatch.setattr(solver_mod, "_inverse_moments_array", spy)
+    return batched
+
+
+class TestNaturalMomentsByFamily:
+    """Families of at least ``_BATCH_MIN`` members are mapped as arrays; the
+    result and the errors are those of the per-parameter loop."""
+
+    def test_first_failing_beta_parameter_is_named(self, monkeypatch):
+        n = max(40, 2 * solver_mod._BATCH_MIN)
+        nodes = []
+        for i in range(n):
+            if i in (17, 23):
+                nodes.append(beta_p(f"p{i}", 0.45, 0.45))  # diffuse, no evidence
+            else:
+                nodes.append(beta_p(f"p{i}", 2.0, 3.0))
+                look = EvidenceSpec(variant="binomial", count=10, successes=i % 11)
+                nodes.append(evidence(f"o{i}", f"p{i}", look))
+        d = Diagram.from_nodes(nodes)
+        batched = spy_batches(monkeypatch)
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert batched == ["beta"]
+        assert exc.value.node_id == "p17"
+        assert exc.value.records == []
+        expected = scalar_error(d, monkeypatch)
+        assert str(exc.value) == str(expected)
+        assert type(exc.value.__cause__) is type(expected.__cause__)
+
+    def test_lognormal_overflow_in_a_batched_family(self, monkeypatch):
+        # q_i = exp(c_i x) on log_scaled(0, 1) has X = c_i x, so its posterior
+        # lognormal mean exp(c_i E x + c_i^2 Var x / 2) overflows for c = 40.
+        n = max(20, solver_mod._BATCH_MIN + 4)
+        nodes = [normal_p("x", 1.0, 1.0)]
+        for i in range(n):
+            c = 40.0 if i in (7, 12) else 1.0 + i / n
+            nodes.append(deterministic(f"q{i}", TLOG, Exp(Mul(Const(c), Var("x")))))
+        d = Diagram.from_nodes(nodes)
+        batched = spy_batches(monkeypatch)
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert batched == ["lognormal"]
+        assert exc.value.node_id == "q7"
+        assert exc.value.records == []
+        assert isinstance(exc.value.__cause__, OverflowError)
+        assert str(exc.value) == str(scalar_error(d, monkeypatch))
+
+    @pytest.mark.parametrize("q_first", [True, False])
+    def test_the_first_failure_in_parameter_order_is_named(self, q_first, monkeypatch):
+        # q, the one lognormal parameter (mapped one by one), overflows, and
+        # pd, a diffuse member of the batched Beta family, cannot be inverted;
+        # whichever comes first in parameter order is named.
+        n = solver_mod._BATCH_MIN + 4
+        betas = [beta_p(f"p{i}", 2.0, 2.0) for i in range(n)]
+        q = [normal_p("x", 1.0, 1.0), deterministic("q", TLOG, Exp(Mul(Const(40.0), Var("x"))))]
+        pd = [beta_p("pd", 0.45, 0.45)]
+        d = Diagram.from_nodes(betas[: n // 2] + (q + pd if q_first else pd + q) + betas[n // 2 :])
+        first, second = ("q", "pd") if q_first else ("pd", "q")
+        order = initialize(d).param_ids
+        assert order[0] == "p0" and order.index(first) < order.index(second)
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert exc.value.node_id == first
+        assert str(exc.value) == str(scalar_error(d, monkeypatch))
+
+
+def models_for_equivalence():
+    generate = bench_generate()
+    root = Path(__file__).resolve().parents[1]
+    models = {
+        name: parse_model(root / "docs" / "models" / name) for name in generate.GOLDEN_MODELS
+    }
+    for name in ("scale_1500", "mixed_expr"):
+        (doc,) = generate.workload_docs(name, 505, smoke=True).values()
+        models[name] = parse_model(json.dumps(doc))
+    return models
+
+
+@pytest.mark.parametrize(
+    "name", ["beta_binomial.json", "risk_difference.json", "scale_1500", "mixed_expr"]
+)
+def test_array_and_scalar_moment_maps_give_bitwise_equal_solves(name, monkeypatch):
+    d, cfg = models_for_equivalence()[name]
+    results = []
+    for batch_min in (1, 10**9):
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+        results.append(solve(d, cfg))
+    batched, scalar = results
+    assert batched.status == scalar.status
+    assert len(batched.iterations) == len(scalar.iterations)
+    for rb, rs in zip(batched.iterations, scalar.iterations):
+        assert rb.posterior_mean_x.tobytes() == rs.posterior_mean_x.tobytes()
+        assert rb.posterior_var_x.tobytes() == rs.posterior_var_x.tobytes()
+    assert {k: (m.mean.hex(), m.variance.hex()) for k, m in batched.posterior_y.items()} == {
+        k: (m.mean.hex(), m.variance.hex()) for k, m in scalar.posterior_y.items()
+    }
+    assert batched.posterior_correlations.tobytes() == scalar.posterior_correlations.tobytes()

@@ -16,12 +16,16 @@ from hypothesis import strategies as st
 from gaussid.specfun import (
     BetaParams,
     ConvergenceError,
+    _beta_from_moments_lockstep,
+    _polygammas,
+    _polygammas_lockstep,
     beta_from_moments,
     beta_to_moments,
     digamma,
     tetragamma,
     trigamma,
 )
+from gaussid.solver import _BATCH_MIN
 
 EULER = 0.57721566490153286
 
@@ -167,3 +171,71 @@ class TestBetaMoments:
     def test_convergence_error_carries_last_iterate(self):
         err = ConvergenceError("no luck", (1.5, 2.5))
         assert err.last_iterate == (1.5, 2.5)
+
+
+def scalar_inversion(mean, var):
+    """(alpha, beta) from the scalar routine, or None where it raises."""
+    try:
+        p = beta_from_moments(mean, var)
+    except (ConvergenceError, ValueError):
+        return None
+    return p.alpha.hex(), p.beta.hex()
+
+
+# Log-odds variances from 1e-12 to 12, with the two that sit at the edge of
+# the inversion's reach: Beta(0.5, 0.5)'s pi^2 (at the floor) and
+# Beta(0.45, 0.45)'s 11.83 (beyond it, where Newton fails).
+LOG_ODDS_VARIANCES = st.one_of(
+    st.floats(-12.0, math.log10(12.0)).map(lambda e: 10.0**e),
+    st.sampled_from([math.pi**2, 2.0 * trigamma(0.45)]),
+)
+
+
+class TestLockstepInversion:
+    """The array Newton iteration reproduces the scalar one bit for bit."""
+
+    def test_polygammas_match_the_scalar_loop_bitwise(self):
+        # numpy's log differs from math.log on about 2 in 10^4 of these
+        # arguments, so the grid is large enough to catch one.
+        rng = np.random.default_rng(3)
+        z = np.concatenate(
+            [
+                [0.5, 1.0, 9.5, 10.0],
+                rng.uniform(0.5, 100.0, 40000),
+                0.5 + 10.0 ** rng.uniform(-8, 8, 10000),
+            ]
+        )
+        psi, psi1, psi2 = _polygammas_lockstep(z)
+        for k, x in enumerate(z.tolist()):
+            assert _polygammas(x) == (psi[k], psi1[k], psi2[k])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-700.0, 700.0), LOG_ODDS_VARIANCES),
+            min_size=1,
+            max_size=2 * _BATCH_MIN + 3,
+        )
+    )
+    def test_done_entries_equal_the_scalar_routine(self, moments):
+        mean = np.array([m for m, _ in moments])
+        var = np.array([v for _, v in moments])
+        alpha, beta, done = _beta_from_moments_lockstep(mean, var)
+        for k, (m, v) in enumerate(moments):
+            if done[k]:
+                assert scalar_inversion(m, v) == (alpha[k].hex(), beta[k].hex())
+
+    def test_entries_newton_cannot_finish_are_handed_back(self):
+        good = beta_to_moments(BetaParams(3.0, 7.0))
+        diffuse = beta_to_moments(BetaParams(0.45, 0.45))
+        mean = np.array([good[0], diffuse[0], 0.0, 1.0, math.nan])
+        var = np.array([good[1], diffuse[1], 0.0, -1.0, 1.0])
+        alpha, beta, done = _beta_from_moments_lockstep(mean, var)
+        assert done.tolist() == [True, False, False, False, False]
+        assert scalar_inversion(*good) == (alpha[0].hex(), beta[0].hex())
+        with pytest.raises(ConvergenceError):
+            beta_from_moments(*diffuse)
+
+    def test_empty_input(self):
+        alpha, beta, done = _beta_from_moments_lockstep(np.zeros(0), np.zeros(0))
+        assert alpha.shape == beta.shape == done.shape == (0,)

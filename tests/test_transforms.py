@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaussid.solver import _BATCH_MIN
+from gaussid.specfun import ConvergenceError, trigamma
 from gaussid.transforms import (
+    FAMILY_TRANSFORMS,
     LOG_SCALED,
     LOGISTIC_SCALED,
     SCALED,
     MomentPair,
     PriorSpec,
     Transform,
+    _inverse_moments_array,
     derivative,
     forward_moments,
     forward_point,
@@ -210,3 +216,81 @@ class TestMomentMaps:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             inverse_moments("gamma", T_SCALED, MomentPair(0.0, 1.0))
+
+
+# Transformed-scale variances from 1e-12 to 12, with Beta(0.45, 0.45)'s
+# log-odds variance 11.83, where the Beta inversion fails, and 0, which the
+# Beta inversion rejects.
+VARIANCES = st.one_of(
+    st.floats(-12.0, math.log10(12.0)).map(lambda e: 10.0**e),
+    st.just(2.0 * trigamma(0.45)),
+    st.just(0.0),
+)
+REFERENCE_POINTS = st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)).filter(
+    lambda ab: ab[0] != ab[1]
+)
+
+
+@st.composite
+def family_moments(draw):
+    """A family and up to 2 * _BATCH_MIN + 3 entries of (a, b, mean, var) for it."""
+    family = draw(st.sampled_from(["normal", "lognormal", "beta"]))
+    n = draw(st.integers(1, 2 * _BATCH_MIN + 3))
+    entries = []
+    for _ in range(n):
+        a, b = draw(REFERENCE_POINTS)
+        var = draw(VARIANCES)
+        if family == "beta":
+            mean = draw(st.floats(-700.0, 700.0))
+        elif family == "lognormal":
+            # exp(mean + var/2) overflows just above 709.78.
+            mean = draw(st.one_of(st.floats(-50.0, 50.0), st.floats(700.0, 712.0))) - var / 2
+        else:
+            mean = draw(st.floats(-1e6, 1e6))
+        entries.append((a, b, mean, var))
+    return family, entries
+
+
+def scalar_map(family, a, b, mean, var):
+    """Hex bits of inverse_moments' result, or None where it raises."""
+    try:
+        t = Transform(FAMILY_TRANSFORMS[family], a, b)
+        m = inverse_moments(family, t, MomentPair(mean, var))
+    except (ValueError, OverflowError, ConvergenceError):
+        return None
+    return m.mean.hex(), m.variance.hex()
+
+
+class TestMomentMapArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(family_moments())
+    def test_done_entries_equal_the_scalar_map(self, drawn):
+        family, entries = drawn
+        a, b, mean, var = (np.array(col) for col in zip(*entries))
+        mean_y, var_y, done = _inverse_moments_array(family, a, b, mean, var)
+        for k, entry in enumerate(entries):
+            if done[k]:
+                assert scalar_map(family, *entry) == (mean_y[k].hex(), var_y[k].hex())
+
+    def test_unfinished_entries_are_left_to_the_scalar_map(self):
+        ones, zeros = np.ones(3), np.zeros(3)
+        # exp overflows at the second entry only, and at the third only
+        # through exp(var) in the variance.
+        mean = np.array([1.0, 709.0, -1000.0])
+        var = np.array([0.5, 2.0, 710.0])
+        mean_y, var_y, done = _inverse_moments_array("lognormal", zeros, ones, mean, var)
+        assert done.tolist() == [True, False, False]
+        assert scalar_map("lognormal", 0.0, 1.0, 1.0, 0.5) == (mean_y[0].hex(), var_y[0].hex())
+        for k in (1, 2):
+            with pytest.raises(OverflowError):
+                inverse_moments("lognormal", T_LOG, MomentPair(mean[k], var[k]))
+
+        diffuse = 2.0 * trigamma(0.45)
+        _, _, done = _inverse_moments_array(
+            "beta", zeros, ones, np.zeros(3), np.array([0.1, diffuse, 0.0])
+        )
+        assert done.tolist() == [True, False, False]
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError):
+            _inverse_moments_array("gamma", np.zeros(1), np.ones(1), np.zeros(1), np.ones(1))
