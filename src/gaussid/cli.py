@@ -340,9 +340,8 @@ def _parse_evidence_spec(obj, path: str) -> EvidenceSpec:
                 alpha=_number(obj, path, "alpha") if "alpha" in obj else None,
                 beta=_number(obj, path, "beta") if "beta" in obj else None,
             )
-        lognormal = bool(obj.get("lognormal_samples", False))
         value_key = "variance" if variant == "normal_known_var" else "sample_var"
-        if lognormal:
+        if "lognormal_samples" in obj and _boolean(obj, path, "lognormal_samples"):
             _require_keys(
                 obj,
                 path,
@@ -360,7 +359,8 @@ def _parse_evidence_spec(obj, path: str) -> EvidenceSpec:
                 samples=tuple(float(s) for s in samples),
                 variance=_number(obj, path, "variance") if variant == "normal_known_var" else None,
             )
-        _require_keys(obj, path, {"variant", "count", "sample_mean", value_key})
+        summary = {"variant", "count", "sample_mean", value_key}
+        _require_keys(obj, path, summary, {"lognormal_samples"})
         return EvidenceSpec(
             variant=variant,
             count=_integer(obj, path, "count"),
@@ -833,6 +833,9 @@ def _cmd_compare(args) -> int:
         }
 
     if args.json:
+        for row in rows.values():  # JSON has no Infinity: a zero standard error gives null
+            d = row["discrepancy"]
+            d.update((k, None) for k in ("mean_in_se", "var_in_se") if math.isinf(d[k]))
         payload = {
             "status": result.status,
             "samples": est.n_samples,
@@ -877,3 +880,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -123,8 +123,8 @@ def _depth_levels(parents: Sequence[Sequence[int]]) -> Levels:
 def _level_arcs(levels: Levels, coeffs: np.ndarray) -> Arcs:
     """B's arcs by depth level: ``(nodes, par, c)`` with ``c[k, 0, :] = B[par[k], nodes[k]]``.
 
-    The coefficients are gathered once, so every :func:`_substitute` pass
-    with the same B reads them as they are, and B itself can be dropped.
+    Gathered once from a dense B (for :func:`propagate_covariance`), they serve
+    every :func:`_substitute` pass; the solver's ``linearize`` fills them without B.
     """
     return tuple((nodes, par, coeffs[par, nodes[:, None]][:, None, :]) for nodes, par in levels)
 

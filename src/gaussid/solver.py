@@ -8,25 +8,26 @@ maps the conditioned moments back to the natural scale:
     means y*: one walk of its expression gives its transformed value
     T_j(f_j(y*)) and, unless the node was recognized as exactly linear
     (its constant coefficients are reused), its slopes by the chain rule
-    through the transforms.
+    through the transforms, written straight into B's arcs by depth level
+    (the levels are found once per solve).
 2.  *Update means* to first order: the shifts from the previous posterior
-    point solve (I - B') s = x0, one forward substitution over the arcs
-    (one batch per depth level, found once per solve).  Build the factor
-    A of the parameters' covariance A A' by the same kernel, and
-    *condition* on all evidence entries, each a noisy observation of one
-    parameter.  Every product with A is a forward substitution too, so no
-    step multiplies dense matrices by A.  The entries fall into groups that
-    are correlated a priori, also found once per solve; each group's block
-    is factored once, and the update is a second factor W.  An iteration
-    needs only the posterior means and variances, so the n x n posterior
-    covariance A A' - W'W is built once, for the reported iterate's
-    correlations.
+    point solve (I - B') s = x0, one forward substitution over the arcs, one
+    batch per level.  Build the factor A of the parameters' covariance A A'
+    by the same kernel, and *condition* on all evidence entries, each a
+    noisy observation of one parameter.  Every product with A is a forward
+    substitution too, so no step multiplies dense matrices by A.  The
+    entries fall into groups that are correlated a priori, also found once
+    per solve; each group's block is factored once, and the update is a
+    second factor W.  An iteration needs only the posterior means and
+    variances, so the n x n posterior covariance A A' - W'W is built once,
+    for the reported iterate's correlations.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
     parameter, one prior family at a time: a family with at least
     ``_BATCH_MIN`` members (a size fixed for the solve) is mapped as arrays,
     the Beta inversions as one lockstep Newton iteration, and a smaller one
-    parameter by parameter, with the same bits either way.  Then measure
-    the relative change of the posterior means on the transformed scale.
+    parameter by parameter, with the same bits either way, into arrays
+    (:class:`MomentPair` values are built once, for the reported iterate).
+    Then measure the relative change of the transformed posterior means.
 
 The loop stops when the largest relative change drops below the
 tolerance, when it has grown strictly for ``divergence_window``
@@ -53,7 +54,6 @@ from .gaussian import (
     _evidence_components,
     _forward_factor,
     _gaussian_update,
-    _level_arcs,
     _substitute,
     _times_factor,
     correlation_matrix,
@@ -65,7 +65,6 @@ from .gaussian import (  # noqa: F401  wrapped by bench/tracer.py
 )
 from .model import (
     BASIC,
-    DETERMINISTIC,
     EVIDENCE,
     Diagram,
     Node,
@@ -214,7 +213,7 @@ class IterationError(SolverError):
 
 @dataclass(eq=False)
 class SolverState:
-    """Mutable working state of one solve; created by :func:`initialize`."""
+    """Mutable working state of one solve: made by :func:`initialize`, advanced by :func:`step`."""
 
     diagram: Diagram
     config: SolverConfig
@@ -229,7 +228,6 @@ class SolverState:
     # families, in parameter order
     batched: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray], ...]
     one_by_one: list[int]
-    prior_mean: np.ndarray  # E X over the full order, current iteration
     cond_var: np.ndarray  # noise variances over the full order
     post_x: np.ndarray  # previous posterior means of parameters (transformed scale)
     post_y: np.ndarray  # previous posterior means of parameters (natural scale)
@@ -239,10 +237,9 @@ class SolverState:
     linear_coeffs: dict[str, dict[str, float]]
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
-    post_moments: list[dict[str, MomentPair]] = field(default_factory=list)
-    # (B by level, A, W) of the latest iteration: its parameter covariance is
-    # A A' - W'W
-    post_factors: tuple[Arcs, np.ndarray, np.ndarray] | None = None
+    # (B by level, A, W, natural-scale means, natural-scale variances) of the
+    # latest iterate: its parameter covariance is A A' - W'W
+    snapshot: tuple[Arcs, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def n_params(self) -> int:
@@ -345,8 +342,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     ev_var = np.array([v for _, _, _, v in entries])
 
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
-    full_mean = np.concatenate([mean_x, mean_x[ev_parent]])
-    full_cond_var = np.concatenate([cond_var, ev_var])
 
     return SolverState(
         diagram=d,
@@ -359,8 +354,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         levels=levels,
         batched=tuple(batched),
         one_by_one=one_by_one,
-        prior_mean=full_mean,
-        cond_var=full_cond_var,
+        cond_var=np.concatenate([cond_var, ev_var]),
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
         point_x=mean_x.copy(),
@@ -384,42 +378,49 @@ def _iteration_error(
     return IterationError(f"{what} at iteration {state.t + 1}: {err}", pid, state.records)
 
 
-def linearize(state: SolverState) -> np.ndarray:
-    """Coefficient matrix B over the parameters at the previous posterior point.
+def linearize(state: SolverState) -> Arcs:
+    """B over the parameters at the previous posterior point, by depth level.
 
-    Deterministic node j with parent i gets
+    Each level of ``state.levels`` gets ``(nodes, par, c)``, with
+    ``c[k, 0, :]`` node j = ``nodes[k]``'s coefficients on the parents in row
+    ``par[k]``, in that order; the padding columns (j itself) get 0.0.  This
+    is the layout :func:`~gaussid.gaussian._level_arcs` gathers from a dense
+    B.  Node j's coefficient on parent i is
     ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
     previous natural-scale posterior means; recognized-linear nodes keep
     their constants.  Each node's expression is walked once, by
     :func:`slopes` or, for a recognized-linear node, :func:`point_value`;
     its transformed value T_j(f_j(y*)) is kept in ``state.point_x`` for
-    :func:`update_means`.
+    :func:`update_means`.  Of the nodes that fail, the first in parameter
+    order is named.
     """
-    d = state.diagram
-    n = state.n_params
-    index = {pid: k for k, pid in enumerate(state.param_ids)}
-    coeffs = np.zeros((n, n))
+    d, ids = state.diagram, state.param_ids
+    arcs = []
+    failed: list[tuple[int, ValueError]] = []
+    for nodes, par in state.levels:
+        c = np.zeros(par.shape)
+        for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
+            node = d.nodes[ids[k]]
+            env = {ids[i]: state.post_y[i] for i in ps if i != k}
+            node_coeffs = state.linear_coeffs.get(node.id)
+            try:
+                if node_coeffs is None:
+                    y, node_coeffs = slopes(node, d, env)
+                else:
+                    y = point_value(node, env)
+                state.point_x[k] = forward_point(node.transform, y)
+            except ValueError as err:
+                failed.append((k, err))
+            else:  # a node is not its own parent, so its padding columns read 0.0
+                c[row] = [node_coeffs.get(ids[i], 0.0) for i in ps]
+        arcs.append((nodes, par, c[:, None, :]))
+    if failed:
+        k, err = min(failed, key=lambda f: f[0])
+        raise _iteration_error(state, f"cannot linearize {ids[k]!r}", err, ids[k]) from err
+    return tuple(arcs)
 
-    for k, pid in enumerate(state.param_ids):
-        node = d.nodes[pid]
-        if node.kind != DETERMINISTIC:
-            continue
-        env = {p: state.post_y[index[p]] for p in node.parents}
-        node_coeffs = state.linear_coeffs.get(pid)
-        try:
-            if node_coeffs is None:
-                y, node_coeffs = slopes(node, d, env)
-            else:
-                y = point_value(node, env)
-            state.point_x[k] = forward_point(node.transform, y)
-        except ValueError as err:
-            raise _iteration_error(state, f"cannot linearize {pid!r}", err, pid) from err
-        for parent, c in node_coeffs.items():
-            coeffs[index[parent], k] = c
-    return coeffs
 
-
-def update_means(state: SolverState, coeffs: np.ndarray) -> np.ndarray:
+def update_means(state: SolverState, arcs: Arcs) -> np.ndarray:
     """First-order update of the transformed means, from the values :func:`linearize` left.
 
     Basic parameters keep their prior-moment means; deterministic node j
@@ -427,27 +428,22 @@ def update_means(state: SolverState, coeffs: np.ndarray) -> np.ndarray:
     is the parent's updated mean this iteration and post_x the previous
     posterior; evidence entries track their parameter's mean.  The shifts
     s = E X - post_x solve (I - B') s = point_x - post_x, one forward
-    substitution over the arcs.
+    substitution over B's ``arcs``.
     """
-    n = state.n_params
-    shift = _substitute(_level_arcs(state.levels, coeffs), state.point_x - state.post_x)
-    new_mean = np.empty(len(state.order))
-    new_mean[:n] = state.post_x + shift
-    new_mean[n:] = new_mean[state.ev_parent]
-    return new_mean
+    mean = state.post_x + _substitute(arcs, state.point_x - state.post_x)
+    return np.concatenate([mean, mean[state.ev_parent]])
 
 
 def step(state: SolverState) -> IterationRecord:
     """Run one full iteration and append its record to the state."""
     n = state.n_params
-    coeffs = linearize(state)
-    new_mean = update_means(state, coeffs)
+    arcs = linearize(state)
+    new_mean = update_means(state, arcs)
 
     # The parameters' covariance is A A'.  An evidence entry is its parameter
     # plus independent noise: A[par] A' links it to the parameters, and its
     # block is the columns par of that plus diag(noise).  A and (A A[par]')'
     # are both forward substitutions over the arcs.
-    arcs = _level_arcs(state.levels, coeffs)
     scale = np.sqrt(state.cond_var[:n])
     a = _forward_factor(arcs, scale)
     par = state.ev_parent
@@ -463,9 +459,7 @@ def step(state: SolverState) -> IterationRecord:
 
     # The diagonal of A A' - W'W: row sums of A^2 less column sums of W^2.
     post_var = np.maximum(np.einsum("ij,ij->i", a, a) - np.einsum("ij,ij->j", w, w), 0.0)
-    pairs = _natural_moments(state, post_mean, post_var)
-    moments = dict(zip(state.param_ids, pairs))
-    new_post_y = np.array([m.mean for m in pairs])
+    mean_y, var_y = _natural_moments(state, post_mean, post_var)
 
     r = _relative_change(post_mean, state.post_x)
     r_max = float(r.max()) if n else 0.0
@@ -480,18 +474,16 @@ def step(state: SolverState) -> IterationRecord:
         r_max=r_max,
     )
     state.records.append(record)
-    state.post_moments.append(moments)
-    state.post_factors = (arcs, a, w)
-    state.prior_mean = new_mean
+    state.snapshot = (arcs, a, w, mean_y, var_y)
     state.post_x = post_mean.copy()
-    state.post_y = new_post_y
+    state.post_y = mean_y
     return record
 
 
 def _natural_moments(
     state: SolverState, post_mean: np.ndarray, post_var: np.ndarray
-) -> list[MomentPair]:
-    """Natural-scale posterior moments of the parameters, in parameter order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Natural-scale posterior means and variances of the parameters, in parameter order.
 
     Each family :func:`initialize` found to have at least ``_BATCH_MIN``
     members goes through the array map at once.  The members of smaller
@@ -500,14 +492,12 @@ def _natural_moments(
     first parameter that cannot be mapped raises, with the message the
     per-parameter loop gives.
     """
-    pairs: list[MomentPair | None] = [None] * state.n_params
+    mean_y, var_y = np.empty((2, state.n_params))
     unfinished: list[int] = []
     for family, idx, a, b in state.batched:
-        mean_y, var_y, done = _inverse_moments_array(
+        mean_y[idx], var_y[idx], done = _inverse_moments_array(
             family, a, b, post_mean[idx], post_var[idx]
         )
-        for k, m, v in zip(idx[done].tolist(), mean_y[done].tolist(), var_y[done].tolist()):
-            pairs[k] = MomentPair(m, v)
         unfinished += idx[~done].tolist()
 
     d = state.diagram
@@ -515,14 +505,15 @@ def _natural_moments(
         pid = state.param_ids[k]
         t = d.nodes[pid].transform
         try:
-            pairs[k] = inverse_moments(
+            m = inverse_moments(
                 _KIND_FAMILY[t.kind], t, MomentPair(float(post_mean[k]), float(post_var[k]))
             )
         except (ValueError, OverflowError, ConvergenceError) as err:
             raise _iteration_error(
                 state, f"cannot map {pid!r} back to its natural scale", err, pid
             ) from err
-    return pairs
+        mean_y[k], var_y[k] = m.mean, m.variance
+    return mean_y, var_y
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -546,11 +537,11 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
     state = initialize(d, cfg)
     status = MAX_ITERATIONS
     increase_run = 0
-    best, best_factors = 0, None  # smallest-r_max iterate so far, for divergence
+    best = None  # (record, snapshot) of the smallest-r_max iterate so far, for divergence
     for _ in range(cfg.max_iterations):
         record = step(state)
-        if best_factors is None or record.r_max < state.records[best].r_max:
-            best, best_factors = len(state.records) - 1, state.post_factors
+        if best is None or record.r_max < best[0].r_max:
+            best = (record, state.snapshot)
         if record.r_max < cfg.epsilon:
             status = CONVERGED
             break
@@ -563,15 +554,15 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
             increase_run = 0
 
     if status != DIVERGED:
-        best, best_factors = len(state.records) - 1, state.post_factors
+        best = (state.records[-1], state.snapshot)
 
-    arcs, a, w = best_factors
+    record, (arcs, a, w, mean_y, var_y) = best
     cov = _covariance(arcs, np.sqrt(state.cond_var[: state.n_params]), a, w)
     return SolverResult(
         status=status,
         iterations=state.records,
-        posterior_y=dict(state.post_moments[best]),
+        posterior_y=dict(zip(state.param_ids, map(MomentPair, mean_y.tolist(), var_y.tolist()))),
         posterior_correlations=correlation_matrix(cov),
         param_ids=state.param_ids,
-        reported_iteration=state.records[best].t if state.records else 0,
+        reported_iteration=record.t,
     )

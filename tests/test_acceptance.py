@@ -55,6 +55,7 @@ from gaussid.specfun import (
     trigamma,
 )
 from gaussid.transforms import PriorSpec, Transform, forward_point, inverse_point
+from helpers import dense_b
 
 MODELS = Path(__file__).resolve().parent.parent / "docs" / "models"
 
@@ -308,7 +309,7 @@ def test_criterion_5_linearization_matches_finite_differences():
         for _ in range(50):
             d = _nonlinear_test_model(rng)
             state = initialize(d)
-            coeffs = linearize(state)
+            coeffs = dense_b(state.n_params, linearize(state))
             idx = {pid: i for i, pid in enumerate(state.param_ids)}
             for pid in state.param_ids:
                 node = d.nodes[pid]

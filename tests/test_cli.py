@@ -209,6 +209,22 @@ class TestModelDocuments:
         with pytest.raises(SchemaError, match="expected a number"):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("flag", ["no", "false", 1, None])
+    def test_lognormal_samples_must_be_a_boolean(self, flag):
+        doc = json.loads(json.dumps(DIVERGING_DOC))
+        doc["nodes"][2]["evidence"]["lognormal_samples"] = flag
+        with pytest.raises(SchemaError, match="expected true or false") as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.path == "$.nodes[2].evidence.lognormal_samples"
+
+    def test_lognormal_samples_false_is_the_summary_form(self):
+        doc = json.loads(json.dumps(DIVERGING_DOC))
+        plain, _ = parse_model(json.dumps(doc))
+        doc["nodes"][2]["evidence"]["lognormal_samples"] = False
+        diagram, _ = parse_model(json.dumps(doc))
+        assert diagram.nodes["oz"].obs == plain.nodes["oz"].obs
+        assert diagram.nodes["oz"].obs.lognormal_samples is False
+
     def test_malformed_json(self):
         with pytest.raises(SchemaError, match="not valid JSON"):
             parse_model("{nodes: []}")
@@ -337,6 +353,23 @@ class TestCommands:
         assert payload["flagged"] is False
         assert payload["parameters"]["p"]["discrepancy"]["flagged"] is False
 
+    def test_compare_json_writes_null_for_a_zero_standard_error(self, capsys):
+        # One draw has standard errors of 0, so the discrepancies in standard
+        # errors are infinite: the table says inf, and JSON, which has no
+        # Infinity, says null.
+        argv = ["compare", str(BETA_BINOMIAL), "--samples", "1", "--seed", "1"]
+        main(argv)
+        assert "(inf se)" in capsys.readouterr().out
+        main([*argv, "--json"])
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        discrepancy = payload["parameters"]["p"]["discrepancy"]
+        assert discrepancy["mean_in_se"] is None and discrepancy["var_in_se"] is None
+        assert discrepancy["mean_abs"] > 0.0 and discrepancy["flagged"] is True
+
     def test_compare_propagates_solver_status(self, diverging_file, capsys):
         code = main(["compare", diverging_file, "--samples", "5000", "--seed", "3"])
         assert code == EXIT_DIVERGED
@@ -353,6 +386,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr or "import gaussid.cli loaded scipy"
+
+
+def test_module_runs_the_cli():
+    src = Path(gaussid.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaussid.cli", "validate", str(BETA_BINOMIAL)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok: 2 nodes\n"
 
 
 # ---------------------------------------------------------------------------

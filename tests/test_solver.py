@@ -13,6 +13,7 @@ from gaussid.evidence import EvidenceSpec, binomial
 from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
+    _level_arcs,
     condition,
     condition_sequential,
     correlation_matrix,
@@ -50,13 +51,13 @@ from gaussid.solver import (
 )
 from gaussid.specfun import digamma, trigamma
 from gaussid.transforms import (
-    MomentPair,
     PriorSpec,
     Transform,
     forward_moments,
     forward_point,
     inverse_point,
 )
+from helpers import dense_b
 
 PI2_3 = 3.2898681336964529  # 2 * trigamma(1)
 
@@ -142,12 +143,12 @@ def augmented_reference(state, conditioner):
     entry's noise; ``conditioner`` conditions that model exactly on the leaves.
     """
     n, m = state.n_params, len(state.ev_obs)
-    coeffs = linearize(state)
+    arcs = linearize(state)
     aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = coeffs
+    aug[:n, :n] = dense_b(n, arcs)
     aug[state.ev_parent, n + np.arange(m)] = 1.0
     ref = propagate_covariance(
-        GaussianState(state.order, update_means(state, coeffs), aug, state.cond_var)
+        GaussianState(state.order, update_means(state, arcs), aug, state.cond_var)
     )
     return conditioner(ref, {n + e: o for e, o in enumerate(state.ev_obs)})
 
@@ -157,7 +158,7 @@ class TestInitialize:
         state = initialize(beta_binomial())
         assert state.param_ids == ("p",)
         assert state.order == ("p", "trials")
-        assert state.prior_mean[0] == pytest.approx(0.0, abs=1e-12)
+        assert state.post_x[0] == pytest.approx(0.0, abs=1e-12)
         assert state.cond_var[0] == pytest.approx(PI2_3, rel=1e-9)
         assert state.post_y[0] == pytest.approx(0.5)
 
@@ -167,8 +168,6 @@ class TestInitialize:
         assert state.ev_parent.tolist() == [0]
         assert state.ev_obs[0] == pytest.approx(ref.d)
         assert state.cond_var[1] == pytest.approx(ref.v)
-        # the entry's mean starts at its parameter's mean
-        assert state.prior_mean[1] == state.prior_mean[0]
 
     def test_deterministic_node_at_prior_point(self):
         d = Diagram.from_nodes(
@@ -184,7 +183,7 @@ class TestInitialize:
         k = state.param_ids.index("diff")
         # prior means 0.5 and 0.75 -> difference -0.25, transformed (y+1)/2
         assert state.post_y[k] == pytest.approx(-0.25)
-        assert state.prior_mean[k] == pytest.approx(0.375)
+        assert state.post_x[k] == pytest.approx(0.375)
         assert state.cond_var[k] == 0.0
 
     def test_pooling_merges_entries(self):
@@ -243,14 +242,14 @@ class TestLinearize:
         )
         state = initialize(d)
         state.post_y = np.array([3.7, 0.2, 0.74])  # an arbitrary later point
-        coeffs = linearize(state)
+        coeffs = dense_b(state.n_params, linearize(state))
         iu, iv, iw = (state.param_ids.index(k) for k in ("u", "v", "w"))
         assert coeffs[iu, iw] == 1.0
         assert coeffs[iv, iw] == 1.0
 
     def test_scaled_multiple(self):
         state = initialize(linear_chain())
-        coeffs = linearize(state)
+        coeffs = dense_b(state.n_params, linearize(state))
         assert coeffs[0, 1] == pytest.approx(2.0)
         # parameters only: the evidence entry gets no row or column
         assert coeffs.shape == (state.n_params, state.n_params) == (2, 2)
@@ -265,7 +264,7 @@ class TestLinearize:
             ]
         )
         state = initialize(d)
-        coeffs = linearize(state)
+        coeffs = dense_b(state.n_params, linearize(state))
         iu, iv, iw = (state.param_ids.index(k) for k in ("u", "v", "w"))
         assert coeffs[iu, iw] == pytest.approx(0.5)
         assert coeffs[iv, iw] == pytest.approx(0.5)
@@ -282,7 +281,7 @@ class TestLinearize:
         )
         state = initialize(d)
         assert "q" not in state.linear_coeffs
-        coeffs = linearize(state)
+        coeffs = dense_b(state.n_params, linearize(state))
         idx = {pid: i for i, pid in enumerate(state.param_ids)}
         node = d.nodes["q"]
         h = 1e-6
@@ -326,6 +325,25 @@ class TestLinearize:
         assert exc.value.node_id == "z"
         assert "at iteration 2" in str(exc.value)
 
+    def test_first_failing_node_in_parameter_order_is_named(self):
+        # b (depth 2) comes before c (depth 1) in the parameter order; both
+        # leave their support, and b is the one named.
+        d = Diagram.from_nodes(
+            [
+                normal_p("x", 0.5, 1.0),
+                deterministic("a", TS, Mul(Const(2.0), Var("x"))),
+                deterministic("b", TLOG, Var("a")),
+                deterministic("c", TLOG, Var("x")),
+            ]
+        )
+        state = initialize(d)
+        assert state.param_ids == ("x", "a", "b", "c")
+        assert [nodes.tolist() for nodes, _ in state.levels] == [[1, 3], [2]]
+        state.post_y = np.array([-1.0, -2.0, 0.5, 0.5])
+        with pytest.raises(IterationError) as exc:
+            linearize(state)
+        assert exc.value.node_id == "b"
+
 
 def two_level_mixed():
     # Depth 1: z (affine, recognized linear) and w (a product); depth 2:
@@ -361,6 +379,26 @@ def first_order_means(state, coeffs):
     return np.concatenate([mean, mean[state.ev_parent]])
 
 
+def test_linearize_writes_the_level_arcs_layout():
+    # The direct fill must match what _level_arcs gathers from the dense B,
+    # bit for bit, with every padding column exactly 0.0.
+    state = initialize(two_level_mixed())
+    step(state)
+    step(state)
+    arcs = linearize(state)
+    want = _level_arcs(state.levels, dense_b(state.n_params, arcs))
+    assert len(arcs) == len(want) == len(state.levels)
+    assert any((par == nodes[:, None]).any() for nodes, par in state.levels)  # u is padded
+    for (nodes, par, c), (w_nodes, w_par, w_c), (l_nodes, l_par) in zip(arcs, want, state.levels):
+        assert nodes is l_nodes and par is l_par
+        assert np.array_equal(w_nodes, nodes) and np.array_equal(w_par, par)
+        assert c.shape == w_c.shape == (len(nodes), 1, par.shape[1])
+        assert c.tobytes() == w_c.tobytes()
+        pad = par == nodes[:, None]
+        assert np.all(c[:, 0, :][pad] == 0.0) and not np.signbit(c[:, 0, :][pad]).any()
+    assert np.count_nonzero(dense_b(state.n_params, arcs)) == 9  # z, w and u: 2 parents; v: 3
+
+
 class TestUpdateMeans:
     def test_matches_the_node_by_node_formula(self):
         state = initialize(two_level_mixed())
@@ -368,17 +406,16 @@ class TestUpdateMeans:
         assert len(state.levels) == 2
         step(state)
         step(state)  # two moves off the prior point
-        coeffs = linearize(state)
-        new_mean = update_means(state, coeffs)
-        expected = first_order_means(state, coeffs)
+        arcs = linearize(state)
+        new_mean = update_means(state, arcs)
+        expected = first_order_means(state, dense_b(state.n_params, arcs))
         assert not np.allclose(new_mean[: state.n_params], state.post_x)
         np.testing.assert_allclose(new_mean, expected, rtol=1e-13, atol=0.0)
 
     def test_linear_relation_is_preserved_exactly(self):
         state = initialize(linear_chain())
         step(state)  # move the posterior off the prior point
-        coeffs = linearize(state)
-        new_mean = update_means(state, coeffs)
+        new_mean = update_means(state, linearize(state))
         # E z = 2 E x + 1 must survive the first-order update without drift
         assert new_mean[0] == pytest.approx(1.0)
         assert new_mean[1] == pytest.approx(3.0)
@@ -423,18 +460,18 @@ class TestStep:
         step(state)  # relinearize away from the prior point
         n, m = state.n_params, len(state.ev_obs)
         assert m == 3 and state.ev_parent.tolist().count(state.param_ids.index("p")) == 2
-        coeffs = linearize(state)
+        arcs = linearize(state)
         aug = np.zeros((n + m, n + m))
-        aug[:n, :n] = coeffs
+        aug[:n, :n] = dense_b(n, arcs)
         aug[state.ev_parent, n + np.arange(m)] = 1.0
         ref = propagate_covariance(
-            GaussianState(state.order, update_means(state, coeffs), aug, state.cond_var)
+            GaussianState(state.order, update_means(state, arcs), aug, state.cond_var)
         )
         want_mean, want_cov = condition(ref, {n + e: o for e, o in enumerate(state.ev_obs)})
         record = step(state)
         np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0)
-        _, a, w = state.post_factors
+        _, a, w, _, _ = state.snapshot
         assert (a @ a.T - w.T @ w).shape == (n, n)
 
     @pytest.mark.parametrize("conditioner", [condition, condition_sequential])
@@ -471,7 +508,7 @@ class TestStep:
         state = initialize(correlated_evidence(), SolverConfig(pool_evidence=False))
         for _ in range(3):
             step(state)
-            _, a, _ = state.post_factors
+            _, a, _, _, _ = state.snapshot
             want = a[state.ev_parent] @ a.T
             assert np.count_nonzero(want) < want.size  # entries with no shared ancestor
             np.testing.assert_allclose(crosses[-1], want, rtol=1e-12, atol=0)
@@ -488,7 +525,6 @@ class TestStep:
         step(state)
         step(state)
         assert [r.t for r in state.records] == [1, 2]
-        assert len(state.post_moments) == 2
         # second pass re-derives the same fixed point, so nothing moves
         assert state.records[1].r_max == pytest.approx(0.0, abs=1e-12)
 
@@ -620,8 +656,7 @@ class TestSolve:
                 r_max=r,
             )
             state.records.append(record)
-            state.post_moments.append({"p": MomentPair(r, 0.01)})
-            state.post_factors = ((), np.eye(1), np.zeros((0, 1)))
+            state.snapshot = ((), np.eye(1), np.zeros((0, 1)), np.array([r]), np.array([0.01]))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
@@ -648,14 +683,13 @@ class TestSolve:
                 r_max=r,
             )
             state.records.append(record)
-            state.post_moments.append({"p": MomentPair(0.5, 0.01), "q": MomentPair(0.5, 0.01)})
             # p and q are independent, so B = 0 and A = diag(sqrt v); the
             # covariance A A' - W'W is [[0.75, rho - 0.25], [rho - 0.25, 0.75]]
             # scaled by sqrt(v_i v_j)
             rho = r / 10.0
             sd = np.sqrt(state.cond_var[:2])
             w = np.array([[np.sqrt(0.25 - rho / 2)] * 2, [np.sqrt(rho / 2), -np.sqrt(rho / 2)]])
-            state.post_factors = ((), np.diag(sd), w * sd)
+            state.snapshot = ((), np.diag(sd), w * sd, np.full(2, 0.5), np.full(2, 0.01))
             return record
 
         d = Diagram.from_nodes(
@@ -690,8 +724,7 @@ class TestSolve:
                 r_max=r,
             )
             state.records.append(record)
-            state.post_moments.append({"p": MomentPair(0.5, 0.01)})
-            state.post_factors = ((), np.eye(1), np.zeros((0, 1)))
+            state.snapshot = ((), np.eye(1), np.zeros((0, 1)), np.array([0.5]), np.array([0.01]))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
