@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .evidence import BINOMIAL, EVIDENCE_VARIANTS, EvidenceSpec
+from .evidence import EVIDENCE_VARIANTS, EvidenceSpec
 from .model import (
     Add,
     Const,
@@ -63,7 +63,7 @@ from .solver import (
     SolverResult,
     solve,
 )
-from .transforms import BETA, PRIOR_FAMILIES, PriorSpec, Transform, TRANSFORM_KINDS
+from .transforms import PRIOR_FAMILIES, PriorSpec, Transform, TRANSFORM_KINDS
 
 __all__ = [
     "EXIT_OK",
@@ -268,110 +268,114 @@ def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] =
             raise SchemaError(path, f"missing required field {key!r}")
 
 
-def _number(obj: dict, path: str, key: str) -> float:
-    v = obj[key]
+# The readers of a value ``v`` found at key ``key`` of the object at ``path``.
+
+
+def _number(v, path: str, key: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError(f"{path}.{key}", "number out of range") from None
 
 
-def _integer(obj: dict, path: str, key: str) -> int:
-    v = obj[key]
+def _integer(v, path: str, key: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(f"{path}.{key}", f"expected an integer, got {v!r}")
     return v
 
 
-def _parse_transform(obj, path: str) -> Transform:
+def _boolean(v, path: str, key: str) -> bool:
+    if not isinstance(v, bool):
+        raise SchemaError(f"{path}.{key}", "expected true or false")
+    return v
+
+
+def _numbers(v, path: str, key: str) -> tuple[float, ...]:
+    if not isinstance(v, list):
+        raise SchemaError(f"{path}.{key}", "expected a list of numbers")
+    return tuple(_number(s, path, f"{key}[{i}]") for i, s in enumerate(v))
+
+
+def _choice(options: tuple[str, ...]) -> Callable[[object, str, str], str]:
+    def read(v, path: str, key: str) -> str:
+        if v not in options:
+            raise SchemaError(f"{path}.{key}", f"expected one of {list(options)}")
+        return v
+
+    return read
+
+
+# Each spec class's document keys and the reader of each key's value.  The
+# class's fields without a default are required; its own checks do the rest.
+_FIELDS: dict[type, dict[str, Callable]] = {
+    Transform: {"kind": _choice(TRANSFORM_KINDS), "a": _number, "b": _number},
+    PriorSpec: {
+        "family": _choice(PRIOR_FAMILIES),
+        "mean": _number,
+        "variance": _number,
+        "alpha": _number,
+        "beta": _number,
+    },
+    EvidenceSpec: {
+        "variant": _choice(EVIDENCE_VARIANTS),
+        "count": _integer,
+        "sample_mean": _number,
+        "variance": _number,
+        "sample_var": _number,
+        "successes": _integer,
+        "alpha": _number,
+        "beta": _number,
+        "lognormal_samples": _boolean,
+        "samples": _numbers,
+    },
+    SolverConfig: {
+        "epsilon": _number,
+        "divergence_window": _integer,
+        "max_iterations": _integer,
+        "pool_evidence": _boolean,
+    },
+}
+_DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)} for cls in _FIELDS}
+# The keys a document must give: table keys whose field has no default.
+_REQUIRED = {
+    cls: {key for key in keys if _DEFAULTS[cls][key] is dataclasses.MISSING}
+    for cls, keys in _FIELDS.items()
+}
+
+
+def _read(cls: type, obj, path: str, **given):
+    """The ``cls`` spec declared by document object ``obj`` at ``path``.
+
+    ``given`` holds fields that come from elsewhere in the document, such
+    as a prior's transform; they are not keys of ``obj``.
+    """
     if not isinstance(obj, dict):
-        raise SchemaError(path, "transform must be an object")
-    _require_keys(obj, path, {"kind", "a", "b"})
-    if obj["kind"] not in TRANSFORM_KINDS:
-        raise SchemaError(f"{path}.kind", f"expected one of {list(TRANSFORM_KINDS)}")
+        raise SchemaError(path, "expected an object")
+    readers = _FIELDS[cls]
+    if not readers.keys() >= obj.keys():
+        key = next(key for key in obj if key not in readers)
+        raise SchemaError(f"{path}.{key}", "unknown field")
+    if not obj.keys() >= _REQUIRED[cls]:
+        raise SchemaError(path, f"missing required field {min(_REQUIRED[cls] - obj.keys())!r}")
+    for key, v in obj.items():
+        given[key] = readers[key](v, path, key)
     try:
-        return Transform(obj["kind"], _number(obj, path, "a"), _number(obj, path, "b"))
+        return cls(**given)
     except ValueError as err:
         raise SchemaError(path, str(err)) from None
 
 
-def _parse_prior(obj, path: str, transform: Transform) -> PriorSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "prior must be an object")
-    if "family" not in obj:
-        raise SchemaError(path, "missing required field 'family'")
-    family = obj["family"]
-    if family not in PRIOR_FAMILIES:
-        raise SchemaError(f"{path}.family", f"expected one of {list(PRIOR_FAMILIES)}")
-    try:
-        if family == BETA:
-            _require_keys(obj, path, {"family", "alpha", "beta"})
-            return PriorSpec(
-                family=family,
-                transform=transform,
-                alpha=_number(obj, path, "alpha"),
-                beta=_number(obj, path, "beta"),
-            )
-        _require_keys(obj, path, {"family", "mean", "variance"})
-        return PriorSpec(
-            family=family,
-            transform=transform,
-            mean=_number(obj, path, "mean"),
-            variance=_number(obj, path, "variance"),
-        )
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
-
-
-def _parse_evidence_spec(obj, path: str) -> EvidenceSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "evidence must be an object")
-    if "variant" not in obj:
-        raise SchemaError(path, "missing required field 'variant'")
-    variant = obj["variant"]
-    if variant not in EVIDENCE_VARIANTS:
-        raise SchemaError(f"{path}.variant", f"expected one of {list(EVIDENCE_VARIANTS)}")
-    try:
-        if variant == BINOMIAL:
-            _require_keys(obj, path, {"variant", "count", "successes"}, {"alpha", "beta"})
-            return EvidenceSpec(
-                variant=variant,
-                count=_integer(obj, path, "count"),
-                successes=_integer(obj, path, "successes"),
-                alpha=_number(obj, path, "alpha") if "alpha" in obj else None,
-                beta=_number(obj, path, "beta") if "beta" in obj else None,
-            )
-        value_key = "variance" if variant == "normal_known_var" else "sample_var"
-        if "lognormal_samples" in obj and _boolean(obj, path, "lognormal_samples"):
-            _require_keys(
-                obj,
-                path,
-                {"variant", "lognormal_samples", "samples"},
-                {value_key} if variant == "normal_known_var" else set(),
-            )
-            samples = obj["samples"]
-            if not isinstance(samples, list) or not all(
-                isinstance(s, (int, float)) and not isinstance(s, bool) for s in samples
-            ):
-                raise SchemaError(f"{path}.samples", "expected a list of numbers")
-            return EvidenceSpec(
-                variant=variant,
-                lognormal_samples=True,
-                samples=tuple(float(s) for s in samples),
-                variance=_number(obj, path, "variance") if variant == "normal_known_var" else None,
-            )
-        summary = {"variant", "count", "sample_mean", value_key}
-        _require_keys(obj, path, summary, {"lognormal_samples"})
-        return EvidenceSpec(
-            variant=variant,
-            count=_integer(obj, path, "count"),
-            sample_mean=_number(obj, path, "sample_mean"),
-            variance=_number(obj, path, "variance") if variant == "normal_known_var" else None,
-            sample_var=_number(obj, path, "sample_var") if variant == "normal_unknown_var" else None,
-        )
-    except SchemaError:
-        raise
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
+def _write(spec) -> dict:
+    """The document object of ``spec``: its keys whose values differ from the defaults."""
+    defaults = _DEFAULTS[type(spec)]
+    out = {}
+    for key in _FIELDS[type(spec)]:
+        value = getattr(spec, key)
+        if value != defaults[key]:
+            out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _parse_node(obj, path: str, declared: set[str]) -> Node:
@@ -392,12 +396,11 @@ def _parse_node(obj, path: str, declared: set[str]) -> Node:
     kind = obj["kind"]
     if kind == "basic":
         _require_keys(obj, path, {"id", "kind", "transform", "prior"})
-        transform = _parse_transform(obj["transform"], f"{path}.transform")
-        prior = _parse_prior(obj["prior"], f"{path}.prior", transform)
-        return basic(nid, prior)
+        transform = _read(Transform, obj["transform"], f"{path}.transform")
+        return basic(nid, _read(PriorSpec, obj["prior"], f"{path}.prior", transform=transform))
     if kind == "deterministic":
         _require_keys(obj, path, {"id", "kind", "transform", "expr"})
-        transform = _parse_transform(obj["transform"], f"{path}.transform")
+        transform = _read(Transform, obj["transform"], f"{path}.transform")
         if not isinstance(obj["expr"], str):
             raise SchemaError(f"{path}.expr", "expression must be a string")
         try:
@@ -412,34 +415,8 @@ def _parse_node(obj, path: str, declared: set[str]) -> Node:
             raise SchemaError(f"{path}.parent", "parent must be a node id")
         if parent not in declared:
             raise SchemaError(f"{path}.parent", f"unknown parent id {parent!r}")
-        spec = _parse_evidence_spec(obj["evidence"], f"{path}.evidence")
-        return evidence(nid, parent, spec)
+        return evidence(nid, parent, _read(EvidenceSpec, obj["evidence"], f"{path}.evidence"))
     raise SchemaError(f"{path}.kind", "expected one of ['basic', 'deterministic', 'evidence']")
-
-
-def _boolean(obj: dict, path: str, key: str) -> bool:
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise SchemaError(f"{path}.{key}", "expected true or false")
-    return v
-
-
-# SolverConfig field -> reader of its value, chosen by the type of its default.
-_SOLVER_FIELDS = {
-    f.name: {float: _number, int: _integer, bool: _boolean}[type(f.default)]
-    for f in dataclasses.fields(SolverConfig)
-}
-
-
-def _parse_solver(obj, path: str) -> SolverConfig:
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "solver must be an object")
-    _require_keys(obj, path, set(), set(_SOLVER_FIELDS))
-    kwargs = {key: read(obj, path, key) for key, read in _SOLVER_FIELDS.items() if key in obj}
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
 
 
 def parse_model(source: str | Path, check: bool = True) -> tuple[Diagram, SolverConfig]:
@@ -456,7 +433,7 @@ def parse_model(source: str | Path, check: bool = True) -> tuple[Diagram, Solver
         text = source
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # also too many digits, or too deep
         raise SchemaError("$", f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be a JSON object")
@@ -478,7 +455,7 @@ def parse_model(source: str | Path, check: bool = True) -> tuple[Diagram, Solver
 
     nodes = [_parse_node(entry, f"$.nodes[{i}]", ids) for i, entry in enumerate(doc["nodes"])]
     diagram = Diagram.from_nodes(nodes)
-    config = _parse_solver(doc.get("solver", {}), "$.solver")
+    config = _read(SolverConfig, doc.get("solver", {}), "$.solver")
     if check:
         problems = validate(diagram)
         if problems:
@@ -490,58 +467,18 @@ def serialize_model(d: Diagram, cfg: SolverConfig | None = None) -> dict:
     """Render a diagram (and optional non-default solver settings) as a document."""
     nodes = []
     for n in d.nodes.values():
-        if n.kind == "basic":
-            p = n.prior
-            prior = (
-                {"family": p.family, "alpha": p.alpha, "beta": p.beta}
-                if p.family == BETA
-                else {"family": p.family, "mean": p.mean, "variance": p.variance}
-            )
-            nodes.append(
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "transform": {"kind": n.transform.kind, "a": n.transform.a, "b": n.transform.b},
-                    "prior": prior,
-                }
-            )
-        elif n.kind == "deterministic":
-            nodes.append(
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "transform": {"kind": n.transform.kind, "a": n.transform.a, "b": n.transform.b},
-                    "expr": format_expr(n.expr),
-                }
-            )
+        entry: dict = {"id": n.id, "kind": n.kind}
+        if n.kind == "evidence":
+            entry.update(parent=n.parents[0], evidence=_write(n.obs))
+        elif n.kind == "basic":
+            entry.update(transform=_write(n.transform), prior=_write(n.prior))
         else:
-            spec = n.obs
-            entry: dict = {"variant": spec.variant}
-            if spec.variant == BINOMIAL:
-                entry.update(count=spec.count, successes=spec.successes)
-                if spec.alpha is not None:
-                    entry.update(alpha=spec.alpha, beta=spec.beta)
-            elif spec.lognormal_samples:
-                entry.update(lognormal_samples=True, samples=list(spec.samples))
-                if spec.variance is not None:
-                    entry.update(variance=spec.variance)
-            else:
-                entry.update(count=spec.count, sample_mean=spec.sample_mean)
-                if spec.variant == "normal_known_var":
-                    entry.update(variance=spec.variance)
-                else:
-                    entry.update(sample_var=spec.sample_var)
-            nodes.append({"id": n.id, "kind": n.kind, "parent": n.parents[0], "evidence": entry})
-
+            entry.update(transform=_write(n.transform), expr=format_expr(n.expr))
+        nodes.append(entry)
     doc: dict = {"schema_version": SCHEMA_VERSION, "nodes": nodes}
-    if cfg is not None:
-        overrides = {
-            f.name: getattr(cfg, f.name)
-            for f in dataclasses.fields(cfg)
-            if getattr(cfg, f.name) != f.default
-        }
-        if overrides:
-            doc["solver"] = overrides
+    overrides = _write(cfg) if cfg is not None else {}
+    if overrides:
+        doc["solver"] = overrides
     return doc
 
 
@@ -601,8 +538,9 @@ def _load(args, check: bool = True) -> tuple[Diagram, SolverConfig] | None:
     return loaded
 
 
-# Exit-5 failures of solve and mc_posterior: SolverError, ConditioningError,
-# ConvergenceError and the oracle's all-zero weights are RuntimeErrors.
+# Exit-5 failures of solve and mc_posterior, caught once in main:
+# SolverError, ConditioningError, ConvergenceError and the oracle's all-zero
+# weights are RuntimeErrors.
 _NUMERICAL_FAILURES = (RuntimeError, ValueError, OverflowError)
 
 _STATUS_EXIT = {
@@ -739,11 +677,7 @@ def _cmd_solve(args) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        result = solve(diagram, config)
-    except _NUMERICAL_FAILURES as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    result = solve(diagram, config)
     if args.json:
         _print_solve_json(result)
     else:
@@ -756,11 +690,7 @@ def _cmd_oracle(args) -> int:
     if loaded is None:
         return EXIT_INPUT
     diagram, _ = loaded
-    try:
-        est = mc_posterior(diagram, args.samples, args.seed)
-    except _NUMERICAL_FAILURES as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    est = mc_posterior(diagram, args.samples, args.seed)
     if args.json:
         payload = {
             "samples": est.n_samples,
@@ -796,12 +726,8 @@ def _cmd_compare(args) -> int:
     if loaded is None:
         return EXIT_INPUT
     diagram, config = loaded
-    try:
-        result = solve(diagram, config)
-        est = mc_posterior(diagram, args.samples, args.seed)
-    except _NUMERICAL_FAILURES as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    result = solve(diagram, config)
+    est = mc_posterior(diagram, args.samples, args.seed)
 
     rows = {}
     flagged = False
@@ -879,7 +805,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _NUMERICAL_FAILURES as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -65,7 +65,8 @@ class EvidenceSpec:
     divisor-count convention; ``binomial`` takes (count, successes) and
     optional reference (alpha, beta).  Normal variants may instead carry
     raw ``samples`` of a log-transformed parent (``lognormal_samples``),
-    in which case the summary statistics are derived at solve time.
+    in which case the summary statistics are derived at solve time.  Every
+    number given must be finite.
     """
 
     variant: str
@@ -84,6 +85,10 @@ class EvidenceSpec:
             raise ValueError(
                 f"unknown evidence variant {self.variant!r}; expected one of {EVIDENCE_VARIANTS}"
             )
+        numbers = (self.sample_mean, self.variance, self.sample_var, self.alpha, self.beta)
+        for x in (*numbers, *(self.samples or ())):
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"evidence numbers must be finite, got {x}")
         if self.variant == BINOMIAL:
             self._check_binomial()
         else:
@@ -126,7 +131,9 @@ class EvidenceSpec:
         if self.variant == NORMAL_KNOWN_VAR:
             if self.sample_var is not None:
                 raise ValueError("normal_known_var takes variance, not sample_var")
-            if self.variance is None or not self.variance > 0.0:
+            if self.variance is None:
+                raise ValueError("normal_known_var evidence requires variance")
+            if not self.variance > 0.0:
                 raise ValueError(f"known variance must be positive, got {self.variance}")
             if not self.lognormal_samples and self.count < 1:
                 raise ValueError(f"count must be >= 1, got {self.count}")

@@ -78,11 +78,7 @@ from .model import eval_expr, value_and_gradient as diff_expr  # noqa: F401  nam
 from .specfun import ConvergenceError
 from .transforms import (
     BETA,
-    LOG_SCALED,
-    LOGISTIC_SCALED,
-    LOGNORMAL,
-    NORMAL,
-    SCALED,
+    FAMILY_TRANSFORMS,
     MomentPair,
     _inverse_moments_array,
     derivative,  # noqa: F401  wrapped by bench/tracer.py
@@ -114,11 +110,7 @@ DIVERGED = "diverged"
 MAX_ITERATIONS = "max_iterations"
 
 # Transform kind -> family whose moment identities invert that scale.
-_KIND_FAMILY = {
-    SCALED: NORMAL,
-    LOG_SCALED: LOGNORMAL,
-    LOGISTIC_SCALED: BETA,
-}
+_KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 
 # A family with at least this many parameters maps its moments as arrays;
 # below it, numpy's fixed cost per call outweighs the per-parameter loop.
@@ -282,7 +274,12 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         node = d.nodes[pid]
         members.setdefault(_KIND_FAMILY[node.transform.kind], []).append(k)
         if node.kind == BASIC:
-            m = forward_moments(node.prior)
+            try:
+                m = forward_moments(node.prior)
+            except ValueError as err:
+                raise InitializationError(
+                    f"cannot map the prior of {pid!r} to its transformed scale: {err}", pid
+                ) from err
             mean_x[k] = m.mean
             cond_var[k] = m.variance
             mean_y[k] = _natural_prior_mean(node)

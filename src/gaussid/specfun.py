@@ -70,15 +70,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Parameters of a Beta(alpha, beta) distribution; both must be > 0."""
+    """Parameters of a Beta(alpha, beta) distribution; both must be finite and > 0."""
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.beta > 0.0):
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise ValueError(
-                f"Beta parameters must be positive, got ({self.alpha}, {self.beta})"
+                f"Beta parameters must be finite and positive, got ({self.alpha}, {self.beta})"
             )
 
 

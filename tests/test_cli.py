@@ -1,8 +1,10 @@
 """Expression grammar, model documents, and the command-line surface."""
 
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +19,11 @@ from gaussid.cli import (
     EXIT_DIVERGED,
     EXIT_INPUT,
     EXIT_MAX_ITERATIONS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ExpressionError,
     SchemaError,
+    _FIELDS,
     _json_matrix,
     _table_rows,
     main,
@@ -41,7 +45,7 @@ from gaussid.model import (
     format_expr,
 )
 from gaussid.oracle import mc_posterior
-from gaussid.solver import solve
+from gaussid.solver import SolverConfig, solve
 
 MODELS = Path(__file__).resolve().parent.parent / "docs" / "models"
 BETA_BINOMIAL = MODELS / "beta_binomial.json"
@@ -239,6 +243,273 @@ class TestModelDocuments:
         with pytest.raises(SchemaError) as exc:
             parse_model(json.dumps(doc))
         assert exc.value.path == "$.nodes[1].expr"
+
+
+# Every object form of the schema: a binomial with reference alpha/beta,
+# lognormal samples with known and with unknown variance, summary statistics
+# of both normal variants, a lognormal prior and non-default solver settings.
+ALL_FORMS_DOC = {
+    "schema_version": "1",
+    "nodes": [
+        {
+            "id": "p",
+            "kind": "basic",
+            "transform": {"kind": "logistic_scaled", "a": 0.0, "b": 1.0},
+            "prior": {"family": "beta", "alpha": 2.0, "beta": 3.0},
+        },
+        {
+            "id": "q",
+            "kind": "basic",
+            "transform": {"kind": "log_scaled", "a": 0.0, "b": 1.0},
+            "prior": {"family": "lognormal", "mean": 2.0, "variance": 0.5},
+        },
+        {
+            "id": "r",
+            "kind": "basic",
+            "transform": {"kind": "log_scaled", "a": 0.0, "b": 1.0},
+            "prior": {"family": "lognormal", "mean": 1.5, "variance": 0.3},
+        },
+        {
+            "id": "m",
+            "kind": "basic",
+            "transform": {"kind": "scaled", "a": -1.0, "b": 1.0},
+            "prior": {"family": "normal", "mean": 0.1, "variance": 2.0},
+        },
+        {
+            "id": "s",
+            "kind": "deterministic",
+            "transform": {"kind": "log_scaled", "a": 0.0, "b": 1.0},
+            "expr": "q * r + exp(m)",
+        },
+        {
+            "id": "e1",
+            "kind": "evidence",
+            "parent": "p",
+            "evidence": {
+                "variant": "binomial", "count": 20, "successes": 6, "alpha": 0.5, "beta": 0.5
+            },
+        },
+        {
+            "id": "e2",
+            "kind": "evidence",
+            "parent": "q",
+            "evidence": {
+                "variant": "normal_known_var",
+                "variance": 0.2,
+                "lognormal_samples": True,
+                "samples": [1.8, 2.2, 2.5],
+            },
+        },
+        {
+            "id": "e3",
+            "kind": "evidence",
+            "parent": "r",
+            "evidence": {
+                "variant": "normal_unknown_var",
+                "lognormal_samples": True,
+                "samples": [1.2, 1.4, 1.9, 1.6, 1.3],
+            },
+        },
+        {
+            "id": "e4",
+            "kind": "evidence",
+            "parent": "m",
+            "evidence": {
+                "variant": "normal_unknown_var", "count": 8, "sample_mean": 0.3, "sample_var": 0.4
+            },
+        },
+        {
+            "id": "e5",
+            "kind": "evidence",
+            "parent": "m",
+            "evidence": {
+                "variant": "normal_known_var", "count": 3, "sample_mean": 0.2, "variance": 1.0
+            },
+        },
+    ],
+    "solver": {"epsilon": 1e-08, "pool_evidence": False},
+}
+
+
+def _obj(i: int, key: str):
+    """A function that gives node ``i``'s ``key`` object of a document."""
+    return lambda doc: doc["nodes"][i][key]
+
+
+def _set(get, **fields):
+    return lambda doc: get(doc).update(fields)
+
+
+def _drop(get, key):
+    return lambda doc: get(doc).pop(key)
+
+
+def _replace(i: int, key: str, value):
+    return lambda doc: doc["nodes"][i].update({key: value})
+
+
+_BETA_T, _BETA_PRIOR = _obj(0, "transform"), _obj(0, "prior")
+_NORMAL_PRIOR = _obj(3, "prior")
+_BINOMIAL, _KNOWN_SAMPLES, _UNKNOWN_SAMPLES = _obj(5, "evidence"), _obj(6, "evidence"), _obj(7, "evidence")
+_UNKNOWN_SUMMARY, _KNOWN_SUMMARY = _obj(8, "evidence"), _obj(9, "evidence")
+_SOLVER = lambda doc: doc["solver"]  # noqa: E731
+
+
+class TestSchemaRules:
+    """Each rule of the model-document schema, and the document forms it reads."""
+
+    # One invalid document per rule and the path of what it breaks.  The error
+    # names that path, or another in the same object where the spec class's
+    # own check, not a key reader, finds the fault.
+    @pytest.mark.parametrize(
+        "mutate,broken",
+        [
+            (_replace(0, "transform", [0, 1]), "$.nodes[0].transform"),
+            (_set(_BETA_T, bogus=1), "$.nodes[0].transform.bogus"),
+            (_drop(_BETA_T, "b"), "$.nodes[0].transform"),
+            (_set(_BETA_T, kind="affine"), "$.nodes[0].transform.kind"),
+            (_set(_BETA_T, a="0"), "$.nodes[0].transform.a"),
+            (_set(_BETA_T, b=0.0), "$.nodes[0].transform"),
+            (_replace(0, "prior", "beta"), "$.nodes[0].prior"),
+            (_drop(_BETA_PRIOR, "family"), "$.nodes[0].prior"),
+            (_set(_BETA_PRIOR, family="gamma"), "$.nodes[0].prior.family"),
+            (_set(_BETA_PRIOR, transform={}), "$.nodes[0].prior.transform"),
+            (_set(_BETA_PRIOR, mean=0.5), "$.nodes[0].prior.mean"),
+            (_drop(_BETA_PRIOR, "alpha"), "$.nodes[0].prior"),
+            (_set(_BETA_PRIOR, alpha=None), "$.nodes[0].prior.alpha"),
+            (_set(_BETA_PRIOR, alpha=-1.0), "$.nodes[0].prior"),
+            (_set(_NORMAL_PRIOR, alpha=1.0), "$.nodes[3].prior.alpha"),
+            (_drop(_NORMAL_PRIOR, "mean"), "$.nodes[3].prior"),
+            (_set(_NORMAL_PRIOR, family="lognormal"), "$.nodes[3].prior"),
+            (_set(_NORMAL_PRIOR, variance=0.0), "$.nodes[3].prior"),
+            (_replace(5, "evidence", None), "$.nodes[5].evidence"),
+            (_drop(_BINOMIAL, "variant"), "$.nodes[5].evidence"),
+            (_set(_BINOMIAL, variant="poisson"), "$.nodes[5].evidence.variant"),
+            (_set(_BINOMIAL, sample_mean=0.5), "$.nodes[5].evidence.sample_mean"),
+            (_set(_BINOMIAL, lognormal_samples=True), "$.nodes[5].evidence.lognormal_samples"),
+            (_drop(_BINOMIAL, "successes"), "$.nodes[5].evidence"),
+            (_drop(_BINOMIAL, "beta"), "$.nodes[5].evidence"),
+            (_set(_BINOMIAL, count=20.0), "$.nodes[5].evidence.count"),
+            (_set(_BINOMIAL, successes=21), "$.nodes[5].evidence"),
+            (_set(_BINOMIAL, alpha="0.5"), "$.nodes[5].evidence.alpha"),
+            (_set(_BINOMIAL, alpha=0.0), "$.nodes[5].evidence"),
+            (_set(_KNOWN_SAMPLES, lognormal_samples="yes"), "$.nodes[6].evidence.lognormal_samples"),
+            (_set(_KNOWN_SAMPLES, count=3), "$.nodes[6].evidence.count"),
+            (_drop(_KNOWN_SAMPLES, "samples"), "$.nodes[6].evidence"),
+            (_set(_KNOWN_SAMPLES, samples=[]), "$.nodes[6].evidence"),
+            (_set(_KNOWN_SAMPLES, samples=1.8), "$.nodes[6].evidence.samples"),
+            (_set(_KNOWN_SAMPLES, samples=[1.8, True]), "$.nodes[6].evidence.samples"),
+            (_set(_KNOWN_SAMPLES, samples=[1.8, "2"]), "$.nodes[6].evidence.samples"),
+            (_set(_KNOWN_SAMPLES, variance=-0.2), "$.nodes[6].evidence"),
+            (_set(_UNKNOWN_SAMPLES, variance=0.2), "$.nodes[7].evidence.variance"),
+            (_set(_UNKNOWN_SAMPLES, samples=[1.2, 1.4, 1.9]), "$.nodes[7].evidence"),
+            (_drop(_UNKNOWN_SUMMARY, "sample_mean"), "$.nodes[8].evidence"),
+            (_drop(_UNKNOWN_SUMMARY, "sample_var"), "$.nodes[8].evidence"),
+            (_set(_UNKNOWN_SUMMARY, samples=[1.0, 2.0]), "$.nodes[8].evidence.samples"),
+            (_set(_UNKNOWN_SUMMARY, sample_mean="0.3"), "$.nodes[8].evidence.sample_mean"),
+            (_set(_UNKNOWN_SUMMARY, count=3), "$.nodes[8].evidence"),
+            (_set(_UNKNOWN_SUMMARY, lognormal_samples=False, sample_var=0.0), "$.nodes[8].evidence"),
+            (_set(_KNOWN_SUMMARY, sample_var=1.0), "$.nodes[9].evidence.sample_var"),
+            (_drop(_KNOWN_SUMMARY, "variance"), "$.nodes[9].evidence"),
+            (_set(_KNOWN_SUMMARY, count=0), "$.nodes[9].evidence"),
+            (lambda doc: doc.update(solver=[]), "$.solver"),
+            (_set(_SOLVER, tolerance=1e-6), "$.solver.tolerance"),
+            (_set(_SOLVER, epsilon="small"), "$.solver.epsilon"),
+            (_set(_SOLVER, max_iterations=2.5), "$.solver.max_iterations"),
+            (_set(_SOLVER, divergence_window=True), "$.solver.divergence_window"),
+            (_set(_SOLVER, pool_evidence=0), "$.solver.pool_evidence"),
+            (_set(_SOLVER, divergence_window=0), "$.solver"),
+        ],
+    )
+    def test_each_rule_names_its_object(self, mutate, broken):
+        doc = json.loads(json.dumps(ALL_FORMS_DOC))
+        mutate(doc)
+        with pytest.raises(SchemaError) as exc:
+            parse_model(json.dumps(doc))
+        obj = re.match(r"\$\.(solver|nodes\[\d+\]\.\w+)", broken).group()
+        assert exc.value.path == broken or exc.value.path.startswith(obj)
+
+    def test_field_table_names_every_field(self):
+        for cls, readers in _FIELDS.items():
+            # A prior's transform is the node's, not a key of the prior object.
+            assert set(readers) == {f.name for f in dataclasses.fields(cls)} - {"transform"}
+
+    def test_every_form_round_trips(self):
+        text = json.dumps(ALL_FORMS_DOC, sort_keys=True)
+        diagram, config = parse_model(text)
+        assert json.dumps(serialize_model(diagram, config), sort_keys=True) == text
+        assert config == SolverConfig(epsilon=1e-8, pool_evidence=False)
+
+    def test_every_form_solves(self, tmp_path, capsys):
+        path = tmp_path / "all_forms.json"
+        path.write_text(json.dumps(ALL_FORMS_DOC))
+        assert main(["solve", str(path)]) == EXIT_OK
+
+    def test_known_variance_samples_without_variance_is_an_input_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(ALL_FORMS_DOC))
+        del doc["nodes"][6]["evidence"]["variance"]
+        with pytest.raises(SchemaError, match="requires variance") as exc:
+            parse_model(json.dumps(doc))
+        assert exc.value.path == "$.nodes[6].evidence"
+        path = tmp_path / "no_variance.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == EXIT_INPUT
+        assert "$.nodes[6].evidence" in capsys.readouterr().err
+
+    def test_binomial_accepts_lognormal_samples_false(self):
+        doc = json.loads(json.dumps(ALL_FORMS_DOC))
+        plain, _ = parse_model(json.dumps(doc))
+        doc["nodes"][5]["evidence"]["lognormal_samples"] = False
+        diagram, _ = parse_model(json.dumps(doc))
+        assert diagram.nodes["e1"].obs == plain.nodes["e1"].obs
+
+    # Python's json reads these literals as non-finite floats.
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "get,key,within",
+        [
+            (_BETA_T, "a", "$.nodes[0].transform"),
+            (_BETA_PRIOR, "alpha", "$.nodes[0].prior"),
+            (_NORMAL_PRIOR, "mean", "$.nodes[3].prior"),
+            (_BINOMIAL, "beta", "$.nodes[5].evidence"),
+            (_KNOWN_SAMPLES, "variance", "$.nodes[6].evidence"),
+            (_UNKNOWN_SUMMARY, "sample_mean", "$.nodes[8].evidence"),
+            (_UNKNOWN_SUMMARY, "sample_var", "$.nodes[8].evidence"),
+            (_SOLVER, "epsilon", "$.solver"),
+        ],
+    )
+    def test_non_finite_numbers_are_rejected(self, get, key, within, literal):
+        doc = json.loads(json.dumps(ALL_FORMS_DOC))
+        get(doc)[key] = "LITERAL"
+        with pytest.raises(SchemaError) as exc:
+            parse_model(json.dumps(doc).replace('"LITERAL"', literal))
+        assert exc.value.path == within
+
+    def test_non_finite_sample_is_rejected(self):
+        text = json.dumps(ALL_FORMS_DOC).replace("[1.8, 2.2, 2.5]", "[1.8, 1e400, 2.5]")
+        with pytest.raises(SchemaError, match="must be finite") as exc:
+            parse_model(text)
+        assert exc.value.path == "$.nodes[6].evidence"
+
+    def test_integer_beyond_the_float_range_is_an_input_error(self):
+        text = json.dumps(ALL_FORMS_DOC).replace('"alpha": 2.0', '"alpha": 1' + "0" * 400)
+        with pytest.raises(SchemaError, match="out of range") as exc:
+            parse_model(text)
+        assert exc.value.path == "$.nodes[0].prior.alpha"
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, "1" * 5_000], ids=["deep", "long_integer"])
+    def test_json_the_decoder_cannot_read_is_an_input_error(self, text):
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            parse_model(text)
+
+    def test_numerical_failures_exit_5(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(ALL_FORMS_DOC))
+        doc["nodes"][0]["prior"]["alpha"] = 1e-160
+        path = tmp_path / "tiny_alpha.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["solve", str(path)], ["compare", str(path), "--samples", "100", "--seed", "1"]):
+            assert main(argv) == EXIT_NUMERICAL
+            assert "'p'" in capsys.readouterr().err
 
 
 @pytest.fixture

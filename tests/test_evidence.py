@@ -263,6 +263,23 @@ class TestEvidenceSpecValidation:
         with pytest.raises(ValueError):
             EvidenceSpec(**kwargs)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("alpha", dict(variant="binomial", count=5, successes=2, beta=1.0)),
+            ("beta", dict(variant="binomial", count=5, successes=2, alpha=1.0)),
+            ("sample_mean", dict(variant="normal_known_var", count=5, variance=1.0)),
+            ("variance", dict(variant="normal_known_var", count=5, sample_mean=0.0)),
+            ("sample_var", dict(variant="normal_unknown_var", count=5, sample_mean=0.0)),
+            ("samples", dict(variant="normal_known_var", variance=1.0, lognormal_samples=True)),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, field, kwargs, bad):
+        value = (1.0, bad) if field == "samples" else bad
+        with pytest.raises(ValueError, match="must be finite"):
+            EvidenceSpec(**kwargs, **{field: value})
+
     def test_accepted_specs(self):
         EvidenceSpec(variant="binomial", count=10, successes=0)
         EvidenceSpec(variant="binomial", count=10, successes=10, alpha=0.5, beta=0.5)

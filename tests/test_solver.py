@@ -225,6 +225,13 @@ class TestInitialize:
             initialize(d)
         assert exc.value.node_id == "q"
 
+    def test_prior_moments_that_overflow_name_the_node(self):
+        # Beta(1e-160, 1) is a valid prior whose log-odds variance is not finite.
+        d = Diagram.from_nodes([normal_p("x", 0.5, 1.0), beta_p("p", alpha=1e-160)])
+        with pytest.raises(InitializationError, match="prior of 'p'") as exc:
+            solve(d)
+        assert exc.value.node_id == "p"
+
     def test_linear_nodes_cached(self):
         state = initialize(linear_chain())
         assert "z" in state.linear_coeffs

@@ -156,6 +156,13 @@ class TestBetaMoments:
         with pytest.raises(ValueError):
             BetaParams(1.0, bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BetaParams(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            BetaParams(1.0, bad)
+
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
             beta_from_moments(0.0, 0.0)
