@@ -136,9 +136,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                         j += 1
             lexeme = text[i:j]
             try:
-                float(lexeme)
+                value = float(lexeme)
             except ValueError:
                 raise ExpressionError(f"bad number {lexeme!r}", i) from None
+            if not math.isfinite(value):  # e.g. 1e400
+                raise ExpressionError("number out of range", i)
             tokens.append(("num", lexeme, i))
             i = j
             continue
@@ -252,7 +254,12 @@ class _Parser:
 
 def parse_expression(text: str) -> Expr:
     """Compile an infix expression string to an expression tree."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:  # the parser descends a few frames per parenthesis
+        at = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise ExpressionError("expression nested too deeply", at) from None
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +576,11 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload))
 
 
+def _finite_or_null(**numbers: float) -> dict:
+    """``numbers`` with None (JSON null) for those that are not finite: JSON has no Infinity."""
+    return {key: x if math.isfinite(x) else None for key, x in numbers.items()}
+
+
 def _row_texts(
     matrix: np.ndarray, zero: str, sep: str, encode: Callable[[list[float]], str]
 ) -> Iterator[str]:
@@ -697,12 +709,12 @@ def _cmd_oracle(args) -> int:
             "seed": est.seed,
             "ess": est.ess,
             "estimates": {
-                pid: {
-                    "mean": est.mean[pid],
-                    "variance": est.variance[pid],
-                    "se_mean": est.se_mean[pid],
-                    "se_var": est.se_var[pid],
-                }
+                pid: _finite_or_null(
+                    mean=est.mean[pid],
+                    variance=est.variance[pid],
+                    se_mean=est.se_mean[pid],
+                    se_var=est.se_var[pid],
+                )
                 for pid in est.param_ids
             },
             "warnings": list(est.warnings),
@@ -759,9 +771,7 @@ def _cmd_compare(args) -> int:
         }
 
     if args.json:
-        for row in rows.values():  # JSON has no Infinity: a zero standard error gives null
-            d = row["discrepancy"]
-            d.update((k, None) for k in ("mean_in_se", "var_in_se") if math.isinf(d[k]))
+        rows = {pid: {k: _finite_or_null(**v) for k, v in row.items()} for pid, row in rows.items()}
         payload = {
             "status": result.status,
             "samples": est.n_samples,

@@ -8,9 +8,10 @@ A diagram is a DAG of named nodes of three kinds:
 * ``evidence`` — an observation process attached to exactly one
   basic/deterministic parent.
 
-Expressions are small immutable trees supporting evaluation and printing;
-:func:`value_and_gradient` returns an expression's value and its partials
-together, from one walk.  :func:`point_value` and :func:`slopes` are the
+Expressions are immutable trees supporting evaluation and printing, each
+walked as one loop over its post-order sequence, so neither size nor depth
+is limited; :func:`value_and_gradient` returns an expression's value and
+its partials together, from one walk.  :func:`point_value` and :func:`slopes` are the
 pieces of linearizing a deterministic node, shared by the solver and by
 :func:`recognize_linear`, which detects expression/transform combinations
 that are exactly linear on the transformed scale, so the solver can skip
@@ -19,9 +20,11 @@ re-linearizing them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .evidence import BINOMIAL, EvidenceSpec
 from .transforms import (
@@ -66,6 +69,8 @@ __all__ = [
     "recognize_linear",
 ]
 
+T = TypeVar("T")
+
 
 # ---------------------------------------------------------------------------
 # Expression trees
@@ -76,6 +81,37 @@ class Expr:
 
     def __str__(self) -> str:
         return format_expr(self)
+
+    @functools.cached_property
+    def postorder(self) -> tuple[Expr, ...]:
+        """The tree's nodes, operands before their operator and left before right.
+
+        Every walk over an expression is one loop over this sequence.  It is
+        built on first use: building it at construction would cost O(n^2).
+        """
+        order, pending = [], [self]
+        while pending:  # a pre-order that visits right before left, reversed
+            order.append(pending.pop())
+            pending.extend(_operands(order[-1]))
+        return tuple(reversed(order))
+
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of ``e``, left to right."""
+    if isinstance(e, _Binary):
+        return e.left, e.right
+    if isinstance(e, _Unary):
+        return (e.operand,)
+    return (e.base,) if isinstance(e, Pow) else ()
+
+
+def _fold(e: Expr, step: Callable[[Expr, list], T]) -> T:
+    """``step(node, its operands' results)`` at each node of ``e``; the root's result."""
+    stack: list[T] = []
+    for n in e.postorder:
+        k = len(stack) - len(_operands(n))
+        stack[k:] = [step(n, stack[k:])]
+    return stack[0]
 
 
 @dataclass(frozen=True)
@@ -89,35 +125,6 @@ class Var(Expr):
 
 
 @dataclass(frozen=True)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
 class Pow(Expr):
     """base raised to a fixed real exponent (the exponent is not an Expr)."""
 
@@ -126,13 +133,42 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True)
-class Exp(Expr):
+class _Unary(Expr):
     operand: Expr
 
 
 @dataclass(frozen=True)
-class Ln(Expr):
-    operand: Expr
+class _Binary(Expr):
+    left: Expr
+    right: Expr
+
+
+class Neg(_Unary):
+    """-operand"""
+
+
+class Exp(_Unary):
+    """exp(operand)"""
+
+
+class Ln(_Unary):
+    """ln(operand)"""
+
+
+class Add(_Binary):
+    """left + right"""
+
+
+class Sub(_Binary):
+    """left - right"""
+
+
+class Mul(_Binary):
+    """left * right"""
+
+
+class Div(_Binary):
+    """left / right"""
 
 
 class EvalError(ValueError):
@@ -148,21 +184,7 @@ class EvalError(ValueError):
 
 def variables(e: Expr) -> tuple[str, ...]:
     """Variable names referenced by ``e``, in order of first appearance."""
-    seen: dict[str, None] = {}
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name, None)
-        elif isinstance(node, (Neg, Exp, Ln)):
-            walk(node.operand)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Pow):
-            walk(node.base)
-
-    walk(e)
-    return tuple(seen)
+    return tuple(dict.fromkeys(n.name for n in e.postorder if isinstance(n, Var)))
 
 
 def value_and_gradient(e: Expr, env: dict[str, float]) -> tuple[float, dict[str, float]]:
@@ -175,50 +197,55 @@ def value_and_gradient(e: Expr, env: dict[str, float]) -> tuple[float, dict[str,
     the value is defined but a slope is not (``x^0.5`` at 0) gives an
     infinite or NaN partial instead of an error; :func:`slopes` rejects it.
     """
-    if isinstance(e, Const):
-        return e.value, {}
-    if isinstance(e, Var):
-        try:
-            return float(env[e.name]), {e.name: 1.0}
-        except KeyError:
-            raise EvalError(f"unbound variable {e.name!r}", format_expr(e)) from None
-    if isinstance(e, Neg):
-        u, du = value_and_gradient(e.operand, env)
-        return -u, _chain(-1.0, du)
-    if isinstance(e, Exp):
-        u, du = value_and_gradient(e.operand, env)
-        if u > 709.0:
-            raise EvalError("exp overflow", format_expr(e))
-        value = math.exp(u)
-        return value, _chain(value, du)
-    if isinstance(e, Ln):
-        u, du = value_and_gradient(e.operand, env)
-        if u <= 0.0:
-            raise EvalError(f"log of non-positive value {u}", format_expr(e))
-        return math.log(u), _chain(1.0 / u, du)
-    if isinstance(e, Pow):
-        base, db = value_and_gradient(e.base, env)
-        k = e.exponent
-        if base == 0.0 and k < 0.0:
-            raise EvalError("zero raised to a negative power", format_expr(e))
-        if base < 0.0 and k != round(k):
-            raise EvalError("negative base with non-integer exponent", format_expr(e))
-        slope = k * _power(base, k - 1.0) if k != 0.0 else 0.0
-        return _finite(_power(base, k), e), _chain(slope, db)
-    u, du = value_and_gradient(e.left, env)
-    v, dv = value_and_gradient(e.right, env)
-    if isinstance(e, Add):
-        return _finite(u + v, e), _sum(du, 1.0, dv, 1.0)
-    if isinstance(e, Sub):
-        return _finite(u - v, e), _sum(du, 1.0, dv, -1.0)
-    if isinstance(e, Mul):
-        return _finite(u * v, e), _sum(du, v, dv, u)
-    if isinstance(e, Div):
-        if v == 0.0:
-            raise EvalError("division by zero", format_expr(e))
-        value = _finite(u / v, e)
-        return value, _sum(du, 1.0 / v, dv, -value / v)
-    raise TypeError(f"not an expression: {e!r}")
+    # The solver's hot path has its own loop: a step call per node (_fold) is 1.8x slower.
+    stack: list[tuple[float, dict[str, float]]] = []  # each operand's value and partials
+    for n in e.postorder:
+        if isinstance(n, Const):
+            stack.append((n.value, {}))
+        elif isinstance(n, Var):
+            if n.name not in env:
+                raise EvalError(f"unbound variable {n.name!r}", format_expr(n))
+            stack.append((float(env[n.name]), {n.name: 1.0}))
+        elif isinstance(n, _Binary):
+            v, dv = stack.pop()
+            u, du = stack.pop()
+            if isinstance(n, Add):
+                stack.append((_finite(u + v, n), _sum(du, 1.0, dv, 1.0)))
+            elif isinstance(n, Sub):
+                stack.append((_finite(u - v, n), _sum(du, 1.0, dv, -1.0)))
+            elif isinstance(n, Mul):
+                stack.append((_finite(u * v, n), _sum(du, v, dv, u)))
+            elif v == 0.0:
+                raise EvalError("division by zero", format_expr(n))
+            else:
+                value = _finite(u / v, n)
+                stack.append((value, _sum(du, 1.0 / v, dv, -value / v)))
+        elif isinstance(n, Neg):
+            u, du = stack.pop()
+            stack.append((-u, _chain(-1.0, du)))
+        elif isinstance(n, Exp):
+            u, du = stack.pop()
+            if u > 709.0:
+                raise EvalError("exp overflow", format_expr(n))
+            value = math.exp(u)
+            stack.append((value, _chain(value, du)))
+        elif isinstance(n, Ln):
+            u, du = stack.pop()
+            if u <= 0.0:
+                raise EvalError(f"log of non-positive value {u}", format_expr(n))
+            stack.append((math.log(u), _chain(1.0 / u, du)))
+        elif isinstance(n, Pow):
+            base, db = stack.pop()
+            k = n.exponent
+            if base == 0.0 and k < 0.0:
+                raise EvalError("zero raised to a negative power", format_expr(n))
+            if base < 0.0 and k != round(k):
+                raise EvalError("negative base with non-integer exponent", format_expr(n))
+            slope = k * _power(base, k - 1.0) if k != 0.0 else 0.0
+            stack.append((_finite(_power(base, k), n), _chain(slope, db)))
+        else:
+            raise TypeError(f"not an expression: {n!r}")
+    return stack.pop()
 
 
 def eval_expr(e: Expr, env: dict[str, float]) -> float:
@@ -241,11 +268,15 @@ def _power(base: float, k: float) -> float:
 
 
 # Maps from variable to partial (or to coefficient, or exponent) combine
-# linearly: _chain scales one, _sum adds two with weights.
+# linearly: _chain scales one, _sum adds two with weights.  Both update
+# their first map in place, so no two stack entries of a walk share a map.
 
 
 def _chain(c: float, grad: dict[str, float]) -> dict[str, float]:
-    return {v: c * g for v, g in grad.items()}
+    if c != 1.0:  # scaling by exactly 1 would change no bit
+        for v, g in grad.items():
+            grad[v] = c * g
+    return grad
 
 
 def _sum(a: dict[str, float], ca: float, b: dict[str, float], cb: float) -> dict[str, float]:
@@ -261,54 +292,40 @@ _PREC_MUL = 2
 _PREC_UNARY = 3
 _PREC_POW = 4
 _PREC_ATOM = 5
-
-
-def _fmt(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Const):
-        return repr(e.value) if e.value >= 0 else f"({e.value!r})", _PREC_ATOM
-    if isinstance(e, Var):
-        return e.name, _PREC_ATOM
-    if isinstance(e, Neg):
-        inner, prec = _fmt(e.operand)
-        if prec < _PREC_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}", _PREC_UNARY
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        left, lp = _fmt(e.left)
-        right, rp = _fmt(e.right)
-        if lp < _PREC_ADD:
-            left = f"({left})"
-        # subtraction and addition both need the right side wrapped when it
-        # binds at the same level, e.g. a - (b + c)
-        if rp <= _PREC_ADD:
-            right = f"({right})"
-        return f"{left} {op} {right}", _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left, lp = _fmt(e.left)
-        right, rp = _fmt(e.right)
-        if lp < _PREC_MUL:
-            left = f"({left})"
-        if rp <= _PREC_MUL:
-            right = f"({right})"
-        return f"{left} {op} {right}", _PREC_MUL
-    if isinstance(e, Pow):
-        base, bp = _fmt(e.base)
-        if bp < _PREC_ATOM:
-            base = f"({base})"
-        exp = repr(e.exponent) if e.exponent >= 0 else f"({e.exponent!r})"
-        return f"{base}^{exp}", _PREC_POW
-    if isinstance(e, Exp):
-        return f"exp({_fmt(e.operand)[0]})", _PREC_ATOM
-    if isinstance(e, Ln):
-        return f"ln({_fmt(e.operand)[0]})", _PREC_ATOM
-    raise TypeError(f"not an expression: {e!r}")
+_INFIX = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD), Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL)}
 
 
 def format_expr(e: Expr) -> str:
     """Render an expression with minimal parentheses."""
-    return _fmt(e)[0]
+
+    def step(n: Expr, args: list[tuple[str, int]]) -> tuple[str, int]:  # text and precedence
+        if isinstance(n, Const):
+            return _literal(n.value), _PREC_ATOM
+        if isinstance(n, Var):
+            return n.name, _PREC_ATOM
+        if isinstance(n, _Binary):
+            op, prec = _INFIX[type(n)]
+            # the right side is wrapped at the same level too, e.g. a - (b + c)
+            return f"{_wrap(args[0], prec)} {op} {_wrap(args[1], prec + 1)}", prec
+        if isinstance(n, Neg):
+            return f"-{_wrap(args[0], _PREC_UNARY)}", _PREC_UNARY
+        if isinstance(n, Pow):
+            return f"{_wrap(args[0], _PREC_ATOM)}^{_literal(n.exponent)}", _PREC_POW
+        if isinstance(n, (Exp, Ln)):
+            return f"{'exp' if isinstance(n, Exp) else 'ln'}({args[0][0]})", _PREC_ATOM
+        raise TypeError(f"not an expression: {n!r}")
+
+    return _fold(e, step)[0]
+
+
+def _wrap(operand: tuple[str, int], floor: int) -> str:
+    """An operand's text, in parentheses if it binds less tightly than ``floor``."""
+    text, prec = operand
+    return f"({text})" if prec < floor else text
+
+
+def _literal(x: float) -> str:
+    return repr(x) if x >= 0 else f"({x!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -664,30 +681,27 @@ def _product(e: Expr, leaf=_var) -> tuple[float, dict[str, float]] | None:
     ``leaf`` names the variable of a leaf factor: ``Var`` by default, or
     ``1 - Var`` with :func:`_complement`.
     """
-    if isinstance(e, Const):
-        return e.value, {}
-    name = leaf(e)
-    if name is not None:
-        return 1.0, {name: 1.0}
-    if isinstance(e, Pow):
-        inner = _product(e.base, leaf)
-        if inner is None:
+
+    def step(n: Expr, args: list) -> tuple[float, dict[str, float]] | None:
+        if isinstance(n, Const):
+            return n.value, {}
+        name = leaf(n)
+        if name is not None:
+            return 1.0, {name: 1.0}
+        if None in args or not isinstance(n, (Pow, Mul, Div)):
             return None
-        factor, exps = inner
-        if factor < 0.0:
-            return None
-        return factor**e.exponent, _chain(e.exponent, exps)
-    if isinstance(e, (Mul, Div)):
-        left = _product(e.left, leaf)
-        right = _product(e.right, leaf)
-        if left is None or right is None:
-            return None
-        if isinstance(e, Mul):
-            return left[0] * right[0], _sum(left[1], 1.0, right[1], 1.0)
-        if right[0] == 0.0:
-            return None
-        return left[0] / right[0], _sum(left[1], 1.0, right[1], -1.0)
-    return None
+        if isinstance(n, Pow):
+            factor, exps = args[0]
+            if factor < 0.0:
+                return None
+            # a factor that overflows is infinite rather than an error
+            return _power(factor, n.exponent), _chain(n.exponent, exps)
+        (lf, le), (rf, re) = args
+        if isinstance(n, Mul):
+            return lf * rf, _sum(le, 1.0, re, 1.0)
+        return None if rf == 0.0 else (lf / rf, _sum(le, 1.0, re, -1.0))
+
+    return _fold(e, step)
 
 
 def _affine(e: Expr) -> dict[str, float] | None:
@@ -696,34 +710,43 @@ def _affine(e: Expr) -> dict[str, float] | None:
     Structural: a product is affine only when one factor is free of
     variables, a quotient only when its divisor is, and a power never is.
     """
-    if not variables(e):
-        return {}
-    if isinstance(e, Var):
-        return {e.name: 1.0}
-    if isinstance(e, Neg):
-        inner = _affine(e.operand)
-        return None if inner is None else _chain(-1.0, inner)
-    if isinstance(e, (Add, Sub)):
-        left = _affine(e.left)
-        right = _affine(e.right)
-        if left is None or right is None:
+
+    def step(n: Expr, args: list) -> dict[str, float] | None:  # {} when free of variables
+        if isinstance(n, Var):
+            return {n.name: 1.0}
+        if all(a == {} for a in args):
+            return {}
+        if None in args or not isinstance(n, (Neg, _Binary)):
             return None
-        return _sum(left, 1.0, right, 1.0 if isinstance(e, Add) else -1.0)
-    if not isinstance(e, (Mul, Div)):
-        return None
-    factor, other = e.right, e.left
-    if isinstance(e, Mul) and not variables(e.left):
-        factor, other = e.left, e.right
-    if variables(factor):
-        return None
-    inner = _affine(other)
-    try:
-        c = eval_expr(factor, {})
-    except EvalError:
-        return None
-    if inner is None or (isinstance(e, Div) and c == 0.0):
-        return None
-    return _chain(c if isinstance(e, Mul) else 1.0 / c, inner)
+        if isinstance(n, Neg):
+            return _chain(-1.0, args[0])
+        left, right = args
+        if isinstance(n, (Add, Sub)):
+            return _sum(left, 1.0, right, 1.0 if isinstance(n, Add) else -1.0)
+        factor = n.right
+        if isinstance(n, Mul) and left == {}:
+            factor, left, right = n.left, right, left  # right is the factor's, left the other's
+        if right:  # the factor has variables
+            return None
+        try:
+            c = eval_expr(factor, {})
+        except EvalError:
+            return None
+        if isinstance(n, Div) and c == 0.0:
+            return None
+        return _chain(c if isinstance(n, Mul) else 1.0 / c, left)
+
+    return _fold(e, step)
+
+
+def _same_tree(a: Expr, b: Expr) -> bool:
+    """``a == b``, compared node by node along the two post-order sequences."""
+    return [_label(x) for x in a.postorder] == [_label(y) for y in b.postorder]
+
+
+def _label(e: Expr) -> tuple:
+    """The type of ``e`` and its fields that are not operands."""
+    return type(e), *(getattr(e, key, None) for key in ("value", "name", "exponent"))
 
 
 def _odds_composition(e: Expr) -> dict[str, float] | None:
@@ -732,7 +755,7 @@ def _odds_composition(e: Expr) -> dict[str, float] | None:
         return None
     num = e.left
     for g, h in ((e.right.left, e.right.right), (e.right.right, e.right.left)):
-        if g != num:
+        if not _same_tree(g, num):
             continue
         gp = _product(g)
         hp = _product(h, _complement)

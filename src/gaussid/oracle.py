@@ -16,6 +16,8 @@ n_samples) pair yields bit-identical estimates.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ from .model import (
     Pow,
     Sub,
     Var,
+    _fold,
     ensure_valid,
     topological_order,
 )
@@ -75,28 +78,29 @@ class McEstimate:
     warnings: tuple[str, ...] = ()
 
 
+# The array operation of each operator node but Pow, on its operands' arrays
+_ARRAY_OPS = {
+    Neg: operator.neg,
+    Exp: np.exp,
+    Ln: np.log,
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Div: operator.truediv,
+}
+
+
 def _eval_array(e: Expr, env: dict[str, np.ndarray]) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.asarray(e.value)
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -_eval_array(e.operand, env)
-    if isinstance(e, Add):
-        return _eval_array(e.left, env) + _eval_array(e.right, env)
-    if isinstance(e, Sub):
-        return _eval_array(e.left, env) - _eval_array(e.right, env)
-    if isinstance(e, Mul):
-        return _eval_array(e.left, env) * _eval_array(e.right, env)
-    if isinstance(e, Div):
-        return _eval_array(e.left, env) / _eval_array(e.right, env)
-    if isinstance(e, Pow):
-        return _eval_array(e.base, env) ** e.exponent
-    if isinstance(e, Exp):
-        return np.exp(_eval_array(e.operand, env))
-    if isinstance(e, Ln):
-        return np.log(_eval_array(e.operand, env))
-    raise TypeError(f"not an expression: {e!r}")
+    def step(n: Expr, args: list[np.ndarray]) -> np.ndarray:
+        if isinstance(n, Const):
+            return np.asarray(n.value)
+        if isinstance(n, Var):
+            return env[n.name]
+        if isinstance(n, Pow):
+            return args[0] ** n.exponent
+        return _ARRAY_OPS[type(n)](*args)
+
+    return _fold(e, step)
 
 
 def _forward_array(t: Transform, y: np.ndarray) -> np.ndarray:
@@ -125,8 +129,8 @@ def mc_posterior(d: Diagram, n_samples: int, seed: int) -> McEstimate:
     deterministic nodes evaluated exactly, and draws weighted by the
     exact evidence likelihoods.  Draws that leave a transform support or
     produce non-finite values get weight zero.  An effective sample size
-    below 50 attaches a degeneracy warning; a weight sum of exactly zero
-    raises ``RuntimeError``.
+    below 50 attaches a degeneracy warning, and so does an estimate that
+    is not finite; a weight sum of exactly zero raises ``RuntimeError``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -194,15 +198,21 @@ def mc_posterior(d: Diagram, n_samples: int, seed: int) -> McEstimate:
     variance: dict[str, float] = {}
     se_mean: dict[str, float] = {}
     se_var: dict[str, float] = {}
-    for pid in param_ids:
-        y = np.where(valid, values[pid], 0.0)
-        m = float(np.sum(w * y) / total)
-        dev = y - m
-        v = float(np.sum(w * dev * dev) / total)
-        mean[pid] = m
-        variance[pid] = v
-        se_mean[pid] = float(np.sqrt(np.sum((w * dev) ** 2)) / total)
-        se_var[pid] = float(np.sqrt(np.sum((w * (dev * dev - v)) ** 2)) / total)
+    with np.errstate(all="ignore"):  # a moment that overflows is reported below
+        for pid in param_ids:
+            y = np.where(valid, values[pid], 0.0)
+            m = float(np.sum(w * y) / total)
+            dev = y - m
+            v = float(np.sum(w * dev * dev) / total)
+            mean[pid] = m
+            variance[pid] = v
+            se_mean[pid] = float(np.sqrt(np.sum((w * dev) ** 2)) / total)
+            se_var[pid] = float(np.sqrt(np.sum((w * (dev * dev - v)) ** 2)) / total)
+
+    moments = (mean, variance, se_mean, se_var)
+    unusable = [pid for pid in param_ids if not all(math.isfinite(m[pid]) for m in moments)]
+    if unusable:
+        warnings.append(f"the estimates of {', '.join(unusable)} are not finite")
 
     return McEstimate(
         param_ids=param_ids,

@@ -455,7 +455,9 @@ def step(state: SolverState) -> IterationRecord:
         raise _iteration_error(state, "conditioning failed", err, None) from err
 
     # The diagonal of A A' - W'W: row sums of A^2 less column sums of W^2.
-    post_var = np.maximum(np.einsum("ij,ij->i", a, a) - np.einsum("ij,ij->j", w, w), 0.0)
+    # inf - inf is NaN, which _natural_moments reports by name.
+    with np.errstate(invalid="ignore"):
+        post_var = np.maximum(np.einsum("ij,ij->i", a, a) - np.einsum("ij,ij->j", w, w), 0.0)
     mean_y, var_y = _natural_moments(state, post_mean, post_var)
 
     r = _relative_change(post_mean, state.post_x)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -890,3 +891,65 @@ def test_solve_stdout_is_byte_identical_to_entrywise_encoding(model_file, flag, 
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert out == _reference_solve_stdout(solve(*parse_model(model_file)), flag)
+
+
+# Expressions and estimates at the edge of the float range
+
+
+def _risk_difference_with(tmp_path, expr: str, transform: dict | None = None) -> str:
+    """The golden risk-difference model with node 2's expression (and transform) replaced."""
+    doc = json.loads(RISK_DIFFERENCE.read_text())
+    doc["nodes"][2]["expr"] = expr
+    if transform is not None:
+        doc["nodes"][2]["transform"] = transform
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_WIDE = {"kind": "scaled", "a": -1.0, "b": 1.0}
+
+
+@pytest.mark.parametrize("expr", ["p_treated * 1e400", "p_treated^(1e400)"])
+def test_a_literal_beyond_the_float_range_is_an_input_error(tmp_path, capsys, expr):
+    assert main(["validate", _risk_difference_with(tmp_path, expr)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "$.nodes[2].expr" in err and "number out of range" in err
+
+
+def test_deep_parenthesis_nesting_is_an_input_error(tmp_path, capsys):
+    expr = "(" * 1000 + "p_treated" + ")" * 1000 + " - p_control"
+    assert main(["validate", _risk_difference_with(tmp_path, expr)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "$.nodes[2].expr" in err and "nested too deeply" in err
+
+
+def test_json_writes_null_for_an_estimate_that_overflows(tmp_path, capsys):
+    path = _risk_difference_with(tmp_path, "exp(300 * p_treated)", _WIDE)
+    mc = ["--samples", "2000", "--seed", "1"]
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    assert main(["oracle", path, *mc]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "se_var inf" in out and "warning: the estimates of risk_difference are not finite" in out
+    assert main(["oracle", path, *mc, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert payload["estimates"]["risk_difference"]["se_var"] is None
+    assert payload["warnings"] == ["the estimates of risk_difference are not finite"]
+
+    assert main(["compare", path, *mc, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert payload["status"] == "converged"
+    assert payload["parameters"]["risk_difference"]["mc"]["se_var"] is None
+
+
+def test_an_overflow_raises_no_numpy_warning(tmp_path, capsys):
+    path = _risk_difference_with(tmp_path, "exp(1000 * p_treated)", _WIDE)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", path]) == EXIT_NUMERICAL
+        assert "'risk_difference'" in capsys.readouterr().err
+        assert main(["oracle", path, "--samples", "2000", "--seed", "1"]) == EXIT_OK
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -1,0 +1,491 @@
+"""Every walk over an expression is one loop over its post-order sequence.
+
+The walkers are checked bit for bit against recursive references written
+out here, and on trees far deeper than Python's recursion limit allows a
+recursive walk to reach.
+"""
+
+import ast
+import json
+import math
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gaussid.model as model
+import gaussid.oracle as oracle
+from gaussid.cli import EXIT_OK, main, parse_model, serialize_model
+from gaussid.model import (
+    Add,
+    Const,
+    Diagram,
+    Div,
+    EvalError,
+    Exp,
+    Ln,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    basic,
+    deterministic,
+    format_expr,
+    recognize_linear,
+    value_and_gradient,
+    variables,
+)
+from gaussid.oracle import mc_posterior
+from gaussid.solver import SolverConfig, solve
+from gaussid.transforms import PriorSpec, Transform
+
+TS = Transform("scaled", 0.0, 1.0)
+TLOG = Transform("log_scaled", 0.0, 1.0)
+
+# ---------------------------------------------------------------------------
+# Recursive references: one function per walk, each calling itself
+
+
+def ref_variables(e, seen=None):
+    seen = {} if seen is None else seen
+    if isinstance(e, Var):
+        seen.setdefault(e.name, None)
+    for child in _children(e):
+        ref_variables(child, seen)
+    return tuple(seen)
+
+
+def _children(e):
+    if isinstance(e, (Neg, Exp, Ln)):
+        return [e.operand]
+    if isinstance(e, Pow):
+        return [e.base]
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return [e.left, e.right]
+    return []
+
+
+def _ref_chain(c, grad):
+    return {v: c * g for v, g in grad.items()}
+
+
+def _ref_sum(a, ca, b, cb):
+    out = _ref_chain(ca, a)
+    for v, g in b.items():
+        out[v] = out.get(v, 0.0) + cb * g
+    return out
+
+
+def _ref_power(base, k):
+    try:
+        return base**k
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def _ref_finite(value, e):
+    if not math.isfinite(value):
+        raise EvalError(f"non-finite result {value}", ref_format(e))
+    return value
+
+
+def ref_value_and_gradient(e, env):
+    if isinstance(e, Const):
+        return e.value, {}
+    if isinstance(e, Var):
+        if e.name not in env:
+            raise EvalError(f"unbound variable {e.name!r}", ref_format(e))
+        return float(env[e.name]), {e.name: 1.0}
+    if isinstance(e, Neg):
+        u, du = ref_value_and_gradient(e.operand, env)
+        return -u, _ref_chain(-1.0, du)
+    if isinstance(e, Exp):
+        u, du = ref_value_and_gradient(e.operand, env)
+        if u > 709.0:
+            raise EvalError("exp overflow", ref_format(e))
+        value = math.exp(u)
+        return value, _ref_chain(value, du)
+    if isinstance(e, Ln):
+        u, du = ref_value_and_gradient(e.operand, env)
+        if u <= 0.0:
+            raise EvalError(f"log of non-positive value {u}", ref_format(e))
+        return math.log(u), _ref_chain(1.0 / u, du)
+    if isinstance(e, Pow):
+        base, db = ref_value_and_gradient(e.base, env)
+        k = e.exponent
+        if base == 0.0 and k < 0.0:
+            raise EvalError("zero raised to a negative power", ref_format(e))
+        if base < 0.0 and k != round(k):
+            raise EvalError("negative base with non-integer exponent", ref_format(e))
+        slope = k * _ref_power(base, k - 1.0) if k != 0.0 else 0.0
+        return _ref_finite(_ref_power(base, k), e), _ref_chain(slope, db)
+    u, du = ref_value_and_gradient(e.left, env)
+    v, dv = ref_value_and_gradient(e.right, env)
+    if isinstance(e, Add):
+        return _ref_finite(u + v, e), _ref_sum(du, 1.0, dv, 1.0)
+    if isinstance(e, Sub):
+        return _ref_finite(u - v, e), _ref_sum(du, 1.0, dv, -1.0)
+    if isinstance(e, Mul):
+        return _ref_finite(u * v, e), _ref_sum(du, v, dv, u)
+    if v == 0.0:
+        raise EvalError("division by zero", ref_format(e))
+    value = _ref_finite(u / v, e)
+    return value, _ref_sum(du, 1.0 / v, dv, -value / v)
+
+
+def _ref_fmt(e):
+    if isinstance(e, Const):
+        return (repr(e.value) if e.value >= 0 else f"({e.value!r})"), 5
+    if isinstance(e, Var):
+        return e.name, 5
+    if isinstance(e, Neg):
+        inner, prec = _ref_fmt(e.operand)
+        return "-" + (f"({inner})" if prec < 3 else inner), 3
+    if isinstance(e, Pow):
+        base, prec = _ref_fmt(e.base)
+        base = f"({base})" if prec < 5 else base
+        k = repr(e.exponent) if e.exponent >= 0 else f"({e.exponent!r})"
+        return f"{base}^{k}", 4
+    if isinstance(e, (Exp, Ln)):
+        return f"{'exp' if isinstance(e, Exp) else 'ln'}({_ref_fmt(e.operand)[0]})", 5
+    op, own = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}[type(e)]
+    left, lp = _ref_fmt(e.left)
+    right, rp = _ref_fmt(e.right)
+    left = f"({left})" if lp < own else left
+    right = f"({right})" if rp <= own else right
+    return f"{left} {op} {right}", own
+
+
+def ref_format(e):
+    return _ref_fmt(e)[0]
+
+
+def ref_affine(e):
+    if not ref_variables(e):
+        return {}
+    if isinstance(e, Var):
+        return {e.name: 1.0}
+    if isinstance(e, Neg):
+        inner = ref_affine(e.operand)
+        return None if inner is None else _ref_chain(-1.0, inner)
+    if isinstance(e, (Add, Sub)):
+        left, right = ref_affine(e.left), ref_affine(e.right)
+        if left is None or right is None:
+            return None
+        return _ref_sum(left, 1.0, right, 1.0 if isinstance(e, Add) else -1.0)
+    if not isinstance(e, (Mul, Div)):
+        return None
+    factor, other = e.right, e.left
+    if isinstance(e, Mul) and not ref_variables(e.left):
+        factor, other = e.left, e.right
+    if ref_variables(factor):
+        return None
+    inner = ref_affine(other)
+    try:
+        c = ref_value_and_gradient(factor, {})[0]
+    except EvalError:
+        return None
+    if inner is None or (isinstance(e, Div) and c == 0.0):
+        return None
+    return _ref_chain(c if isinstance(e, Mul) else 1.0 / c, inner)
+
+
+def ref_product(e, leaf):
+    if isinstance(e, Const):
+        return e.value, {}
+    name = leaf(e)
+    if name is not None:
+        return 1.0, {name: 1.0}
+    if isinstance(e, Pow):
+        inner = ref_product(e.base, leaf)
+        if inner is None or inner[0] < 0.0:
+            return None
+        # a factor that overflows is infinite rather than an error
+        return _ref_power(inner[0], e.exponent), _ref_chain(e.exponent, inner[1])
+    if isinstance(e, (Mul, Div)):
+        left, right = ref_product(e.left, leaf), ref_product(e.right, leaf)
+        if left is None or right is None:
+            return None
+        if isinstance(e, Mul):
+            return left[0] * right[0], _ref_sum(left[1], 1.0, right[1], 1.0)
+        if right[0] == 0.0:
+            return None
+        return left[0] / right[0], _ref_sum(left[1], 1.0, right[1], -1.0)
+    return None
+
+
+def ref_eval_array(e, env):
+    if isinstance(e, Const):
+        return np.asarray(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -ref_eval_array(e.operand, env)
+    if isinstance(e, Pow):
+        return ref_eval_array(e.base, env) ** e.exponent
+    if isinstance(e, Exp):
+        return np.exp(ref_eval_array(e.operand, env))
+    if isinstance(e, Ln):
+        return np.log(ref_eval_array(e.operand, env))
+    u, v = ref_eval_array(e.left, env), ref_eval_array(e.right, env)
+    if isinstance(e, Add):
+        return u + v
+    if isinstance(e, Sub):
+        return u - v
+    if isinstance(e, Mul):
+        return u * v
+    return u / v
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit comparison
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _map_bits(m):
+    return None if m is None else [(k, _bits(v)) for k, v in m.items()]
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the text of the EvalError it raises."""
+    try:
+        return "ok", fn(*args)
+    except EvalError as err:
+        return "error", str(err)
+
+
+_VARS = ("a", "b", "c")
+_leaves = st.one_of(
+    st.builds(Const, st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, 1e300]) | st.floats(-3.0, 3.0)),
+    st.builds(Var, st.sampled_from(_VARS)),
+)
+_exponents = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+_UNARY = (Neg, Exp, Ln, Pow)
+_BINARY = (Add, Sub, Mul, Div)
+
+
+@st.composite
+def trees(draw):
+    """Random trees built as postfix programs of up to 30 steps, so up to
+    about 30 levels deep."""
+    stack = [draw(_leaves)]
+    steps = draw(st.integers(0, 30))
+    ops = ["leaf", *_UNARY, *_BINARY]
+    for op in draw(st.lists(st.sampled_from(ops), min_size=steps, max_size=steps)):
+        if op == "leaf":
+            stack.append(draw(_leaves))
+        elif op is Pow:
+            stack[-1] = Pow(stack[-1], draw(_exponents))
+        elif op in _UNARY:
+            stack[-1] = op(stack[-1])
+        elif len(stack) > 1:
+            right = stack.pop()
+            stack[-1] = op(stack[-1], right)
+    while len(stack) > 1:
+        right = stack.pop()
+        stack[-1] = draw(st.sampled_from(_BINARY))(stack[-1], right)
+    return stack[0]
+
+
+def _bits_of_product(p):
+    return None if p is None else (_bits(p[0]), _map_bits(p[1]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    trees(),
+    trees(),
+    st.dictionaries(st.sampled_from(_VARS), st.floats(-2.0, 2.0), min_size=2),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_walker_matches_its_recursive_reference(e, other, env, seed):
+    got, want = _outcome(value_and_gradient, e, env), _outcome(ref_value_and_gradient, e, env)
+    assert got[0] == want[0]
+    if got[0] == "error":  # the same check fails first, with the same text
+        assert got[1] == want[1]
+    else:
+        assert _bits(got[1][0]) == _bits(want[1][0])
+        assert _map_bits(got[1][1]) == _map_bits(want[1][1])
+
+    assert format_expr(e) == ref_format(e) == str(e)
+    assert variables(e) == ref_variables(e)
+    assert _map_bits(model._affine(e)) == _map_bits(ref_affine(e))
+    for leaf in (model._var, model._complement):
+        assert _bits_of_product(model._product(e, leaf)) == _bits_of_product(ref_product(e, leaf))
+
+    rng = np.random.default_rng(seed)
+    arrays = {v: rng.uniform(-2.0, 2.0, size=4) for v in _VARS}
+    with np.errstate(all="ignore"):
+        got_array = np.broadcast_to(oracle._eval_array(e, arrays), (4,)).astype(float)
+        want_array = np.broadcast_to(ref_eval_array(e, arrays), (4,)).astype(float)
+    assert got_array.tobytes() == want_array.tobytes()
+
+    assert model._same_tree(e, other) == (e == other)
+    assert model._same_tree(e, _rebuilt(e))
+
+
+def _rebuilt(e):
+    """An equal tree that shares no node with ``e``."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Pow):
+        return Pow(_rebuilt(e.base), e.exponent)
+    return type(e)(*map(_rebuilt, _children(e)))
+
+
+def test_a_product_factor_that_overflows_is_infinite():
+    e = Pow(Mul(Const(1e300), Var("x")), 2.0)
+    assert model._product(e) == (math.inf, {"x": 2.0})
+
+
+def test_postorder_lists_operands_first_left_to_right():
+    x, y = Var("x"), Var("y")
+    e = Sub(Mul(x, Const(2.0)), Neg(y))
+    assert e.postorder == (x, Const(2.0), e.left, y, e.right, e)
+    assert e.postorder is e.postorder  # built once
+
+
+# ---------------------------------------------------------------------------
+# Trees deeper than a recursive walk can reach
+
+
+def _normal(nid):
+    return basic(nid, PriorSpec(family="normal", transform=TS, mean=0.0, variance=1.0))
+
+
+def _lognormal(nid):
+    return basic(nid, PriorSpec(family="lognormal", transform=TLOG, mean=1.0, variance=0.01))
+
+
+def _walk_everything(e, d, node_id):
+    """Run every walker on ``e`` (node ``node_id`` of ``d``); return the results."""
+    env = {p: 1.0 for p in variables(e)}
+    value, grad = value_and_gradient(e, env)
+    arrays = {p: np.full(3, 1.0) for p in env}
+    assert oracle._eval_array(e, arrays).tolist() == [value] * 3
+    assert model._same_tree(e, e)
+    text = format_expr(e)
+    coeffs = recognize_linear(d.node(node_id), d)
+    return value, grad, text, model._affine(e), model._product(e), coeffs
+
+
+def test_a_5000_term_sum_walks_without_recursion():
+    n = 5000
+    e = Var("x0")
+    for i in range(1, n):
+        e = Add(e, Var(f"x{i}"))
+    d = Diagram.from_nodes([*(_normal(f"x{i}") for i in range(n)), deterministic("s", TS, e)])
+    value, grad, text, affine, product, coeffs = _walk_everything(e, d, "s")
+    assert value == n and list(grad) == [f"x{i}" for i in range(n)]
+    assert set(grad.values()) == {1.0}
+    assert text == " + ".join(f"x{i}" for i in range(n))
+    assert affine == coeffs == grad and product is None
+
+
+def test_a_5000_deep_negation_walks_without_recursion():
+    e = Var("x")
+    for _ in range(5000):
+        e = Neg(e)
+    d = Diagram.from_nodes([_normal("x"), deterministic("y", TS, e)])
+    value, grad, text, affine, product, coeffs = _walk_everything(e, d, "y")
+    assert value == 1.0 and grad == {"x": 1.0}
+    assert text == "-" * 5000 + "x"
+    assert affine == coeffs == {"x": 1.0} and product is None
+
+
+def test_a_2000_factor_product_walks_without_recursion():
+    # forward-mode partials make a product of n factors O(n^2); alternating
+    # quotients keep the value finite at the probe points of recognize_linear
+    n = 2000
+    e = Var("x0")
+    for i in range(1, n):
+        e = (Div if i % 2 else Mul)(e, Var(f"x{i}"))
+    d = Diagram.from_nodes([*(_lognormal(f"x{i}") for i in range(n)), deterministic("p", TLOG, e)])
+    value, grad, text, affine, product, coeffs = _walk_everything(e, d, "p")
+    exponents = {f"x{i}": -1.0 if i % 2 else 1.0 for i in range(n)}
+    assert value == 1.0 and grad == exponents
+    assert text == "x0" + "".join(f" {'/' if i % 2 else '*'} x{i}" for i in range(1, n))
+    assert affine is None
+    assert product == (1.0, exponents)
+    assert coeffs == pytest.approx(exponents)
+
+
+def test_a_document_summing_2000_parameters(tmp_path, capsys):
+    """Validates, solves to the analytic linear-Gaussian posterior, runs the
+    oracle and round-trips; a recursive walk stops near 1,000 terms."""
+    n, y_obs, noise = 2000, 3.0, 2.0
+    means = np.linspace(-1.0, 1.0, n)
+    variances = np.linspace(0.5, 1.5, n)
+    scaled = {"kind": "scaled", "a": 0.0, "b": 1.0}
+    nodes = [
+        {"id": f"x{i}", "kind": "basic", "transform": scaled,
+         "prior": {"family": "normal", "mean": means[i], "variance": variances[i]}}
+        for i in range(n)
+    ]
+    nodes.append({"id": "s", "kind": "deterministic", "transform": scaled,
+                  "expr": " + ".join(f"x{i}" for i in range(n))})
+    nodes.append({"id": "s_obs", "kind": "evidence", "parent": "s", "evidence": {
+        "variant": "normal_known_var", "count": 1, "sample_mean": y_obs, "variance": noise}})
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps({"schema_version": "1", "nodes": nodes}))
+
+    assert main(["validate", str(path)]) == EXIT_OK
+    d, cfg = parse_model(path)
+    result = solve(d, cfg)
+    assert result.status == "converged"
+    gain = variances / (variances.sum() + noise)
+    for i in range(n):
+        m = result.posterior_y[f"x{i}"]
+        assert m.mean == pytest.approx(means[i] + gain[i] * (y_obs - means.sum()), rel=1e-10)
+        assert m.variance == pytest.approx(variances[i] * (1.0 - gain[i]), rel=1e-10)
+    s, total = result.posterior_y["s"], variances.sum()
+    assert s.mean == pytest.approx(means.sum() + gain.sum() * (y_obs - means.sum()), rel=1e-10)
+    assert s.variance == pytest.approx(total * noise / (total + noise), rel=1e-10)
+
+    est = mc_posterior(d, 200, 1)
+    assert est.param_ids[-1] == "s" and math.isfinite(est.mean["s"])
+    capsys.readouterr()
+    assert main(["oracle", str(path), "--samples", "200", "--seed", "1", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["estimates"]["s"]["mean"] == est.mean["s"]
+
+    doc = serialize_model(d, SolverConfig())
+    again, _ = parse_model(json.dumps(doc))
+    assert serialize_model(again) == doc
+    assert model._same_tree(again.node("s").expr, d.node("s").expr)
+
+
+# ---------------------------------------------------------------------------
+# No walker calls itself
+
+
+def _self_calls(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func  # fn(...), or self.fn(...) in a method
+                if (isinstance(f, ast.Name) and f.id == fn.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == fn.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id in ("self", "cls")
+                ):
+                    found.append(f"{path.name}:{call.lineno} {fn.name}")
+    return found
+
+
+@pytest.mark.parametrize("module", [model, oracle], ids=["model", "oracle"])
+def test_no_function_calls_itself(module):
+    assert _self_calls(Path(module.__file__)) == []
