@@ -156,110 +156,95 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+# The infix operators, and how tightly each pending operator binds; a group
+# (``(``, ``exp(``, ``ln(``) binds at 0.
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, val, at = self.take()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r}, found {val or 'end of input'!r}", at)
-
-    def parse(self) -> Expr:
-        e = self.sum()
-        kind, val, at = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected {val!r}", at)
-        return e
-
-    def sum(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        e = self.atom()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.take()
-                e = Pow(e, self.exponent())
-            else:
-                return e
-
-    def exponent(self) -> float:
-        kind, val, at = self.take()
-        sign = 1.0
-        if kind == "op" and val == "-":
-            sign = -1.0
-            kind, val, at = self.take()
-        if kind == "op" and val == "(":
-            inner = self.exponent()
-            self.expect_op(")")
-            return sign * inner
-        if kind != "num":
-            raise ExpressionError("exponent must be a numeric literal", at)
-        return sign * float(val)
-
-    def atom(self) -> Expr:
-        kind, val, at = self.take()
-        if kind == "num":
-            return Const(float(val))
-        if kind == "name":
-            if val in _RESERVED_IDS:
-                self.expect_op("(")
-                inner = self.sum()
-                self.expect_op(")")
-                return Exp(inner) if val == "exp" else Ln(inner)
-            return Var(val)
-        if kind == "op" and val == "(":
-            inner = self.sum()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected {val or 'end of input'!r}", at)
+def _expected(op: str, val: str, at: int) -> ExpressionError:
+    return ExpressionError(f"expected {op!r}, found {val or 'end of input'!r}", at)
 
 
 def parse_expression(text: str) -> Expr:
-    """Compile an infix expression string to an expression tree."""
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:  # the parser descends a few frames per parenthesis
-        at = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
-        raise ExpressionError("expression nested too deeply", at) from None
+    """Compile an infix expression string to an expression tree.
+
+    One loop over the tokens (Dijkstra's shunting-yard) alternates between
+    expecting an operand and an operator.  ``operands`` holds finished
+    subtrees; ``pending`` the operators not yet applied and the open groups,
+    of which there are ``groups``.  An operator first applies the pending
+    ones that bind at least as tightly.  A ``^`` exponent is read on the
+    spot: a numeric literal in any number of parentheses, with at most one
+    ``-`` before each ``(`` and before the literal.
+    """
+    tokens = iter(_tokenize(text))
+    operands: list[Expr] = []
+    pending: list[str] = []
+    groups = 0
+    operand_next = True
+    for kind, val, at in tokens:  # the end token returns or raises
+        if operand_next:
+            if kind == "num":
+                operands.append(Const(float(val)))
+                operand_next = False
+            elif kind == "name" and val not in _RESERVED_IDS:
+                operands.append(Var(val))
+                operand_next = False
+            elif kind == "name":  # exp or ln opens a group
+                _, paren, paren_at = next(tokens)
+                if paren != "(":
+                    raise _expected("(", paren, paren_at)
+                pending.append(val)
+                groups += 1
+            elif val == "(":
+                pending.append(val)
+                groups += 1
+            elif val == "-":
+                pending.append("neg")
+            else:
+                raise ExpressionError(f"unexpected {val or 'end of input'!r}", at)
+            continue
+        if val == "^":
+            sign, depth = 1.0, 0
+            while True:
+                kind, val, at = next(tokens)
+                if val == "-":
+                    sign = -sign
+                    kind, val, at = next(tokens)
+                if val != "(":
+                    break
+                depth += 1
+            if kind != "num":
+                raise ExpressionError("exponent must be a numeric literal", at)
+            operands[-1] = Pow(operands[-1], sign * float(val))
+            for _ in range(depth):
+                _, val, at = next(tokens)
+                if val != ")":
+                    raise _expected(")", val, at)
+            continue
+        closes = val == ")" if groups else kind == "end"  # ")" only inside a group
+        if val not in _BINARY and not closes:
+            if groups:
+                raise _expected(")", val, at)
+            raise ExpressionError(f"unexpected {val!r}", at)
+        floor = _BINDING.get(val, 1)  # ")" and the end apply every pending operator
+        while pending and _BINDING.get(pending[-1], 0) >= floor:
+            op = pending.pop()
+            if op == "neg":
+                operands[-1] = Neg(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = _BINARY[op](operands[-1], right)
+        if val in _BINARY:
+            pending.append(val)
+            operand_next = True
+        elif groups:
+            groups -= 1
+            opener = pending.pop()
+            if opener != "(":
+                operands[-1] = (Exp if opener == "exp" else Ln)(operands[-1])
+        else:
+            return operands[0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +526,9 @@ def _load(args, check: bool = True) -> tuple[Diagram, SolverConfig] | None:
         return None
     if getattr(args, "samples", 1) < 1:
         print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
+        return None
+    if getattr(args, "seed", 0) < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return None
     return loaded
 

@@ -392,10 +392,17 @@ def correlation_matrix(cov: np.ndarray) -> np.ndarray:
     usual ratio, clamped to [-1, 1] against rounding, and 1 on the diagonal.
     The ratio is formed in one n x n array, divided and clamped in place;
     the rows and columns of non-positive variance are then overwritten.
+    A variance outside [2^-500, 2^500] is first scaled into [0.5, 2) by 4^-k,
+    its row and column by 2^-k, so no product of two variances leaves the
+    normal range; being exact, this changes no bit where they stayed normal.
     """
     var = np.diag(cov)
     live = var > 0.0
     scale = np.where(live, var, 1.0)  # no zero or negative divisor
+    k = np.where((scale < 2.0**-500) | (scale > 2.0**500), np.frexp(scale)[1] // 2, 0)
+    if k.any():
+        scale = np.ldexp(scale, -2 * k)
+        cov = np.ldexp(cov, -(k[:, None] + k[None, :]))
     corr = np.sqrt(np.outer(scale, scale))
     np.divide(cov, corr, out=corr)
     np.clip(corr, -1.0, 1.0, out=corr)

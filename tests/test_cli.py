@@ -609,6 +609,13 @@ class TestCommands:
         code = main(["oracle", str(BETA_BINOMIAL), "--samples", "0", "--seed", "1"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_negative_seed_is_an_input_error(self, capsys, command):
+        code = main([command, str(BETA_BINOMIAL), "--samples", "100", "--seed", "-1"])
+        assert code == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --seed must be >= 0, got -1\n"
+
     def test_compare_agrees_on_golden_model(self, capsys):
         code = main(["compare", str(BETA_BINOMIAL), "--samples", "50000", "--seed", "2"])
         assert code == EXIT_OK
@@ -917,11 +924,15 @@ def test_a_literal_beyond_the_float_range_is_an_input_error(tmp_path, capsys, ex
     assert "$.nodes[2].expr" in err and "number out of range" in err
 
 
-def test_deep_parenthesis_nesting_is_an_input_error(tmp_path, capsys):
+def test_deep_parenthesis_nesting_validates_and_solves(tmp_path, capsys):
     expr = "(" * 1000 + "p_treated" + ")" * 1000 + " - p_control"
-    assert main(["validate", _risk_difference_with(tmp_path, expr)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "$.nodes[2].expr" in err and "nested too deeply" in err
+    path = _risk_difference_with(tmp_path, expr)
+    assert main(["validate", path]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["solve", path]) == EXIT_OK
+    deep = capsys.readouterr().out
+    assert main(["solve", str(RISK_DIFFERENCE)]) == EXIT_OK
+    assert deep == capsys.readouterr().out  # the same tree as "p_treated - p_control"
 
 
 def test_json_writes_null_for_an_estimate_that_overflows(tmp_path, capsys):

@@ -1,8 +1,16 @@
 """The vectorized correlation matrix against the pairwise rule it replaces."""
 
-import numpy as np
+import json
+import warnings
 
+import numpy as np
+import pytest
+
+from gaussid.cli import EXIT_OK, main, serialize_model
 from gaussid.gaussian import correlation_matrix
+from gaussid.model import Add, Diagram, Var, basic, deterministic
+from gaussid.solver import solve
+from gaussid.transforms import PriorSpec, Transform
 
 
 def test_correlation_matrix_follows_the_pairwise_rule():
@@ -49,3 +57,46 @@ def test_correlation_matrix_is_bitwise_the_earlier_formula():
         got, want = correlation_matrix(cov), pre_in_place_formula(cov)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_extreme_variances_give_the_bits_of_their_scaled_down_matrix():
+    rng = np.random.default_rng(17)
+    n = 9
+    a = rng.normal(size=(n, n + 2))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)  # variances about 1
+    cov = a @ a.T
+    k = rng.permutation([-510, -400, -300, 0, 0, 300, 400, 460, 510])  # variances times 4^k
+    extreme = np.ldexp(cov, k[:, None] + k[None, :])
+    assert extreme.max() > 1e300 and np.diag(extreme).min() < 1e-300
+    assert correlation_matrix(extreme).tobytes() == correlation_matrix(cov).tobytes()
+
+
+def _sum_of_two(variance):
+    ts = Transform("scaled", 0.0, 1.0)
+    prior = PriorSpec(family="normal", transform=ts, mean=0.0, variance=variance)
+    return Diagram.from_nodes(
+        [basic("x", prior), basic("y", prior), deterministic("z", ts, Add(Var("x"), Var("y")))]
+    )
+
+
+@pytest.mark.parametrize("variance", [1e-170, 1e200])
+def test_solve_reads_correlations_of_extreme_variances(variance, tmp_path, capsys):
+    d = _sum_of_two(variance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve(d)
+    assert result.param_ids == ("x", "y", "z")
+    corr = result.posterior_correlations
+    assert corr[0, 2] == corr[1, 2] == pytest.approx(np.sqrt(0.5), rel=1e-15)
+    assert corr[0, 1] == corr[1, 0] == 0.0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(serialize_model(d)))
+    assert main(["solve", str(path), "--json"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["correlations"]["matrix"] == corr.tolist()

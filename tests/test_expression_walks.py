@@ -464,28 +464,142 @@ def test_a_document_summing_2000_parameters(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# No walker calls itself
+# No function in the package calls itself, directly or through others
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+PACKAGE = Path(model.__file__).parent
 
 
-def _self_calls(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _call_graph(source: str) -> dict[str, set[str]]:
+    """Which module-level functions and methods of ``source`` each one calls.
+
+    A method is ``Class.name``, reached by ``self.name(...)``,
+    ``cls.name(...)`` or ``Class.name(...)``; calling ``Class(...)`` reaches
+    its ``__init__`` and ``__post_init__``.  A nested function's calls count
+    as its enclosing function's.  A name the function binds itself (a
+    parameter, a nested ``def``, an assignment) is not the module-level
+    function of that name: ``model._fold``'s ``step`` parameter and the
+    nested ``step`` folds are not ``solver.step``.  A nested function that
+    calls its own name is a node of its own with an edge to itself.
+    """
+    tree = ast.parse(source)
+    functions, classes = {}, set()
+    for top in tree.body:
+        if isinstance(top, _DEFS):
+            functions[top.name] = top
+        elif isinstance(top, ast.ClassDef):
+            classes.add(top.name)
+            functions.update({f"{top.name}.{f.name}": f for f in top.body if isinstance(f, _DEFS)})
+    graph = {}
+    for qualname, fn in functions.items():
+        owner = qualname.rpartition(".")[0]
+        bound = set()
+        for sub in ast.walk(fn):
+            if isinstance(sub, (*_DEFS, ast.Lambda)):
+                a = sub.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                bound.update(p.arg for p in params if p is not None)
+            if isinstance(sub, _DEFS) and sub is not fn:
+                bound.add(sub.name)
+                if any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == sub.name
+                       for c in ast.walk(sub)):
+                    graph[f"{qualname}.{sub.name}"] = {f"{qualname}.{sub.name}"}
+            elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                bound.add(sub.id)
+        callees = set()
+        for call in ast.walk(fn):
+            f = call.func if isinstance(call, ast.Call) else None
+            if isinstance(f, ast.Name) and f.id not in bound:
+                callees.update((f.id, f"{f.id}.__init__", f"{f.id}.__post_init__"))
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                base = f.value.id
+                if base in ("self", "cls"):
+                    callees.add(f"{owner}.{f.attr}")
+                elif base in classes and base not in bound:
+                    callees.add(f"{base}.{f.attr}")
+        graph[qualname] = callees & functions.keys()
+    return graph
+
+
+def _recursive_functions(source: str) -> list[str]:
+    """The functions of ``source`` that reach themselves through calls."""
+    graph = _call_graph(source)
     found = []
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for call in ast.walk(fn):
-                if not isinstance(call, ast.Call):
-                    continue
-                f = call.func  # fn(...), or self.fn(...) in a method
-                if (isinstance(f, ast.Name) and f.id == fn.name) or (
-                    isinstance(f, ast.Attribute)
-                    and f.attr == fn.name
-                    and isinstance(f.value, ast.Name)
-                    and f.value.id in ("self", "cls")
-                ):
-                    found.append(f"{path.name}:{call.lineno} {fn.name}")
-    return found
+    for start, callees in graph.items():
+        seen, todo = set(), list(callees)
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(graph[name])
+        if start in seen:
+            found.append(start)
+    return sorted(found)
 
 
-@pytest.mark.parametrize("module", [model, oracle], ids=["model", "oracle"])
-def test_no_function_calls_itself(module):
-    assert _self_calls(Path(module.__file__)) == []
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem
+)
+def test_no_function_calls_itself(path):
+    assert _recursive_functions(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_call_check_sees_cycles_and_not_shadowed_names():
+    source = """
+class Parser:
+    def sum(self):
+        return self.term()
+
+    def term(self):
+        return self.atom()
+
+    def atom(self):
+        return self.sum()
+
+    def flat(self):
+        return self.atom()
+
+
+class Node:
+    def __post_init__(self):
+        Node(1)
+
+
+def step(state):
+    return fold(state, step)
+
+
+def fold(e, step):
+    return step(e)
+
+
+def walk(e):
+    def step(n):
+        return n
+
+    return fold(e, step)
+
+
+def outer(e):
+    def inner(n):
+        return inner(n)
+
+    return inner(e)
+
+
+def ping(n):
+    return pong(n)
+
+
+def pong(n):
+    return Parser.flat(n) and ping(n)
+"""
+    assert _recursive_functions(source) == [
+        "Node.__post_init__",
+        "Parser.atom",
+        "Parser.sum",
+        "Parser.term",
+        "outer.inner",
+        "ping",
+        "pong",
+    ]
