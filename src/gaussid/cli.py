@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator
 
 import numpy as np
 
@@ -251,13 +251,15 @@ def parse_expression(text: str) -> Expr:
 # Model documents
 
 
-def _require_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()) -> None:
-    for key in obj:
-        if key not in required and key not in optional:
-            raise SchemaError(f"{path}.{key}", "unknown field")
-    for key in required:
-        if key not in obj:
-            raise SchemaError(path, f"missing required field {key!r}")
+def _require_keys(obj: dict, path: str, required: set[str], known: Container | None = None) -> None:
+    """Reject the first key of ``obj`` outside ``known`` (by default ``required``),
+    then name the smallest ``required`` key that ``obj`` lacks."""
+    known = required if known is None else known
+    unknown = next((key for key in obj if key not in known), None)
+    if unknown is not None:
+        raise SchemaError(f"{path}.{unknown}", "unknown field")
+    if not obj.keys() >= required:
+        raise SchemaError(path, f"missing required field {min(required - obj.keys())!r}")
 
 
 # The readers of a value ``v`` found at key ``key`` of the object at ``path``.
@@ -346,11 +348,7 @@ def _read(cls: type, obj, path: str, **given):
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     readers = _FIELDS[cls]
-    if not readers.keys() >= obj.keys():
-        key = next(key for key in obj if key not in readers)
-        raise SchemaError(f"{path}.{key}", "unknown field")
-    if not obj.keys() >= _REQUIRED[cls]:
-        raise SchemaError(path, f"missing required field {min(_REQUIRED[cls] - obj.keys())!r}")
+    _require_keys(obj, path, _REQUIRED[cls], readers)
     for key, v in obj.items():
         given[key] = readers[key](v, path, key)
     try:
@@ -373,9 +371,7 @@ def _write(spec) -> dict:
 def _parse_node(obj, path: str, declared: set[str]) -> Node:
     if not isinstance(obj, dict):
         raise SchemaError(path, "node must be an object")
-    for key in ("id", "kind"):
-        if key not in obj:
-            raise SchemaError(path, f"missing required field {key!r}")
+    _require_keys(obj, path, {"id", "kind"}, obj)  # the other keys by kind, below
     nid = obj["id"]
     if not isinstance(nid, str) or not nid:
         raise SchemaError(f"{path}.id", "id must be a non-empty string")
@@ -429,7 +425,7 @@ def parse_model(source: str | Path, check: bool = True) -> tuple[Diagram, Solver
         raise SchemaError("$", f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be a JSON object")
-    _require_keys(doc, "$", {"schema_version", "nodes"}, {"solver"})
+    _require_keys(doc, "$", {"schema_version", "nodes"}, {"schema_version", "nodes", "solver"})
     if doc["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(
             "$.schema_version",

@@ -215,17 +215,29 @@ def _evidence_components(
     ancestors (a node included) that their nodes share, so entries are
     linked when they share one, and a component is a class of the
     transitive closure of that link.  This holds for any coefficients on
-    the arcs: a zero only removes links.  Returns one ``(k, s)`` array per
-    component size s, each row the entries of one component in increasing
-    order.
+    the arcs: a zero only removes links.  An arc alone links nothing: an
+    unobserved child of two independent parents joins neither.  Only the
+    observed nodes' ancestors are walked, each once, up ``levels``' rows.
+    Returns one ``(k, s)`` array per component size s, each row the
+    entries of one component in increasing order, rows by first entry.
     """
-    n, m = len(live), len(observed)
-    live_idx = np.flatnonzero(live)
-    reach = np.zeros((n, len(live_idx)), dtype=bool)  # live ancestors of each node
-    reach[live_idx, np.arange(len(live_idx))] = True
-    for nodes, par in levels:  # a level's parents are complete before it
-        reach[nodes] |= reach[par].any(axis=1)
+    parents = {j: ps for nodes, par in levels for j, ps in zip(nodes.tolist(), par.tolist())}
+    live = live.tolist()
+    targets = dict.fromkeys(observed.tolist())
+    # observed node or its ancestor -> its live ancestors; roots need no walk
+    reach = {j: {j} if live[j] else set() for j in targets if j not in parents}
+    stack = [j for j in targets if j not in reach]
+    while stack:
+        j = stack[-1]
+        ps = [i for i in parents.get(j, ()) if i != j]  # a row is padded with j
+        todo = [i for i in ps if i not in reach]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        reach[j] = set().union([j] if live[j] else [], *(reach[i] for i in ps))
 
+    m = len(observed)
     root = list(range(m))  # union-find forest over the entries
 
     def find(e: int) -> int:
@@ -235,8 +247,9 @@ def _evidence_components(
         return e
 
     first: dict[int, int] = {}  # live ancestor -> first entry that reaches it
-    for e, c in zip(*(ix.tolist() for ix in np.nonzero(reach[observed]))):
-        root[find(e)] = find(first.setdefault(c, e))
+    for e, node in enumerate(observed.tolist()):
+        for c in reach[node]:
+            root[find(e)] = find(first.setdefault(c, e))
     members: dict[int, list[int]] = {}
     for e in range(m):
         members.setdefault(find(e), []).append(e)

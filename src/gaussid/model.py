@@ -774,12 +774,16 @@ def _odds_composition(e: Expr) -> dict[str, float] | None:
 
 
 def _coefficients_check_out(node: Node, d: Diagram, coeffs: dict[str, float]) -> bool:
-    """Numerically confirm candidate coefficients at two interior points."""
+    """Numerically confirm candidate coefficients at two interior points.
+
+    Parent k is probed at ``x_probe + 0.07 * (k % 8)``: the offsets are
+    bounded, so a product of many log-scaled parents stays finite.
+    """
     for x_probe in (-0.4, 0.35):
         env = {}
         for k, pid in enumerate(node.parents):
             pt = d.nodes[pid].transform
-            env[pid] = inverse_point(pt, x_probe + 0.07 * k)
+            env[pid] = inverse_point(pt, x_probe + 0.07 * (k % 8))
         try:
             _, b = slopes(node, d, env)
         except (ValueError, OverflowError):

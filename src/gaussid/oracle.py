@@ -45,7 +45,6 @@ from .model import (
 from .transforms import (
     BETA,
     LOG_SCALED,
-    LOGISTIC_SCALED,
     LOGNORMAL,
     SCALED,
     Transform,

@@ -251,12 +251,12 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 
     Deterministic nodes take the value of their expression at the parent
     prior means, with conditional variance zero; their transformed means
-    follow by applying their transform at that point.  Evidence entries
-    are resolved to (observation, variance) pairs, pooled per parameter
-    when the configuration asks for it, and grouped into the diagonal
-    blocks of their covariance, which the diagram's arcs fix for every
-    iteration.  The iteration-0 "posterior" point is defined to be this
-    prior point.
+    follow by applying their transform at that point.  Evidence nodes
+    are resolved to (observation, variance) pairs in one pass, keyed by
+    node, or by observed parameter and pooled when the configuration asks
+    for it; the entries are grouped into the diagonal blocks of their
+    covariance, which the diagram's arcs fix for every iteration.  The
+    iteration-0 "posterior" point is defined to be this prior point.
     """
     cfg = cfg or SolverConfig()
     ensure_valid(d)
@@ -315,28 +315,21 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         )
     one_by_one.sort()
 
-    # Evidence entries: one per node, or one pooled entry per observed
-    # parameter, in order of first appearance.
-    entries: list[tuple[str, int, float, float]] = []  # label, parent idx, d, v
-    if cfg.pool_evidence:
-        grouped: dict[str, list[LikelihoodApprox]] = {}
-        labels: dict[str, str] = {}
-        for node in d.evidence_nodes():
-            parent = node.parents[0]
-            grouped.setdefault(parent, []).append(_resolve(node, d))
-            labels.setdefault(parent, node.id)
-        for parent, items in grouped.items():
-            pooled = pool_likelihoods(items)
-            entries.append((labels[parent], index[parent], pooled.d, pooled.v))
-    else:
-        for node in d.evidence_nodes():
-            like = _resolve(node, d)
-            entries.append((node.id, index[node.parents[0]], like.d, like.v))
-
-    order = param_ids + tuple(label for label, _, _, _ in entries)
-    ev_parent = np.array([p for _, p, _, _ in entries], dtype=int)
-    ev_obs = np.array([o for _, _, o, _ in entries])
-    ev_var = np.array([v for _, _, _, v in entries])
+    # Evidence entries in order of first appearance, each labelled by its
+    # first node: one per node, or one pooled entry per observed parameter.
+    # Only pooled entries go through pool, whose 1/(1/v) can change a bit.
+    looks: dict[str, tuple[Node, list[LikelihoodApprox]]] = {}
+    for node in d.evidence_nodes():
+        key = node.parents[0] if cfg.pool_evidence else node.id
+        looks.setdefault(key, (node, []))[1].append(_resolve(node, d))
+    entries = [
+        (first, pool_likelihoods(items) if cfg.pool_evidence else items[0])
+        for first, items in looks.values()
+    ]
+    order = param_ids + tuple(first.id for first, _ in entries)
+    ev_parent = np.array([index[first.parents[0]] for first, _ in entries], dtype=int)
+    ev_obs = np.array([like.d for _, like in entries])
+    ev_var = np.array([like.v for _, like in entries])
 
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
 

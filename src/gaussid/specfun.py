@@ -20,10 +20,10 @@ moments at once: each Newton step is one pass of array arithmetic over the
 entries that have not yet converged, in the scalar routine's order of
 operations, with its logarithms and exponentials taken by :mod:`math` one
 entry at a time, so every iterate, and the result, is bit-identical to
-:func:`beta_from_moments`.  Entries that would need the scalar routine's
-Jacobian nudge, or that end anywhere but at a converged finite point, are
-reported as unfinished rather than raised, for the caller to redo with the
-scalar routine.
+:func:`beta_from_moments`.  Entries that meet a singular Jacobian, or
+that end anywhere but at a converged finite point, are reported as
+unfinished rather than raised, for the caller to redo with the scalar
+routine.
 """
 
 from __future__ import annotations
@@ -52,12 +52,10 @@ _MAX_NEWTON = 100
 _RESIDUAL_TOL = 1e-10
 _STEP_TOL = 1e-12
 _PARAM_FLOOR = 0.5
-_JACOBIAN_NUDGE = 1e-6
-_MAX_NUDGES = 3
 
 
 class ConvergenceError(RuntimeError):
-    """Newton's method ran out of iterations or rescue attempts.
+    """Newton's method ran out of iterations or met a singular Jacobian.
 
     The last iterate reached is attached so callers can report how close
     the search got.
@@ -156,8 +154,8 @@ def beta_from_moments(mean: float, var: float) -> BetaParams:
     declared when both residuals drop below 1e-10 or the step shrinks
     below 1e-12.
 
-    Raises :class:`ConvergenceError` after 100 iterations, and ``ValueError``
-    for ``var <= 0``.
+    Raises :class:`ConvergenceError` at a singular Jacobian or after 100
+    iterations, and ``ValueError`` for ``var <= 0``.
     """
     if not var > 0.0:
         raise ValueError(f"log-odds variance must be positive, got {var}")
@@ -165,7 +163,6 @@ def beta_from_moments(mean: float, var: float) -> BetaParams:
         raise ValueError(f"log-odds moments must be finite, got ({mean}, {var})")
 
     alpha, beta = _initial_guess(mean, var)
-    nudges = 0
     for _ in range(_MAX_NEWTON):
         assert alpha >= _PARAM_FLOOR and beta >= _PARAM_FLOOR
         psi_a, j11, j21 = _polygammas(alpha)
@@ -177,16 +174,13 @@ def beta_from_moments(mean: float, var: float) -> BetaParams:
 
         j12 = -psi1_b
         det = j11 * j22 - j12 * j21
+        # det = psi'(a) psi''(b) + psi'(b) psi''(a) < 0 but where both terms
+        # underflow (a, b >~ 1e100) or a parameter is infinite: no small step
+        # leaves either state, so the search ends here.
         if det == 0.0 or not math.isfinite(det):
-            if nudges >= _MAX_NUDGES:
-                raise ConvergenceError(
-                    "singular Jacobian while inverting Beta moment map",
-                    (alpha, beta),
-                )
-            nudges += 1
-            alpha += _JACOBIAN_NUDGE
-            beta += _JACOBIAN_NUDGE
-            continue
+            raise ConvergenceError(
+                "singular Jacobian while inverting Beta moment map", (alpha, beta)
+            )
 
         step_a = (j22 * f1 - j12 * f2) / det
         step_b = (-j21 * f1 + j11 * f2) / det
@@ -242,7 +236,7 @@ def _beta_from_moments_lockstep(
     entry leaves the iteration when it converges.  Where ``done`` is True,
     ``alpha`` and ``beta`` equal the scalar routine's result bit for bit.
     ``done`` is False, and ``alpha`` and ``beta`` are undefined, for every
-    entry the scalar routine would reject, nudge off a singular Jacobian or
+    entry the scalar routine would reject, find a singular Jacobian at or
     fail to converge on, and for any step that is not finite; the scalar
     routine decides those entries.
     """
@@ -276,8 +270,8 @@ def _beta_from_moments_lockstep(
             step_b = (-j21 * f1 + j11 * f2) / det
             a = np.maximum(a - step_a, _PARAM_FLOOR)
             b = np.maximum(b - step_b, _PARAM_FLOOR)
-            # A singular or non-finite Jacobian takes the scalar routine's
-            # nudge, and a NaN step meets Python's max(); both go back to it.
+            # A singular or non-finite Jacobian raises in the scalar routine,
+            # and a NaN step meets Python's max(); both go back to it.
             ok = ~hit & (det != 0.0) & np.isfinite(det) & np.isfinite(step_a) & np.isfinite(step_b)
             small = ok & (np.maximum(np.abs(step_a), np.abs(step_b)) < _STEP_TOL)
             alpha[act[small]], beta[act[small]], done[act[small]] = a[small], b[small], True

@@ -680,6 +680,30 @@ def test_module_runs_the_cli():
     assert proc.stdout == "ok: 2 nodes\n"
 
 
+def test_a_missing_field_is_named_alike_under_every_hash_seed(tmp_path):
+    # A basic node without its transform and its prior: the smallest
+    # missing key is named, whatever order a set of keys would take.
+    doc = json.loads(BETA_BINOMIAL.read_text(encoding="utf-8"))
+    node = next(n for n in doc["nodes"] if n["kind"] == "basic")
+    del node["transform"], node["prior"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = Path(gaussid.__file__).resolve().parent.parent
+    messages = set()
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaussid.cli", "validate", str(path)],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_INPUT, proc.stderr
+        messages.add(proc.stderr)
+    assert len(messages) == 1
+    assert "missing required field 'prior'" in messages.pop()
+
+
 # ---------------------------------------------------------------------------
 # --json output: one compact document that round-trips the in-process result
 

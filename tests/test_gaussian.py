@@ -1,10 +1,11 @@
 """Covariance recursion, Gaussian conditioning, and correlation conventions."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from gaussid.gaussian import (
@@ -401,6 +402,60 @@ def block_diagonal(rng, components):
     return block
 
 
+def dense_evidence_components(levels, live, observed):
+    """The reference grouping: a dense n x live matrix of every node's live ancestors."""
+    n, m = len(live), len(observed)
+    live_idx = np.flatnonzero(live)
+    reach = np.zeros((n, len(live_idx)), dtype=bool)  # live ancestors of each node
+    reach[live_idx, np.arange(len(live_idx))] = True
+    for nodes, par in levels:  # a level's parents are complete before it
+        reach[nodes] |= reach[par].any(axis=1)
+
+    root = list(range(m))  # union-find forest over the entries
+
+    def find(e):
+        while root[e] != e:
+            root[e] = root[root[e]]
+            e = root[e]
+        return e
+
+    first = {}  # live ancestor -> first entry that reaches it
+    for e, c in zip(*(ix.tolist() for ix in np.nonzero(reach[observed]))):
+        root[find(e)] = find(first.setdefault(c, e))
+    members = {}
+    for e in range(m):
+        members.setdefault(find(e), []).append(e)
+    by_size = {}
+    for group in members.values():
+        by_size.setdefault(len(group), []).append(group)
+    return tuple(np.array(by_size[s], dtype=int) for s in sorted(by_size))
+
+
+@hst.composite
+def evidence_dags(draw):
+    """(parents, live, observed) of a random DAG and evidence on it.
+
+    Each node is a root (live or dead), extends a chain, collects the
+    fan-in of all earlier nodes, or takes any earlier parents, repeats
+    allowed; nodes may be observed several times or not at all.
+    """
+    n = draw(hst.integers(min_value=1, max_value=40))
+    parents = []
+    for j in range(n):
+        shape = draw(hst.sampled_from(["root", "chain", "fan_in", "any"])) if j else "root"
+        if shape == "chain":
+            parents.append([j - 1])
+        elif shape == "fan_in":
+            parents.append(list(range(j)))
+        elif shape == "any":
+            parents.append(draw(hst.lists(hst.integers(0, j - 1), max_size=4)))
+        else:
+            parents.append([])
+    live = draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
+    observed = draw(hst.lists(hst.integers(0, n - 1), max_size=2 * n))
+    return parents, live, observed
+
+
 class TestComponents:
     def test_union_of_component_eigenvalues_is_the_condition_number(self):
         # The spectrum of a block-diagonal matrix is the union of its blocks'.
@@ -454,6 +509,37 @@ class TestComponents:
                     reached |= linked[reached].any(axis=0)
                 assert reached.all()
             assert np.all(cov[label[:, None] != label[None, :]] == 0.0)
+
+    @given(evidence_dags())
+    @example(([[], [], [0, 1]], [True, True, False], [0, 1]))  # unobserved child of two
+    @example(([[], [0], [1], [2]], [False, True, False, False], [3, 0, 3, 2, 0]))
+    @settings(max_examples=300, deadline=None)
+    def test_groups_match_the_dense_reach_matrix(self, dag):
+        parents, live, observed = dag
+        args = (_depth_levels(parents), np.array(live), np.array(observed, dtype=int))
+        got, want = _evidence_components(*args), dense_evidence_components(*args)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        assert all(g.dtype == w.dtype and g.shape == w.shape for g, w in zip(got, want))
+
+    def test_groups_need_no_reach_matrix(self):
+        # 3,000 observed Beta-like roots and 1,500 deterministic children of
+        # two of them each, as in the benchmark's scaling diagram.
+        n_basic, n_det = 3000, 1500
+        rng = np.random.default_rng(67)
+        parents = [[]] * n_basic + [
+            sorted(rng.choice(n_basic, size=2, replace=False).tolist()) for _ in range(n_det)
+        ]
+        levels = _depth_levels(parents)
+        live = np.arange(n_basic + n_det) < n_basic
+        observed = np.arange(n_basic)
+        tracemalloc.start()
+        try:
+            components = _evidence_components(levels, live, observed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.tolist() for c in components] == [[[e] for e in range(n_basic)]]
+        assert peak < (n_basic + n_det) * n_basic // 4  # a quarter of the n x live booleans
 
 
 class TestCorrelation:

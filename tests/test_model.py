@@ -313,6 +313,16 @@ class TestRecognizeLinear:
         coeffs = recognize_linear(d.node("w"), d)
         assert coeffs == {"u": pytest.approx(2.0), "v": pytest.approx(-0.5)}
 
+    @pytest.mark.parametrize("n", [139, 140, 1000])
+    def test_product_of_many_log_scaled_parents(self, n):
+        # Parent probes stay bounded, so the product does not overflow.
+        names = [f"x{i}" for i in range(n)]
+        product = Var(names[0])
+        for name in names[1:]:
+            product = Mul(product, Var(name))
+        d = Diagram.from_nodes([*map(lognormal_node, names), deterministic("w", TLOG, product)])
+        assert recognize_linear(d.node("w"), d) == dict.fromkeys(names, 1.0)
+
     def test_odds_composition_over_logistic(self):
         # q = p1 p2 / (p1 p2 + (1-p1)(1-p2)): log-odds add with unit weights.
         g = Mul(Var("p1"), Var("p2"))

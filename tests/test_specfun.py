@@ -13,10 +13,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaussid import specfun
 from gaussid.specfun import (
     BetaParams,
     ConvergenceError,
     _beta_from_moments_lockstep,
+    _initial_guess,
     _polygammas,
     _polygammas_lockstep,
     beta_from_moments,
@@ -196,6 +198,88 @@ LOG_ODDS_VARIANCES = st.one_of(
     st.floats(-12.0, math.log10(12.0)).map(lambda e: 10.0**e),
     st.sampled_from([math.pi**2, 2.0 * trigamma(0.45)]),
 )
+
+
+def nudged_beta_from_moments(mean, var):
+    """The inversion as it stood with a Jacobian nudge: at a singular or
+    non-finite Jacobian it moved both parameters up by 1e-6, at most three
+    times, before it gave up."""
+    if not var > 0.0:
+        raise ValueError(f"log-odds variance must be positive, got {var}")
+    if not math.isfinite(mean) or not math.isfinite(var):
+        raise ValueError(f"log-odds moments must be finite, got ({mean}, {var})")
+
+    alpha, beta = _initial_guess(mean, var)
+    nudges = 0
+    for _ in range(100):
+        assert alpha >= 0.5 and beta >= 0.5
+        psi_a, j11, j21 = _polygammas(alpha)
+        psi_b, psi1_b, j22 = _polygammas(beta)
+        f1 = psi_a - psi_b - mean
+        f2 = j11 + psi1_b - var
+        if abs(f1) < 1e-10 and abs(f2) < 1e-10:
+            return BetaParams(alpha, beta)
+
+        j12 = -psi1_b
+        det = j11 * j22 - j12 * j21
+        if det == 0.0 or not math.isfinite(det):
+            if nudges >= 3:
+                raise ConvergenceError(
+                    "singular Jacobian while inverting Beta moment map",
+                    (alpha, beta),
+                )
+            nudges += 1
+            alpha += 1e-6
+            beta += 1e-6
+            continue
+
+        step_a = (j22 * f1 - j12 * f2) / det
+        step_b = (-j21 * f1 + j11 * f2) / det
+        alpha = max(alpha - step_a, 0.5)
+        beta = max(beta - step_b, 0.5)
+        if max(abs(step_a), abs(step_b)) < 1e-12:
+            return BetaParams(alpha, beta)
+
+    raise ConvergenceError(
+        f"Beta moment inversion did not converge for mean={mean}, var={var}",
+        (alpha, beta),
+    )
+
+
+def inversion_outcome(invert, mean, var):
+    """(alpha, beta) in hex, or the type and message of what ``invert`` raises."""
+    try:
+        p = invert(mean, var)
+    except (ConvergenceError, ValueError) as err:
+        return type(err), str(err)
+    return p.alpha.hex(), p.beta.hex()
+
+
+class TestSingularJacobian:
+    """A singular Jacobian ends the inversion at once: no nudge ever helped."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.floats(-800.0, 800.0),
+        st.one_of(
+            st.floats(5e-324, 1e3),
+            st.floats(-320.0, 3.0).map(lambda e: 10.0**e),
+        ),
+    )
+    def test_outcomes_equal_the_nudged_routine(self, mean, var):
+        assert inversion_outcome(beta_from_moments, mean, var) == inversion_outcome(
+            nudged_beta_from_moments, mean, var
+        )
+
+    @pytest.mark.parametrize("mean,var", [(0.0, 1e-320), (800.0, 1e-320), (700.0, 1e-10)])
+    def test_a_singular_jacobian_raises_at_the_first_iterate(self, monkeypatch, mean, var):
+        calls = []
+        polygammas = specfun._polygammas
+        monkeypatch.setattr(specfun, "_polygammas", lambda z: calls.append(z) or polygammas(z))
+        with pytest.raises(ConvergenceError, match="singular Jacobian") as info:
+            beta_from_moments(mean, var)
+        assert len(calls) == 2
+        assert info.value.last_iterate == _initial_guess(mean, var)
 
 
 class TestLockstepInversion:

@@ -3,15 +3,18 @@
 ``bench/tracer.py`` replaces module-global names such as
 ``gaussid.solver.linearize`` with timing wrappers; a name that no longer
 resolves breaks ``bench/run.py --trace 1``, and a layer that is no longer
-called through its name reads 0 in the trace.
+called through its name reads 0 in the trace.  The only imports a module
+may leave unused are names that the tracer wraps there.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
 
 import pytest
 
+import gaussid
 import gaussid.model as model
 import gaussid.solver as solver
 from gaussid.evidence import EvidenceSpec
@@ -26,6 +29,34 @@ from tracer import TARGETS  # noqa: E402
 @pytest.mark.parametrize("module,attribute", [(m, a) for m, a, _ in TARGETS])
 def test_tracer_target_resolves(module, attribute):
     assert callable(getattr(importlib.import_module(module), attribute))
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names a module imports at top level but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    bound, exported = set(), set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in stmt.names}
+        elif isinstance(stmt, ast.Assign) and "__all__" in [getattr(t, "id", None) for t in stmt.targets]:
+            exported = set(ast.literal_eval(stmt.value))
+    return bound - exported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nimport re\nfrom m import a, b as c\n"
+    assert unused_imports(source + "__all__ = ['c']\nre.compile(a)\n") == {"os"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(gaussid.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_an_unused_import_is_a_tracer_target(path):
+    module = "gaussid" if path.stem == "__init__" else f"gaussid.{path.stem}"
+    targets = {attribute for m, attribute, _ in TARGETS if m == module}
+    assert unused_imports(path.read_text(encoding="utf-8")) - targets == set()
 
 
 def test_step_reaches_each_layer_once(monkeypatch):
