@@ -9,23 +9,29 @@ covariance is A A' with the factor A = (I - B)^-T diag(sqrt v), which one
 forward-substitution pass over the arcs builds (Shachter & Kenley,
 "Gaussian influence diagrams", Management Science 35(5), 1989).  One
 kernel, :func:`_substitute`, solves (I - B') X = X0 with one batched update
-per depth level of the arcs.  A itself and every product with A go through
-it (A rhs is the kernel applied to diag(sqrt v) rhs), so none is a dense
-matrix product, and each costs O(arcs x columns).  Evidence is absorbed
-one group of a-priori correlated entries at a time: each group's block is
-factored once by a symmetric eigendecomposition, which also gives the
-condition-number guard, and the update is carried as a second factor W,
-so the posterior covariance A A' - W'W is only formed when it is asked for
-(Lauritzen & Jensen, "Stable local computation with conditional Gaussian
-distributions", Statistics and Computing 11, 2001).  Correlations are read
-off the conditioned covariance.
+per depth level of the arcs.  A itself and every product of A with a matrix
+go through it (A rhs is the kernel applied to diag(sqrt v) rhs), so none is
+a dense matrix product, and each costs O(arcs x columns).
+
+Evidence is absorbed in the factor space of A (Lauritzen & Jensen, "Stable
+local computation with conditional Gaussian distributions", Statistics and
+Computing 11, 2001).  A column of A belongs to a node with v > 0, a *live*
+node.  The evidence entries fall into groups that share no live ancestor,
+and an observed node's row of A is zero outside its live ancestors, so
+each group works on its own columns L_g of A: its block G_g G_g' + noise,
+with G_g = A[observed][:, L_g], is factored once by a symmetric
+eigendecomposition, which also gives the condition-number guard, and the
+update is a small factor V_g over those columns.  The posterior covariance
+is A (I - V'V) A': the variances are row sums of squares, and the
+covariance itself, from which the correlations are read, is formed only
+when it is asked for, by one more substitution pass.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -145,46 +151,106 @@ def _substitute(arcs: Arcs, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_factor(arcs: Arcs, scale: np.ndarray) -> np.ndarray:
+def _forward_factor(arcs: Arcs, scale: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """The factor A = (I - B)^-T diag(sqrt v) of the covariance A A'.
 
     ``scale`` is sqrt(v) per node.  Only the columns of nodes with v_j > 0
-    are kept: the others are zero.  A is n x q, with q the number of nodes
-    with v_j > 0, and solves (I - B') A = D with D = diag(sqrt v) on those
-    columns: row j of A is sqrt(v_j) e_j plus sum_i B_ij A_i over its
-    parents i, one :func:`_substitute` pass over B's ``arcs``.
+    are kept (the others are zero), in the order ``cols`` lists those
+    nodes.  A is n x q, with q the number of nodes with v_j > 0, and solves
+    (I - B') A = D with D = diag(sqrt v) on those columns: row j of A is
+    sqrt(v_j) e_j plus sum_i B_ij A_i over its parents i, one
+    :func:`_substitute` pass over B's ``arcs``.
     """
-    live = (scale > 0.0).nonzero()[0]
-    a = np.zeros((len(scale), len(live)))
-    a[live, np.arange(len(live))] = scale[live]
+    a = np.zeros((len(scale), len(cols)))
+    a[cols, np.arange(len(cols))] = scale[cols]
     return _substitute(arcs, a)
 
 
-def _times_factor(arcs: Arcs, scale: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _times_factor(arcs: Arcs, scale: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``A @ rhs`` for the factor A of :func:`_forward_factor`, with no dense product.
 
     A rhs solves (I - B') X = D rhs, where D rhs is ``rhs`` (q rows) scaled
-    row by row by sqrt(v) and placed on the rows of the nodes with v_j > 0,
-    zero elsewhere; :func:`_substitute` then costs O(arcs x columns).
+    row by row by sqrt(v) and placed on the rows of the nodes ``cols``
+    lists, zero elsewhere; :func:`_substitute` then costs O(arcs x columns).
     """
-    live = (scale > 0.0).nonzero()[0]
     x = np.zeros((len(scale), rhs.shape[1]))
-    x[live] = scale[live, None] * rhs
+    x[cols] = scale[cols, None] * rhs
     return _substitute(arcs, x)
 
 
-def _covariance(arcs: Arcs, scale: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The covariance A A' - W'W, exactly symmetric, with A A' from :func:`_times_factor`.
+# The update factors V are read in runs of at most this many rows or
+# columns per group stack, so no temporary grows to the n x m of all the
+# evidence entries.
+_RUN = 64
 
-    Substitution rounds the two triangles of A A' differently, so the result
-    is averaged with its transpose, in place; copying the transpose first is
-    faster than letting the add resolve the overlap.
+
+def _runs(vs: Sequence[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(columns of A, V)`` for runs of groups of one shape class.
+
+    ``vs`` holds one (k, s, l) stack per shape class, as
+    :func:`_factor_update` returns them: k groups of s entries whose l live
+    ancestors are l consecutive columns of A, class after class.  A class
+    of width l = 1 needs no temporary (see :func:`_update_variance`), so it
+    is one run.
     """
-    cov = _times_factor(arcs, scale, a.T)
-    cov -= w.T @ w
+    lo = 0
+    for v in vs:
+        k, s, l = v.shape
+        step = k if l == 1 else max(1, _RUN // max(s, l))
+        for first in range(0, k, step):
+            run = v[first : first + step]
+            yield slice(lo + first * l, lo + (first + len(run)) * l), run
+        lo += k * l
+
+
+def _update_variance(a: np.ndarray, vs: Sequence[np.ndarray]) -> np.ndarray:
+    """The diagonal of A V'V A': row sums of (A[:, L_g] V_g')^2 summed over the groups g.
+
+    A group on one column c (l = 1) contributes A[:, c]^2 |V_g|^2, summed
+    over its class in one pass with no temporary.
+    """
+    n = len(a)
+    out = np.zeros(n)
+    for cols, v in _runs(vs):
+        k, _, l = v.shape
+        if l == 1:
+            out += np.einsum("nk,nk,k->n", a[:, cols], a[:, cols], np.einsum("ksl,ksl->k", v, v))
+            continue
+        x = a[:, cols].reshape(n, k, l).swapaxes(0, 1) @ v.swapaxes(1, 2)  # (k, n, s)
+        out += np.einsum("kns,kns->n", x, x)
+    return out
+
+
+def _covariance(
+    arcs: Arcs, scale: np.ndarray, cols: np.ndarray, a: np.ndarray, vs: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The covariance A (I - V'V) A', exactly symmetric.
+
+    ``vs`` are the update factors of :func:`_factor_update` (none for the
+    prior covariance A A').  V'V is never formed: Y = A' - V'(V A'[L]) is
+    A' with each group's rows L_g updated by its own small V_g (a row of a
+    group on one column is scaled by 1 - |V_g|^2), and A Y is one
+    :func:`_times_factor` pass.  Substitution rounds the two triangles
+    differently, so the result is averaged with its transpose, in place;
+    copying the transpose first is faster than letting the add resolve the
+    overlap.
+    """
+    y = a.T.copy()
+    for rows, v in _runs(vs):
+        if v.shape[2] == 1:
+            y[rows] *= 1.0 - np.einsum("ksl,ksl->k", v, v)[:, None]
+            continue
+        at = y[rows].reshape(len(v), v.shape[2], y.shape[1])  # a view: the rows of y
+        at -= v.swapaxes(1, 2) @ (v @ at)
+    cov = _times_factor(arcs, scale, cols, y)
     cov += cov.T.copy()
     cov *= 0.5
     return cov
+
+
+def _state_arcs(st: GaussianState) -> Arcs:
+    """The arcs of ``st.coeffs`` by depth level: its nonzero coefficients."""
+    return _level_arcs(_depth_levels([np.flatnonzero(col) for col in st.coeffs.T]), st.coeffs)
 
 
 def propagate_covariance(st: GaussianState) -> GaussianState:
@@ -196,30 +262,35 @@ def propagate_covariance(st: GaussianState) -> GaussianState:
     returned state shares ``st``'s other arrays, which were validated when
     ``st`` was built.
     """
-    arcs = _level_arcs(_depth_levels([np.flatnonzero(col) for col in st.coeffs.T]), st.coeffs)
+    arcs = _state_arcs(st)
     scale = np.sqrt(st.cond_var)
-    a = _forward_factor(arcs, scale)
+    cols = np.flatnonzero(scale > 0.0)
+    cov = _covariance(arcs, scale, cols, _forward_factor(arcs, scale, cols), ())
     out = copy.copy(st)
-    object.__setattr__(out, "cov", _covariance(arcs, scale, a, np.zeros((0, len(a)))))
+    object.__setattr__(out, "cov", cov)
     return out
 
 
 def _evidence_components(
     levels: Levels, live: np.ndarray, observed: np.ndarray
-) -> tuple[np.ndarray, ...]:
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Group evidence entries into the diagonal blocks of their covariance.
 
     ``levels`` are the depth levels of the arcs (:func:`_depth_levels`),
     ``live[j]`` says whether v_j > 0, and entry e observes node
     ``observed[e]``.  The covariance of two entries is a sum over the live
     ancestors (a node included) that their nodes share, so entries are
-    linked when they share one, and a component is a class of the
-    transitive closure of that link.  This holds for any coefficients on
-    the arcs: a zero only removes links.  An arc alone links nothing: an
-    unobserved child of two independent parents joins neither.  Only the
-    observed nodes' ancestors are walked, each once, up ``levels``' rows.
-    Returns one ``(k, s)`` array per component size s, each row the
-    entries of one component in increasing order, rows by first entry.
+    linked when they share one, and a group is a class of the transitive
+    closure of that link; the groups' sets of live ancestors L_g are
+    therefore disjoint.  This holds for any coefficients on the arcs: a
+    zero only removes links.  An arc alone links nothing: an unobserved
+    child of two independent parents joins neither.  Only the observed
+    nodes' ancestors are walked, each once, up ``levels``' rows.
+
+    Returns ``(components, ancestors)``, one pair of arrays per shape
+    class (s, l), in increasing order: ``components`` (k, s) holds each
+    group's s entries in increasing order, and ``ancestors`` (k, l) its l
+    live ancestors in the node order, rows by first entry.
     """
     parents = {j: ps for nodes, par in levels for j, ps in zip(nodes.tolist(), par.tolist())}
     live = live.tolist()
@@ -253,10 +324,33 @@ def _evidence_components(
     members: dict[int, list[int]] = {}
     for e in range(m):
         members.setdefault(find(e), []).append(e)
-    by_size: dict[int, list[list[int]]] = {}
-    for group in members.values():
-        by_size.setdefault(len(group), []).append(group)
-    return tuple(np.array(by_size[s], dtype=int) for s in sorted(by_size))
+    owned: dict[int, list[int]] = {}  # group root -> its live ancestors
+    for c, e in first.items():
+        owned.setdefault(find(e), []).append(c)
+    by_shape: dict[tuple[int, int], tuple[list[list[int]], list[list[int]]]] = {}
+    for r, group in members.items():
+        anc = sorted(owned.get(r, ()))
+        rows = by_shape.setdefault((len(group), len(anc)), ([], []))
+        rows[0].append(group)
+        rows[1].append(anc)
+    shapes = sorted(by_shape)
+    return (
+        tuple(np.array(by_shape[sl][0], dtype=int) for sl in shapes),
+        tuple(np.array(by_shape[sl][1], dtype=int) for sl in shapes),
+    )
+
+
+def _factor_columns(ancestors: Sequence[np.ndarray], live: np.ndarray) -> np.ndarray:
+    """The node of each column of A: the groups' live ancestors, then the other live nodes.
+
+    ``ancestors`` are as :func:`_evidence_components` returns them, so each
+    shape class of groups owns a run of consecutive columns, l per group;
+    the live nodes that no evidence reaches follow in the node order.
+    """
+    grouped = [c for anc in ancestors for c in anc.ravel().tolist()]
+    owned = set(grouped)
+    rest = [j for j in np.flatnonzero(live).tolist() if j not in owned]
+    return np.array(grouped + rest, dtype=int)
 
 
 def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,46 +376,19 @@ def _condition_number(eigenvalues: np.ndarray) -> float:
     return float(eig.max() / smallest) if smallest > 0.0 else np.inf
 
 
-def _eigh_components(
-    block: np.ndarray, components: tuple[np.ndarray, ...]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Eigenvalues and eigenvectors of the diagonal blocks of ``block``.
+def _eigh_blocks(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and eigenvectors of each stack of evidence blocks, behind the guard.
 
-    ``components`` holds one ``(k, s)`` index array per block size s; the
-    k blocks of one size are stacked into one batched ``eigh`` call.
+    ``blocks`` holds one (k, s, s) stack per shape class; each is one
+    batched ``eigh`` call.  The blocks' eigenvalues together are those of
+    the block-diagonal covariance of the evidence, so they give its 2-norm
+    condition number (:func:`_condition_number`).  The guard rejects a
+    block with a non-finite entry, a number that is not finite or reaches
+    1e12, and a non-positive eigenvalue.
     """
-    return [np.linalg.eigh(block[idx[:, :, None], idx[:, None, :]]) for idx in components]
-
-
-def _gaussian_update(
-    mean: np.ndarray,
-    cross: np.ndarray,
-    block: np.ndarray,
-    resid: np.ndarray,
-    components: tuple[np.ndarray, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean ``mean + K resid`` and the factor W of ``K cross = W' W``.
-
-    The gain is ``K = cross' block^-1``.  ``block`` is the covariance of the
-    evidence, zero outside the diagonal blocks that ``components`` lists
-    (as :func:`_evidence_components` returns them); ``cross`` is the
-    covariance of the evidence (rows) with the updated quantities
-    (columns) and ``resid`` the evidence minus its mean.  Each diagonal
-    block is factored once as Q diag(lambda) Q' (:func:`_eigh_components`).
-    The blocks' eigenvalues together are those of ``block``, so they give
-    its 2-norm condition number (:func:`_condition_number`).  The guard
-    rejects a block with a non-finite entry, a number that is not finite
-    or reaches 1e12, and a non-positive eigenvalue.  Behind it
-    W = diag(lambda)^-1/2 Q' cross and z = diag(lambda)^-1/2 Q' resid, per
-    block; the posterior mean is ``mean + W' z`` and the posterior
-    covariance ``cov - W' W``.
-    """
-    n = len(mean)
-    if len(resid) == 0:
-        return mean, np.zeros((0, n))
-    if not np.isfinite(block).all():
+    if not all(np.isfinite(b).all() for b in blocks):
         raise ConditioningError("evidence covariance block has a non-finite entry", np.nan)
-    pairs = _eigh_components(block, components)
+    pairs = [np.linalg.eigh(b) for b in blocks]
     lam = np.concatenate([val.ravel() for val, _ in pairs])
     cond_est = _condition_number(lam)
     if not np.isfinite(cond_est) or cond_est >= _MAX_CONDITION:
@@ -335,13 +402,57 @@ def _gaussian_update(
             f"(smallest eigenvalue {lam.min():.3e})",
             cond_est,
         )
-    w, z = [], []
-    for idx, (val, vecs) in zip(components, pairs):
+    return pairs
+
+
+def _factor_update(
+    a: np.ndarray,
+    components: Sequence[np.ndarray],
+    ancestors: Sequence[np.ndarray],
+    par: np.ndarray,
+    noise: np.ndarray,
+    resid: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Condition the Gaussian with covariance A A' on noisy observations, in factor space.
+
+    Entry e observes node ``par[e]`` with independent noise of variance
+    ``noise[e]``; ``resid`` is the evidence minus its mean.  The entries
+    fall into groups with disjoint live ancestors L_g, one shape class
+    (s, l) per pair of ``components`` (k, s) and ``ancestors`` (k, l), as
+    :func:`_evidence_components` returns them, and A's columns are laid out
+    by :func:`_factor_columns`, so class after class, group after group,
+    each group's L_g is l consecutive columns.  Row ``par[e]`` of A is zero
+    outside L_g, so a group needs only G_g = A[par_g][:, L_g] (s x l): its
+    block G_g G_g' + diag(noise_g) is factored once as Q diag(lambda) Q'
+    (:func:`_eigh_blocks`), and V_g = diag(lambda)^-1/2 Q' G_g and
+    z_g = diag(lambda)^-1/2 Q' resid_g.
+
+    Returns ``(u, vs)``: the posterior mean is ``mean + A u``, with
+    u[L_g] = V_g' z_g and zero on the other columns, and the posterior
+    covariance A (I - V'V) A', with ``vs`` the (k, s, l) stacks of V_g per
+    class (:func:`_update_variance`, :func:`_covariance`).
+    """
+    n = len(a)
+    u = np.zeros(a.shape[1])
+    if not components:
+        return u, []
+    groups, blocks, lo = [], [], 0  # (entries, columns of A, G) per class
+    for idx, anc in zip(components, ancestors):
+        (k, s), l = idx.shape, anc.shape[1]
+        cols = slice(lo, lo + k * l)
+        g = a[:, cols].reshape(n, k, l)[par[idx], np.arange(k)[:, None]]  # (k, s, l)
+        block = g @ g.swapaxes(1, 2)
+        block[:, np.arange(s), np.arange(s)] += noise[idx]
+        groups.append((idx, cols, g))
+        blocks.append(block)
+        lo += k * l
+    vs = []
+    for (idx, cols, g), (val, vecs) in zip(groups, _eigh_blocks(blocks)):
         scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)  # diag(lambda)^-1/2 Q'
-        w.append((scaled @ cross[idx]).reshape(-1, n))
-        z.append((scaled @ resid[idx][..., None]).ravel())
-    w = np.concatenate(w)
-    return mean + w.T @ np.concatenate(z), w
+        v = scaled @ g
+        u[cols] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None])).ravel()
+        vs.append(v)
+    return u, vs
 
 
 def condition(
@@ -349,23 +460,25 @@ def condition(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and covariance of the unobserved nodes given ``obs``.
 
-    ``obs`` maps node positions (in ``st.order``) to observed values.
-    The evidence block is taken as one component of :func:`_gaussian_update`,
-    whose factor W gives the posterior covariance ``cov - W' W``; rows and
-    columns of observed nodes do not appear in the result.
+    ``obs`` maps node positions (in ``st.order``) to observed values, taken
+    as exact; ``st`` must have been through :func:`propagate_covariance`.
+    The observations are one group of :func:`_factor_update`, with no added
+    noise, on the factor A of ``st.coeffs`` and ``st.cond_var`` (whose
+    product A A' is ``st.cov``) with all live nodes as its columns, and the
+    posterior covariance is :func:`_covariance`; rows and columns of
+    observed nodes do not appear in the result.
     """
     if st.cov is None:
         raise ValueError("covariance not populated; call propagate_covariance first")
     ev, keep, d = _split_indices(len(st.order), obs)
-    mean, w = _gaussian_update(
-        st.mean[keep],
-        st.cov[np.ix_(ev, keep)],
-        st.cov[np.ix_(ev, ev)],
-        d - st.mean[ev],
-        (np.arange(len(ev))[None, :],),
-    )
-    post_cov = st.cov[np.ix_(keep, keep)] - w.T @ w
-    return mean, 0.5 * (post_cov + post_cov.T)
+    arcs = _state_arcs(st)
+    scale = np.sqrt(st.cond_var)
+    cols = np.flatnonzero(scale > 0.0)
+    a = _forward_factor(arcs, scale, cols)
+    one = ((np.arange(len(ev))[None, :],), (cols[None, :],)) if len(ev) else ((), ())
+    u, vs = _factor_update(a, *one, ev, np.zeros(len(ev)), d - st.mean[ev])
+    mean = st.mean + a @ u
+    return mean[keep], _covariance(arcs, scale, cols, a, vs)[np.ix_(keep, keep)]
 
 
 def condition_sequential(

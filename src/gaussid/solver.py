@@ -14,13 +14,17 @@ maps the conditioned moments back to the natural scale:
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
     by the same kernel, and *condition* on all evidence entries, each a
-    noisy observation of one parameter.  Every product with A is a forward
-    substitution too, so no step multiplies dense matrices by A.  The
-    entries fall into groups that are correlated a priori, also found once
-    per solve; each group's block is factored once, and the update is a
-    second factor W.  An iteration needs only the posterior means and
-    variances, so the n x n posterior covariance A A' - W'W is built once,
-    for the reported iterate's correlations.
+    noisy observation of one parameter, in the factor space of A.  The
+    entries fall into groups that share no live ancestor (a parameter with
+    prior noise), found once per solve together with each group's live
+    ancestors L_g, and A's columns are laid out group by group, so each
+    group works on its own few columns: its block is G_g G_g' plus its
+    noise, with G_g its rows of A on those columns, factored once, and the
+    update is a small factor V_g on them.  No step forms the covariance of
+    the evidence with the parameters.  An iteration needs only the
+    posterior means (A times one vector) and variances (row sums of
+    squares), so the n x n posterior covariance A (I - V'V) A' is built
+    once, for the reported iterate's correlations.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
     parameter, one prior family at a time: a family with at least
     ``_BATCH_MIN`` members (a size fixed for the solve) is mapped as arrays,
@@ -52,10 +56,11 @@ from .gaussian import (
     _covariance,
     _depth_levels,
     _evidence_components,
+    _factor_columns,
+    _factor_update,
     _forward_factor,
-    _gaussian_update,
     _substitute,
-    _times_factor,
+    _update_variance,
     correlation_matrix,
 )
 from .gaussian import (  # noqa: F401  wrapped by bench/tracer.py
@@ -213,7 +218,12 @@ class SolverState:
     order: tuple[str, ...]
     ev_parent: np.ndarray  # parameter index observed by each evidence entry
     ev_obs: np.ndarray
-    ev_components: tuple[np.ndarray, ...]  # a-priori correlated entries, by group size
+    # a-priori correlated entries, (k, s) per shape class (s, l) of groups,
+    # and each group's l live ancestors, (k, l), as _evidence_components
+    # returns them
+    ev_components: tuple[np.ndarray, ...]
+    ev_ancestors: tuple[np.ndarray, ...]
+    factor_cols: np.ndarray  # the parameter of each column of A, by _factor_columns
     levels: Levels  # the parameters with parents, by depth of the arcs
     # (family, parameter indices, transform a's, transform b's) for each
     # family of at least _BATCH_MIN parameters; the members of the smaller
@@ -229,9 +239,10 @@ class SolverState:
     linear_coeffs: dict[str, dict[str, float]]
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
-    # (B by level, A, W, natural-scale means, natural-scale variances) of the
-    # latest iterate: its parameter covariance is A A' - W'W
-    snapshot: tuple[Arcs, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+    # (B by level, A, the update factors V per shape class, natural-scale
+    # means, natural-scale variances) of the latest iterate: its parameter
+    # covariance is A (I - V'V) A'
+    snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None
 
     @property
     def n_params(self) -> int:
@@ -255,8 +266,10 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     are resolved to (observation, variance) pairs in one pass, keyed by
     node, or by observed parameter and pooled when the configuration asks
     for it; the entries are grouped into the diagonal blocks of their
-    covariance, which the diagram's arcs fix for every iteration.  The
-    iteration-0 "posterior" point is defined to be this prior point.
+    covariance, which the diagram's arcs fix for every iteration, and the
+    columns of the covariance factor are ordered by those groups' live
+    ancestors.  The iteration-0 "posterior" point is defined to be this
+    prior point.
     """
     cfg = cfg or SolverConfig()
     ensure_valid(d)
@@ -332,6 +345,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     ev_var = np.array([like.v for _, like in entries])
 
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
+    components, ancestors = _evidence_components(levels, cond_var > 0.0, ev_parent)
 
     return SolverState(
         diagram=d,
@@ -340,7 +354,9 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         order=order,
         ev_parent=ev_parent,
         ev_obs=ev_obs,
-        ev_components=_evidence_components(levels, cond_var > 0.0, ev_parent),
+        ev_components=components,
+        ev_ancestors=ancestors,
+        factor_cols=_factor_columns(ancestors, cond_var > 0.0),
         levels=levels,
         batched=tuple(batched),
         one_by_one=one_by_one,
@@ -431,26 +447,27 @@ def step(state: SolverState) -> IterationRecord:
     new_mean = update_means(state, arcs)
 
     # The parameters' covariance is A A'.  An evidence entry is its parameter
-    # plus independent noise: A[par] A' links it to the parameters, and its
-    # block is the columns par of that plus diag(noise).  A and (A A[par]')'
-    # are both forward substitutions over the arcs.
-    scale = np.sqrt(state.cond_var[:n])
-    a = _forward_factor(arcs, scale)
+    # plus independent noise, so each group of entries reads only its rows
+    # of A on its own columns.
+    a = _forward_factor(arcs, np.sqrt(state.cond_var[:n]), state.factor_cols)
     par = state.ev_parent
-    cross = _times_factor(arcs, scale, a[par].T).T
-    block = cross[:, par]
-    block[np.diag_indices_from(block)] += state.cond_var[n:]
     try:
-        post_mean, w = _gaussian_update(
-            new_mean[:n], cross, block, state.ev_obs - new_mean[par], state.ev_components
+        u, vs = _factor_update(
+            a,
+            state.ev_components,
+            state.ev_ancestors,
+            par,
+            state.cond_var[n:],
+            state.ev_obs - new_mean[par],
         )
     except (ConditioningError, ValueError) as err:
         raise _iteration_error(state, "conditioning failed", err, None) from err
+    post_mean = new_mean[:n] + a @ u
 
-    # The diagonal of A A' - W'W: row sums of A^2 less column sums of W^2.
-    # inf - inf is NaN, which _natural_moments reports by name.
+    # The diagonal of A (I - V'V) A'.  inf - inf is NaN, which
+    # _natural_moments reports by name.
     with np.errstate(invalid="ignore"):
-        post_var = np.maximum(np.einsum("ij,ij->i", a, a) - np.einsum("ij,ij->j", w, w), 0.0)
+        post_var = np.maximum(np.einsum("ij,ij->i", a, a) - _update_variance(a, vs), 0.0)
     mean_y, var_y = _natural_moments(state, post_mean, post_var)
 
     r = _relative_change(post_mean, state.post_x)
@@ -466,7 +483,7 @@ def step(state: SolverState) -> IterationRecord:
         r_max=r_max,
     )
     state.records.append(record)
-    state.snapshot = (arcs, a, w, mean_y, var_y)
+    state.snapshot = (arcs, a, vs, mean_y, var_y)
     state.post_x = post_mean.copy()
     state.post_y = mean_y
     return record
@@ -548,8 +565,8 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
     if status != DIVERGED:
         best = (state.records[-1], state.snapshot)
 
-    record, (arcs, a, w, mean_y, var_y) = best
-    cov = _covariance(arcs, np.sqrt(state.cond_var[: state.n_params]), a, w)
+    record, (arcs, a, vs, mean_y, var_y) = best
+    cov = _covariance(arcs, np.sqrt(state.cond_var[: state.n_params]), state.factor_cols, a, vs)
     return SolverResult(
         status=status,
         iterations=state.records,

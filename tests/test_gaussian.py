@@ -1,7 +1,6 @@
 """Covariance recursion, Gaussian conditioning, and correlation conventions."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +11,17 @@ from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
     _condition_number,
+    _covariance,
     _depth_levels,
-    _eigh_components,
+    _eigh_blocks,
     _evidence_components,
+    _factor_columns,
+    _factor_update,
     _forward_factor,
-    _gaussian_update,
     _level_arcs,
     _substitute,
     _times_factor,
+    _update_variance,
     condition,
     condition_sequential,
     correlation,
@@ -195,14 +197,15 @@ class TestSubstitution:
         rng = np.random.default_rng(83)
         coeffs = coefficients(parents, rng)
         cond_var = np.array([1.5, 0.5, 0.0, 2.0, 0.0])
+        cols = np.array([0, 1, 3])
         arcs = _level_arcs(_depth_levels(parents), coeffs)
-        a = _forward_factor(arcs, np.sqrt(cond_var))
-        want = dense_solve(coeffs, np.diag(np.sqrt(cond_var))[:, [0, 1, 3]])
+        a = _forward_factor(arcs, np.sqrt(cond_var), cols)
+        want = dense_solve(coeffs, np.diag(np.sqrt(cond_var))[:, cols])
         np.testing.assert_allclose(a, want, rtol=1e-10, atol=1e-10)
         rhs = rng.normal(size=(3, 6))
-        got = _times_factor(arcs, np.sqrt(cond_var), rhs)
+        got = _times_factor(arcs, np.sqrt(cond_var), cols, rhs)
         np.testing.assert_allclose(got, want @ rhs, rtol=1e-10, atol=1e-10)
-        got = _times_factor(arcs, np.sqrt(cond_var), a.T)
+        got = _times_factor(arcs, np.sqrt(cond_var), cols, a.T)
         np.testing.assert_allclose(got, closed_form_cov(coeffs, cond_var), rtol=1e-10, atol=1e-10)
 
     @given(
@@ -338,17 +341,17 @@ class TestConditioning:
         )
 
     def test_non_finite_evidence_block_raises(self):
+        # condition reads the factor of the coefficients: a NaN on the arc
+        # into node 2 makes its row of A, and so the evidence block, non-finite.
         st = propagate_covariance(
             make_state(
                 [0.0, 0.0, 0.0],
-                [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                [[0.0, 1.0, np.nan], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                 [1.0, 1.0, 1.0],
             )
         )
-        cov = st.cov.copy()
-        cov[1, 2] = cov[2, 1] = np.nan
         with pytest.raises(ConditioningError) as exc:
-            condition(replace(st, cov=cov), {1: 1.0, 2: 2.0})
+            condition(st, {1: 1.0, 2: 2.0})
         assert not np.isfinite(exc.value.condition_estimate)
 
     def test_condition_number_matches_svd(self):
@@ -363,12 +366,13 @@ class TestConditioning:
                 )
 
     def test_indefinite_evidence_block_raises(self):
-        # Eigenvalues 3 and -1: a benign ratio, but no covariance.
-        st = propagate_covariance(make_state(np.zeros(3), np.zeros((3, 3)), [1.0, 1.0, 1.0]))
-        cov = st.cov.copy()
-        cov[1, 2] = cov[2, 1] = 2.0
+        # Eigenvalues 3 and -1: a benign ratio, but no covariance.  A block
+        # G G' plus non-negative noise is never indefinite, so the guard is
+        # driven through the kernel: G G' = [[1, 2], [2, 4]] plus noise (0, -3).
+        g = np.array([[1.0], [2.0]])
+        one = ((np.array([[0, 1]]),), (np.array([[0]]),))
         with pytest.raises(ConditioningError, match="not positive definite") as exc:
-            condition(GaussianState(st.order, st.mean, st.coeffs, st.cond_var, cov), {1: 0.0, 2: 0.0})
+            _factor_update(g, *one, np.array([0, 1]), np.array([0.0, -3.0]), np.zeros(2))
         assert exc.value.condition_estimate == pytest.approx(3.0)
 
     def test_unpropagated_state_rejected(self):
@@ -425,10 +429,17 @@ def dense_evidence_components(levels, live, observed):
     members = {}
     for e in range(m):
         members.setdefault(find(e), []).append(e)
-    by_size = {}
+    by_shape = {}
     for group in members.values():
-        by_size.setdefault(len(group), []).append(group)
-    return tuple(np.array(by_size[s], dtype=int) for s in sorted(by_size))
+        ancestors = live_idx[reach[observed[group]].any(axis=0)].tolist()
+        rows = by_shape.setdefault((len(group), len(ancestors)), ([], []))
+        rows[0].append(group)
+        rows[1].append(ancestors)
+    shapes = sorted(by_shape)
+    return (
+        tuple(np.array(by_shape[sl][0], dtype=int) for sl in shapes),
+        tuple(np.array(by_shape[sl][1], dtype=int) for sl in shapes),
+    )
 
 
 @hst.composite
@@ -456,6 +467,46 @@ def evidence_dags(draw):
     return parents, live, observed
 
 
+def dense_update(vs, q):
+    """V as one dense (entries x q) matrix: each group's rows on its own l columns."""
+    rows, lo = [np.zeros((0, q))], 0
+    for v in vs:
+        k, s, l = v.shape
+        for g in range(k):
+            row = np.zeros((s, q))
+            row[:, lo + g * l : lo + (g + 1) * l] = v[g]
+            rows.append(row)
+        lo += k * l
+    return np.concatenate(rows)
+
+
+def factor_space_posterior(parents, coeffs, cond_var, mean, observed, noise, obs):
+    """Posterior means, variances and covariance of the nodes, as the solver forms them."""
+    levels = _depth_levels(parents)
+    arcs, scale = _level_arcs(levels, coeffs), np.sqrt(cond_var)
+    components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
+    cols = _factor_columns(ancestors, cond_var > 0.0)
+    a = _forward_factor(arcs, scale, cols)
+    u, vs = _factor_update(a, components, ancestors, observed, noise, obs - mean[observed])
+    post_mean = mean + a @ u
+    post_var = np.einsum("ij,ij->i", a, a) - _update_variance(a, vs)
+    return post_mean, post_var, _covariance(arcs, scale, cols, a, vs)
+
+
+def augmented_posterior(coeffs, cond_var, mean, observed, noise, obs):
+    """The same, by rank-one updates on the nodes plus one noisy leaf per entry."""
+    n, m = len(mean), len(observed)
+    aug = np.zeros((n + m, n + m))
+    aug[:n, :n] = coeffs
+    aug[observed, n + np.arange(m)] = 1.0
+    st = propagate_covariance(
+        make_state(
+            np.concatenate([mean, mean[observed]]), aug, np.concatenate([cond_var, noise])
+        )
+    )
+    return condition_sequential(st, {n + e: float(o) for e, o in enumerate(obs)})
+
+
 class TestComponents:
     def test_union_of_component_eigenvalues_is_the_condition_number(self):
         # The spectrum of a block-diagonal matrix is the union of its blocks'.
@@ -463,24 +514,58 @@ class TestComponents:
         for _ in range(20):
             components = random_components(rng, [1, 2, 5])
             block = block_diagonal(rng, components)
-            eig = np.concatenate([val.ravel() for val, _ in _eigh_components(block, components)])
+            stacks = [block[idx[:, :, None], idx[:, None, :]] for idx in components]
+            eig = np.concatenate([val.ravel() for val, _ in _eigh_blocks(stacks)])
             assert _condition_number(eig) == pytest.approx(np.linalg.cond(block), rel=1e-8)
 
     def test_update_by_components_matches_one_block(self):
+        # Groups of shapes (s, l) on their own columns of a random factor,
+        # three more rows and two columns that no evidence reaches; entry e
+        # observes row e, which is zero outside its group's columns.
         rng = np.random.default_rng(59)
+        shapes = [(1, 1), (1, 1), (2, 3), (3, 2), (3, 1), (5, 4)]
+        m = sum(s for s, _ in shapes)
+        q = sum(l for _, l in shapes) + 2
+        n = m + 3
         for _ in range(20):
-            components = random_components(rng, [1, 1, 2, 3, 3, 5])
-            block = block_diagonal(rng, components)
-            m, n = len(block), 7
-            cross = rng.normal(size=(m, n))
-            mean, resid = rng.normal(size=n), rng.normal(size=m)
-            got_mean, got_w = _gaussian_update(mean, cross, block, resid, components)
-            one = (np.arange(m)[None, :],)
-            want_mean, want_w = _gaussian_update(mean, cross, block, resid, one)
-            np.testing.assert_allclose(got_mean, want_mean, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(got_w.T @ got_w, want_w.T @ want_w, rtol=1e-10, atol=1e-10)
-            gain = cross.T @ np.linalg.inv(block)
-            np.testing.assert_allclose(got_mean, mean + gain @ resid, rtol=1e-9, atol=1e-9)
+            components = random_components(rng, [s for s, _ in shapes])
+            by_size = {idx.shape[1]: idx.tolist() for idx in components}
+            groups, lo = {}, 0  # (s, l) -> ([entries per group], [columns per group])
+            for s, l in shapes:
+                rows = groups.setdefault((s, l), ([], []))
+                rows[0].append(by_size[s].pop(0))
+                rows[1].append(list(range(lo, lo + l)))
+                lo += l
+            components = tuple(np.array(groups[sl][0]) for sl in sorted(groups))
+            ancestors = tuple(np.array(groups[sl][1]) for sl in sorted(groups))
+            cols = np.concatenate([anc.ravel() for anc in ancestors])
+            a = rng.normal(size=(n, q))
+            par = rng.permutation(m)
+            for idx, anc in zip(components, ancestors):
+                for entries, own in zip(idx.tolist(), anc.tolist()):
+                    outside = np.setdiff1d(np.arange(q), own)
+                    a[np.ix_(par[entries], outside)] = 0.0
+            a = a[:, np.concatenate([cols, [q - 2, q - 1]])]  # columns in class order
+            mean, resid, noise = rng.normal(size=n), rng.normal(size=m), rng.uniform(0.1, 1.0, m)
+
+            u, vs = _factor_update(a, components, ancestors, par, noise, resid)
+            one = ((np.arange(m)[None, :],), (np.arange(q)[None, :],))
+            want_u, want_vs = _factor_update(a, *one, par, noise, resid)
+            np.testing.assert_allclose(mean + a @ u, mean + a @ want_u, rtol=1e-10, atol=1e-10)
+            got_term = a @ dense_update(vs, q).T
+            want_term = a @ want_vs[0][0].T
+            np.testing.assert_allclose(
+                got_term @ got_term.T, want_term @ want_term.T, rtol=1e-10, atol=1e-10
+            )
+            np.testing.assert_allclose(
+                _update_variance(a, vs), _update_variance(a, want_vs), rtol=1e-10, atol=1e-10
+            )
+            cross = a[par] @ a.T
+            gain = cross.T @ np.linalg.inv(a[par] @ a[par].T + np.diag(noise))
+            np.testing.assert_allclose(mean + a @ u, mean + gain @ resid, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(
+                _update_variance(a, vs), np.diag(gain @ cross), rtol=1e-9, atol=1e-9
+            )
 
     def test_components_are_the_diagonal_blocks_of_the_evidence(self):
         # Entries in different components have exactly zero covariance, and
@@ -495,10 +580,11 @@ class TestComponents:
             cond_var = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.5, 2.0, size=n))
             observed = rng.integers(0, n, size=15)
             levels = _depth_levels([np.flatnonzero(coeffs[:, j]).tolist() for j in range(n)])
-            components = _evidence_components(levels, cond_var > 0.0, observed)
+            components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
             members = sorted(e for idx in components for e in idx.ravel().tolist())
             assert members == list(range(len(observed)))
-            a = _forward_factor(_level_arcs(levels, coeffs), np.sqrt(cond_var))
+            cols = _factor_columns(ancestors, cond_var > 0.0)
+            a = _forward_factor(_level_arcs(levels, coeffs), np.sqrt(cond_var), cols)
             cov = (a @ a.T)[np.ix_(observed, observed)]
             label = np.empty(len(observed), dtype=int)
             for k, group in enumerate(g for idx in components for g in idx.tolist()):
@@ -518,8 +604,21 @@ class TestComponents:
         parents, live, observed = dag
         args = (_depth_levels(parents), np.array(live), np.array(observed, dtype=int))
         got, want = _evidence_components(*args), dense_evidence_components(*args)
-        assert [g.tolist() for g in got] == [w.tolist() for w in want]
-        assert all(g.dtype == w.dtype and g.shape == w.shape for g, w in zip(got, want))
+        for got_part, want_part in zip(got, want, strict=True):  # entries, live ancestors
+            assert [g.tolist() for g in got_part] == [w.tolist() for w in want_part]
+            assert all(
+                g.dtype == w.dtype and g.shape == w.shape for g, w in zip(got_part, want_part)
+            )
+        owned = [c for anc in got[1] for c in anc.ravel().tolist()]
+        assert len(owned) == len(set(owned))  # the groups' live ancestors are disjoint
+        cols = _factor_columns(got[1], np.array(live))
+        assert cols[: len(owned)].tolist() == owned
+        assert sorted(cols.tolist()) == np.flatnonzero(live).tolist()
+
+    def test_unobserved_child_of_two_links_nothing(self):
+        levels = _depth_levels([[], [], [0, 1]])
+        got = _evidence_components(levels, np.array([True, True, False]), np.array([0, 1]))
+        assert [[x.tolist() for x in part] for part in got] == [[[[0], [1]]], [[[0], [1]]]]
 
     def test_groups_need_no_reach_matrix(self):
         # 3,000 observed Beta-like roots and 1,500 deterministic children of
@@ -534,12 +633,39 @@ class TestComponents:
         observed = np.arange(n_basic)
         tracemalloc.start()
         try:
-            components = _evidence_components(levels, live, observed)
+            components, ancestors = _evidence_components(levels, live, observed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert [c.tolist() for c in components] == [[[e] for e in range(n_basic)]]
+        assert [c.tolist() for c in ancestors] == [[[e] for e in range(n_basic)]]
         assert peak < (n_basic + n_det) * n_basic // 4  # a quarter of the n x live booleans
+
+    @given(evidence_dags(), hst.integers(min_value=0, max_value=2**32 - 1))
+    @example(([[], [], [0, 1]], [True, True, False], [0, 1]), 0)
+    @settings(max_examples=200, deadline=None)
+    def test_factor_space_matches_the_augmented_model(self, dag, seed):
+        # Random arc coefficients (scaled by the fan-in, so variances stay
+        # moderate), prior noise on the live nodes, and noisy evidence.
+        parents, live, observed = dag
+        rng = np.random.default_rng(seed)
+        n, observed = len(parents), np.array(observed, dtype=int)
+        coeffs = np.zeros((n, n))
+        for j, ps in enumerate(parents):
+            ps = sorted(set(ps))
+            coeffs[ps, j] = rng.uniform(-1.0, 1.0, size=len(ps)) / max(len(ps), 1)
+        cond_var = np.where(live, rng.uniform(0.5, 2.0, size=n), 0.0)
+        mean = rng.normal(size=n)
+        noise = rng.uniform(0.2, 2.0, size=len(observed))
+        obs = rng.normal(size=len(observed))
+        got_mean, got_var, got_cov = factor_space_posterior(
+            parents, coeffs, cond_var, mean, observed, noise, obs
+        )
+        want_mean, want_cov = augmented_posterior(coeffs, cond_var, mean, observed, noise, obs)
+        np.testing.assert_allclose(got_mean, want_mean, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got_var, np.diag(want_cov), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got_cov, want_cov, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(got_cov, got_cov.T)
 
 
 class TestCorrelation:

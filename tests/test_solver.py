@@ -2,17 +2,20 @@
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaussid.gaussian as gaussian_mod
 import gaussid.solver as solver_mod
 from gaussid.cli import parse_model
 from gaussid.evidence import EvidenceSpec, binomial
 from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
+    _covariance,
     _level_arcs,
     condition,
     condition_sequential,
@@ -478,8 +481,9 @@ class TestStep:
         record = step(state)
         np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0)
-        _, a, w, _, _ = state.snapshot
-        assert (a @ a.T - w.T @ w).shape == (n, n)
+        arcs, a, vs, _, _ = state.snapshot
+        cov = _covariance(arcs, np.sqrt(state.cond_var[:n]), state.factor_cols, a, vs)
+        np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("conditioner", [condition, condition_sequential])
     def test_correlated_evidence_matches_the_augmented_model(self, conditioner):
@@ -501,24 +505,35 @@ class TestStep:
         )
         assert abs(result.posterior_correlations[0, 2]) > 1e-3  # p1 and p3, through p2
 
-    def test_cross_covariance_is_the_dense_product(self, monkeypatch):
-        # step forms the evidence-parameter covariance A[par] A' by forward
-        # substitution; it must equal the dense product of the factor it keeps.
-        crosses = []
-        update = solver_mod._gaussian_update
+    def test_evidence_blocks_are_the_dense_product(self, monkeypatch):
+        # step forms each group's block from the group's own rows and columns
+        # of A; with the noise on its diagonal it must equal the group's block
+        # of the dense A[par] A[par]' of the factor it keeps, which is zero
+        # between groups.
+        blocks = []
+        eigh_blocks = gaussian_mod._eigh_blocks
 
-        def record(mean, cross, *rest):
-            crosses.append(cross.copy())
-            return update(mean, cross, *rest)
+        def record(stacks):
+            blocks.append([b.copy() for b in stacks])
+            return eigh_blocks(stacks)
 
-        monkeypatch.setattr(solver_mod, "_gaussian_update", record)
+        monkeypatch.setattr(gaussian_mod, "_eigh_blocks", record)
         state = initialize(correlated_evidence(), SolverConfig(pool_evidence=False))
+        n, par = state.n_params, state.ev_parent
+        label = np.empty(len(par), dtype=int)
+        for k, group in enumerate(g for idx in state.ev_components for g in idx.tolist()):
+            label[group] = k
         for _ in range(3):
             step(state)
             _, a, _, _, _ = state.snapshot
-            want = a[state.ev_parent] @ a.T
+            want = a[par] @ a[par].T
+            assert np.all(want[label[:, None] != label[None, :]] == 0.0)
             assert np.count_nonzero(want) < want.size  # entries with no shared ancestor
-            np.testing.assert_allclose(crosses[-1], want, rtol=1e-12, atol=0)
+            want[np.diag_indices_from(want)] += state.cond_var[n:]
+            for idx, got in zip(state.ev_components, blocks[-1], strict=True):
+                np.testing.assert_allclose(
+                    got, want[idx[:, :, None], idx[:, None, :]], rtol=1e-12, atol=0
+                )
 
     def test_posterior_correlations_are_exactly_symmetric(self):
         # Substitution rounds the two triangles of A A' differently; the
@@ -690,13 +705,14 @@ class TestSolve:
                 r_max=r,
             )
             state.records.append(record)
-            # p and q are independent, so B = 0 and A = diag(sqrt v); the
-            # covariance A A' - W'W is [[0.75, rho - 0.25], [rho - 0.25, 0.75]]
-            # scaled by sqrt(v_i v_j)
+            # p and q are independent, so B = 0 and A = diag(sqrt v); with one
+            # group of both entries on both columns, V = w, the covariance
+            # A (I - V'V) A' is [[0.75, rho - 0.25], [rho - 0.25, 0.75]] scaled
+            # by sqrt(v_i v_j)
             rho = r / 10.0
             sd = np.sqrt(state.cond_var[:2])
             w = np.array([[np.sqrt(0.25 - rho / 2)] * 2, [np.sqrt(rho / 2), -np.sqrt(rho / 2)]])
-            state.snapshot = ((), np.diag(sd), w * sd, np.full(2, 0.5), np.full(2, 0.01))
+            state.snapshot = ((), np.diag(sd), [w[None]], np.full(2, 0.5), np.full(2, 0.01))
             return record
 
         d = Diagram.from_nodes(
@@ -761,6 +777,26 @@ def test_solve_factors_each_evidence_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     for d, cfg in models:
         assert solve(d, cfg).status == CONVERGED
+
+
+def test_warm_step_forms_no_evidence_by_parameter_array():
+    # The benchmark's scaling diagram: 1,000 Beta parameters, each observed
+    # once, and 500 deterministic children of two of them.  Apart from the
+    # factor A (n x q), a step forms no n x m array (no covariance of the
+    # evidence with the parameters, no update factor over all parameters),
+    # so its peak stays below four times the bytes of A.
+    d, cfg = parse_model(json.dumps(bench_generate().scale_doc(7, 1000, 500)))
+    state = initialize(d, cfg)
+    step(state)
+    n, q = state.n_params, int(np.count_nonzero(state.cond_var[: state.n_params]))
+    assert (n, q, len(state.ev_obs)) == (1500, 1000, 1000)
+    tracemalloc.start()
+    try:
+        step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n * q
 
 
 class TestChangeMeasure:
