@@ -15,7 +15,9 @@ its partials together, from one walk.  :func:`point_value` and :func:`slopes` ar
 pieces of linearizing a deterministic node, shared by the solver and by
 :func:`recognize_linear`, which detects expression/transform combinations
 that are exactly linear on the transformed scale, so the solver can skip
-re-linearizing them.
+re-linearizing them.  ``_slopes_columns`` linearizes many nodes whose
+expressions share a :attr:`Expr.shape` in one pass over numpy columns, with
+the bits of the one-node walk.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
+import numpy as np
+
 from .evidence import BINOMIAL, EvidenceSpec
 from .transforms import (
     LOG_SCALED,
@@ -33,6 +37,7 @@ from .transforms import (
     SCALED,
     PriorSpec,
     Transform,
+    _TransformArrays,
     derivative,
     inverse_point,
 )
@@ -94,6 +99,28 @@ class Expr:
             order.append(pending.pop())
             pending.extend(_operands(order[-1]))
         return tuple(reversed(order))
+
+    @functools.cached_property
+    def shape(self) -> tuple[tuple[tuple, ...], tuple[float, ...], tuple[str, ...]]:
+        """The tree with slots for its leaves: ``(ops, constants, variables)``.
+
+        ``ops`` labels :attr:`postorder` node by node: ``(Const, j)`` reads
+        constant slot j and ``(Var, s)`` variable slot s; ``(Pow, exponent)``
+        and ``(type, None)`` are the operators.  Constants take their slots in
+        post-order, variables theirs by first occurrence, so a repeated
+        variable is one slot.  Trees with equal ``ops`` differ only in the
+        values in their slots.
+        """
+        ops, consts, names = [], [], {}
+        for n in self.postorder:
+            if isinstance(n, Const):
+                ops.append((Const, len(consts)))
+                consts.append(n.value)
+            elif isinstance(n, Var):
+                ops.append((Var, names.setdefault(n.name, len(names))))
+            else:
+                ops.append((type(n), getattr(n, "exponent", None)))
+        return tuple(ops), tuple(consts), tuple(names)
 
 
 def _operands(e: Expr) -> tuple[Expr, ...]:
@@ -270,10 +297,12 @@ def _power(base: float, k: float) -> float:
 # Maps from variable to partial (or to coefficient, or exponent) combine
 # linearly: _chain scales one, _sum adds two with weights.  Both update
 # their first map in place, so no two stack entries of a walk share a map.
+# _value_and_gradient_columns keys its maps by slot, and its weights and
+# partials may be numpy columns.
 
 
 def _chain(c: float, grad: dict[str, float]) -> dict[str, float]:
-    if c != 1.0:  # scaling by exactly 1 would change no bit
+    if (c == 1.0) is not True:  # scaling by exactly 1 changes no bit; a column always scales
         for v, g in grad.items():
             grad[v] = c * g
     return grad
@@ -285,6 +314,79 @@ def _sum(a: dict[str, float], ca: float, b: dict[str, float], cb: float) -> dict
     for v, g in b.items():
         out[v] = out.get(v, 0.0) + cb * g
     return out
+
+
+def _value_and_gradient_columns(
+    ops: tuple[tuple, ...], consts: np.ndarray, env: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`value_and_gradient` of k trees of one shape at once: ``(value, partials, failed)``.
+
+    The trees share ``ops``, an :attr:`Expr.shape`; tree i holds
+    ``consts[j, i]`` in constant slot j and ``env[i, s]`` in variable slot
+    s.  Each operation runs once, over columns of the k trees, with the
+    products and sums of the scalar walk in its order (``exp``, ``ln`` and
+    ``**`` through :mod:`math`, whose rounding numpy's do not share), so
+    ``value[i]`` and the partials ``partials[i, s]`` are the scalar walk's
+    bit for bit.  Each check of the scalar walk is a mask instead: ``failed``
+    is True exactly where that walk raises, and those trees' entries are
+    meaningless.
+    """
+    failed = np.zeros(len(env), dtype=bool)
+    checked = []  # the values the scalar walk checks are finite, tested at the end
+    stack: list[tuple[np.ndarray, dict[int, np.ndarray | float]]] = []
+    with np.errstate(all="ignore"):
+        for op, arg in ops:
+            if op is Const:
+                stack.append((consts[arg], {}))
+            elif op is Var:
+                stack.append((env[:, arg], {arg: 1.0}))
+            elif op is Neg:
+                u, du = stack.pop()
+                stack.append((-u, _chain(-1.0, du)))
+            elif op is Exp:
+                u, du = stack.pop()
+                failed |= u > 709.0
+                value = np.array([math.inf if x > 709.0 else math.exp(x) for x in u.tolist()])
+                stack.append((value, _chain(value, du)))
+            elif op is Ln:
+                u, du = stack.pop()
+                failed |= u <= 0.0
+                value = np.array([math.log(x) if x > 0.0 else math.nan for x in u.tolist()])
+                stack.append((value, _chain(1.0 / u, du)))
+            elif op is Pow:
+                base, db = stack.pop()
+                bases = base.tolist()
+                if arg < 0.0:
+                    failed |= base == 0.0
+                if not (math.isfinite(arg) and arg == round(arg)):
+                    failed |= base < 0.0
+                    bases = [math.nan if x < 0.0 else x for x in bases]  # not complex powers
+                value = np.array([_power(x, arg) for x in bases])
+                slope = np.array([arg * _power(x, arg - 1.0) for x in bases]) if arg != 0.0 else 0.0
+                checked.append(value)
+                stack.append((value, _chain(slope, db)))
+            else:
+                v, dv = stack.pop()
+                u, du = stack.pop()
+                if op is Add:
+                    value, grad = u + v, _sum(du, 1.0, dv, 1.0)
+                elif op is Sub:
+                    value, grad = u - v, _sum(du, 1.0, dv, -1.0)
+                elif op is Mul:
+                    value, grad = u * v, _sum(du, v, dv, u)
+                else:
+                    failed |= v == 0.0
+                    value = u / v
+                    grad = _sum(du, 1.0 / v, dv, -value / v)
+                checked.append(value)
+                stack.append((value, grad))
+    if checked:
+        failed |= ~np.isfinite(checked).all(axis=0)
+    value, grad = stack.pop()
+    partials = np.empty((len(env), len(grad)))
+    for s, g in grad.items():
+        partials[:, s] = g
+    return value, partials, failed
 
 
 _PREC_ADD = 1
@@ -582,6 +684,30 @@ def slopes(node: Node, d: Diagram, env: dict[str, float]) -> tuple[float, dict[s
             raise EvalError(f"non-finite slope {g} along {p!r}", format_expr(node.expr))
         out[p] = t_out * g / derivative(d.nodes[p].transform, env[p])
     return y, out
+
+
+def _slopes_columns(
+    ops: tuple[tuple, ...],
+    consts: np.ndarray,
+    env: np.ndarray,
+    own: _TransformArrays,
+    parents: _TransformArrays,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`slopes` of k deterministic nodes of one shape at once: ``(value, slopes, failed)``.
+
+    Node i's expression is the tree :func:`_value_and_gradient_columns`
+    reads from ``ops``, ``consts`` and ``env``, its transform is ``own``'s
+    entry i, and the parent in variable slot s has transform
+    ``parents``' entry (i, s).  ``value[i]`` and ``slopes[i, s]`` are what
+    :func:`slopes` gives, bit for bit, and ``failed`` is True exactly where
+    it raises.
+    """
+    y, grad, failed = _value_and_gradient_columns(ops, consts, env)
+    t_out, _ = own.derivative(y)
+    t_in, defined = parents.derivative(env)
+    failed |= ~own.contains(y) | ~(np.isfinite(grad) & defined).all(axis=1)
+    with np.errstate(all="ignore"):
+        return y, t_out[:, None] * grad / t_in, failed
 
 
 def recognize_linear(node: Node, d: Diagram) -> dict[str, float] | None:

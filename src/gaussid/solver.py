@@ -5,11 +5,16 @@ around the previous posterior point, conditions it on the evidence, and
 maps the conditioned moments back to the natural scale:
 
 1.  *Linearize* every deterministic node about the previous posterior
-    means y*: one walk of its expression gives its transformed value
+    means y*: a walk of its expression gives its transformed value
     T_j(f_j(y*)) and, unless the node was recognized as exactly linear
     (its constant coefficients are reused), its slopes by the chain rule
-    through the transforms, written straight into B's arcs by depth level
-    (the levels are found once per solve).
+    through the transforms, written straight into B's arcs by depth level.
+    The re-linearized nodes are grouped by expression shape (the operators
+    with slots for the constants and variables): the nodes of a shape with
+    at least ``_BATCH_MIN`` of them share one tape, walked once for all of
+    them over numpy columns with the same bits as their own walks, and a
+    member whose walk would fail is walked again on its own.  The levels
+    and the tapes are built once per solve.
 2.  *Update means* to first order: the shifts from the previous posterior
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
@@ -43,6 +48,7 @@ available, clearly labelled with the diverged status.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -73,6 +79,7 @@ from .model import (
     EVIDENCE,
     Diagram,
     Node,
+    _slopes_columns,
     ensure_valid,
     point_value,
     recognize_linear,
@@ -86,6 +93,7 @@ from .transforms import (
     FAMILY_TRANSFORMS,
     MomentPair,
     _inverse_moments_array,
+    _TransformArrays,
     derivative,  # noqa: F401  wrapped by bench/tracer.py
     forward_moments,
     forward_point,
@@ -117,11 +125,42 @@ MAX_ITERATIONS = "max_iterations"
 # Transform kind -> family whose moment identities invert that scale.
 _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 
-# A family with at least this many parameters maps its moments as arrays;
-# below it, numpy's fixed cost per call outweighs the per-parameter loop.
-# Beta families break even at about 16 members (Normal and lognormal ones
-# at 6 to 10), measured on one CPU of a 2-vCPU x86-64 machine.
+# A family with at least this many parameters maps its moments as arrays,
+# and an expression shape with at least this many re-linearized nodes is
+# linearized as one tape; below it, numpy's fixed cost per call outweighs
+# the per-node loop.  Beta families break even at about 16 members (Normal
+# and lognormal ones at 6 to 10), and the fan-in-6 shapes of the mixed_expr
+# benchmark at 6 to 8 nodes over a solve of three or four iterations, the
+# tape's building included, measured on one CPU of a 2-vCPU x86-64 machine.
 _BATCH_MIN = 16
+
+# A node's place in B's arcs: (level, row, parameter index, the row of
+# parameter indices it reads), as linearize walks it.
+Place = tuple[int, int, int, list[int]]
+
+
+@dataclass(frozen=True, eq=False)
+class _Tape:
+    """The re-linearized nodes of one expression shape, linearized together.
+
+    Member i is parameter ``nodes[i]``; its expression is ``ops`` (an
+    :attr:`~gaussid.model.Expr.shape`) with constant slot j holding
+    ``consts[j, i]`` and variable slot s reading parameter ``parents[i, s]``.
+    ``own`` holds the members' transforms (k,) and ``ins`` their parents'
+    (k, slots).  ``places`` lists the members' places in the arcs, level by
+    level, and ``cells`` has, for each level, its number, the slice of the
+    members in it and the flat index of each slot's coefficient in that
+    level's (rows, parents) coefficient array.
+    """
+
+    ops: tuple[tuple, ...]
+    nodes: np.ndarray
+    parents: np.ndarray
+    consts: np.ndarray
+    own: _TransformArrays
+    ins: _TransformArrays
+    places: list[Place]
+    cells: tuple[tuple[int, slice, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -225,6 +264,10 @@ class SolverState:
     ev_ancestors: tuple[np.ndarray, ...]
     factor_cols: np.ndarray  # the parameter of each column of A, by _factor_columns
     levels: Levels  # the parameters with parents, by depth of the arcs
+    # one tape per expression shape of at least _BATCH_MIN re-linearized
+    # nodes; the places of the other deterministic nodes, walked one by one
+    tapes: tuple[_Tape, ...]
+    walked: list[Place]
     # (family, parameter indices, transform a's, transform b's) for each
     # family of at least _BATCH_MIN parameters; the members of the smaller
     # families, in parameter order
@@ -347,6 +390,23 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
     components, ancestors = _evidence_components(levels, cond_var > 0.0, ev_parent)
 
+    # Group the re-linearized nodes by expression shape, level by level.
+    walked: list[Place] = []
+    shapes: dict[tuple, list[Place]] = {}
+    for level, (nodes, par) in enumerate(levels):
+        for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
+            place = (level, row, k, ps)
+            if param_ids[k] in linear:
+                walked.append(place)
+            else:
+                shapes.setdefault(d.nodes[param_ids[k]].expr.shape[0], []).append(place)
+    tapes = []
+    for ops, places in shapes.items():
+        if len(places) < _BATCH_MIN:
+            walked += places
+        else:
+            tapes.append(_tape(d, param_ids, index, ops, places))
+
     return SolverState(
         diagram=d,
         config=cfg,
@@ -358,6 +418,8 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         ev_ancestors=ancestors,
         factor_cols=_factor_columns(ancestors, cond_var > 0.0),
         levels=levels,
+        tapes=tuple(tapes),
+        walked=walked,
         batched=tuple(batched),
         one_by_one=one_by_one,
         cond_var=np.concatenate([cond_var, ev_var]),
@@ -365,6 +427,33 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         post_y=mean_y.copy(),
         point_x=mean_x.copy(),
         linear_coeffs=linear,
+    )
+
+
+def _tape(
+    d: Diagram, ids: tuple[str, ...], index: dict[str, int], ops: tuple, places: list[Place]
+) -> _Tape:
+    """The tape of the nodes at ``places``, whose expressions all have shape ``ops``."""
+    nodes = [d.nodes[ids[k]] for _, _, k, _ in places]
+    layouts = [node.expr.shape for node in nodes]
+    parents = [[index[name] for name in names] for _, _, names in layouts]
+    cells, start = [], 0
+    for level, group in itertools.groupby(zip(places, parents), key=lambda member: member[0][0]):
+        flat = [[row * len(ps) + ps.index(i) for i in slots] for (_, row, _, ps), slots in group]
+        cells.append((level, slice(start, start + len(flat)), np.array(flat, dtype=np.intp)))
+        start += len(flat)
+    size, width = len(nodes), len(layouts[0][2])
+    return _Tape(
+        ops=ops,
+        nodes=np.array([k for _, _, k, _ in places], dtype=np.intp),
+        parents=np.array(parents, dtype=np.intp),
+        consts=np.array([c for _, c, _ in layouts], dtype=float).reshape(size, -1).T.copy(),
+        own=_TransformArrays.of([node.transform for node in nodes], (size,)),
+        ins=_TransformArrays.of(
+            [d.nodes[ids[i]].transform for ps in parents for i in ps], (size, width)
+        ),
+        places=places,
+        cells=tuple(cells),
     )
 
 
@@ -394,36 +483,58 @@ def linearize(state: SolverState) -> Arcs:
     B.  Node j's coefficient on parent i is
     ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
     previous natural-scale posterior means; recognized-linear nodes keep
-    their constants.  Each node's expression is walked once, by
-    :func:`slopes` or, for a recognized-linear node, :func:`point_value`;
-    its transformed value T_j(f_j(y*)) is kept in ``state.point_x`` for
+    their constants.  Each expression shape with a tape (at least
+    ``_BATCH_MIN`` re-linearized nodes) is walked once for all its nodes,
+    by :func:`_linearize_tape`; each other node's expression is walked on
+    its own, by :func:`slopes` or, for a recognized-linear node,
+    :func:`point_value`, and so is each node a tape finds failing.  The
+    transformed values T_j(f_j(y*)) are kept in ``state.point_x`` for
     :func:`update_means`.  Of the nodes that fail, the first in parameter
-    order is named.
+    order is named, with the message of its own walk.
     """
     d, ids = state.diagram, state.param_ids
-    arcs = []
+    c = [np.zeros(par.shape) for _, par in state.levels]
+    walked = list(state.walked)
+    for tape in state.tapes:
+        walked += _linearize_tape(tape, state.post_y, state.point_x, c)
     failed: list[tuple[int, ValueError]] = []
-    for nodes, par in state.levels:
-        c = np.zeros(par.shape)
-        for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
-            node = d.nodes[ids[k]]
-            env = {ids[i]: state.post_y[i] for i in ps if i != k}
-            node_coeffs = state.linear_coeffs.get(node.id)
-            try:
-                if node_coeffs is None:
-                    y, node_coeffs = slopes(node, d, env)
-                else:
-                    y = point_value(node, env)
-                state.point_x[k] = forward_point(node.transform, y)
-            except ValueError as err:
-                failed.append((k, err))
-            else:  # a node is not its own parent, so its padding columns read 0.0
-                c[row] = [node_coeffs.get(ids[i], 0.0) for i in ps]
-        arcs.append((nodes, par, c[:, None, :]))
+    for level, row, k, ps in walked:
+        node = d.nodes[ids[k]]
+        env = {ids[i]: state.post_y[i] for i in ps if i != k}
+        node_coeffs = state.linear_coeffs.get(node.id)
+        try:
+            if node_coeffs is None:
+                y, node_coeffs = slopes(node, d, env)
+            else:
+                y = point_value(node, env)
+            state.point_x[k] = forward_point(node.transform, y)
+        except ValueError as err:
+            failed.append((k, err))
+        else:  # a node is not its own parent, so its padding columns read 0.0
+            c[level][row] = [node_coeffs.get(ids[i], 0.0) for i in ps]
     if failed:
         k, err = min(failed, key=lambda f: f[0])
         raise _iteration_error(state, f"cannot linearize {ids[k]!r}", err, ids[k]) from err
-    return tuple(arcs)
+    return tuple((nodes, par, cl[:, None, :]) for (nodes, par), cl in zip(state.levels, c))
+
+
+def _linearize_tape(
+    tape: _Tape, post_y: np.ndarray, point_x: np.ndarray, c: list[np.ndarray]
+) -> list[Place]:
+    """Linearize a tape's nodes at ``post_y`` into ``point_x`` and the coefficients ``c``.
+
+    One pass of :func:`~gaussid.model._slopes_columns` over the members
+    gives each node's value and slopes, bit for bit those of its own walk,
+    and marks the members whose walk would raise; their entries are written
+    too, and the places of those members are returned for :func:`linearize`
+    to walk them one by one, which rewrites their row or names the error.
+    """
+    y, b, failed = _slopes_columns(tape.ops, tape.consts, post_y[tape.parents], tape.own, tape.ins)
+    x, ok = tape.own.forward(y)
+    point_x[tape.nodes] = x
+    for level, members, flat in tape.cells:
+        c[level].reshape(-1)[flat] = b[members]
+    return [tape.places[i] for i in np.flatnonzero(failed | ~ok).tolist()]
 
 
 def update_means(state: SolverState, arcs: Arcs) -> np.ndarray:

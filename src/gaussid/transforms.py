@@ -24,7 +24,8 @@ Moment maps translate a prior on Y into (mean, variance) of X and back:
 
 :func:`inverse_moments` maps one quantity; ``_inverse_moments_array`` maps
 many quantities of one family at once, bit-identically, and leaves any entry
-it cannot finish to the scalar map.
+it cannot finish to the scalar map.  ``_TransformArrays`` likewise gives the
+point maps and derivatives of many transforms at once.
 """
 
 from __future__ import annotations
@@ -216,6 +217,57 @@ def derivative(t: Transform, y: float) -> float:
     if t.kind == LOG_SCALED:
         return 1.0 / (y - t.a)
     return 1.0 / (y - t.a) + 1.0 / (t.b - y)
+
+
+@dataclass(frozen=True, eq=False)
+class _TransformArrays:
+    """Many transforms, one per entry of an array, for the array forms of the point maps.
+
+    :meth:`contains`, :meth:`forward` and :meth:`derivative` give what
+    :meth:`Transform.contains`, :func:`forward_point` and :func:`derivative`
+    give entry by entry, bit for bit, and the latter two mark the entries
+    where the scalar function raises.  Build with :meth:`of`.
+    """
+
+    scaled: np.ndarray  # kind masks
+    logistic: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lo: np.ndarray  # the supports' ends
+    hi: np.ndarray
+    flat: np.ndarray  # 1 / (b - a), the scaled derivative
+
+    @classmethod
+    def of(cls, ts: list[Transform], shape: tuple[int, ...]) -> _TransformArrays:
+        """The transforms ``ts``, listed in C order, as arrays of ``shape``."""
+        keys = [(t.kind, t.a, t.b) for t in ts]  # few distinct transforms, most repeated
+        distinct = dict(zip(keys, ts))
+        pos = {key: i for i, key in enumerate(distinct)}
+        which = np.reshape([pos[key] for key in keys], shape)
+        kinds = np.array([t.kind for t in distinct.values()])[which]
+        a, b, lo, hi = np.array([(t.a, t.b, *t.support()) for t in distinct.values()]).T[:, which]
+        with np.errstate(over="ignore"):  # inf, as derivative gives, for a subnormal b - a
+            flat = 1.0 / (b - a)
+        return cls(kinds == SCALED, kinds == LOGISTIC_SCALED, a, b, lo, hi, flat)
+
+    def contains(self, y: np.ndarray) -> np.ndarray:
+        return (self.lo < y) & (y < self.hi)
+
+    def forward(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``forward_point`` entrywise, and where it does not raise."""
+        with np.errstate(all="ignore"):
+            rise = y - self.a
+            ratio = np.where(self.logistic, rise / (self.b - y), rise / (self.b - self.a))
+        logs = [math.log(r) if r > 0.0 else math.nan for r in ratio.ravel().tolist()]
+        x = np.where(self.scaled, ratio, np.reshape(logs, ratio.shape))
+        return x, self.scaled | (self.contains(y) & (ratio > 0.0))
+
+    def derivative(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``derivative`` entrywise, and where it does not raise."""
+        with np.errstate(all="ignore"):
+            near = 1.0 / (y - self.a)
+            dx = np.where(self.logistic, near + 1.0 / (self.b - y), near)
+        return np.where(self.scaled, self.flat, dx), self.scaled | self.contains(y)
 
 
 def forward_moments(p: PriorSpec) -> MomentPair:

@@ -330,6 +330,55 @@ def test_every_walker_matches_its_recursive_reference(e, other, env, seed):
     assert model._same_tree(e, other) == (e == other)
     assert model._same_tree(e, _rebuilt(e))
 
+    # The tape: trees of e's shape, with other constants, walked together
+    # over a column of environments; a tree it marks failed is walked again
+    # on its own, which names the error.
+    ops, consts, names = e.shape
+    assert _from_shape(ops, consts, names) == e
+    members = [(consts, {v: env.get(v, 0.5) for v in names})]
+    for _ in range(5):
+        other_consts = tuple(map(float, rng.choice(_SLOT_VALUES, size=len(consts))))
+        members.append((other_consts, {v: float(rng.choice(_SLOT_VALUES)) for v in names}))
+    value, partials, failed = model._value_and_gradient_columns(
+        ops,
+        np.array([c for c, _ in members]).reshape(len(members), len(consts)).T,
+        np.array([[m[v] for v in names] for _, m in members]).reshape(len(members), len(names)),
+    )
+    for i, (member_consts, member_env) in enumerate(members):
+        tree = _from_shape(ops, member_consts, names)
+        want = _outcome(ref_value_and_gradient, tree, member_env)
+        assert failed[i] == (want[0] == "error")
+        if failed[i]:
+            assert _outcome(value_and_gradient, tree, member_env) == want
+        else:
+            assert _bits(value[i]) == _bits(want[1][0])
+            assert {v: _bits(partials[i, s]) for s, v in enumerate(names)} == dict(
+                _map_bits(want[1][1])
+            )
+
+
+# Constants and variable values for the tape's other trees: edge values for
+# every check, and ordinary ones.
+_SLOT_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -1.5, 710.0, 1e300, 0.3, -0.7, 1.9]
+
+
+def _from_shape(ops, consts, names):
+    """The tree whose :attr:`~gaussid.model.Expr.shape` is ``(ops, consts, names)``."""
+    stack = []
+    for op, arg in ops:
+        if op is Const:
+            stack.append(Const(consts[arg]))
+        elif op is Var:
+            stack.append(Var(names[arg]))
+        elif op is Pow:
+            stack.append(Pow(stack.pop(), arg))
+        elif op in (Neg, Exp, Ln):
+            stack.append(op(stack.pop()))
+        else:
+            right = stack.pop()
+            stack.append(op(stack.pop(), right))
+    return stack.pop()
+
 
 def _rebuilt(e):
     """An equal tree that shares no node with ``e``."""

@@ -28,6 +28,7 @@ from gaussid.model import (
     Diagram,
     Div,
     Exp,
+    Ln,
     Mul,
     Pow,
     Sub,
@@ -939,6 +940,129 @@ class TestNaturalMomentsByFamily:
             solve(d)
         assert exc.value.node_id == first
         assert str(exc.value) == str(scalar_error(d, monkeypatch))
+
+
+def spy_tapes(monkeypatch):
+    """The sizes of the tapes the solver runs, one entry per run, filled as it runs."""
+    sizes = []
+    run = solver_mod._linearize_tape
+
+    def spy(tape, *args):
+        sizes.append(len(tape.nodes))
+        return run(tape, *args)
+
+    monkeypatch.setattr(solver_mod, "_linearize_tape", spy)
+    return sizes
+
+
+def spy_walks(monkeypatch):
+    """The ids of the nodes ``linearize`` walks on their own by :func:`slopes`."""
+    walked = []
+    walk = solver_mod.slopes
+
+    def spy(node, *args):
+        walked.append(node.id)
+        return walk(node, *args)
+
+    monkeypatch.setattr(solver_mod, "slopes", spy)
+    return walked
+
+
+def record_bits(records):
+    return [
+        (r.t, r.prior_mean_x.tobytes(), r.posterior_mean_x.tobytes(), r.posterior_var_x.tobytes())
+        for r in records
+    ]
+
+
+def test_a_shape_of_batch_min_nodes_runs_one_tape_per_step(monkeypatch):
+    # _BATCH_MIN nodes q_i = x * (y + c_i) share a shape; three r_j = x * y * c_j
+    # share another, too few for a tape; z is recognized linear.
+    n = solver_mod._BATCH_MIN
+    nodes = [normal_p("x", 1.0, 0.5), normal_p("y", 2.0, 0.3)]
+    x, y = Var("x"), Var("y")
+    nodes += [deterministic(f"q{i}", TS, Mul(x, Add(y, Const(0.1 * i)))) for i in range(n)]
+    nodes += [deterministic(f"r{j}", TS, Mul(Mul(x, y), Const(j + 1.0))) for j in range(3)]
+    nodes += [deterministic("z", TS, Add(Var("x"), Var("y")))]
+    nodes += [evidence("look", "q3", normal_look(2.5, 0.2))]
+    state = initialize(Diagram.from_nodes(nodes))
+    assert set(state.linear_coeffs) == {"z"}
+    sizes, walked = spy_tapes(monkeypatch), spy_walks(monkeypatch)
+    for t in (1, 2):
+        step(state)
+        assert sizes == [n] * t
+        assert sorted(walked) == sorted(["r0", "r1", "r2"] * t)
+
+
+class TestTapeErrors:
+    """A tape's failing members are walked again one by one, so the error
+    named, its text and the records kept are those of the per-node walk."""
+
+    def solve_both(self, nodes, monkeypatch):
+        d = Diagram.from_nodes(nodes)
+        sizes = spy_tapes(monkeypatch)
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert sizes and set(sizes) == {solver_mod._BATCH_MIN + 4}
+        expected = scalar_error(d, monkeypatch)
+        assert exc.value.node_id == expected.node_id
+        assert str(exc.value) == str(expected)
+        assert type(exc.value.__cause__) is type(expected.__cause__)
+        assert record_bits(exc.value.records) == record_bits(expected.records)
+        return exc.value
+
+    def members(self, transform, expr, bad):
+        """``_BATCH_MIN + 4`` nodes ``expr(c)``; c = ``bad`` for q5 and q9."""
+        n = solver_mod._BATCH_MIN + 4
+        return [
+            deterministic(f"q{i}", transform, expr(bad if i in (5, 9) else -5.0 - i / n))
+            for i in range(n)
+        ]
+
+    def test_a_non_finite_slope_at_the_prior_point(self, monkeypatch):
+        # (x - c)^0.5 at x = c is 0, and its slope is infinite.
+        nodes = [normal_p("x", 1.0, 1.0)]
+        nodes += self.members(TS, lambda c: Pow(Sub(Var("x"), Const(c)), 0.5), 1.0)
+        err = self.solve_both(nodes, monkeypatch)
+        assert err.node_id == "q5" and err.records == []
+        assert "non-finite slope" in str(err)
+
+    def test_a_value_that_fails_at_a_later_iteration(self, monkeypatch):
+        # The look pulls x from 1 to about -2, where ln(x - 0) is undefined.
+        nodes = [normal_p("x", 1.0, 1.0), evidence("look", "x", normal_look(-2.0, 0.01))]
+        nodes += self.members(TS, lambda c: Ln(Sub(Var("x"), Const(c))), 0.0)
+        err = self.solve_both(nodes, monkeypatch)
+        assert err.node_id == "q5" and len(err.records) == 1
+        assert "log of non-positive value" in str(err)
+
+    def test_a_value_off_its_transform_support(self, monkeypatch):
+        # x - 0 is defined everywhere, but leaves log_scaled's (0, inf) with x.
+        nodes = [normal_p("x", 1.0, 1.0), evidence("look", "x", normal_look(-2.0, 0.01))]
+        nodes += self.members(TLOG, lambda c: Sub(Var("x"), Const(c)), 0.0)
+        err = self.solve_both(nodes, monkeypatch)
+        assert err.node_id == "q5" and len(err.records) == 1
+        assert "outside its transform support" in str(err)
+
+    def test_a_parent_on_its_support_end(self, monkeypatch):
+        # A Beta posterior mean can round onto the end of (0, 1), where the
+        # parent's transform has no derivative.
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [beta_p(f"p{i}", 2.0, 2.0) for i in range(n)]
+        nodes += [deterministic(f"q{i}", TS, Mul(Var(f"p{i}"), Const(2.0 + i))) for i in range(n)]
+        d = Diagram.from_nodes(nodes)
+
+        def linearize_at_the_end(batch_min):
+            monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+            state = initialize(d)
+            state.post_y[[state.param_ids.index(p) for p in ("p5", "p9")]] = 1.0
+            with pytest.raises(IterationError) as exc:
+                linearize(state)
+            return len(state.tapes), exc.value
+
+        (tapes, got), (_, want) = linearize_at_the_end(n - 4), linearize_at_the_end(10**9)
+        assert tapes == 1 and got.node_id == "q5"
+        assert str(got) == str(want) and "outside the support" in str(got)
+        assert type(got.__cause__) is type(want.__cause__)
 
 
 def models_for_equivalence():

@@ -18,6 +18,7 @@ from gaussid.transforms import (
     PriorSpec,
     Transform,
     _inverse_moments_array,
+    _TransformArrays,
     derivative,
     forward_moments,
     forward_point,
@@ -294,3 +295,44 @@ class TestMomentMapArrays:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             _inverse_moments_array("gamma", np.zeros(1), np.ones(1), np.zeros(1), np.ones(1))
+
+
+def scalar_point_map(fn, t, y):
+    """Hex bits of ``fn(t, y)``, or None where it raises."""
+    try:
+        return fn(t, y).hex()
+    except ValueError:
+        return None
+
+
+@st.composite
+def transforms_and_points(draw):
+    """A (rows, cols) grid of transforms and a point for each, often at its support's ends."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    ts, ys = [], []
+    for _ in range(rows * cols):
+        a, b = draw(REFERENCE_POINTS)
+        ts.append(Transform(draw(st.sampled_from([SCALED, LOG_SCALED, LOGISTIC_SCALED])), a, b))
+        ends = st.sampled_from([a, b, math.nextafter(a, b)])
+        ys.append(draw(st.one_of(st.floats(-6.0, 6.0), ends)))
+    return (rows, cols), ts, ys
+
+
+class TestTransformArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(transforms_and_points())
+    def test_entries_equal_the_scalar_maps(self, drawn):
+        shape, ts, ys = drawn
+        arrays = _TransformArrays.of(ts, shape)
+        y = np.reshape(ys, shape)
+        x, x_ok = arrays.forward(y)
+        dx, dx_ok = arrays.derivative(y)
+        inside = arrays.contains(y)
+        for i, (t, yi) in enumerate(zip(ts, ys)):
+            at = np.unravel_index(i, shape)
+            assert inside[at] == t.contains(yi)
+            for fn, got, ok in ((forward_point, x, x_ok), (derivative, dx, dx_ok)):
+                want = scalar_point_map(fn, t, yi)
+                assert ok[at] == (want is not None)
+                if ok[at]:
+                    assert got[at].hex() == want
