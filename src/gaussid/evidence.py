@@ -6,7 +6,8 @@ Three designs are supported — normal samples with known variance, normal
 samples with unknown variance, and binomial counts — plus precision
 pooling of several observations on one parameter and an adapter that
 turns natural-scale samples of a log-transformed quantity into the
-summary statistics the normal designs need.
+summary statistics the normal designs need.  ``_binomial_array`` and
+``_pool_array`` do what :func:`binomial` and :func:`pool` do, over arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import BetaParams, beta_to_moments
+import numpy as np
+
+from .specfun import BetaParams, _beta_to_moments_lockstep, beta_to_moments
 from .transforms import LOG_SCALED, PriorSpec, Transform, forward_point
 
 __all__ = [
@@ -206,14 +209,53 @@ def binomial(count: int, successes: int, alpha: float, beta: float) -> Likelihoo
     return LikelihoodApprox(d, v)
 
 
+def _binomial_array(
+    count: np.ndarray, successes: np.ndarray, alpha: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`binomial` for arrays of observations, in one polygamma pass: ``(d, v, done)``.
+
+    Where ``done`` is True, ``d`` and ``v`` are :func:`binomial`'s bit for
+    bit; it is False exactly where :func:`binomial` raises.
+    """
+    with np.errstate(all="ignore"):
+        alpha2, beta2 = alpha + successes, beta + count - successes
+        x, var = _beta_to_moments_lockstep(np.append(alpha, alpha2), np.append(beta, beta2))
+        (x1, x2), (v1, v2) = np.split(x, 2), np.split(var, 2)
+        v = 1.0 / (1.0 / v2 - 1.0 / v1)
+        d = v * (x2 / v2 - x1 / v1)
+    done = (count >= 1.0) & (0.0 <= successes) & (successes <= count) & (alpha > 0.0) & (beta > 0.0)
+    done &= np.isfinite([alpha, beta, alpha2, beta2]).all(axis=0) & (v2 < v1)
+    return d, v, done & np.isfinite(d) & np.isfinite(v) & (v > 0.0)
+
+
 def pool(items: list[LikelihoodApprox]) -> LikelihoodApprox:
     """Combine observations on one parameter by precision weighting."""
     if not items:
         raise ValueError("cannot pool an empty list of observations")
-    precision = sum(1.0 / it.v for it in items)
-    weighted = sum(it.d / it.v for it in items)
+    precision = weighted = 0.0
+    for it in items:  # in order, as _pool_array adds (sum() may compensate)
+        precision += 1.0 / it.v
+        weighted += it.d / it.v
     v = 1.0 / precision
     return LikelihoodApprox(v * weighted, v)
+
+
+def _pool_array(
+    d: np.ndarray, v: np.ndarray, groups: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pool` of observations ``groups[g]`` for each g: ``(d, v, done)``, as in
+    :func:`_binomial_array`.  A short group adds 0.0 per missing observation: no bit changes.
+    """
+    width = max(map(len, groups))
+    at = np.array([items + [len(d)] * (width - len(items)) for items in groups]).T
+    precision, weighted = np.zeros((2, len(groups)))
+    with np.errstate(all="ignore"):
+        for dj, vj in zip(np.append(d, 0.0)[at], np.append(v, math.inf)[at]):
+            precision += 1.0 / vj
+            weighted += dj / vj
+        v_pool = 1.0 / precision
+        d_pool = v_pool * weighted
+    return d_pool, v_pool, np.isfinite(d_pool) & np.isfinite(v_pool) & (v_pool > 0.0)
 
 
 def lognormal_sample_adapter(
@@ -255,13 +297,7 @@ def to_likelihood(
     :func:`lognormal_sample_adapter` with the parent's transform.
     """
     if spec.variant == BINOMIAL:
-        if spec.alpha is not None:
-            alpha, beta = spec.alpha, spec.beta
-        elif parent_prior is not None and parent_prior.family == "beta":
-            alpha, beta = parent_prior.alpha, parent_prior.beta
-        else:
-            alpha = beta = _DEFAULT_REFERENCE
-        return binomial(spec.count, spec.successes, alpha, beta)
+        return binomial(spec.count, spec.successes, *_reference(spec, parent_prior))
 
     if spec.lognormal_samples:
         count, mean, var = lognormal_sample_adapter(spec.samples, parent_transform)
@@ -277,3 +313,12 @@ def to_likelihood(
     if spec.variant == NORMAL_KNOWN_VAR:
         return normal_known_var(spec.count, spec.sample_mean, spec.variance)
     return normal_unknown_var(spec.count, spec.sample_mean, spec.sample_var)
+
+
+def _reference(spec: EvidenceSpec, parent_prior: PriorSpec | None) -> tuple[float, float]:
+    """The reference (alpha, beta) of binomial evidence, as :func:`to_likelihood` picks it."""
+    if spec.alpha is not None:
+        return spec.alpha, spec.beta
+    if parent_prior is not None and parent_prior.family == "beta":
+        return parent_prior.alpha, parent_prior.beta
+    return _DEFAULT_REFERENCE, _DEFAULT_REFERENCE

@@ -1,5 +1,11 @@
 """The iterative linear-approximation solver.
 
+A solve starts at the prior point, which :func:`initialize` builds in array
+passes where there are enough members: a family of at least ``_BATCH_MIN``
+Beta priors, as many binomial observations and their pooling, and each
+expression-shape tape (below) level by level.  What a pass cannot finish is
+redone one by one, so the values and errors are the scalar ones.
+
 Each iteration rebuilds a Gaussian model of the transformed variables
 around the previous posterior point, conditions it on the evidence, and
 maps the conditioned moments back to the natural scale:
@@ -54,7 +60,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evidence import LikelihoodApprox, pool as pool_likelihoods, to_likelihood
+from .evidence import BINOMIAL, LikelihoodApprox, _binomial_array, _pool_array, _reference
+from .evidence import pool as pool_likelihoods, to_likelihood
 from .gaussian import (
     Arcs,
     ConditioningError,
@@ -80,6 +87,7 @@ from .model import (
     Diagram,
     Node,
     _slopes_columns,
+    _value_and_gradient_columns,
     ensure_valid,
     point_value,
     recognize_linear,
@@ -87,7 +95,7 @@ from .model import (
     topological_order,
 )
 from .model import eval_expr, value_and_gradient as diff_expr  # noqa: F401  names bench/tracer.py wraps
-from .specfun import ConvergenceError
+from .specfun import ConvergenceError, _beta_to_moments_lockstep
 from .transforms import (
     BETA,
     FAMILY_TRANSFORMS,
@@ -305,14 +313,17 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 
     Deterministic nodes take the value of their expression at the parent
     prior means, with conditional variance zero; their transformed means
-    follow by applying their transform at that point.  Evidence nodes
-    are resolved to (observation, variance) pairs in one pass, keyed by
-    node, or by observed parameter and pooled when the configuration asks
-    for it; the entries are grouped into the diagonal blocks of their
-    covariance, which the diagram's arcs fix for every iteration, and the
-    columns of the covariance factor are ordered by those groups' live
-    ancestors.  The iteration-0 "posterior" point is defined to be this
-    prior point.
+    follow by applying their transform at that point, level by level: each
+    tape over its members in the level, the other nodes one by one.
+    Evidence nodes are resolved to (observation, variance) pairs in one
+    pass, keyed by node, or by observed parameter and pooled when the
+    configuration asks for it; the entries are grouped into the diagonal
+    blocks of their covariance, which the diagram's arcs fix for every
+    iteration, and the columns of the covariance factor are ordered by those
+    groups' live ancestors.  The iteration-0 "posterior" point is defined to
+    be this prior point.  The error raised is the first failing parameter in
+    parameter order (prior map or prior point), then the first failing
+    observation in declaration order, whatever went through arrays.
     """
     cfg = cfg or SolverConfig()
     ensure_valid(d)
@@ -326,33 +337,35 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     cond_var = np.zeros(n)
     linear: dict[str, dict[str, float]] = {}
     members: dict[str, list[int]] = {}
+    betas: list[int] = []  # the basic parameters with Beta priors, and the others
+    others: list[int] = []
     for k, pid in enumerate(param_ids):
         node = d.nodes[pid]
         members.setdefault(_KIND_FAMILY[node.transform.kind], []).append(k)
         if node.kind == BASIC:
-            try:
-                m = forward_moments(node.prior)
-            except ValueError as err:
-                raise InitializationError(
-                    f"cannot map the prior of {pid!r} to its transformed scale: {err}", pid
-                ) from err
-            mean_x[k] = m.mean
-            cond_var[k] = m.variance
+            (betas if node.prior.family == BETA else others).append(k)
             mean_y[k] = _natural_prior_mean(node)
         else:
-            env = {p: mean_y[index[p]] for p in node.parents}
-            try:
-                y = point_value(node, env)
-            except ValueError as err:
-                raise InitializationError(
-                    f"cannot evaluate {pid!r} at the prior point: {err}", pid
-                ) from err
-            mean_y[k] = y
-            mean_x[k] = forward_point(node.transform, y)
-            cond_var[k] = 0.0
             coeffs = recognize_linear(node, d)
             if coeffs is not None:
                 linear[pid] = coeffs
+
+    # Prior moments, the Beta family as arrays when it is large enough.
+    failed: list[tuple[int, str, ValueError]] = []  # (parameter, what failed, why)
+    if len(betas) >= _BATCH_MIN:
+        at = np.array(betas, dtype=np.intp)
+        ab = [(d.nodes[param_ids[k]].prior.alpha, d.nodes[param_ids[k]].prior.beta) for k in betas]
+        mean_x[at], cond_var[at] = _beta_to_moments_lockstep(*np.array(ab).T)
+        finite = np.isfinite(mean_x[at]) & np.isfinite(cond_var[at])  # what MomentPair checks
+        betas = at[~finite].tolist()
+    for k in others + betas:
+        try:
+            m = forward_moments(d.nodes[param_ids[k]].prior)
+        except ValueError as err:
+            what = f"cannot map the prior of {param_ids[k]!r} to its transformed scale"
+            failed.append((k, what, err))
+        else:
+            mean_x[k], cond_var[k] = m.mean, m.variance
 
     batched = []
     one_by_one: list[int] = []
@@ -371,24 +384,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         )
     one_by_one.sort()
 
-    # Evidence entries in order of first appearance, each labelled by its
-    # first node: one per node, or one pooled entry per observed parameter.
-    # Only pooled entries go through pool, whose 1/(1/v) can change a bit.
-    looks: dict[str, tuple[Node, list[LikelihoodApprox]]] = {}
-    for node in d.evidence_nodes():
-        key = node.parents[0] if cfg.pool_evidence else node.id
-        looks.setdefault(key, (node, []))[1].append(_resolve(node, d))
-    entries = [
-        (first, pool_likelihoods(items) if cfg.pool_evidence else items[0])
-        for first, items in looks.values()
-    ]
-    order = param_ids + tuple(first.id for first, _ in entries)
-    ev_parent = np.array([index[first.parents[0]] for first, _ in entries], dtype=int)
-    ev_obs = np.array([like.d for _, like in entries])
-    ev_var = np.array([like.v for _, like in entries])
-
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
-    components, ancestors = _evidence_components(levels, cond_var > 0.0, ev_parent)
 
     # Group the re-linearized nodes by expression shape, level by level.
     walked: list[Place] = []
@@ -407,13 +403,52 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         else:
             tapes.append(_tape(d, param_ids, index, ops, places))
 
+    # The prior point, level by level: each tape's members in the level at
+    # once, then the level's other nodes and the members a tape cannot
+    # finish one by one.
+    for level, (nodes, _) in enumerate(levels):
+        done = set()
+        for tape, at in [(t, at) for t in tapes for lv, at, _ in t.cells if lv == level]:
+            y, _, bad = _value_and_gradient_columns(
+                tape.ops, tape.consts[:, at], mean_y[tape.parents[at]]
+            )
+            own, ks = tape.own[at], tape.nodes[at]
+            x, ok = own.forward(y)
+            mean_y[ks], mean_x[ks] = y, x
+            done.update(ks[own.contains(y) & ok & ~bad].tolist())
+        for k in nodes.tolist():
+            if k in done:
+                continue
+            node = d.nodes[param_ids[k]]
+            try:
+                mean_y[k] = point_value(node, {p: mean_y[index[p]] for p in node.parents})
+                mean_x[k] = forward_point(node.transform, mean_y[k])
+            except ValueError as err:
+                failed.append((k, f"cannot evaluate {node.id!r} at the prior point", err))
+    if failed:
+        k, what, err = min(failed, key=lambda f: f[0])
+        raise InitializationError(f"{what}: {err}", param_ids[k]) from err
+
+    # Evidence entries in order of first appearance, each labelled by its
+    # first node: one per node, or one pooled entry per observed parameter.
+    ev_nodes = d.evidence_nodes()
+    ev_obs, ev_var = _likelihoods(ev_nodes, d)
+    looks: dict[str, tuple[Node, list[int]]] = {}
+    for i, node in enumerate(ev_nodes):
+        looks.setdefault(node.parents[0] if cfg.pool_evidence else node.id, (node, []))[1].append(i)
+    if cfg.pool_evidence:  # only pooled entries go through pool, whose 1/(1/v) can change a bit
+        ev_obs, ev_var = _pooled(ev_obs, ev_var, [items for _, items in looks.values()])
+    order = param_ids + tuple(first.id for first, _ in looks.values())
+    ev_parent = np.array([index[first.parents[0]] for first, _ in looks.values()], dtype=int)
+    components, ancestors = _evidence_components(levels, cond_var > 0.0, ev_parent)
+
     return SolverState(
         diagram=d,
         config=cfg,
         param_ids=param_ids,
         order=order,
         ev_parent=ev_parent,
-        ev_obs=ev_obs,
+        ev_obs=np.array(ev_obs),
         ev_components=components,
         ev_ancestors=ancestors,
         factor_cols=_factor_columns(ancestors, cond_var > 0.0),
@@ -428,6 +463,42 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         point_x=mean_x.copy(),
         linear_coeffs=linear,
     )
+
+
+def _likelihoods(nodes: list[Node], d: Diagram) -> tuple[list[float], list[float]]:
+    """The (d, v) of each evidence node, at least ``_BATCH_MIN`` binomial ones as arrays.
+
+    The other nodes, binomial counts from 2**53 on (not all exact as floats)
+    and the entries the arrays leave NaN are resolved one by one in order, so
+    the first failure raises."""
+    obs, var = [math.nan] * len(nodes), [math.nan] * len(nodes)
+    batch = [i for i, n in enumerate(nodes) if n.obs.variant == BINOMIAL and n.obs.count < 2**53]
+    if len(batch) >= _BATCH_MIN:
+        specs = [nodes[i].obs for i in batch]
+        refs = [_reference(nodes[i].obs, d.nodes[nodes[i].parents[0]].prior) for i in batch]
+        rows = [(spec.count, spec.successes, *ref) for spec, ref in zip(specs, refs)]
+        got = _binomial_array(*np.array(rows, dtype=float).T)
+        for i, x, v, done in zip(batch, *(a.tolist() for a in got)):
+            if done:
+                obs[i], var[i] = x, v
+    for i, x in enumerate(obs):
+        if math.isnan(x):
+            like = _resolve(nodes[i], d)
+            obs[i], var[i] = like.d, like.v
+    return obs, var
+
+
+def _pooled(
+    obs: list[float], var: list[float], groups: list[list[int]]
+) -> tuple[list[float], list[float]]:
+    """Each group of observations pooled into one, as arrays for at least ``_BATCH_MIN``
+    groups; if one fails, all go through :func:`pool`, which raises at the first."""
+    if len(groups) >= _BATCH_MIN:
+        d, v, done = _pool_array(np.array(obs), np.array(var), groups)
+        if done.all():
+            return d.tolist(), v.tolist()
+    pooled = [pool_likelihoods([LikelihoodApprox(obs[i], var[i]) for i in g]) for g in groups]
+    return [like.d for like in pooled], [like.v for like in pooled]
 
 
 def _tape(

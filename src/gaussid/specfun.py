@@ -14,7 +14,8 @@ mean and variance of the log-odds ``X = ln(Y / (1 - Y))``:
     E X   = psi(alpha) - psi(beta)
     Var X = psi'(alpha) + psi'(beta)
 
-:func:`beta_from_moments` inverts that map with a damped Newton iteration.
+:func:`beta_from_moments` inverts that map with a damped Newton iteration
+(:func:`_beta_to_moments_lockstep` evaluates it on arrays, bit for bit).
 :func:`_beta_from_moments_lockstep` runs the same iteration on arrays of
 moments at once: each Newton step is one pass of array arithmetic over the
 entries that have not yet converged, in the scalar routine's order of
@@ -196,13 +197,15 @@ def beta_from_moments(mean: float, var: float) -> BetaParams:
 
 
 def _polygammas_lockstep(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_polygammas` over an array of arguments >= 0.5, bit for bit.
+    """:func:`_polygammas` over an array of positive arguments, bit for bit.
 
     Row i holds the shift term z + i; ``add.accumulate`` sums the rows in
     order, as the scalar loop does (it starts from 0.0, so subtracting each
     term is negating the running sum of the terms).  The terms are formed
     in two buffers, in place, which keeps the transient memory of a large
-    family small.
+    family small.  Where a tiny z's powers underflow or their reciprocals
+    overflow, the divisions give the scalar loop's infinities, with numpy
+    warnings that callers silence.
     """
     d = z + _SHIFTS
     t = np.divide(1.0, d)
@@ -224,6 +227,14 @@ def _polygammas_lockstep(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         ),
         psi2 - iw2 - iw * iw2 - 0.5 * iw2 * iw2 + iw2 * iw2 * (iw2 / 6.0 - iw2 * iw2 / 6.0),
     )
+
+
+def _beta_to_moments_lockstep(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`beta_to_moments` for arrays of parameters, bit for bit, in one polygamma pass."""
+    k = len(alpha)
+    with np.errstate(all="ignore"):
+        psi, psi1, _ = _polygammas_lockstep(np.concatenate([alpha, beta]))
+        return psi[:k] - psi[k:], psi1[:k] + psi1[k:]
 
 
 def _beta_from_moments_lockstep(

@@ -250,6 +250,9 @@ class _TransformArrays:
             flat = 1.0 / (b - a)
         return cls(kinds == SCALED, kinds == LOGISTIC_SCALED, a, b, lo, hi, flat)
 
+    def __getitem__(self, at) -> _TransformArrays:
+        return _TransformArrays(*(v[at] for v in vars(self).values()))
+
     def contains(self, y: np.ndarray) -> np.ndarray:
         return (self.lo < y) & (y < self.hi)
 

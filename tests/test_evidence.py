@@ -2,11 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussid.evidence import (
     EvidenceSpec,
     LikelihoodApprox,
+    _binomial_array,
+    _pool_array,
     binomial,
     lognormal_sample_adapter,
     normal_known_var,
@@ -142,6 +147,68 @@ class TestPooling:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             pool([])
+
+
+def outcome(fn, *args):
+    """The hex bits of ``fn(*args)``'s (d, v), or None where it raises."""
+    try:
+        like = fn(*args)
+    except (ValueError, ArithmeticError):
+        return None
+    return like.d.hex(), like.v.hex()
+
+
+# Reference parameters from the subnormals up, where psi' overflows, to 1e300.
+REFERENCES = st.one_of(
+    st.floats(5e-324, 10.0), st.floats(-323.5, 300.0).map(lambda e: 10.0**e)
+)
+
+
+@st.composite
+def binomial_observations(draw):
+    """(count, successes, alpha, beta), a few of them outside binomial's domain."""
+    count = draw(st.integers(0, 500))
+    successes = draw(st.integers(-1, count + 1))
+    return count, successes, draw(st.one_of(REFERENCES, st.just(0.0))), draw(REFERENCES)
+
+
+class TestArrayForms:
+    """The array binomial map and pooling give the scalar bits, or mark the
+    entries where the scalar function raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(binomial_observations(), min_size=1, max_size=40))
+    def test_binomial_array_matches_binomial(self, observations):
+        d, v, done = _binomial_array(*(np.array(col, dtype=float) for col in zip(*observations)))
+        got = [(x.hex(), y.hex()) if ok else None for x, y, ok in zip(d, v, done)]
+        assert got == [outcome(binomial, *obs) for obs in observations]
+
+    def test_an_observation_that_adds_no_precision_is_marked(self):
+        # Reference alpha 1e-160: v1 = inf, and with no success v2 = inf too.
+        ones = np.ones(2)
+        _, _, done = _binomial_array(10.0 * ones, np.array([0.0, 3.0]), 1e-160 * ones, ones)
+        assert done.tolist() == [False, True]
+        assert outcome(binomial, 10, 0, 1e-160, 1.0) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.floats(-1e6, 1e6), REFERENCES), min_size=1, max_size=4),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_pool_array_matches_pool(self, groups):
+        flat = [item for group in groups for item in group]
+        ends = np.cumsum([len(g) for g in groups]).tolist()
+        d, v, done = _pool_array(
+            np.array([x for x, _ in flat]),
+            np.array([y for _, y in flat]),
+            [list(range(end - len(g), end)) for g, end in zip(groups, ends)],
+        )
+        got = [(x.hex(), y.hex()) if ok else None for x, y, ok in zip(d, v, done)]
+        want = [outcome(pool, [LikelihoodApprox(x, y) for x, y in group]) for group in groups]
+        assert got == want
 
 
 class TestSampleAdapter:

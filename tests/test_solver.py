@@ -37,6 +37,7 @@ from gaussid.model import (
     deterministic,
     eval_expr,
     evidence,
+    topological_order,
 )
 from gaussid.solver import (
     CONVERGED,
@@ -1096,3 +1097,138 @@ def test_array_and_scalar_moment_maps_give_bitwise_equal_solves(name, monkeypatc
         k: (m.mean.hex(), m.variance.hex()) for k, m in scalar.posterior_y.items()
     }
     assert batched.posterior_correlations.tobytes() == scalar.posterior_correlations.tobytes()
+
+
+
+def init_error(d, batch_min, monkeypatch):
+    """The InitializationError of ``initialize(d)`` with ``_BATCH_MIN`` set to ``batch_min``."""
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "_BATCH_MIN", batch_min)
+        with pytest.raises(InitializationError) as exc:
+            initialize(d)
+    return exc.value
+
+
+def assert_the_scalar_error(d, monkeypatch, node_id, batch_min=1):
+    """The array paths raise what the scalar paths raise, naming ``node_id``."""
+    got, want = init_error(d, batch_min, monkeypatch), init_error(d, 10**9, monkeypatch)
+    assert got.node_id == want.node_id == node_id
+    assert str(got) == str(want)
+    assert type(got.__cause__) is type(want.__cause__)
+    return got
+
+
+def binomial_look(count, successes, **reference):
+    return EvidenceSpec(variant="binomial", count=count, successes=successes, **reference)
+
+
+TINY_REFERENCE = {"alpha": 1e-160, "beta": 1.0}  # with no success, v1 and v2 are both inf
+
+
+class TestInitializeByArrays:
+    """Beta prior families, binomial observations, their pooling and each tape's
+    prior point go through arrays, with the scalar paths' bits and errors."""
+
+    @pytest.mark.parametrize(
+        "name", ["beta_binomial.json", "risk_difference.json", "scale_1500", "mixed_expr"]
+    )
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_the_state_is_bit_equal_to_the_scalar_path(self, name, pool, monkeypatch):
+        d, _ = models_for_equivalence()[name]
+        states = []
+        for batch_min in (1, 10**9):
+            monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+            states.append(initialize(d, SolverConfig(pool_evidence=pool)))
+        batched, scalar = states
+        assert not scalar.tapes and not scalar.batched
+        assert batched.order == scalar.order
+        for field in ("post_x", "post_y", "point_x", "cond_var", "ev_obs", "ev_parent"):
+            assert getattr(batched, field).tobytes() == getattr(scalar, field).tobytes(), field
+
+    def test_a_beta_prior_that_overflows_in_a_family(self, monkeypatch):
+        n = solver_mod._BATCH_MIN + 4
+        priors = [beta_p(f"p{i}", 1e-160 if i in (6, 9) else i + 1.0) for i in range(n)]
+        d = Diagram.from_nodes(priors)
+        err = assert_the_scalar_error(d, monkeypatch, "p6", batch_min=n)
+        assert "cannot map the prior of 'p6'" in str(err)
+
+    def test_a_binomial_observation_that_adds_no_precision(self, monkeypatch):
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [beta_p(f"p{i}", 2.0, 3.0) for i in range(n)]
+        for i in range(n):
+            reference = TINY_REFERENCE if i in (5, 8) else {}
+            look = binomial_look(10, 0 if reference else i % 11, **reference)
+            nodes.append(evidence(f"o{i}", f"p{i}", look))
+        err = assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "o5", batch_min=n)
+        assert "adds no precision" in str(err)
+
+    def test_parameters_fail_before_observations(self, monkeypatch):
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [evidence("o0", "p0", binomial_look(5, 0, **TINY_REFERENCE))]
+        nodes += [beta_p(f"p{i}", 1e-160 if i == 9 else 2.0) for i in range(n)]
+        assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "p9")
+
+    @pytest.mark.parametrize("q_first", [True, False])
+    def test_the_first_failure_in_parameter_order_is_named(self, q_first, monkeypatch):
+        # q3's prior point (a tape member) and p7's prior map (a Beta family
+        # member) fail; whichever comes first in parameter order is named.
+        n = solver_mod._BATCH_MIN + 4
+        qs = [normal_p("x", 1.0, 0.5)] + [
+            deterministic(f"q{i}", TS, Ln(Sub(Var("x"), Const(2.0 if i == 3 else -1.0 - i))))
+            for i in range(n)
+        ]
+        ps = [beta_p(f"p{i}", 1e-160 if i == 7 else 2.0) for i in range(n)]
+        d = Diagram.from_nodes(qs + ps if q_first else ps + qs)
+        first, second = ("q3", "p7") if q_first else ("p7", "q3")
+        assert topological_order(d).index(first) < topological_order(d).index(second)
+        assert_the_scalar_error(d, monkeypatch, first, batch_min=n)
+
+    def test_only_what_an_array_pass_cannot_finish_reaches_the_scalar_maps(self, monkeypatch):
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p("x", 1.0, 0.5)] + [beta_p(f"p{i}", 1.0 + i, 2.0) for i in range(n)]
+        nodes += [evidence(f"o{i}", f"p{i}", binomial_look(9, i % 10)) for i in range(n)]
+        nodes += [
+            deterministic(f"q{i}", TS, Mul(Var("x"), Add(Var(f"p{i}"), Const(0.1 * i))))
+            for i in range(n)
+        ]
+        calls = {"forward_moments": [], "to_likelihood": [], "point_value": []}
+        for name, seen in calls.items():
+
+            def spy(first, *args, _fn=getattr(solver_mod, name), _seen=seen):
+                _seen.append(first)
+                return _fn(first, *args)
+
+            monkeypatch.setattr(solver_mod, name, spy)
+        state = initialize(Diagram.from_nodes(nodes))
+        assert [len(tape.nodes) for tape in state.tapes] == [n]
+        assert [p.family for p in calls["forward_moments"]] == ["normal"]
+        assert calls["to_likelihood"] == calls["point_value"] == []
+
+        bad = evidence("o_bad", "p2", binomial_look(9, 0, **TINY_REFERENCE))
+        with pytest.raises(InitializationError, match="'o_bad'"):
+            initialize(Diagram.from_nodes(nodes + [bad]))
+        assert calls["to_likelihood"] == [bad.obs]
+        assert calls["point_value"] == []
+
+
+class TestPriorPointsOnTheSupportEnd:
+    """A prior point on the support whose transform ratio underflows to 0
+    names its node instead of raising math's bare ValueError."""
+
+    T = Transform("log_scaled", 0.0, 1e308)
+
+    def test_one_node(self):
+        y = deterministic("y", self.T, Mul(Var("x"), Const(1e-320)))
+        d = Diagram.from_nodes([normal_p("x", 1.0, 0.1), y])
+        with pytest.raises(InitializationError, match="evaluate 'y' at the prior point") as exc:
+            solve(d)
+        assert exc.value.node_id == "y"
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_a_tape_member(self, monkeypatch):
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p("x", 1.0, 0.1)] + [
+            deterministic(f"y{i}", self.T, Mul(Var("x"), Const(1e-320 if i == 5 else 1.0 + i)))
+            for i in range(n)
+        ]
+        assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "y5", batch_min=n)

@@ -18,6 +18,7 @@ from gaussid.specfun import (
     BetaParams,
     ConvergenceError,
     _beta_from_moments_lockstep,
+    _beta_to_moments_lockstep,
     _initial_guess,
     _polygammas,
     _polygammas_lockstep,
@@ -28,6 +29,7 @@ from gaussid.specfun import (
     trigamma,
 )
 from gaussid.solver import _BATCH_MIN
+from gaussid.transforms import PriorSpec, Transform, forward_moments
 
 EULER = 0.57721566490153286
 
@@ -200,6 +202,13 @@ LOG_ODDS_VARIANCES = st.one_of(
 )
 
 
+# Beta parameters from the subnormals, where psi' overflows, to 1e300.
+POSITIVE_PARAMETERS = st.one_of(
+    st.floats(5e-324, 10.0), st.floats(-323.5, 300.0).map(lambda e: 10.0**e)
+)
+T01 = Transform("logistic_scaled", 0.0, 1.0)
+
+
 def nudged_beta_from_moments(mean, var):
     """The inversion as it stood with a Jacobian nudge: at a singular or
     non-finite Jacobian it moved both parameters up by 1e-6, at most three
@@ -287,17 +296,23 @@ class TestLockstepInversion:
 
     def test_polygammas_match_the_scalar_loop_bitwise(self):
         # numpy's log differs from math.log on about 2 in 10^4 of these
-        # arguments, so the grid is large enough to catch one.
+        # arguments, so the grid is large enough to catch one.  Below 0.5
+        # the grid reaches the subnormals, where psi' and psi'' are infinite
+        # and psi is -inf.
         rng = np.random.default_rng(3)
         z = np.concatenate(
             [
-                [0.5, 1.0, 9.5, 10.0],
+                [5e-324, 1e-310, 2.2250738585072014e-308, 1e-162, 1e-108, 0.49999999999999994],
+                [0.5, 1.0, 9.5, 10.0, 1e300, 1.7976931348623157e308],
                 rng.uniform(0.5, 100.0, 40000),
                 0.5 + 10.0 ** rng.uniform(-8, 8, 10000),
+                rng.uniform(0.0, 0.5, 10000),
+                10.0 ** rng.uniform(-323.5, math.log10(0.5), 10000),
             ]
         )
-        psi, psi1, psi2 = _polygammas_lockstep(z)
-        for k, x in enumerate(z.tolist()):
+        with np.errstate(all="ignore"):
+            psi, psi1, psi2 = _polygammas_lockstep(z[z > 0.0])
+        for k, x in enumerate(z[z > 0.0].tolist()):
             assert _polygammas(x) == (psi[k], psi1[k], psi2[k])
 
     @settings(max_examples=60, deadline=None)
@@ -326,6 +341,25 @@ class TestLockstepInversion:
         assert scalar_inversion(*good) == (alpha[0].hex(), beta[0].hex())
         with pytest.raises(ConvergenceError):
             beta_from_moments(*diffuse)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(POSITIVE_PARAMETERS, POSITIVE_PARAMETERS), min_size=1, max_size=40
+        )
+    )
+    def test_forward_map_matches_the_prior_map(self, params):
+        # The solver maps a Beta prior family through _beta_to_moments_lockstep
+        # and sends the entries whose moments are not finite to forward_moments.
+        mean, var = _beta_to_moments_lockstep(*(np.array(col) for col in zip(*params)))
+        for (a, b), m, v in zip(params, mean.tolist(), var.tolist()):
+            prior = PriorSpec(family="beta", transform=T01, alpha=a, beta=b)
+            if math.isfinite(m) and math.isfinite(v):
+                got = forward_moments(prior)
+                assert (got.mean.hex(), got.variance.hex()) == (m.hex(), v.hex())
+            else:
+                with pytest.raises(ValueError):
+                    forward_moments(prior)
 
     def test_empty_input(self):
         alpha, beta, done = _beta_from_moments_lockstep(np.zeros(0), np.zeros(0))
