@@ -10,8 +10,13 @@ forward-substitution pass over the arcs builds (Shachter & Kenley,
 "Gaussian influence diagrams", Management Science 35(5), 1989).  One
 kernel, :func:`_substitute`, solves (I - B') X = X0 with one batched update
 per depth level of the arcs.  A itself and every product of A with a matrix
-go through it (A rhs is the kernel applied to diag(sqrt v) rhs), so none is
-a dense matrix product, and each costs O(arcs x columns).
+go through it, so none is a dense matrix product, and each costs
+O(arcs x columns).
+
+Nodes in different weakly connected components of the arcs share no
+ancestor, hence no nonzero column of A or covariance, so they share column
+slots (:class:`Packing`), the trivially colored case of column compression
+(Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).
 
 Evidence is absorbed in the factor space of A (Lauritzen & Jensen, "Stable
 local computation with conditional Gaussian distributions", Statistics and
@@ -23,15 +28,15 @@ with G_g = A[observed][:, L_g], is factored once by a symmetric
 eigendecomposition, which also gives the condition-number guard, and the
 update is a small factor V_g over those columns.  The posterior covariance
 is A (I - V'V) A': the variances are row sums of squares, and the
-covariance itself, from which the correlations are read, is formed only
-when it is asked for, by one more substitution pass.
+covariance itself, from which the correlations are read, is formed packed,
+by one more substitution pass, and only the n x n result is unpacked.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,12 +132,12 @@ def _depth_levels(parents: Sequence[Sequence[int]]) -> Levels:
 
 
 def _level_arcs(levels: Levels, coeffs: np.ndarray) -> Arcs:
-    """B's arcs by depth level: ``(nodes, par, c)`` with ``c[k, 0, :] = B[par[k], nodes[k]]``.
+    """B's arcs by depth level: ``(nodes, par, c)`` with ``c[k] = B[par[k], nodes[k]]``.
 
     Gathered once from a dense B (for :func:`propagate_covariance`), they serve
     every :func:`_substitute` pass; the solver's ``linearize`` fills them without B.
     """
-    return tuple((nodes, par, coeffs[par, nodes[:, None]][:, None, :]) for nodes, par in levels)
+    return tuple((nodes, par, coeffs[par, nodes[:, None]]) for nodes, par in levels)
 
 
 def _substitute(arcs: Arcs, x: np.ndarray) -> np.ndarray:
@@ -143,114 +148,191 @@ def _substitute(arcs: Arcs, x: np.ndarray) -> np.ndarray:
     returned.  Row j of X is X0[j] plus sum_i B_ij X[i] over j's parents i,
     which sit in earlier levels, so each level is one gather and one batched
     product: the cost is O(arcs x columns), and rows without parents are
-    not touched.
+    not touched.  The sums are :func:`_product`'s, so each column's bits do
+    not depend on how many columns there are.
     """
     rows = x if x.ndim == 2 else x[:, None]
     for nodes, par, c in arcs:
-        rows[nodes] += (c @ rows[par])[:, 0]
+        rows[nodes] += _product(c[:, None, :], rows[par])[:, 0]
     return x
 
 
-def _forward_factor(arcs: Arcs, scale: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The factor A = (I - B)^-T diag(sqrt v) of the covariance A A'.
+def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` for stacks m (k, r, t) and x (k, t, w), each entry summed from 0 over t in order.
 
-    ``scale`` is sqrt(v) per node.  Only the columns of nodes with v_j > 0
-    are kept (the others are zero), in the order ``cols`` lists those
-    nodes.  A is n x q, with q the number of nodes with v_j > 0, and solves
-    (I - B') A = D with D = diag(sqrt v) on those columns: row j of A is
-    sqrt(v_j) e_j plus sum_i B_ij A_i over its parents i, one
+    So a column's bits do not depend on w, as a BLAS product's do.  numpy's
+    einsum adds so when its innermost loop runs over two or more columns.
+    """
+    if x.shape[2] == 1:
+        return np.einsum("krt,ktw->krw", m, np.concatenate([x, x], axis=2))[:, :, :1]
+    return np.einsum("krt,ktw->krw", m, x)
+
+
+class Packing(NamedTuple):
+    """Where A and the covariance keep their entries: packed by connected component.
+
+    Node i has rank ``slot[i]`` in its component ``comp[i]``, which holds all
+    it covaries with.  Column s of row i of the n x w covariance (w the most
+    members) is node ``cols[i, s]``, member s of i's component, or i itself
+    on the padding.  Column t of A (n x ``live_width``) is the live node of
+    rank t in the row's component; live node j has rank ``live_slot[j]``.
+    """
+
+    comp: np.ndarray
+    slot: np.ndarray
+    members: np.ndarray  # (components, w): the node at each slot, -1 past the end
+    cols: np.ndarray
+    live: np.ndarray
+    live_slot: np.ndarray
+    live_width: int
+
+
+def _packing(levels: Levels, live: np.ndarray) -> Packing:
+    """The :class:`Packing` of the nodes whose arcs ``levels`` gives, with v_j > 0 where ``live``.
+
+    A union-find over ``levels``' rows finds the components, numbered by first node.
+    """
+    n = len(live)
+    root = list(range(n))
+    for nodes, par in levels:  # each row joins its node and parents under one root r
+        for j, ps in zip(nodes.tolist(), par.tolist()):
+            r = -1
+            for i in ps:
+                while root[i] != i:  # up to i's root, halving the path
+                    root[i] = root[root[i]]
+                    i = root[i]
+                r = i if r < 0 else r
+                root[i] = root[j] = r
+    sizes: dict[int, list[int]] = {}  # root -> [component, nodes, live nodes] so far
+    comp, slot, live_slot = [], [], []
+    for i, alive in enumerate(live.tolist()):
+        while root[i] != root[root[i]]:
+            root[i] = root[root[i]]
+        c = sizes.setdefault(root[i], [len(sizes), 0, 0])
+        comp.append(c[0])
+        slot.append(c[1])
+        live_slot.append(c[2])
+        c[1] += 1
+        c[2] += alive
+    comp, slot, live_slot = np.array([comp, slot, live_slot], dtype=np.intp)
+    members = np.full((len(sizes), max((c[1] for c in sizes.values()), default=0)), -1)
+    members[comp, slot] = at = np.arange(n)
+    cols = members[comp]
+    np.copyto(cols, at[:, None], where=cols < 0)
+    widest = max((c[2] for c in sizes.values()), default=0)
+    return Packing(comp, slot, members, cols, np.flatnonzero(live), live_slot, widest)
+
+
+def _forward_factor(arcs: Arcs, scale: np.ndarray, pack: Packing) -> np.ndarray:
+    """The factor A = (I - B)^-T diag(sqrt v) of the covariance A A', packed by ``pack``.
+
+    ``scale`` is sqrt(v) per node; only the columns of nodes with v_j > 0
+    are nonzero.  A solves (I - B') A = diag(sqrt v): row j is sqrt(v_j) at
+    j's own column plus sum_i B_ij A_i over its parents i, one
     :func:`_substitute` pass over B's ``arcs``.
     """
-    a = np.zeros((len(scale), len(cols)))
-    a[cols, np.arange(len(cols))] = scale[cols]
+    a = np.zeros((len(scale), pack.live_width))
+    a[pack.live, pack.live_slot[pack.live]] = scale[pack.live]
     return _substitute(arcs, a)
 
 
-def _times_factor(arcs: Arcs, scale: np.ndarray, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``A @ rhs`` for the factor A of :func:`_forward_factor`, with no dense product.
-
-    A rhs solves (I - B') X = D rhs, where D rhs is ``rhs`` (q rows) scaled
-    row by row by sqrt(v) and placed on the rows of the nodes ``cols``
-    lists, zero elsewhere; :func:`_substitute` then costs O(arcs x columns).
-    """
-    x = np.zeros((len(scale), rhs.shape[1]))
-    x[cols] = scale[cols, None] * rhs
-    return _substitute(arcs, x)
-
-
-# The update factors V are read in runs of at most this many rows or
-# columns per group stack, so no temporary grows to the n x m of all the
-# evidence entries.
+# The update factors V of groups of more than one column are read in runs
+# of at most this many rows or columns per group stack, so no temporary
+# grows to the n x m of all the evidence entries.
 _RUN = 64
 
 
-def _runs(vs: Sequence[np.ndarray]) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(columns of A, V)`` for runs of groups of one shape class.
+def _runs(ancestors: Sequence, vs: Sequence) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(live ancestors, V)`` for runs of groups of one shape class.
 
-    ``vs`` holds one (k, s, l) stack per shape class, as
-    :func:`_factor_update` returns them: k groups of s entries whose l live
-    ancestors are l consecutive columns of A, class after class.  A class
-    of width l = 1 needs no temporary (see :func:`_update_variance`), so it
-    is one run.
+    ``ancestors`` and ``vs`` hold one (k, l) and one (k, s, l) array per shape
+    class.  A class of width l = 1 needs no temporary, so it is one run, and
+    one of width 0 changes nothing, so it has none.
     """
-    lo = 0
-    for v in vs:
+    for anc, v in zip(ancestors, vs):
         k, s, l = v.shape
+        if l == 0:
+            continue
         step = k if l == 1 else max(1, _RUN // max(s, l))
         for first in range(0, k, step):
-            run = v[first : first + step]
-            yield slice(lo + first * l, lo + (first + len(run)) * l), run
-        lo += k * l
+            yield anc[first : first + step], v[first : first + step]
 
 
-def _update_variance(a: np.ndarray, vs: Sequence[np.ndarray]) -> np.ndarray:
+def _update_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: Sequence) -> np.ndarray:
     """The diagonal of A V'V A': row sums of (A[:, L_g] V_g')^2 summed over the groups g.
 
-    A group on one column c (l = 1) contributes A[:, c]^2 |V_g|^2, summed
-    over its class in one pass with no temporary.
+    A group, its columns and the rows where they are nonzero are in one
+    component.  A one-column group puts |V_g|^2 into a (component, column)
+    table that each row reads for its own; a wider one gathers its rows.
     """
-    n = len(a)
-    out = np.zeros(n)
-    for cols, v in _runs(vs):
-        k, _, l = v.shape
-        if l == 1:
-            out += np.einsum("nk,nk,k->n", a[:, cols], a[:, cols], np.einsum("ksl,ksl->k", v, v))
+    weight, wide = np.zeros((len(pack.members), a.shape[1])), []
+    for anc, v in _runs(ancestors, vs):
+        if v.shape[2] == 1:
+            weight[pack.comp[anc[:, 0]], pack.live_slot[anc[:, 0]]] = np.einsum("ksl,ksl->k", v, v)
             continue
-        x = a[:, cols].reshape(n, k, l).swapaxes(0, 1) @ v.swapaxes(1, 2)  # (k, n, s)
-        out += np.einsum("kns,kns->n", x, x)
-    return out
+        rows = pack.members[pack.comp[anc[:, 0]]]  # (k, w), -1 past each component's end
+        x = a[rows[:, :, None], pack.live_slot[anc][:, None, :]] @ v.swapaxes(1, 2)  # (k, w, s)
+        keep = rows >= 0
+        wide.append(np.bincount(rows[keep], np.einsum("kws,kws->kw", x, x)[keep], minlength=len(a)))
+    return sum(wide, np.einsum("it,it,it->i", a, a, weight[pack.comp]))
 
 
 def _covariance(
-    arcs: Arcs, scale: np.ndarray, cols: np.ndarray, a: np.ndarray, vs: Sequence[np.ndarray]
+    arcs: Arcs, scale: np.ndarray, pack: Packing, a: np.ndarray, ancestors: Sequence, vs: Sequence
 ) -> np.ndarray:
-    """The covariance A (I - V'V) A', exactly symmetric.
+    """The covariance A (I - V'V) A', packed n x w (:class:`Packing`), exactly symmetric.
 
-    ``vs`` are the update factors of :func:`_factor_update` (none for the
-    prior covariance A A').  V'V is never formed: Y = A' - V'(V A'[L]) is
-    A' with each group's rows L_g updated by its own small V_g (a row of a
-    group on one column is scaled by 1 - |V_g|^2), and A Y is one
-    :func:`_times_factor` pass.  Substitution rounds the two triangles
-    differently, so the result is averaged with its transpose, in place;
-    copying the transpose first is faster than letting the add resolve the
-    overlap.
+    ``vs`` are :func:`_factor_update`'s factors on the groups' live
+    ``ancestors`` (none for A A').  Y = A' - V'(V A'[L]) is A' with each
+    group's rows L_g updated by its own V_g (a one-column group's row scaled
+    by 1 - |V_g|^2), packed like the covariance, and A Y is one
+    :func:`_substitute` pass.  Substitution rounds the two triangles
+    differently, so the result is averaged with its transpose, gathered by
+    each entry's transpose partner.  Padding meets only padding.
     """
-    y = a.T.copy()
-    for rows, v in _runs(vs):
+    x = np.zeros(pack.cols.shape)
+    x[pack.live] = a[pack.cols[pack.live], pack.live_slot[pack.live, None]]
+    for anc, v in _runs(ancestors, vs):
         if v.shape[2] == 1:
-            y[rows] *= 1.0 - np.einsum("ksl,ksl->k", v, v)[:, None]
+            x[anc[:, 0]] *= 1.0 - np.einsum("ksl,ksl->k", v, v)[:, None]
             continue
-        at = y[rows].reshape(len(v), v.shape[2], y.shape[1])  # a view: the rows of y
-        at -= v.swapaxes(1, 2) @ (v @ at)
-    cov = _times_factor(arcs, scale, cols, y)
-    cov += cov.T.copy()
-    cov *= 0.5
-    return cov
+        at = x[anc]  # (k, l, w)
+        at -= _product(v.swapaxes(1, 2), _product(v, at))
+        x[anc] = at
+    x *= scale[:, None]  # the rows of nodes without noise are zero
+    _substitute(arcs, x)
+    partner = pack.cols * x.shape[1]
+    partner += pack.slot[:, None]  # (i, s) and (cols[i, s], slot[i])
+    x += x.ravel()[partner]
+    x *= 0.5
+    return x
 
 
-def _state_arcs(st: GaussianState) -> Arcs:
-    """The arcs of ``st.coeffs`` by depth level: its nonzero coefficients."""
-    return _level_arcs(_depth_levels([np.flatnonzero(col) for col in st.coeffs.T]), st.coeffs)
+def _unpack(x: np.ndarray, pack: Packing) -> np.ndarray:
+    """The n x n matrix with x[i, s] at (i, ``pack.cols[i, s]``), zero between components.
+
+    Padding lands on the diagonal, which is written again last.
+    """
+    n, at = len(x), np.arange(len(x))
+    out = np.zeros((n, n))
+    out.ravel()[pack.cols + n * at[:, None]] = x
+    out[at, at] = x[at, pack.slot]
+    return out
+
+
+def _unpacked_correlations(cov: np.ndarray, pack: Packing) -> np.ndarray:
+    """The n x n :func:`correlation_matrix` of the packed covariance ``cov``, read in place."""
+    at = np.arange(len(cov))
+    return _unpack(_correlate(cov, at[:, None], pack.cols, (at, pack.slot)), pack)
+
+
+def _state_factor(st: GaussianState) -> tuple[Levels, Arcs, np.ndarray, Packing, np.ndarray]:
+    """``(levels, arcs, scale, packing, A)`` of ``st``'s arcs (its nonzero coefficients)."""
+    levels = _depth_levels([np.flatnonzero(col) for col in st.coeffs.T])
+    arcs = _level_arcs(levels, st.coeffs)
+    scale = np.sqrt(st.cond_var)
+    pack = _packing(levels, scale > 0.0)
+    return levels, arcs, scale, pack, _forward_factor(arcs, scale, pack)
 
 
 def propagate_covariance(st: GaussianState) -> GaussianState:
@@ -258,16 +340,13 @@ def propagate_covariance(st: GaussianState) -> GaussianState:
 
     The covariance is A A' with A from :func:`_forward_factor`; both A and
     A A' are :func:`_substitute` passes over the depth levels of B's nonzero
-    arcs, and the result is symmetric and positive semidefinite.  The
-    returned state shares ``st``'s other arrays, which were validated when
-    ``st`` was built.
+    arcs, packed by component, and the result is symmetric and positive
+    semidefinite.  The returned state shares ``st``'s other arrays, which
+    were validated when ``st`` was built.
     """
-    arcs = _state_arcs(st)
-    scale = np.sqrt(st.cond_var)
-    cols = np.flatnonzero(scale > 0.0)
-    cov = _covariance(arcs, scale, cols, _forward_factor(arcs, scale, cols), ())
+    _, arcs, scale, pack, a = _state_factor(st)
     out = copy.copy(st)
-    object.__setattr__(out, "cov", cov)
+    object.__setattr__(out, "cov", _unpack(_covariance(arcs, scale, pack, a, (), ()), pack))
     return out
 
 
@@ -340,19 +419,6 @@ def _evidence_components(
     )
 
 
-def _factor_columns(ancestors: Sequence[np.ndarray], live: np.ndarray) -> np.ndarray:
-    """The node of each column of A: the groups' live ancestors, then the other live nodes.
-
-    ``ancestors`` are as :func:`_evidence_components` returns them, so each
-    shape class of groups owns a run of consecutive columns, l per group;
-    the live nodes that no evidence reaches follow in the node order.
-    """
-    grouped = [c for anc in ancestors for c in anc.ravel().tolist()]
-    owned = set(grouped)
-    rest = [j for j in np.flatnonzero(live).tolist() if j not in owned]
-    return np.array(grouped + rest, dtype=int)
-
-
 def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ev = np.array(sorted(obs), dtype=int)
     if len(ev) and (ev[0] < 0 or ev[-1] >= n):
@@ -407,6 +473,7 @@ def _eigh_blocks(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndar
 
 def _factor_update(
     a: np.ndarray,
+    pack: Packing,
     components: Sequence[np.ndarray],
     ancestors: Sequence[np.ndarray],
     par: np.ndarray,
@@ -419,40 +486,35 @@ def _factor_update(
     ``noise[e]``; ``resid`` is the evidence minus its mean.  The entries
     fall into groups with disjoint live ancestors L_g, one shape class
     (s, l) per pair of ``components`` (k, s) and ``ancestors`` (k, l), as
-    :func:`_evidence_components` returns them, and A's columns are laid out
-    by :func:`_factor_columns`, so class after class, group after group,
-    each group's L_g is l consecutive columns.  Row ``par[e]`` of A is zero
-    outside L_g, so a group needs only G_g = A[par_g][:, L_g] (s x l): its
-    block G_g G_g' + diag(noise_g) is factored once as Q diag(lambda) Q'
-    (:func:`_eigh_blocks`), and V_g = diag(lambda)^-1/2 Q' G_g and
+    :func:`_evidence_components` returns them, each group within one
+    component of ``pack``.  Row ``par[e]`` of A is zero outside L_g, so a
+    group needs only G_g = A[par_g][:, L_g] (s x l): its block
+    G_g G_g' + diag(noise_g) is factored once as Q diag(lambda) Q'
+    (:func:`_eigh_blocks`), V_g = diag(lambda)^-1/2 Q' G_g and
     z_g = diag(lambda)^-1/2 Q' resid_g.
 
-    Returns ``(u, vs)``: the posterior mean is ``mean + A u``, with
-    u[L_g] = V_g' z_g and zero on the other columns, and the posterior
-    covariance A (I - V'V) A', with ``vs`` the (k, s, l) stacks of V_g per
-    class (:func:`_update_variance`, :func:`_covariance`).
+    Returns ``(A u, vs)``: the posterior mean is ``mean + A u``, with
+    u[L_g] = V_g' z_g kept by (component, column), and the covariance
+    A (I - V'V) A', with ``vs`` the (k, s, l) stacks of V_g per class.
     """
-    n = len(a)
-    u = np.zeros(a.shape[1])
     if not components:
-        return u, []
-    groups, blocks, lo = [], [], 0  # (entries, columns of A, G) per class
+        return np.zeros(len(a)), []
+    u = np.zeros((len(pack.members), a.shape[1]))
+    groups, blocks = [], []  # (entries, live ancestors, their columns of A, G) per class
     for idx, anc in zip(components, ancestors):
-        (k, s), l = idx.shape, anc.shape[1]
-        cols = slice(lo, lo + k * l)
-        g = a[:, cols].reshape(n, k, l)[par[idx], np.arange(k)[:, None]]  # (k, s, l)
+        s, cols = idx.shape[1], pack.live_slot[anc]
+        g = a[par[idx][:, :, None], cols[:, None, :]]  # (k, s, l)
         block = g @ g.swapaxes(1, 2)
         block[:, np.arange(s), np.arange(s)] += noise[idx]
-        groups.append((idx, cols, g))
+        groups.append((idx, anc, cols, g))
         blocks.append(block)
-        lo += k * l
     vs = []
-    for (idx, cols, g), (val, vecs) in zip(groups, _eigh_blocks(blocks)):
+    for (idx, anc, cols, g), (val, vecs) in zip(groups, _eigh_blocks(blocks)):
         scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)  # diag(lambda)^-1/2 Q'
         v = scaled @ g
-        u[cols] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None])).ravel()
+        u[pack.comp[anc], cols] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
         vs.append(v)
-    return u, vs
+    return np.einsum("it,it->i", a, u[pack.comp]), vs
 
 
 def condition(
@@ -462,23 +524,20 @@ def condition(
 
     ``obs`` maps node positions (in ``st.order``) to observed values, taken
     as exact; ``st`` must have been through :func:`propagate_covariance`.
-    The observations are one group of :func:`_factor_update`, with no added
-    noise, on the factor A of ``st.coeffs`` and ``st.cond_var`` (whose
-    product A A' is ``st.cov``) with all live nodes as its columns, and the
-    posterior covariance is :func:`_covariance`; rows and columns of
-    observed nodes do not appear in the result.
+    The observations are entries of :func:`_factor_update`, with no added
+    noise, grouped by :func:`_evidence_components`, on the factor A of
+    ``st.coeffs`` and ``st.cond_var`` (whose product A A' is ``st.cov``),
+    and the posterior covariance is :func:`_covariance`; rows and columns
+    of observed nodes do not appear in the result.
     """
     if st.cov is None:
         raise ValueError("covariance not populated; call propagate_covariance first")
     ev, keep, d = _split_indices(len(st.order), obs)
-    arcs = _state_arcs(st)
-    scale = np.sqrt(st.cond_var)
-    cols = np.flatnonzero(scale > 0.0)
-    a = _forward_factor(arcs, scale, cols)
-    one = ((np.arange(len(ev))[None, :],), (cols[None, :],)) if len(ev) else ((), ())
-    u, vs = _factor_update(a, *one, ev, np.zeros(len(ev)), d - st.mean[ev])
-    mean = st.mean + a @ u
-    return mean[keep], _covariance(arcs, scale, cols, a, vs)[np.ix_(keep, keep)]
+    levels, arcs, scale, pack, a = _state_factor(st)
+    components, ancestors = _evidence_components(levels, scale > 0.0, ev)
+    shift, vs = _factor_update(a, pack, components, ancestors, ev, np.zeros(len(ev)), d - st.mean[ev])
+    cov = _unpack(_covariance(arcs, scale, pack, a, ancestors, vs), pack)
+    return (st.mean + shift)[keep], cov[np.ix_(keep, keep)]
 
 
 def condition_sequential(
@@ -510,32 +569,41 @@ def condition_sequential(
     return mean[keep], cov[np.ix_(keep, keep)]
 
 
-def correlation_matrix(cov: np.ndarray) -> np.ndarray:
-    """Correlations read from a covariance matrix, with the zero-variance rule.
+def _correlate(
+    cov: np.ndarray, rows: np.ndarray, cols: np.ndarray, diagonal: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Correlations read entry by entry from covariances, overwriting ``cov``.
 
-    Where either diagonal entry is zero (a fully determined quantity) the
-    correlation is defined to be 0, the diagonal included; elsewhere the
-    usual ratio, clamped to [-1, 1] against rounding, and 1 on the diagonal.
-    The ratio is formed in one n x n array, divided and clamped in place;
-    the rows and columns of non-positive variance are then overwritten.
-    A variance outside [2^-500, 2^500] is first scaled into [0.5, 2) by 4^-k,
-    its row and column by 2^-k, so no product of two variances leaves the
-    normal range; being exact, this changes no bit where they stayed normal.
+    Entry e of ``cov`` is the covariance of variables ``rows[e]`` and
+    ``cols[e]`` (``rows`` broadcasts to ``cols``' shape), variable i's
+    variance its entry ``cov[diagonal][i]``.  Where either variance is not
+    positive the correlation is 0, the diagonal included; elsewhere it is
+    the ratio clamped to [-1, 1], and 1 on the diagonal.  A variance outside
+    [2^-500, 2^500] is first scaled into [0.5, 2) by 4^-k, its covariances
+    by 2^-k, so no product of two leaves the normal range; this is exact.
     """
-    var = np.diag(cov)
+    var = cov[diagonal]
     live = var > 0.0
     scale = np.where(live, var, 1.0)  # no zero or negative divisor
     k = np.where((scale < 2.0**-500) | (scale > 2.0**500), np.frexp(scale)[1] // 2, 0)
     if k.any():
         scale = np.ldexp(scale, -2 * k)
-        cov = np.ldexp(cov, -(k[:, None] + k[None, :]))
-    corr = np.sqrt(np.outer(scale, scale))
-    np.divide(cov, corr, out=corr)
-    np.clip(corr, -1.0, 1.0, out=corr)
-    corr[~live] = 0.0
-    corr[:, ~live] = 0.0
-    np.fill_diagonal(corr, live.astype(float))
-    return corr
+        np.ldexp(cov, -(k[rows] + k[cols]), out=cov)
+    root = scale[cols]
+    root *= scale[rows]
+    np.sqrt(root, out=root)
+    np.divide(cov, root, out=cov)
+    np.clip(cov, -1.0, 1.0, out=cov)
+    if not live.all():
+        cov[~live[rows] | ~live[cols]] = 0.0
+    cov[diagonal] = live
+    return cov
+
+
+def correlation_matrix(cov: np.ndarray) -> np.ndarray:
+    """Correlations read from a covariance matrix by :func:`_correlate`'s rule."""
+    at = np.arange(len(cov))
+    return _correlate(np.array(cov, dtype=float), at[:, None], np.broadcast_to(at, cov.shape), (at, at))
 
 
 def correlation(post_cov: np.ndarray, i: int, j: int) -> float:

@@ -24,18 +24,18 @@ maps the conditioned moments back to the natural scale:
 2.  *Update means* to first order: the shifts from the previous posterior
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
-    by the same kernel, and *condition* on all evidence entries, each a
-    noisy observation of one parameter, in the factor space of A.  The
-    entries fall into groups that share no live ancestor (a parameter with
-    prior noise), found once per solve together with each group's live
-    ancestors L_g, and A's columns are laid out group by group, so each
-    group works on its own few columns: its block is G_g G_g' plus its
-    noise, with G_g its rows of A on those columns, factored once, and the
-    update is a small factor V_g on them.  No step forms the covariance of
-    the evidence with the parameters.  An iteration needs only the
-    posterior means (A times one vector) and variances (row sums of
-    squares), so the n x n posterior covariance A (I - V'V) A' is built
-    once, for the reported iterate's correlations.
+    by the same kernel, packed by connected component of the arcs: a row's
+    columns are the live parameters (with prior noise) of its component, so
+    A is n x (the most in one component).  *Condition* on all evidence
+    entries, each a noisy observation of one parameter, in the factor space
+    of A.  The entries fall into groups that share no live ancestor, found
+    once per solve with each group's live ancestors L_g, so each group works
+    on its own few columns: its block G_g G_g' plus its noise is factored
+    once, and the update is a small factor V_g on them.  No step forms the
+    covariance of the evidence with the parameters.  An iteration needs
+    only the posterior means (A times one vector) and variances (row sums
+    of squares); the posterior covariance A (I - V'V) A' is built once,
+    packed, and only the reported iterate's correlations are n x n.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
     parameter, one prior family at a time: a family with at least
     ``_BATCH_MIN`` members (a size fixed for the solve) is mapped as arrays,
@@ -66,15 +66,16 @@ from .gaussian import (
     Arcs,
     ConditioningError,
     Levels,
+    Packing,
     _covariance,
     _depth_levels,
     _evidence_components,
-    _factor_columns,
     _factor_update,
     _forward_factor,
+    _packing,
     _substitute,
+    _unpacked_correlations,
     _update_variance,
-    correlation_matrix,
 )
 from .gaussian import (  # noqa: F401  wrapped by bench/tracer.py
     condition,
@@ -270,7 +271,7 @@ class SolverState:
     # returns them
     ev_components: tuple[np.ndarray, ...]
     ev_ancestors: tuple[np.ndarray, ...]
-    factor_cols: np.ndarray  # the parameter of each column of A, by _factor_columns
+    packing: Packing  # where A and the covariance keep their entries, by component
     levels: Levels  # the parameters with parents, by depth of the arcs
     # one tape per expression shape of at least _BATCH_MIN re-linearized
     # nodes; the places of the other deterministic nodes, walked one by one
@@ -290,9 +291,9 @@ class SolverState:
     linear_coeffs: dict[str, dict[str, float]]
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
-    # (B by level, A, the update factors V per shape class, natural-scale
-    # means, natural-scale variances) of the latest iterate: its parameter
-    # covariance is A (I - V'V) A'
+    # (B by level, A packed, the update factors V per shape class,
+    # natural-scale means, natural-scale variances) of the latest iterate:
+    # its parameter covariance is A (I - V'V) A'
     snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None
 
     @property
@@ -437,7 +438,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     for i, node in enumerate(ev_nodes):
         looks.setdefault(node.parents[0] if cfg.pool_evidence else node.id, (node, []))[1].append(i)
     if cfg.pool_evidence:  # only pooled entries go through pool, whose 1/(1/v) can change a bit
-        ev_obs, ev_var = _pooled(ev_obs, ev_var, [items for _, items in looks.values()])
+        ev_obs, ev_var = _pooled(ev_obs, ev_var, list(looks.values()))
     order = param_ids + tuple(first.id for first, _ in looks.values())
     ev_parent = np.array([index[first.parents[0]] for first, _ in looks.values()], dtype=int)
     components, ancestors = _evidence_components(levels, cond_var > 0.0, ev_parent)
@@ -451,7 +452,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         ev_obs=np.array(ev_obs),
         ev_components=components,
         ev_ancestors=ancestors,
-        factor_cols=_factor_columns(ancestors, cond_var > 0.0),
+        packing=_packing(levels, cond_var > 0.0),
         levels=levels,
         tapes=tuple(tapes),
         walked=walked,
@@ -489,15 +490,23 @@ def _likelihoods(nodes: list[Node], d: Diagram) -> tuple[list[float], list[float
 
 
 def _pooled(
-    obs: list[float], var: list[float], groups: list[list[int]]
+    obs: list[float], var: list[float], groups: list[tuple[Node, list[int]]]
 ) -> tuple[list[float], list[float]]:
     """Each group of observations pooled into one, as arrays for at least ``_BATCH_MIN``
-    groups; if one fails, all go through :func:`pool`, which raises at the first."""
+    groups; if one fails, all go through :func:`pool`, and the first that fails raises,
+    naming the group's first node."""
     if len(groups) >= _BATCH_MIN:
-        d, v, done = _pool_array(np.array(obs), np.array(var), groups)
+        d, v, done = _pool_array(np.array(obs), np.array(var), [items for _, items in groups])
         if done.all():
             return d.tolist(), v.tolist()
-    pooled = [pool_likelihoods([LikelihoodApprox(obs[i], var[i]) for i in g]) for g in groups]
+    pooled = []
+    for first, items in groups:
+        try:
+            pooled.append(pool_likelihoods([LikelihoodApprox(obs[i], var[i]) for i in items]))
+        except ValueError as err:
+            raise InitializationError(
+                f"cannot pool the observations of {first.id!r}: {err}", first.id
+            ) from err
     return [like.d for like in pooled], [like.v for like in pooled]
 
 
@@ -548,7 +557,7 @@ def linearize(state: SolverState) -> Arcs:
     """B over the parameters at the previous posterior point, by depth level.
 
     Each level of ``state.levels`` gets ``(nodes, par, c)``, with
-    ``c[k, 0, :]`` node j = ``nodes[k]``'s coefficients on the parents in row
+    ``c[k]`` node j = ``nodes[k]``'s coefficients on the parents in row
     ``par[k]``, in that order; the padding columns (j itself) get 0.0.  This
     is the layout :func:`~gaussid.gaussian._level_arcs` gathers from a dense
     B.  Node j's coefficient on parent i is
@@ -586,7 +595,7 @@ def linearize(state: SolverState) -> Arcs:
     if failed:
         k, err = min(failed, key=lambda f: f[0])
         raise _iteration_error(state, f"cannot linearize {ids[k]!r}", err, ids[k]) from err
-    return tuple((nodes, par, cl[:, None, :]) for (nodes, par), cl in zip(state.levels, c))
+    return tuple((nodes, par, cl) for (nodes, par), cl in zip(state.levels, c))
 
 
 def _linearize_tape(
@@ -631,11 +640,12 @@ def step(state: SolverState) -> IterationRecord:
     # The parameters' covariance is A A'.  An evidence entry is its parameter
     # plus independent noise, so each group of entries reads only its rows
     # of A on its own columns.
-    a = _forward_factor(arcs, np.sqrt(state.cond_var[:n]), state.factor_cols)
+    a = _forward_factor(arcs, np.sqrt(state.cond_var[:n]), state.packing)
     par = state.ev_parent
     try:
-        u, vs = _factor_update(
+        shift, vs = _factor_update(
             a,
+            state.packing,
             state.ev_components,
             state.ev_ancestors,
             par,
@@ -644,12 +654,13 @@ def step(state: SolverState) -> IterationRecord:
         )
     except (ConditioningError, ValueError) as err:
         raise _iteration_error(state, "conditioning failed", err, None) from err
-    post_mean = new_mean[:n] + a @ u
+    post_mean = new_mean[:n] + shift
 
     # The diagonal of A (I - V'V) A'.  inf - inf is NaN, which
     # _natural_moments reports by name.
     with np.errstate(invalid="ignore"):
-        post_var = np.maximum(np.einsum("ij,ij->i", a, a) - _update_variance(a, vs), 0.0)
+        update = _update_variance(a, state.packing, state.ev_ancestors, vs)
+        post_var = np.maximum(np.einsum("ij,ij->i", a, a) - update, 0.0)
     mean_y, var_y = _natural_moments(state, post_mean, post_var)
 
     r = _relative_change(post_mean, state.post_x)
@@ -748,12 +759,13 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
         best = (state.records[-1], state.snapshot)
 
     record, (arcs, a, vs, mean_y, var_y) = best
-    cov = _covariance(arcs, np.sqrt(state.cond_var[: state.n_params]), state.factor_cols, a, vs)
+    scale = np.sqrt(state.cond_var[: state.n_params])
+    cov = _covariance(arcs, scale, state.packing, a, state.ev_ancestors, vs)
     return SolverResult(
         status=status,
         iterations=state.records,
         posterior_y=dict(zip(state.param_ids, map(MomentPair, mean_y.tolist(), var_y.tolist()))),
-        posterior_correlations=correlation_matrix(cov),
+        posterior_correlations=_unpacked_correlations(cov, state.packing),
         param_ids=state.param_ids,
         reported_iteration=record.t,
     )

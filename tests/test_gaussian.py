@@ -15,18 +15,22 @@ from gaussid.gaussian import (
     _depth_levels,
     _eigh_blocks,
     _evidence_components,
-    _factor_columns,
     _factor_update,
     _forward_factor,
     _level_arcs,
+    _packing,
+    _product,
     _substitute,
-    _times_factor,
+    _unpack,
+    _unpacked_correlations,
     _update_variance,
     condition,
     condition_sequential,
     correlation,
+    correlation_matrix,
     propagate_covariance,
 )
+from helpers import dense_factor
 
 
 def make_state(mean, coeffs, cond_var, names=None):
@@ -49,6 +53,67 @@ def closed_form_cov(coeffs, cond_var):
     n = len(cond_var)
     inv = np.linalg.inv(np.eye(n) - coeffs)
     return inv.T @ np.diag(cond_var) @ inv
+
+
+# The dense route that the packed kernels replace, kept as their reference:
+# A with one column per node, and every product with A an n x n pass.
+
+
+def dense_forward_factor(arcs, scale):
+    """A = (I - B')^-1 diag(sqrt v), n x n, by the same kernel."""
+    return _substitute(arcs, np.diag(scale))
+
+
+def times_factor(arcs, scale, rhs):
+    """``A @ rhs`` for the factor of :func:`dense_forward_factor`: the kernel on diag(sqrt v) rhs."""
+    return _substitute(arcs, scale[:, None] * rhs)
+
+
+def dense_factor_update(a, components, ancestors, par, noise, resid):
+    """``(u, vs)`` of the factor-space update on the n x n factor ``a``: u has one entry per node."""
+    u, vs = np.zeros(a.shape[1]), []
+    for idx, anc in zip(components, ancestors):
+        s = idx.shape[1]
+        g = a[par[idx][:, :, None], anc[:, None, :]]
+        block = g @ g.swapaxes(1, 2)
+        block[:, np.arange(s), np.arange(s)] += noise[idx]
+        val, vecs = np.linalg.eigh(block)
+        scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)
+        v = scaled @ g
+        u[anc] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
+        vs.append(v)
+    return u, vs
+
+
+def dense_update_variance(a, ancestors, vs):
+    """The diagonal of A V'V A' over all n rows of the n x n factor ``a``."""
+    out = np.zeros(len(a))
+    for anc, v in zip(ancestors, vs):
+        x = a[:, anc].swapaxes(0, 1) @ v.swapaxes(1, 2)  # (k, n, s)
+        out += np.einsum("kns,kns->n", x, x)
+    return out
+
+
+def dense_covariance(arcs, scale, a, ancestors, vs):
+    """A (I - V'V) A' as an n x n Y and one :func:`times_factor` pass, symmetrized."""
+    y = a.T.copy()
+    for anc, v in zip(ancestors, vs):
+        if v.shape[2] == 0:  # a group with no live ancestor changes nothing
+            continue
+        if v.shape[2] == 1:
+            y[anc[:, 0]] *= 1.0 - np.einsum("ksl,ksl->k", v, v)[:, None]
+            continue
+        at = y[anc]
+        at -= _product(v.swapaxes(1, 2), _product(v, at))
+        y[anc] = at
+    cov = times_factor(arcs, scale, y)
+    cov += cov.T.copy()
+    cov *= 0.5
+    return cov
+
+
+def packed_covariance(arcs, scale, pack, a, ancestors=(), vs=()):
+    return _unpack(_covariance(arcs, scale, pack, a, ancestors, vs), pack)
 
 
 class TestPropagation:
@@ -197,16 +262,33 @@ class TestSubstitution:
         rng = np.random.default_rng(83)
         coeffs = coefficients(parents, rng)
         cond_var = np.array([1.5, 0.5, 0.0, 2.0, 0.0])
-        cols = np.array([0, 1, 3])
-        arcs = _level_arcs(_depth_levels(parents), coeffs)
-        a = _forward_factor(arcs, np.sqrt(cond_var), cols)
-        want = dense_solve(coeffs, np.diag(np.sqrt(cond_var))[:, cols])
-        np.testing.assert_allclose(a, want, rtol=1e-10, atol=1e-10)
-        rhs = rng.normal(size=(3, 6))
-        got = _times_factor(arcs, np.sqrt(cond_var), cols, rhs)
+        levels = _depth_levels(parents)
+        arcs, scale = _level_arcs(levels, coeffs), np.sqrt(cond_var)
+        pack = _packing(levels, cond_var > 0.0)
+        a = _forward_factor(arcs, scale, pack)
+        assert a.shape == (5, 3)
+        want = dense_solve(coeffs, np.diag(scale))
+        np.testing.assert_allclose(dense_factor(a, pack), want, rtol=1e-10, atol=1e-10)
+        rhs = rng.normal(size=(5, 6))
+        got = times_factor(arcs, scale, rhs)
         np.testing.assert_allclose(got, want @ rhs, rtol=1e-10, atol=1e-10)
-        got = _times_factor(arcs, np.sqrt(cond_var), cols, a.T)
-        np.testing.assert_allclose(got, closed_form_cov(coeffs, cond_var), rtol=1e-10, atol=1e-10)
+        want = closed_form_cov(coeffs, cond_var)
+        np.testing.assert_allclose(packed_covariance(arcs, scale, pack, a), want, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7])
+    def test_a_column_gets_the_same_bits_at_any_width(self, width):
+        # A BLAS product rounds a column by its position among the others;
+        # the kernel adds each entry's terms in the parents' order, from 0.
+        rng = np.random.default_rng(89)
+        parents = [[]] * 12 + [list(range(12))] * 3 + [[12, 13, 14, 0]]
+        coeffs = coefficients(parents, rng)
+        x0 = rng.normal(size=(len(parents), 9))
+        x0[rng.random(x0.shape) < 0.3] = -0.0
+        wide = substitute(parents, coeffs, x0)
+        for j in range(10 - width):
+            got = substitute(parents, coeffs, x0[:, j : j + width])
+            assert got.tobytes() == wide[:, j : j + width].tobytes()
+        assert substitute(parents, coeffs, x0[:, 4]).tobytes() == wide[:, 4].tobytes()
 
     @given(
         n=hst.integers(min_value=1, max_value=12),
@@ -370,9 +452,10 @@ class TestConditioning:
         # G G' plus non-negative noise is never indefinite, so the guard is
         # driven through the kernel: G G' = [[1, 2], [2, 4]] plus noise (0, -3).
         g = np.array([[1.0], [2.0]])
+        pack = _packing(_depth_levels([[], [0]]), np.array([True, False]))
         one = ((np.array([[0, 1]]),), (np.array([[0]]),))
         with pytest.raises(ConditioningError, match="not positive definite") as exc:
-            _factor_update(g, *one, np.array([0, 1]), np.array([0.0, -3.0]), np.zeros(2))
+            _factor_update(g, pack, *one, np.array([0, 1]), np.array([0.0, -3.0]), np.zeros(2))
         assert exc.value.condition_estimate == pytest.approx(3.0)
 
     def test_unpropagated_state_rejected(self):
@@ -444,39 +527,53 @@ def dense_evidence_components(levels, live, observed):
 
 @hst.composite
 def evidence_dags(draw):
-    """(parents, live, observed) of a random DAG and evidence on it.
+    """(parents, live, observed) of a random disjoint union of DAGs and evidence on it.
 
-    Each node is a root (live or dead), extends a chain, collects the
-    fan-in of all earlier nodes, or takes any earlier parents, repeats
-    allowed; nodes may be observed several times or not at all.
+    In each DAG, each node is a root (live or dead), extends a chain,
+    collects the fan-in of all earlier nodes, or takes any earlier parents,
+    repeats allowed.  The DAGs' nodes are interleaved in the node order,
+    each DAG's in its own order; nodes may be observed several times or not
+    at all.
     """
-    n = draw(hst.integers(min_value=1, max_value=40))
-    parents = []
-    for j in range(n):
-        shape = draw(hst.sampled_from(["root", "chain", "fan_in", "any"])) if j else "root"
-        if shape == "chain":
-            parents.append([j - 1])
-        elif shape == "fan_in":
-            parents.append(list(range(j)))
-        elif shape == "any":
-            parents.append(draw(hst.lists(hst.integers(0, j - 1), max_size=4)))
-        else:
-            parents.append([])
+    parts = draw(hst.integers(min_value=1, max_value=3))
+    dags = []
+    for _ in range(parts):
+        size = draw(hst.integers(min_value=1, max_value=40 // parts))
+        dag = []
+        for j in range(size):
+            shape = draw(hst.sampled_from(["root", "chain", "fan_in", "any"])) if j else "root"
+            if shape == "chain":
+                dag.append([j - 1])
+            elif shape == "fan_in":
+                dag.append(list(range(j)))
+            elif shape == "any":
+                dag.append(draw(hst.lists(hst.integers(0, j - 1), max_size=4)))
+            else:
+                dag.append([])
+        dags.append(dag)
+    turns = [p for p, dag in enumerate(dags) for _ in dag]
+    turns = draw(hst.permutations(turns))
+    where = [[] for _ in dags]  # each DAG's nodes' places in the union
+    for place, p in enumerate(turns):
+        where[p].append(place)
+    parents = [[] for _ in turns]
+    for dag, places in zip(dags, where):
+        for j, ps in enumerate(dag):
+            parents[places[j]] = [places[i] for i in ps]
+    n = len(parents)
     live = draw(hst.lists(hst.booleans(), min_size=n, max_size=n))
     observed = draw(hst.lists(hst.integers(0, n - 1), max_size=2 * n))
     return parents, live, observed
 
 
-def dense_update(vs, q):
+def dense_update(vs, ancestors, q):
     """V as one dense (entries x q) matrix: each group's rows on its own l columns."""
-    rows, lo = [np.zeros((0, q))], 0
-    for v in vs:
-        k, s, l = v.shape
-        for g in range(k):
-            row = np.zeros((s, q))
-            row[:, lo + g * l : lo + (g + 1) * l] = v[g]
+    rows = [np.zeros((0, q))]
+    for v, anc in zip(vs, ancestors):
+        for vg, cols in zip(v, anc):
+            row = np.zeros((len(vg), q))
+            row[:, cols] = vg
             rows.append(row)
-        lo += k * l
     return np.concatenate(rows)
 
 
@@ -485,12 +582,11 @@ def factor_space_posterior(parents, coeffs, cond_var, mean, observed, noise, obs
     levels = _depth_levels(parents)
     arcs, scale = _level_arcs(levels, coeffs), np.sqrt(cond_var)
     components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
-    cols = _factor_columns(ancestors, cond_var > 0.0)
-    a = _forward_factor(arcs, scale, cols)
-    u, vs = _factor_update(a, components, ancestors, observed, noise, obs - mean[observed])
-    post_mean = mean + a @ u
-    post_var = np.einsum("ij,ij->i", a, a) - _update_variance(a, vs)
-    return post_mean, post_var, _covariance(arcs, scale, cols, a, vs)
+    pack = _packing(levels, cond_var > 0.0)
+    a = _forward_factor(arcs, scale, pack)
+    shift, vs = _factor_update(a, pack, components, ancestors, observed, noise, obs - mean[observed])
+    post_var = np.einsum("ij,ij->i", a, a) - _update_variance(a, pack, ancestors, vs)
+    return mean + shift, post_var, packed_covariance(arcs, scale, pack, a, ancestors, vs)
 
 
 def augmented_posterior(coeffs, cond_var, mean, observed, noise, obs):
@@ -521,12 +617,15 @@ class TestComponents:
     def test_update_by_components_matches_one_block(self):
         # Groups of shapes (s, l) on their own columns of a random factor,
         # three more rows and two columns that no evidence reaches; entry e
-        # observes row e, which is zero outside its group's columns.
+        # observes row e, which is zero outside its group's columns.  Nodes
+        # 0 to q - 1 are the live ones, and the others read them all, so
+        # all are one component and column t of A is node t.
         rng = np.random.default_rng(59)
         shapes = [(1, 1), (1, 1), (2, 3), (3, 2), (3, 1), (5, 4)]
         m = sum(s for s, _ in shapes)
         q = sum(l for _, l in shapes) + 2
         n = m + 3
+        pack = _packing(_depth_levels([[]] * q + [list(range(q))] * (n - q)), np.arange(n) < q)
         for _ in range(20):
             components = random_components(rng, [s for s, _ in shapes])
             by_size = {idx.shape[1]: idx.tolist() for idx in components}
@@ -538,34 +637,31 @@ class TestComponents:
                 lo += l
             components = tuple(np.array(groups[sl][0]) for sl in sorted(groups))
             ancestors = tuple(np.array(groups[sl][1]) for sl in sorted(groups))
-            cols = np.concatenate([anc.ravel() for anc in ancestors])
             a = rng.normal(size=(n, q))
             par = rng.permutation(m)
             for idx, anc in zip(components, ancestors):
                 for entries, own in zip(idx.tolist(), anc.tolist()):
                     outside = np.setdiff1d(np.arange(q), own)
                     a[np.ix_(par[entries], outside)] = 0.0
-            a = a[:, np.concatenate([cols, [q - 2, q - 1]])]  # columns in class order
             mean, resid, noise = rng.normal(size=n), rng.normal(size=m), rng.uniform(0.1, 1.0, m)
 
-            u, vs = _factor_update(a, components, ancestors, par, noise, resid)
+            shift, vs = _factor_update(a, pack, components, ancestors, par, noise, resid)
             one = ((np.arange(m)[None, :],), (np.arange(q)[None, :],))
-            want_u, want_vs = _factor_update(a, *one, par, noise, resid)
-            np.testing.assert_allclose(mean + a @ u, mean + a @ want_u, rtol=1e-10, atol=1e-10)
-            got_term = a @ dense_update(vs, q).T
+            want_shift, want_vs = _factor_update(a, pack, *one, par, noise, resid)
+            np.testing.assert_allclose(mean + shift, mean + want_shift, rtol=1e-10, atol=1e-10)
+            got_term = a @ dense_update(vs, ancestors, q).T
             want_term = a @ want_vs[0][0].T
             np.testing.assert_allclose(
                 got_term @ got_term.T, want_term @ want_term.T, rtol=1e-10, atol=1e-10
             )
+            got_var = _update_variance(a, pack, ancestors, vs)
             np.testing.assert_allclose(
-                _update_variance(a, vs), _update_variance(a, want_vs), rtol=1e-10, atol=1e-10
+                got_var, _update_variance(a, pack, one[1], want_vs), rtol=1e-10, atol=1e-10
             )
             cross = a[par] @ a.T
             gain = cross.T @ np.linalg.inv(a[par] @ a[par].T + np.diag(noise))
-            np.testing.assert_allclose(mean + a @ u, mean + gain @ resid, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(
-                _update_variance(a, vs), np.diag(gain @ cross), rtol=1e-9, atol=1e-9
-            )
+            np.testing.assert_allclose(mean + shift, mean + gain @ resid, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(got_var, np.diag(gain @ cross), rtol=1e-9, atol=1e-9)
 
     def test_components_are_the_diagonal_blocks_of_the_evidence(self):
         # Entries in different components have exactly zero covariance, and
@@ -583,8 +679,7 @@ class TestComponents:
             components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
             members = sorted(e for idx in components for e in idx.ravel().tolist())
             assert members == list(range(len(observed)))
-            cols = _factor_columns(ancestors, cond_var > 0.0)
-            a = _forward_factor(_level_arcs(levels, coeffs), np.sqrt(cond_var), cols)
+            a = dense_forward_factor(_level_arcs(levels, coeffs), np.sqrt(cond_var))
             cov = (a @ a.T)[np.ix_(observed, observed)]
             label = np.empty(len(observed), dtype=int)
             for k, group in enumerate(g for idx in components for g in idx.tolist()):
@@ -611,9 +706,63 @@ class TestComponents:
             )
         owned = [c for anc in got[1] for c in anc.ravel().tolist()]
         assert len(owned) == len(set(owned))  # the groups' live ancestors are disjoint
-        cols = _factor_columns(got[1], np.array(live))
-        assert cols[: len(owned)].tolist() == owned
-        assert sorted(cols.tolist()) == np.flatnonzero(live).tolist()
+        comp = _packing(args[0], args[1]).comp
+        assert all(len(set(comp[anc].tolist())) <= 1 for part in got[1] for anc in part)
+
+    @given(evidence_dags(), hst.integers(min_value=0, max_value=2**32 - 1))
+    @example(
+        # Interleaved components: live roots 0 and 1 under node 5, observed
+        # twice (a group on two columns); a dead root 2 and a live root 4
+        # that no evidence reaches under node 6; an observed isolated live
+        # node 7 and an isolated dead node 8.
+        (
+            [[], [], [], [0, 1], [], [3], [4, 2], [], []],
+            [True, True, False, False, True, False, False, True, False],
+            [5, 5, 7],
+        ),
+        0,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_packed_matches_the_dense_route(self, dag, seed):
+        # At fixed B, noise and evidence: A, the update factors, the covariance
+        # and the correlations are bit for bit those of the n x n route, and
+        # zero (+0.0) between components; A u and the variances, summed in
+        # another order, agree to 1e-14 of the terms summed.
+        parents, live, observed = dag
+        rng = np.random.default_rng(seed)
+        n, observed = len(parents), np.array(observed, dtype=int)
+        coeffs = np.zeros((n, n))
+        for j, ps in enumerate(parents):
+            ps = sorted(set(ps))
+            coeffs[ps, j] = rng.uniform(-1.0, 1.0, size=len(ps)) / max(len(ps), 1)
+        cond_var = np.where(live, rng.uniform(0.5, 2.0, size=n), 0.0)
+        noise = rng.uniform(0.2, 2.0, size=len(observed))
+        resid = rng.normal(size=len(observed))
+        levels = _depth_levels(parents)
+        arcs, scale = _level_arcs(levels, coeffs), np.sqrt(cond_var)
+        components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
+        pack = _packing(levels, cond_var > 0.0)
+        a, want_a = _forward_factor(arcs, scale, pack), dense_forward_factor(arcs, scale)
+        assert dense_factor(a, pack).tobytes() == want_a.tobytes()
+
+        shift, vs = _factor_update(a, pack, components, ancestors, observed, noise, resid)
+        u, want_vs = dense_factor_update(want_a, components, ancestors, observed, noise, resid)
+        assert all(v.tobytes() == w.tobytes() for v, w in zip(vs, want_vs, strict=True))
+        assert np.all(np.abs(shift - want_a @ u) <= 1e-14 * (np.abs(want_a) @ np.abs(u)))
+        np.testing.assert_allclose(
+            np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", want_a, want_a), rtol=1e-14, atol=0
+        )
+        got_update = _update_variance(a, pack, ancestors, vs)
+        terms = dense_update_variance(np.abs(want_a), ancestors, [np.abs(v) for v in vs])
+        assert np.all(np.abs(got_update - dense_update_variance(want_a, ancestors, vs)) <= 1e-14 * terms)
+
+        got = _covariance(arcs, scale, pack, a, ancestors, vs)
+        want = dense_covariance(arcs, scale, want_a, ancestors, vs)
+        assert _unpack(got, pack).tobytes() == want.tobytes()
+        corr = _unpacked_correlations(got, pack)
+        assert corr.tobytes() == correlation_matrix(want).tobytes()
+        between = pack.comp[:, None] != pack.comp[None, :]
+        assert np.all(corr[between] == 0.0) and not np.signbit(corr[between]).any()
 
     def test_unobserved_child_of_two_links_nothing(self):
         levels = _depth_levels([[], [], [0, 1]])

@@ -16,7 +16,10 @@ from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
     _covariance,
+    _depth_levels,
     _level_arcs,
+    _packing,
+    _unpack,
     condition,
     condition_sequential,
     correlation_matrix,
@@ -62,7 +65,7 @@ from gaussid.transforms import (
     forward_point,
     inverse_point,
 )
-from helpers import dense_b
+from helpers import dense_b, dense_factor
 
 PI2_3 = 3.2898681336964529  # 2 * trigamma(1)
 
@@ -404,10 +407,10 @@ def test_linearize_writes_the_level_arcs_layout():
     for (nodes, par, c), (w_nodes, w_par, w_c), (l_nodes, l_par) in zip(arcs, want, state.levels):
         assert nodes is l_nodes and par is l_par
         assert np.array_equal(w_nodes, nodes) and np.array_equal(w_par, par)
-        assert c.shape == w_c.shape == (len(nodes), 1, par.shape[1])
+        assert c.shape == w_c.shape == par.shape
         assert c.tobytes() == w_c.tobytes()
         pad = par == nodes[:, None]
-        assert np.all(c[:, 0, :][pad] == 0.0) and not np.signbit(c[:, 0, :][pad]).any()
+        assert np.all(c[pad] == 0.0) and not np.signbit(c[pad]).any()
     assert np.count_nonzero(dense_b(state.n_params, arcs)) == 9  # z, w and u: 2 parents; v: 3
 
 
@@ -484,7 +487,8 @@ class TestStep:
         np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0)
         arcs, a, vs, _, _ = state.snapshot
-        cov = _covariance(arcs, np.sqrt(state.cond_var[:n]), state.factor_cols, a, vs)
+        scale, pack = np.sqrt(state.cond_var[:n]), state.packing
+        cov = _unpack(_covariance(arcs, scale, pack, a, state.ev_ancestors, vs), pack)
         np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("conditioner", [condition, condition_sequential])
@@ -528,6 +532,7 @@ class TestStep:
         for _ in range(3):
             step(state)
             _, a, _, _, _ = state.snapshot
+            a = dense_factor(a, state.packing)
             want = a[par] @ a[par].T
             assert np.all(want[label[:, None] != label[None, :]] == 0.0)
             assert np.count_nonzero(want) < want.size  # entries with no shared ancestor
@@ -707,13 +712,16 @@ class TestSolve:
                 r_max=r,
             )
             state.records.append(record)
-            # p and q are independent, so B = 0 and A = diag(sqrt v); with one
+            # p and q are independent, so B = 0 and A = diag(sqrt v); packed as
+            # one component (an arc p -> q with coefficient 0) and with one
             # group of both entries on both columns, V = w, the covariance
             # A (I - V'V) A' is [[0.75, rho - 0.25], [rho - 0.25, 0.75]] scaled
             # by sqrt(v_i v_j)
             rho = r / 10.0
             sd = np.sqrt(state.cond_var[:2])
             w = np.array([[np.sqrt(0.25 - rho / 2)] * 2, [np.sqrt(rho / 2), -np.sqrt(rho / 2)]])
+            state.packing = _packing(_depth_levels([[], [0]]), np.array([True, True]))
+            state.ev_ancestors = (np.array([[0, 1]]),)
             state.snapshot = ((), np.diag(sd), [w[None]], np.full(2, 0.5), np.full(2, 0.01))
             return record
 
@@ -799,6 +807,23 @@ def test_warm_step_forms_no_evidence_by_parameter_array():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * n * q
+
+
+def test_a_solve_forms_no_n_by_n_array_but_its_correlations():
+    # The benchmark's scaling diagram again, in 500 components.  A and the
+    # posterior covariance are packed by component, so besides the returned
+    # n x n correlations a solve's arrays are small; the peak stays below
+    # one and a half times the correlations' bytes.
+    d, cfg = parse_model(json.dumps(bench_generate().scale_doc(7, 1000, 500)))
+    n = solve(d, cfg).posterior_correlations.shape[0]
+    assert n == 1500
+    tracemalloc.start()
+    try:
+        solve(d, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 class TestChangeMeasure:
@@ -1161,6 +1186,32 @@ class TestInitializeByArrays:
             nodes.append(evidence(f"o{i}", f"p{i}", look))
         err = assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "o5", batch_min=n)
         assert "adds no precision" in str(err)
+
+    def test_a_pooled_precision_that_overflows_names_the_entry(self):
+        # One look of variance 1e-320 is a valid likelihood, but its
+        # precision 1/v overflows, so the pooled one is not finite.
+        d = Diagram.from_nodes([normal_p("x", 1.0, 0.1), evidence("o", "x", normal_look(0.5, 1e-320))])
+        with pytest.raises(InitializationError, match="cannot pool the observations of 'o'") as exc:
+            solve(d)
+        assert exc.value.node_id == "o"
+        assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_a_pooled_group_that_fails_among_the_arrays(self, monkeypatch):
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p(f"x{i}", 1.0, 0.1) for i in range(n)]
+        for i in range(n):
+            nodes += [evidence(f"o{i}_{k}", f"x{i}", normal_look(0.5, 1.0)) for k in range(2)]
+        nodes[n + 12] = evidence("o6_0", "x6", normal_look(0.5, 1e-320))
+        arrays = []
+
+        def spy(*args, _fn=solver_mod._pool_array):
+            arrays.append(_fn(*args)[2])
+            return _fn(*args)
+
+        monkeypatch.setattr(solver_mod, "_pool_array", spy)
+        err = assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "o6_0", batch_min=n)
+        assert "cannot pool the observations of 'o6_0'" in str(err)
+        assert len(arrays) == 1 and np.flatnonzero(~arrays[0]).tolist() == [6]
 
     def test_parameters_fail_before_observations(self, monkeypatch):
         n = solver_mod._BATCH_MIN + 4
