@@ -11,13 +11,14 @@ A diagram is a DAG of named nodes of three kinds:
 Expressions are immutable trees supporting evaluation and printing, each
 walked as one loop over its post-order sequence, so neither size nor depth
 is limited; :func:`value_and_gradient` returns an expression's value and
-its partials together, from one walk.  :func:`point_value` and :func:`slopes` are the
-pieces of linearizing a deterministic node, shared by the solver and by
-:func:`recognize_linear`, which detects expression/transform combinations
-that are exactly linear on the transformed scale, so the solver can skip
-re-linearizing them.  ``_slopes_columns`` linearizes many nodes whose
-expressions share a :attr:`Expr.shape` in one pass over numpy columns, with
-the bits of the one-node walk.
+its partials together, from one walk.  :func:`point_value` (a node's
+support-checked value) and :func:`slopes` (its value and transformed-scale
+slopes) are the pieces of linearizing a deterministic node, and
+``_slopes_columns`` linearizes many nodes whose expressions share a
+:attr:`Expr.shape` in one pass over numpy columns, with the bits of the
+one-node walk.  :func:`recognize_linear` detects expression/transform
+combinations that are exactly linear on the transformed scale; it is a
+diagnostic, and the solver linearizes those nodes like any other.
 """
 
 from __future__ import annotations
@@ -726,8 +727,9 @@ def recognize_linear(node: Node, d: Diagram) -> dict[str, float] | None:
 
     Every structural match is double-checked numerically against the
     chain rule at two interior points; any disagreement returns ``None``.
-    Returning ``None`` merely means the solver re-linearizes each
-    iteration, so unrecognized linear forms cost accuracy nothing.
+    The solver does not use these coefficients: it takes every node's
+    slopes by the chain rule at each iteration, which for a recognized node
+    gives them up to rounding.
     """
     if node.kind != DETERMINISTIC:
         return None

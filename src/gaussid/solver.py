@@ -12,15 +12,14 @@ maps the conditioned moments back to the natural scale:
 
 1.  *Linearize* every deterministic node about the previous posterior
     means y*: a walk of its expression gives its transformed value
-    T_j(f_j(y*)) and, unless the node was recognized as exactly linear
-    (its constant coefficients are reused), its slopes by the chain rule
-    through the transforms, written straight into B's arcs by depth level.
-    The re-linearized nodes are grouped by expression shape (the operators
-    with slots for the constants and variables): the nodes of a shape with
-    at least ``_BATCH_MIN`` of them share one tape, walked once for all of
-    them over numpy columns with the same bits as their own walks, and a
-    member whose walk would fail is walked again on its own.  The levels
-    and the tapes are built once per solve.
+    T_j(f_j(y*)) and its slopes by the chain rule through the transforms,
+    written straight into B's arcs by depth level.  The nodes are grouped by
+    expression shape (the operators with slots for the constants and
+    variables): the nodes of a shape with at least ``_BATCH_MIN`` of them
+    share one tape, walked once for all of them over numpy columns with the
+    same bits as their own walks, and a member whose walk would fail is
+    walked again on its own.  The levels and the tapes are built once per
+    solve.
 2.  *Update means* to first order: the shifts from the previous posterior
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
@@ -91,11 +90,14 @@ from .model import (
     _value_and_gradient_columns,
     ensure_valid,
     point_value,
-    recognize_linear,
     slopes,
     topological_order,
 )
-from .model import eval_expr, value_and_gradient as diff_expr  # noqa: F401  names bench/tracer.py wraps
+from .model import (  # noqa: F401  names bench/tracer.py wraps
+    eval_expr,
+    recognize_linear,
+    value_and_gradient as diff_expr,
+)
 from .specfun import ConvergenceError, _beta_to_moments_lockstep
 from .transforms import (
     BETA,
@@ -135,7 +137,7 @@ MAX_ITERATIONS = "max_iterations"
 _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 
 # A family with at least this many parameters maps its moments as arrays,
-# and an expression shape with at least this many re-linearized nodes is
+# and an expression shape with at least this many deterministic nodes is
 # linearized as one tape; below it, numpy's fixed cost per call outweighs
 # the per-node loop.  Beta families break even at about 16 members (Normal
 # and lognormal ones at 6 to 10), and the fan-in-6 shapes of the mixed_expr
@@ -150,7 +152,7 @@ Place = tuple[int, int, int, list[int]]
 
 @dataclass(frozen=True, eq=False)
 class _Tape:
-    """The re-linearized nodes of one expression shape, linearized together.
+    """The deterministic nodes of one expression shape, linearized together.
 
     Member i is parameter ``nodes[i]``; its expression is ``ops`` (an
     :attr:`~gaussid.model.Expr.shape`) with constant slot j holding
@@ -273,7 +275,7 @@ class SolverState:
     ev_ancestors: tuple[np.ndarray, ...]
     packing: Packing  # where A and the covariance keep their entries, by component
     levels: Levels  # the parameters with parents, by depth of the arcs
-    # one tape per expression shape of at least _BATCH_MIN re-linearized
+    # one tape per expression shape of at least _BATCH_MIN deterministic
     # nodes; the places of the other deterministic nodes, walked one by one
     tapes: tuple[_Tape, ...]
     walked: list[Place]
@@ -288,13 +290,15 @@ class SolverState:
     # transformed values at y = post_y as the latest linearize found them:
     # T_j(f_j(y)) on deterministic nodes, prior means on basic ones
     point_x: np.ndarray
-    linear_coeffs: dict[str, dict[str, float]]
     t: int = 0
     records: list[IterationRecord] = field(default_factory=list)
     # (B by level, A packed, the update factors V per shape class,
     # natural-scale means, natural-scale variances) of the latest iterate:
     # its parameter covariance is A (I - V'V) A'
     snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None
+    # always empty: no node keeps constant coefficients; the benchmark's
+    # bench/worker.py::_sizes still reads it under --trace 1
+    linear_coeffs: dict[str, dict[str, float]] = field(default_factory=dict)
 
     @property
     def n_params(self) -> int:
@@ -336,7 +340,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     mean_y = np.zeros(n)
     mean_x = np.zeros(n)
     cond_var = np.zeros(n)
-    linear: dict[str, dict[str, float]] = {}
     members: dict[str, list[int]] = {}
     betas: list[int] = []  # the basic parameters with Beta priors, and the others
     others: list[int] = []
@@ -346,10 +349,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         if node.kind == BASIC:
             (betas if node.prior.family == BETA else others).append(k)
             mean_y[k] = _natural_prior_mean(node)
-        else:
-            coeffs = recognize_linear(node, d)
-            if coeffs is not None:
-                linear[pid] = coeffs
 
     # Prior moments, the Beta family as arrays when it is large enough.
     failed: list[tuple[int, str, ValueError]] = []  # (parameter, what failed, why)
@@ -387,16 +386,12 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
 
-    # Group the re-linearized nodes by expression shape, level by level.
+    # Group the deterministic nodes by expression shape, level by level.
     walked: list[Place] = []
     shapes: dict[tuple, list[Place]] = {}
     for level, (nodes, par) in enumerate(levels):
         for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
-            place = (level, row, k, ps)
-            if param_ids[k] in linear:
-                walked.append(place)
-            else:
-                shapes.setdefault(d.nodes[param_ids[k]].expr.shape[0], []).append(place)
+            shapes.setdefault(d.nodes[param_ids[k]].expr.shape[0], []).append((level, row, k, ps))
     tapes = []
     for ops, places in shapes.items():
         if len(places) < _BATCH_MIN:
@@ -462,7 +457,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
         point_x=mean_x.copy(),
-        linear_coeffs=linear,
     )
 
 
@@ -562,13 +556,11 @@ def linearize(state: SolverState) -> Arcs:
     is the layout :func:`~gaussid.gaussian._level_arcs` gathers from a dense
     B.  Node j's coefficient on parent i is
     ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
-    previous natural-scale posterior means; recognized-linear nodes keep
-    their constants.  Each expression shape with a tape (at least
-    ``_BATCH_MIN`` re-linearized nodes) is walked once for all its nodes,
+    previous natural-scale posterior means.  Each expression shape with a
+    tape (at least ``_BATCH_MIN`` nodes) is walked once for all its nodes,
     by :func:`_linearize_tape`; each other node's expression is walked on
-    its own, by :func:`slopes` or, for a recognized-linear node,
-    :func:`point_value`, and so is each node a tape finds failing.  The
-    transformed values T_j(f_j(y*)) are kept in ``state.point_x`` for
+    its own by :func:`slopes`, and so is each node a tape finds failing.
+    The transformed values T_j(f_j(y*)) are kept in ``state.point_x`` for
     :func:`update_means`.  Of the nodes that fail, the first in parameter
     order is named, with the message of its own walk.
     """
@@ -581,12 +573,8 @@ def linearize(state: SolverState) -> Arcs:
     for level, row, k, ps in walked:
         node = d.nodes[ids[k]]
         env = {ids[i]: state.post_y[i] for i in ps if i != k}
-        node_coeffs = state.linear_coeffs.get(node.id)
         try:
-            if node_coeffs is None:
-                y, node_coeffs = slopes(node, d, env)
-            else:
-                y = point_value(node, env)
+            y, node_coeffs = slopes(node, d, env)
             state.point_x[k] = forward_point(node.transform, y)
         except ValueError as err:
             failed.append((k, err))

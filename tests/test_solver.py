@@ -40,6 +40,7 @@ from gaussid.model import (
     deterministic,
     eval_expr,
     evidence,
+    recognize_linear,
     topological_order,
 )
 from gaussid.solver import (
@@ -240,14 +241,12 @@ class TestInitialize:
             solve(d)
         assert exc.value.node_id == "p"
 
-    def test_linear_nodes_cached(self):
-        state = initialize(linear_chain())
-        assert "z" in state.linear_coeffs
-        assert state.linear_coeffs["z"] == {"x": pytest.approx(2.0)}
-
 
 class TestLinearize:
     def test_recognized_coefficients_are_position_free(self):
+        # w = u * v is exactly linear on the log scale: its slopes, taken
+        # by the chain rule like any node's, are recognize_linear's
+        # constants at any point, up to rounding.
         d = Diagram.from_nodes(
             [
                 lognormal_p("u", 1.0, 0.5),
@@ -259,8 +258,10 @@ class TestLinearize:
         state.post_y = np.array([3.7, 0.2, 0.74])  # an arbitrary later point
         coeffs = dense_b(state.n_params, linearize(state))
         iu, iv, iw = (state.param_ids.index(k) for k in ("u", "v", "w"))
-        assert coeffs[iu, iw] == 1.0
-        assert coeffs[iv, iw] == 1.0
+        want = recognize_linear(d.nodes["w"], d)
+        assert want == {"u": 1.0, "v": 1.0}
+        assert coeffs[iu, iw] == pytest.approx(want["u"], rel=1e-15, abs=0.0)
+        assert coeffs[iv, iw] == pytest.approx(want["v"], rel=1e-15, abs=0.0)
 
     def test_scaled_multiple(self):
         state = initialize(linear_chain())
@@ -295,7 +296,6 @@ class TestLinearize:
             ]
         )
         state = initialize(d)
-        assert "q" not in state.linear_coeffs
         coeffs = dense_b(state.n_params, linearize(state))
         idx = {pid: i for i, pid in enumerate(state.param_ids)}
         node = d.nodes["q"]
@@ -329,10 +329,9 @@ class TestLinearize:
         assert exc.value.node_id == "q"
 
     def test_recognized_linear_node_leaving_the_reals_raises(self):
-        # z = 2x + 1 keeps its constant slope, but its value at the point
-        # is still evaluated, once, and 2e308 overflows.
+        # z = 2x + 1 is exactly linear, but its value at the point is
+        # evaluated too, and 2e308 overflows.
         state = initialize(linear_chain())
-        assert "z" in state.linear_coeffs
         step(state)
         state.post_y = np.array([1e308, 0.5])
         with pytest.raises(IterationError) as exc:
@@ -361,8 +360,8 @@ class TestLinearize:
 
 
 def two_level_mixed():
-    # Depth 1: z (affine, recognized linear) and w (a product); depth 2:
-    # u (affine in z and w, recognized linear) and v (a product with x).
+    # Depth 1: z (affine) and w (a product); depth 2: u (affine in z and
+    # w) and v (a product with x).
     return Diagram.from_nodes(
         [
             normal_p("x", 1.5, 0.5),
@@ -417,7 +416,6 @@ def test_linearize_writes_the_level_arcs_layout():
 class TestUpdateMeans:
     def test_matches_the_node_by_node_formula(self):
         state = initialize(two_level_mixed())
-        assert set(state.linear_coeffs) == {"z", "u"}
         assert len(state.levels) == 2
         step(state)
         step(state)  # two moves off the prior point
@@ -587,6 +585,80 @@ class TestSolve:
         j = result.param_ids.index("z")
         assert result.posterior_correlations[i, j] == pytest.approx(1.0, abs=1e-9)
 
+    # A node that is exactly linear on the transformed scale is linearized
+    # like any other, and its slopes are the same at every point.  The point
+    # is the parents' natural-scale posterior means, and on a log or
+    # log-odds scale the transform of a mean is not the mean of the
+    # transform: the node's offset moves once, from the prior's spread to
+    # the posterior's, so the second iteration still moves the means and
+    # the third repeats it.
+
+    def test_a_power_product_on_the_log_scale(self):
+        # w = 3 u^2 / v on log_scaled(0, 2): ln(w/2) = ln 3 + 2 ln(u/2) - ln(v/2).
+        t = Transform("log_scaled", 0.0, 2.0)
+        lognormal = [
+            basic(k, PriorSpec(family="lognormal", transform=t, mean=m, variance=v))
+            for k, m, v in (("u", 1.5, 0.4), ("v", 0.8, 0.1))
+        ]
+        w = Mul(Const(3.0), Div(Pow(Var("u"), 2.0), Var("v")))
+        d = Diagram.from_nodes(
+            lognormal + [deterministic("w", t, w), evidence("o", "w", normal_look(0.3, 0.2))]
+        )
+        h = np.array([2.0, -1.0])
+        assert recognize_linear(d.nodes["w"], d) == dict(zip("uv", h))
+        result = solve(d)
+        assert result.status == CONVERGED
+        assert [r.r_max <= 1e-12 for r in result.iterations] == [False, False, True]
+
+        # The linear-Gaussian posterior of (ln(u/2), ln(v/2)) given one
+        # look at ln(w/2), whose mean is ln 3 + h.mu plus h.diag(S')/2 for
+        # the posterior covariance S' (a lognormal's mean is e^(mu + s/2)).
+        prior = [forward_moments(node.prior) for node in lognormal]
+        mu, s = np.array([m.mean for m in prior]), np.diag([m.variance for m in prior])
+        gain = s @ h / (h @ s @ h + 0.2)
+        cov = s - np.outer(gain, s @ h)
+        pred = np.log(3.0) + h @ mu + h @ np.diag(cov) / 2.0
+        mean = mu + gain * (0.3 - pred)
+        want_mean = [*mean, np.log(3.0) + h @ (mean + np.diag(cov) / 2.0)]
+        want_var = [*np.diag(cov), h @ cov @ h]
+        last = result.iterations[-1]
+        order = [result.param_ids.index(k) for k in "uvw"]
+        np.testing.assert_allclose(last.posterior_mean_x[order], want_mean, rtol=1e-12, atol=0)
+        for record in result.iterations:
+            np.testing.assert_allclose(record.posterior_var_x[order], want_var, rtol=1e-12, atol=0)
+
+    def test_an_odds_composition_on_the_log_odds_scale(self):
+        # w = p^2 q / (p^2 q + (1 - p)^2 (1 - q)): logit w = 2 logit p + logit q,
+        # and a binomial look at p is conjugate to its Beta prior.
+        g = Mul(Pow(Var("p"), 2.0), Var("q"))
+        h = Mul(Pow(Sub(Const(1.0), Var("p")), 2.0), Sub(Const(1.0), Var("q")))
+        d = Diagram.from_nodes(
+            [
+                beta_p("p", 2.0, 3.0),
+                beta_p("q", 4.0, 2.0),
+                deterministic("w", T01, Div(g, Add(g, h))),
+                evidence("o", "p", EvidenceSpec(variant="binomial", count=10, successes=7)),
+            ]
+        )
+        assert recognize_linear(d.nodes["w"], d) == {"p": 2.0, "q": 1.0}
+        result = solve(d)
+        assert result.status == CONVERGED
+        assert [r.r_max <= 1e-12 for r in result.iterations] == [False, False, True]
+
+        # Beta(9, 6) and Beta(4, 2) on the log-odds scale, and w's transformed
+        # mean at their natural means 9/15 and 4/6, which the solver finds
+        # by the Beta moment inversion (residual tolerance 1e-10).
+        want_mean = [digamma(9.0) - digamma(6.0), digamma(4.0) - digamma(2.0)]
+        var_p, var_q = trigamma(9.0) + trigamma(6.0), trigamma(4.0) + trigamma(2.0)
+        want_var = [var_p, var_q, 4.0 * var_p + var_q]
+        last = result.iterations[-1]
+        order = [result.param_ids.index(k) for k in "pqw"]
+        np.testing.assert_allclose(last.posterior_mean_x[order[:2]], want_mean, rtol=1e-12, atol=0)
+        assert last.posterior_mean_x[order[2]] == pytest.approx(
+            2.0 * np.log(9.0 / 6.0) + np.log(4.0 / 2.0), rel=1e-10, abs=0.0
+        )
+        np.testing.assert_allclose(last.posterior_var_x[order], want_var, rtol=1e-12, atol=0)
+
     def test_no_evidence_returns_prior_in_one_iteration(self):
         d = Diagram.from_nodes([beta_p("p", 2.0, 3.0), normal_p("x", 1.0, 4.0)])
         result = solve(d)
@@ -612,6 +684,20 @@ class TestSolve:
         assert "at iteration 1" in message
         assert "x^0.5" in message
         assert "x^(-0.5)" not in message
+
+    def test_a_power_product_whose_walk_overflows(self):
+        # w = u^-2 v^2 is exactly linear on log_scaled(0, 1), but the walk's
+        # slope of u^-2 at u = 1e-120 is -2 u^-3, which overflows.
+        tiny = [
+            basic(k, PriorSpec(family="lognormal", transform=TLOG, mean=m, variance=1e-242))
+            for k, m in (("u", 1e-120), ("v", 2e-120))
+        ]
+        w = deterministic("w", TLOG, Mul(Pow(Var("u"), -2.0), Pow(Var("v"), 2.0)))
+        d = Diagram.from_nodes(tiny + [w, evidence("o", "w", normal_look(0.5, 0.2))])
+        with pytest.raises(IterationError, match="at iteration 1: non-finite slope") as exc:
+            solve(d)
+        assert exc.value.node_id == "w"
+        assert exc.value.records == []
 
     def test_beta_inversion_failure_names_the_node(self):
         # Beta(0.45, 0.45) has a log-odds variance beyond what the moment
@@ -994,6 +1080,14 @@ def spy_walks(monkeypatch):
     return walked
 
 
+def test_a_solve_recognizes_no_linear_node(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver_mod, "recognize_linear", lambda *args: calls.append(args))
+    for d in (linear_chain(), two_level_mixed(), correlated_evidence()):
+        solve(d)
+    assert calls == []
+
+
 def record_bits(records):
     return [
         (r.t, r.prior_mean_x.tobytes(), r.posterior_mean_x.tobytes(), r.posterior_var_x.tobytes())
@@ -1003,7 +1097,7 @@ def record_bits(records):
 
 def test_a_shape_of_batch_min_nodes_runs_one_tape_per_step(monkeypatch):
     # _BATCH_MIN nodes q_i = x * (y + c_i) share a shape; three r_j = x * y * c_j
-    # share another, too few for a tape; z is recognized linear.
+    # share another, too few for a tape; z, affine, is walked like the r_j.
     n = solver_mod._BATCH_MIN
     nodes = [normal_p("x", 1.0, 0.5), normal_p("y", 2.0, 0.3)]
     x, y = Var("x"), Var("y")
@@ -1012,12 +1106,11 @@ def test_a_shape_of_batch_min_nodes_runs_one_tape_per_step(monkeypatch):
     nodes += [deterministic("z", TS, Add(Var("x"), Var("y")))]
     nodes += [evidence("look", "q3", normal_look(2.5, 0.2))]
     state = initialize(Diagram.from_nodes(nodes))
-    assert set(state.linear_coeffs) == {"z"}
     sizes, walked = spy_tapes(monkeypatch), spy_walks(monkeypatch)
     for t in (1, 2):
         step(state)
         assert sizes == [n] * t
-        assert sorted(walked) == sorted(["r0", "r1", "r2"] * t)
+        assert sorted(walked) == sorted(["r0", "r1", "r2", "z"] * t)
 
 
 class TestTapeErrors:

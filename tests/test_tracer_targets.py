@@ -75,7 +75,6 @@ def test_step_reaches_each_layer_once(monkeypatch):
         ]
     )
     state = solver.initialize(d)
-    assert set(state.linear_coeffs) == {"z"}
 
     calls = {"linearize": 0, "update_means": 0, "walks": 0}
     for name in ("linearize", "update_means"):
