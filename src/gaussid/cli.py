@@ -513,11 +513,13 @@ def _fmt(x: float, full: bool) -> str:
     return f"{x:.17g}" if full else f"{x:.6g}"
 
 
-def _load(args, check: bool = True) -> tuple[Diagram, SolverConfig] | None:
-    """The model named by ``args``, or None after printing why it is unusable."""
+def _load(args) -> tuple[Diagram, SolverConfig] | None:
+    """The model named by ``args``, or None after printing why it is unusable.
+
+    The diagram is not validated here: each command validates it once."""
     try:
-        loaded = parse_model(Path(args.file), check=check)
-    except (OSError, SchemaError, InvalidDiagramError) as err:
+        loaded = parse_model(Path(args.file), check=False)
+    except (OSError, SchemaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return None
     if getattr(args, "samples", 1) < 1:
@@ -542,7 +544,7 @@ _STATUS_EXIT = {
 
 
 def _cmd_validate(args) -> int:
-    loaded = _load(args, check=False)
+    loaded = _load(args)
     if loaded is None:
         return EXIT_INPUT
     diagram, _ = loaded
@@ -801,6 +803,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except InvalidDiagramError as err:  # from solve or mc_posterior: an input error
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
     except _NUMERICAL_FAILURES as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

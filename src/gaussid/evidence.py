@@ -6,8 +6,8 @@ Three designs are supported — normal samples with known variance, normal
 samples with unknown variance, and binomial counts — plus precision
 pooling of several observations on one parameter and an adapter that
 turns natural-scale samples of a log-transformed quantity into the
-summary statistics the normal designs need.  ``_binomial_array`` and
-``_pool_array`` do what :func:`binomial` and :func:`pool` do, over arrays.
+summary statistics the normal designs need.  ``_binomial_array`` does what
+:func:`binomial` does, over arrays.
 """
 
 from __future__ import annotations
@@ -229,33 +229,22 @@ def _binomial_array(
 
 
 def pool(items: list[LikelihoodApprox]) -> LikelihoodApprox:
-    """Combine observations on one parameter by precision weighting."""
+    """Combine observations on one parameter by precision weighting.
+
+    Precisions are taken relative to the largest: with v_min the smallest
+    variance and r_i = v_min / v_i <= 1, the result is v = v_min / sum r_i
+    and d = sum d_i r_i / sum r_i.  No reciprocal of a tiny variance is
+    formed, and one observation comes back bit for bit (r = 1.0).
+    """
     if not items:
         raise ValueError("cannot pool an empty list of observations")
-    precision = weighted = 0.0
-    for it in items:  # in order, as _pool_array adds (sum() may compensate)
-        precision += 1.0 / it.v
-        weighted += it.d / it.v
-    v = 1.0 / precision
-    return LikelihoodApprox(v * weighted, v)
-
-
-def _pool_array(
-    d: np.ndarray, v: np.ndarray, groups: list[list[int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`pool` of observations ``groups[g]`` for each g: ``(d, v, done)``, as in
-    :func:`_binomial_array`.  A short group adds 0.0 per missing observation: no bit changes.
-    """
-    width = max(map(len, groups))
-    at = np.array([items + [len(d)] * (width - len(items)) for items in groups]).T
-    precision, weighted = np.zeros((2, len(groups)))
-    with np.errstate(all="ignore"):
-        for dj, vj in zip(np.append(d, 0.0)[at], np.append(v, math.inf)[at]):
-            precision += 1.0 / vj
-            weighted += dj / vj
-        v_pool = 1.0 / precision
-        d_pool = v_pool * weighted
-    return d_pool, v_pool, np.isfinite(d_pool) & np.isfinite(v_pool) & (v_pool > 0.0)
+    v_min = min(it.v for it in items)
+    total, weighted = 0.0, -0.0  # -0.0 + x is x, for x = -0.0 too
+    for it in items:
+        r = v_min / it.v
+        total += r
+        weighted += it.d * r
+    return LikelihoodApprox(weighted / total, v_min / total)
 
 
 def lognormal_sample_adapter(

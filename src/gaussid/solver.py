@@ -2,9 +2,9 @@
 
 A solve starts at the prior point, which :func:`initialize` builds in array
 passes where there are enough members: a family of at least ``_BATCH_MIN``
-Beta priors, as many binomial observations and their pooling, and each
-expression-shape tape (below) level by level.  What a pass cannot finish is
-redone one by one, so the values and errors are the scalar ones.
+Beta priors, as many binomial observations, and each expression-shape
+tape (below) level by level.  What a pass cannot finish is redone one by
+one, so the values and errors are the scalar ones.
 
 Each iteration rebuilds a Gaussian model of the transformed variables
 around the previous posterior point, conditions it on the evidence, and
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evidence import BINOMIAL, LikelihoodApprox, _binomial_array, _pool_array, _reference
+from .evidence import BINOMIAL, LikelihoodApprox, _binomial_array, _reference
 from .evidence import pool as pool_likelihoods, to_likelihood
 from .gaussian import (
     Arcs,
@@ -432,7 +432,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     looks: dict[str, tuple[Node, list[int]]] = {}
     for i, node in enumerate(ev_nodes):
         looks.setdefault(node.parents[0] if cfg.pool_evidence else node.id, (node, []))[1].append(i)
-    if cfg.pool_evidence:  # only pooled entries go through pool, whose 1/(1/v) can change a bit
+    if cfg.pool_evidence:
         ev_obs, ev_var = _pooled(ev_obs, ev_var, list(looks.values()))
     order = param_ids + tuple(first.id for first, _ in looks.values())
     ev_parent = np.array([index[first.parents[0]] for first, _ in looks.values()], dtype=int)
@@ -486,22 +486,22 @@ def _likelihoods(nodes: list[Node], d: Diagram) -> tuple[list[float], list[float
 def _pooled(
     obs: list[float], var: list[float], groups: list[tuple[Node, list[int]]]
 ) -> tuple[list[float], list[float]]:
-    """Each group of observations pooled into one, as arrays for at least ``_BATCH_MIN``
-    groups; if one fails, all go through :func:`pool`, and the first that fails raises,
-    naming the group's first node."""
-    if len(groups) >= _BATCH_MIN:
-        d, v, done = _pool_array(np.array(obs), np.array(var), [items for _, items in groups])
-        if done.all():
-            return d.tolist(), v.tolist()
-    pooled = []
-    for first, items in groups:
-        try:
-            pooled.append(pool_likelihoods([LikelihoodApprox(obs[i], var[i]) for i in items]))
-        except ValueError as err:
-            raise InitializationError(
-                f"cannot pool the observations of {first.id!r}: {err}", first.id
-            ) from err
-    return [like.d for like in pooled], [like.v for like in pooled]
+    """Each group of observations pooled into one by :func:`pool`, in order.
+
+    A group of one keeps its entry, which is what :func:`pool` returns for
+    it; the first group that cannot pool raises, naming its first node."""
+    pooled_obs = [obs[items[0]] for _, items in groups]
+    pooled_var = [var[items[0]] for _, items in groups]
+    for g, (first, items) in enumerate(groups):
+        if len(items) > 1:
+            try:
+                like = pool_likelihoods([LikelihoodApprox(obs[i], var[i]) for i in items])
+            except ValueError as err:
+                raise InitializationError(
+                    f"cannot pool the observations of {first.id!r}: {err}", first.id
+                ) from err
+            pooled_obs[g], pooled_var[g] = like.d, like.v
+    return pooled_obs, pooled_var
 
 
 def _tape(
@@ -630,16 +630,17 @@ def step(state: SolverState) -> IterationRecord:
     # of A on its own columns.
     a = _forward_factor(arcs, np.sqrt(state.cond_var[:n]), state.packing)
     par = state.ev_parent
-    try:
-        shift, vs = _factor_update(
-            a,
-            state.packing,
-            state.ev_components,
-            state.ev_ancestors,
-            par,
-            state.cond_var[n:],
-            state.ev_obs - new_mean[par],
-        )
+    try:  # a mean that overflows is reported by name in _natural_moments
+        with np.errstate(all="ignore"):
+            shift, vs = _factor_update(
+                a,
+                state.packing,
+                state.ev_components,
+                state.ev_ancestors,
+                par,
+                state.cond_var[n:],
+                state.ev_obs - new_mean[par],
+            )
     except (ConditioningError, ValueError) as err:
         raise _iteration_error(state, "conditioning failed", err, None) from err
     post_mean = new_mean[:n] + shift

@@ -514,6 +514,15 @@ class TestSchemaRules:
 
 
 @pytest.fixture
+def invalid_file(tmp_path):
+    doc = json.loads(json.dumps(DIVERGING_DOC))
+    doc["nodes"][2]["evidence"] = {"variant": "binomial", "count": 5, "successes": 2}
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
 def diverging_file(tmp_path):
     path = tmp_path / "diverging.json"
     path.write_text(json.dumps(DIVERGING_DOC))
@@ -529,14 +538,30 @@ class TestCommands:
         assert main(["validate", "/nonexistent/model.json"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
-    def test_validate_reports_violations(self, tmp_path, capsys):
-        doc = json.loads(json.dumps(DIVERGING_DOC))
-        doc["nodes"][2]["evidence"] = {"variant": "binomial", "count": 5, "successes": 2}
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == EXIT_INPUT
+    def test_validate_reports_violations(self, invalid_file, capsys):
+        assert main(["validate", invalid_file]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "oz:" in err and "logistic" in err
+
+    @pytest.mark.parametrize("command", ["solve", "oracle", "compare"])
+    def test_an_invalid_model_is_an_input_error(self, invalid_file, capsys, command):
+        flags = ["--samples", "100", "--seed", "1"] if command != "solve" else []
+        assert main([command, invalid_file, *flags]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid diagram: oz:")
+        assert err.count("\n") == 1
+
+    def test_solve_validates_the_model_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(d, _validate=gaussid.model.validate):
+            calls.append(d)
+            return _validate(d)
+
+        monkeypatch.setattr(gaussid.cli, "validate", counted)
+        monkeypatch.setattr(gaussid.model, "validate", counted)
+        assert main(["solve", str(BETA_BINOMIAL)]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_solve_golden_table(self, capsys):
         assert main(["solve", str(BETA_BINOMIAL)]) == EXIT_OK
@@ -982,9 +1007,20 @@ def test_json_writes_null_for_an_estimate_that_overflows(tmp_path, capsys):
 
 def test_an_overflow_raises_no_numpy_warning(tmp_path, capsys):
     path = _risk_difference_with(tmp_path, "exp(1000 * p_treated)", _WIDE)
+    # Two looks of mean 1.5e308: unpooled, the conditioned mean overflows.
+    huge = tmp_path / "huge.json"
+    look = {"variant": "normal_known_var", "count": 1, "sample_mean": 1.5e308, "variance": 1.0}
+    prior = {"family": "normal", "mean": 1.0, "variance": 0.1}
+    x = {"id": "x", "kind": "basic", "transform": {"kind": "scaled", "a": 0, "b": 1}, "prior": prior}
+    looks = [{"id": f"o{k}", "kind": "evidence", "parent": "x", "evidence": look} for k in range(2)]
+    huge.write_text(json.dumps({"schema_version": "1", "nodes": [x, *looks]}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["solve", path]) == EXIT_NUMERICAL
         assert "'risk_difference'" in capsys.readouterr().err
         assert main(["oracle", path, "--samples", "2000", "--seed", "1"]) == EXIT_OK
+        assert main(["solve", str(huge), "--no-pool"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot map 'x' back to its natural scale")
+        assert err.count("\n") == 1
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

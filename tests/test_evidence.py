@@ -1,17 +1,17 @@
 """Gaussian likelihood approximations: three designs, pooling, the sample adapter."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaussid.evidence import (
     EvidenceSpec,
     LikelihoodApprox,
     _binomial_array,
-    _pool_array,
     binomial,
     lognormal_sample_adapter,
     normal_known_var,
@@ -108,6 +108,11 @@ class TestBinomial:
             binomial(5, 2, -1.0, 1.0)
 
 
+# Positive floats from the subnormals up to 1e300: variances, and reference
+# parameters down to where psi' overflows.
+POSITIVES = st.one_of(st.floats(5e-324, 10.0), st.floats(-323.5, 300.0).map(lambda e: 10.0**e))
+
+
 class TestPooling:
     def test_two_equal_variances(self):
         out = pool([LikelihoodApprox(1.0, 2.0), LikelihoodApprox(3.0, 2.0)])
@@ -148,6 +153,31 @@ class TestPooling:
         with pytest.raises(ValueError):
             pool([])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), POSITIVES)
+    @example(-1.4695858455634698, 7.640108443576374)  # 1/(1/v) is not v
+    @example(0.5, 1e-320)  # 1/v overflows
+    def test_one_observation_comes_back_bit_for_bit(self, d, v):
+        out = pool([LikelihoodApprox(d, v)])
+        assert (out.d.hex(), out.v.hex()) == (d.hex(), v.hex())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), POSITIVES), min_size=1, max_size=6))
+    def test_agrees_with_the_reciprocal_form(self, looks):
+        # The textbook v = 1/sum(1/v_i), d = v sum(d_i/v_i), where its terms
+        # neither overflow nor lose precision to subnormals.
+        precisions, weights = [1.0 / v for _, v in looks], [d / v for d, v in looks]
+        assume(all(p >= sys.float_info.min for p in precisions))
+        assume(all(abs(w) >= sys.float_info.min or d == 0.0 for w, (d, _) in zip(weights, looks)))
+        precision, weighted = sum(precisions), sum(weights)
+        assume(math.isfinite(precision) and math.isfinite(weighted))
+        want_v = 1.0 / precision
+        out = pool([LikelihoodApprox(d, v) for d, v in looks])
+        assert out.v == pytest.approx(want_v, rel=1e-12, abs=0.0)
+        # d is a weighted mean: its error scales with the mean of |d_i|.
+        scale = want_v * sum(abs(w) for w in weights)
+        assert out.d == pytest.approx(want_v * weighted, rel=1e-12, abs=1e-12 * scale)
+
 
 def outcome(fn, *args):
     """The hex bits of ``fn(*args)``'s (d, v), or None where it raises."""
@@ -158,23 +188,17 @@ def outcome(fn, *args):
     return like.d.hex(), like.v.hex()
 
 
-# Reference parameters from the subnormals up, where psi' overflows, to 1e300.
-REFERENCES = st.one_of(
-    st.floats(5e-324, 10.0), st.floats(-323.5, 300.0).map(lambda e: 10.0**e)
-)
-
-
 @st.composite
 def binomial_observations(draw):
     """(count, successes, alpha, beta), a few of them outside binomial's domain."""
     count = draw(st.integers(0, 500))
     successes = draw(st.integers(-1, count + 1))
-    return count, successes, draw(st.one_of(REFERENCES, st.just(0.0))), draw(REFERENCES)
+    return count, successes, draw(st.one_of(POSITIVES, st.just(0.0))), draw(POSITIVES)
 
 
 class TestArrayForms:
-    """The array binomial map and pooling give the scalar bits, or mark the
-    entries where the scalar function raises."""
+    """The array binomial map gives the scalar bits, or marks the entries
+    where the scalar function raises."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(binomial_observations(), min_size=1, max_size=40))
@@ -189,26 +213,6 @@ class TestArrayForms:
         _, _, done = _binomial_array(10.0 * ones, np.array([0.0, 3.0]), 1e-160 * ones, ones)
         assert done.tolist() == [False, True]
         assert outcome(binomial, 10, 0, 1e-160, 1.0) is None
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.tuples(st.floats(-1e6, 1e6), REFERENCES), min_size=1, max_size=4),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_pool_array_matches_pool(self, groups):
-        flat = [item for group in groups for item in group]
-        ends = np.cumsum([len(g) for g in groups]).tolist()
-        d, v, done = _pool_array(
-            np.array([x for x, _ in flat]),
-            np.array([y for _, y in flat]),
-            [list(range(end - len(g), end)) for g, end in zip(groups, ends)],
-        )
-        got = [(x.hex(), y.hex()) if ok else None for x, y, ok in zip(d, v, done)]
-        want = [outcome(pool, [LikelihoodApprox(x, y) for x, y in group]) for group in groups]
-        assert got == want
 
 
 class TestSampleAdapter:

@@ -212,6 +212,51 @@ class TestInitialize:
             1.0 / split.cond_var[1] + 1.0 / split.cond_var[2]
         )
 
+    def test_one_look_pools_as_itself_bit_for_bit(self):
+        # A (d, v) whose 1/(1/v) is not v: each parameter keeps its one look.
+        look = normal_look(-1.4695858455634698, 7.640108443576374)
+        nodes = [normal_p(f"x{i}", 0.5, 0.1) for i in range(3)]
+        d = Diagram.from_nodes(nodes + [evidence(f"o{i}", f"x{i}", look) for i in range(3)])
+        pooled = initialize(d, SolverConfig(pool_evidence=True))
+        split = initialize(d, SolverConfig(pool_evidence=False))
+        assert pooled.order == split.order
+        for field in ("post_x", "post_y", "point_x", "cond_var", "ev_obs", "ev_parent"):
+            assert getattr(pooled, field).tobytes() == getattr(split, field).tobytes(), field
+
+    def test_a_look_whose_precision_overflows_pools(self):
+        # Variance 1e-320 is a valid likelihood whose precision 1/v overflows.
+        d = Diagram.from_nodes([normal_p("x", 1.0, 0.1), evidence("o", "x", normal_look(0.5, 1e-320))])
+        pooled, split = solve(d), solve(d, SolverConfig(pool_evidence=False))
+        assert pooled.status == split.status == CONVERGED
+        assert record_bits(pooled.iterations) == record_bits(split.iterations)
+        assert pooled.posterior_y == split.posterior_y
+        assert pooled.posterior_y["x"].mean == 0.5
+        assert pooled.posterior_correlations.tobytes() == split.posterior_correlations.tobytes()
+
+    def test_a_pair_of_looks_with_a_tiny_variance_pools(self):
+        looks = [normal_look(0.5, 1e-320), normal_look(0.7, 1.0)]
+        d = Diagram.from_nodes(
+            [normal_p("x", 1.0, 0.1)] + [evidence(f"o{k}", "x", look) for k, look in enumerate(looks)]
+        )
+        pooled, split = solve(d), solve(d, SolverConfig(pool_evidence=False))
+        assert pooled.status == split.status == CONVERGED
+        got, want = pooled.posterior_y["x"], split.posterior_y["x"]
+        assert got.mean == pytest.approx(want.mean, rel=1e-9, abs=1e-9)
+        assert got.variance == pytest.approx(want.variance, rel=1e-9, abs=1e-9)
+
+    def test_the_one_group_that_cannot_pool_is_named(self):
+        # Two looks of mean 1.5e308 overflow the weighted sum of group x6,
+        # one of _BATCH_MIN + 4 groups of two.
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p(f"x{i}", 1.0, 0.1) for i in range(n)]
+        for i in range(n):
+            mean = 1.5e308 if i == 6 else 0.5
+            nodes += [evidence(f"o{i}_{k}", f"x{i}", normal_look(mean, 1.0)) for k in range(2)]
+        with pytest.raises(InitializationError, match="cannot pool the observations of 'o6_0'") as exc:
+            initialize(Diagram.from_nodes(nodes))
+        assert exc.value.node_id == "o6_0"
+        assert isinstance(exc.value.__cause__, ValueError)
+
     def test_prior_point_outside_support(self):
         d = Diagram.from_nodes(
             [
@@ -1244,8 +1289,8 @@ TINY_REFERENCE = {"alpha": 1e-160, "beta": 1.0}  # with no success, v1 and v2 ar
 
 
 class TestInitializeByArrays:
-    """Beta prior families, binomial observations, their pooling and each tape's
-    prior point go through arrays, with the scalar paths' bits and errors."""
+    """Beta prior families, binomial observations and each tape's prior point
+    go through arrays, with the scalar paths' bits and errors."""
 
     @pytest.mark.parametrize(
         "name", ["beta_binomial.json", "risk_difference.json", "scale_1500", "mixed_expr"]
@@ -1279,32 +1324,6 @@ class TestInitializeByArrays:
             nodes.append(evidence(f"o{i}", f"p{i}", look))
         err = assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "o5", batch_min=n)
         assert "adds no precision" in str(err)
-
-    def test_a_pooled_precision_that_overflows_names_the_entry(self):
-        # One look of variance 1e-320 is a valid likelihood, but its
-        # precision 1/v overflows, so the pooled one is not finite.
-        d = Diagram.from_nodes([normal_p("x", 1.0, 0.1), evidence("o", "x", normal_look(0.5, 1e-320))])
-        with pytest.raises(InitializationError, match="cannot pool the observations of 'o'") as exc:
-            solve(d)
-        assert exc.value.node_id == "o"
-        assert isinstance(exc.value.__cause__, ValueError)
-
-    def test_a_pooled_group_that_fails_among_the_arrays(self, monkeypatch):
-        n = solver_mod._BATCH_MIN + 4
-        nodes = [normal_p(f"x{i}", 1.0, 0.1) for i in range(n)]
-        for i in range(n):
-            nodes += [evidence(f"o{i}_{k}", f"x{i}", normal_look(0.5, 1.0)) for k in range(2)]
-        nodes[n + 12] = evidence("o6_0", "x6", normal_look(0.5, 1e-320))
-        arrays = []
-
-        def spy(*args, _fn=solver_mod._pool_array):
-            arrays.append(_fn(*args)[2])
-            return _fn(*args)
-
-        monkeypatch.setattr(solver_mod, "_pool_array", spy)
-        err = assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "o6_0", batch_min=n)
-        assert "cannot pool the observations of 'o6_0'" in str(err)
-        assert len(arrays) == 1 and np.flatnonzero(~arrays[0]).tolist() == [6]
 
     def test_parameters_fail_before_observations(self, monkeypatch):
         n = solver_mod._BATCH_MIN + 4
