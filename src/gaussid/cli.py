@@ -54,7 +54,7 @@ from .model import (
     format_expr,
     validate,
 )
-from .oracle import mc_posterior
+from .oracle import McEstimate, mc_posterior
 from .solver import (
     CONVERGED,
     DIVERGED,
@@ -543,11 +543,7 @@ _STATUS_EXIT = {
 }
 
 
-def _cmd_validate(args) -> int:
-    loaded = _load(args)
-    if loaded is None:
-        return EXIT_INPUT
-    diagram, _ = loaded
+def _cmd_validate(args, diagram: Diagram, config: SolverConfig) -> int:
     problems = validate(diagram)
     if problems:
         for nid, message in problems:
@@ -658,11 +654,7 @@ def _print_solve_table(result: SolverResult, full: bool) -> None:
             print(f"{pid:<{width}}  " + row)
 
 
-def _cmd_solve(args) -> int:
-    loaded = _load(args)
-    if loaded is None:
-        return EXIT_INPUT
-    diagram, config = loaded
+def _cmd_solve(args, diagram: Diagram, config: SolverConfig) -> int:
     overrides = {}
     if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
@@ -683,26 +675,24 @@ def _cmd_solve(args) -> int:
     return _STATUS_EXIT[result.status]
 
 
-def _cmd_oracle(args) -> int:
-    loaded = _load(args)
-    if loaded is None:
-        return EXIT_INPUT
-    diagram, _ = loaded
+def _mc_moments(est: McEstimate, pid: str) -> dict:
+    """The Monte Carlo mean and variance of ``pid`` and their standard errors."""
+    return {
+        "mean": est.mean[pid],
+        "variance": est.variance[pid],
+        "se_mean": est.se_mean[pid],
+        "se_var": est.se_var[pid],
+    }
+
+
+def _cmd_oracle(args, diagram: Diagram, config: SolverConfig) -> int:
     est = mc_posterior(diagram, args.samples, args.seed)
     if args.json:
         payload = {
             "samples": est.n_samples,
             "seed": est.seed,
             "ess": est.ess,
-            "estimates": {
-                pid: _finite_or_null(
-                    mean=est.mean[pid],
-                    variance=est.variance[pid],
-                    se_mean=est.se_mean[pid],
-                    se_var=est.se_var[pid],
-                )
-                for pid in est.param_ids
-            },
+            "estimates": {pid: _finite_or_null(**_mc_moments(est, pid)) for pid in est.param_ids},
             "warnings": list(est.warnings),
         }
         _print_json(payload)
@@ -719,11 +709,7 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    loaded = _load(args)
-    if loaded is None:
-        return EXIT_INPUT
-    diagram, config = loaded
+def _cmd_compare(args, diagram: Diagram, config: SolverConfig) -> int:
     result = solve(diagram, config)
     est = mc_posterior(diagram, args.samples, args.seed)
 
@@ -741,12 +727,7 @@ def _cmd_compare(args) -> int:
         flagged = flagged or row_flag
         rows[pid] = {
             "approx": {"mean": approx.mean, "variance": approx.variance},
-            "mc": {
-                "mean": est.mean[pid],
-                "variance": est.variance[pid],
-                "se_mean": se_m,
-                "se_var": se_v,
-            },
+            "mc": _mc_moments(est, pid),
             "discrepancy": {
                 "mean_abs": d_mean,
                 "mean_in_se": (d_mean / se_m) if se_m > 0 else math.inf,
@@ -802,7 +783,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        loaded = _load(args)
+        if loaded is None:
+            return EXIT_INPUT
+        return _COMMANDS[args.command](args, *loaded)
     except InvalidDiagramError as err:  # from solve or mc_posterior: an input error
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

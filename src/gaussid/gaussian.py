@@ -35,6 +35,7 @@ by one more substitution pass, and only the n x n result is unpacked.
 from __future__ import annotations
 
 import copy
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -80,9 +81,9 @@ class GaussianState:
     ``order`` names the nodes; ``coeffs[i, j]`` is the coefficient of node
     i in node j's regression and must vanish on and below the diagonal;
     ``cond_var[j]`` is the noise variance of node j (zero exactly for
-    deterministic nodes); ``cov`` is filled by
-    :func:`propagate_covariance`.  The fields are checked once, when the
-    state is built.
+    deterministic nodes); ``cov`` is filled by :func:`propagate_covariance`
+    for :func:`condition_sequential`, its only reader.  The fields are
+    checked once, when the state is built.
     """
 
     order: tuple[str, ...]
@@ -420,11 +421,12 @@ def _evidence_components(
 
 
 def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ev = np.array(sorted(obs), dtype=int)
+    try:
+        ev = np.array(sorted(map(operator.index, obs)), dtype=int)
+    except TypeError:
+        raise ValueError(f"evidence indices must be integers, got {list(obs)}") from None
     if len(ev) and (ev[0] < 0 or ev[-1] >= n):
         raise ValueError(f"evidence index out of range: {ev.tolist()}")
-    if len(set(obs)) != len(obs):
-        raise ValueError("duplicate evidence indices")
     keep = np.setdiff1d(np.arange(n), ev)
     d = np.array([obs[i] for i in ev.tolist()])
     return ev, keep, d
@@ -523,15 +525,13 @@ def condition(
     """Posterior mean and covariance of the unobserved nodes given ``obs``.
 
     ``obs`` maps node positions (in ``st.order``) to observed values, taken
-    as exact; ``st`` must have been through :func:`propagate_covariance`.
-    The observations are entries of :func:`_factor_update`, with no added
-    noise, grouped by :func:`_evidence_components`, on the factor A of
-    ``st.coeffs`` and ``st.cond_var`` (whose product A A' is ``st.cov``),
+    as exact.  The observations are entries of :func:`_factor_update`, with
+    no added noise, grouped by :func:`_evidence_components`, on the factor
+    A of ``st.coeffs`` and ``st.cond_var`` (A A' is the prior covariance),
     and the posterior covariance is :func:`_covariance`; rows and columns
-    of observed nodes do not appear in the result.
+    of observed nodes do not appear in the result.  ``st.cov`` is not read:
+    ``st`` need not have been through :func:`propagate_covariance`.
     """
-    if st.cov is None:
-        raise ValueError("covariance not populated; call propagate_covariance first")
     ev, keep, d = _split_indices(len(st.order), obs)
     levels, arcs, scale, pack, a = _state_factor(st)
     components, ancestors = _evidence_components(levels, scale > 0.0, ev)
@@ -545,9 +545,10 @@ def condition_sequential(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same contract as :func:`condition`, by rank-one updates per observation.
 
-    The independent reference that tests check :func:`condition` against.
-    Each step divides by the current marginal variance of the observation
-    being absorbed, with the same singularity guard.
+    The independent reference that tests check :func:`condition` against;
+    it reads ``st.cov``, which :func:`propagate_covariance` fills.  Each
+    step divides by the marginal variance of the observation it absorbs,
+    and raises :class:`ConditioningError` where that is not positive.
     """
     if st.cov is None:
         raise ValueError("covariance not populated; call propagate_covariance first")

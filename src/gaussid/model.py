@@ -515,10 +515,6 @@ class Diagram:
     def node(self, id: str) -> Node:
         return self.nodes[id]
 
-    def params(self) -> list[Node]:
-        """Basic and deterministic nodes, in declaration order."""
-        return [n for n in self.nodes.values() if n.kind != EVIDENCE]
-
     def evidence_nodes(self) -> list[Node]:
         return [n for n in self.nodes.values() if n.kind == EVIDENCE]
 

@@ -178,9 +178,7 @@ def mc_posterior(d: Diagram, n_samples: int, seed: int) -> McEstimate:
         raise RuntimeError("all importance weights are zero; no valid draws")
     shift = logw[valid].max()
     w = np.where(valid, np.exp(logw - shift), 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        raise RuntimeError("all importance weights are zero; no valid draws")
+    total = w.sum()  # at least 1: the largest valid weight is exp(0)
 
     ess = float(total * total / np.sum(w * w))
     warnings: list[str] = []

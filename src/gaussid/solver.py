@@ -209,7 +209,8 @@ class IterationRecord:
     entries); ``posterior_mean_x``, ``posterior_var_x`` and ``r`` span the
     parameter nodes only.  ``r`` is the per-parameter relative change of
     the transformed posterior mean against the previous iteration, and
-    ``r_max`` its maximum.
+    ``r_max`` its maximum.  The arrays are the record's own: no later step
+    writes them.
     """
 
     t: int
@@ -227,7 +228,9 @@ class SolverResult:
     ``posterior_y`` maps parameter ids to natural-scale moments from the
     reported iteration — the final one for ``converged`` and
     ``max_iterations``, the best (smallest r_max) for ``diverged``.
-    ``posterior_correlations`` is indexed like ``param_ids``.
+    ``posterior_correlations`` is indexed like ``param_ids``; a parameter
+    whose posterior variance is not positive correlates 0 with every
+    parameter, itself included.
     """
 
     status: str
@@ -263,7 +266,6 @@ class SolverState:
     """Mutable working state of one solve: made by :func:`initialize`, advanced by :func:`step`."""
 
     diagram: Diagram
-    config: SolverConfig
     param_ids: tuple[str, ...]
     order: tuple[str, ...]
     ev_parent: np.ndarray  # parameter index observed by each evidence entry
@@ -440,7 +442,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 
     return SolverState(
         diagram=d,
-        config=cfg,
         param_ids=param_ids,
         order=order,
         ev_parent=ev_parent,
@@ -658,9 +659,9 @@ def step(state: SolverState) -> IterationRecord:
     state.t += 1
     record = IterationRecord(
         t=state.t,
-        prior_mean_x=new_mean.copy(),
-        posterior_mean_x=post_mean.copy(),
-        posterior_var_x=post_var.copy(),
+        prior_mean_x=new_mean,
+        posterior_mean_x=post_mean,
+        posterior_var_x=post_var,
         r=r,
         r_max=r_max,
     )

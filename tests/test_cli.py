@@ -37,6 +37,7 @@ from gaussid.model import (
     Const,
     Div,
     Exp,
+    InvalidDiagramError,
     Ln,
     Mul,
     Neg,
@@ -44,6 +45,7 @@ from gaussid.model import (
     Sub,
     Var,
     format_expr,
+    validate,
 )
 from gaussid.oracle import mc_posterior
 from gaussid.solver import SolverConfig, solve
@@ -199,6 +201,8 @@ class TestModelDocuments:
             (lambda d: d["nodes"][0].update(id="exp"), "$.nodes[0].id"),
             (lambda d: d["nodes"][0].update(id="z"), "$.nodes[1].id"),
             (lambda d: d["solver"].update(epsilon=0.0), "$.solver"),
+            (lambda d: d.update(nodes={}), "$.nodes"),
+            (lambda d: d["nodes"].__setitem__(0, 5), "$.nodes[0]"),
         ],
     )
     def test_schema_errors_name_their_path(self, mutate, path_fragment):
@@ -420,6 +424,13 @@ class TestSchemaRules:
             (_set(_SOLVER, divergence_window=True), "$.solver.divergence_window"),
             (_set(_SOLVER, pool_evidence=0), "$.solver.pool_evidence"),
             (_set(_SOLVER, divergence_window=0), "$.solver"),
+            (_replace(0, "id", ""), "$.nodes[0].id"),
+            (_replace(0, "id", 5), "$.nodes[0].id"),
+            (_replace(0, "id", "1p"), "$.nodes[0].id"),
+            (_replace(0, "kind", "chance"), "$.nodes[0].kind"),
+            (_replace(4, "expr", 5), "$.nodes[4].expr"),
+            (_replace(4, "expr", "q^(2"), "$.nodes[4].expr"),
+            (_replace(5, "parent", 3), "$.nodes[5].parent"),
         ],
     )
     def test_each_rule_names_its_object(self, mutate, broken):
@@ -429,6 +440,14 @@ class TestSchemaRules:
             parse_model(json.dumps(doc))
         obj = re.match(r"\$\.(solver|nodes\[\d+\]\.\w+)", broken).group()
         assert exc.value.path == broken or exc.value.path.startswith(obj)
+
+    def test_an_invalid_diagram_is_rejected_by_default(self):
+        doc = json.loads(json.dumps(ALL_FORMS_DOC))
+        doc["nodes"][5]["parent"] = "m"  # binomial evidence on a scaled parameter
+        with pytest.raises(InvalidDiagramError, match="e1: binomial evidence requires"):
+            parse_model(json.dumps(doc))
+        diagram, _ = parse_model(json.dumps(doc), check=False)
+        assert validate(diagram) == [("e1", "binomial evidence requires a logistic_scaled parent")]
 
     def test_field_table_names_every_field(self):
         for cls, readers in _FIELDS.items():
@@ -1024,3 +1043,43 @@ def test_an_overflow_raises_no_numpy_warning(tmp_path, capsys):
         assert err.startswith("error: cannot map 'x' back to its natural scale")
         assert err.count("\n") == 1
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+# One parameter, N(1, 0.1) on scaled(0, 1), and normal_known_var looks on it
+# of (sample mean, variance).
+def _looked_at(looks):
+    nodes = [
+        {
+            "id": "x",
+            "kind": "basic",
+            "transform": {"kind": "scaled", "a": 0.0, "b": 1.0},
+            "prior": {"family": "normal", "mean": 1.0, "variance": 0.1},
+        }
+    ]
+    for i, (mean, variance) in enumerate(looks):
+        look = {"variant": "normal_known_var", "count": 1, "sample_mean": mean, "variance": variance}
+        nodes.append({"id": f"o{i}", "kind": "evidence", "parent": "x", "evidence": look})
+    return {"schema_version": "1", "nodes": nodes}
+
+
+@pytest.mark.parametrize(
+    "looks,flags,matrix",
+    [
+        ([(0.5, 1e-320)], [], [[0.0]]),
+        ([(0.5, 1e-320)], ["--no-pool"], [[0.0]]),
+        ([(0.5, 1e-320), (0.7, 1.0)], ["--no-pool"], [[1.0]]),
+    ],
+)
+def test_a_parameter_without_posterior_variance_correlates_zero(
+    tmp_path, capsys, looks, flags, matrix
+):
+    # A look of variance 1e-320 leaves x a posterior variance of 0.0, and x
+    # then correlates 0 with every parameter, itself included; a second look,
+    # conditioned separately, leaves it 1.39e-17, and the correlation 1.
+    path = tmp_path / "looked_at.json"
+    path.write_text(json.dumps(_looked_at(looks)))
+    assert main(["solve", str(path), "--json", *flags]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["correlations"]["matrix"] == matrix
+    variance = payload["posterior"]["x"]["variance"]
+    assert variance > 0.0 if matrix == [[1.0]] else variance == 0.0

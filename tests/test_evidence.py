@@ -50,6 +50,10 @@ class TestNormalDesigns:
         assert lik.d == -1.0
         assert lik.v == pytest.approx(2.0)
 
+    def test_known_variance_needs_a_count(self):
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            normal_known_var(0, 0.0, 1.0)
+
     def test_unknown_variance_needs_four(self):
         with pytest.raises(ValueError, match=">= 4"):
             normal_unknown_var(3, 0.0, 1.0)
@@ -239,6 +243,10 @@ class TestSampleAdapter:
     def test_out_of_support_sample_names_index(self):
         with pytest.raises(ValueError, match="sample 1"):
             lognormal_sample_adapter([2.0, -1.0, 3.0], TLOG)
+
+    def test_requires_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            lognormal_sample_adapter([], TLOG)
 
     def test_requires_log_transform(self):
         with pytest.raises(ValueError, match="log_scaled"):

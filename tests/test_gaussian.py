@@ -331,6 +331,21 @@ class TestStateValidation:
                 cond_var=np.ones(2),
             )
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("coeffs", np.zeros((2, 3))),
+            ("cond_var", np.ones(3)),
+            ("cov", np.eye(3)),
+        ],
+    )
+    def test_each_shape_is_checked(self, field, value):
+        fields = dict(
+            order=("a", "b"), mean=np.zeros(2), coeffs=np.zeros((2, 2)), cond_var=np.ones(2)
+        )
+        with pytest.raises(ValueError, match=f"{field} must have shape"):
+            GaussianState(**{**fields, field: value})
+
 
 class TestConditioning:
     def test_single_noisy_observation(self):
@@ -458,10 +473,32 @@ class TestConditioning:
             _factor_update(g, pack, *one, np.array([0, 1]), np.array([0.0, -3.0]), np.zeros(2))
         assert exc.value.condition_estimate == pytest.approx(3.0)
 
-    def test_unpropagated_state_rejected(self):
+    def test_unpropagated_state_conditions_alike(self):
+        # condition reads only the regression form, not the covariance.
+        rng = np.random.default_rng(53)
+        base = random_state(rng, 6)
+        st = make_state(base.mean, base.coeffs, base.cond_var + 0.5)
+        obs = {1: 0.3, 4: -1.2}
+        bare_mean, bare_cov = condition(st, obs)
+        mean, cov = condition(propagate_covariance(st), obs)
+        assert bare_mean.tobytes() == mean.tobytes()
+        assert bare_cov.tobytes() == cov.tobytes()
+
+    @pytest.mark.parametrize("conditioner", [condition, condition_sequential])
+    def test_a_key_that_is_not_an_integer_is_named(self, conditioner):
+        st = propagate_covariance(make_state([0.0, 0.0], np.zeros((2, 2)), [1.0, 1.0]))
+        with pytest.raises(ValueError, match=r"must be integers, got \[1\.5\]"):
+            conditioner(st, {1.5: 2.0})
+
+    def test_sequential_needs_the_covariance(self):
         st = make_state([0.0], np.zeros((1, 1)), [1.0])
         with pytest.raises(ValueError, match="propagate_covariance"):
-            condition(st, {0: 1.0})
+            condition_sequential(st, {0: 1.0})
+
+    def test_sequential_rejects_an_observation_without_variance(self):
+        st = propagate_covariance(make_state([0.0, 0.0], np.zeros((2, 2)), [1.0, 0.0]))
+        with pytest.raises(ConditioningError, match="position 1 has non-positive"):
+            condition_sequential(st, {1: 0.5})
 
     def test_out_of_range_index(self):
         st = propagate_covariance(make_state([0.0], np.zeros((1, 1)), [1.0]))

@@ -7,6 +7,9 @@ import pytest
 
 from gaussid.evidence import EvidenceSpec
 from gaussid.model import (
+    BASIC,
+    DETERMINISTIC,
+    EVIDENCE,
     Add,
     Const,
     CycleError,
@@ -51,6 +54,14 @@ def normal_node(nid, mean=0.0, var=1.0, t=TS):
 
 def lognormal_node(nid, mean=1.0, var=0.5, t=TLOG):
     return basic(nid, PriorSpec(family="lognormal", transform=t, mean=mean, variance=var))
+
+
+PRIOR_Y = PriorSpec(family="normal", transform=TS, mean=0.0, variance=1.0)
+Y = basic("y", PRIOR_Y)
+LOOK = EvidenceSpec(variant="normal_known_var", count=1, sample_mean=0.5, variance=1.0)
+RAW_SAMPLES = EvidenceSpec(
+    variant="normal_known_var", variance=1.0, lognormal_samples=True, samples=(1.0, 2.0)
+)
 
 
 def binomial_obs(nid, parent, count=10, successes=7):
@@ -207,6 +218,69 @@ class TestDiagramValidation:
         d = Diagram.from_nodes([deterministic("d", TS, Add(Var("d"), Const(1.0)))])
         problems = validate(d)
         assert any("itself" in msg for _, msg in problems)
+
+    # One diagram per rule of validate, each breaking it once: the node it
+    # names and a fragment of its message.  Invalid nodes are built with Node.
+    @pytest.mark.parametrize(
+        "nodes,nid,fragment",
+        [
+            ([Node("x", "chance")], "x", "unknown node kind 'chance'"),
+            ([Node("x", BASIC, prior=PRIOR_Y)], "x", "require a transform and a prior"),
+            ([Node("x", BASIC, transform=TS)], "x", "require a transform and a prior"),
+            (
+                [Node("x", BASIC, transform=TS, prior=PRIOR_Y, expr=Const(1.0))],
+                "x",
+                "carry no expression",
+            ),
+            ([Node("x", BASIC, transform=TS, prior=PRIOR_Y, obs=LOOK)], "x", "carry no expression"),
+            ([Node("x", BASIC, transform=TLOG, prior=PRIOR_Y)], "x", "prior transform differs"),
+            (
+                [Y, Node("d", DETERMINISTIC, ("y",), expr=Var("y"))],
+                "d",
+                "require a transform and an expression",
+            ),
+            (
+                [Node("d", DETERMINISTIC, transform=TS)],
+                "d",
+                "require a transform and an expression",
+            ),
+            ([Y, Node("d", DETERMINISTIC, ("y",), TS, PRIOR_Y, Var("y"))], "d", "carry no prior"),
+            (
+                [Y, Node("d", DETERMINISTIC, ("y",), TS, expr=Var("y"), obs=LOOK)],
+                "d",
+                "carry no prior",
+            ),
+            ([deterministic("d", TS, Const(1.0))], "d", "references no variables"),
+            (
+                [Y, normal_node("z"), Node("d", DETERMINISTIC, ("y", "z"), TS, expr=Var("y"))],
+                "d",
+                "do not match",
+            ),
+            (
+                [Y, evidence("o", "y", LOOK), deterministic("d", TS, Var("o"))],
+                "d",
+                "evidence node 'o'",
+            ),
+            ([Y, Node("o", EVIDENCE, ("y",))], "o", "require an observation"),
+            ([Y, Node("o", EVIDENCE, ("y",), TS, obs=LOOK)], "o", "carry no transform"),
+            ([Y, Node("o", EVIDENCE, ("y",), prior=PRIOR_Y, obs=LOOK)], "o", "carry no transform"),
+            ([Y, Node("o", EVIDENCE, ("y",), expr=Var("y"), obs=LOOK)], "o", "carry no transform"),
+            (
+                [Y, evidence("o", "y", RAW_SAMPLES)],
+                "o",
+                "raw-sample evidence requires a log_scaled parent",
+            ),
+            (
+                [deterministic("a", TS, Var("b")), deterministic("b", TS, Var("a"))],
+                "a",
+                "dependency cycle: a -> b -> a",
+            ),
+        ],
+    )
+    def test_each_rule_names_its_node(self, nodes, nid, fragment):
+        problems = validate(Diagram.from_nodes(nodes))
+        assert len(problems) == 1
+        assert problems[0][0] == nid and fragment in problems[0][1]
 
 
 class TestTopologicalOrder:

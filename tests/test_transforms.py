@@ -158,6 +158,10 @@ class TestPriorSpecs:
         with pytest.raises(ValueError):
             PriorSpec(family="lognormal", transform=T_LOG, mean=-1.0, variance=1.0)
 
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown prior family 'gamma'"):
+            PriorSpec(family="gamma", transform=T_SCALED, mean=1.0, variance=1.0)
+
 
 class TestMomentMaps:
     def test_normal_affine(self):
@@ -183,6 +187,17 @@ class TestMomentMaps:
         back = inverse_moments("lognormal", t, m)
         assert back.mean == pytest.approx(mean_y, rel=1e-12)
         assert back.variance == pytest.approx(var_y, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "t,mean",
+        [(Transform(LOG_SCALED, 0.0, 2.0), 5e-324), (Transform(LOG_SCALED, -1e308, 1e308), 1.0)],
+    )
+    def test_lognormal_mean_whose_ratio_rounds_to_zero(self, t, mean):
+        # A valid prior whose (mean - a) / (b - a) underflows, or divides by
+        # an infinite b - a, has no log-scale moments.
+        p = PriorSpec(family="lognormal", transform=t, mean=mean, variance=1.0)
+        with pytest.raises(ValueError, match="not on the b side of a"):
+            forward_moments(p)
 
     def test_lognormal_with_offset_and_scale(self):
         t = Transform(LOG_SCALED, 1.0, 4.0)
