@@ -234,7 +234,8 @@ def pool(items: list[LikelihoodApprox]) -> LikelihoodApprox:
     Precisions are taken relative to the largest: with v_min the smallest
     variance and r_i = v_min / v_i <= 1, the result is v = v_min / sum r_i
     and d = sum d_i r_i / sum r_i.  No reciprocal of a tiny variance is
-    formed, and one observation comes back bit for bit (r = 1.0).
+    formed, and one observation comes back bit for bit (r = 1.0).  A
+    pooled variance below the smallest float raises ``ValueError``.
     """
     if not items:
         raise ValueError("cannot pool an empty list of observations")
@@ -244,7 +245,10 @@ def pool(items: list[LikelihoodApprox]) -> LikelihoodApprox:
         r = v_min / it.v
         total += r
         weighted += it.d * r
-    return LikelihoodApprox(weighted / total, v_min / total)
+    v = v_min / total
+    if v == 0.0:
+        raise ValueError(f"the pooled variance {v_min!r} / {total!r} underflows to 0")
+    return LikelihoodApprox(weighted / total, v)
 
 
 def lognormal_sample_adapter(

@@ -211,8 +211,8 @@ class EvalError(ValueError):
 
 
 def variables(e: Expr) -> tuple[str, ...]:
-    """Variable names referenced by ``e``, in order of first appearance."""
-    return tuple(dict.fromkeys(n.name for n in e.postorder if isinstance(n, Var)))
+    """Variable names referenced by ``e``, in order of first appearance: :attr:`Expr.shape`'s."""
+    return e.shape[2]
 
 
 def value_and_gradient(e: Expr, env: dict[str, float]) -> tuple[float, dict[str, float]]:
@@ -612,8 +612,15 @@ def topological_order(d: Diagram) -> list[str]:
 
     Ties are broken by declaration order, so the result is deterministic
     for a given diagram.  Raises :class:`CycleError` when no such order
-    exists, naming one cycle.
+    exists, naming one cycle.  Parents that are not declared are ignored.
+
+    Cost: O(nodes + arcs) when every declared parent is declared before its
+    child, for then the order is the declaration order (the smallest order
+    by declaration index, which is what the heap below returns).  Otherwise
+    a min-heap Kahn sort, O((nodes + arcs) log nodes).
     """
+    if _parents_first(d):
+        return list(d.nodes)
     index = {nid: i for i, nid in enumerate(d.nodes)}
     pending = {nid: {p for p in n.parents if p in d.nodes} for nid, n in d.nodes.items()}
     children: dict[str, list[str]] = {nid: [] for nid in d.nodes}
@@ -647,6 +654,17 @@ def topological_order(d: Diagram) -> list[str]:
             trail.append(nxt)
             seen.add(nxt)
     return order
+
+
+def _parents_first(d: Diagram) -> bool:
+    """Whether every declared parent is declared before its child (not itself)."""
+    seen: set[str] = set()
+    for nid, n in d.nodes.items():
+        for p in n.parents:
+            if p not in seen and p in d.nodes:
+                return False
+        seen.add(nid)
+    return True
 
 
 # ---------------------------------------------------------------------------

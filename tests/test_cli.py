@@ -1083,3 +1083,14 @@ def test_a_parameter_without_posterior_variance_correlates_zero(
     assert payload["correlations"]["matrix"] == matrix
     variance = payload["posterior"]["x"]["variance"]
     assert variance > 0.0 if matrix == [[1.0]] else variance == 0.0
+
+
+def test_a_pooled_variance_that_underflows_is_named(tmp_path, capsys):
+    # Two looks of the smallest subnormal variance pool to 5e-324 / 2, which
+    # rounds to 0.0: the error says so, and names the group's first look.
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(_looked_at([(0.5, 5e-324), (0.5, 5e-324)])))
+    assert main(["solve", str(path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "cannot pool the observations of 'o0'" in err
+    assert "pooled variance 5e-324 / 2.0 underflows to 0" in err

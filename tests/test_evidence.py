@@ -157,6 +157,11 @@ class TestPooling:
         with pytest.raises(ValueError):
             pool([])
 
+    def test_a_pooled_variance_that_underflows_is_rejected(self):
+        looks = [LikelihoodApprox(0.5, 5e-324), LikelihoodApprox(0.5, 5e-324)]
+        with pytest.raises(ValueError, match="pooled variance 5e-324 / 2.0 underflows to 0"):
+            pool(looks)
+
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False), POSITIVES)
     @example(-1.4695858455634698, 7.640108443576374)  # 1/(1/v) is not v

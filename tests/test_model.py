@@ -1,10 +1,15 @@
 """Expression trees, node/diagram validation, and linear-structure recognition."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gaussid.model as model_mod
+from gaussid.cli import parse_expression
 from gaussid.evidence import EvidenceSpec
 from gaussid.model import (
     BASIC,
@@ -70,10 +75,44 @@ def binomial_obs(nid, parent, count=10, successes=7):
     )
 
 
+def reference_variables(e):
+    """The variable names of ``e`` by first appearance, by a recursive left-to-right walk."""
+    found = {}
+
+    def walk(n):
+        if isinstance(n, Var):
+            found.setdefault(n.name)
+        for field in ("base", "operand", "left", "right"):
+            if hasattr(n, field):
+                walk(getattr(n, field))
+
+    walk(e)
+    return tuple(found)
+
+
+def _expression_texts():
+    leaves = st.sampled_from(["a", "b", "c", "x_1", "2", "0.5"])
+
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(["exp", "ln", "-"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            inner.map(lambda t: f"({t})^2"),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
 class TestExpressions:
     def test_variables_first_appearance_order(self):
         e = Add(Mul(Var("b"), Var("a")), Sub(Var("b"), Var("c")))
         assert variables(e) == ("b", "a", "c")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_expression_texts())
+    def test_variables_match_a_first_appearance_walk(self, text):
+        e = parse_expression(text)
+        assert variables(e) == reference_variables(e)
 
     def test_eval_basic_arithmetic(self):
         e = Div(Mul(Var("x"), Var("y")), Sub(Const(1.0), Var("y")))
@@ -282,6 +321,15 @@ class TestDiagramValidation:
         assert len(problems) == 1
         assert problems[0][0] == nid and fragment in problems[0][1]
 
+    def test_parents_are_compared_with_the_expression_variables_as_sets(self):
+        expr = Add(Mul(Var("z"), Var("y")), Var("z"))
+        reordered = Node("d", DETERMINISTIC, ("y", "z"), TS, expr=expr)
+        assert validate(Diagram.from_nodes([Y, normal_node("z"), reordered])) == []
+        short = Node("d", DETERMINISTIC, ("y",), TS, expr=expr)
+        assert validate(Diagram.from_nodes([Y, normal_node("z"), short])) == [
+            ("d", "parents ('y',) do not match expression variables ('z', 'y')")
+        ]
+
 
 class TestTopologicalOrder:
     def test_chain_order(self):
@@ -320,6 +368,86 @@ class TestTopologicalOrder:
         with pytest.raises(CycleError) as exc:
             topological_order(d)
         assert set(exc.value.cycle) >= {"a", "b"}
+
+    def test_a_child_declared_before_its_parent(self):
+        d = Diagram.from_nodes(
+            [deterministic("c", TS, Var("b")), normal_node("a"), normal_node("b")]
+        )
+        assert topological_order(d) == ["a", "b", "c"]
+
+    def test_parents_declared_first_never_touch_the_heap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the heap was used")
+
+        for name in ("heapify", "heappush", "heappop"):
+            monkeypatch.setattr(model_mod.heapq, name, refuse)
+        d = Diagram.from_nodes(
+            [
+                normal_node("x1"),
+                normal_node("x2"),
+                deterministic("s", TS, Add(Var("x2"), Var("ghost"))),
+                deterministic("t", TS, Add(Var("s"), Var("x1"))),
+                evidence("o", "t", LOOK),
+            ]
+        )
+        assert topological_order(d) == ["x1", "x2", "s", "t", "o"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_heap_sort(self, data):
+        # Random graphs over n nodes, each parent drawn from the declared
+        # nodes (earlier ones only, when parents come first), the node itself
+        # or two undeclared ids; then the declaration order is shuffled or not.
+        n = data.draw(st.integers(0, 12))
+        parents_first = data.draw(st.booleans())
+        names = [f"n{i}" for i in range(n)]
+        nodes = []
+        for i, nid in enumerate(names):
+            pool = names[:i] if parents_first else names
+            pool = pool + ["ghost", "phantom"]
+            parents = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+            nodes.append(Node(nid, DETERMINISTIC, tuple(parents)))
+        if data.draw(st.booleans()):
+            nodes = data.draw(st.permutations(nodes))
+        d = Diagram.from_nodes(nodes)
+        assert _outcome(topological_order, d) == _outcome(reference_topological_order, d)
+
+
+def _outcome(sort, d):
+    try:
+        return "order", sort(d)
+    except CycleError as err:
+        return "cycle", err.cycle
+
+
+def reference_topological_order(d):
+    """Kahn's sort with a min-heap of declaration indices, and a parent walk to name a cycle."""
+    index = {nid: i for i, nid in enumerate(d.nodes)}
+    pending = {nid: {p for p in n.parents if p in d.nodes} for nid, n in d.nodes.items()}
+    children = {nid: [] for nid in d.nodes}
+    for nid, parents in pending.items():
+        for p in parents:
+            children[p].append(nid)
+    ready = [index[nid] for nid, parents in pending.items() if not parents]
+    heapq.heapify(ready)
+    ids = list(d.nodes)
+    order = []
+    while ready:
+        nid = ids[heapq.heappop(ready)]
+        order.append(nid)
+        for child in children[nid]:
+            pending[child].discard(nid)
+            if not pending[child]:
+                heapq.heappush(ready, index[child])
+    if len(order) < len(d.nodes):
+        remaining = d.nodes.keys() - set(order)
+        trail = [next(nid for nid in d.nodes if nid in remaining)]
+        while True:
+            nxt = next(p for p in d.nodes[trail[-1]].parents if p in remaining)
+            if nxt in trail:
+                raise CycleError(trail[trail.index(nxt):] + [nxt])
+            trail.append(nxt)
+    return order
 
 
 class TestRecognizeLinear:

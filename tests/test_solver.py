@@ -244,6 +244,13 @@ class TestInitialize:
         assert got.mean == pytest.approx(want.mean, rel=1e-9, abs=1e-9)
         assert got.variance == pytest.approx(want.variance, rel=1e-9, abs=1e-9)
 
+    def test_a_pooled_variance_that_underflows_is_named(self):
+        look = normal_look(0.5, 5e-324)
+        d = Diagram.from_nodes([normal_p("x", 1.0, 0.1)] + [evidence(f"o{k}", "x", look) for k in range(2)])
+        with pytest.raises(InitializationError, match="underflows to 0") as exc:
+            solve(d)
+        assert exc.value.node_id == "o0"
+
     def test_the_one_group_that_cannot_pool_is_named(self):
         # Two looks of mean 1.5e308 overflow the weighted sum of group x6,
         # one of _BATCH_MIN + 4 groups of two.
