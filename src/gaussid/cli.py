@@ -28,7 +28,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Container, Iterator
+from typing import AbstractSet, Callable, Iterator
 
 import numpy as np
 
@@ -251,13 +251,12 @@ def parse_expression(text: str) -> Expr:
 # Model documents
 
 
-def _require_keys(obj: dict, path: str, required: set[str], known: Container | None = None) -> None:
+def _require_keys(obj: dict, path: str, required: AbstractSet, known: AbstractSet | None = None) -> None:
     """Reject the first key of ``obj`` outside ``known`` (by default ``required``),
     then name the smallest ``required`` key that ``obj`` lacks."""
     known = required if known is None else known
-    unknown = next((key for key in obj if key not in known), None)
-    if unknown is not None:
-        raise SchemaError(f"{path}.{unknown}", "unknown field")
+    if not obj.keys() <= known:
+        raise SchemaError(f"{path}.{next(key for key in obj if key not in known)}", "unknown field")
     if not obj.keys() >= required:
         raise SchemaError(path, f"missing required field {min(required - obj.keys())!r}")
 
@@ -348,7 +347,7 @@ def _read(cls: type, obj, path: str, **given):
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     readers = _FIELDS[cls]
-    _require_keys(obj, path, _REQUIRED[cls], readers)
+    _require_keys(obj, path, _REQUIRED[cls], readers.keys())
     for key, v in obj.items():
         given[key] = readers[key](v, path, key)
     try:
@@ -368,15 +367,29 @@ def _write(spec) -> dict:
     return out
 
 
-def _parse_node(obj, path: str, declared: set[str]) -> Node:
+def _transform(obj, path: str, read: dict) -> Transform:
+    """``_read(Transform, obj, path)``, kept in ``read`` for the identical objects that
+    follow: same keys in order, each value of the same type and, for a float, the same
+    bits, so ``false`` never stands for ``0`` nor ``-0.0`` for ``0.0``.  Failures are not kept."""
+    key = isinstance(obj, dict) and tuple(
+        [(k, type(v), v.hex() if type(v) is float else v) for k, v in obj.items()]
+    )
+    try:
+        return read[key]
+    except (KeyError, TypeError):  # a new object, or one holding a list or object
+        read[key] = transform = _read(Transform, obj, path)  # a success's key is hashable
+        return transform
+
+
+def _parse_node(obj, path: str, declared: set[str], transforms: dict) -> Node:
     if not isinstance(obj, dict):
         raise SchemaError(path, "node must be an object")
-    _require_keys(obj, path, {"id", "kind"}, obj)  # the other keys by kind, below
+    _require_keys(obj, path, {"id", "kind"}, obj.keys())  # the other keys by kind, below
     nid = obj["id"]
     if not isinstance(nid, str) or not nid:
         raise SchemaError(f"{path}.id", "id must be a non-empty string")
-    if not (nid[0].isalpha() or nid[0] == "_") or not all(
-        c.isalnum() or c == "_" for c in nid
+    if not (nid.isascii() and nid.isidentifier()) and not (  # the rule below, for ASCII
+        (nid[0].isalpha() or nid[0] == "_") and all(c.isalnum() or c == "_" for c in nid)
     ):
         raise SchemaError(f"{path}.id", f"id {nid!r} is not a valid identifier")
     if nid in _RESERVED_IDS:
@@ -384,11 +397,11 @@ def _parse_node(obj, path: str, declared: set[str]) -> Node:
     kind = obj["kind"]
     if kind == "basic":
         _require_keys(obj, path, {"id", "kind", "transform", "prior"})
-        transform = _read(Transform, obj["transform"], f"{path}.transform")
+        transform = _transform(obj["transform"], f"{path}.transform", transforms)
         return basic(nid, _read(PriorSpec, obj["prior"], f"{path}.prior", transform=transform))
     if kind == "deterministic":
         _require_keys(obj, path, {"id", "kind", "transform", "expr"})
-        transform = _read(Transform, obj["transform"], f"{path}.transform")
+        transform = _transform(obj["transform"], f"{path}.transform", transforms)
         if not isinstance(obj["expr"], str):
             raise SchemaError(f"{path}.expr", "expression must be a string")
         try:
@@ -410,7 +423,8 @@ def _parse_node(obj, path: str, declared: set[str]) -> Node:
 def parse_model(source: str | Path, check: bool = True) -> tuple[Diagram, SolverConfig]:
     """Parse a model document into a diagram and solver configuration.
 
-    ``source`` is JSON text, or a :class:`pathlib.Path` to read.  With
+    ``source`` is JSON text, or a :class:`pathlib.Path` to read.  Identical
+    transform objects are read once and share a :class:`Transform`.  With
     ``check`` (the default) the diagram must also pass
     :func:`gaussid.model.validate`; pass ``check=False`` to obtain the
     diagram for separate validation reporting.
@@ -441,7 +455,8 @@ def parse_model(source: str | Path, check: bool = True) -> tuple[Diagram, Solver
                 raise SchemaError(f"$.nodes[{i}].id", f"duplicate node id {entry['id']!r}")
             ids.add(entry["id"])
 
-    nodes = [_parse_node(entry, f"$.nodes[{i}]", ids) for i, entry in enumerate(doc["nodes"])]
+    transforms: dict = {}
+    nodes = [_parse_node(e, f"$.nodes[{i}]", ids, transforms) for i, e in enumerate(doc["nodes"])]
     diagram = Diagram.from_nodes(nodes)
     config = _read(SolverConfig, doc.get("solver", {}), "$.solver")
     if check:
@@ -568,48 +583,48 @@ def _row_texts(
 ) -> Iterator[str]:
     """The text of each row of ``matrix``: its entries' texts joined by ``sep``.
 
-    ``encode`` writes a list of floats that way in one call, and ``zero`` is
-    its text for 0.0.  A row is written run by run: a run of +0.0 (not -0.0,
-    which prints differently) is ``zero`` repeated, any other run is one
-    ``encode`` call.  A row with at least one zero/nonzero boundary per eight
-    entries is encoded whole, so a dense matrix costs what one ``encode`` per
-    row costs and a sparse one what its runs do.
+    ``encode`` writes a list of floats that way in one call; ``zero`` is its
+    text for 0.0.  A matrix at least half nonzero is encoded row by row.  In
+    a sparser one, one ``encode`` call writes every entry but +0.0 (-0.0
+    prints differently), split back on ``sep`` (no JSON float text holds
+    ``", "``, no ``{:.6g}``/``{:.17g}`` text ``"  "``), and each row is a row
+    of ``zero`` with its runs cut in.
     """
     m = np.ascontiguousarray(matrix, dtype=np.float64)
-    n = m.shape[1]
-    zeros = m.view(np.uint64) == 0
-    boundaries = zeros[:, 1:] != zeros[:, :-1]
-    zero_run = zero + sep
-    for row, is_zero, changes in zip(m, zeros, boundaries):
-        cuts = np.flatnonzero(changes) + 1
-        if 8 * len(cuts) >= n:
-            yield encode(row.tolist())
-            continue
-        bounds = [0, *cuts.tolist(), n]
-        runs = []
-        run_is_zero = bool(is_zero[0])
-        for start, stop in zip(bounds, bounds[1:]):
-            if run_is_zero:
-                runs.append(zero_run * (stop - start - 1) + zero)
-            else:
-                runs.append(encode(row[start:stop].tolist()))
-            run_is_zero = not run_is_zero
-        yield sep.join(runs)
+    flat = np.flatnonzero(m.view(np.uint64) != 0)
+    if 2 * len(flat) >= m.size:
+        yield from map(encode, m.tolist())
+        return
+    texts = encode(m.ravel()[flat].tolist()).split(sep)
+    rows, cols = np.divmod(flat, m.shape[1])
+    # Runs start after a +0.0 or at column 0; row i has runs first[i] to first[i + 1].
+    run_lo = np.flatnonzero((np.diff(flat, prepend=-2) != 1) | (cols == 0))
+    bounds, starts = [*run_lo.tolist(), len(flat)], cols[run_lo].tolist()
+    first = np.searchsorted(rows[run_lo], np.arange(len(m) + 1)).tolist()
+    zeros, width = sep.join([zero] * m.shape[1]), len(zero) + len(sep)  # entry j at width * j
+    for i in range(len(m)):
+        parts, at = [], 0
+        for k in range(first[i], first[i + 1]):
+            lo, hi = bounds[k], bounds[k + 1]
+            parts += zeros[at : width * starts[k]], sep.join(texts[lo:hi])
+            at = width * (starts[k] + hi - lo) - len(sep)
+        parts.append(zeros[at:])
+        yield "".join(parts)
 
 
 def _json_matrix(matrix: np.ndarray) -> str:
     """``json.dumps(matrix.tolist())``, written by :func:`_row_texts`."""
-    rows = _row_texts(matrix, "0.0", ", ", lambda values: json.dumps(values)[1:-1])
-    return "[" + ", ".join([f"[{row}]" for row in rows]) + "]"
+    rows = list(_row_texts(matrix, "0.0", ", ", lambda values: json.dumps(values)[1:-1]))
+    if not rows:
+        return "[]"
+    rows[0] = "[[" + rows[0]  # the outer brackets, without another copy of the whole text
+    rows[-1] += "]]"
+    return "], [".join(rows)
 
 
 def _table_rows(matrix: np.ndarray, fmt: str) -> Iterator[str]:
     """Each row of ``matrix`` as ``"  ".join([fmt] * n).format(*row)`` writes it."""
-
-    def encode(values: list[float]) -> str:
-        return "  ".join([fmt] * len(values)).format(*values)
-
-    return _row_texts(matrix, fmt.format(0.0), "  ", encode)
+    return _row_texts(matrix, fmt.format(0.0), "  ", lambda v: "  ".join([fmt] * len(v)).format(*v))
 
 
 def _solver_payload(result: SolverResult) -> dict:
@@ -631,9 +646,9 @@ def _solver_payload(result: SolverResult) -> dict:
 def _print_solve_json(result: SolverResult) -> None:
     """Print what ``_print_json`` would for the payload with the matrix filled in."""
     # The matrix is the payload's last entry, so its placeholder is the last
-    # occurrence of the text below.
+    # occurrence of the text below; print writes the pieces without joining them.
     head, _, tail = json.dumps(_solver_payload(result)).rpartition('"matrix": []')
-    print(f'{head}"matrix": {_json_matrix(result.posterior_correlations)}{tail}')
+    print(f'{head}"matrix": ', _json_matrix(result.posterior_correlations), tail, sep="")
 
 
 def _print_solve_table(result: SolverResult, full: bool) -> None:

@@ -1,6 +1,20 @@
 """Shared test helpers."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
+
+
+def bench_generate():
+    """The benchmark's model generator, ``bench/generate.py``, as a module."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import generate
+    finally:
+        sys.path.remove(bench)
+    return generate
 
 
 def dense_b(n, arcs):

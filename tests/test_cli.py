@@ -49,6 +49,7 @@ from gaussid.model import (
 )
 from gaussid.oracle import mc_posterior
 from gaussid.solver import SolverConfig, solve
+from helpers import bench_generate
 
 MODELS = Path(__file__).resolve().parent.parent / "docs" / "models"
 BETA_BINOMIAL = MODELS / "beta_binomial.json"
@@ -360,6 +361,11 @@ _UNKNOWN_SUMMARY, _KNOWN_SUMMARY = _obj(8, "evidence"), _obj(9, "evidence")
 _SOLVER = lambda doc: doc["solver"]  # noqa: E731
 
 
+def _normal_node(nid: str, transform) -> dict:
+    prior = {"family": "normal", "mean": 0.5, "variance": 1.0}
+    return {"id": nid, "kind": "basic", "transform": transform, "prior": prior}
+
+
 class TestSchemaRules:
     """Each rule of the model-document schema, and the document forms it reads."""
 
@@ -475,6 +481,40 @@ class TestSchemaRules:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == EXIT_INPUT
         assert "$.nodes[6].evidence" in capsys.readouterr().err
+
+    # Nodes with identical transform objects share one Transform.  A later
+    # object that differs from a valid earlier one only by a boolean, an extra
+    # key, a number out of range or a list still fails, at its own node's path.
+    @pytest.mark.parametrize("kind", ["basic", "deterministic"])
+    @pytest.mark.parametrize(
+        "later,path,message",
+        [
+            ('{"kind": "scaled", "a": false, "b": 1}', ".a", "expected a number, got False"),
+            ('{"kind": "scaled", "a": 0, "b": 1, "c": 1}', ".c", "unknown field"),
+            ('{"kind": "scaled", "a": 1e400, "b": 1}', "", "reference points must be finite"),
+            ('{"kind": "scaled", "a": [0], "b": 1}', ".a", "expected a number, got \\[0\\]"),
+        ],
+    )
+    def test_a_repeated_transform_is_checked_again(self, kind, later, path, message):
+        valid = {"kind": "scaled", "a": 0, "b": 1}
+        z = _normal_node("z", "LATER")
+        if kind == "deterministic":
+            z = {"id": "z", "kind": "deterministic", "transform": "LATER", "expr": "2 * x"}
+        nodes = [_normal_node("x", valid), _normal_node("y", dict(valid)), z]
+        doc = {"schema_version": "1", "nodes": nodes}
+        with pytest.raises(SchemaError, match=message) as exc:
+            parse_model(json.dumps(doc).replace('"LATER"', later))
+        assert exc.value.path == "$.nodes[2].transform" + path
+
+    def test_only_identical_transforms_are_shared(self):
+        a_values = {"p": 0, "q": 0, "r": -0.0, "s": 0.0}
+        nodes = [_normal_node(n, {"kind": "scaled", "a": a, "b": 1}) for n, a in a_values.items()]
+        diagram, _ = parse_model(json.dumps({"schema_version": "1", "nodes": nodes}))
+        t = {nid: diagram.nodes[nid].transform for nid in a_values}
+        assert t["p"] is t["q"] and t["q"] is not t["s"]
+        assert [math.copysign(1.0, t[nid].a) for nid in a_values] == [1.0, 1.0, -1.0, 1.0]
+        written = [n["transform"]["a"] for n in serialize_model(diagram)["nodes"]]
+        assert [math.copysign(1.0, a) for a in written] == [1.0, 1.0, -1.0, 1.0]
 
     def test_binomial_accepts_lognormal_samples_false(self):
         doc = json.loads(json.dumps(ALL_FORMS_DOC))
@@ -755,12 +795,7 @@ def test_a_missing_field_is_named_alike_under_every_hash_seed(tmp_path):
 @pytest.fixture(scope="module")
 def scale_file(tmp_path_factory):
     """A smoke-size ``scale_1500`` diagram from the benchmark's generator."""
-    root = Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(root / "bench"))
-    try:
-        import generate
-    finally:
-        sys.path.remove(str(root / "bench"))
+    generate = bench_generate()
     path = tmp_path_factory.mktemp("scale") / "scale.json"
     path.write_text(json.dumps(generate.scale_doc(7, **generate.SMOKE_SIZES["scale_1500"])))
     return path
@@ -784,7 +819,52 @@ def _json_out(capsys, argv: list[str]) -> dict:
     return json.loads(out)
 
 
+def _reference_solve_stdout(result, flag: str) -> str:
+    """What ``infer solve`` prints: ``json.dumps`` of the whole payload, or each
+    table row written by one ``format`` call."""
+    ids = list(result.param_ids)
+    corr = result.posterior_correlations
+    if flag == "--json":
+        payload = {
+            "status": result.status,
+            "iterations": len(result.iterations),
+            "reported_iteration": result.reported_iteration,
+            "r_max": [rec.r_max for rec in result.iterations],
+            "posterior": {
+                pid: {"mean": m.mean, "variance": m.variance}
+                for pid, m in result.posterior_y.items()
+            },
+            "correlations": {"parameters": ids, "matrix": corr.tolist()},
+        }
+        return json.dumps(payload) + "\n"
+    spec = ".17g" if flag == "--full-precision" else ".6g"
+    lines = [
+        f"status: {result.status}",
+        f"iterations: {len(result.iterations)}  reported: {result.reported_iteration}",
+        "iteration  r_max",
+        *(f"{rec.t:>9}  {rec.r_max:{spec}}" for rec in result.iterations),
+        "posterior:",
+    ]
+    for pid in ids:
+        m = result.posterior_y[pid]
+        lines.append(f"{pid}  mean {m.mean:{spec}}  var {m.variance:{spec}}")
+    if len(ids) > 1:
+        width = max(len(pid) for pid in ids)
+        lines.append("correlations:")
+        row_fmt = "  ".join([f"{{:{spec}}}"] * len(ids))
+        for pid, row in zip(ids, corr.tolist()):
+            lines.append(f"{pid:<{width}}  " + row_fmt.format(*row))
+    return "\n".join(lines) + "\n"
+
+
 class TestJsonOutput:
+    @pytest.mark.parametrize("flag", ["--json", "", "--full-precision"])
+    def test_solve_stdout_is_byte_identical_to_the_reference(self, model_file, flag, capsys):
+        argv = ["solve", str(model_file)] + ([flag] if flag else [])
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == _reference_solve_stdout(solve(*parse_model(model_file)), flag)
+
     def test_solve_equals_the_result(self, model_file, capsys):
         payload = _json_out(capsys, ["solve", str(model_file), "--json"])
         result = solve(*parse_model(model_file))
@@ -799,6 +879,15 @@ class TestJsonOutput:
         matrix = payload["correlations"]["matrix"]
         assert all(type(v) is float for row in matrix for v in row)
         assert (np.array(matrix) == result.posterior_correlations).all()
+
+    def test_a_serialized_model_solves_to_the_same_bytes(self, model_file, tmp_path, capsys):
+        copy = tmp_path / "serialized.json"
+        copy.write_text(json.dumps(serialize_model(*parse_model(model_file))))
+        outs = []
+        for path in (model_file, copy):
+            assert main(["solve", str(path), "--json"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_oracle_equals_the_estimate(self, model_file, capsys):
         argv = ["oracle", str(model_file), "--samples", "2000", "--seed", "3", "--json"]
@@ -922,50 +1011,6 @@ class TestMatrixWriter:
         negative_zero[n // 2] = -0.0  # prints as -0.0 / -0, so it is no part of a zero run
         rows = [np.zeros(n), rng.uniform(-1.0, 1.0, n), alternating, alternating[::-1], sparse]
         _assert_writer_matches(np.array(rows + [negative_zero]))
-
-
-def _reference_solve_stdout(result, flag: str) -> str:
-    """What ``infer solve`` prints when every entry is encoded on its own."""
-    ids = list(result.param_ids)
-    corr = result.posterior_correlations
-    if flag == "--json":
-        payload = {
-            "status": result.status,
-            "iterations": len(result.iterations),
-            "reported_iteration": result.reported_iteration,
-            "r_max": [rec.r_max for rec in result.iterations],
-            "posterior": {
-                pid: {"mean": m.mean, "variance": m.variance}
-                for pid, m in result.posterior_y.items()
-            },
-            "correlations": {"parameters": ids, "matrix": corr.tolist()},
-        }
-        return json.dumps(payload) + "\n"
-    spec = ".17g" if flag == "--full-precision" else ".6g"
-    lines = [
-        f"status: {result.status}",
-        f"iterations: {len(result.iterations)}  reported: {result.reported_iteration}",
-        "iteration  r_max",
-        *(f"{rec.t:>9}  {rec.r_max:{spec}}" for rec in result.iterations),
-        "posterior:",
-    ]
-    for pid in ids:
-        m = result.posterior_y[pid]
-        lines.append(f"{pid}  mean {m.mean:{spec}}  var {m.variance:{spec}}")
-    if len(ids) > 1:
-        width = max(len(pid) for pid in ids)
-        lines.append("correlations:")
-        for pid, row in zip(ids, corr.tolist()):
-            lines.append(f"{pid:<{width}}  " + "  ".join(format(v, spec) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-@pytest.mark.parametrize("flag", ["--json", "", "--full-precision"])
-def test_solve_stdout_is_byte_identical_to_entrywise_encoding(model_file, flag, capsys):
-    argv = ["solve", str(model_file)] + ([flag] if flag else [])
-    assert main(argv) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out == _reference_solve_stdout(solve(*parse_model(model_file)), flag)
 
 
 # Expressions and estimates at the edge of the float range

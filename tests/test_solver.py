@@ -1,7 +1,6 @@
 """The iterative solver: initialization, linearization, stepping, and statuses."""
 
 import json
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -66,7 +65,7 @@ from gaussid.transforms import (
     forward_point,
     inverse_point,
 )
-from helpers import dense_b, dense_factor
+from helpers import bench_generate, dense_b, dense_factor
 
 PI2_3 = 3.2898681336964529  # 2 * trigamma(1)
 
@@ -908,11 +907,7 @@ def test_solve_factors_each_evidence_block_once(monkeypatch):
     # The eigendecomposition that guards the evidence block also solves with
     # it: no Cholesky factor and no general solve anywhere in a solve.
     root = Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(root / "bench"))
-    try:
-        import generate
-    finally:
-        sys.path.remove(str(root / "bench"))
+    generate = bench_generate()
     models = [parse_model(root / "docs" / "models" / name) for name in generate.GOLDEN_MODELS]
     doc = generate.mixed_doc(7, **generate.SMOKE_SIZES["mixed_expr"])
     models.append(parse_model(json.dumps(doc)))
@@ -1010,16 +1005,6 @@ class TestConfig:
         assert cfg.divergence_window == 3
         assert cfg.max_iterations == 50
         assert cfg.pool_evidence is True
-
-
-def bench_generate():
-    root = Path(__file__).resolve().parents[1]
-    sys.path.insert(0, str(root / "bench"))
-    try:
-        import generate
-    finally:
-        sys.path.remove(str(root / "bench"))
-    return generate
 
 
 def scalar_error(d, monkeypatch):
