@@ -210,17 +210,31 @@ def binomial(count: int, successes: int, alpha: float, beta: float) -> Likelihoo
 
 
 def _binomial_array(
-    count: np.ndarray, successes: np.ndarray, alpha: np.ndarray, beta: np.ndarray
+    count: np.ndarray,
+    successes: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    prior: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`binomial` for arrays of observations, in one polygamma pass: ``(d, v, done)``.
 
+    ``prior``, when given, has two rows: the log-odds mean x1 and variance
+    v1 of each reference Beta(alpha, beta) where the caller has them already
+    (from the same polygammas), and NaN elsewhere; the pass computes only
+    the others.
     Where ``done`` is True, ``d`` and ``v`` are :func:`binomial`'s bit for
     bit; it is False exactly where :func:`binomial` raises.
     """
     with np.errstate(all="ignore"):
         alpha2, beta2 = alpha + successes, beta + count - successes
-        x, var = _beta_to_moments_lockstep(np.append(alpha, alpha2), np.append(beta, beta2))
-        (x1, x2), (v1, v2) = np.split(x, 2), np.split(var, 2)
+        x1, v1 = np.full((2, len(alpha)), math.nan) if prior is None else np.array(prior)
+        need = ~(np.isfinite(x1) & np.isfinite(v1))
+        x, var = _beta_to_moments_lockstep(
+            np.append(alpha[need], alpha2), np.append(beta[need], beta2)
+        )
+        k = len(x) - len(alpha2)
+        x1[need], v1[need] = x[:k], var[:k]
+        x2, v2 = x[k:], var[k:]
         v = 1.0 / (1.0 / v2 - 1.0 / v1)
         d = v * (x2 / v2 - x1 / v1)
     done = (count >= 1.0) & (0.0 <= successes) & (successes <= count) & (alpha > 0.0) & (beta > 0.0)

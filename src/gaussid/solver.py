@@ -2,7 +2,8 @@
 
 A solve starts at the prior point, which :func:`initialize` builds in array
 passes where there are enough members: a family of at least ``_BATCH_MIN``
-Beta priors, as many binomial observations, and each expression-shape
+Beta priors, as many binomial observations (a reference that is the
+parent's Beta prior read from the prior map), and each expression-shape
 tape (below) level by level.  What a pass cannot finish is redone one by
 one, so the values and errors are the scalar ones.
 
@@ -19,7 +20,9 @@ maps the conditioned moments back to the natural scale:
     share one tape, walked once for all of them over numpy columns with the
     same bits as their own walks, and a member whose walk would fail is
     walked again on its own.  The levels and the tapes are built once per
-    solve.
+    solve.  A node's row and value depend only on its parents' y*, so from
+    the second iteration on a node whose parents' y* kept every bit keeps
+    them, and only the other members of a tape go through its pass.
 2.  *Update means* to first order: the shifts from the previous posterior
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
@@ -41,7 +44,14 @@ maps the conditioned moments back to the natural scale:
     the Beta inversions as one lockstep Newton iteration, and a smaller one
     parameter by parameter, with the same bits either way, into arrays
     (:class:`MomentPair` values are built once, for the reported iterate).
-    Then measure the relative change of the transformed posterior means.
+    A parameter whose transformed posterior mean and variance kept every bit
+    since the previous iteration keeps its natural-scale moments; the array
+    maps give an entry the same bits whatever else is in the batch, so only
+    the others are mapped.  Then measure the relative change of the
+    transformed posterior means.
+
+What a step keeps for the next lives in the :class:`SolverState` of one
+solve, and the first iteration computes every entry.
 
 The loop stops when the largest relative change drops below the
 tolerance, when it has grown strictly for ``divergence_window``
@@ -143,6 +153,10 @@ _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 # and lognormal ones at 6 to 10), and the fan-in-6 shapes of the mixed_expr
 # benchmark at 6 to 8 nodes over a solve of three or four iterations, the
 # tape's building included, measured on one CPU of a 2-vCPU x86-64 machine.
+# The same holds for the members whose inputs moved in a later iteration: a
+# family maps them as arrays only when there are at least this many (one
+# Beta costs about 220 us as an array and 37 us on its own), while a tape
+# already matches the walks at 7 of its members and keeps running them.
 _BATCH_MIN = 16
 
 # A node's place in B's arcs: (level, row, parameter index, the row of
@@ -298,6 +312,13 @@ class SolverState:
     # natural-scale means, natural-scale variances) of the latest iterate:
     # its parameter covariance is A (I - V'V) A'
     snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None
+    # What the latest linearize and moment inversion read and wrote, kept
+    # for the next one to reuse each entry whose inputs have the same bits:
+    # (post_y it linearized at, its coefficients c by level; its values are
+    # in point_x), and (post_mean, post_var it inverted, mean_y, var_y).
+    # Private copies, None until the first call succeeds.
+    linearized: tuple[np.ndarray, list[np.ndarray]] | None = None
+    inverted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     # always empty: no node keeps constant coefficients; the benchmark's
     # bench/worker.py::_sizes still reads it under --trace 1
     linear_coeffs: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -430,7 +451,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     # Evidence entries in order of first appearance, each labelled by its
     # first node: one per node, or one pooled entry per observed parameter.
     ev_nodes = d.evidence_nodes()
-    ev_obs, ev_var = _likelihoods(ev_nodes, d)
+    ev_obs, ev_var = _likelihoods(ev_nodes, d, index, mean_x, cond_var)
     looks: dict[str, tuple[Node, list[int]]] = {}
     for i, node in enumerate(ev_nodes):
         looks.setdefault(node.parents[0] if cfg.pool_evidence else node.id, (node, []))[1].append(i)
@@ -461,19 +482,33 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     )
 
 
-def _likelihoods(nodes: list[Node], d: Diagram) -> tuple[list[float], list[float]]:
+def _likelihoods(
+    nodes: list[Node],
+    d: Diagram,
+    index: dict[str, int],
+    prior_x: np.ndarray,
+    prior_var: np.ndarray,
+) -> tuple[list[float], list[float]]:
     """The (d, v) of each evidence node, at least ``_BATCH_MIN`` binomial ones as arrays.
 
-    The other nodes, binomial counts from 2**53 on (not all exact as floats)
-    and the entries the arrays leave NaN are resolved one by one in order, so
-    the first failure raises."""
+    A binomial observation whose reference is its parent's Beta prior reads
+    that prior's log-odds moments from ``prior_x`` and ``prior_var`` (over
+    the parameters, by ``index``), which the prior map found with the same
+    polygammas.  The other nodes, binomial counts from 2**53 on (not all
+    exact as floats) and the entries the arrays leave NaN are resolved one
+    by one in order, so the first failure raises."""
     obs, var = [math.nan] * len(nodes), [math.nan] * len(nodes)
     batch = [i for i, n in enumerate(nodes) if n.obs.variant == BINOMIAL and n.obs.count < 2**53]
     if len(batch) >= _BATCH_MIN:
-        specs = [nodes[i].obs for i in batch]
-        refs = [_reference(nodes[i].obs, d.nodes[nodes[i].parents[0]].prior) for i in batch]
-        rows = [(spec.count, spec.successes, *ref) for spec, ref in zip(specs, refs)]
-        got = _binomial_array(*np.array(rows, dtype=float).T)
+        rows, shared = [], []
+        for i in batch:
+            spec, parent = nodes[i].obs, d.nodes[nodes[i].parents[0]]
+            rows.append((spec.count, spec.successes, *_reference(spec, parent.prior)))
+            own = spec.alpha is None and parent.prior is not None and parent.prior.family == BETA
+            shared.append(index[parent.id] if own else -1)
+        at = np.array(shared, dtype=np.intp)
+        prior = np.where(at >= 0, [prior_x[at], prior_var[at]], math.nan)
+        got = _binomial_array(*np.array(rows, dtype=float).T, prior=prior)
         for i, x, v, done in zip(batch, *(a.tolist() for a in got)):
             if done:
                 obs[i], var[i] = x, v
@@ -562,14 +597,30 @@ def linearize(state: SolverState) -> Arcs:
     by :func:`_linearize_tape`; each other node's expression is walked on
     its own by :func:`slopes`, and so is each node a tape finds failing.
     The transformed values T_j(f_j(y*)) are kept in ``state.point_x`` for
-    :func:`update_means`.  Of the nodes that fail, the first in parameter
-    order is named, with the message of its own walk.
+    :func:`update_means`.  A node's row and value depend only on its
+    parents' y*, so a node none of whose parents' y* changed a bit since the
+    previous call is not walked again: its row is copied from that call's B
+    and its value stays in ``point_x``.  The first call walks every node.
+    Of the nodes that fail, the first in parameter order is named, with the
+    message of its own walk.
     """
     d, ids = state.diagram, state.param_ids
-    c = [np.zeros(par.shape) for _, par in state.levels]
-    walked = list(state.walked)
+    saved, state.linearized = state.linearized, None  # until this call succeeds
+    if saved is None:
+        moved = None
+        c = [np.zeros(par.shape) for _, par in state.levels]
+        walked = list(state.walked)
+    else:
+        at, c = saved
+        moved = state.post_y.view(np.int64) != at.view(np.int64)
+        flags = moved.tolist()
+        walked = [
+            (level, row, k, ps)
+            for level, row, k, ps in state.walked
+            if any(flags[i] for i in ps if i != k)
+        ]
     for tape in state.tapes:
-        walked += _linearize_tape(tape, state.post_y, state.point_x, c)
+        walked += _linearize_tape(tape, state.post_y, state.point_x, c, moved)
     failed: list[tuple[int, ValueError]] = []
     for level, row, k, ps in walked:
         node = d.nodes[ids[k]]
@@ -584,26 +635,44 @@ def linearize(state: SolverState) -> Arcs:
     if failed:
         k, err = min(failed, key=lambda f: f[0])
         raise _iteration_error(state, f"cannot linearize {ids[k]!r}", err, ids[k]) from err
+    state.linearized = (state.post_y.copy(), [cl.copy() for cl in c])
     return tuple((nodes, par, cl) for (nodes, par), cl in zip(state.levels, c))
 
 
 def _linearize_tape(
-    tape: _Tape, post_y: np.ndarray, point_x: np.ndarray, c: list[np.ndarray]
+    tape: _Tape,
+    post_y: np.ndarray,
+    point_x: np.ndarray,
+    c: list[np.ndarray],
+    moved: np.ndarray | None,
 ) -> list[Place]:
     """Linearize a tape's nodes at ``post_y`` into ``point_x`` and the coefficients ``c``.
 
-    One pass of :func:`~gaussid.model._slopes_columns` over the members
-    gives each node's value and slopes, bit for bit those of its own walk,
-    and marks the members whose walk would raise; their entries are written
-    too, and the places of those members are returned for :func:`linearize`
-    to walk them one by one, which rewrites their row or names the error.
+    Only the members with a parent whose ``moved`` flag is set are walked,
+    and all of them when ``moved`` is None.  One pass of
+    :func:`~gaussid.model._slopes_columns` over those members gives each
+    node's value and slopes, bit for bit those of its own walk whatever else
+    is in the pass, and marks the members whose walk would raise; their
+    entries are written too, and the places of those members are returned
+    for :func:`linearize` to walk them one by one, which rewrites their row
+    or names the error.
     """
-    y, b, failed = _slopes_columns(tape.ops, tape.consts, post_y[tape.parents], tape.own, tape.ins)
-    x, ok = tape.own.forward(y)
-    point_x[tape.nodes] = x
+    if moved is None:
+        at = np.arange(len(tape.nodes))
+    else:
+        at = np.flatnonzero(moved[tape.parents].any(axis=1))
+        if not at.size:
+            return []
+    own = tape.own[at]
+    y, b, failed = _slopes_columns(
+        tape.ops, tape.consts[:, at], post_y[tape.parents[at]], own, tape.ins[at]
+    )
+    x, ok = own.forward(y)
+    point_x[tape.nodes[at]] = x
     for level, members, flat in tape.cells:
-        c[level].reshape(-1)[flat] = b[members]
-    return [tape.places[i] for i in np.flatnonzero(failed | ~ok).tolist()]
+        lo, hi = np.searchsorted(at, (members.start, members.stop))
+        c[level].reshape(-1)[flat[at[lo:hi] - members.start]] = b[lo:hi]
+    return [tape.places[i] for i in at[failed | ~ok].tolist()]
 
 
 def update_means(state: SolverState, arcs: Arcs) -> np.ndarray:
@@ -677,23 +746,41 @@ def _natural_moments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Natural-scale posterior means and variances of the parameters, in parameter order.
 
-    Each family :func:`initialize` found to have at least ``_BATCH_MIN``
-    members goes through the array map at once.  The members of smaller
-    families, and every entry the array map could not finish, then go
-    through :func:`inverse_moments` one at a time in parameter order, so the
-    first parameter that cannot be mapped raises, with the message the
-    per-parameter loop gives.
+    A parameter whose (post_mean, post_var) have the bits they had at the
+    previous call keeps that call's result; the first call maps every
+    parameter.  Of the others, the members of each family :func:`initialize`
+    found to have at least ``_BATCH_MIN`` go through the array map at once
+    when there are at least ``_BATCH_MIN`` of them; the map gives each entry
+    the same bits whatever else is in the batch.  The rest, and every entry
+    the array map could not finish, then go through :func:`inverse_moments`
+    one at a time in parameter order, so the first parameter that cannot be
+    mapped raises, with the message the per-parameter loop gives.
     """
-    mean_y, var_y = np.empty((2, state.n_params))
-    unfinished: list[int] = []
+    saved, state.inverted = state.inverted, None  # until this call succeeds
+    if saved is None:
+        moved = None
+        mean_y, var_y = np.empty((2, state.n_params))
+        one_by_one = list(state.one_by_one)
+    else:
+        at_mean, at_var, mean_y, var_y = saved
+        moved = (post_mean.view(np.int64) != at_mean.view(np.int64)) | (
+            post_var.view(np.int64) != at_var.view(np.int64)
+        )
+        one_by_one = [k for k in state.one_by_one if moved[k]]
     for family, idx, a, b in state.batched:
+        if moved is not None:
+            redo = moved[idx]
+            if np.count_nonzero(redo) < _BATCH_MIN:
+                one_by_one += idx[redo].tolist()
+                continue
+            idx, a, b = idx[redo], a[redo], b[redo]
         mean_y[idx], var_y[idx], done = _inverse_moments_array(
             family, a, b, post_mean[idx], post_var[idx]
         )
-        unfinished += idx[~done].tolist()
+        one_by_one += idx[~done].tolist()
 
     d = state.diagram
-    for k in sorted(state.one_by_one + unfinished):
+    for k in sorted(one_by_one):
         pid = state.param_ids[k]
         t = d.nodes[pid].transform
         try:
@@ -705,6 +792,7 @@ def _natural_moments(
                 state, f"cannot map {pid!r} back to its natural scale", err, pid
             ) from err
         mean_y[k], var_y[k] = m.mean, m.variance
+    state.inverted = (post_mean.copy(), post_var.copy(), mean_y.copy(), var_y.copy())
     return mean_y, var_y
 
 

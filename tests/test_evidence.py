@@ -19,7 +19,7 @@ from gaussid.evidence import (
     pool,
     to_likelihood,
 )
-from gaussid.specfun import digamma, trigamma
+from gaussid.specfun import _beta_to_moments_lockstep, digamma, trigamma
 from gaussid.transforms import PriorSpec, Transform
 
 # (count, successes, alpha, beta) -> (d, v), frozen from a 40-digit
@@ -215,6 +215,20 @@ class TestArrayForms:
         d, v, done = _binomial_array(*(np.array(col, dtype=float) for col in zip(*observations)))
         got = [(x.hex(), y.hex()) if ok else None for x, y, ok in zip(d, v, done)]
         assert got == [outcome(binomial, *obs) for obs in observations]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(binomial_observations(), st.booleans()), min_size=1, max_size=40))
+    def test_reference_moments_passed_in_give_the_same_bits(self, drawn):
+        # The solver passes in the moments of each reference that is the
+        # parent's Beta prior, from the prior family's own polygamma pass.
+        cols = [np.array(col, dtype=float) for col in zip(*(obs for obs, _ in drawn))]
+        known = np.array([k for _, k in drawn])
+        with np.errstate(all="ignore"):
+            x1, v1 = _beta_to_moments_lockstep(cols[2], cols[3])
+        prior = np.where(known, [x1, v1], math.nan)
+        want = _binomial_array(*cols)
+        got = _binomial_array(*cols, prior=prior)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_an_observation_that_adds_no_precision_is_marked(self):
         # Reference alpha 1e-160: v1 = inf, and with no success v2 = inf too.

@@ -1,11 +1,15 @@
 """The iterative solver: initialization, linearization, stepping, and statuses."""
 
+import copy
+import importlib
 import json
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gaussid.gaussian as gaussian_mod
 import gaussid.solver as solver_mod
@@ -35,6 +39,7 @@ from gaussid.model import (
     Pow,
     Sub,
     Var,
+    _slopes_columns,
     basic,
     deterministic,
     eval_expr,
@@ -66,6 +71,10 @@ from gaussid.transforms import (
     inverse_point,
 )
 from helpers import bench_generate, dense_b, dense_factor
+
+# gaussid.evidence, the module: the package exports the function model.evidence
+# under that name
+evidence_mod = importlib.import_module("gaussid.evidence")
 
 PI2_3 = 3.2898681336964529  # 2 * trigamma(1)
 
@@ -1365,6 +1374,32 @@ class TestInitializeByArrays:
         assert calls["to_likelihood"] == [bad.obs]
         assert calls["point_value"] == []
 
+    def test_binomial_looks_read_their_priors_moments(self, monkeypatch):
+        # A look whose reference is its parent's Beta prior takes that
+        # prior's log-odds moments from the prior map; a look with its own
+        # reference, or on a node without a prior, computes them.
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [beta_p(f"p{i}", 1.0 + i, 2.0) for i in range(n)]
+        nodes += [evidence(f"o{i}", f"p{i}", binomial_look(9, i % 10)) for i in range(n)]
+        nodes += [evidence("own", "p3", binomial_look(4, 1, alpha=3.0, beta=1.5))]
+        nodes += [deterministic("q", T01, Mul(Var("p0"), Const(0.5)))]
+        nodes += [evidence("oq", "q", binomial_look(5, 2))]
+        d = Diagram.from_nodes(nodes)
+        sizes = []
+        lockstep = evidence_mod._beta_to_moments_lockstep
+
+        def spy(alpha, beta):
+            sizes.append(len(alpha))
+            return lockstep(alpha, beta)
+
+        monkeypatch.setattr(evidence_mod, "_beta_to_moments_lockstep", spy)
+        state = initialize(d, SolverConfig(pool_evidence=False))
+        assert sizes == [2 + (n + 2)]  # two references, and every posterior's
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", 10**9)
+        scalar = initialize(d, SolverConfig(pool_evidence=False))
+        for name in ("ev_obs", "cond_var"):
+            assert getattr(state, name).tobytes() == getattr(scalar, name).tobytes()
+
 
 class TestPriorPointsOnTheSupportEnd:
     """A prior point on the support whose transform ratio underflows to 0
@@ -1387,3 +1422,284 @@ class TestPriorPointsOnTheSupportEnd:
             for i in range(n)
         ]
         assert_the_scalar_error(Diagram.from_nodes(nodes), monkeypatch, "y5", batch_min=n)
+
+
+def three_differences(v):
+    """The three risk differences of :func:`correlated_evidence`, each seen with variance ``v``.
+
+    At v = 0.01 the looks conflict with the priors, and the plain iteration
+    crawls: it is still moving at the cap of 50 iterations."""
+    td = Transform("scaled", -1.0, 1.0)
+    return Diagram.from_nodes(
+        [
+            beta_p("p1", 2.0, 6.0),
+            beta_p("p2", 2.0, 8.0),
+            beta_p("p3", 3.0, 9.0),
+            beta_p("p4", 2.0, 10.0),
+            deterministic("d12", td, Sub(Var("p1"), Var("p2"))),
+            deterministic("d23", td, Sub(Var("p2"), Var("p3"))),
+            deterministic("d34", td, Sub(Var("p3"), Var("p4"))),
+            evidence("e12", "d12", normal_look(0.05, v)),
+            evidence("e23", "d23", normal_look(-0.03, v)),
+            evidence("e34", "d34", normal_look(0.1, v)),
+        ]
+    )
+
+
+def without_reuse(state):
+    """A copy of ``state`` that keeps nothing of earlier iterations to reuse.
+
+    A step writes only ``point_x`` and ``records`` in place, so those are
+    copied; it rebinds the rest."""
+    twin = copy.copy(state)
+    twin.point_x = state.point_x.copy()
+    twin.records = list(state.records)
+    twin.linearized = twin.inverted = None
+    return twin
+
+
+def solve_without_reuse(d, cfg, monkeypatch):
+    """``solve(d, cfg)`` with every entry of every iteration computed from its inputs."""
+    run = solver_mod.step
+
+    def fresh_step(state):
+        state.linearized = state.inverted = None
+        return run(state)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver_mod, "step", fresh_step)
+        return solve(d, cfg)
+
+
+def iteration_arrays(record, snapshot):
+    """The arrays an iteration hands out: its record's and its snapshot's.
+
+    The arcs' node and parent tables are the solve's fixed structure, shared
+    by design; their coefficients are the iteration's own."""
+    arcs, a, vs, mean_y, var_y = snapshot
+    arrays = [record.prior_mean_x, record.posterior_mean_x, record.posterior_var_x, record.r]
+    return arrays + [c for _, _, c in arcs] + [a, *vs, mean_y, var_y]
+
+
+def result_bits(result):
+    return (
+        result.status,
+        result.reported_iteration,
+        record_bits(result.iterations),
+        {k: (m.mean.hex(), m.variance.hex()) for k, m in result.posterior_y.items()},
+        result.posterior_correlations.tobytes(),
+    )
+
+
+def error_bits(err):
+    return err.node_id, str(err), type(err.__cause__), record_bits(err.records)
+
+
+class TestReuse:
+    """An entry whose inputs keep their bits from one iteration to the next
+    keeps its outputs; the iterates, the results and the errors are those of
+    a solve that computes every entry in every iteration."""
+
+    def checked_solve(self, d, cfg, monkeypatch):
+        """``solve(d, cfg)``, each step checked against a step of a copy without reuse."""
+        run = solver_mod.step
+        handed_out = []
+
+        def checked(state):
+            twin = without_reuse(state)
+            want = run(twin)
+            got = run(state)
+            assert record_bits([got]) == record_bits([want])
+            assert state.post_y.tobytes() == twin.post_y.tobytes()
+            assert state.snapshot[4].tobytes() == twin.snapshot[4].tobytes()
+            assert state.point_x.tobytes() == twin.point_x.tobytes()
+            for (_, _, c), (_, _, c_want) in zip(state.snapshot[0], twin.snapshot[0]):
+                assert c.tobytes() == c_want.tobytes()
+            handed_out.append(iteration_arrays(got, state.snapshot))
+            return got
+
+        monkeypatch.setattr(solver_mod, "step", checked)
+        result = solve(d, cfg)
+        for t, earlier in enumerate(handed_out):
+            for later in handed_out[t + 1 :]:
+                assert not any(np.shares_memory(x, y) for x in earlier for y in later)
+        return result
+
+    @pytest.mark.parametrize(
+        "name", ["beta_binomial.json", "risk_difference.json", "scale_1500", "mixed_expr"]
+    )
+    @pytest.mark.parametrize("pool", [True, False])
+    @pytest.mark.parametrize("batch_min", [1, solver_mod._BATCH_MIN, 10**9])
+    def test_every_iterate_equals_the_one_computed_in_full(
+        self, name, pool, batch_min, monkeypatch
+    ):
+        d, _ = models_for_equivalence()[name]
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+        result = self.checked_solve(d, SolverConfig(pool_evidence=pool), monkeypatch)
+        assert result.status == CONVERGED
+
+    @pytest.mark.parametrize("batch_min", [1, 10**9])
+    def test_a_slow_solve_to_the_cap(self, batch_min, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+        result = self.checked_solve(three_differences(0.01), SolverConfig(), monkeypatch)
+        assert result.status == MAX_ITERATIONS and len(result.iterations) == 50
+        assert result_bits(result) == result_bits(
+            solve_without_reuse(three_differences(0.01), SolverConfig(), monkeypatch)
+        )
+
+    def test_a_diverged_solve_reports_the_same_best_iterate(self, monkeypatch):
+        d = Diagram.from_nodes(
+            [
+                normal_p("x", 0.2, 4.0),
+                deterministic("z", TS, Div(Const(1.0), Var("x"))),
+                evidence("oz", "z", normal_look(-5.0, 0.1)),
+            ]
+        )
+        cfg = SolverConfig(max_iterations=30)
+        result = self.checked_solve(d, cfg, monkeypatch)
+        assert result.status == DIVERGED and result.reported_iteration < len(result.iterations)
+        assert result_bits(result) == result_bits(solve_without_reuse(d, cfg, monkeypatch))
+
+    def test_the_first_iteration_maps_and_walks_every_entry(self, monkeypatch):
+        d, cfg = models_for_equivalence()["scale_1500"]
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", 1)
+        mapped, walked = [], []
+        array_map, tape_walk = solver_mod._inverse_moments_array, solver_mod._slopes_columns
+
+        def spy_map(family, a, b, mean, var):
+            mapped.append(len(mean))
+            return array_map(family, a, b, mean, var)
+
+        def spy_walk(ops, consts, env, *args):
+            walked.append(len(env))
+            return tape_walk(ops, consts, env, *args)
+
+        monkeypatch.setattr(solver_mod, "_inverse_moments_array", spy_map)
+        monkeypatch.setattr(solver_mod, "_slopes_columns", spy_walk)
+        state = initialize(d, cfg)
+        n_det = sum(len(nodes) for nodes, _ in state.levels)
+        counts = []
+        while not state.records or state.records[-1].r_max >= cfg.epsilon:
+            mapped.clear()
+            walked.clear()
+            step(state)
+            counts.append((sum(mapped), sum(walked)))
+        assert counts[0] == (state.n_params, n_det)
+        # and the solve's last iteration finds most inputs unchanged
+        assert len(counts) == 3 and counts[-1][0] < state.n_params // 2
+
+    def test_linearize_reads_an_edited_point(self):
+        # linearize keys what it keeps on the bits of post_y, not on the
+        # iteration: B at a point edited in place is B computed there in full.
+        state = initialize(two_level_mixed())
+        step(state)
+        linearize(state)
+        state.post_y[0] += 0.25  # x, a parent of z, w and v
+        got = linearize(state)
+        twin = without_reuse(state)
+        want = linearize(twin)
+        assert state.point_x.tobytes() == twin.point_x.tobytes()
+        assert [c.tobytes() for _, _, c in got] == [c.tobytes() for _, _, c in want]
+        before = [c.tobytes() for _, _, c in state.snapshot[0]]
+        assert [c.tobytes() for _, _, c in got] != before  # w = x y and v moved
+
+    def test_a_failed_linearization_keeps_nothing(self):
+        # A tape writes the values of its members before a member's walk
+        # fails; linearize then reuses nothing, so going back to the point
+        # of the last success gives that success's values again.
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p("x", 1.0, 1.0)]
+        nodes += [
+            deterministic(f"q{i}", TS, Ln(Sub(Var("x"), Const(0.0 if i == 5 else -5.0 - i))))
+            for i in range(n)
+        ]
+        state = initialize(Diagram.from_nodes(nodes))
+        assert len(state.tapes) == 1
+        want = [c.tobytes() for _, _, c in linearize(state)]
+        point_x = state.point_x.tobytes()
+        state.post_y[0] = -1.0  # q5 = ln(x) fails; the others move
+        with pytest.raises(IterationError, match="'q5'"):
+            linearize(state)
+        assert state.point_x.tobytes() != point_x
+        state.post_y[0] = 1.0
+        assert [c.tobytes() for _, _, c in linearize(state)] == want
+        assert state.point_x.tobytes() == point_x
+
+    def test_an_inversion_keys_on_the_variance_too(self):
+        state = initialize(correlated_evidence())
+        step(state)
+        mean, var = state.records[-1].posterior_mean_x, state.records[-1].posterior_var_x
+        wider = var.copy()
+        wider[[0, 4]] *= 1.5  # p1, a Beta parameter, and r, a normal one
+        for post_var in (var, wider):
+            got = solver_mod._natural_moments(state, mean, post_var)
+            want = solver_mod._natural_moments(without_reuse(state), mean, post_var)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("batch_min", [solver_mod._BATCH_MIN, 10**9])
+    def test_a_linearization_that_fails_at_iteration_two(self, batch_min, monkeypatch):
+        # The look pulls x from 1 to about -2, where ln(x - 0) is undefined.
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p("x", 1.0, 1.0), evidence("look", "x", normal_look(-2.0, 0.01))]
+        nodes += [
+            deterministic(f"q{i}", TS, Ln(Sub(Var("x"), Const(0.0 if i in (5, 9) else -5.0 - i))))
+            for i in range(n)
+        ]
+        self.assert_the_full_error(Diagram.from_nodes(nodes), batch_min, "q5", monkeypatch)
+
+    @pytest.mark.parametrize("batch_min", [solver_mod._BATCH_MIN, 10**9])
+    def test_an_inversion_that_fails_at_iteration_two(self, batch_min, monkeypatch):
+        # q_i = exp(c_i x^2) on log_scaled(0, 1) has X = c_i x^2.  Linearized
+        # at x = 1 it has variance 4 c_i^2 Var x, about 36 for c = 1; at the
+        # posterior x of about 4.6 it has about 780, and exp of that
+        # overflows the lognormal variance.
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p("x", 1.0, 100.0), evidence("look", "x", normal_look(5.0, 10.0))]
+        c = [1.0 if i in (7, 12) else 0.1 + 0.01 * i for i in range(n)]
+        nodes += [
+            deterministic(f"q{i}", TLOG, Exp(Mul(Const(c[i]), Pow(Var("x"), 2.0))))
+            for i in range(n)
+        ]
+        err = self.assert_the_full_error(Diagram.from_nodes(nodes), batch_min, "q7", monkeypatch)
+        assert isinstance(err.__cause__, OverflowError)
+
+    def assert_the_full_error(self, d, batch_min, node_id, monkeypatch):
+        """The IterationError of ``solve(d)`` at iteration 2, as a solve without reuse raises it."""
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        with pytest.raises(IterationError) as full:
+            solve_without_reuse(d, SolverConfig(), monkeypatch)
+        assert exc.value.node_id == node_id and len(exc.value.records) == 1
+        assert error_bits(exc.value) == error_bits(full.value)
+        assert "at iteration 2" in str(exc.value)
+        return exc.value
+
+
+@pytest.fixture(scope="module")
+def mixed_tapes():
+    """The shape tapes of the smoke ``mixed_expr`` with ``_BATCH_MIN`` at 2, and its post_y."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver_mod, "_BATCH_MIN", 2)
+        state = initialize(models_for_equivalence()["mixed_expr"][0])
+    return state.tapes, state.post_y
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_tape_walks_a_subset_of_its_members_with_the_full_bits(mixed_tapes, data):
+    # What linearize's reuse rests on: each member of a tape gets the same
+    # bits from _slopes_columns whatever other members share the pass.
+    tapes, post_y = mixed_tapes
+    tape = data.draw(st.sampled_from(tapes))
+    k = len(tape.nodes)
+    scale = data.draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    at = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    y = post_y * (1.0 + scale * np.random.default_rng(seed).standard_normal(len(post_y)))
+    full = _slopes_columns(tape.ops, tape.consts, y[tape.parents], tape.own, tape.ins)
+    part = _slopes_columns(
+        tape.ops, tape.consts[:, at], y[tape.parents[at]], tape.own[at], tape.ins[at]
+    )
+    for whole, subset in zip(full, part):
+        assert whole[at].tobytes() == subset.tobytes()

@@ -331,6 +331,24 @@ class TestLockstepInversion:
             if done[k]:
                 assert scalar_inversion(m, v) == (alpha[k].hex(), beta[k].hex())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-700.0, 700.0), LOG_ODDS_VARIANCES, st.booleans()),
+            min_size=1,
+            max_size=2 * _BATCH_MIN + 3,
+        )
+    )
+    def test_a_subset_gets_the_bits_of_the_full_batch(self, moments):
+        # Entries leave the lockstep iteration one by one, so an entry's
+        # iterates must not depend on what else is still iterating.
+        mean, var, keep = (np.array(col) for col in zip(*moments))
+        alpha, beta, done = _beta_from_moments_lockstep(mean, var)
+        sub_alpha, sub_beta, sub_done = _beta_from_moments_lockstep(mean[keep], var[keep])
+        assert sub_done.tolist() == done[keep].tolist()
+        assert sub_alpha[sub_done].tobytes() == alpha[keep][sub_done].tobytes()
+        assert sub_beta[sub_done].tobytes() == beta[keep][sub_done].tobytes()
+
     def test_entries_newton_cannot_finish_are_handed_back(self):
         good = beta_to_moments(BetaParams(3.0, 7.0))
         diffuse = beta_to_moments(BetaParams(0.45, 0.45))
@@ -360,6 +378,23 @@ class TestLockstepInversion:
             else:
                 with pytest.raises(ValueError):
                     forward_moments(prior)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(POSITIVE_PARAMETERS, POSITIVE_PARAMETERS, st.booleans()),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_the_forward_map_of_a_subset_has_the_full_bits(self, params):
+        # A binomial observation reads its Beta prior's moments from the
+        # prior family's pass instead of its own.
+        alpha, beta, keep = (np.array(col) for col in zip(*params))
+        full = _beta_to_moments_lockstep(alpha, beta)
+        part = _beta_to_moments_lockstep(alpha[keep], beta[keep])
+        for whole, subset in zip(full, part):
+            assert whole[keep].tobytes() == subset.tobytes()
 
     def test_empty_input(self):
         alpha, beta, done = _beta_from_moments_lockstep(np.zeros(0), np.zeros(0))

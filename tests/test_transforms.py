@@ -288,6 +288,22 @@ class TestMomentMapArrays:
             if done[k]:
                 assert scalar_map(family, *entry) == (mean_y[k].hex(), var_y[k].hex())
 
+    @settings(max_examples=80, deadline=None)
+    @given(family_moments(), st.data())
+    def test_a_subset_gets_the_bits_of_the_full_batch(self, drawn, data):
+        # The solver maps only the parameters whose moments moved, so an
+        # entry must not depend on what else is in its batch.
+        family, entries = drawn
+        keep = data.draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+        at = np.flatnonzero(keep)
+        cols = [np.array(col) for col in zip(*entries)]
+        full = _inverse_moments_array(family, *cols)
+        part = _inverse_moments_array(family, *(col[at] for col in cols))
+        done = full[2][at]
+        assert part[2].tolist() == done.tolist()
+        for whole, subset in zip(full[:2], part[:2]):
+            assert whole[at][done].tobytes() == subset[done].tobytes()
+
     def test_unfinished_entries_are_left_to_the_scalar_map(self):
         ones, zeros = np.ones(3), np.zeros(3)
         # exp overflows at the second entry only, and at the third only
