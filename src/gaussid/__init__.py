@@ -27,7 +27,6 @@ from .model import (
     basic,
     deterministic,
     evidence,
-    recognize_linear,
     topological_order,
     validate,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "normal_unknown_var",
     "pool",
     "propagate_covariance",
-    "recognize_linear",
     "solve",
     "tetragamma",
     "to_likelihood",

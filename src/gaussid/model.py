@@ -16,9 +16,7 @@ support-checked value) and :func:`slopes` (its value and transformed-scale
 slopes) are the pieces of linearizing a deterministic node, and
 ``_slopes_columns`` linearizes many nodes whose expressions share a
 :attr:`Expr.shape` in one pass over numpy columns, with the bits of the
-one-node walk.  :func:`recognize_linear` detects expression/transform
-combinations that are exactly linear on the transformed scale; it is a
-diagnostic, and the solver linearizes those nodes like any other.
+one-node walk.
 """
 
 from __future__ import annotations
@@ -35,12 +33,10 @@ from .evidence import BINOMIAL, EvidenceSpec
 from .transforms import (
     LOG_SCALED,
     LOGISTIC_SCALED,
-    SCALED,
     PriorSpec,
     Transform,
     _TransformArrays,
     derivative,
-    inverse_point,
 )
 
 __all__ = [
@@ -72,7 +68,6 @@ __all__ = [
     "topological_order",
     "point_value",
     "slopes",
-    "recognize_linear",
 ]
 
 T = TypeVar("T")
@@ -295,9 +290,9 @@ def _power(base: float, k: float) -> float:
         return math.inf
 
 
-# Maps from variable to partial (or to coefficient, or exponent) combine
-# linearly: _chain scales one, _sum adds two with weights.  Both update
-# their first map in place, so no two stack entries of a walk share a map.
+# Maps from variable to partial combine linearly: _chain scales one, _sum
+# adds two with weights.  Both update their first map in place, so no two
+# stack entries of a walk share a map.
 # _value_and_gradient_columns keys its maps by slot, and its weights and
 # partials may be numpy columns.
 
@@ -668,7 +663,7 @@ def _parents_first(d: Diagram) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Linearizing deterministic nodes, and recognizing exactly linear ones
+# Linearizing deterministic nodes
 
 
 def point_value(node: Node, env: dict[str, float]) -> float:
@@ -723,214 +718,3 @@ def _slopes_columns(
     failed |= ~own.contains(y) | ~(np.isfinite(grad) & defined).all(axis=1)
     with np.errstate(all="ignore"):
         return y, t_out[:, None] * grad / t_in, failed
-
-
-def recognize_linear(node: Node, d: Diagram) -> dict[str, float] | None:
-    """Constant transformed-scale coefficients for ``node``, when they exist.
-
-    Detects three shapes whose relation between the node's transformed
-    value and its parents' transformed values is exactly affine, so the
-    linearization coefficients never change between iterations:
-
-    * affine expressions where node and parents all use ``scaled``;
-    * products of powers where node and parents all use ``log_scaled``
-      anchored at ``a = 0`` with ``b > 0``;
-    * ``g / (g + h)`` odds compositions where node and parents all use
-      ``logistic_scaled`` on (0, 1), ``g`` is a product of powers of the
-      parents and ``h`` the matching product of their complements.
-
-    Every structural match is double-checked numerically against the
-    chain rule at two interior points; any disagreement returns ``None``.
-    The solver does not use these coefficients: it takes every node's
-    slopes by the chain rule at each iteration, which for a recognized node
-    gives them up to rounding.
-    """
-    if node.kind != DETERMINISTIC:
-        return None
-    coeffs = _linear_candidate(node, d)
-    if coeffs is None:
-        return None
-    if not _coefficients_check_out(node, d, coeffs):
-        return None
-    return coeffs
-
-
-def _linear_candidate(node: Node, d: Diagram) -> dict[str, float] | None:
-    t = node.transform
-    parents = [d.nodes[p] for p in node.parents]
-    if any(p.transform is None for p in parents):
-        return None
-
-    if t.kind == SCALED:
-        if any(p.transform.kind != SCALED for p in parents):
-            return None
-        affine = _affine(node.expr)
-        if affine is None:
-            return None
-        return {
-            p.id: affine[p.id] * (p.transform.b - p.transform.a) / (t.b - t.a)
-            for p in parents
-        }
-
-    if t.kind == LOG_SCALED:
-        if not (t.a == 0.0 and t.b > 0.0):
-            return None
-        if any(
-            p.transform.kind != LOG_SCALED
-            or p.transform.a != 0.0
-            or p.transform.b <= 0.0
-            for p in parents
-        ):
-            return None
-        powers = _product(node.expr)
-        if powers is None:
-            return None
-        factor, exponents = powers
-        if factor <= 0.0:
-            return None
-        return {p.id: exponents.get(p.id, 0.0) for p in parents}
-
-    if t.kind == LOGISTIC_SCALED:
-        if not _unit_logistic(t):
-            return None
-        if any(
-            p.transform.kind != LOGISTIC_SCALED or not _unit_logistic(p.transform)
-            for p in parents
-        ):
-            return None
-        return _odds_composition(node.expr)
-
-    return None
-
-
-def _unit_logistic(t: Transform) -> bool:
-    return t.a == 0.0 and t.b == 1.0
-
-
-def _var(e: Expr) -> str | None:
-    return e.name if isinstance(e, Var) else None
-
-
-def _complement(e: Expr) -> str | None:
-    if isinstance(e, Sub) and e.left == Const(1.0) and isinstance(e.right, Var):
-        return e.right.name
-    return None
-
-
-def _product(e: Expr, leaf=_var) -> tuple[float, dict[str, float]] | None:
-    """Decompose ``e`` as constant * product of leaves^k; None when it is not.
-
-    ``leaf`` names the variable of a leaf factor: ``Var`` by default, or
-    ``1 - Var`` with :func:`_complement`.
-    """
-
-    def step(n: Expr, args: list) -> tuple[float, dict[str, float]] | None:
-        if isinstance(n, Const):
-            return n.value, {}
-        name = leaf(n)
-        if name is not None:
-            return 1.0, {name: 1.0}
-        if None in args or not isinstance(n, (Pow, Mul, Div)):
-            return None
-        if isinstance(n, Pow):
-            factor, exps = args[0]
-            if factor < 0.0:
-                return None
-            # a factor that overflows is infinite rather than an error
-            return _power(factor, n.exponent), _chain(n.exponent, exps)
-        (lf, le), (rf, re) = args
-        if isinstance(n, Mul):
-            return lf * rf, _sum(le, 1.0, re, 1.0)
-        return None if rf == 0.0 else (lf / rf, _sum(le, 1.0, re, -1.0))
-
-    return _fold(e, step)
-
-
-def _affine(e: Expr) -> dict[str, float] | None:
-    """Coefficients of ``e`` by variable when ``e`` is affine; None when it is not.
-
-    Structural: a product is affine only when one factor is free of
-    variables, a quotient only when its divisor is, and a power never is.
-    """
-
-    def step(n: Expr, args: list) -> dict[str, float] | None:  # {} when free of variables
-        if isinstance(n, Var):
-            return {n.name: 1.0}
-        if all(a == {} for a in args):
-            return {}
-        if None in args or not isinstance(n, (Neg, _Binary)):
-            return None
-        if isinstance(n, Neg):
-            return _chain(-1.0, args[0])
-        left, right = args
-        if isinstance(n, (Add, Sub)):
-            return _sum(left, 1.0, right, 1.0 if isinstance(n, Add) else -1.0)
-        factor = n.right
-        if isinstance(n, Mul) and left == {}:
-            factor, left, right = n.left, right, left  # right is the factor's, left the other's
-        if right:  # the factor has variables
-            return None
-        try:
-            c = eval_expr(factor, {})
-        except EvalError:
-            return None
-        if isinstance(n, Div) and c == 0.0:
-            return None
-        return _chain(c if isinstance(n, Mul) else 1.0 / c, left)
-
-    return _fold(e, step)
-
-
-def _same_tree(a: Expr, b: Expr) -> bool:
-    """``a == b``, compared node by node along the two post-order sequences."""
-    return [_label(x) for x in a.postorder] == [_label(y) for y in b.postorder]
-
-
-def _label(e: Expr) -> tuple:
-    """The type of ``e`` and its fields that are not operands."""
-    return type(e), *(getattr(e, key, None) for key in ("value", "name", "exponent"))
-
-
-def _odds_composition(e: Expr) -> dict[str, float] | None:
-    """Match ``g / (g + h)`` where the odds g/h is a product of parent odds."""
-    if not isinstance(e, Div) or not isinstance(e.right, Add):
-        return None
-    num = e.left
-    for g, h in ((e.right.left, e.right.right), (e.right.right, e.right.left)):
-        if not _same_tree(g, num):
-            continue
-        gp = _product(g)
-        hp = _product(h, _complement)
-        if gp is None or hp is None:
-            continue
-        g_factor, g_exps = gp
-        h_factor, h_exps = hp
-        if g_factor <= 0.0 or h_factor <= 0.0:
-            continue
-        if g_exps.keys() != h_exps.keys():
-            continue
-        if any(g_exps[v] != h_exps[v] for v in g_exps):
-            continue
-        return dict(g_exps)
-    return None
-
-
-def _coefficients_check_out(node: Node, d: Diagram, coeffs: dict[str, float]) -> bool:
-    """Numerically confirm candidate coefficients at two interior points.
-
-    Parent k is probed at ``x_probe + 0.07 * (k % 8)``: the offsets are
-    bounded, so a product of many log-scaled parents stays finite.
-    """
-    for x_probe in (-0.4, 0.35):
-        env = {}
-        for k, pid in enumerate(node.parents):
-            pt = d.nodes[pid].transform
-            env[pid] = inverse_point(pt, x_probe + 0.07 * (k % 8))
-        try:
-            _, b = slopes(node, d, env)
-        except (ValueError, OverflowError):
-            return False
-        for pid in node.parents:
-            if abs(b[pid] - coeffs[pid]) > 1e-9 * max(1.0, abs(coeffs[pid])):
-                return False
-    return True

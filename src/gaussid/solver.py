@@ -105,7 +105,6 @@ from .model import (
 )
 from .model import (  # noqa: F401  names bench/tracer.py wraps
     eval_expr,
-    recognize_linear,
     value_and_gradient as diff_expr,
 )
 from .specfun import ConvergenceError, _beta_to_moments_lockstep
@@ -149,14 +148,16 @@ _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 # A family with at least this many parameters maps its moments as arrays,
 # and an expression shape with at least this many deterministic nodes is
 # linearized as one tape; below it, numpy's fixed cost per call outweighs
-# the per-node loop.  Beta families break even at about 16 members (Normal
-# and lognormal ones at 6 to 10), and the fan-in-6 shapes of the mixed_expr
-# benchmark at 6 to 8 nodes over a solve of three or four iterations, the
-# tape's building included, measured on one CPU of a 2-vCPU x86-64 machine.
-# The same holds for the members whose inputs moved in a later iteration: a
-# family maps them as arrays only when there are at least this many (one
-# Beta costs about 220 us as an array and 37 us on its own), while a tape
-# already matches the walks at 7 of its members and keeps running them.
+# the per-node loop.  Measured on whole families and shapes, on one CPU of
+# a 2-vCPU x86-64 machine: Beta families break even at about 16 members
+# (Normal and lognormal ones at 6 to 10), and the fan-in-6 shapes of the
+# mixed_expr benchmark at 6 to 8 nodes over a solve of three or four
+# iterations, the tape's building included.  A later iteration applies the
+# same size to the members whose inputs moved: a family maps them as arrays
+# only when there are at least this many, while a tape runs for any number
+# of them.  For such subsets the break-even is unmeasured: one Beta costs
+# about 220 us as an array and 37 us on its own, and one timing found 16
+# moved Betas slower as an array (551 us) than one by one (371 us).
 _BATCH_MIN = 16
 
 # A node's place in B's arcs: (level, row, parameter index, the row of
@@ -326,6 +327,12 @@ class SolverState:
     @property
     def n_params(self) -> int:
         return len(self.param_ids)
+
+
+def recognize_linear(node: Node, d: Diagram) -> None:
+    """Nothing, and nothing calls it: a name the benchmark's bench/tracer.py
+    still wraps (its ``model.recognize_linear`` span), kept like
+    :attr:`SolverState.linear_coeffs` until the tracer drops both."""
 
 
 def _natural_prior_mean(node: Node) -> float:

@@ -44,3 +44,14 @@ def dense_factor(a, pack):
     dense = np.zeros((n, n))
     dense[rows[cols >= 0], cols[cols >= 0]] = a[cols >= 0]
     return dense
+
+
+def _same_tree(a, b):
+    """``a == b`` for two expressions, compared node by node along their
+    post-order sequences, so no depth is too deep to compare."""
+    return [_label(x) for x in a.postorder] == [_label(y) for y in b.postorder]
+
+
+def _label(e):
+    """The type of expression node ``e`` and its fields that are not operands."""
+    return type(e), *(getattr(e, key, None) for key in ("value", "name", "exponent"))

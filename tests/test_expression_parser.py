@@ -12,11 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import gaussid.model as model
 from gaussid.cli import ExpressionError, _tokenize, parse_expression, parse_model, serialize_model
 from gaussid.model import Add, Const, Diagram, Div, Exp, Ln, Mul, Neg, Pow, Sub, Var, basic, deterministic
 from gaussid.solver import SolverConfig, solve
 from gaussid.transforms import PriorSpec, Transform
+from helpers import _same_tree
 
 TS = Transform("scaled", 0.0, 1.0)
 
@@ -167,7 +167,7 @@ def test_the_loop_parses_every_token_string_as_the_recursive_parser_did(pieces, 
     if got[0] == "error":  # the same message at the same position
         assert got[1:] == want[1:]
     else:
-        assert model._same_tree(got[1], want[1])
+        assert _same_tree(got[1], want[1])
 
 
 def test_100000_nested_parentheses_parse():
@@ -192,7 +192,7 @@ def test_a_300_term_right_deep_sum_round_trips_and_solves():
     assert doc["nodes"][n]["expr"].count("(") == n - 2
 
     again, cfg = parse_model(json.dumps(doc))
-    assert model._same_tree(again.node("s").expr, e)
+    assert _same_tree(again.node("s").expr, e)
     assert serialize_model(again, cfg) == doc
     result = solve(again, cfg)
     assert result.status == "converged"

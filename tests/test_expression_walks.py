@@ -35,13 +35,14 @@ from gaussid.model import (
     basic,
     deterministic,
     format_expr,
-    recognize_linear,
+    slopes,
     value_and_gradient,
     variables,
 )
 from gaussid.oracle import mc_posterior
 from gaussid.solver import SolverConfig, solve
 from gaussid.transforms import PriorSpec, Transform
+from helpers import _same_tree
 
 TS = Transform("scaled", 0.0, 1.0)
 TLOG = Transform("log_scaled", 0.0, 1.0)
@@ -164,60 +165,6 @@ def ref_format(e):
     return _ref_fmt(e)[0]
 
 
-def ref_affine(e):
-    if not ref_variables(e):
-        return {}
-    if isinstance(e, Var):
-        return {e.name: 1.0}
-    if isinstance(e, Neg):
-        inner = ref_affine(e.operand)
-        return None if inner is None else _ref_chain(-1.0, inner)
-    if isinstance(e, (Add, Sub)):
-        left, right = ref_affine(e.left), ref_affine(e.right)
-        if left is None or right is None:
-            return None
-        return _ref_sum(left, 1.0, right, 1.0 if isinstance(e, Add) else -1.0)
-    if not isinstance(e, (Mul, Div)):
-        return None
-    factor, other = e.right, e.left
-    if isinstance(e, Mul) and not ref_variables(e.left):
-        factor, other = e.left, e.right
-    if ref_variables(factor):
-        return None
-    inner = ref_affine(other)
-    try:
-        c = ref_value_and_gradient(factor, {})[0]
-    except EvalError:
-        return None
-    if inner is None or (isinstance(e, Div) and c == 0.0):
-        return None
-    return _ref_chain(c if isinstance(e, Mul) else 1.0 / c, inner)
-
-
-def ref_product(e, leaf):
-    if isinstance(e, Const):
-        return e.value, {}
-    name = leaf(e)
-    if name is not None:
-        return 1.0, {name: 1.0}
-    if isinstance(e, Pow):
-        inner = ref_product(e.base, leaf)
-        if inner is None or inner[0] < 0.0:
-            return None
-        # a factor that overflows is infinite rather than an error
-        return _ref_power(inner[0], e.exponent), _ref_chain(e.exponent, inner[1])
-    if isinstance(e, (Mul, Div)):
-        left, right = ref_product(e.left, leaf), ref_product(e.right, leaf)
-        if left is None or right is None:
-            return None
-        if isinstance(e, Mul):
-            return left[0] * right[0], _ref_sum(left[1], 1.0, right[1], 1.0)
-        if right[0] == 0.0:
-            return None
-        return left[0] / right[0], _ref_sum(left[1], 1.0, right[1], -1.0)
-    return None
-
-
 def ref_eval_array(e, env):
     if isinstance(e, Const):
         return np.asarray(e.value)
@@ -294,10 +241,6 @@ def trees(draw):
     return stack[0]
 
 
-def _bits_of_product(p):
-    return None if p is None else (_bits(p[0]), _map_bits(p[1]))
-
-
 @settings(max_examples=400, deadline=None)
 @given(
     trees(),
@@ -316,9 +259,6 @@ def test_every_walker_matches_its_recursive_reference(e, other, env, seed):
 
     assert format_expr(e) == ref_format(e) == str(e)
     assert variables(e) == ref_variables(e)
-    assert _map_bits(model._affine(e)) == _map_bits(ref_affine(e))
-    for leaf in (model._var, model._complement):
-        assert _bits_of_product(model._product(e, leaf)) == _bits_of_product(ref_product(e, leaf))
 
     rng = np.random.default_rng(seed)
     arrays = {v: rng.uniform(-2.0, 2.0, size=4) for v in _VARS}
@@ -327,8 +267,8 @@ def test_every_walker_matches_its_recursive_reference(e, other, env, seed):
         want_array = np.broadcast_to(ref_eval_array(e, arrays), (4,)).astype(float)
     assert got_array.tobytes() == want_array.tobytes()
 
-    assert model._same_tree(e, other) == (e == other)
-    assert model._same_tree(e, _rebuilt(e))
+    assert _same_tree(e, other) == (e == other)
+    assert _same_tree(e, _rebuilt(e))
 
     # The tape: trees of e's shape, with other constants, walked together
     # over a column of environments; a tree it marks failed is walked again
@@ -391,9 +331,12 @@ def _rebuilt(e):
     return type(e)(*map(_rebuilt, _children(e)))
 
 
-def test_a_product_factor_that_overflows_is_infinite():
+def test_a_power_that_overflows_is_an_eval_error():
     e = Pow(Mul(Const(1e300), Var("x")), 2.0)
-    assert model._product(e) == (math.inf, {"x": 2.0})
+    for walk in (value_and_gradient, model.eval_expr):
+        with pytest.raises(EvalError, match="non-finite result inf") as exc:
+            walk(e, {"x": 1.0})
+        assert exc.value.subexpression == format_expr(e)
 
 
 def test_postorder_lists_operands_first_left_to_right():
@@ -416,15 +359,17 @@ def _lognormal(nid):
 
 
 def _walk_everything(e, d, node_id):
-    """Run every walker on ``e`` (node ``node_id`` of ``d``); return the results."""
+    """Run every walker on ``e`` (node ``node_id`` of ``d``) with each variable
+    at 1; return the value, the partials, the text and the node's slopes."""
     env = {p: 1.0 for p in variables(e)}
     value, grad = value_and_gradient(e, env)
     arrays = {p: np.full(3, 1.0) for p in env}
     assert oracle._eval_array(e, arrays).tolist() == [value] * 3
-    assert model._same_tree(e, e)
+    assert _same_tree(e, e)
     text = format_expr(e)
-    coeffs = recognize_linear(d.node(node_id), d)
-    return value, grad, text, model._affine(e), model._product(e), coeffs
+    y, node_slopes = slopes(d.node(node_id), d, env)
+    assert y == value
+    return value, grad, text, node_slopes
 
 
 def test_a_5000_term_sum_walks_without_recursion():
@@ -433,11 +378,11 @@ def test_a_5000_term_sum_walks_without_recursion():
     for i in range(1, n):
         e = Add(e, Var(f"x{i}"))
     d = Diagram.from_nodes([*(_normal(f"x{i}") for i in range(n)), deterministic("s", TS, e)])
-    value, grad, text, affine, product, coeffs = _walk_everything(e, d, "s")
+    value, grad, text, node_slopes = _walk_everything(e, d, "s")
     assert value == n and list(grad) == [f"x{i}" for i in range(n)]
     assert set(grad.values()) == {1.0}
     assert text == " + ".join(f"x{i}" for i in range(n))
-    assert affine == coeffs == grad and product is None
+    assert node_slopes == grad
 
 
 def test_a_5000_deep_negation_walks_without_recursion():
@@ -445,27 +390,25 @@ def test_a_5000_deep_negation_walks_without_recursion():
     for _ in range(5000):
         e = Neg(e)
     d = Diagram.from_nodes([_normal("x"), deterministic("y", TS, e)])
-    value, grad, text, affine, product, coeffs = _walk_everything(e, d, "y")
+    value, grad, text, node_slopes = _walk_everything(e, d, "y")
     assert value == 1.0 and grad == {"x": 1.0}
     assert text == "-" * 5000 + "x"
-    assert affine == coeffs == {"x": 1.0} and product is None
+    assert node_slopes == {"x": 1.0}
 
 
 def test_a_2000_factor_product_walks_without_recursion():
-    # forward-mode partials make a product of n factors O(n^2); alternating
-    # quotients keep the value finite at the probe points of recognize_linear
+    # forward-mode partials make a product of n factors O(n^2); on the log
+    # scale at 1 the slopes are the exponents
     n = 2000
     e = Var("x0")
     for i in range(1, n):
         e = (Div if i % 2 else Mul)(e, Var(f"x{i}"))
     d = Diagram.from_nodes([*(_lognormal(f"x{i}") for i in range(n)), deterministic("p", TLOG, e)])
-    value, grad, text, affine, product, coeffs = _walk_everything(e, d, "p")
+    value, grad, text, node_slopes = _walk_everything(e, d, "p")
     exponents = {f"x{i}": -1.0 if i % 2 else 1.0 for i in range(n)}
     assert value == 1.0 and grad == exponents
     assert text == "x0" + "".join(f" {'/' if i % 2 else '*'} x{i}" for i in range(1, n))
-    assert affine is None
-    assert product == (1.0, exponents)
-    assert coeffs == pytest.approx(exponents)
+    assert node_slopes == exponents
 
 
 def test_a_document_summing_2000_parameters(tmp_path, capsys):
@@ -509,7 +452,7 @@ def test_a_document_summing_2000_parameters(tmp_path, capsys):
     doc = serialize_model(d, SolverConfig())
     again, _ = parse_model(json.dumps(doc))
     assert serialize_model(again) == doc
-    assert model._same_tree(again.node("s").expr, d.node("s").expr)
+    assert _same_tree(again.node("s").expr, d.node("s").expr)
 
 
 # ---------------------------------------------------------------------------

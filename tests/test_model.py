@@ -1,4 +1,4 @@
-"""Expression trees, node/diagram validation, and linear-structure recognition."""
+"""Expression trees, node/diagram validation, topological order, and node slopes."""
 
 import heapq
 import math
@@ -35,14 +35,13 @@ from gaussid.model import (
     eval_expr,
     evidence,
     format_expr,
-    recognize_linear,
     slopes,
     topological_order,
     validate,
     value_and_gradient,
     variables,
 )
-from gaussid.transforms import PriorSpec, Transform
+from gaussid.transforms import PriorSpec, Transform, inverse_point
 
 T01 = Transform("logistic_scaled", 0.0, 1.0)
 TS = Transform("scaled", 0.0, 1.0)
@@ -450,7 +449,35 @@ def reference_topological_order(d):
     return order
 
 
-class TestRecognizeLinear:
+def slopes_at(d, node_id, x):
+    """``slopes`` of the node with parent k at ``x (1 + (k mod 4) / 4)`` on
+    its transformed scale: the parents move apart as well as together with
+    ``x``, and stay bounded however many there are."""
+    node = d.node(node_id)
+    env = {
+        p: inverse_point(d.node(p).transform, x * (1.0 + (k % 4) / 4.0))
+        for k, p in enumerate(node.parents)
+    }
+    return slopes(node, d, env)[1]
+
+
+# Three interior points: two alone can agree on a node that is not linear
+# (see the cubic below).
+PROBES = (-0.4, 0.35, 0.45)
+
+
+class TestExactlyLinearSlopes:
+    """A node exactly linear on its transformed scale has the same chain-rule
+    slopes at every point; any other node's slopes move with the point."""
+
+    def assert_constant(self, d, node_id, want):
+        for x in PROBES:
+            assert slopes_at(d, node_id, x) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def assert_moving(self, d, node_id):
+        first, *rest = (slopes_at(d, node_id, x) for x in PROBES)
+        assert any(s != pytest.approx(first, rel=1e-6) for s in rest)
+
     def test_affine_over_scaled(self):
         d = Diagram.from_nodes(
             [
@@ -463,11 +490,8 @@ class TestRecognizeLinear:
                 ),
             ]
         )
-        coeffs = recognize_linear(d.node("z"), d)
-        assert coeffs is not None
         # 3 * (2-0)/(4-0) and -1 * (1-0)/(4-0)
-        assert coeffs["x"] == pytest.approx(1.5)
-        assert coeffs["y"] == pytest.approx(-0.25)
+        self.assert_constant(d, "z", {"x": 1.5, "y": -0.25})
 
     @pytest.mark.parametrize(
         "expr,expected",
@@ -488,17 +512,17 @@ class TestRecognizeLinear:
     def test_affine_forms_over_scaled(self, expr, expected):
         nodes = [normal_node(v) for v in variables(expr)]
         d = Diagram.from_nodes(nodes + [deterministic("z", TS, expr)])
-        assert recognize_linear(d.node("z"), d) == expected
+        self.assert_constant(d, "z", expected)
 
-    def test_cubic_over_scaled_is_not_affine(self):
-        # The chain-rule slope 3 (x + 0.025)^2 is 0.421875 at both check
-        # points, so only the structural test can reject this node.
+    def test_a_cubic_agrees_at_two_points_only(self):
+        # The slope 3 (x + 0.025)^2 is 0.421875 at both x = -0.4 and 0.35,
+        # so only the third probe tells this node from a linear one.
         d = Diagram.from_nodes(
             [normal_node("x"), deterministic("z", TS, Pow(Add(Var("x"), Const(0.025)), 3.0))]
         )
-        for x in (-0.4, 0.35):
-            assert slopes(d.node("z"), d, {"x": x})[1] == {"x": pytest.approx(0.421875)}
-        assert recognize_linear(d.node("z"), d) is None
+        for x in PROBES[:2]:
+            assert slopes_at(d, "z", x) == {"x": pytest.approx(0.421875)}
+        self.assert_moving(d, "z")
 
     def test_product_of_powers_over_log(self):
         d = Diagram.from_nodes(
@@ -512,92 +536,70 @@ class TestRecognizeLinear:
                 ),
             ]
         )
-        coeffs = recognize_linear(d.node("w"), d)
-        assert coeffs == {"u": pytest.approx(2.0), "v": pytest.approx(-0.5)}
+        self.assert_constant(d, "w", {"u": 2.0, "v": -0.5})
 
     @pytest.mark.parametrize("n", [139, 140, 1000])
     def test_product_of_many_log_scaled_parents(self, n):
-        # Parent probes stay bounded, so the product does not overflow.
+        # Parent points stay bounded, so the product does not overflow.
         names = [f"x{i}" for i in range(n)]
         product = Var(names[0])
         for name in names[1:]:
             product = Mul(product, Var(name))
         d = Diagram.from_nodes([*map(lognormal_node, names), deterministic("w", TLOG, product)])
-        assert recognize_linear(d.node("w"), d) == dict.fromkeys(names, 1.0)
+        self.assert_constant(d, "w", dict.fromkeys(names, 1.0))
 
     def test_odds_composition_over_logistic(self):
         # q = p1 p2 / (p1 p2 + (1-p1)(1-p2)): log-odds add with unit weights.
         g = Mul(Var("p1"), Var("p2"))
         h = Mul(Sub(Const(1.0), Var("p1")), Sub(Const(1.0), Var("p2")))
         d = Diagram.from_nodes(
-            [
-                beta_node("p1"),
-                beta_node("p2"),
-                deterministic("q", T01, Div(g, Add(g, h))),
-            ]
+            [beta_node("p1"), beta_node("p2"), deterministic("q", T01, Div(g, Add(g, h)))]
         )
-        coeffs = recognize_linear(d.node("q"), d)
-        assert coeffs == {"p1": pytest.approx(1.0), "p2": pytest.approx(1.0)}
+        self.assert_constant(d, "q", {"p1": 1.0, "p2": 1.0})
 
     def test_single_variable_odds_identity(self):
         g = Var("p")
         h = Sub(Const(1.0), Var("p"))
-        d = Diagram.from_nodes(
-            [beta_node("p"), deterministic("q", T01, Div(g, Add(g, h)))]
-        )
-        assert recognize_linear(d.node("q"), d) == {"p": pytest.approx(1.0)}
+        d = Diagram.from_nodes([beta_node("p"), deterministic("q", T01, Div(g, Add(g, h)))])
+        self.assert_constant(d, "q", {"p": 1.0})
 
-    def test_nonlinear_returns_none(self):
+    def test_a_product_over_scaled_moves(self):
         d = Diagram.from_nodes(
-            [
-                normal_node("x"),
-                normal_node("y"),
-                deterministic("z", TS, Mul(Var("x"), Var("y"))),
-            ]
+            [normal_node("x"), normal_node("y"), deterministic("z", TS, Mul(Var("x"), Var("y")))]
         )
-        assert recognize_linear(d.node("z"), d) is None
+        self.assert_moving(d, "z")
 
-    def test_mixed_transforms_return_none(self):
+    def test_a_sum_across_transforms_moves(self):
         d = Diagram.from_nodes(
-            [
-                normal_node("x"),
-                lognormal_node("u"),
-                deterministic("z", TS, Add(Var("x"), Var("u"))),
-            ]
+            [normal_node("x"), lognormal_node("u"), deterministic("z", TS, Add(Var("x"), Var("u")))]
         )
-        assert recognize_linear(d.node("z"), d) is None
+        self.assert_moving(d, "z")
 
-    def test_sum_over_log_not_recognized(self):
+    def test_a_sum_over_log_moves(self):
         d = Diagram.from_nodes(
-            [
-                lognormal_node("u"),
-                lognormal_node("v"),
-                deterministic("w", TLOG, Add(Var("u"), Var("v"))),
-            ]
+            [lognormal_node("u"), lognormal_node("v"), deterministic("w", TLOG, Add(Var("u"), Var("v")))]
         )
-        assert recognize_linear(d.node("w"), d) is None
+        self.assert_moving(d, "w")
 
-    def test_log_product_requires_zero_anchor(self):
+    def test_a_log_product_off_a_zero_anchor_moves(self):
+        t = Transform("log_scaled", 1.0, 3.0)
         d = Diagram.from_nodes(
-            [
-                lognormal_node("u", mean=2.0, t=Transform("log_scaled", 1.0, 3.0)),
-                deterministic("w", Transform("log_scaled", 1.0, 3.0), Pow(Var("u"), 2.0)),
-            ]
+            [lognormal_node("u", mean=2.0, t=t), deterministic("w", t, Pow(Var("u"), 2.0))]
         )
-        assert recognize_linear(d.node("w"), d) is None
+        self.assert_moving(d, "w")
 
-    def test_mismatched_odds_exponents_return_none(self):
+    def test_mismatched_odds_exponents_move(self):
         g = Mul(Var("p1"), Var("p2"))
         h = Mul(Sub(Const(1.0), Var("p1")), Pow(Sub(Const(1.0), Var("p2")), 2.0))
         d = Diagram.from_nodes(
-            [
-                beta_node("p1"),
-                beta_node("p2"),
-                deterministic("q", T01, Div(g, Add(g, h))),
-            ]
+            [beta_node("p1"), beta_node("p2"), deterministic("q", T01, Div(g, Add(g, h)))]
         )
-        assert recognize_linear(d.node("q"), d) is None
+        self.assert_moving(d, "q")
 
-    def test_basic_node_returns_none(self):
-        d = Diagram.from_nodes([beta_node("p")])
-        assert recognize_linear(d.node("p"), d) is None
+    def test_a_value_off_its_support_raises(self):
+        # x - 1 at x = 0.5 is -0.5, below the log scale's anchor 0.
+        d = Diagram.from_nodes(
+            [normal_node("x"), deterministic("w", TLOG, Sub(Var("x"), Const(1.0)))]
+        )
+        with pytest.raises(ValueError, match="outside its transform support"):
+            slopes(d.node("w"), d, {"x": 0.5})

@@ -44,7 +44,7 @@ from gaussid.model import (
     deterministic,
     eval_expr,
     evidence,
-    recognize_linear,
+    slopes,
     topological_order,
 )
 from gaussid.solver import (
@@ -302,11 +302,27 @@ class TestInitialize:
         assert exc.value.node_id == "p"
 
 
+def assert_constant_slopes(d, node_id, want):
+    """``slopes`` of the node are ``want`` to 1e-9 relative at two distinct
+    interior points, so it is exactly linear on the transformed scale.
+
+    Parent k sits at ``x + 0.07 k`` on its transformed scale, for x = -0.4
+    and 0.35.
+    """
+    node = d.nodes[node_id]
+    for x in (-0.4, 0.35):
+        env = {
+            p: inverse_point(d.nodes[p].transform, x + 0.07 * k)
+            for k, p in enumerate(node.parents)
+        }
+        assert slopes(node, d, env)[1] == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 class TestLinearize:
-    def test_recognized_coefficients_are_position_free(self):
+    def test_exactly_linear_coefficients_are_position_free(self):
         # w = u * v is exactly linear on the log scale: its slopes, taken
-        # by the chain rule like any node's, are recognize_linear's
-        # constants at any point, up to rounding.
+        # by the chain rule like any node's, are the constants 1 and 1 at
+        # any point, up to rounding.
         d = Diagram.from_nodes(
             [
                 lognormal_p("u", 1.0, 0.5),
@@ -318,8 +334,8 @@ class TestLinearize:
         state.post_y = np.array([3.7, 0.2, 0.74])  # an arbitrary later point
         coeffs = dense_b(state.n_params, linearize(state))
         iu, iv, iw = (state.param_ids.index(k) for k in ("u", "v", "w"))
-        want = recognize_linear(d.nodes["w"], d)
-        assert want == {"u": 1.0, "v": 1.0}
+        want = {"u": 1.0, "v": 1.0}
+        assert_constant_slopes(d, "w", want)
         assert coeffs[iu, iw] == pytest.approx(want["u"], rel=1e-15, abs=0.0)
         assert coeffs[iv, iw] == pytest.approx(want["v"], rel=1e-15, abs=0.0)
 
@@ -665,7 +681,7 @@ class TestSolve:
             lognormal + [deterministic("w", t, w), evidence("o", "w", normal_look(0.3, 0.2))]
         )
         h = np.array([2.0, -1.0])
-        assert recognize_linear(d.nodes["w"], d) == dict(zip("uv", h))
+        assert_constant_slopes(d, "w", dict(zip("uv", h)))
         result = solve(d)
         assert result.status == CONVERGED
         assert [r.r_max <= 1e-12 for r in result.iterations] == [False, False, True]
@@ -700,7 +716,7 @@ class TestSolve:
                 evidence("o", "p", EvidenceSpec(variant="binomial", count=10, successes=7)),
             ]
         )
-        assert recognize_linear(d.nodes["w"], d) == {"p": 2.0, "q": 1.0}
+        assert_constant_slopes(d, "w", {"p": 2.0, "q": 1.0})
         result = solve(d)
         assert result.status == CONVERGED
         assert [r.r_max <= 1e-12 for r in result.iterations] == [False, False, True]
