@@ -15,8 +15,9 @@ its partials together, from one walk.  :func:`point_value` (a node's
 support-checked value) and :func:`slopes` (its value and transformed-scale
 slopes) are the pieces of linearizing a deterministic node, and
 ``_slopes_columns`` linearizes many nodes whose expressions share a
-:attr:`Expr.shape` in one pass over numpy columns, with the bits of the
-one-node walk.
+skeleton (``_skeleton``: the :attr:`Expr.shape` with ``+`` and ``-`` as one
+signed add and ``-c`` as a literal) in one pass over numpy columns, with the
+bits of the one-node walk.
 """
 
 from __future__ import annotations
@@ -117,6 +118,37 @@ class Expr:
             else:
                 ops.append((type(n), getattr(n, "exponent", None)))
         return tuple(ops), tuple(consts), tuple(names)
+
+
+class _SignedAdd:
+    """The op ``u + s * v`` of a skeleton, its sign s (1.0 or -1.0) in a constant slot."""
+
+
+def _skeleton(
+    ops: tuple[tuple, ...],
+) -> tuple[tuple[tuple, ...], tuple[bool, ...], tuple[float, ...]]:
+    """The skeleton of the :attr:`Expr.shape` ``ops``: ``(skeleton, negated, signs)``.
+
+    The m-th ``u + v`` or ``u - v`` in post-order becomes ``(_SignedAdd, c +
+    m)``, with c the shape's number of constants: its sign ``signs[m]``, 1.0
+    or -1.0, takes constant slot c + m.  A negation whose operand is a
+    literal is dropped, and ``negated[j]`` says whether the literal in
+    constant slot j takes its sign flipped.  IEEE arithmetic gives ``u - v``
+    as ``u + (-1.0) * v`` and ``-c`` as the literal ``-c`` bit for bit, so
+    trees whose skeletons are equal are walked as one tape by
+    :func:`_value_and_gradient_columns` with those slot values.
+    """
+    skeleton, signs = [], []
+    negated = [False] * sum(op is Const for op, _ in ops)
+    for op, arg in ops:
+        if op is Neg and skeleton[-1][0] is Const:  # the operand is the literal just read
+            negated[skeleton[-1][1]] ^= True
+        elif op is Add or op is Sub:
+            skeleton.append((_SignedAdd, len(negated) + len(signs)))
+            signs.append(1.0 if op is Add else -1.0)
+        else:
+            skeleton.append((op, arg))
+    return tuple(skeleton), tuple(negated), tuple(signs)
 
 
 def _operands(e: Expr) -> tuple[Expr, ...]:
@@ -315,17 +347,19 @@ def _sum(a: dict[str, float], ca: float, b: dict[str, float], cb: float) -> dict
 def _value_and_gradient_columns(
     ops: tuple[tuple, ...], consts: np.ndarray, env: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`value_and_gradient` of k trees of one shape at once: ``(value, partials, failed)``.
+    """:func:`value_and_gradient` of k trees of one skeleton: ``(value, partials, failed)``.
 
-    The trees share ``ops``, an :attr:`Expr.shape`; tree i holds
-    ``consts[j, i]`` in constant slot j and ``env[i, s]`` in variable slot
-    s.  Each operation runs once, over columns of the k trees, with the
-    products and sums of the scalar walk in its order (``exp``, ``ln`` and
-    ``**`` through :mod:`math`, whose rounding numpy's do not share), so
-    ``value[i]`` and the partials ``partials[i, s]`` are the scalar walk's
-    bit for bit.  Each check of the scalar walk is a mask instead: ``failed``
-    is True exactly where that walk raises, and those trees' entries are
-    meaningless.
+    The trees share ``ops``, an :attr:`Expr.shape` or a :func:`_skeleton`,
+    whose signed add ``(_SignedAdd, j)`` reads its sign from constant slot j;
+    tree i holds ``consts[j, i]`` in constant slot j and ``env[i, s]`` in
+    variable slot s.  Each operation runs once, over columns of the k trees,
+    with the products and sums of the scalar walk in its order (``exp``,
+    ``ln`` and ``**`` through :mod:`math`, whose rounding numpy's do not
+    share), so ``value[i]`` and the partials ``partials[i, s]`` are the
+    scalar walk's bit for bit; the signed add gives ``u + v`` and ``u - v``
+    and their partials ``_sum(du, 1.0, dv, ±1.0)`` as the walk does.  Each
+    check of the scalar walk is a mask instead: ``failed`` is True exactly
+    where that walk raises, and those trees' entries are meaningless.
     """
     failed = np.zeros(len(env), dtype=bool)
     checked = []  # the values the scalar walk checks are finite, tested at the end
@@ -364,7 +398,10 @@ def _value_and_gradient_columns(
             else:
                 v, dv = stack.pop()
                 u, du = stack.pop()
-                if op is Add:
+                if op is _SignedAdd:
+                    sign = consts[arg]
+                    value, grad = u + sign * v, _sum(du, 1.0, dv, sign)
+                elif op is Add:
                     value, grad = u + v, _sum(du, 1.0, dv, 1.0)
                 elif op is Sub:
                     value, grad = u - v, _sum(du, 1.0, dv, -1.0)
@@ -703,7 +740,7 @@ def _slopes_columns(
     own: _TransformArrays,
     parents: _TransformArrays,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`slopes` of k deterministic nodes of one shape at once: ``(value, slopes, failed)``.
+    """:func:`slopes` of k nodes of one skeleton at once: ``(value, slopes, failed)``.
 
     Node i's expression is the tree :func:`_value_and_gradient_columns`
     reads from ``ops``, ``consts`` and ``env``, its transform is ``own``'s

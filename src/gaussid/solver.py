@@ -3,9 +3,12 @@
 A solve starts at the prior point, which :func:`initialize` builds in array
 passes where there are enough members: a family of at least ``_BATCH_MIN``
 Beta priors, as many binomial observations (a reference that is the
-parent's Beta prior read from the prior map), and each expression-shape
+parent's Beta prior read from the prior map), and each expression-skeleton
 tape (below) level by level.  What a pass cannot finish is redone one by
-one, so the values and errors are the scalar ones.
+one, so the values and errors are the scalar ones.  The walk that gives a
+deterministic node's value there gives its slopes too, so the prior point
+is also the first linearization: unless a slope is undefined there, the
+first iteration walks no expression.
 
 Each iteration rebuilds a Gaussian model of the transformed variables
 around the previous posterior point, conditions it on the evidence, and
@@ -15,14 +18,17 @@ maps the conditioned moments back to the natural scale:
     means y*: a walk of its expression gives its transformed value
     T_j(f_j(y*)) and its slopes by the chain rule through the transforms,
     written straight into B's arcs by depth level.  The nodes are grouped by
-    expression shape (the operators with slots for the constants and
-    variables): the nodes of a shape with at least ``_BATCH_MIN`` of them
-    share one tape, walked once for all of them over numpy columns with the
-    same bits as their own walks, and a member whose walk would fail is
-    walked again on its own.  The levels and the tapes are built once per
-    solve.  A node's row and value depend only on its parents' y*, so from
-    the second iteration on a node whose parents' y* kept every bit keeps
-    them, and only the other members of a tape go through its pass.
+    expression skeleton: the operators with slots for the constants and
+    variables, where ``u + v`` and ``u - v`` are one signed add with its
+    sign in a slot and a negated literal is a literal.  The nodes of a
+    skeleton with at least ``_BATCH_MIN`` of them share one tape, walked
+    once for all of them over numpy columns with the same bits as their own
+    walks, and a member whose walk would fail is walked again on its own.
+    The levels and the tapes are built once per solve.  A node's row and
+    value depend only on its parents' y*, so a node whose parents' y* kept
+    every bit since the latest linearization (the prior point's, for the
+    first iteration) keeps them, and only the other members of a tape go
+    through its pass.
 2.  *Update means* to first order: the shifts from the previous posterior
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
@@ -51,7 +57,8 @@ maps the conditioned moments back to the natural scale:
     transformed posterior means.
 
 What a step keeps for the next lives in the :class:`SolverState` of one
-solve, and the first iteration computes every entry.
+solve; the first iteration maps every parameter's moments, and walks only
+what :func:`initialize` could not linearize.
 
 The loop stops when the largest relative change drops below the
 tolerance, when it has grown strictly for ``divergence_window``
@@ -96,8 +103,8 @@ from .model import (
     EVIDENCE,
     Diagram,
     Node,
+    _skeleton,
     _slopes_columns,
-    _value_and_gradient_columns,
     ensure_valid,
     point_value,
     slopes,
@@ -146,18 +153,19 @@ MAX_ITERATIONS = "max_iterations"
 _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 
 # A family with at least this many parameters maps its moments as arrays,
-# and an expression shape with at least this many deterministic nodes is
+# and an expression skeleton with at least this many deterministic nodes is
 # linearized as one tape; below it, numpy's fixed cost per call outweighs
-# the per-node loop.  Measured on whole families and shapes, on one CPU of
-# a 2-vCPU x86-64 machine: Beta families break even at about 16 members
-# (Normal and lognormal ones at 6 to 10), and the fan-in-6 shapes of the
-# mixed_expr benchmark at 6 to 8 nodes over a solve of three or four
-# iterations, the tape's building included.  A later iteration applies the
-# same size to the members whose inputs moved: a family maps them as arrays
-# only when there are at least this many, while a tape runs for any number
-# of them.  For such subsets the break-even is unmeasured: one Beta costs
-# about 220 us as an array and 37 us on its own, and one timing found 16
-# moved Betas slower as an array (551 us) than one by one (371 us).
+# the per-node loop.  Measured on whole families and shapes (before shapes
+# were merged into skeletons), on one CPU of a 2-vCPU x86-64 machine: Beta
+# families break even at about 16 members (Normal and lognormal ones at 6
+# to 10), and the fan-in-6 shapes of the mixed_expr benchmark at 6 to 8
+# nodes over a solve of three or four iterations, the tape's building
+# included.  A later iteration applies the same size to the members whose
+# inputs moved: a family maps them as arrays only when there are at least
+# this many, while a tape runs for any number of them.  For such subsets
+# the break-even is unmeasured: one Beta costs about 220 us as an array and
+# 37 us on its own, and one timing found 16 moved Betas slower as an array
+# (551 us) than one by one (371 us).
 _BATCH_MIN = 16
 
 # A node's place in B's arcs: (level, row, parameter index, the row of
@@ -167,16 +175,17 @@ Place = tuple[int, int, int, list[int]]
 
 @dataclass(frozen=True, eq=False)
 class _Tape:
-    """The deterministic nodes of one expression shape, linearized together.
+    """The deterministic nodes of one expression skeleton, linearized together.
 
-    Member i is parameter ``nodes[i]``; its expression is ``ops`` (an
-    :attr:`~gaussid.model.Expr.shape`) with constant slot j holding
-    ``consts[j, i]`` and variable slot s reading parameter ``parents[i, s]``.
-    ``own`` holds the members' transforms (k,) and ``ins`` their parents'
-    (k, slots).  ``places`` lists the members' places in the arcs, level by
-    level, and ``cells`` has, for each level, its number, the slice of the
-    members in it and the flat index of each slot's coefficient in that
-    level's (rows, parents) coefficient array.
+    Member i is parameter ``nodes[i]``; its expression is ``ops`` (a
+    :func:`~gaussid.model._skeleton`) with constant slot j holding
+    ``consts[j, i]`` (a literal, its sign flipped where the member's tree
+    negates it, or the sign of a signed add) and variable slot s reading
+    parameter ``parents[i, s]``.  ``own`` holds the members' transforms (k,)
+    and ``ins`` their parents' (k, slots).  ``places`` lists the members'
+    places in the arcs, level by level, and ``cells`` has, for each level,
+    its number, the slice of the members in it and the flat index of each
+    slot's coefficient in that level's (rows, parents) coefficient array.
     """
 
     ops: tuple[tuple, ...]
@@ -292,7 +301,7 @@ class SolverState:
     ev_ancestors: tuple[np.ndarray, ...]
     packing: Packing  # where A and the covariance keep their entries, by component
     levels: Levels  # the parameters with parents, by depth of the arcs
-    # one tape per expression shape of at least _BATCH_MIN deterministic
+    # one tape per expression skeleton of at least _BATCH_MIN deterministic
     # nodes; the places of the other deterministic nodes, walked one by one
     tapes: tuple[_Tape, ...]
     walked: list[Place]
@@ -313,11 +322,13 @@ class SolverState:
     # natural-scale means, natural-scale variances) of the latest iterate:
     # its parameter covariance is A (I - V'V) A'
     snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None
-    # What the latest linearize and moment inversion read and wrote, kept
-    # for the next one to reuse each entry whose inputs have the same bits:
-    # (post_y it linearized at, its coefficients c by level; its values are
-    # in point_x), and (post_mean, post_var it inverted, mean_y, var_y).
-    # Private copies, None until the first call succeeds.
+    # What the latest linearization and moment inversion read and wrote,
+    # kept for the next one to reuse each entry whose inputs have the same
+    # bits: (post_y it linearized at, its coefficients c by level; its
+    # values are in point_x), and (post_mean, post_var it inverted, mean_y,
+    # var_y).  Private copies.  initialize seeds the first with the prior
+    # point's linearization, or leaves it None where a slope is undefined
+    # there; the second is None until the first inversion succeeds.
     linearized: tuple[np.ndarray, list[np.ndarray]] | None = None
     inverted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     # always empty: no node keeps constant coefficients; the benchmark's
@@ -349,7 +360,10 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     Deterministic nodes take the value of their expression at the parent
     prior means, with conditional variance zero; their transformed means
     follow by applying their transform at that point, level by level: each
-    tape over its members in the level, the other nodes one by one.
+    tape over its members in the level, the other nodes one by one.  The
+    same walks give their slopes, which seed ``linearized`` as the first
+    linearization, at the prior point, unless a node's slope is undefined
+    there: then the first iteration walks every node and names it.
     Evidence nodes are resolved to (observation, variance) pairs in one
     pass, keyed by node, or by observed parameter and pooled when the
     configuration asks for it; the entries are grouped into the diagonal
@@ -416,41 +430,64 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
 
-    # Group the deterministic nodes by expression shape, level by level.
+    # Group the deterministic nodes by expression shape, level by level, and
+    # the shapes by skeleton, each distinct shape's worked out once.
     walked: list[Place] = []
     shapes: dict[tuple, list[Place]] = {}
     for level, (nodes, par) in enumerate(levels):
         for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
             shapes.setdefault(d.nodes[param_ids[k]].expr.shape[0], []).append((level, row, k, ps))
-    tapes = []
+    skeletons: dict[tuple, list[tuple[tuple, tuple, list[Place]]]] = {}
     for ops, places in shapes.items():
-        if len(places) < _BATCH_MIN:
-            walked += places
+        ops, negated, signs = _skeleton(ops)
+        skeletons.setdefault(ops, []).append((negated, signs, places))
+    taped = []
+    for ops, group in skeletons.items():
+        if sum(len(places) for _, _, places in group) < _BATCH_MIN:
+            walked += [place for _, _, places in group for place in places]
         else:
-            tapes.append(_tape(d, param_ids, index, ops, places))
+            taped.append((ops, group))
+    tapes = []
+    if taped:
+        transforms = _TransformArrays.of([d.nodes[pid].transform for pid in param_ids], (n,))
+        tapes = [_tape(d, param_ids, index, levels, transforms, *skeleton) for skeleton in taped]
 
-    # The prior point, level by level: each tape's members in the level at
-    # once, then the level's other nodes and the members a tape cannot
-    # finish one by one.
-    for level, (nodes, _) in enumerate(levels):
+    # The prior point and the first linearization there, level by level: each
+    # tape's members in the level at once, then the level's other nodes and
+    # the members a tape cannot finish one by one.  A node whose value is
+    # defined but a slope is not leaves the linearization to the first step,
+    # which names it.
+    c = [np.zeros(par.shape) for _, par in levels]
+    seeded = True
+    for level, (nodes, par) in enumerate(levels):
         done = set()
-        for tape, at in [(t, at) for t in tapes for lv, at, _ in t.cells if lv == level]:
-            y, _, bad = _value_and_gradient_columns(
-                tape.ops, tape.consts[:, at], mean_y[tape.parents[at]]
-            )
+        for tape, at, flat in [(t, at, f) for t in tapes for lv, at, f in t.cells if lv == level]:
             own, ks = tape.own[at], tape.nodes[at]
+            y, b, bad = _slopes_columns(
+                tape.ops, tape.consts[:, at], mean_y[tape.parents[at]], own, tape.ins[at]
+            )
             x, ok = own.forward(y)
             mean_y[ks], mean_x[ks] = y, x
-            done.update(ks[own.contains(y) & ok & ~bad].tolist())
-        for k in nodes.tolist():
+            c[level].reshape(-1)[flat] = b
+            done.update(ks[ok & ~bad].tolist())
+        for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
             if k in done:
                 continue
             node = d.nodes[param_ids[k]]
+            env = {param_ids[i]: mean_y[i] for i in ps if i != k}
             try:
-                mean_y[k] = point_value(node, {p: mean_y[index[p]] for p in node.parents})
+                try:
+                    mean_y[k], coeffs = slopes(node, d, env)
+                except ValueError:  # point_value raises only if the value fails
+                    mean_y[k], coeffs = point_value(node, env), None
                 mean_x[k] = forward_point(node.transform, mean_y[k])
             except ValueError as err:
                 failed.append((k, f"cannot evaluate {node.id!r} at the prior point", err))
+            else:
+                if coeffs is None:
+                    seeded = False
+                else:  # a node is not its own parent, so its padding columns read 0.0
+                    c[level][row] = [coeffs.get(param_ids[i], 0.0) for i in ps]
     if failed:
         k, what, err = min(failed, key=lambda f: f[0])
         raise InitializationError(f"{what}: {err}", param_ids[k]) from err
@@ -486,6 +523,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
         point_x=mean_x.copy(),
+        linearized=(mean_y.copy(), c) if seeded else None,
     )
 
 
@@ -548,27 +586,48 @@ def _pooled(
 
 
 def _tape(
-    d: Diagram, ids: tuple[str, ...], index: dict[str, int], ops: tuple, places: list[Place]
+    d: Diagram,
+    ids: tuple[str, ...],
+    index: dict[str, int],
+    levels: Levels,
+    transforms: _TransformArrays,
+    ops: tuple,
+    shapes: list[tuple[tuple, tuple, list[Place]]],
 ) -> _Tape:
-    """The tape of the nodes at ``places``, whose expressions all have shape ``ops``."""
-    nodes = [d.nodes[ids[k]] for _, _, k, _ in places]
-    layouts = [node.expr.shape for node in nodes]
-    parents = [[index[name] for name in names] for _, _, names in layouts]
+    """The tape of skeleton ``ops`` over ``shapes``: (negated, signs, places) per expression shape.
+
+    Each shape's members take its ``negated`` literals with their signs
+    flipped and its ``signs`` in the slots after theirs, as
+    :func:`~gaussid.model._skeleton` gives them.  ``transforms`` holds the
+    parameters' transforms, in parameter order.
+    """
+    which = np.repeat(np.arange(len(shapes)), [len(places) for _, _, places in shapes])
+    places = [place for _, _, group in shapes for place in group]
+    order = sorted(range(len(places)), key=lambda i: places[i][:2])  # level by level, as the arcs
+    places, which = [places[i] for i in order], which[order]
+    layouts = [d.nodes[ids[k]].expr.shape for _, _, k, _ in places]
+    parents = np.array([[index[name] for name in names] for _, _, names in layouts], dtype=np.intp)
+    rows = np.array([row for _, row, _, _ in places], dtype=np.intp)
     cells, start = [], 0
-    for level, group in itertools.groupby(zip(places, parents), key=lambda member: member[0][0]):
-        flat = [[row * len(ps) + ps.index(i) for i in slots] for (_, row, _, ps), slots in group]
-        cells.append((level, slice(start, start + len(flat)), np.array(flat, dtype=np.intp)))
-        start += len(flat)
-    size, width = len(nodes), len(layouts[0][2])
+    for level, group in itertools.groupby(places, key=lambda place: place[0]):
+        at = slice(start, start + len(list(group)))
+        par = levels[level][1][rows[at]]
+        # each slot's column in its row: the first, and only, that holds its parent
+        column = (par[:, :, None] == parents[at, None, :]).argmax(axis=1)
+        cells.append((level, at, rows[at, None] * par.shape[1] + column))
+        start = at.stop
+    consts = np.array([c for _, c, _ in layouts], dtype=float).reshape(len(places), -1)
+    flip = np.array([negated for negated, _, _ in shapes], dtype=bool).reshape(len(shapes), -1)
+    signs = np.array([sign for _, sign, _ in shapes], dtype=float).reshape(len(shapes), -1)
+    consts = np.hstack([np.where(flip[which], -consts, consts), signs[which]])
+    members = np.array([k for _, _, k, _ in places], dtype=np.intp)
     return _Tape(
         ops=ops,
-        nodes=np.array([k for _, _, k, _ in places], dtype=np.intp),
-        parents=np.array(parents, dtype=np.intp),
-        consts=np.array([c for _, c, _ in layouts], dtype=float).reshape(size, -1).T.copy(),
-        own=_TransformArrays.of([node.transform for node in nodes], (size,)),
-        ins=_TransformArrays.of(
-            [d.nodes[ids[i]].transform for ps in parents for i in ps], (size, width)
-        ),
+        nodes=members,
+        parents=parents,
+        consts=consts.T.copy(),
+        own=transforms[members],
+        ins=transforms[parents],
         places=places,
         cells=tuple(cells),
     )
@@ -599,17 +658,19 @@ def linearize(state: SolverState) -> Arcs:
     is the layout :func:`~gaussid.gaussian._level_arcs` gathers from a dense
     B.  Node j's coefficient on parent i is
     ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
-    previous natural-scale posterior means.  Each expression shape with a
-    tape (at least ``_BATCH_MIN`` nodes) is walked once for all its nodes,
+    previous natural-scale posterior means.  Each expression skeleton with
+    a tape (at least ``_BATCH_MIN`` nodes) is walked once for all its nodes,
     by :func:`_linearize_tape`; each other node's expression is walked on
     its own by :func:`slopes`, and so is each node a tape finds failing.
     The transformed values T_j(f_j(y*)) are kept in ``state.point_x`` for
     :func:`update_means`.  A node's row and value depend only on its
     parents' y*, so a node none of whose parents' y* changed a bit since the
-    previous call is not walked again: its row is copied from that call's B
-    and its value stays in ``point_x``.  The first call walks every node.
-    Of the nodes that fail, the first in parameter order is named, with the
-    message of its own walk.
+    latest linearization is not walked again: its row is copied from that
+    linearization's B and its value stays in ``point_x``.  The latest is the
+    previous call's, or the prior point's that :func:`initialize` seeds;
+    without one (a slope undefined at the prior point, or a failed call)
+    every node is walked.  Of the nodes that fail, the first in parameter
+    order is named, with the message of its own walk.
     """
     d, ids = state.diagram, state.param_ids
     saved, state.linearized = state.linearized, None  # until this call succeeds

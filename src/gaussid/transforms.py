@@ -239,13 +239,17 @@ class _TransformArrays:
 
     @classmethod
     def of(cls, ts: list[Transform], shape: tuple[int, ...]) -> _TransformArrays:
-        """The transforms ``ts``, listed in C order, as arrays of ``shape``."""
-        keys = [(t.kind, t.a, t.b) for t in ts]  # few distinct transforms, most repeated
-        distinct = dict(zip(keys, ts))
-        pos = {key: i for i, key in enumerate(distinct)}
-        which = np.reshape([pos[key] for key in keys], shape)
-        kinds = np.array([t.kind for t in distinct.values()])[which]
-        a, b, lo, hi = np.array([(t.a, t.b, *t.support()) for t in distinct.values()]).T[:, which]
+        """The transforms ``ts``, listed in C order, as arrays of ``shape``.
+
+        Each distinct object is read once; few are distinct, for the parser
+        makes a repeated transform one object.
+        """
+        ids = list(map(id, ts))
+        objects = dict(zip(ids, ts))
+        pos = {i: k for k, i in enumerate(objects)}
+        which = np.reshape([pos[i] for i in ids], shape)
+        kinds = np.array([t.kind for t in objects.values()])[which]
+        a, b, lo, hi = np.array([(t.a, t.b, *t.support()) for t in objects.values()]).T[:, which]
         with np.errstate(over="ignore"):  # inf, as derivative gives, for a subnormal b - a
             flat = 1.0 / (b - a)
         return cls(kinds == SCALED, kinds == LOGISTIC_SCALED, a, b, lo, hi, flat)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gaussid.model as model
@@ -29,6 +29,7 @@ from gaussid.model import (
     Ln,
     Mul,
     Neg,
+    Node,
     Pow,
     Sub,
     Var,
@@ -41,7 +42,7 @@ from gaussid.model import (
 )
 from gaussid.oracle import mc_posterior
 from gaussid.solver import SolverConfig, solve
-from gaussid.transforms import PriorSpec, Transform
+from gaussid.transforms import PriorSpec, Transform, _TransformArrays
 from helpers import _same_tree
 
 TS = Transform("scaled", 0.0, 1.0)
@@ -318,6 +319,125 @@ def _from_shape(ops, consts, names):
             right = stack.pop()
             stack.append(op(stack.pop(), right))
     return stack.pop()
+
+
+# ---------------------------------------------------------------------------
+# Skeletons: trees that differ only in + against - and in negated literals
+# share one tape
+
+
+@st.composite
+def skeleton_variants(draw, e):
+    """A tree of ``e``'s skeleton: each ``+`` or ``-`` either way, each literal
+    negated or not whatever ``e`` has, and its literals' values drawn anew."""
+    stack = []
+    for n in e.postorder:
+        if isinstance(n, Const):
+            literal = Const(draw(st.sampled_from(_SLOT_VALUES)))
+            stack.append(Neg(literal) if draw(st.booleans()) else literal)
+        elif isinstance(n, Var):
+            stack.append(n)
+        elif isinstance(n, Neg) and isinstance(n.operand, Const):
+            continue  # the literal drew its own sign
+        elif isinstance(n, Pow):
+            stack.append(Pow(stack.pop(), n.exponent))
+        elif isinstance(n, _UNARY):
+            stack.append(type(n)(stack.pop()))
+        else:
+            right = stack.pop()
+            op = draw(st.sampled_from((Add, Sub))) if isinstance(n, (Add, Sub)) else type(n)
+            stack.append(op(stack.pop(), right))
+    return stack.pop()
+
+
+_TRANSFORMS = [
+    TS,
+    TLOG,
+    Transform("logistic_scaled", -1.0, 2.0),
+    Transform("log_scaled", 1.0, -1.0),
+]
+
+
+def _skeleton_slots(e):
+    """The values of ``e``'s slots in its skeleton's tape: its literals, each
+    negated where ``e`` negates it, then the signs of its adds."""
+    _, consts, _ = e.shape
+    _, negated, signs = model._skeleton(e.shape[0])
+    return [-c if flip else c for c, flip in zip(consts, negated)] + list(signs)
+
+
+def check_one_tape(members, envs, own, ins):
+    """One columns pass over ``members`` gives each its own walks' bits.
+
+    Member i is node q of a diagram whose transform is ``own`` and whose
+    variables (:func:`variables` of ``members[0]``) are parameters with the
+    transforms ``ins``; it is walked at ``envs[i]``."""
+    names = variables(members[0])
+    (skeleton,) = {model._skeleton(m.shape[0])[0] for m in members}
+    assert {m.shape[2] for m in members} == {names}
+    for m in members:
+        assert _from_shape(*m.shape) == m  # the shape stays exact
+    k = len(members)
+    consts = np.array([_skeleton_slots(m) for m in members]).reshape(k, -1).T
+    env = np.array([[x[v] for v in names] for x in envs]).reshape(k, len(names))
+    value, partials, walk_failed = model._value_and_gradient_columns(skeleton, consts, env)
+    y, slopes_bits, failed = model._slopes_columns(
+        skeleton,
+        consts,
+        env,
+        _TransformArrays.of([own] * k, (k,)),
+        _TransformArrays.of(list(ins) * k, (k, len(names))),
+    )
+    parents = [Node(id=v, kind="basic", transform=t) for v, t in zip(names, ins)]
+    for i, (m, x) in enumerate(zip(members, envs)):
+        walk = _outcome(value_and_gradient, m, x)
+        assert walk_failed[i] == (walk[0] == "error")
+        if walk[0] == "ok":
+            assert _bits(value[i]) == _bits(walk[1][0])
+            assert {v: _bits(partials[i, s]) for s, v in enumerate(names)} == dict(
+                _map_bits(walk[1][1])
+            )
+        d = Diagram.from_nodes(parents + [deterministic("q", own, m)])
+        try:
+            want = slopes(d.node("q"), d, x)
+        except ValueError:
+            assert failed[i]
+        else:
+            assert not failed[i]
+            assert _bits(y[i]) == _bits(want[0])
+            assert [_bits(b) for b in slopes_bits[i]] == [_bits(want[1][v]) for v in names]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(), st.data())
+def test_plus_minus_and_negated_literals_share_one_tape(e, data):
+    names = variables(e)
+    assume(names)  # a deterministic node reads at least one parameter
+    members = [e] + [data.draw(skeleton_variants(e)) for _ in range(4)]
+    values = st.sampled_from(_SLOT_VALUES)
+    envs = [{v: data.draw(values) for v in names} for _ in members]
+    own = data.draw(st.sampled_from(_TRANSFORMS))
+    ins = [data.draw(st.sampled_from(_TRANSFORMS)) for _ in names]
+    check_one_tape(members, envs, own, ins)
+
+
+def test_every_slot_value_goes_through_a_skeleton_tape():
+    # Each edge value, -0.0 among them, in every literal and variable of
+    # trees that differ in + against - and in negated literals.
+    a, b = Var("a"), Var("b")
+    x = Const(1.0)
+    members = [
+        Ln(Add(Mul(x, a), Neg(Pow(Sub(b, Neg(x)), 2.0)))),
+        Ln(Sub(Mul(Neg(x), a), Neg(Pow(Add(b, x), 2.0)))),
+        Ln(Add(Mul(Neg(Neg(x)), a), Neg(Pow(Sub(b, x), 2.0)))),
+    ]
+    assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in _SLOT_VALUES)
+    for c in _SLOT_VALUES:
+        trees = [_from_shape(m.shape[0], (c,) * len(m.shape[1]), m.shape[2]) for m in members]
+        for v in _SLOT_VALUES:
+            envs = [{"a": v, "b": w} for w in (v, 0.5, -v)]
+            for own in _TRANSFORMS:
+                check_one_tape(trees, envs, own, [TS, own])
 
 
 def _rebuilt(e):

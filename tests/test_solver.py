@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import gaussid.gaussian as gaussian_mod
 import gaussid.solver as solver_mod
-from gaussid.cli import parse_model
+from gaussid.cli import parse_expression, parse_model
 from gaussid.evidence import EvidenceSpec, binomial
 from gaussid.gaussian import (
     ConditioningError,
@@ -33,9 +33,11 @@ from gaussid.model import (
     Const,
     Diagram,
     Div,
+    EvalError,
     Exp,
     Ln,
     Mul,
+    Neg,
     Pow,
     Sub,
     Var,
@@ -761,6 +763,22 @@ class TestSolve:
         assert "x^0.5" in message
         assert "x^(-0.5)" not in message
 
+    def test_a_value_without_a_finite_slope_at_the_prior_point_fails_at_iteration_one(self):
+        # (x - 1)^0.5 is 0 at the prior mean x = 1, and its slope is infinite:
+        # initialize evaluates it but leaves the linearization to the first step.
+        d = Diagram.from_nodes(
+            [normal_p("x", 1.0, 1.0), deterministic("q", TS, Pow(Sub(Var("x"), Const(1.0)), 0.5))]
+        )
+        state = initialize(d)
+        assert state.post_y.tolist() == [1.0, 0.0] and state.linearized is None
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        assert str(exc.value) == (
+            "cannot linearize 'q' at iteration 1: non-finite slope inf along 'x' in (x - 1.0)^0.5"
+        )
+        assert exc.value.node_id == "q" and exc.value.records == []
+        assert type(exc.value.__cause__) is EvalError
+
     def test_a_power_product_whose_walk_overflows(self):
         # w = u^-2 v^2 is exactly linear on log_scaled(0, 1), but the walk's
         # slope of u^-2 at u = 1e-120 is -2 u^-3, which overflows.
@@ -1157,9 +1175,35 @@ def record_bits(records):
     ]
 
 
+def moved_nodes(state, point):
+    """The deterministic nodes with a parent whose ``post_y`` differs from ``point`` in a bit."""
+    moved = state.post_y.view(np.int64) != point.view(np.int64)
+    return sorted(
+        state.param_ids[k]
+        for nodes, par in state.levels
+        for k, ps in zip(nodes.tolist(), par.tolist())
+        if any(moved[i] for i in ps if i != k)
+    )
+
+
+def spy_columns(monkeypatch):
+    """The members of each pass of ``_slopes_columns``, one entry per pass, as the solver runs."""
+    passes = []
+    run = solver_mod._slopes_columns
+
+    def spy(ops, consts, env, *args):
+        passes.append(len(env))
+        return run(ops, consts, env, *args)
+
+    monkeypatch.setattr(solver_mod, "_slopes_columns", spy)
+    return passes
+
+
 def test_a_shape_of_batch_min_nodes_runs_one_tape_per_step(monkeypatch):
     # _BATCH_MIN nodes q_i = x * (y + c_i) share a shape; three r_j = x * y * c_j
     # share another, too few for a tape; z, affine, is walked like the r_j.
+    # initialize walks each node once, at the prior point; iteration 1 walks
+    # none, and iteration 2 the nodes whose parents moved: all of them.
     n = solver_mod._BATCH_MIN
     nodes = [normal_p("x", 1.0, 0.5), normal_p("y", 2.0, 0.3)]
     x, y = Var("x"), Var("y")
@@ -1167,12 +1211,19 @@ def test_a_shape_of_batch_min_nodes_runs_one_tape_per_step(monkeypatch):
     nodes += [deterministic(f"r{j}", TS, Mul(Mul(x, y), Const(j + 1.0))) for j in range(3)]
     nodes += [deterministic("z", TS, Add(Var("x"), Var("y")))]
     nodes += [evidence("look", "q3", normal_look(2.5, 0.2))]
+    sizes, passes, walked = spy_tapes(monkeypatch), spy_columns(monkeypatch), spy_walks(monkeypatch)
     state = initialize(Diagram.from_nodes(nodes))
-    sizes, walked = spy_tapes(monkeypatch), spy_walks(monkeypatch)
-    for t in (1, 2):
-        step(state)
-        assert sizes == [n] * t
-        assert sorted(walked) == sorted(["r0", "r1", "r2", "z"] * t)
+    alone = ["r0", "r1", "r2", "z"]
+    assert [len(tape.nodes) for tape in state.tapes] == [n]
+    assert passes == [n] and sorted(walked) == alone
+    point = state.post_y.copy()
+    passes.clear()
+    walked.clear()
+    step(state)
+    assert sizes == [n] and passes == [] and walked == []
+    assert moved_nodes(state, point) == sorted([f"q{i}" for i in range(n)] + alone)
+    step(state)
+    assert sizes == [n, n] and passes == [n] and sorted(walked) == alone
 
 
 class TestTapeErrors:
@@ -1224,6 +1275,38 @@ class TestTapeErrors:
         assert err.node_id == "q5" and len(err.records) == 1
         assert "outside its transform support" in str(err)
 
+    def merged(self, transform, expr, bad):
+        """:meth:`members` of ``expr(x - c)``, with ``x - c`` written three ways
+        that share a skeleton: ``x - c``, ``x + -c`` and ``x - --c``."""
+        x = Var("x")
+        ways = (
+            lambda c: Sub(x, Const(c)),
+            lambda c: Add(x, Neg(Const(c))),
+            lambda c: Sub(x, Neg(Neg(Const(c)))),
+        )
+        n = solver_mod._BATCH_MIN + 4
+        return [
+            deterministic(f"q{i}", transform, expr(ways[i % 3](c)))
+            for i, c in enumerate(bad if i in (5, 9) else -5.0 - i / n for i in range(n))
+        ]
+
+    def test_a_merged_tape_member_that_fails_at_a_later_iteration(self, monkeypatch):
+        # The look pulls x from 1 to about -2, where ln(x - 0) is undefined.
+        nodes = [normal_p("x", 1.0, 1.0), evidence("look", "x", normal_look(-2.0, 0.01))]
+        nodes += self.merged(TS, Ln, 0.0)
+        assert len({node.expr.shape[0] for node in nodes[2:]}) == 3
+        err = self.solve_both(nodes, monkeypatch)
+        assert err.node_id == "q5" and len(err.records) == 1
+        assert "log of non-positive value" in str(err)
+
+    def test_a_merged_tape_member_without_a_slope_at_the_prior_point(self, monkeypatch):
+        # (x - 1)^0.5 at x = 1 is 0, and its slope is infinite.
+        nodes = [normal_p("x", 1.0, 1.0)]
+        nodes += self.merged(TS, lambda u: Pow(u, 0.5), 1.0)
+        err = self.solve_both(nodes, monkeypatch)
+        assert err.node_id == "q5" and err.records == []
+        assert "non-finite slope" in str(err)
+
     def test_a_parent_on_its_support_end(self, monkeypatch):
         # A Beta posterior mean can round onto the end of (0, 1), where the
         # parent's transform has no derivative.
@@ -1244,6 +1327,54 @@ class TestTapeErrors:
         assert tapes == 1 and got.node_id == "q5"
         assert str(got) == str(want) and "outside the support" in str(got)
         assert type(got.__cause__) is type(want.__cause__)
+
+
+def signed_affine(n, seed):
+    """``n`` nodes over six Normal parameters written as the mixed_expr benchmark
+    writes its affine ones: a literal, negative for every other node, then
+    terms each added or subtracted at random, the last a product.  They fall
+    into several expression shapes, and all share one skeleton."""
+    rng = np.random.default_rng(seed)
+    zs = [f"z{i}" for i in range(6)]
+    nodes = [normal_p(z, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)) for z in zs]
+    for z in zs[:4]:  # two looks on each, pooled or not
+        for k in range(2):
+            nodes.append(evidence(f"o{z}_{k}", z, normal_look(rng.normal(), rng.uniform(0.5, 2.0))))
+    for i in range(n):
+        a, b, c = rng.permutation(zs)[:3]
+        text = f"{(-1.0 if i % 2 == 0 else 1.0) * rng.uniform(0.1, 1.0):.3f}"
+        for term in (a, b, f"{b}*{c}"):
+            text += f" {'+' if rng.random() < 0.5 else '-'} {rng.uniform(0.2, 1.0):.3f}*{term}"
+        nodes.append(deterministic(f"a{i}", TS, parse_expression(text)))
+    nodes += [evidence("oa0", "a0", normal_look(0.3, 0.5))]
+    nodes += [evidence("oa1", "a1", normal_look(-0.2, 0.4))]
+    return Diagram.from_nodes(nodes)
+
+
+def test_signed_affine_nodes_of_several_shapes_run_one_tape_per_step(monkeypatch):
+    n = solver_mod._BATCH_MIN + 4
+    d = signed_affine(n, 7)
+    shapes = [d.nodes[f"a{i}"].expr.shape[0] for i in range(n)]
+    assert len(set(shapes)) > 1 and sum((Neg, None) in ops for ops in shapes) == n // 2
+    sizes, passes, walked = spy_tapes(monkeypatch), spy_columns(monkeypatch), spy_walks(monkeypatch)
+    state = initialize(d)
+    assert [len(tape.nodes) for tape in state.tapes] == [n] and state.walked == []
+    assert passes == [n] and walked == []
+    passes.clear()
+    step(state)
+    assert sizes == [n] and passes == []
+    step(state)
+    assert sizes == [n, n] and passes == [n] and walked == []
+
+
+@pytest.mark.parametrize("pool", [True, False])
+def test_a_merged_tape_solves_as_its_members_walked_one_by_one(pool, monkeypatch):
+    d, cfg = signed_affine(solver_mod._BATCH_MIN + 4, 11), SolverConfig(pool_evidence=pool)
+    assert len(initialize(d, cfg).tapes) == 1
+    got = solve(d, cfg)
+    monkeypatch.setattr(solver_mod, "_BATCH_MIN", 10**9)
+    want = solve(d, cfg)
+    assert len(got.iterations) > 2 and result_bits(got) == result_bits(want)
 
 
 def models_for_equivalence():
@@ -1577,30 +1708,33 @@ class TestReuse:
         assert result_bits(result) == result_bits(solve_without_reuse(d, cfg, monkeypatch))
 
     def test_the_first_iteration_maps_and_walks_every_entry(self, monkeypatch):
+        # initialize walks every deterministic node, at the prior point; the
+        # first iteration maps every parameter and walks none, and each later
+        # one walks exactly the nodes whose parents moved.
         d, cfg = models_for_equivalence()["scale_1500"]
         monkeypatch.setattr(solver_mod, "_BATCH_MIN", 1)
-        mapped, walked = [], []
-        array_map, tape_walk = solver_mod._inverse_moments_array, solver_mod._slopes_columns
+        mapped, walked = [], spy_columns(monkeypatch)
+        array_map = solver_mod._inverse_moments_array
 
         def spy_map(family, a, b, mean, var):
             mapped.append(len(mean))
             return array_map(family, a, b, mean, var)
 
-        def spy_walk(ops, consts, env, *args):
-            walked.append(len(env))
-            return tape_walk(ops, consts, env, *args)
-
         monkeypatch.setattr(solver_mod, "_inverse_moments_array", spy_map)
-        monkeypatch.setattr(solver_mod, "_slopes_columns", spy_walk)
         state = initialize(d, cfg)
         n_det = sum(len(nodes) for nodes, _ in state.levels)
-        counts = []
+        assert (sum(mapped), sum(walked)) == (0, n_det)
+        counts, point = [], state.post_y.copy()  # where the latest linearization was
         while not state.records or state.records[-1].r_max >= cfg.epsilon:
+            moved = len(moved_nodes(state, point))
+            point = state.post_y.copy()
             mapped.clear()
             walked.clear()
             step(state)
-            counts.append((sum(mapped), sum(walked)))
-        assert counts[0] == (state.n_params, n_det)
+            counts.append((sum(mapped), sum(walked), moved))
+        assert counts[0] == (state.n_params, 0, 0)
+        assert counts[1][1:] == (n_det, n_det)  # every post_y moved in iteration 1
+        assert [w for _, w, _ in counts] == [m for _, _, m in counts]
         # and the solve's last iteration finds most inputs unchanged
         assert len(counts) == 3 and counts[-1][0] < state.n_params // 2
 

@@ -61,7 +61,9 @@ def test_an_unused_import_is_a_tracer_target(path):
 
 def test_step_reaches_each_layer_once(monkeypatch):
     """The ``solver.linearize`` and ``solver.update_means`` spans time one call
-    each per step, and an iteration walks each deterministic expression once."""
+    each per step.  ``initialize`` walks each deterministic expression once,
+    at the prior point, which is the first linearization; so iteration 1
+    walks none, and iteration 2 walks the ones whose parents moved."""
     ts = Transform("scaled", 0.0, 1.0)
     look = EvidenceSpec(variant="normal_known_var", count=1, sample_mean=0.5, variance=0.4)
     d = Diagram.from_nodes(
@@ -74,8 +76,6 @@ def test_step_reaches_each_layer_once(monkeypatch):
             evidence("v_obs", "v", look),
         ]
     )
-    state = solver.initialize(d)
-
     calls = {"linearize": 0, "update_means": 0, "walks": 0}
     for name in ("linearize", "update_means"):
         fn = getattr(solver, name)
@@ -96,5 +96,10 @@ def test_step_reaches_each_layer_once(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(model, "value_and_gradient", outermost)
+    state = solver.initialize(d)
+    assert calls == {"linearize": 0, "update_means": 0, "walks": 3}
     solver.step(state)
     assert calls == {"linearize": 1, "update_means": 1, "walks": 3}
+    assert (state.post_y[:2] != [1.0, -0.5]).all()  # x and y moved, so z, w and v walk again
+    solver.step(state)
+    assert calls == {"linearize": 2, "update_means": 2, "walks": 6}
