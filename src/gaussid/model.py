@@ -14,10 +14,10 @@ is limited; :func:`value_and_gradient` returns an expression's value and
 its partials together, from one walk.  :func:`point_value` (a node's
 support-checked value) and :func:`slopes` (its value and transformed-scale
 slopes) are the pieces of linearizing a deterministic node, and
-``_slopes_columns`` linearizes many nodes whose expressions share a
-skeleton (``_skeleton``: the :attr:`Expr.shape` with ``+`` and ``-`` as one
-signed add and ``-c`` as a literal) in one pass over numpy columns, with the
-bits of the one-node walk.
+``_slopes_columns`` linearizes many nodes whose expressions share an
+:attr:`Expr.shape` (the operators with slots for the constants and
+variables, ``+`` and ``-`` one signed add and ``-c`` a literal) in one pass
+over numpy columns, with the bits of the one-node walk.
 """
 
 from __future__ import annotations
@@ -103,52 +103,36 @@ class Expr:
 
         ``ops`` labels :attr:`postorder` node by node: ``(Const, j)`` reads
         constant slot j and ``(Var, s)`` variable slot s; ``(Pow, exponent)``
-        and ``(type, None)`` are the operators.  Constants take their slots in
-        post-order, variables theirs by first occurrence, so a repeated
-        variable is one slot.  Trees with equal ``ops`` differ only in the
-        values in their slots.
+        and ``(type, None)`` are the other operators.  ``u + v`` and ``u - v``
+        are one signed add ``u + s * v``, ``(_SignedAdd, j)``, whose sign s,
+        1.0 or -1.0, is constant slot j, and a negation of a literal is no op:
+        the literal takes the sign.  IEEE arithmetic gives ``u - v`` as ``u +
+        (-1.0) * v`` and ``-c`` as the literal ``-c`` bit for bit, so trees
+        with equal ``ops`` are walked as one tape by
+        :func:`_value_and_gradient_columns` with the values in their slots.
+        Constants and signs take their slots in post-order, variables theirs
+        by first occurrence, so a repeated variable is one slot.
         """
         ops, consts, names = [], [], {}
         for n in self.postorder:
-            if isinstance(n, Const):
+            op = type(n)
+            if op is Const:
                 ops.append((Const, len(consts)))
                 consts.append(n.value)
-            elif isinstance(n, Var):
+            elif op is Var:
                 ops.append((Var, names.setdefault(n.name, len(names))))
+            elif op is Neg and ops[-1][0] is Const:  # the operand is the literal just read
+                consts[-1] = -consts[-1]
+            elif op is Add or op is Sub:
+                ops.append((_SignedAdd, len(consts)))
+                consts.append(1.0 if op is Add else -1.0)
             else:
-                ops.append((type(n), getattr(n, "exponent", None)))
+                ops.append((op, getattr(n, "exponent", None)))
         return tuple(ops), tuple(consts), tuple(names)
 
 
 class _SignedAdd:
-    """The op ``u + s * v`` of a skeleton, its sign s (1.0 or -1.0) in a constant slot."""
-
-
-def _skeleton(
-    ops: tuple[tuple, ...],
-) -> tuple[tuple[tuple, ...], tuple[bool, ...], tuple[float, ...]]:
-    """The skeleton of the :attr:`Expr.shape` ``ops``: ``(skeleton, negated, signs)``.
-
-    The m-th ``u + v`` or ``u - v`` in post-order becomes ``(_SignedAdd, c +
-    m)``, with c the shape's number of constants: its sign ``signs[m]``, 1.0
-    or -1.0, takes constant slot c + m.  A negation whose operand is a
-    literal is dropped, and ``negated[j]`` says whether the literal in
-    constant slot j takes its sign flipped.  IEEE arithmetic gives ``u - v``
-    as ``u + (-1.0) * v`` and ``-c`` as the literal ``-c`` bit for bit, so
-    trees whose skeletons are equal are walked as one tape by
-    :func:`_value_and_gradient_columns` with those slot values.
-    """
-    skeleton, signs = [], []
-    negated = [False] * sum(op is Const for op, _ in ops)
-    for op, arg in ops:
-        if op is Neg and skeleton[-1][0] is Const:  # the operand is the literal just read
-            negated[skeleton[-1][1]] ^= True
-        elif op is Add or op is Sub:
-            skeleton.append((_SignedAdd, len(negated) + len(signs)))
-            signs.append(1.0 if op is Add else -1.0)
-        else:
-            skeleton.append((op, arg))
-    return tuple(skeleton), tuple(negated), tuple(signs)
+    """The op ``u + s * v`` of a shape, its sign s (1.0 or -1.0) in a constant slot."""
 
 
 def _operands(e: Expr) -> tuple[Expr, ...]:
@@ -238,7 +222,7 @@ class EvalError(ValueError):
 
 
 def variables(e: Expr) -> tuple[str, ...]:
-    """Variable names referenced by ``e``, in order of first appearance: :attr:`Expr.shape`'s."""
+    """Variable names referenced by ``e``, by first appearance: its :attr:`Expr.shape`'s slots."""
     return e.shape[2]
 
 
@@ -347,10 +331,10 @@ def _sum(a: dict[str, float], ca: float, b: dict[str, float], cb: float) -> dict
 def _value_and_gradient_columns(
     ops: tuple[tuple, ...], consts: np.ndarray, env: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`value_and_gradient` of k trees of one skeleton: ``(value, partials, failed)``.
+    """:func:`value_and_gradient` of k trees of one shape: ``(value, partials, failed)``.
 
-    The trees share ``ops``, an :attr:`Expr.shape` or a :func:`_skeleton`,
-    whose signed add ``(_SignedAdd, j)`` reads its sign from constant slot j;
+    The trees share the :attr:`Expr.shape` ``ops``, whose signed add
+    ``(_SignedAdd, j)`` reads its sign from constant slot j;
     tree i holds ``consts[j, i]`` in constant slot j and ``env[i, s]`` in
     variable slot s.  Each operation runs once, over columns of the k trees,
     with the products and sums of the scalar walk in its order (``exp``,
@@ -401,10 +385,6 @@ def _value_and_gradient_columns(
                 if op is _SignedAdd:
                     sign = consts[arg]
                     value, grad = u + sign * v, _sum(du, 1.0, dv, sign)
-                elif op is Add:
-                    value, grad = u + v, _sum(du, 1.0, dv, 1.0)
-                elif op is Sub:
-                    value, grad = u - v, _sum(du, 1.0, dv, -1.0)
                 elif op is Mul:
                     value, grad = u * v, _sum(du, v, dv, u)
                 else:
@@ -740,7 +720,7 @@ def _slopes_columns(
     own: _TransformArrays,
     parents: _TransformArrays,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`slopes` of k nodes of one skeleton at once: ``(value, slopes, failed)``.
+    """:func:`slopes` of k nodes of one shape at once: ``(value, slopes, failed)``.
 
     Node i's expression is the tree :func:`_value_and_gradient_columns`
     reads from ``ops``, ``consts`` and ``env``, its transform is ``own``'s

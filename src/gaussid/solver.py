@@ -3,7 +3,7 @@
 A solve starts at the prior point, which :func:`initialize` builds in array
 passes where there are enough members: a family of at least ``_BATCH_MIN``
 Beta priors, as many binomial observations (a reference that is the
-parent's Beta prior read from the prior map), and each expression-skeleton
+parent's Beta prior read from the prior map), and each expression-shape
 tape (below) level by level.  What a pass cannot finish is redone one by
 one, so the values and errors are the scalar ones.  The walk that gives a
 deterministic node's value there gives its slopes too, so the prior point
@@ -18,12 +18,13 @@ maps the conditioned moments back to the natural scale:
     means y*: a walk of its expression gives its transformed value
     T_j(f_j(y*)) and its slopes by the chain rule through the transforms,
     written straight into B's arcs by depth level.  The nodes are grouped by
-    expression skeleton: the operators with slots for the constants and
-    variables, where ``u + v`` and ``u - v`` are one signed add with its
-    sign in a slot and a negated literal is a literal.  The nodes of a
-    skeleton with at least ``_BATCH_MIN`` of them share one tape, walked
-    once for all of them over numpy columns with the same bits as their own
-    walks, and a member whose walk would fail is walked again on its own.
+    expression shape (:attr:`~gaussid.model.Expr.shape`): the operators with
+    slots for the constants and variables, where ``u + v`` and ``u - v`` are
+    one signed add with its sign in a slot and a negated literal is a
+    literal.  The nodes of a shape with at least ``_BATCH_MIN`` of them share
+    one tape, walked once for all of them over numpy columns with the same
+    bits as their own walks, and a member whose walk would fail is walked
+    again on its own.
     The levels and the tapes are built once per solve.  A node's row and
     value depend only on its parents' y*, so a node whose parents' y* kept
     every bit since the latest linearization (the prior point's, for the
@@ -103,7 +104,6 @@ from .model import (
     EVIDENCE,
     Diagram,
     Node,
-    _skeleton,
     _slopes_columns,
     ensure_valid,
     point_value,
@@ -153,19 +153,18 @@ MAX_ITERATIONS = "max_iterations"
 _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 
 # A family with at least this many parameters maps its moments as arrays,
-# and an expression skeleton with at least this many deterministic nodes is
+# and an expression shape with at least this many deterministic nodes is
 # linearized as one tape; below it, numpy's fixed cost per call outweighs
-# the per-node loop.  Measured on whole families and shapes (before shapes
-# were merged into skeletons), on one CPU of a 2-vCPU x86-64 machine: Beta
-# families break even at about 16 members (Normal and lognormal ones at 6
-# to 10), and the fan-in-6 shapes of the mixed_expr benchmark at 6 to 8
-# nodes over a solve of three or four iterations, the tape's building
-# included.  A later iteration applies the same size to the members whose
-# inputs moved: a family maps them as arrays only when there are at least
-# this many, while a tape runs for any number of them.  For such subsets
-# the break-even is unmeasured: one Beta costs about 220 us as an array and
-# 37 us on its own, and one timing found 16 moved Betas slower as an array
-# (551 us) than one by one (371 us).
+# the per-node loop.  Measured on whole families and shapes, on one CPU of a
+# 2-vCPU x86-64 machine: Beta families break even at about 16 members
+# (Normal and lognormal ones at 6 to 10), and the fan-in-6 shapes of the
+# mixed_expr benchmark at 6 to 8 nodes over a solve of three or four
+# iterations, the tape's building included.  A later iteration applies the
+# same size to the members whose inputs moved: a family maps them as arrays
+# only when there are at least this many, while a tape runs for any number
+# of them.  For such subsets the break-even is unmeasured: one Beta costs
+# about 220 us as an array and 37 us on its own, and one timing found 16
+# moved Betas slower as an array (551 us) than one by one (371 us).
 _BATCH_MIN = 16
 
 # A node's place in B's arcs: (level, row, parameter index, the row of
@@ -175,14 +174,13 @@ Place = tuple[int, int, int, list[int]]
 
 @dataclass(frozen=True, eq=False)
 class _Tape:
-    """The deterministic nodes of one expression skeleton, linearized together.
+    """The deterministic nodes of one expression shape, linearized together.
 
-    Member i is parameter ``nodes[i]``; its expression is ``ops`` (a
-    :func:`~gaussid.model._skeleton`) with constant slot j holding
-    ``consts[j, i]`` (a literal, its sign flipped where the member's tree
-    negates it, or the sign of a signed add) and variable slot s reading
-    parameter ``parents[i, s]``.  ``own`` holds the members' transforms (k,)
-    and ``ins`` their parents' (k, slots).  ``places`` lists the members'
+    Member i is parameter ``nodes[i]``; its expression is ``ops`` (of its
+    :attr:`~gaussid.model.Expr.shape`) with constant slot j holding
+    ``consts[j, i]`` (a literal or the sign of a signed add) and variable
+    slot s reading parameter ``parents[i, s]``.  ``own`` holds the members'
+    transforms (k,) and ``ins`` their parents' (k, slots).  ``places`` lists the members'
     places in the arcs, level by level, and ``cells`` has, for each level,
     its number, the slice of the members in it and the flat index of each
     slot's coefficient in that level's (rows, parents) coefficient array.
@@ -301,7 +299,7 @@ class SolverState:
     ev_ancestors: tuple[np.ndarray, ...]
     packing: Packing  # where A and the covariance keep their entries, by component
     levels: Levels  # the parameters with parents, by depth of the arcs
-    # one tape per expression skeleton of at least _BATCH_MIN deterministic
+    # one tape per expression shape of at least _BATCH_MIN deterministic
     # nodes; the places of the other deterministic nodes, walked one by one
     tapes: tuple[_Tape, ...]
     walked: list[Place]
@@ -360,8 +358,9 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     Deterministic nodes take the value of their expression at the parent
     prior means, with conditional variance zero; their transformed means
     follow by applying their transform at that point, level by level: each
-    tape over its members in the level, the other nodes one by one.  The
-    same walks give their slopes, which seed ``linearized`` as the first
+    tape over its members in the level, the other nodes one by one, by
+    :func:`linearize`'s :func:`_linearize_tape` and :func:`_linearize_node`.
+    The same walks give their slopes, which seed ``linearized`` as the first
     linearization, at the prior point, unless a node's slope is undefined
     there: then the first iteration walks every node and names it.
     Evidence nodes are resolved to (observation, variance) pairs in one
@@ -430,64 +429,46 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
 
-    # Group the deterministic nodes by expression shape, level by level, and
-    # the shapes by skeleton, each distinct shape's worked out once.
-    walked: list[Place] = []
+    # Group the deterministic nodes by expression shape, level by level.
     shapes: dict[tuple, list[Place]] = {}
     for level, (nodes, par) in enumerate(levels):
         for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
             shapes.setdefault(d.nodes[param_ids[k]].expr.shape[0], []).append((level, row, k, ps))
-    skeletons: dict[tuple, list[tuple[tuple, tuple, list[Place]]]] = {}
-    for ops, places in shapes.items():
-        ops, negated, signs = _skeleton(ops)
-        skeletons.setdefault(ops, []).append((negated, signs, places))
-    taped = []
-    for ops, group in skeletons.items():
-        if sum(len(places) for _, _, places in group) < _BATCH_MIN:
-            walked += [place for _, _, places in group for place in places]
-        else:
-            taped.append((ops, group))
+    taped = [(ops, places) for ops, places in shapes.items() if len(places) >= _BATCH_MIN]
+    walked = [place for places in shapes.values() if len(places) < _BATCH_MIN for place in places]
     tapes = []
     if taped:
         transforms = _TransformArrays.of([d.nodes[pid].transform for pid in param_ids], (n,))
-        tapes = [_tape(d, param_ids, index, levels, transforms, *skeleton) for skeleton in taped]
+        tapes = [_tape(d, param_ids, index, levels, transforms, *shape) for shape in taped]
 
-    # The prior point and the first linearization there, level by level: each
-    # tape's members in the level at once, then the level's other nodes and
-    # the members a tape cannot finish one by one.  A node whose value is
-    # defined but a slope is not leaves the linearization to the first step,
-    # which names it.
+    # The prior point and the first linearization there, level by level, as
+    # linearize makes it: each tape's members in the level at once, then the
+    # level's other nodes and the members a tape cannot finish one by one.
+    # A node whose value is defined but a slope is not leaves the
+    # linearization to the first step, which names it.
     c = [np.zeros(par.shape) for _, par in levels]
     seeded = True
-    for level, (nodes, par) in enumerate(levels):
-        done = set()
-        for tape, at, flat in [(t, at, f) for t in tapes for lv, at, f in t.cells if lv == level]:
-            own, ks = tape.own[at], tape.nodes[at]
-            y, b, bad = _slopes_columns(
-                tape.ops, tape.consts[:, at], mean_y[tape.parents[at]], own, tape.ins[at]
-            )
-            x, ok = own.forward(y)
-            mean_y[ks], mean_x[ks] = y, x
-            c[level].reshape(-1)[flat] = b
-            done.update(ks[ok & ~bad].tolist())
-        for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
-            if k in done:
-                continue
-            node = d.nodes[param_ids[k]]
-            env = {param_ids[i]: mean_y[i] for i in ps if i != k}
+    by_level: list[list[Place]] = [[] for _ in levels]
+    for place in walked:
+        by_level[place[0]].append(place)
+    for level, places in enumerate(by_level):
+        for tape, at in [(tape, at) for tape in tapes for lv, at, _ in tape.cells if lv == level]:
+            members = np.arange(at.start, at.stop)
+            mean_y[tape.nodes[at]], failing = _linearize_tape(tape, members, mean_y, mean_x, c)
+            places += failing
+        for place in places:
+            _, _, k, ps = place
             try:
+                mean_y[k] = _linearize_node(d, param_ids, place, mean_y, mean_x, c)
+            except ValueError:  # the value may be defined where a slope is not
+                node = d.nodes[param_ids[k]]
                 try:
-                    mean_y[k], coeffs = slopes(node, d, env)
-                except ValueError:  # point_value raises only if the value fails
-                    mean_y[k], coeffs = point_value(node, env), None
-                mean_x[k] = forward_point(node.transform, mean_y[k])
-            except ValueError as err:
-                failed.append((k, f"cannot evaluate {node.id!r} at the prior point", err))
-            else:
-                if coeffs is None:
+                    mean_y[k] = point_value(node, {param_ids[i]: mean_y[i] for i in ps if i != k})
+                    mean_x[k] = forward_point(node.transform, mean_y[k])
+                except ValueError as err:
+                    failed.append((k, f"cannot evaluate {node.id!r} at the prior point", err))
+                else:
                     seeded = False
-                else:  # a node is not its own parent, so its padding columns read 0.0
-                    c[level][row] = [coeffs.get(param_ids[i], 0.0) for i in ps]
     if failed:
         k, what, err = min(failed, key=lambda f: f[0])
         raise InitializationError(f"{what}: {err}", param_ids[k]) from err
@@ -592,19 +573,12 @@ def _tape(
     levels: Levels,
     transforms: _TransformArrays,
     ops: tuple,
-    shapes: list[tuple[tuple, tuple, list[Place]]],
+    places: list[Place],
 ) -> _Tape:
-    """The tape of skeleton ``ops`` over ``shapes``: (negated, signs, places) per expression shape.
+    """The tape of the nodes at ``places`` (level by level), whose expressions' shape is ``ops``.
 
-    Each shape's members take its ``negated`` literals with their signs
-    flipped and its ``signs`` in the slots after theirs, as
-    :func:`~gaussid.model._skeleton` gives them.  ``transforms`` holds the
-    parameters' transforms, in parameter order.
+    ``transforms`` holds the parameters' transforms, in parameter order.
     """
-    which = np.repeat(np.arange(len(shapes)), [len(places) for _, _, places in shapes])
-    places = [place for _, _, group in shapes for place in group]
-    order = sorted(range(len(places)), key=lambda i: places[i][:2])  # level by level, as the arcs
-    places, which = [places[i] for i in order], which[order]
     layouts = [d.nodes[ids[k]].expr.shape for _, _, k, _ in places]
     parents = np.array([[index[name] for name in names] for _, _, names in layouts], dtype=np.intp)
     rows = np.array([row for _, row, _, _ in places], dtype=np.intp)
@@ -617,9 +591,6 @@ def _tape(
         cells.append((level, at, rows[at, None] * par.shape[1] + column))
         start = at.stop
     consts = np.array([c for _, c, _ in layouts], dtype=float).reshape(len(places), -1)
-    flip = np.array([negated for negated, _, _ in shapes], dtype=bool).reshape(len(shapes), -1)
-    signs = np.array([sign for _, sign, _ in shapes], dtype=float).reshape(len(shapes), -1)
-    consts = np.hstack([np.where(flip[which], -consts, consts), signs[which]])
     members = np.array([k for _, _, k, _ in places], dtype=np.intp)
     return _Tape(
         ops=ops,
@@ -658,26 +629,27 @@ def linearize(state: SolverState) -> Arcs:
     is the layout :func:`~gaussid.gaussian._level_arcs` gathers from a dense
     B.  Node j's coefficient on parent i is
     ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
-    previous natural-scale posterior means.  Each expression skeleton with
+    previous natural-scale posterior means.  Each expression shape with
     a tape (at least ``_BATCH_MIN`` nodes) is walked once for all its nodes,
     by :func:`_linearize_tape`; each other node's expression is walked on
-    its own by :func:`slopes`, and so is each node a tape finds failing.
-    The transformed values T_j(f_j(y*)) are kept in ``state.point_x`` for
-    :func:`update_means`.  A node's row and value depend only on its
-    parents' y*, so a node none of whose parents' y* changed a bit since the
-    latest linearization is not walked again: its row is copied from that
-    linearization's B and its value stays in ``point_x``.  The latest is the
-    previous call's, or the prior point's that :func:`initialize` seeds;
-    without one (a slope undefined at the prior point, or a failed call)
-    every node is walked.  Of the nodes that fail, the first in parameter
-    order is named, with the message of its own walk.
+    its own by :func:`_linearize_node`, and so is each node a tape finds
+    failing.  The transformed values T_j(f_j(y*)) are kept in
+    ``state.point_x`` for :func:`update_means`.  A node's row and value
+    depend only on its parents' y*, so a node none of whose parents' y*
+    changed a bit since the latest linearization is not walked again: its
+    row is copied from that linearization's B and its value stays in
+    ``point_x``.  The latest is the previous call's, or the prior point's
+    that :func:`initialize` seeds; without one (a slope undefined at the
+    prior point, or a failed call) every node is walked.  Of the nodes that
+    fail, the first in parameter order is named, with the message of its
+    own walk.
     """
     d, ids = state.diagram, state.param_ids
     saved, state.linearized = state.linearized, None  # until this call succeeds
     if saved is None:
-        moved = None
         c = [np.zeros(par.shape) for _, par in state.levels]
         walked = list(state.walked)
+        redo = [np.arange(len(tape.nodes)) for tape in state.tapes]
     else:
         at, c = saved
         moved = state.post_y.view(np.int64) != at.view(np.int64)
@@ -687,19 +659,16 @@ def linearize(state: SolverState) -> Arcs:
             for level, row, k, ps in state.walked
             if any(flags[i] for i in ps if i != k)
         ]
-    for tape in state.tapes:
-        walked += _linearize_tape(tape, state.post_y, state.point_x, c, moved)
+        redo = [np.flatnonzero(moved[tape.parents].any(axis=1)) for tape in state.tapes]
+    for tape, members in zip(state.tapes, redo):
+        if members.size:
+            walked += _linearize_tape(tape, members, state.post_y, state.point_x, c)[1]
     failed: list[tuple[int, ValueError]] = []
-    for level, row, k, ps in walked:
-        node = d.nodes[ids[k]]
-        env = {ids[i]: state.post_y[i] for i in ps if i != k}
+    for place in walked:
         try:
-            y, node_coeffs = slopes(node, d, env)
-            state.point_x[k] = forward_point(node.transform, y)
+            _linearize_node(d, ids, place, state.post_y, state.point_x, c)
         except ValueError as err:
-            failed.append((k, err))
-        else:  # a node is not its own parent, so its padding columns read 0.0
-            c[level][row] = [node_coeffs.get(ids[i], 0.0) for i in ps]
+            failed.append((place[2], err))
     if failed:
         k, err = min(failed, key=lambda f: f[0])
         raise _iteration_error(state, f"cannot linearize {ids[k]!r}", err, ids[k]) from err
@@ -709,38 +678,54 @@ def linearize(state: SolverState) -> Arcs:
 
 def _linearize_tape(
     tape: _Tape,
+    members: np.ndarray,
     post_y: np.ndarray,
     point_x: np.ndarray,
     c: list[np.ndarray],
-    moved: np.ndarray | None,
-) -> list[Place]:
-    """Linearize a tape's nodes at ``post_y`` into ``point_x`` and the coefficients ``c``.
+) -> tuple[np.ndarray, list[Place]]:
+    """Linearize a tape's ``members`` at ``post_y`` into ``point_x`` and the coefficients ``c``.
 
-    Only the members with a parent whose ``moved`` flag is set are walked,
-    and all of them when ``moved`` is None.  One pass of
-    :func:`~gaussid.model._slopes_columns` over those members gives each
-    node's value and slopes, bit for bit those of its own walk whatever else
-    is in the pass, and marks the members whose walk would raise; their
-    entries are written too, and the places of those members are returned
-    for :func:`linearize` to walk them one by one, which rewrites their row
-    or names the error.
+    ``members`` are increasing member indices.  One pass of
+    :func:`~gaussid.model._slopes_columns` over them gives each node's
+    value and slopes, bit for bit those of its own walk whatever else is in
+    the pass, and marks the members whose walk would raise; their entries
+    are written too.  Returns the members' values f(post_y) and the places
+    of the marked ones, for :func:`_linearize_node` to walk them one by
+    one, which rewrites their entries or names the error.
     """
-    if moved is None:
-        at = np.arange(len(tape.nodes))
-    else:
-        at = np.flatnonzero(moved[tape.parents].any(axis=1))
-        if not at.size:
-            return []
-    own = tape.own[at]
+    own = tape.own[members]
     y, b, failed = _slopes_columns(
-        tape.ops, tape.consts[:, at], post_y[tape.parents[at]], own, tape.ins[at]
+        tape.ops, tape.consts[:, members], post_y[tape.parents[members]], own, tape.ins[members]
     )
     x, ok = own.forward(y)
-    point_x[tape.nodes[at]] = x
-    for level, members, flat in tape.cells:
-        lo, hi = np.searchsorted(at, (members.start, members.stop))
-        c[level].reshape(-1)[flat[at[lo:hi] - members.start]] = b[lo:hi]
-    return [tape.places[i] for i in at[failed | ~ok].tolist()]
+    point_x[tape.nodes[members]] = x
+    for level, at, flat in tape.cells:
+        lo, hi = np.searchsorted(members, (at.start, at.stop))
+        c[level].reshape(-1)[flat[members[lo:hi] - at.start]] = b[lo:hi]
+    return y, [tape.places[i] for i in members[failed | ~ok].tolist()]
+
+
+def _linearize_node(
+    d: Diagram,
+    ids: tuple[str, ...],
+    place: Place,
+    post_y: np.ndarray,
+    point_x: np.ndarray,
+    c: list[np.ndarray],
+) -> float:
+    """Linearize the node at ``place`` on its own, as :func:`_linearize_tape` does its members.
+
+    One walk of :func:`~gaussid.model.slopes` at its parents' ``post_y``
+    gives its value f(post_y), which is returned, and its row of ``c``; its
+    transformed value goes into ``point_x``.  Raises ``ValueError`` where
+    the walk or the transform fails.
+    """
+    level, row, k, ps = place
+    node = d.nodes[ids[k]]
+    y, coeffs = slopes(node, d, {ids[i]: post_y[i] for i in ps if i != k})
+    point_x[k] = forward_point(node.transform, y)
+    c[level][row] = [coeffs.get(ids[i], 0.0) for i in ps]  # padding (k itself) reads 0.0
+    return y
 
 
 def update_means(state: SolverState, arcs: Arcs) -> np.ndarray:

@@ -271,14 +271,18 @@ def test_every_walker_matches_its_recursive_reference(e, other, env, seed):
     assert _same_tree(e, other) == (e == other)
     assert _same_tree(e, _rebuilt(e))
 
-    # The tape: trees of e's shape, with other constants, walked together
-    # over a column of environments; a tree it marks failed is walked again
-    # on its own, which names the error.
+    # The tape: trees of e's shape, with other literals and signs, walked
+    # together over a column of environments; a tree it marks failed is
+    # walked again on its own, which names the error.
     ops, consts, names = e.shape
-    assert _from_shape(ops, consts, names) == e
+    assert _from_shape(ops, consts, names) == ref_signed_literals(e)
+    signs = {arg for op, arg in ops if op is model._SignedAdd}
     members = [(consts, {v: env.get(v, 0.5) for v in names})]
     for _ in range(5):
-        other_consts = tuple(map(float, rng.choice(_SLOT_VALUES, size=len(consts))))
+        other_consts = tuple(
+            float(rng.choice((1.0, -1.0) if j in signs else _SLOT_VALUES))
+            for j in range(len(consts))
+        )
         members.append((other_consts, {v: float(rng.choice(_SLOT_VALUES)) for v in names}))
     value, partials, failed = model._value_and_gradient_columns(
         ops,
@@ -304,7 +308,9 @@ _SLOT_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -1.5, 710.0, 1e300, 0.3, -0.7, 1
 
 
 def _from_shape(ops, consts, names):
-    """The tree whose :attr:`~gaussid.model.Expr.shape` is ``(ops, consts, names)``."""
+    """The tree without negated literals whose :attr:`~gaussid.model.Expr.shape`
+    is ``(ops, consts, names)``: a signed add is ``+`` for the sign 1.0 and
+    ``-`` for -1.0."""
     stack = []
     for op, arg in ops:
         if op is Const:
@@ -316,19 +322,33 @@ def _from_shape(ops, consts, names):
         elif op in (Neg, Exp, Ln):
             stack.append(op(stack.pop()))
         else:
+            if op is model._SignedAdd:
+                op = {1.0: Add, -1.0: Sub}[consts[arg]]
             right = stack.pop()
             stack.append(op(stack.pop(), right))
     return stack.pop()
 
 
+def ref_signed_literals(e):
+    """``e`` with each negation of a literal, however deep, folded into the literal."""
+    if isinstance(e, Neg):
+        operand = ref_signed_literals(e.operand)
+        return Const(-operand.value) if isinstance(operand, Const) else Neg(operand)
+    if isinstance(e, Pow):
+        return Pow(ref_signed_literals(e.base), e.exponent)
+    if isinstance(e, (Const, Var)):
+        return e
+    return type(e)(*map(ref_signed_literals, _children(e)))
+
+
 # ---------------------------------------------------------------------------
-# Skeletons: trees that differ only in + against - and in negated literals
-# share one tape
+# Trees that differ only in + against - and in negated literals share one
+# shape, and so one tape
 
 
 @st.composite
-def skeleton_variants(draw, e):
-    """A tree of ``e``'s skeleton: each ``+`` or ``-`` either way, each literal
+def shape_variants(draw, e):
+    """A tree of ``e``'s shape: each ``+`` or ``-`` either way, each literal
     negated or not whatever ``e`` has, and its literals' values drawn anew."""
     stack = []
     for n in e.postorder:
@@ -358,14 +378,6 @@ _TRANSFORMS = [
 ]
 
 
-def _skeleton_slots(e):
-    """The values of ``e``'s slots in its skeleton's tape: its literals, each
-    negated where ``e`` negates it, then the signs of its adds."""
-    _, consts, _ = e.shape
-    _, negated, signs = model._skeleton(e.shape[0])
-    return [-c if flip else c for c, flip in zip(consts, negated)] + list(signs)
-
-
 def check_one_tape(members, envs, own, ins):
     """One columns pass over ``members`` gives each its own walks' bits.
 
@@ -373,16 +385,16 @@ def check_one_tape(members, envs, own, ins):
     variables (:func:`variables` of ``members[0]``) are parameters with the
     transforms ``ins``; it is walked at ``envs[i]``."""
     names = variables(members[0])
-    (skeleton,) = {model._skeleton(m.shape[0])[0] for m in members}
+    (ops,) = {m.shape[0] for m in members}
     assert {m.shape[2] for m in members} == {names}
     for m in members:
-        assert _from_shape(*m.shape) == m  # the shape stays exact
+        assert _from_shape(*m.shape) == ref_signed_literals(m)  # the slots hold m's values
     k = len(members)
-    consts = np.array([_skeleton_slots(m) for m in members]).reshape(k, -1).T
+    consts = np.array([m.shape[1] for m in members]).reshape(k, -1).T
     env = np.array([[x[v] for v in names] for x in envs]).reshape(k, len(names))
-    value, partials, walk_failed = model._value_and_gradient_columns(skeleton, consts, env)
+    value, partials, walk_failed = model._value_and_gradient_columns(ops, consts, env)
     y, slopes_bits, failed = model._slopes_columns(
-        skeleton,
+        ops,
         consts,
         env,
         _TransformArrays.of([own] * k, (k,)),
@@ -413,7 +425,7 @@ def check_one_tape(members, envs, own, ins):
 def test_plus_minus_and_negated_literals_share_one_tape(e, data):
     names = variables(e)
     assume(names)  # a deterministic node reads at least one parameter
-    members = [e] + [data.draw(skeleton_variants(e)) for _ in range(4)]
+    members = [e] + [data.draw(shape_variants(e)) for _ in range(4)]
     values = st.sampled_from(_SLOT_VALUES)
     envs = [{v: data.draw(values) for v in names} for _ in members]
     own = data.draw(st.sampled_from(_TRANSFORMS))
@@ -421,19 +433,22 @@ def test_plus_minus_and_negated_literals_share_one_tape(e, data):
     check_one_tape(members, envs, own, ins)
 
 
-def test_every_slot_value_goes_through_a_skeleton_tape():
+def test_every_slot_value_goes_through_a_shape_tape():
     # Each edge value, -0.0 among them, in every literal and variable of
     # trees that differ in + against - and in negated literals.
     a, b = Var("a"), Var("b")
-    x = Const(1.0)
-    members = [
-        Ln(Add(Mul(x, a), Neg(Pow(Sub(b, Neg(x)), 2.0)))),
-        Ln(Sub(Mul(Neg(x), a), Neg(Pow(Add(b, x), 2.0)))),
-        Ln(Add(Mul(Neg(Neg(x)), a), Neg(Pow(Sub(b, x), 2.0)))),
-    ]
+
+    def members(c):
+        x = Const(c)
+        return [
+            Ln(Add(Mul(x, a), Neg(Pow(Sub(b, Neg(x)), 2.0)))),
+            Ln(Sub(Mul(Neg(x), a), Neg(Pow(Add(b, x), 2.0)))),
+            Ln(Add(Mul(Neg(Neg(x)), a), Neg(Pow(Sub(b, x), 2.0)))),
+        ]
+
     assert any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in _SLOT_VALUES)
     for c in _SLOT_VALUES:
-        trees = [_from_shape(m.shape[0], (c,) * len(m.shape[1]), m.shape[2]) for m in members]
+        trees = members(c)
         for v in _SLOT_VALUES:
             envs = [{"a": v, "b": w} for w in (v, 0.5, -v)]
             for own in _TRANSFORMS:

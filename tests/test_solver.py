@@ -46,6 +46,7 @@ from gaussid.model import (
     deterministic,
     eval_expr,
     evidence,
+    format_expr,
     slopes,
     topological_order,
 )
@@ -1275,18 +1276,18 @@ class TestTapeErrors:
         assert err.node_id == "q5" and len(err.records) == 1
         assert "outside its transform support" in str(err)
 
+    # x - c written three ways that share one shape
+    ways = (
+        lambda c: Sub(Var("x"), Const(c)),
+        lambda c: Add(Var("x"), Neg(Const(c))),
+        lambda c: Sub(Var("x"), Neg(Neg(Const(c)))),
+    )
+
     def merged(self, transform, expr, bad):
-        """:meth:`members` of ``expr(x - c)``, with ``x - c`` written three ways
-        that share a skeleton: ``x - c``, ``x + -c`` and ``x - --c``."""
-        x = Var("x")
-        ways = (
-            lambda c: Sub(x, Const(c)),
-            lambda c: Add(x, Neg(Const(c))),
-            lambda c: Sub(x, Neg(Neg(Const(c)))),
-        )
+        """:meth:`members` of ``expr(x - c)``, with ``x - c`` written the three :attr:`ways`."""
         n = solver_mod._BATCH_MIN + 4
         return [
-            deterministic(f"q{i}", transform, expr(ways[i % 3](c)))
+            deterministic(f"q{i}", transform, expr(self.ways[i % 3](c)))
             for i, c in enumerate(bad if i in (5, 9) else -5.0 - i / n for i in range(n))
         ]
 
@@ -1294,7 +1295,9 @@ class TestTapeErrors:
         # The look pulls x from 1 to about -2, where ln(x - 0) is undefined.
         nodes = [normal_p("x", 1.0, 1.0), evidence("look", "x", normal_look(-2.0, 0.01))]
         nodes += self.merged(TS, Ln, 0.0)
-        assert len({node.expr.shape[0] for node in nodes[2:]}) == 3
+        trees = [Ln(way(0.0)) for way in self.ways]
+        assert len({format_expr(tree) for tree in trees}) == 3
+        assert len({tree.shape[0] for tree in trees}) == 1
         err = self.solve_both(nodes, monkeypatch)
         assert err.node_id == "q5" and len(err.records) == 1
         assert "log of non-positive value" in str(err)
@@ -1306,6 +1309,33 @@ class TestTapeErrors:
         err = self.solve_both(nodes, monkeypatch)
         assert err.node_id == "q5" and err.records == []
         assert "non-finite slope" in str(err)
+
+    @pytest.mark.parametrize("batch_min", [1, solver_mod._BATCH_MIN, 10**9])
+    def test_a_member_without_a_slope_at_the_prior_point_seeds_nothing(
+        self, batch_min, monkeypatch
+    ):
+        # q5 = (x5 - 1)^0.5 at x5's prior mean 1 is 0, and its slope is
+        # infinite; the other members have finite slopes there.
+        n = solver_mod._BATCH_MIN + 4
+        nodes = [normal_p(f"x{i}", 1.0 if i == 5 else 2.0 + i, 1.0) for i in range(n)]
+        nodes += [
+            deterministic(f"q{i}", TS, Pow(Sub(Var(f"x{i}"), Const(1.0)), 0.5)) for i in range(n)
+        ]
+        d = Diagram.from_nodes(nodes)
+        want = scalar_error(d, monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_BATCH_MIN", 10**9)
+            scalar_point = initialize(d).post_y
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+        state = initialize(d)
+        assert len(state.tapes) == (batch_min <= n) and state.linearized is None
+        assert state.post_y.tobytes() == scalar_point.tobytes()
+        with pytest.raises(IterationError) as exc:
+            solve(d)
+        got = exc.value
+        assert got.node_id == want.node_id == "q5" and got.records == want.records == []
+        assert str(got) == str(want) and "non-finite slope" in str(got)
+        assert type(got.__cause__) is type(want.__cause__) is EvalError
 
     def test_a_parent_on_its_support_end(self, monkeypatch):
         # A Beta posterior mean can round onto the end of (0, 1), where the
@@ -1333,7 +1363,7 @@ def signed_affine(n, seed):
     """``n`` nodes over six Normal parameters written as the mixed_expr benchmark
     writes its affine ones: a literal, negative for every other node, then
     terms each added or subtracted at random, the last a product.  They fall
-    into several expression shapes, and all share one skeleton."""
+    into several operator sequences, and all share one expression shape."""
     rng = np.random.default_rng(seed)
     zs = [f"z{i}" for i in range(6)]
     nodes = [normal_p(z, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 4.0)) for z in zs]
@@ -1351,11 +1381,13 @@ def signed_affine(n, seed):
     return Diagram.from_nodes(nodes)
 
 
-def test_signed_affine_nodes_of_several_shapes_run_one_tape_per_step(monkeypatch):
+def test_signed_affine_nodes_written_several_ways_run_one_tape_per_step(monkeypatch):
     n = solver_mod._BATCH_MIN + 4
     d = signed_affine(n, 7)
-    shapes = [d.nodes[f"a{i}"].expr.shape[0] for i in range(n)]
-    assert len(set(shapes)) > 1 and sum((Neg, None) in ops for ops in shapes) == n // 2
+    trees = [d.nodes[f"a{i}"].expr for i in range(n)]
+    operators = [tuple(type(e) for e in tree.postorder) for tree in trees]
+    assert len(set(operators)) > 1 and sum(Neg in ops for ops in operators) == n // 2
+    assert len({tree.shape[0] for tree in trees}) == 1
     sizes, passes, walked = spy_tapes(monkeypatch), spy_columns(monkeypatch), spy_walks(monkeypatch)
     state = initialize(d)
     assert [len(tape.nodes) for tape in state.tapes] == [n] and state.walked == []
