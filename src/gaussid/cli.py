@@ -22,8 +22,6 @@ Exit codes: 0 converged/ok, 2 diverged, 3 max-iterations reached,
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -301,7 +299,8 @@ def _choice(options: tuple[str, ...]) -> Callable[[object, str, str], str]:
 
 
 # Each spec class's document keys and the reader of each key's value.  The
-# class's fields without a default are required; its own checks do the rest.
+# keys without a default in _DEFAULTS are required; the class's own checks do
+# the rest.
 _FIELDS: dict[type, dict[str, Callable]] = {
     Transform: {"kind": _choice(TRANSFORM_KINDS), "a": _number, "b": _number},
     PriorSpec: {
@@ -330,12 +329,18 @@ _FIELDS: dict[type, dict[str, Callable]] = {
         "pool_evidence": _boolean,
     },
 }
-_DEFAULTS = {cls: {f.name: f.default for f in dataclasses.fields(cls)} for cls in _FIELDS}
-# The keys a document must give: table keys whose field has no default.
-_REQUIRED = {
-    cls: {key for key in keys if _DEFAULTS[cls][key] is dataclasses.MISSING}
-    for cls, keys in _FIELDS.items()
+# The defaults of the optional fields, as each class's constructor has them.
+_DEFAULTS: dict[type, dict] = {
+    Transform: {},
+    PriorSpec: dict.fromkeys(["mean", "variance", "alpha", "beta"]),
+    EvidenceSpec: {
+        **dict.fromkeys(["count", "sample_mean", "variance", "sample_var", "successes"]),
+        **dict.fromkeys(["alpha", "beta", "samples"]),
+        "lognormal_samples": False,
+    },
+    SolverConfig: {key: getattr(SolverConfig(), key) for key in _FIELDS[SolverConfig]},
 }
+_REQUIRED = {cls: keys.keys() - _DEFAULTS[cls].keys() for cls, keys in _FIELDS.items()}
 
 
 def _read(cls: type, obj, path: str, **given):
@@ -362,7 +367,7 @@ def _write(spec) -> dict:
     out = {}
     for key in _FIELDS[type(spec)]:
         value = getattr(spec, key)
-        if value != defaults[key]:
+        if key not in defaults or value != defaults[key]:
             out[key] = list(value) if isinstance(value, tuple) else value
     return out
 
@@ -489,13 +494,14 @@ def serialize_model(d: Diagram, cfg: SolverConfig | None = None) -> dict:
 # Commands
 
 
-class _Cli(argparse.ArgumentParser):
-    def error(self, message: str):  # usage problems are input errors, not "diverged"
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+def _build_parser():
+    import argparse  # here, not at the top: only main parses arguments
 
+    class _Cli(argparse.ArgumentParser):
+        def error(self, message: str):  # usage problems are input errors, not "diverged"
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
-def _build_parser() -> argparse.ArgumentParser:
     parser = _Cli(prog="infer", description="Influence-diagram inference by iterative linearization")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Cli)
 
@@ -670,15 +676,13 @@ def _print_solve_table(result: SolverResult, full: bool) -> None:
 
 
 def _cmd_solve(args, diagram: Diagram, config: SolverConfig) -> int:
-    overrides = {}
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    if args.max_iter is not None:
-        overrides["max_iterations"] = args.max_iter
-    if args.no_pool:
-        overrides["pool_evidence"] = False
     try:
-        config = dataclasses.replace(config, **overrides)
+        config = SolverConfig(
+            config.epsilon if args.epsilon is None else args.epsilon,
+            config.divergence_window,
+            config.max_iterations if args.max_iter is None else args.max_iter,
+            False if args.no_pool else config.pool_evidence,
+        )
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

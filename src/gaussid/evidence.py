@@ -13,11 +13,10 @@ summary statistics the normal designs need.  ``_binomial_array`` does what
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import BetaParams, _beta_to_moments_lockstep, beta_to_moments
+from .specfun import BetaParams, _beta_to_moments_lockstep, _Record, _set, beta_to_moments
 from .transforms import LOG_SCALED, PriorSpec, Transform, forward_point
 
 __all__ = [
@@ -45,22 +44,19 @@ EVIDENCE_VARIANTS = (NORMAL_KNOWN_VAR, NORMAL_UNKNOWN_VAR, BINOMIAL)
 _DEFAULT_REFERENCE = 0.5
 
 
-@dataclass(frozen=True)
-class LikelihoodApprox:
+class LikelihoodApprox(_Record):
     """A Gaussian observation on the transformed scale: value d, variance v > 0."""
 
-    d: float
-    v: float
+    __slots__ = ("d", "v")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.d) and math.isfinite(self.v) and self.v > 0.0):
-            raise ValueError(
-                f"likelihood approximation needs finite d and v > 0, got ({self.d}, {self.v})"
-            )
+    def __init__(self, d: float, v: float):
+        if not (math.isfinite(d) and math.isfinite(v) and v > 0.0):
+            raise ValueError(f"likelihood approximation needs finite d and v > 0, got ({d}, {v})")
+        _set(self, "d", d)
+        _set(self, "v", v)
 
 
-@dataclass(frozen=True)
-class EvidenceSpec:
+class EvidenceSpec(_Record):
     """Declaration of one observation process.
 
     ``normal_known_var`` takes (count, sample_mean, variance);
@@ -72,18 +68,27 @@ class EvidenceSpec:
     number given must be finite.
     """
 
-    variant: str
-    count: int | None = None
-    sample_mean: float | None = None
-    variance: float | None = None
-    sample_var: float | None = None
-    successes: int | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    lognormal_samples: bool = False
-    samples: tuple[float, ...] | None = None
+    __slots__ = (
+        "variant", "count", "sample_mean", "variance", "sample_var", "successes", "alpha", "beta",
+        "lognormal_samples", "samples",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, variant: str, count: int | None = None, sample_mean: float | None = None,
+        variance: float | None = None, sample_var: float | None = None,
+        successes: int | None = None, alpha: float | None = None, beta: float | None = None,
+        lognormal_samples: bool = False, samples: tuple[float, ...] | None = None,
+    ):
+        _set(self, "variant", variant)
+        _set(self, "count", count)
+        _set(self, "sample_mean", sample_mean)
+        _set(self, "variance", variance)
+        _set(self, "sample_var", sample_var)
+        _set(self, "successes", successes)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "lognormal_samples", lognormal_samples)
+        _set(self, "samples", samples)
         if self.variant not in EVIDENCE_VARIANTS:
             raise ValueError(
                 f"unknown evidence variant {self.variant!r}; expected one of {EVIDENCE_VARIANTS}"

@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import copy
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from .specfun import _Record, _set
 
 __all__ = [
     "GaussianState",
@@ -74,8 +75,7 @@ class ConditioningError(RuntimeError):
         self.condition_estimate = condition_estimate
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianState:
+class GaussianState(_Record):
     """Mean vector, regression coefficients, and noise variances, in order.
 
     ``order`` names the nodes; ``coeffs[i, j]`` is the coefficient of node
@@ -86,26 +86,27 @@ class GaussianState:
     checked once, when the state is built.
     """
 
-    order: tuple[str, ...]
-    mean: np.ndarray
-    coeffs: np.ndarray
-    cond_var: np.ndarray
-    cov: np.ndarray | None = None
+    __slots__ = ("order", "mean", "coeffs", "cond_var", "cov")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
-        if self.mean.shape != (n,):
-            raise ValueError(f"mean must have shape ({n},), got {self.mean.shape}")
-        if self.coeffs.shape != (n, n):
-            raise ValueError(f"coeffs must have shape ({n}, {n}), got {self.coeffs.shape}")
-        if self.cond_var.shape != (n,):
-            raise ValueError(f"cond_var must have shape ({n},), got {self.cond_var.shape}")
-        if np.any(np.tril(self.coeffs) != 0.0):
+    def __init__(
+        self, order: tuple[str, ...], mean: np.ndarray, coeffs: np.ndarray,
+        cond_var: np.ndarray, cov: np.ndarray | None = None,
+    ):
+        n = len(order)
+        if mean.shape != (n,):
+            raise ValueError(f"mean must have shape ({n},), got {mean.shape}")
+        if coeffs.shape != (n, n):
+            raise ValueError(f"coeffs must have shape ({n}, {n}), got {coeffs.shape}")
+        if cond_var.shape != (n,):
+            raise ValueError(f"cond_var must have shape ({n},), got {cond_var.shape}")
+        if np.any(np.tril(coeffs) != 0.0):
             raise ValueError("coeffs must be strictly upper triangular in the node order")
-        if np.any(self.cond_var < 0.0):
+        if np.any(cond_var < 0.0):
             raise ValueError("conditional variances must be >= 0")
-        if self.cov is not None and self.cov.shape != (n, n):
-            raise ValueError(f"cov must have shape ({n}, {n}), got {self.cov.shape}")
+        if cov is not None and cov.shape != (n, n):
+            raise ValueError(f"cov must have shape ({n}, {n}), got {cov.shape}")
+        self._fill(order, mean, coeffs, cond_var, cov)
 
 
 def _depth_levels(parents: Sequence[Sequence[int]]) -> Levels:
@@ -347,7 +348,7 @@ def propagate_covariance(st: GaussianState) -> GaussianState:
     """
     _, arcs, scale, pack, a = _state_factor(st)
     out = copy.copy(st)
-    object.__setattr__(out, "cov", _unpack(_covariance(arcs, scale, pack, a, (), ()), pack))
+    _set(out, "cov", _unpack(_covariance(arcs, scale, pack, a, (), ()), pack))
     return out
 
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 import numpy as np
 
 from .evidence import BINOMIAL, EvidenceSpec
+from .specfun import _Record, _set
 from .transforms import (
     LOG_SCALED,
     LOGISTIC_SCALED,
@@ -78,8 +78,8 @@ T = TypeVar("T")
 # Expression trees
 
 
-class Expr:
-    """Base class for expression nodes."""
+class Expr(_Record):
+    """Base class for expression nodes, which keep a ``__dict__`` for their cached walks."""
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -153,33 +153,43 @@ def _fold(e: Expr, step: Callable[[Expr, list], T]) -> T:
     return stack[0]
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
     """base raised to a fixed real exponent (the exponent is not an Expr)."""
 
-    base: Expr
-    exponent: float
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: float):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class _Unary(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class _Binary(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class Neg(_Unary):
@@ -453,18 +463,23 @@ EVIDENCE = "evidence"
 NODE_KINDS = (BASIC, DETERMINISTIC, EVIDENCE)
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(_Record):
     """One diagram node.  Use :func:`basic` / :func:`deterministic` /
     :func:`evidence` to construct the three kinds."""
 
-    id: str
-    kind: str
-    parents: tuple[str, ...] = ()
-    transform: Transform | None = None
-    prior: PriorSpec | None = None
-    expr: Expr | None = None
-    obs: EvidenceSpec | None = None
+    __slots__ = ("id", "kind", "parents", "transform", "prior", "expr", "obs")
+
+    def __init__(
+        self, id: str, kind: str, parents: tuple[str, ...] = (), transform: Transform | None = None,
+        prior: PriorSpec | None = None, expr: Expr | None = None, obs: EvidenceSpec | None = None,
+    ):
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "parents", parents)
+        _set(self, "transform", transform)
+        _set(self, "prior", prior)
+        _set(self, "expr", expr)
+        _set(self, "obs", obs)
 
 
 def basic(id: str, prior: PriorSpec) -> Node:
@@ -505,15 +520,19 @@ class InvalidDiagramError(ValueError):
         self.violations = violations
 
 
-@dataclass
-class Diagram:
+class Diagram(_Record):
     """An ordered collection of nodes keyed by id.
 
     Construct with :meth:`from_nodes`, which preserves declaration order
     and rejects duplicate ids.
     """
 
-    nodes: dict[str, Node] = field(default_factory=dict)
+    __slots__ = ("nodes",)
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None  # mutable, so unhashable
+
+    def __init__(self, nodes: dict[str, Node] | None = None):
+        self.nodes = {} if nodes is None else nodes
 
     @classmethod
     def from_nodes(cls, nodes: list[Node]) -> "Diagram":

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .model import (
     ensure_valid,
     topological_order,
 )
+from .specfun import _Record
 from .transforms import (
     BETA,
     LOG_SCALED,
@@ -57,8 +57,7 @@ __all__ = ["McEstimate", "mc_posterior"]
 _ESS_FLOOR = 50.0
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_Record):
     """Weighted-sample posterior summary.
 
     ``mean``/``variance`` are natural-scale posterior estimates per
@@ -66,15 +65,16 @@ class McEstimate:
     ``ess`` the effective sample size (sum w)^2 / sum w^2.
     """
 
-    param_ids: tuple[str, ...]
-    mean: dict[str, float]
-    variance: dict[str, float]
-    se_mean: dict[str, float]
-    se_var: dict[str, float]
-    ess: float
-    n_samples: int
-    seed: int
-    warnings: tuple[str, ...] = ()
+    __slots__ = (
+        "param_ids", "mean", "variance", "se_mean", "se_var", "ess", "n_samples", "seed", "warnings"
+    )
+
+    def __init__(
+        self, param_ids: tuple[str, ...], mean: dict[str, float], variance: dict[str, float],
+        se_mean: dict[str, float], se_var: dict[str, float], ess: float, n_samples: int,
+        seed: int, warnings: tuple[str, ...] = (),
+    ):
+        self._fill(param_ids, mean, variance, se_mean, se_var, ess, n_samples, seed, warnings)
 
 
 # The array operation of each operator node but Pow, on its operands' arrays

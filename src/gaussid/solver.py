@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +113,7 @@ from .model import (  # noqa: F401  names bench/tracer.py wraps
     eval_expr,
     value_and_gradient as diff_expr,
 )
-from .specfun import ConvergenceError, _beta_to_moments_lockstep
+from .specfun import ConvergenceError, _beta_to_moments_lockstep, _Record, _set
 from .transforms import (
     BETA,
     FAMILY_TRANSFORMS,
@@ -172,8 +171,7 @@ _BATCH_MIN = 16
 Place = tuple[int, int, int, list[int]]
 
 
-@dataclass(frozen=True, eq=False)
-class _Tape:
+class _Tape(_Record):
     """The deterministic nodes of one expression shape, linearized together.
 
     Member i is parameter ``nodes[i]``; its expression is ``ops`` (of its
@@ -186,18 +184,18 @@ class _Tape:
     slot's coefficient in that level's (rows, parents) coefficient array.
     """
 
-    ops: tuple[tuple, ...]
-    nodes: np.ndarray
-    parents: np.ndarray
-    consts: np.ndarray
-    own: _TransformArrays
-    ins: _TransformArrays
-    places: list[Place]
-    cells: tuple[tuple[int, slice, np.ndarray], ...]
+    __slots__ = ("ops", "nodes", "parents", "consts", "own", "ins", "places", "cells")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, ops: tuple[tuple, ...], nodes: np.ndarray, parents: np.ndarray, consts: np.ndarray,
+        own: _TransformArrays, ins: _TransformArrays, places: list[Place],
+        cells: tuple[tuple[int, slice, np.ndarray], ...],
+    ):
+        self._fill(ops, nodes, parents, consts, own, ins, places, cells)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Record):
     """Iteration controls.
 
     ``epsilon`` is the convergence tolerance on the maximum relative
@@ -207,24 +205,22 @@ class SolverConfig:
     parameter into a single precision-weighted entry before solving.
     """
 
-    epsilon: float = 1e-6
-    divergence_window: int = 3
-    max_iterations: int = 50
-    pool_evidence: bool = True
+    __slots__ = ("epsilon", "divergence_window", "max_iterations", "pool_evidence")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.divergence_window < 1:
-            raise ValueError(
-                f"divergence_window must be >= 1, got {self.divergence_window}"
-            )
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+    def __init__(
+        self, epsilon: float = 1e-6, divergence_window: int = 3, max_iterations: int = 50,
+        pool_evidence: bool = True,
+    ):
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if divergence_window < 1:
+            raise ValueError(f"divergence_window must be >= 1, got {divergence_window}")
+        if max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+        self._fill(epsilon, divergence_window, max_iterations, pool_evidence)
 
 
-@dataclass(frozen=True, eq=False)
-class IterationRecord:
+class IterationRecord(_Record):
     """Snapshot of one iteration.
 
     ``prior_mean_x`` spans the full node order (parameters then evidence
@@ -235,16 +231,22 @@ class IterationRecord:
     writes them.
     """
 
-    t: int
-    prior_mean_x: np.ndarray
-    posterior_mean_x: np.ndarray
-    posterior_var_x: np.ndarray
-    r: np.ndarray
-    r_max: float
+    __slots__ = ("t", "prior_mean_x", "posterior_mean_x", "posterior_var_x", "r", "r_max")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, t: int, prior_mean_x: np.ndarray, posterior_mean_x: np.ndarray,
+        posterior_var_x: np.ndarray, r: np.ndarray, r_max: float,
+    ):
+        _set(self, "t", t)
+        _set(self, "prior_mean_x", prior_mean_x)
+        _set(self, "posterior_mean_x", posterior_mean_x)
+        _set(self, "posterior_var_x", posterior_var_x)
+        _set(self, "r", r)
+        _set(self, "r_max", r_max)
 
 
-@dataclass(frozen=True, eq=False)
-class SolverResult:
+class SolverResult(_Record):
     """Outcome of a solve.
 
     ``posterior_y`` maps parameter ids to natural-scale moments from the
@@ -255,12 +257,19 @@ class SolverResult:
     parameter, itself included.
     """
 
-    status: str
-    iterations: list[IterationRecord]
-    posterior_y: dict[str, MomentPair]
-    posterior_correlations: np.ndarray
-    param_ids: tuple[str, ...]
-    reported_iteration: int
+    __slots__ = (
+        "status", "iterations", "posterior_y", "posterior_correlations", "param_ids",
+        "reported_iteration",
+    )
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, status: str, iterations: list[IterationRecord], posterior_y: dict[str, MomentPair],
+        posterior_correlations: np.ndarray, param_ids: tuple[str, ...], reported_iteration: int,
+    ):
+        self._fill(
+            status, iterations, posterior_y, posterior_correlations, param_ids, reported_iteration
+        )
 
 
 class SolverError(RuntimeError):
@@ -283,55 +292,65 @@ class IterationError(SolverError):
         self.records = records
 
 
-@dataclass(eq=False)
 class SolverState:
     """Mutable working state of one solve: made by :func:`initialize`, advanced by :func:`step`."""
 
-    diagram: Diagram
-    param_ids: tuple[str, ...]
-    order: tuple[str, ...]
-    ev_parent: np.ndarray  # parameter index observed by each evidence entry
-    ev_obs: np.ndarray
-    # a-priori correlated entries, (k, s) per shape class (s, l) of groups,
-    # and each group's l live ancestors, (k, l), as _evidence_components
-    # returns them
-    ev_components: tuple[np.ndarray, ...]
-    ev_ancestors: tuple[np.ndarray, ...]
-    packing: Packing  # where A and the covariance keep their entries, by component
-    levels: Levels  # the parameters with parents, by depth of the arcs
-    # one tape per expression shape of at least _BATCH_MIN deterministic
-    # nodes; the places of the other deterministic nodes, walked one by one
-    tapes: tuple[_Tape, ...]
-    walked: list[Place]
-    # (family, parameter indices, transform a's, transform b's) for each
-    # family of at least _BATCH_MIN parameters; the members of the smaller
-    # families, in parameter order
-    batched: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray], ...]
-    one_by_one: list[int]
-    cond_var: np.ndarray  # noise variances over the full order
-    post_x: np.ndarray  # previous posterior means of parameters (transformed scale)
-    post_y: np.ndarray  # previous posterior means of parameters (natural scale)
-    # transformed values at y = post_y as the latest linearize found them:
-    # T_j(f_j(y)) on deterministic nodes, prior means on basic ones
-    point_x: np.ndarray
-    t: int = 0
-    records: list[IterationRecord] = field(default_factory=list)
-    # (B by level, A packed, the update factors V per shape class,
-    # natural-scale means, natural-scale variances) of the latest iterate:
-    # its parameter covariance is A (I - V'V) A'
-    snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None
-    # What the latest linearization and moment inversion read and wrote,
-    # kept for the next one to reuse each entry whose inputs have the same
-    # bits: (post_y it linearized at, its coefficients c by level; its
-    # values are in point_x), and (post_mean, post_var it inverted, mean_y,
-    # var_y).  Private copies.  initialize seeds the first with the prior
-    # point's linearization, or leaves it None where a slope is undefined
-    # there; the second is None until the first inversion succeeds.
-    linearized: tuple[np.ndarray, list[np.ndarray]] | None = None
-    inverted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-    # always empty: no node keeps constant coefficients; the benchmark's
-    # bench/worker.py::_sizes still reads it under --trace 1
-    linear_coeffs: dict[str, dict[str, float]] = field(default_factory=dict)
+    def __init__(
+        self, diagram: Diagram, param_ids: tuple[str, ...], order: tuple[str, ...],
+        ev_parent: np.ndarray, ev_obs: np.ndarray, ev_components: tuple[np.ndarray, ...],
+        ev_ancestors: tuple[np.ndarray, ...], packing: Packing, levels: Levels,
+        tapes: tuple[_Tape, ...], walked: list[Place],
+        batched: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray], ...],
+        one_by_one: list[int], cond_var: np.ndarray, post_x: np.ndarray, post_y: np.ndarray,
+        point_x: np.ndarray, t: int = 0, records: list[IterationRecord] | None = None,
+        snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None,
+        linearized: tuple[np.ndarray, list[np.ndarray]] | None = None,
+        inverted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+        linear_coeffs: dict[str, dict[str, float]] | None = None,
+    ):
+        self.diagram = diagram
+        self.param_ids = param_ids
+        self.order = order
+        self.ev_parent = ev_parent  # parameter index observed by each evidence entry
+        self.ev_obs = ev_obs
+        # a-priori correlated entries, (k, s) per shape class (s, l) of groups, and
+        # each group's l live ancestors, (k, l), as _evidence_components returns them
+        self.ev_components = ev_components
+        self.ev_ancestors = ev_ancestors
+        self.packing = packing  # where A and the covariance keep their entries, by component
+        self.levels = levels  # the parameters with parents, by depth of the arcs
+        # one tape per expression shape of at least _BATCH_MIN deterministic
+        # nodes; the places of the other deterministic nodes, walked one by one
+        self.tapes = tapes
+        self.walked = walked
+        # (family, parameter indices, transform a's, transform b's) for each family of
+        # at least _BATCH_MIN parameters; the members of the smaller ones, in parameter order
+        self.batched = batched
+        self.one_by_one = one_by_one
+        self.cond_var = cond_var  # noise variances over the full order
+        self.post_x = post_x  # previous posterior means of parameters (transformed scale)
+        self.post_y = post_y  # previous posterior means of parameters (natural scale)
+        # transformed values at y = post_y as the latest linearize found them:
+        # T_j(f_j(y)) on deterministic nodes, prior means on basic ones
+        self.point_x = point_x
+        self.t = t
+        self.records = [] if records is None else records
+        # (B by level, A packed, the update factors V per shape class,
+        # natural-scale means, natural-scale variances) of the latest iterate:
+        # its parameter covariance is A (I - V'V) A'
+        self.snapshot = snapshot
+        # What the latest linearization and moment inversion read and wrote, kept
+        # for the next one to reuse each entry whose inputs have the same bits:
+        # (post_y it linearized at, its coefficients c by level; its values are in
+        # point_x), and (post_mean, post_var it inverted, mean_y, var_y).  Private
+        # copies.  initialize seeds the first with the prior point's linearization,
+        # or leaves it None where a slope is undefined there; the second is None
+        # until the first inversion succeeds.
+        self.linearized = linearized
+        self.inverted = inverted
+        # always empty: no node keeps constant coefficients; the benchmark's
+        # bench/worker.py::_sizes still reads it under --trace 1
+        self.linear_coeffs = {} if linear_coeffs is None else linear_coeffs
 
     @property
     def n_params(self) -> int:

@@ -30,7 +30,6 @@ routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,18 +66,69 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = last_iterate
 
 
-@dataclass(frozen=True)
-class BetaParams:
+# How a frozen record's __init__ sets its fields, past the __setattr__ that refuses them.
+_set = object.__setattr__
+
+
+class _Record:
+    """A record of the fields its class names in ``__slots__``, in that order.
+
+    Records of one class with equal fields are equal and hash alike, a record prints
+    as ``Class(field=value, ...)``, and a field cannot be assigned or deleted once
+    ``__init__`` has set it with :data:`_set`.  A mutable class takes ``__setattr__``
+    and ``__delattr__`` back from ``object``, and a class compared by identity
+    ``__eq__`` and ``__hash__``.  ``copy`` and ``pickle`` restore fields unchecked.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _fill(self, *values) -> None:
+        """Set the fields, in order, to ``values``; a hot constructor calls :data:`_set` instead."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self.__slots__:
+            a, b = getattr(self, name), getattr(other, name)
+            if a is not b and not a == b:  # as tuples compare their items
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():  # (instance dict, slot values)
+            _set(self, name, value)
+
+
+class BetaParams(_Record):
     """Parameters of a Beta(alpha, beta) distribution; both must be finite and > 0."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
-            raise ValueError(
-                f"Beta parameters must be finite and positive, got ({self.alpha}, {self.beta})"
-            )
+    def __init__(self, alpha: float, beta: float):
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise ValueError(f"Beta parameters must be finite and positive, got ({alpha}, {beta})")
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
 
 
 def _require_positive(z: float) -> None:

@@ -31,11 +31,11 @@ point maps and derivatives of many transforms at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import BetaParams, _beta_from_moments_lockstep, beta_from_moments, beta_to_moments
+from .specfun import _Record, _set
 
 __all__ = [
     "SCALED",
@@ -70,23 +70,21 @@ FAMILY_TRANSFORMS = {
 }
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(_Record):
     """One of the three scale maps, with its reference points."""
 
-    kind: str
-    a: float
-    b: float
+    __slots__ = ("kind", "a", "b")
 
-    def __post_init__(self) -> None:
-        if self.kind not in TRANSFORM_KINDS:
-            raise ValueError(
-                f"unknown transform kind {self.kind!r}; expected one of {TRANSFORM_KINDS}"
-            )
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"transform reference points must be finite, got a={self.a}, b={self.b}")
-        if self.a == self.b:
-            raise ValueError(f"transform reference points must differ, got a = b = {self.a}")
+    def __init__(self, kind: str, a: float, b: float):
+        if kind not in TRANSFORM_KINDS:
+            raise ValueError(f"unknown transform kind {kind!r}; expected one of {TRANSFORM_KINDS}")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"transform reference points must be finite, got a={a}, b={b}")
+        if a == b:
+            raise ValueError(f"transform reference points must differ, got a = b = {a}")
+        _set(self, "kind", kind)
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     def support(self) -> tuple[float, float]:
         """Open interval of natural-scale values, as an ascending (lo, hi) pair."""
@@ -103,22 +101,21 @@ class Transform:
         return lo < y < hi
 
 
-@dataclass(frozen=True)
-class MomentPair:
+class MomentPair(_Record):
     """A (mean, variance) pair; the variance must be finite and >= 0."""
 
-    mean: float
-    variance: float
+    __slots__ = ("mean", "variance")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.variance) and self.variance >= 0.0):
-            raise ValueError(f"variance must be finite and >= 0, got {self.variance}")
+    def __init__(self, mean: float, variance: float):
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean}")
+        if not (math.isfinite(variance) and variance >= 0.0):
+            raise ValueError(f"variance must be finite and >= 0, got {variance}")
+        _set(self, "mean", mean)
+        _set(self, "variance", variance)
 
 
-@dataclass(frozen=True)
-class PriorSpec:
+class PriorSpec(_Record):
     """A marginal prior for one basic quantity, tied to its transform.
 
     ``normal`` and ``lognormal`` priors are given by natural-scale mean and
@@ -127,44 +124,44 @@ class PriorSpec:
     transform's support.
     """
 
-    family: str
-    transform: Transform
-    mean: float | None = None
-    variance: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
+    __slots__ = ("family", "transform", "mean", "variance", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.family not in PRIOR_FAMILIES:
+    def __init__(
+        self, family: str, transform: Transform, mean: float | None = None,
+        variance: float | None = None, alpha: float | None = None, beta: float | None = None,
+    ):
+        if family not in PRIOR_FAMILIES:
+            raise ValueError(f"unknown prior family {family!r}; expected one of {PRIOR_FAMILIES}")
+        required = FAMILY_TRANSFORMS[family]
+        if transform.kind != required:
             raise ValueError(
-                f"unknown prior family {self.family!r}; expected one of {PRIOR_FAMILIES}"
+                f"{family} priors require the {required} transform, got {transform.kind}"
             )
-        required = FAMILY_TRANSFORMS[self.family]
-        if self.transform.kind != required:
-            raise ValueError(
-                f"{self.family} priors require the {required} transform, "
-                f"got {self.transform.kind}"
-            )
-        if self.family == BETA:
-            if self.mean is not None or self.variance is not None:
+        if family == BETA:
+            if mean is not None or variance is not None:
                 raise ValueError("beta priors take alpha/beta, not mean/variance")
-            if self.alpha is None or self.beta is None:
+            if alpha is None or beta is None:
                 raise ValueError("beta priors require alpha and beta")
-            BetaParams(self.alpha, self.beta)  # positivity check
+            BetaParams(alpha, beta)  # positivity check
         else:
-            if self.alpha is not None or self.beta is not None:
-                raise ValueError(f"{self.family} priors take mean/variance, not alpha/beta")
-            if self.mean is None or self.variance is None:
-                raise ValueError(f"{self.family} priors require mean and variance")
-            if not math.isfinite(self.mean):
-                raise ValueError(f"prior mean must be finite, got {self.mean}")
-            if not (math.isfinite(self.variance) and self.variance > 0.0):
-                raise ValueError(f"prior variance must be positive, got {self.variance}")
-            if not self.transform.contains(self.mean):
+            if alpha is not None or beta is not None:
+                raise ValueError(f"{family} priors take mean/variance, not alpha/beta")
+            if mean is None or variance is None:
+                raise ValueError(f"{family} priors require mean and variance")
+            if not math.isfinite(mean):
+                raise ValueError(f"prior mean must be finite, got {mean}")
+            if not (math.isfinite(variance) and variance > 0.0):
+                raise ValueError(f"prior variance must be positive, got {variance}")
+            if not transform.contains(mean):
                 raise ValueError(
-                    f"prior mean {self.mean} lies outside the transform support "
-                    f"{self.transform.support()}"
+                    f"prior mean {mean} lies outside the transform support {transform.support()}"
                 )
+        _set(self, "family", family)
+        _set(self, "transform", transform)
+        _set(self, "mean", mean)
+        _set(self, "variance", variance)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
 
 
 def _ratio(t: Transform, y: float) -> float:
@@ -219,23 +216,22 @@ def derivative(t: Transform, y: float) -> float:
     return 1.0 / (y - t.a) + 1.0 / (t.b - y)
 
 
-@dataclass(frozen=True, eq=False)
-class _TransformArrays:
+class _TransformArrays(_Record):
     """Many transforms, one per entry of an array, for the array forms of the point maps.
 
     :meth:`contains`, :meth:`forward` and :meth:`derivative` give what
     :meth:`Transform.contains`, :func:`forward_point` and :func:`derivative`
     give entry by entry, bit for bit, and the latter two mark the entries
-    where the scalar function raises.  Build with :meth:`of`.
+    where the scalar function raises.  Build with :meth:`of`.  ``scaled``
+    and ``logistic`` are kind masks, ``lo`` and ``hi`` the supports' ends,
+    and ``flat`` is 1 / (b - a), the scaled derivative.
     """
 
-    scaled: np.ndarray  # kind masks
-    logistic: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    lo: np.ndarray  # the supports' ends
-    hi: np.ndarray
-    flat: np.ndarray  # 1 / (b - a), the scaled derivative
+    __slots__ = ("scaled", "logistic", "a", "b", "lo", "hi", "flat")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, scaled, logistic, a, b, lo, hi, flat):
+        self._fill(scaled, logistic, a, b, lo, hi, flat)
 
     @classmethod
     def of(cls, ts: list[Transform], shape: tuple[int, ...]) -> _TransformArrays:
@@ -255,7 +251,7 @@ class _TransformArrays:
         return cls(kinds == SCALED, kinds == LOGISTIC_SCALED, a, b, lo, hi, flat)
 
     def __getitem__(self, at) -> _TransformArrays:
-        return _TransformArrays(*(v[at] for v in vars(self).values()))
+        return _TransformArrays(*(v[at] for v in self._values()))
 
     def contains(self, y: np.ndarray) -> np.ndarray:
         return (self.lo < y) & (y < self.hi)

@@ -1,6 +1,6 @@
 """Expression grammar, model documents, and the command-line surface."""
 
-import dataclasses
+import inspect
 import json
 import math
 import os
@@ -24,7 +24,9 @@ from gaussid.cli import (
     EXIT_OK,
     ExpressionError,
     SchemaError,
+    _DEFAULTS,
     _FIELDS,
+    _REQUIRED,
     _json_matrix,
     _table_rows,
     main,
@@ -457,8 +459,16 @@ class TestSchemaRules:
 
     def test_field_table_names_every_field(self):
         for cls, readers in _FIELDS.items():
+            params = inspect.signature(cls).parameters
             # A prior's transform is the node's, not a key of the prior object.
-            assert set(readers) == {f.name for f in dataclasses.fields(cls)} - {"transform"}
+            assert set(readers) == set(params) - {"transform"}
+            # The table's defaults are the constructor's, so a key is required
+            # exactly when the constructor has no default for it.
+            none = inspect.Parameter.empty
+            assert _DEFAULTS[cls] == {
+                key: p.default for key, p in params.items() if p.default is not none
+            }
+            assert _REQUIRED[cls] == {key for key in readers if params[key].default is none}
 
     def test_every_form_round_trips(self):
         text = json.dumps(ALL_FORMS_DOC, sort_keys=True)
@@ -749,6 +759,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr or "import gaussid.cli loaded scipy"
+
+
+def test_cli_import_leaves_dataclasses_and_argparse_unloaded():
+    # The records are written by hand and argparse loads when main runs, so
+    # a library import pays for neither; main still parses its arguments.
+    src = Path(gaussid.__file__).resolve().parent.parent
+    code = (
+        "import sys, gaussid.cli\n"
+        "print(sorted({'dataclasses', 'argparse'} & set(sys.modules)))\n"
+        "code = gaussid.cli.main(['validate', sys.argv[1]])\n"
+        "print(code, 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(RISK_DIFFERENCE)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "ok: 5 nodes", f"{EXIT_OK} True"]
 
 
 def test_module_runs_the_cli():
