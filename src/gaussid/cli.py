@@ -434,13 +434,9 @@ def parse_model(source: str | Path, check: bool = True) -> tuple[Diagram, Solver
     :func:`gaussid.model.validate`; pass ``check=False`` to obtain the
     diagram for separate validation reporting.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    else:
-        text = source
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as err:  # also too many digits, or too deep
+        doc = json.loads(source.read_text(encoding="utf-8") if isinstance(source, Path) else source)
+    except (ValueError, RecursionError) as err:  # also not UTF-8, too many digits, or too deep
         raise SchemaError("$", f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise SchemaError("$", "document must be a JSON object")

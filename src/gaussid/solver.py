@@ -46,16 +46,16 @@ maps the conditioned moments back to the natural scale:
     of squares); the posterior covariance A (I - V'V) A' is built once,
     packed, and only the reported iterate's correlations are n x n.
 3.  *Invert the moment maps* to get natural-scale posterior moments per
-    parameter, one prior family at a time: a family with at least
-    ``_BATCH_MIN`` members (a size fixed for the solve) is mapped as arrays,
-    the Beta inversions as one lockstep Newton iteration, and a smaller one
-    parameter by parameter, with the same bits either way, into arrays
-    (:class:`MomentPair` values are built once, for the reported iterate).
-    A parameter whose transformed posterior mean and variance kept every bit
-    since the previous iteration keeps its natural-scale moments; the array
-    maps give an entry the same bits whatever else is in the batch, so only
-    the others are mapped.  Then measure the relative change of the
-    transformed posterior means.
+    parameter, one prior family at a time.  A parameter whose transformed
+    posterior mean and variance kept every bit since the previous iteration
+    keeps its natural-scale moments, so a family maps every member in the
+    first iteration and only the others later.  When those are at least
+    ``_BATCH_MIN`` they are mapped as arrays, the Beta inversions as one
+    lockstep Newton iteration, and fewer parameter by parameter, with the
+    same bits either way (the array maps give an entry the same bits
+    whatever else is in the batch), into arrays (:class:`MomentPair` values
+    are built once, for the reported iterate).  Then measure the relative
+    change of the transformed posterior means.
 
 What a step keeps for the next lives in the :class:`SolverState` of one
 solve; the first iteration maps every parameter's moments, and walks only
@@ -151,19 +151,19 @@ MAX_ITERATIONS = "max_iterations"
 # Transform kind -> family whose moment identities invert that scale.
 _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 
-# A family with at least this many parameters maps its moments as arrays,
-# and an expression shape with at least this many deterministic nodes is
-# linearized as one tape; below it, numpy's fixed cost per call outweighs
-# the per-node loop.  Measured on whole families and shapes, on one CPU of a
-# 2-vCPU x86-64 machine: Beta families break even at about 16 members
-# (Normal and lognormal ones at 6 to 10), and the fan-in-6 shapes of the
-# mixed_expr benchmark at 6 to 8 nodes over a solve of three or four
-# iterations, the tape's building included.  A later iteration applies the
-# same size to the members whose inputs moved: a family maps them as arrays
-# only when there are at least this many, while a tape runs for any number
-# of them.  For such subsets the break-even is unmeasured: one Beta costs
-# about 220 us as an array and 37 us on its own, and one timing found 16
-# moved Betas slower as an array (551 us) than one by one (371 us).
+# A family with at least this many parameters to map in an iteration maps
+# them as arrays, and an expression shape with at least this many
+# deterministic nodes is linearized as one tape; below it, numpy's fixed cost
+# per call outweighs the per-node loop.  Measured on whole families and
+# shapes, on one CPU of a 2-vCPU x86-64 machine: Beta families break even at
+# about 16 members (Normal and lognormal ones at 6 to 10), and the fan-in-6
+# shapes of the mixed_expr benchmark at 6 to 8 nodes over a solve of three
+# or four iterations, the tape's building included.  A later iteration maps
+# only a family's members whose inputs moved, by the same rule, while a tape
+# runs for any number of them.  For such subsets the break-even is
+# unmeasured: one Beta costs about 220 us as an array and 37 us on its own,
+# and one timing found 16 moved Betas slower as an array (551 us) than one
+# by one (371 us).
 _BATCH_MIN = 16
 
 # A node's place in B's arcs: (level, row, parameter index, the row of
@@ -299,10 +299,10 @@ class SolverState:
         self, diagram: Diagram, param_ids: tuple[str, ...], order: tuple[str, ...],
         ev_parent: np.ndarray, ev_obs: np.ndarray, ev_components: tuple[np.ndarray, ...],
         ev_ancestors: tuple[np.ndarray, ...], packing: Packing, levels: Levels,
-        tapes: tuple[_Tape, ...], walked: list[Place],
-        batched: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray], ...],
-        one_by_one: list[int], cond_var: np.ndarray, post_x: np.ndarray, post_y: np.ndarray,
-        point_x: np.ndarray, t: int = 0, records: list[IterationRecord] | None = None,
+        tapes: tuple[_Tape, ...], walked: list[Place], families: dict[str, np.ndarray],
+        transforms: _TransformArrays | None, cond_var: np.ndarray, post_x: np.ndarray,
+        post_y: np.ndarray, point_x: np.ndarray, t: int = 0,
+        records: list[IterationRecord] | None = None,
         snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None,
         linearized: tuple[np.ndarray, list[np.ndarray]] | None = None,
         inverted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
@@ -323,10 +323,10 @@ class SolverState:
         # nodes; the places of the other deterministic nodes, walked one by one
         self.tapes = tapes
         self.walked = walked
-        # (family, parameter indices, transform a's, transform b's) for each family of
-        # at least _BATCH_MIN parameters; the members of the smaller ones, in parameter order
-        self.batched = batched
-        self.one_by_one = one_by_one
+        # each family's parameter indices, increasing, in order of first appearance;
+        # every parameter's transform, as arrays, when there are at least _BATCH_MIN
+        self.families = families
+        self.transforms = transforms
         self.cond_var = cond_var  # noise variances over the full order
         self.post_x = post_x  # previous posterior means of parameters (transformed scale)
         self.post_y = post_y  # previous posterior means of parameters (natural scale)
@@ -402,12 +402,12 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     mean_y = np.zeros(n)
     mean_x = np.zeros(n)
     cond_var = np.zeros(n)
-    members: dict[str, list[int]] = {}
+    families: dict[str, list[int]] = {}  # parameter indices by their transform's family
     betas: list[int] = []  # the basic parameters with Beta priors, and the others
     others: list[int] = []
     for k, pid in enumerate(param_ids):
         node = d.nodes[pid]
-        members.setdefault(_KIND_FAMILY[node.transform.kind], []).append(k)
+        families.setdefault(_KIND_FAMILY[node.transform.kind], []).append(k)
         if node.kind == BASIC:
             (betas if node.prior.family == BETA else others).append(k)
             mean_y[k] = _natural_prior_mean(node)
@@ -429,23 +429,6 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         else:
             mean_x[k], cond_var[k] = m.mean, m.variance
 
-    batched = []
-    one_by_one: list[int] = []
-    for family, idx in members.items():
-        if len(idx) < _BATCH_MIN:
-            one_by_one += idx
-            continue
-        transforms = [d.nodes[param_ids[k]].transform for k in idx]
-        batched.append(
-            (
-                family,
-                np.array(idx, dtype=np.intp),
-                np.array([t.a for t in transforms]),
-                np.array([t.b for t in transforms]),
-            )
-        )
-    one_by_one.sort()
-
     levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
 
     # Group the deterministic nodes by expression shape, level by level.
@@ -455,10 +438,10 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
             shapes.setdefault(d.nodes[param_ids[k]].expr.shape[0], []).append((level, row, k, ps))
     taped = [(ops, places) for ops, places in shapes.items() if len(places) >= _BATCH_MIN]
     walked = [place for places in shapes.values() if len(places) < _BATCH_MIN for place in places]
-    tapes = []
-    if taped:
+    transforms = None
+    if n >= _BATCH_MIN:  # there may be a tape or an array moment map to read it
         transforms = _TransformArrays.of([d.nodes[pid].transform for pid in param_ids], (n,))
-        tapes = [_tape(d, param_ids, index, levels, transforms, *shape) for shape in taped]
+    tapes = [_tape(d, param_ids, index, levels, transforms, *shape) for shape in taped]
 
     # The prior point and the first linearization there, level by level, as
     # linearize makes it: each tape's members in the level at once, then the
@@ -517,8 +500,8 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         levels=levels,
         tapes=tuple(tapes),
         walked=walked,
-        batched=tuple(batched),
-        one_by_one=one_by_one,
+        families={family: np.array(idx, dtype=np.intp) for family, idx in families.items()},
+        transforms=transforms,
         cond_var=np.concatenate([cond_var, ev_var]),
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
@@ -627,7 +610,7 @@ def _resolve(node: Node, d: Diagram) -> LikelihoodApprox:
     parent = d.nodes[node.parents[0]]
     try:
         return to_likelihood(node.obs, parent.transform, parent.prior)
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:  # a count, say, beyond float range
         raise InitializationError(
             f"cannot resolve observation {node.id!r}: {err}", node.id
         ) from err
@@ -820,36 +803,32 @@ def _natural_moments(
 
     A parameter whose (post_mean, post_var) have the bits they had at the
     previous call keeps that call's result; the first call maps every
-    parameter.  Of the others, the members of each family :func:`initialize`
-    found to have at least ``_BATCH_MIN`` go through the array map at once
-    when there are at least ``_BATCH_MIN`` of them; the map gives each entry
-    the same bits whatever else is in the batch.  The rest, and every entry
-    the array map could not finish, then go through :func:`inverse_moments`
-    one at a time in parameter order, so the first parameter that cannot be
-    mapped raises, with the message the per-parameter loop gives.
+    parameter.  A family with at least ``_BATCH_MIN`` of the others goes
+    through the array map at once, which gives each entry the same bits
+    whatever else is in the batch.  The rest, and every entry the array map
+    could not finish, then go through :func:`inverse_moments` one at a time
+    in parameter order, so the first parameter that cannot be mapped raises,
+    with the message the per-parameter loop gives.
     """
     saved, state.inverted = state.inverted, None  # until this call succeeds
     if saved is None:
-        moved = None
         mean_y, var_y = np.empty((2, state.n_params))
-        one_by_one = list(state.one_by_one)
     else:
         at_mean, at_var, mean_y, var_y = saved
         moved = (post_mean.view(np.int64) != at_mean.view(np.int64)) | (
             post_var.view(np.int64) != at_var.view(np.int64)
         )
-        one_by_one = [k for k in state.one_by_one if moved[k]]
-    for family, idx, a, b in state.batched:
-        if moved is not None:
-            redo = moved[idx]
-            if np.count_nonzero(redo) < _BATCH_MIN:
-                one_by_one += idx[redo].tolist()
-                continue
-            idx, a, b = idx[redo], a[redo], b[redo]
-        mean_y[idx], var_y[idx], done = _inverse_moments_array(
-            family, a, b, post_mean[idx], post_var[idx]
-        )
-        one_by_one += idx[~done].tolist()
+    one_by_one: list[int] = []
+    for family, idx in state.families.items():
+        if saved is not None:
+            idx = idx[moved[idx]]
+        if len(idx) >= _BATCH_MIN:
+            ts = state.transforms
+            mean_y[idx], var_y[idx], done = _inverse_moments_array(
+                family, ts.a[idx], ts.b[idx], post_mean[idx], post_var[idx]
+            )
+            idx = idx[~done]
+        one_by_one += idx.tolist()
 
     d = state.diagram
     for k in sorted(one_by_one):

@@ -607,6 +607,12 @@ class TestCommands:
         assert main(["validate", "/nonexistent/model.json"]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
 
+    def test_validate_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff")
+        assert main(["validate", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: $: not valid JSON: 'utf-8' codec")
+
     def test_validate_reports_violations(self, invalid_file, capsys):
         assert main(["validate", invalid_file]) == EXIT_INPUT
         err = capsys.readouterr().err

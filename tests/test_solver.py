@@ -304,6 +304,25 @@ class TestInitialize:
             solve(d)
         assert exc.value.node_id == "p"
 
+    @pytest.mark.parametrize(
+        "parent, look",
+        [
+            ("p", EvidenceSpec(variant="binomial", count=10**400, successes=3)),
+            (
+                "x",
+                EvidenceSpec(
+                    variant="normal_known_var", count=10**400, sample_mean=0.5, variance=1.0
+                ),
+            ),
+        ],
+    )
+    def test_a_count_beyond_float_range_names_the_observation(self, parent, look):
+        d = Diagram.from_nodes([normal_p("x", 0.5, 1.0), beta_p("p"), evidence("o", parent, look)])
+        with pytest.raises(InitializationError, match="cannot resolve observation 'o'") as exc:
+            solve(d)
+        assert exc.value.node_id == "o"
+        assert isinstance(exc.value.__cause__, OverflowError)
+
 
 def assert_constant_slopes(d, node_id, want):
     """``slopes`` of the node are ``want`` to 1e-9 relative at two distinct
@@ -1483,10 +1502,14 @@ class TestInitializeByArrays:
             monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
             states.append(initialize(d, SolverConfig(pool_evidence=pool)))
         batched, scalar = states
-        assert not scalar.tapes and not scalar.batched
+        assert not scalar.tapes and scalar.transforms is None
         assert batched.order == scalar.order
         for field in ("post_x", "post_y", "point_x", "cond_var", "ev_obs", "ev_parent"):
             assert getattr(batched, field).tobytes() == getattr(scalar, field).tobytes(), field
+        # and the scalar state maps every moment one by one
+        array_calls = spy_batches(monkeypatch)
+        step(scalar)
+        assert array_calls == []
 
     def test_a_beta_prior_that_overflows_in_a_family(self, monkeypatch):
         n = solver_mod._BATCH_MIN + 4
@@ -1769,6 +1792,47 @@ class TestReuse:
         assert [w for _, w, _ in counts] == [m for _, _, m in counts]
         # and the solve's last iteration finds most inputs unchanged
         assert len(counts) == 3 and counts[-1][0] < state.n_params // 2
+
+    def test_a_family_maps_as_arrays_only_batch_min_entries_or_more(self, monkeypatch):
+        # At the real _BATCH_MIN, each iteration maps as arrays the families
+        # with at least _BATCH_MIN entries to map (every parameter in the first
+        # iteration, the moved ones later), and the other entries one by one.
+        d, cfg = models_for_equivalence()["scale_1500"]
+        arrays, scalars = [], []
+        array_map, scalar_map = solver_mod._inverse_moments_array, solver_mod.inverse_moments
+
+        def spy_array(family, a, b, mean, var):
+            arrays.append((family, len(mean)))
+            return array_map(family, a, b, mean, var)
+
+        def spy_scalar(family, t, m):
+            scalars.append(family)
+            return scalar_map(family, t, m)
+
+        monkeypatch.setattr(solver_mod, "_inverse_moments_array", spy_array)
+        monkeypatch.setattr(solver_mod, "inverse_moments", spy_scalar)
+        state = initialize(d, cfg)
+        counts = []
+        while not state.records or state.records[-1].r_max >= cfg.epsilon:
+            saved = state.inverted
+            arrays.clear()
+            scalars.clear()
+            step(state)
+            record = state.records[-1]
+            if saved is None:
+                to_map = np.ones(state.n_params, dtype=bool)
+            else:
+                to_map = (record.posterior_mean_x.view(np.int64) != saved[0].view(np.int64)) | (
+                    record.posterior_var_x.view(np.int64) != saved[1].view(np.int64)
+                )
+            for family, idx in state.families.items():
+                entries = int(np.count_nonzero(to_map[idx]))
+                mapped = [k for f, k in arrays if f == family]
+                assert mapped == ([entries] if entries >= solver_mod._BATCH_MIN else [])
+                assert scalars.count(family) == (0 if mapped else entries)
+            counts.append((len(arrays), len(scalars)))
+        assert counts[0] == (1, 10)  # 20 Betas as arrays, 10 lognormals one by one
+        assert all(a == 0 for a, _ in counts[1:]) and len(counts) == 3
 
     def test_linearize_reads_an_edited_point(self):
         # linearize keys what it keeps on the bits of post_y, not on the
