@@ -22,6 +22,7 @@ Exit codes: 0 converged/ok, 2 diverged, 3 max-iterations reached,
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import sys
@@ -298,78 +299,60 @@ def _choice(options: tuple[str, ...]) -> Callable[[object, str, str], str]:
     return read
 
 
-# Each spec class's document keys and the reader of each key's value.  The
-# keys without a default in _DEFAULTS are required; the class's own checks do
-# the rest.
-_FIELDS: dict[type, dict[str, Callable]] = {
-    Transform: {"kind": _choice(TRANSFORM_KINDS), "a": _number, "b": _number},
-    PriorSpec: {
-        "family": _choice(PRIOR_FAMILIES),
-        "mean": _number,
-        "variance": _number,
-        "alpha": _number,
-        "beta": _number,
-    },
-    EvidenceSpec: {
-        "variant": _choice(EVIDENCE_VARIANTS),
-        "count": _integer,
-        "sample_mean": _number,
-        "variance": _number,
-        "sample_var": _number,
-        "successes": _integer,
-        "alpha": _number,
-        "beta": _number,
-        "lognormal_samples": _boolean,
-        "samples": _numbers,
-    },
-    SolverConfig: {
-        "epsilon": _number,
-        "divergence_window": _integer,
-        "max_iterations": _integer,
-        "pool_evidence": _boolean,
-    },
+# The reader of each document key's value, whichever spec class it is a key of.
+_READERS: dict[str, Callable] = {
+    "kind": _choice(TRANSFORM_KINDS),
+    "family": _choice(PRIOR_FAMILIES),
+    "variant": _choice(EVIDENCE_VARIANTS),
+    **dict.fromkeys(["a", "b", "mean", "variance", "alpha", "beta"], _number),
+    **dict.fromkeys(["sample_mean", "sample_var", "epsilon"], _number),
+    **dict.fromkeys(["count", "successes", "divergence_window", "max_iterations"], _integer),
+    **dict.fromkeys(["lognormal_samples", "pool_evidence"], _boolean),
+    "samples": _numbers,
 }
-# The defaults of the optional fields, as each class's constructor has them.
-_DEFAULTS: dict[type, dict] = {
-    Transform: {},
-    PriorSpec: dict.fromkeys(["mean", "variance", "alpha", "beta"]),
-    EvidenceSpec: {
-        **dict.fromkeys(["count", "sample_mean", "variance", "sample_var", "successes"]),
-        **dict.fromkeys(["alpha", "beta", "samples"]),
-        "lognormal_samples": False,
-    },
-    SolverConfig: {key: getattr(SolverConfig(), key) for key in _FIELDS[SolverConfig]},
+# Each spec class's document keys, in its constructor's order, with the
+# constructor's defaults; a key without one (inspect.Parameter.empty, which no
+# value equals) is required.  A prior's transform is the node's, not a key.
+_KEYS: dict[type, dict[str, object]] = {
+    cls: {k: p.default for k, p in inspect.signature(cls).parameters.items() if k != "transform"}
+    for cls in (Transform, PriorSpec, EvidenceSpec, SolverConfig)
 }
-_REQUIRED = {cls: keys.keys() - _DEFAULTS[cls].keys() for cls, keys in _FIELDS.items()}
+_REQUIRED = {
+    cls: {key for key, v in keys.items() if v is inspect.Parameter.empty} for cls, keys in _KEYS.items()
+}
 
 
 def _read(cls: type, obj, path: str, **given):
     """The ``cls`` spec declared by document object ``obj`` at ``path``.
 
     ``given`` holds fields that come from elsewhere in the document, such
-    as a prior's transform; they are not keys of ``obj``.
+    as a prior's transform; they are not keys of ``obj``.  The class's own
+    checks do the rest.
     """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    readers = _FIELDS[cls]
-    _require_keys(obj, path, _REQUIRED[cls], readers.keys())
+    _require_keys(obj, path, _REQUIRED[cls], _KEYS[cls].keys())
     for key, v in obj.items():
-        given[key] = readers[key](v, path, key)
+        given[key] = _READERS[key](v, path, key)
     try:
         return cls(**given)
     except ValueError as err:
         raise SchemaError(path, str(err)) from None
 
 
+def _fields(spec) -> dict:
+    """Each document key of ``spec`` with its value."""
+    return {key: getattr(spec, key) for key in _KEYS[type(spec)]}
+
+
 def _write(spec) -> dict:
     """The document object of ``spec``: its keys whose values differ from the defaults."""
-    defaults = _DEFAULTS[type(spec)]
-    out = {}
-    for key in _FIELDS[type(spec)]:
-        value = getattr(spec, key)
-        if key not in defaults or value != defaults[key]:
-            out[key] = list(value) if isinstance(value, tuple) else value
-    return out
+    defaults = _KEYS[type(spec)]
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in _fields(spec).items()
+        if value != defaults[key]
+    }
 
 
 def _transform(obj, path: str, read: dict) -> Transform:
@@ -672,13 +655,13 @@ def _print_solve_table(result: SolverResult, full: bool) -> None:
 
 
 def _cmd_solve(args, diagram: Diagram, config: SolverConfig) -> int:
+    # A flag given replaces its field of the document's solver block; the others stay.
+    flags = {"epsilon": args.epsilon, "max_iterations": args.max_iter}
+    flags["pool_evidence"] = False if args.no_pool else None
+    fields = _fields(config)
+    fields.update({key: v for key, v in flags.items() if v is not None})
     try:
-        config = SolverConfig(
-            config.epsilon if args.epsilon is None else args.epsilon,
-            config.divergence_window,
-            config.max_iterations if args.max_iter is None else args.max_iter,
-            False if args.no_pool else config.pool_evidence,
-        )
+        config = SolverConfig(**fields)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

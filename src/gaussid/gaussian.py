@@ -26,8 +26,9 @@ and an observed node's row of A is zero outside its live ancestors, so
 each group works on its own columns L_g of A: its block G_g G_g' + noise,
 with G_g = A[observed][:, L_g], is factored once by a symmetric
 eigendecomposition, which also gives the condition-number guard, and the
-update is a small factor V_g over those columns.  The posterior covariance
-is A (I - V'V) A': the variances are row sums of squares, and the
+update is a small factor V_g over those columns (for one column, the
+share 1 - V_g'V_g of its variance kept, in closed form).  The posterior
+covariance is A (I - V'V) A': the variances are row sums of squares, and the
 covariance itself, from which the correlations are read, is formed packed,
 by one more substitution pass, and only the n x n result is unpacked.
 """
@@ -247,36 +248,37 @@ _RUN = 64
 def _runs(ancestors: Sequence, vs: Sequence) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``(live ancestors, V)`` for runs of groups of one shape class.
 
-    ``ancestors`` and ``vs`` hold one (k, l) and one (k, s, l) array per shape
-    class.  A class of width l = 1 needs no temporary, so it is one run, and
-    one of width 0 changes nothing, so it has none.
+    ``ancestors`` and ``vs`` hold one (k, l) array and one update stack
+    (:func:`_factor_update`) per shape class.  A class of width l = 1 needs no
+    temporary, so it is one run, and one of width 0 changes nothing, so it has none.
     """
     for anc, v in zip(ancestors, vs):
-        k, s, l = v.shape
+        k, l = anc.shape
         if l == 0:
             continue
-        step = k if l == 1 else max(1, _RUN // max(s, l))
+        step = k if l == 1 else max(1, _RUN // max(v.shape[1], l))
         for first in range(0, k, step):
             yield anc[first : first + step], v[first : first + step]
 
 
-def _update_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: Sequence) -> np.ndarray:
-    """The diagonal of A V'V A': row sums of (A[:, L_g] V_g')^2 summed over the groups g.
+def _posterior_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: Sequence) -> np.ndarray:
+    """The diagonal of A (I - V'V) A': row sums of A^2, less those of (A[:, L_g] V_g')^2.
 
     A group, its columns and the rows where they are nonzero are in one
-    component.  A one-column group puts |V_g|^2 into a (component, column)
-    table that each row reads for its own; a wider one gathers its rows.
+    component.  A one-column group puts the share of its column it keeps
+    into a (component, column) table of ones that each row's squares are
+    weighted by; a wider one gathers its rows, whose sums are subtracted.
     """
-    weight, wide = np.zeros((len(pack.members), a.shape[1])), []
+    kept, wide = np.ones((len(pack.members), a.shape[1])), []
     for anc, v in _runs(ancestors, vs):
-        if v.shape[2] == 1:
-            weight[pack.comp[anc[:, 0]], pack.live_slot[anc[:, 0]]] = np.einsum("ksl,ksl->k", v, v)
+        if v.ndim == 1:
+            kept[pack.comp[anc[:, 0]], pack.live_slot[anc[:, 0]]] = v
             continue
         rows = pack.members[pack.comp[anc[:, 0]]]  # (k, w), -1 past each component's end
         x = a[rows[:, :, None], pack.live_slot[anc][:, None, :]] @ v.swapaxes(1, 2)  # (k, w, s)
         keep = rows >= 0
         wide.append(np.bincount(rows[keep], np.einsum("kws,kws->kw", x, x)[keep], minlength=len(a)))
-    return sum(wide, np.einsum("it,it,it->i", a, a, weight[pack.comp]))
+    return np.einsum("it,it,it->i", a, a, kept[pack.comp]) - sum(wide, np.zeros(len(a)))
 
 
 def _covariance(
@@ -284,10 +286,10 @@ def _covariance(
 ) -> np.ndarray:
     """The covariance A (I - V'V) A', packed n x w (:class:`Packing`), exactly symmetric.
 
-    ``vs`` are :func:`_factor_update`'s factors on the groups' live
+    ``vs`` are :func:`_factor_update`'s updates on the groups' live
     ``ancestors`` (none for A A').  Y = A' - V'(V A'[L]) is A' with each
     group's rows L_g updated by its own V_g (a one-column group's row scaled
-    by 1 - |V_g|^2), packed like the covariance, and A Y is one
+    by the share 1 - V_g'V_g it keeps), packed like the covariance, and A Y is one
     :func:`_substitute` pass.  Substitution rounds the two triangles
     differently, so the result is averaged with its transpose, gathered by
     each entry's transpose partner.  Padding meets only padding.
@@ -295,8 +297,8 @@ def _covariance(
     x = np.zeros(pack.cols.shape)
     x[pack.live] = a[pack.cols[pack.live], pack.live_slot[pack.live, None]]
     for anc, v in _runs(ancestors, vs):
-        if v.shape[2] == 1:
-            x[anc[:, 0]] *= 1.0 - np.einsum("ksl,ksl->k", v, v)[:, None]
+        if v.ndim == 1:
+            x[anc[:, 0]] *= v[:, None]
             continue
         at = x[anc]  # (k, l, w)
         at -= _product(v.swapaxes(1, 2), _product(v, at))
@@ -494,11 +496,14 @@ def _factor_update(
     group needs only G_g = A[par_g][:, L_g] (s x l): its block
     G_g G_g' + diag(noise_g) is factored once as Q diag(lambda) Q'
     (:func:`_eigh_blocks`), V_g = diag(lambda)^-1/2 Q' G_g and
-    z_g = diag(lambda)^-1/2 Q' resid_g.
+    z_g = diag(lambda)^-1/2 Q' resid_g.  A group of one live ancestor
+    (l = 1) takes V_g' z_g and 1 - V_g'V_g from :func:`_one_column_update`
+    instead; its block is still factored, for the guard.
 
     Returns ``(A u, vs)``: the posterior mean is ``mean + A u``, with
     u[L_g] = V_g' z_g kept by (component, column), and the covariance
-    A (I - V'V) A', with ``vs`` the (k, s, l) stacks of V_g per class.
+    A (I - V'V) A', with ``vs`` per class the (k, s, l) stack of V_g or,
+    where l = 1, the (k,) shares 1 - V_g'V_g.
     """
     if not components:
         return np.zeros(len(a)), []
@@ -513,11 +518,33 @@ def _factor_update(
         blocks.append(block)
     vs = []
     for (idx, anc, cols, g), (val, vecs) in zip(groups, _eigh_blocks(blocks)):
+        if g.shape[2] == 1:
+            shift, keep = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
+            u[pack.comp[anc[:, 0]], cols[:, 0]] = shift
+            vs.append(keep)
+            continue
         scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)  # diag(lambda)^-1/2 Q'
         v = scaled @ g
         u[pack.comp[anc], cols] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
         vs.append(v)
     return np.einsum("it,it->i", a, u[pack.comp]), vs
+
+
+def _one_column_update(
+    g: np.ndarray, noise: np.ndarray, resid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """V'z and 1 - V'V of groups of one live ancestor, rows of ``g`` (k, s), with no difference.
+
+    With precisions relative to a group's least noise n_min, as in
+    :func:`~gaussid.evidence.pool` (w_e = n_min / n_e, and 1 where n_e = n_min,
+    so an exact entry counts in full), 1 - V'V = n_min / (n_min + sum g_e^2 w_e)
+    and V'z = sum g_e r_e w_e / (n_min + sum g_e^2 w_e).
+    """
+    least = noise.min(axis=1, keepdims=True)
+    w = np.divide(least, noise, out=np.ones(noise.shape), where=noise > least)
+    gw = g * w
+    total = least[:, 0] + np.einsum("ks,ks->k", gw, g)
+    return np.einsum("ks,ks->k", gw, resid) / total, least[:, 0] / total
 
 
 def condition(

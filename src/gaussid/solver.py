@@ -89,9 +89,9 @@ from .gaussian import (
     _factor_update,
     _forward_factor,
     _packing,
+    _posterior_variance,
     _substitute,
     _unpacked_correlations,
-    _update_variance,
 )
 from .gaussian import (  # noqa: F401  wrapped by bench/tracer.py
     condition,
@@ -177,22 +177,21 @@ class _Tape(_Record):
     Member i is parameter ``nodes[i]``; its expression is ``ops`` (of its
     :attr:`~gaussid.model.Expr.shape`) with constant slot j holding
     ``consts[j, i]`` (a literal or the sign of a signed add) and variable
-    slot s reading parameter ``parents[i, s]``.  ``own`` holds the members'
-    transforms (k,) and ``ins`` their parents' (k, slots).  ``places`` lists the members'
+    slot s reading parameter ``parents[i, s]``; their transforms are read
+    from :attr:`SolverState.transforms` by these indices.  ``places`` lists the members'
     places in the arcs, level by level, and ``cells`` has, for each level,
     its number, the slice of the members in it and the flat index of each
     slot's coefficient in that level's (rows, parents) coefficient array.
     """
 
-    __slots__ = ("ops", "nodes", "parents", "consts", "own", "ins", "places", "cells")
+    __slots__ = ("ops", "nodes", "parents", "consts", "places", "cells")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
         self, ops: tuple[tuple, ...], nodes: np.ndarray, parents: np.ndarray, consts: np.ndarray,
-        own: _TransformArrays, ins: _TransformArrays, places: list[Place],
-        cells: tuple[tuple[int, slice, np.ndarray], ...],
+        places: list[Place], cells: tuple[tuple[int, slice, np.ndarray], ...],
     ):
-        self._fill(ops, nodes, parents, consts, own, ins, places, cells)
+        self._fill(ops, nodes, parents, consts, places, cells)
 
 
 class SolverConfig(_Record):
@@ -441,7 +440,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     transforms = None
     if n >= _BATCH_MIN:  # there may be a tape or an array moment map to read it
         transforms = _TransformArrays.of([d.nodes[pid].transform for pid in param_ids], (n,))
-    tapes = [_tape(d, param_ids, index, levels, transforms, *shape) for shape in taped]
+    tapes = [_tape(d, param_ids, index, levels, *shape) for shape in taped]
 
     # The prior point and the first linearization there, level by level, as
     # linearize makes it: each tape's members in the level at once, then the
@@ -456,7 +455,8 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     for level, places in enumerate(by_level):
         for tape, at in [(tape, at) for tape in tapes for lv, at, _ in tape.cells if lv == level]:
             members = np.arange(at.start, at.stop)
-            mean_y[tape.nodes[at]], failing = _linearize_tape(tape, members, mean_y, mean_x, c)
+            y, failing = _linearize_tape(tape, members, transforms, mean_y, mean_x, c)
+            mean_y[tape.nodes[at]] = y
             places += failing
         for place in places:
             _, _, k, ps = place
@@ -573,14 +573,10 @@ def _tape(
     ids: tuple[str, ...],
     index: dict[str, int],
     levels: Levels,
-    transforms: _TransformArrays,
     ops: tuple,
     places: list[Place],
 ) -> _Tape:
-    """The tape of the nodes at ``places`` (level by level), whose expressions' shape is ``ops``.
-
-    ``transforms`` holds the parameters' transforms, in parameter order.
-    """
+    """The tape of the nodes at ``places`` (level by level), whose expressions' shape is ``ops``."""
     layouts = [d.nodes[ids[k]].expr.shape for _, _, k, _ in places]
     parents = np.array([[index[name] for name in names] for _, _, names in layouts], dtype=np.intp)
     rows = np.array([row for _, row, _, _ in places], dtype=np.intp)
@@ -593,14 +589,11 @@ def _tape(
         cells.append((level, at, rows[at, None] * par.shape[1] + column))
         start = at.stop
     consts = np.array([c for _, c, _ in layouts], dtype=float).reshape(len(places), -1)
-    members = np.array([k for _, _, k, _ in places], dtype=np.intp)
     return _Tape(
         ops=ops,
-        nodes=members,
+        nodes=np.array([k for _, _, k, _ in places], dtype=np.intp),
         parents=parents,
         consts=consts.T.copy(),
-        own=transforms[members],
-        ins=transforms[parents],
         places=places,
         cells=tuple(cells),
     )
@@ -664,7 +657,9 @@ def linearize(state: SolverState) -> Arcs:
         redo = [np.flatnonzero(moved[tape.parents].any(axis=1)) for tape in state.tapes]
     for tape, members in zip(state.tapes, redo):
         if members.size:
-            walked += _linearize_tape(tape, members, state.post_y, state.point_x, c)[1]
+            walked += _linearize_tape(
+                tape, members, state.transforms, state.post_y, state.point_x, c
+            )[1]
     failed: list[tuple[int, ValueError]] = []
     for place in walked:
         try:
@@ -681,13 +676,15 @@ def linearize(state: SolverState) -> Arcs:
 def _linearize_tape(
     tape: _Tape,
     members: np.ndarray,
+    transforms: _TransformArrays,
     post_y: np.ndarray,
     point_x: np.ndarray,
     c: list[np.ndarray],
 ) -> tuple[np.ndarray, list[Place]]:
     """Linearize a tape's ``members`` at ``post_y`` into ``point_x`` and the coefficients ``c``.
 
-    ``members`` are increasing member indices.  One pass of
+    ``members`` are increasing member indices, and ``transforms`` holds every
+    parameter's transform (:attr:`SolverState.transforms`).  One pass of
     :func:`~gaussid.model._slopes_columns` over them gives each node's
     value and slopes, bit for bit those of its own walk whatever else is in
     the pass, and marks the members whose walk would raise; their entries
@@ -695,12 +692,13 @@ def _linearize_tape(
     of the marked ones, for :func:`_linearize_node` to walk them one by
     one, which rewrites their entries or names the error.
     """
-    own = tape.own[members]
+    nodes, parents = tape.nodes[members], tape.parents[members]
+    own = transforms[nodes]
     y, b, failed = _slopes_columns(
-        tape.ops, tape.consts[:, members], post_y[tape.parents[members]], own, tape.ins[members]
+        tape.ops, tape.consts[:, members], post_y[parents], own, transforms[parents]
     )
     x, ok = own.forward(y)
-    point_x[tape.nodes[members]] = x
+    point_x[nodes] = x
     for level, at, flat in tape.cells:
         lo, hi = np.searchsorted(members, (at.start, at.stop))
         c[level].reshape(-1)[flat[members[lo:hi] - at.start]] = b[lo:hi]
@@ -773,8 +771,7 @@ def step(state: SolverState) -> IterationRecord:
     # The diagonal of A (I - V'V) A'.  inf - inf is NaN, which
     # _natural_moments reports by name.
     with np.errstate(invalid="ignore"):
-        update = _update_variance(a, state.packing, state.ev_ancestors, vs)
-        post_var = np.maximum(np.einsum("ij,ij->i", a, a) - update, 0.0)
+        post_var = np.maximum(_posterior_variance(a, state.packing, state.ev_ancestors, vs), 0.0)
     mean_y, var_y = _natural_moments(state, post_mean, post_var)
 
     r = _relative_change(post_mean, state.post_x)

@@ -24,8 +24,8 @@ from gaussid.cli import (
     EXIT_OK,
     ExpressionError,
     SchemaError,
-    _DEFAULTS,
-    _FIELDS,
+    _KEYS,
+    _READERS,
     _REQUIRED,
     _json_matrix,
     _table_rows,
@@ -49,8 +49,10 @@ from gaussid.model import (
     format_expr,
     validate,
 )
+from gaussid.evidence import EvidenceSpec
 from gaussid.oracle import mc_posterior
 from gaussid.solver import SolverConfig, solve
+from gaussid.transforms import PriorSpec, Transform
 from helpers import bench_generate
 
 MODELS = Path(__file__).resolve().parent.parent / "docs" / "models"
@@ -458,17 +460,19 @@ class TestSchemaRules:
         assert validate(diagram) == [("e1", "binomial evidence requires a logistic_scaled parent")]
 
     def test_field_table_names_every_field(self):
-        for cls, readers in _FIELDS.items():
+        # Each spec class's document keys are its constructor's parameters, in
+        # order, but a prior's transform, which is the node's; each key has a
+        # reader, and the table has no reader for a key no class has.
+        assert set(_KEYS) == {Transform, PriorSpec, EvidenceSpec, SolverConfig}
+        for cls, keys in _KEYS.items():
             params = inspect.signature(cls).parameters
-            # A prior's transform is the node's, not a key of the prior object.
-            assert set(readers) == set(params) - {"transform"}
-            # The table's defaults are the constructor's, so a key is required
-            # exactly when the constructor has no default for it.
+            assert list(keys) == [key for key in params if key != "transform"]
+            assert all(key in _READERS for key in keys)
+            # a key is required exactly when the constructor has no default for it
             none = inspect.Parameter.empty
-            assert _DEFAULTS[cls] == {
-                key: p.default for key, p in params.items() if p.default is not none
-            }
-            assert _REQUIRED[cls] == {key for key in readers if params[key].default is none}
+            assert _REQUIRED[cls] == {key for key in keys if params[key].default is none}
+            assert {key: params[key].default for key in keys} == keys
+        assert set(_READERS) == {key for keys in _KEYS.values() for key in keys}
 
     def test_every_form_round_trips(self):
         text = json.dumps(ALL_FORMS_DOC, sort_keys=True)
@@ -679,6 +683,22 @@ class TestCommands:
 
     def test_solve_no_pool_still_converges(self, capsys):
         assert main(["solve", str(BETA_BINOMIAL), "--no-pool"]) == EXIT_OK
+
+    def test_solve_flags_keep_the_other_solver_fields(self, tmp_path, monkeypatch, capsys):
+        doc = json.loads(BETA_BINOMIAL.read_text())
+        doc["solver"] = {"divergence_window": 7, "max_iterations": 9}
+        path = tmp_path / "solver_block.json"
+        path.write_text(json.dumps(doc))
+        configs = []
+        monkeypatch.setattr(
+            "gaussid.cli.solve", lambda d, cfg: configs.append(cfg) or solve(d, cfg)
+        )
+        assert main(["solve", str(path), "--epsilon", "1e-8", "--no-pool"]) == EXIT_OK
+        assert configs == [
+            SolverConfig(
+                epsilon=1e-8, divergence_window=7, max_iterations=9, pool_evidence=False
+            )
+        ]
 
     def test_missing_required_flag_is_input_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -1108,11 +1128,13 @@ def test_json_writes_null_for_an_estimate_that_overflows(tmp_path, capsys):
 
 def test_an_overflow_raises_no_numpy_warning(tmp_path, capsys):
     path = _risk_difference_with(tmp_path, "exp(1000 * p_treated)", _WIDE)
-    # Two looks of mean 1.5e308: unpooled, the conditioned mean overflows.
+    # Two looks of mean 1.5e308 on x / 10, whose prior is N(0.1, 1) on that
+    # scale: unpooled, the conditioned mean there is 1e308, so x's, 1e309,
+    # overflows.
     huge = tmp_path / "huge.json"
     look = {"variant": "normal_known_var", "count": 1, "sample_mean": 1.5e308, "variance": 1.0}
-    prior = {"family": "normal", "mean": 1.0, "variance": 0.1}
-    x = {"id": "x", "kind": "basic", "transform": {"kind": "scaled", "a": 0, "b": 1}, "prior": prior}
+    prior = {"family": "normal", "mean": 1.0, "variance": 100.0}
+    x = {"id": "x", "kind": "basic", "transform": {"kind": "scaled", "a": 0, "b": 10}, "prior": prior}
     looks = [{"id": f"o{k}", "kind": "evidence", "parent": "x", "evidence": look} for k in range(2)]
     huge.write_text(json.dumps({"schema_version": "1", "nodes": [x, *looks]}))
     with warnings.catch_warnings(record=True) as caught:
@@ -1145,26 +1167,67 @@ def _looked_at(looks):
 
 
 @pytest.mark.parametrize(
-    "looks,flags,matrix",
+    "looks,flags",
     [
-        ([(0.5, 1e-320)], [], [[0.0]]),
-        ([(0.5, 1e-320)], ["--no-pool"], [[0.0]]),
-        ([(0.5, 1e-320), (0.7, 1.0)], ["--no-pool"], [[1.0]]),
+        ([(0.5, 1e-320)], []),
+        ([(0.5, 1e-320)], ["--no-pool"]),
+        ([(0.5, 1e-320), (0.7, 1.0)], []),
+        ([(0.5, 1e-320), (0.7, 1.0)], ["--no-pool"]),
     ],
 )
-def test_a_parameter_without_posterior_variance_correlates_zero(
-    tmp_path, capsys, looks, flags, matrix
-):
-    # A look of variance 1e-320 leaves x a posterior variance of 0.0, and x
-    # then correlates 0 with every parameter, itself included; a second look,
-    # conditioned separately, leaves it 1.39e-17, and the correlation 1.
+def test_a_look_of_variance_1e_320_leaves_that_variance(tmp_path, capsys, looks, flags):
+    # The exact posterior variance, 1 / (10 + 1e320 + 1), rounds to 1e-320
+    # whether the looks are pooled or not; it is positive, so x correlates 1
+    # with itself.
     path = tmp_path / "looked_at.json"
     path.write_text(json.dumps(_looked_at(looks)))
     assert main(["solve", str(path), "--json", *flags]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    assert payload["correlations"]["matrix"] == matrix
-    variance = payload["posterior"]["x"]["variance"]
-    assert variance > 0.0 if matrix == [[1.0]] else variance == 0.0
+    assert payload["posterior"]["x"]["variance"] == 1e-320
+    assert payload["correlations"]["matrix"] == [[1.0]]
+
+
+@pytest.mark.parametrize("prior_variance", [1e8, 1e12, 1e16])
+@pytest.mark.parametrize(
+    "looks,flags",
+    [
+        ([(1.0, 1e-4)], []),
+        ([(1.0, 1e-4)], ["--no-pool"]),
+        ([(1.0, 1e-4), (2.0, 1e6)], []),
+        ([(1.0, 1e-4), (2.0, 1e6)], ["--no-pool"]),
+    ],
+)
+def test_a_look_far_more_precise_than_the_prior_is_conjugate(
+    tmp_path, capsys, prior_variance, looks, flags
+):
+    # m ~ N(0, v0) on scaled(0, 1) and looks of variance v: the posterior is
+    # N(sum(d / v) / P, 1 / P) with P = 1 / v0 + sum(1 / v).  Forming the
+    # variance as a difference of terms of size v0 loses its digits.
+    doc = _looked_at(looks)
+    doc["nodes"][0]["prior"] = {"family": "normal", "mean": 0.0, "variance": prior_variance}
+    path = tmp_path / "conjugate.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--json", *flags]) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)["posterior"]["x"]
+    variance = 1.0 / (1.0 / prior_variance + sum(1.0 / v for _, v in looks))
+    assert got["variance"] == pytest.approx(variance, rel=1e-12, abs=0)
+    assert got["mean"] == pytest.approx(variance * sum(d / v for d, v in looks), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-pool"]])
+def test_a_parameter_without_posterior_variance_correlates_zero(tmp_path, capsys, flags):
+    # d = x - x has no variance, a priori or a posteriori: it correlates 0
+    # with every parameter, itself included.
+    doc = _looked_at([(0.5, 0.01), (0.6, 0.02)])
+    d = {"id": "d", "kind": "deterministic", "expr": "x - x"}
+    doc["nodes"].insert(1, {**d, "transform": {"kind": "scaled", "a": -1.0, "b": 1.0}})
+    path = tmp_path / "no_variance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--json", *flags]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["posterior"]["d"]["variance"] == 0.0
+    assert payload["posterior"]["x"]["variance"] > 0.0
+    assert payload["correlations"]["matrix"] == [[1.0, 0.0], [0.0, 0.0]]
 
 
 def test_a_pooled_variance_that_underflows_is_named(tmp_path, capsys):

@@ -18,12 +18,13 @@ from gaussid.gaussian import (
     _factor_update,
     _forward_factor,
     _level_arcs,
+    _one_column_update,
     _packing,
+    _posterior_variance,
     _product,
     _substitute,
     _unpack,
     _unpacked_correlations,
-    _update_variance,
     condition,
     condition_sequential,
     correlation,
@@ -70,11 +71,17 @@ def times_factor(arcs, scale, rhs):
 
 
 def dense_factor_update(a, components, ancestors, par, noise, resid):
-    """``(u, vs)`` of the factor-space update on the n x n factor ``a``: u has one entry per node."""
+    """``(u, vs)`` of the factor-space update on the n x n factor ``a``: u has one entry per node.
+
+    A group of one live ancestor takes the closed form, the others V by eigh."""
     u, vs = np.zeros(a.shape[1]), []
     for idx, anc in zip(components, ancestors):
         s = idx.shape[1]
         g = a[par[idx][:, :, None], anc[:, None, :]]
+        if anc.shape[1] == 1:
+            u[anc[:, 0]], keep = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
+            vs.append(keep)
+            continue
         block = g @ g.swapaxes(1, 2)
         block[:, np.arange(s), np.arange(s)] += noise[idx]
         val, vecs = np.linalg.eigh(block)
@@ -85,23 +92,27 @@ def dense_factor_update(a, components, ancestors, par, noise, resid):
     return u, vs
 
 
-def dense_update_variance(a, ancestors, vs):
-    """The diagonal of A V'V A' over all n rows of the n x n factor ``a``."""
-    out = np.zeros(len(a))
+def dense_variance_terms(a, ancestors, vs):
+    """The diagonal of A (I - V'V) A' over all n rows of the n x n factor ``a``, as the
+    pair (A^2 by the shares one-column groups keep, A^2 V'V of the wider groups)."""
+    keep, wide = np.ones(a.shape[1]), np.zeros(len(a))
     for anc, v in zip(ancestors, vs):
+        if v.ndim == 1:
+            keep[anc[:, 0]] = v
+            continue
         x = a[:, anc].swapaxes(0, 1) @ v.swapaxes(1, 2)  # (k, n, s)
-        out += np.einsum("kns,kns->n", x, x)
-    return out
+        wide += np.einsum("kns,kns->n", x, x)
+    return (a * a) @ keep, wide
 
 
 def dense_covariance(arcs, scale, a, ancestors, vs):
     """A (I - V'V) A' as an n x n Y and one :func:`times_factor` pass, symmetrized."""
     y = a.T.copy()
     for anc, v in zip(ancestors, vs):
-        if v.shape[2] == 0:  # a group with no live ancestor changes nothing
+        if anc.shape[1] == 0:  # a group with no live ancestor changes nothing
             continue
-        if v.shape[2] == 1:
-            y[anc[:, 0]] *= 1.0 - np.einsum("ksl,ksl->k", v, v)[:, None]
+        if v.ndim == 1:  # one live ancestor: the share of its row the group keeps
+            y[anc[:, 0]] *= v[:, None]
             continue
         at = y[anc]
         at -= _product(v.swapaxes(1, 2), _product(v, at))
@@ -604,15 +615,16 @@ def evidence_dags(draw):
     return parents, live, observed
 
 
-def dense_update(vs, ancestors, q):
-    """V as one dense (entries x q) matrix: each group's rows on its own l columns."""
-    rows = [np.zeros((0, q))]
+def dense_kept(vs, ancestors, q):
+    """I - V'V as one dense q x q matrix: each group's block on its own l columns."""
+    kept = np.eye(q)
     for v, anc in zip(vs, ancestors):
         for vg, cols in zip(v, anc):
-            row = np.zeros((len(vg), q))
-            row[:, cols] = vg
-            rows.append(row)
-    return np.concatenate(rows)
+            if v.ndim == 1:  # the share of its one column the group keeps
+                kept[cols[0], cols[0]] = vg
+            else:
+                kept[np.ix_(cols, cols)] -= vg.T @ vg
+    return kept
 
 
 def factor_space_posterior(parents, coeffs, cond_var, mean, observed, noise, obs):
@@ -623,7 +635,7 @@ def factor_space_posterior(parents, coeffs, cond_var, mean, observed, noise, obs
     pack = _packing(levels, cond_var > 0.0)
     a = _forward_factor(arcs, scale, pack)
     shift, vs = _factor_update(a, pack, components, ancestors, observed, noise, obs - mean[observed])
-    post_var = np.einsum("ij,ij->i", a, a) - _update_variance(a, pack, ancestors, vs)
+    post_var = _posterior_variance(a, pack, ancestors, vs)
     return mean + shift, post_var, packed_covariance(arcs, scale, pack, a, ancestors, vs)
 
 
@@ -687,19 +699,19 @@ class TestComponents:
             one = ((np.arange(m)[None, :],), (np.arange(q)[None, :],))
             want_shift, want_vs = _factor_update(a, pack, *one, par, noise, resid)
             np.testing.assert_allclose(mean + shift, mean + want_shift, rtol=1e-10, atol=1e-10)
-            got_term = a @ dense_update(vs, ancestors, q).T
-            want_term = a @ want_vs[0][0].T
+            got_cov = a @ dense_kept(vs, ancestors, q) @ a.T
+            want_cov = a @ (np.eye(q) - want_vs[0][0].T @ want_vs[0][0]) @ a.T
+            np.testing.assert_allclose(got_cov, want_cov, rtol=1e-10, atol=1e-10)
+            got_var = _posterior_variance(a, pack, ancestors, vs)
             np.testing.assert_allclose(
-                got_term @ got_term.T, want_term @ want_term.T, rtol=1e-10, atol=1e-10
-            )
-            got_var = _update_variance(a, pack, ancestors, vs)
-            np.testing.assert_allclose(
-                got_var, _update_variance(a, pack, one[1], want_vs), rtol=1e-10, atol=1e-10
+                got_var, _posterior_variance(a, pack, one[1], want_vs), rtol=1e-10, atol=1e-10
             )
             cross = a[par] @ a.T
             gain = cross.T @ np.linalg.inv(a[par] @ a[par].T + np.diag(noise))
             np.testing.assert_allclose(mean + shift, mean + gain @ resid, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(got_var, np.diag(gain @ cross), rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(
+                got_var, np.diag(a @ a.T - gain @ cross), rtol=1e-9, atol=1e-9
+            )
 
     def test_components_are_the_diagonal_blocks_of_the_evidence(self):
         # Entries in different components have exactly zero covariance, and
@@ -790,9 +802,10 @@ class TestComponents:
         np.testing.assert_allclose(
             np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", want_a, want_a), rtol=1e-14, atol=0
         )
-        got_update = _update_variance(a, pack, ancestors, vs)
-        terms = dense_update_variance(np.abs(want_a), ancestors, [np.abs(v) for v in vs])
-        assert np.all(np.abs(got_update - dense_update_variance(want_a, ancestors, vs)) <= 1e-14 * terms)
+        got_var = _posterior_variance(a, pack, ancestors, vs)
+        kept, wide = dense_variance_terms(want_a, ancestors, vs)
+        terms = kept + dense_variance_terms(np.abs(want_a), ancestors, [np.abs(v) for v in vs])[1]
+        assert np.all(np.abs(got_var - (kept - wide)) <= 1e-14 * terms)
 
         got = _covariance(arcs, scale, pack, a, ancestors, vs)
         want = dense_covariance(arcs, scale, want_a, ancestors, vs)

@@ -262,6 +262,56 @@ class TestInitialize:
             solve(d)
         assert exc.value.node_id == "o0"
 
+    @pytest.mark.parametrize(
+        "prior,looks",
+        [
+            # three looks at a Normal, one of them diffuse
+            (
+                normal_p("x", 0.0, 4.0),
+                [normal_look(1.0, 0.5), normal_look(1.5, 0.25), normal_look(-3.0, 1e6)],
+            ),
+            (
+                beta_p("x", 2.0, 3.0),
+                [
+                    EvidenceSpec(variant="binomial", count=10, successes=3),
+                    EvidenceSpec(variant="binomial", count=20, successes=9),
+                ],
+            ),
+            # raw samples at a lognormal, known and unknown variance
+            (
+                lognormal_p("x", 2.0, 0.5),
+                [
+                    EvidenceSpec(
+                        variant="normal_known_var", variance=0.2, lognormal_samples=True,
+                        samples=(1.8, 2.2, 2.5),
+                    ),
+                    EvidenceSpec(
+                        variant="normal_unknown_var", lognormal_samples=True,
+                        samples=(1.2, 1.4, 1.9, 1.6, 1.3),
+                    ),
+                ],
+            ),
+        ],
+        ids=["normal", "beta", "lognormal"],
+    )
+    def test_looks_at_a_basic_parameter_pool_to_1e_12(self, prior, looks):
+        # Pooling the looks at a basic parameter is conditioning on them, so
+        # both ways agree to rounding: on x and on its child z, and in their
+        # correlation.
+        z = deterministic("z", Transform("scaled", 0.0, 2.0), Mul(Const(2.0), Var("x")))
+        d = Diagram.from_nodes(
+            [prior, z] + [evidence(f"o{k}", "x", look) for k, look in enumerate(looks)]
+        )
+        pooled, split = solve(d), solve(d, SolverConfig(pool_evidence=False))
+        assert pooled.status == split.status == CONVERGED
+        for pid in ("x", "z"):
+            got, want = pooled.posterior_y[pid], split.posterior_y[pid]
+            assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+            assert got.variance == pytest.approx(want.variance, rel=1e-12, abs=0)
+        np.testing.assert_allclose(
+            pooled.posterior_correlations, split.posterior_correlations, rtol=0, atol=1e-12
+        )
+
     def test_the_one_group_that_cannot_pool_is_named(self):
         # Two looks of mean 1.5e308 overflow the weighted sum of group x6,
         # one of _BATCH_MIN + 4 groups of two.
@@ -1924,11 +1974,12 @@ class TestReuse:
 
 @pytest.fixture(scope="module")
 def mixed_tapes():
-    """The shape tapes of the smoke ``mixed_expr`` with ``_BATCH_MIN`` at 2, and its post_y."""
+    """The shape tapes of the smoke ``mixed_expr`` with ``_BATCH_MIN`` at 2, its
+    parameters' transforms and its post_y."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(solver_mod, "_BATCH_MIN", 2)
         state = initialize(models_for_equivalence()["mixed_expr"][0])
-    return state.tapes, state.post_y
+    return state.tapes, state.transforms, state.post_y
 
 
 @settings(max_examples=60, deadline=None)
@@ -1936,16 +1987,19 @@ def mixed_tapes():
 def test_a_tape_walks_a_subset_of_its_members_with_the_full_bits(mixed_tapes, data):
     # What linearize's reuse rests on: each member of a tape gets the same
     # bits from _slopes_columns whatever other members share the pass.
-    tapes, post_y = mixed_tapes
+    # A subset's transforms are gathered from the state's one table, as
+    # _linearize_tape gathers them.
+    tapes, ts, post_y = mixed_tapes
     tape = data.draw(st.sampled_from(tapes))
     k = len(tape.nodes)
     scale = data.draw(st.sampled_from([0.0, 1e-3, 0.5, 3.0]))
     seed = data.draw(st.integers(0, 2**32 - 1))
     at = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
     y = post_y * (1.0 + scale * np.random.default_rng(seed).standard_normal(len(post_y)))
-    full = _slopes_columns(tape.ops, tape.consts, y[tape.parents], tape.own, tape.ins)
+    nodes, parents = tape.nodes, tape.parents
+    full = _slopes_columns(tape.ops, tape.consts, y[parents], ts[nodes], ts[parents])
     part = _slopes_columns(
-        tape.ops, tape.consts[:, at], y[tape.parents[at]], tape.own[at], tape.ins[at]
+        tape.ops, tape.consts[:, at], y[parents[at]], ts[nodes[at]], ts[parents[at]]
     )
     for whole, subset in zip(full, part):
         assert whole[at].tobytes() == subset.tobytes()
