@@ -253,13 +253,15 @@ def pool(items: list[LikelihoodApprox]) -> LikelihoodApprox:
     Precisions are taken relative to the largest: with v_min the smallest
     variance and r_i = v_min / v_i <= 1, the result is v = v_min / sum r_i
     and d = sum d_i r_i / sum r_i.  No reciprocal of a tiny variance is
-    formed, and one observation comes back bit for bit (r = 1.0).  A
-    pooled variance below the smallest float raises ``ValueError``.
+    formed, and one observation comes back bit for bit (r = 1.0).  A sum
+    that overflows is redone with every d_i scaled by a power of two (exact
+    above the subnormals), so a finite mean is found.  A pooled variance
+    below the smallest float raises ``ValueError``.
     """
     if not items:
         raise ValueError("cannot pool an empty list of observations")
     v_min = min(it.v for it in items)
-    total, weighted = 0.0, -0.0  # -0.0 + x is x, for x = -0.0 too
+    total, weighted, scale = 0.0, -0.0, 1.0  # -0.0 + x is x, for x = -0.0 too
     for it in items:
         r = v_min / it.v
         total += r
@@ -267,7 +269,12 @@ def pool(items: list[LikelihoodApprox]) -> LikelihoodApprox:
     v = v_min / total
     if v == 0.0:
         raise ValueError(f"the pooled variance {v_min!r} / {total!r} underflows to 0")
-    return LikelihoodApprox(weighted / total, v)
+    if math.isinf(weighted):  # the mean is at most the largest |d_i|, and may be finite
+        scale = 2.0 ** math.frexp(total)[1]  # above total, so the scaled sum stays finite
+        weighted = -0.0
+        for it in items:
+            weighted += it.d / scale * (v_min / it.v)
+    return LikelihoodApprox(weighted / total * scale, v)
 
 
 def lognormal_sample_adapter(

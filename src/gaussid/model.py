@@ -11,13 +11,12 @@ A diagram is a DAG of named nodes of three kinds:
 Expressions are immutable trees supporting evaluation and printing, each
 walked as one loop over its post-order sequence, so neither size nor depth
 is limited; :func:`value_and_gradient` returns an expression's value and
-its partials together, from one walk.  :func:`point_value` (a node's
-support-checked value) and :func:`slopes` (its value and transformed-scale
-slopes) are the pieces of linearizing a deterministic node, and
-``_slopes_columns`` linearizes many nodes whose expressions share an
-:attr:`Expr.shape` (the operators with slots for the constants and
-variables, ``+`` and ``-`` one signed add and ``-c`` a literal) in one pass
-over numpy columns, with the bits of the one-node walk.
+its partials together, from one walk.  :func:`slopes` (a deterministic
+node's support-checked value and transformed-scale slopes) linearizes one
+node, and ``_slopes_columns`` linearizes many nodes whose expressions
+share an :attr:`Expr.shape` (the operators with slots for the constants
+and variables, ``+`` and ``-`` one signed add and ``-c`` a literal) in one
+pass over numpy columns, with the bits of the one-node walk.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ __all__ = [
     "validate",
     "ensure_valid",
     "topological_order",
-    "point_value",
     "slopes",
 ]
 
@@ -702,27 +700,17 @@ def _parents_first(d: Diagram) -> bool:
 # Linearizing deterministic nodes
 
 
-def point_value(node: Node, env: dict[str, float]) -> float:
-    """``f(env)`` of a deterministic node; ``ValueError`` if undefined or off its support."""
-    return _on_support(node, eval_expr(node.expr, env))
-
-
-def _on_support(node: Node, y: float) -> float:
-    if not node.transform.contains(y):
-        raise ValueError(
-            f"value {y} lies outside its transform support {node.transform.support()}"
-        )
-    return y
-
-
 def slopes(node: Node, d: Diagram, env: dict[str, float]) -> tuple[float, dict[str, float]]:
     """``f(env)`` and the slopes ``T'(f(env)) * (df/dy_i)(env) / T'_i(env[i])`` by parent i.
 
-    One walk gives both.  Raises ``ValueError`` where :func:`point_value`
-    does, and :class:`EvalError` when a partial is not finite at ``env``.
+    One walk gives both.  Raises ``ValueError`` where f is undefined at
+    ``env`` or its value lies off the node's transform support, and
+    :class:`EvalError` when a partial is not finite there.
     """
     y, grad = value_and_gradient(node.expr, env)
-    t_out = derivative(node.transform, _on_support(node, y))
+    if not node.transform.contains(y):
+        raise ValueError(f"value {y} lies outside its transform support {node.transform.support()}")
+    t_out = derivative(node.transform, y)
     out = {}
     for p in node.parents:
         g = grad[p]

@@ -7,8 +7,8 @@ parent's Beta prior read from the prior map), and each expression-shape
 tape (below) level by level.  What a pass cannot finish is redone one by
 one, so the values and errors are the scalar ones.  The walk that gives a
 deterministic node's value there gives its slopes too, so the prior point
-is also the first linearization: unless a slope is undefined there, the
-first iteration walks no expression.
+is also the first linearization, and the first iteration walks no
+expression.
 
 Each iteration rebuilds a Gaussian model of the transformed variables
 around the previous posterior point, conditions it on the evidence, and
@@ -58,8 +58,8 @@ maps the conditioned moments back to the natural scale:
     change of the transformed posterior means.
 
 What a step keeps for the next lives in the :class:`SolverState` of one
-solve; the first iteration maps every parameter's moments, and walks only
-what :func:`initialize` could not linearize.
+solve; the first iteration maps every parameter's moments, and walks no
+expression.
 
 The loop stops when the largest relative change drops below the
 tolerance, when it has grown strictly for ``divergence_window``
@@ -105,7 +105,6 @@ from .model import (
     Node,
     _slopes_columns,
     ensure_valid,
-    point_value,
     slopes,
     topological_order,
 )
@@ -343,8 +342,8 @@ class SolverState:
         # (post_y it linearized at, its coefficients c by level; its values are in
         # point_x), and (post_mean, post_var it inverted, mean_y, var_y).  Private
         # copies.  initialize seeds the first with the prior point's linearization,
-        # or leaves it None where a slope is undefined there; the second is None
-        # until the first inversion succeeds.
+        # and a failed linearize leaves it None; the second is None until the
+        # first inversion succeeds.
         self.linearized = linearized
         self.inverted = inverted
         # always empty: no node keeps constant coefficients; the benchmark's
@@ -379,8 +378,8 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     tape over its members in the level, the other nodes one by one, by
     :func:`linearize`'s :func:`_linearize_tape` and :func:`_linearize_node`.
     The same walks give their slopes, which seed ``linearized`` as the first
-    linearization, at the prior point, unless a node's slope is undefined
-    there: then the first iteration walks every node and names it.
+    linearization, at the prior point; a node whose value, transform or
+    slope is undefined there fails here.
     Evidence nodes are resolved to (observation, variance) pairs in one
     pass, keyed by node, or by observed parameter and pooled when the
     configuration asks for it; the entries are grouped into the diagonal
@@ -445,10 +444,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     # The prior point and the first linearization there, level by level, as
     # linearize makes it: each tape's members in the level at once, then the
     # level's other nodes and the members a tape cannot finish one by one.
-    # A node whose value is defined but a slope is not leaves the
-    # linearization to the first step, which names it.
     c = [np.zeros(par.shape) for _, par in levels]
-    seeded = True
     by_level: list[list[Place]] = [[] for _ in levels]
     for place in walked:
         by_level[place[0]].append(place)
@@ -459,18 +455,11 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
             mean_y[tape.nodes[at]] = y
             places += failing
         for place in places:
-            _, _, k, ps = place
+            k = place[2]
             try:
                 mean_y[k] = _linearize_node(d, param_ids, place, mean_y, mean_x, c)
-            except ValueError:  # the value may be defined where a slope is not
-                node = d.nodes[param_ids[k]]
-                try:
-                    mean_y[k] = point_value(node, {param_ids[i]: mean_y[i] for i in ps if i != k})
-                    mean_x[k] = forward_point(node.transform, mean_y[k])
-                except ValueError as err:
-                    failed.append((k, f"cannot evaluate {node.id!r} at the prior point", err))
-                else:
-                    seeded = False
+            except ValueError as err:
+                failed.append((k, f"cannot evaluate {param_ids[k]!r} at the prior point", err))
     if failed:
         k, what, err = min(failed, key=lambda f: f[0])
         raise InitializationError(f"{what}: {err}", param_ids[k]) from err
@@ -506,7 +495,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         post_x=mean_x.copy(),
         post_y=mean_y.copy(),
         point_x=mean_x.copy(),
-        linearized=(mean_y.copy(), c) if seeded else None,
+        linearized=(mean_y.copy(), c),
     )
 
 
@@ -634,10 +623,9 @@ def linearize(state: SolverState) -> Arcs:
     changed a bit since the latest linearization is not walked again: its
     row is copied from that linearization's B and its value stays in
     ``point_x``.  The latest is the previous call's, or the prior point's
-    that :func:`initialize` seeds; without one (a slope undefined at the
-    prior point, or a failed call) every node is walked.  Of the nodes that
-    fail, the first in parameter order is named, with the message of its
-    own walk.
+    that :func:`initialize` seeds; without one (after a failed call) every
+    node is walked.  Of the nodes that fail, the first in parameter order is
+    named, with the message of its own walk.
     """
     d, ids = state.diagram, state.param_ids
     saved, state.linearized = state.linearized, None  # until this call succeeds

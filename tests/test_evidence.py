@@ -181,11 +181,29 @@ class TestPooling:
         precision, weighted = sum(precisions), sum(weights)
         assume(math.isfinite(precision) and math.isfinite(weighted))
         want_v = 1.0 / precision
+        want_d = want_v * weighted
+        assume(want_d == 0.0 or abs(want_d) >= sys.float_info.min)
         out = pool([LikelihoodApprox(d, v) for d, v in looks])
         assert out.v == pytest.approx(want_v, rel=1e-12, abs=0.0)
         # d is a weighted mean: its error scales with the mean of |d_i|.
         scale = want_v * sum(abs(w) for w in weights)
-        assert out.d == pytest.approx(want_v * weighted, rel=1e-12, abs=1e-12 * scale)
+        assert out.d == pytest.approx(want_d, rel=1e-12, abs=1e-12 * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-1.7e308, 1.7e308), POSITIVES), min_size=1, max_size=6))
+    @example([(1.5e308, 1.0), (1.5e308, 1.0)])  # the plain weighted sum overflows
+    @example([(1.7e308, 1.0), (-1.7e308, 2.0), (1.7e308, 1.0)])
+    def test_a_power_of_two_on_every_mean_scales_the_pooled_mean(self, looks):
+        # Scaling is exact away from the subnormals, so the sum that pool
+        # redoes on scaled means, where the plain one overflows, gives the
+        # bits of the plain one's exact rounding, as does any other scale.
+        v_min = min(v for _, v in looks)
+        assume(all(d == 0.0 or abs(d * (v_min / v)) >= 2.0**-1000 for d, v in looks))
+        assume(v_min / sum(v_min / v for _, v in looks) > 0.0)
+        out = pool([LikelihoodApprox(d, v) for d, v in looks])
+        small = pool([LikelihoodApprox(d * 2.0**-16, v) for d, v in looks])
+        assume(out.d == 0.0 or abs(out.d) >= 2.0**-1000)
+        assert out.d.hex() == (small.d * 2.0**16).hex() and out.v.hex() == small.v.hex()
 
 
 def outcome(fn, *args):

@@ -313,17 +313,32 @@ class TestInitialize:
         )
 
     def test_the_one_group_that_cannot_pool_is_named(self):
-        # Two looks of mean 1.5e308 overflow the weighted sum of group x6,
-        # one of _BATCH_MIN + 4 groups of two.
+        # Two looks of variance 5e-324 on x6, one of _BATCH_MIN + 4 groups of
+        # two, pool to a variance that underflows to 0.
         n = solver_mod._BATCH_MIN + 4
         nodes = [normal_p(f"x{i}", 1.0, 0.1) for i in range(n)]
         for i in range(n):
-            mean = 1.5e308 if i == 6 else 0.5
-            nodes += [evidence(f"o{i}_{k}", f"x{i}", normal_look(mean, 1.0)) for k in range(2)]
-        with pytest.raises(InitializationError, match="cannot pool the observations of 'o6_0'") as exc:
+            var = 5e-324 if i == 6 else 1.0
+            nodes += [evidence(f"o{i}_{k}", f"x{i}", normal_look(0.5, var)) for k in range(2)]
+        with pytest.raises(InitializationError) as exc:
             initialize(Diagram.from_nodes(nodes))
+        assert str(exc.value) == (
+            "cannot pool the observations of 'o6_0': the pooled variance 5e-324 / 2.0 underflows to 0"
+        )
         assert exc.value.node_id == "o6_0"
         assert isinstance(exc.value.__cause__, ValueError)
+
+    def test_looks_whose_weighted_sum_overflows_pool_to_their_finite_mean(self):
+        # Two looks of mean 1.5e308: their weighted sum overflows, their mean does not.
+        nodes = [normal_p("x", 1.0, 0.1)]
+        nodes += [evidence(f"o{k}", "x", normal_look(1.5e308, 1.0)) for k in (1, 2)]
+        d = Diagram.from_nodes(nodes)
+        pooled, split = solve(d), solve(d, SolverConfig(pool_evidence=False))
+        assert pooled.status == split.status == CONVERGED
+        got, want = pooled.posterior_y["x"], split.posterior_y["x"]
+        assert np.isfinite(got.mean) and got.mean > 1e307
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+        assert got.variance == pytest.approx(want.variance, rel=1e-12, abs=0)
 
     def test_prior_point_outside_support(self):
         d = Diagram.from_nodes(
@@ -818,38 +833,27 @@ class TestSolve:
         assert result.posterior_y["x"].variance == pytest.approx(4.0, abs=1e-12)
         np.testing.assert_allclose(result.posterior_correlations, np.eye(2), atol=1e-12)
 
-    def test_undefined_slope_at_a_legal_point_names_the_expression(self):
+    def test_undefined_slope_at_a_legal_point_names_the_expression(self, monkeypatch):
         # x^0.5 is defined at the prior point x = 0, but its slope is not.
         d = Diagram.from_nodes(
             [normal_p("x", 0.0, 1.0), deterministic("q", TS, Pow(Var("x"), 0.5))]
         )
         assert eval_expr(Pow(Var("x"), 0.5), {"x": 0.0}) == 0.0
-        with pytest.raises(IterationError) as exc:
-            solve(d)
-        assert exc.value.node_id == "q"
-        assert exc.value.records == []
-        message = str(exc.value)
-        assert "at iteration 1" in message
+        message = str(assert_a_prior_point_error(d, monkeypatch, "q"))
         assert "x^0.5" in message
         assert "x^(-0.5)" not in message
 
-    def test_a_value_without_a_finite_slope_at_the_prior_point_fails_at_iteration_one(self):
+    def test_a_value_without_a_finite_slope_at_the_prior_point_fails_there(self, monkeypatch):
         # (x - 1)^0.5 is 0 at the prior mean x = 1, and its slope is infinite:
-        # initialize evaluates it but leaves the linearization to the first step.
+        # initialize names it, as it names a value undefined there.
         d = Diagram.from_nodes(
             [normal_p("x", 1.0, 1.0), deterministic("q", TS, Pow(Sub(Var("x"), Const(1.0)), 0.5))]
         )
-        state = initialize(d)
-        assert state.post_y.tolist() == [1.0, 0.0] and state.linearized is None
-        with pytest.raises(IterationError) as exc:
-            solve(d)
-        assert str(exc.value) == (
-            "cannot linearize 'q' at iteration 1: non-finite slope inf along 'x' in (x - 1.0)^0.5"
+        assert str(assert_a_prior_point_error(d, monkeypatch, "q")) == (
+            "cannot evaluate 'q' at the prior point: non-finite slope inf along 'x' in (x - 1.0)^0.5"
         )
-        assert exc.value.node_id == "q" and exc.value.records == []
-        assert type(exc.value.__cause__) is EvalError
 
-    def test_a_power_product_whose_walk_overflows(self):
+    def test_a_power_product_whose_walk_overflows(self, monkeypatch):
         # w = u^-2 v^2 is exactly linear on log_scaled(0, 1), but the walk's
         # slope of u^-2 at u = 1e-120 is -2 u^-3, which overflows.
         tiny = [
@@ -858,10 +862,9 @@ class TestSolve:
         ]
         w = deterministic("w", TLOG, Mul(Pow(Var("u"), -2.0), Pow(Var("v"), 2.0)))
         d = Diagram.from_nodes(tiny + [w, evidence("o", "w", normal_look(0.5, 0.2))])
-        with pytest.raises(IterationError, match="at iteration 1: non-finite slope") as exc:
-            solve(d)
-        assert exc.value.node_id == "w"
-        assert exc.value.records == []
+        assert "at the prior point: non-finite slope" in str(
+            assert_a_prior_point_error(d, monkeypatch, "w")
+        )
 
     def test_beta_inversion_failure_names_the_node(self):
         # Beta(0.45, 0.45) has a log-odds variance beyond what the moment
@@ -1313,6 +1316,13 @@ class TestTapeErrors:
         assert record_bits(exc.value.records) == record_bits(expected.records)
         return exc.value
 
+    def fail_both(self, nodes, monkeypatch):
+        """:meth:`solve_both` for q5's error at the prior point, which initialize raises."""
+        sizes = spy_tapes(monkeypatch)
+        err = assert_a_prior_point_error(Diagram.from_nodes(nodes), monkeypatch, "q5")
+        assert sizes and set(sizes) == {solver_mod._BATCH_MIN + 4}
+        return err
+
     def members(self, transform, expr, bad):
         """``_BATCH_MIN + 4`` nodes ``expr(c)``; c = ``bad`` for q5 and q9."""
         n = solver_mod._BATCH_MIN + 4
@@ -1325,9 +1335,7 @@ class TestTapeErrors:
         # (x - c)^0.5 at x = c is 0, and its slope is infinite.
         nodes = [normal_p("x", 1.0, 1.0)]
         nodes += self.members(TS, lambda c: Pow(Sub(Var("x"), Const(c)), 0.5), 1.0)
-        err = self.solve_both(nodes, monkeypatch)
-        assert err.node_id == "q5" and err.records == []
-        assert "non-finite slope" in str(err)
+        assert "non-finite slope" in str(self.fail_both(nodes, monkeypatch))
 
     def test_a_value_that_fails_at_a_later_iteration(self, monkeypatch):
         # The look pulls x from 1 to about -2, where ln(x - 0) is undefined.
@@ -1375,12 +1383,10 @@ class TestTapeErrors:
         # (x - 1)^0.5 at x = 1 is 0, and its slope is infinite.
         nodes = [normal_p("x", 1.0, 1.0)]
         nodes += self.merged(TS, lambda u: Pow(u, 0.5), 1.0)
-        err = self.solve_both(nodes, monkeypatch)
-        assert err.node_id == "q5" and err.records == []
-        assert "non-finite slope" in str(err)
+        assert "non-finite slope" in str(self.fail_both(nodes, monkeypatch))
 
     @pytest.mark.parametrize("batch_min", [1, solver_mod._BATCH_MIN, 10**9])
-    def test_a_member_without_a_slope_at_the_prior_point_seeds_nothing(
+    def test_a_member_without_a_slope_at_the_prior_point_fails_initialize(
         self, batch_min, monkeypatch
     ):
         # q5 = (x5 - 1)^0.5 at x5's prior mean 1 is 0, and its slope is
@@ -1391,19 +1397,15 @@ class TestTapeErrors:
             deterministic(f"q{i}", TS, Pow(Sub(Var(f"x{i}"), Const(1.0)), 0.5)) for i in range(n)
         ]
         d = Diagram.from_nodes(nodes)
-        want = scalar_error(d, monkeypatch)
-        with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_BATCH_MIN", 10**9)
-            scalar_point = initialize(d).post_y
-        monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
-        state = initialize(d)
-        assert len(state.tapes) == (batch_min <= n) and state.linearized is None
-        assert state.post_y.tobytes() == scalar_point.tobytes()
-        with pytest.raises(IterationError) as exc:
-            solve(d)
-        got = exc.value
-        assert got.node_id == want.node_id == "q5" and got.records == want.records == []
-        assert str(got) == str(want) and "non-finite slope" in str(got)
+        want = init_error(d, 10**9, monkeypatch)
+        sizes = spy_tapes(monkeypatch)
+        got = init_error(d, batch_min, monkeypatch)
+        assert sizes == ([n] if batch_min <= n else [])
+        assert got.node_id == want.node_id == "q5"
+        assert str(got) == str(want) == (
+            "cannot evaluate 'q5' at the prior point: "
+            "non-finite slope inf along 'x5' in (x5 - 1.0)^0.5"
+        )
         assert type(got.__cause__) is type(want.__cause__) is EvalError
 
     def test_a_parent_on_its_support_end(self, monkeypatch):
@@ -1478,6 +1480,39 @@ def test_a_merged_tape_solves_as_its_members_walked_one_by_one(pool, monkeypatch
     assert len(got.iterations) > 2 and result_bits(got) == result_bits(want)
 
 
+@pytest.mark.parametrize("pool", [True, False])
+def test_wide_evidence_groups_solve_the_same_bits_in_runs_of_one_group(pool, monkeypatch):
+    # Twelve groups of two looks, each on d = u * v + w with three live
+    # ancestors, make one shape class of width 3: one run at the real _RUN,
+    # and twelve with _RUN at 1.
+    rng = np.random.default_rng(1)
+    nodes = []
+    for g in range(12):
+        nodes += [normal_p(f"{p}{g}", rng.uniform(1, 2), rng.uniform(0.05, 0.2)) for p in "uvw"]
+        nodes += [deterministic(f"d{g}", TS, Add(Mul(Var(f"u{g}"), Var(f"v{g}")), Var(f"w{g}")))]
+        nodes += [
+            evidence(f"o{g}_{k}", f"d{g}", normal_look(rng.uniform(2, 5), rng.uniform(0.3, 1)))
+            for k in range(2)
+        ]
+    d, cfg = Diagram.from_nodes(nodes), SolverConfig(pool_evidence=pool)
+    assert [anc.shape for anc in initialize(d, cfg).ev_ancestors] == [(12, 3)]
+    runs, split = [], gaussian_mod._runs
+
+    def spy(ancestors, vs):
+        for run in split(ancestors, vs):
+            runs.append(len(run[0]))
+            yield run
+
+    monkeypatch.setattr(gaussian_mod, "_runs", spy)
+    got = solve(d, cfg)
+    assert got.status == CONVERGED and set(runs) == {12}
+    runs.clear()
+    monkeypatch.setattr(gaussian_mod, "_RUN", 1)
+    want = solve(d, cfg)
+    assert set(runs) == {1}
+    assert result_bits(got) == result_bits(want)
+
+
 def models_for_equivalence():
     generate = bench_generate()
     root = Path(__file__).resolve().parents[1]
@@ -1527,6 +1562,19 @@ def assert_the_scalar_error(d, monkeypatch, node_id, batch_min=1):
     assert got.node_id == want.node_id == node_id
     assert str(got) == str(want)
     assert type(got.__cause__) is type(want.__cause__)
+    return got
+
+
+def assert_a_prior_point_error(d, monkeypatch, node_id):
+    """``solve(d)`` names ``node_id`` at the prior point by an EvalError, and
+    ``initialize`` raises the same at ``_BATCH_MIN`` 1, its own and 10**9."""
+    with pytest.raises(InitializationError) as exc:
+        solve(d)
+    got = exc.value
+    for batch_min in (1, solver_mod._BATCH_MIN):
+        assert str(assert_the_scalar_error(d, monkeypatch, node_id, batch_min)) == str(got)
+    assert got.node_id == node_id and type(got.__cause__) is EvalError
+    assert str(got).startswith(f"cannot evaluate {node_id!r} at the prior point: ")
     return got
 
 
@@ -1599,6 +1647,39 @@ class TestInitializeByArrays:
         assert topological_order(d).index(first) < topological_order(d).index(second)
         assert_the_scalar_error(d, monkeypatch, first, batch_min=n)
 
+    def test_a_slope_failure_is_named_before_a_later_failing_prior_map(self, monkeypatch):
+        # q3's slope (x - 1)^0.5 at x = 1 is infinite, and p7's prior map
+        # fails; q3 comes first in parameter order, so it is named.
+        n = solver_mod._BATCH_MIN + 4
+        qs = [normal_p("x", 1.0, 0.5)] + [
+            deterministic(f"q{i}", TS, Pow(Sub(Var("x"), Const(1.0 if i == 3 else -1.0 - i)), 0.5))
+            for i in range(n)
+        ]
+        ps = [beta_p(f"p{i}", 1e-160 if i == 7 else 2.0) for i in range(n)]
+        d = Diagram.from_nodes(qs + ps)
+        assert topological_order(d).index("q3") < topological_order(d).index("p7")
+        assert "'p7'" in str(init_error(Diagram.from_nodes(ps), n, monkeypatch))
+        for batch_min in (1, n):
+            err = assert_the_scalar_error(d, monkeypatch, "q3", batch_min)
+        assert str(err).startswith("cannot evaluate 'q3' at the prior point: non-finite slope")
+        assert type(err.__cause__) is EvalError
+
+    @pytest.mark.parametrize(
+        "name", ["beta_binomial.json", "risk_difference.json", "scale_1500", "mixed_expr"]
+    )
+    @pytest.mark.parametrize("batch_min", [1, solver_mod._BATCH_MIN, 10**9])
+    def test_a_successful_initialize_is_the_first_linearization(
+        self, name, batch_min, monkeypatch
+    ):
+        d, cfg = models_for_equivalence()[name]
+        monkeypatch.setattr(solver_mod, "_BATCH_MIN", batch_min)
+        state = initialize(d, cfg)
+        assert state.linearized is not None
+        assert state.linearized[0].tobytes() == state.post_y.tobytes()
+        passes, walked = spy_columns(monkeypatch), spy_walks(monkeypatch)
+        step(state)
+        assert passes == [] and walked == []
+
     def test_only_what_an_array_pass_cannot_finish_reaches_the_scalar_maps(self, monkeypatch):
         n = solver_mod._BATCH_MIN + 4
         nodes = [normal_p("x", 1.0, 0.5)] + [beta_p(f"p{i}", 1.0 + i, 2.0) for i in range(n)]
@@ -1607,7 +1688,7 @@ class TestInitializeByArrays:
             deterministic(f"q{i}", TS, Mul(Var("x"), Add(Var(f"p{i}"), Const(0.1 * i))))
             for i in range(n)
         ]
-        calls = {"forward_moments": [], "to_likelihood": [], "point_value": []}
+        calls = {"forward_moments": [], "to_likelihood": []}
         for name, seen in calls.items():
 
             def spy(first, *args, _fn=getattr(solver_mod, name), _seen=seen):
@@ -1618,13 +1699,12 @@ class TestInitializeByArrays:
         state = initialize(Diagram.from_nodes(nodes))
         assert [len(tape.nodes) for tape in state.tapes] == [n]
         assert [p.family for p in calls["forward_moments"]] == ["normal"]
-        assert calls["to_likelihood"] == calls["point_value"] == []
+        assert calls["to_likelihood"] == []
 
         bad = evidence("o_bad", "p2", binomial_look(9, 0, **TINY_REFERENCE))
         with pytest.raises(InitializationError, match="'o_bad'"):
             initialize(Diagram.from_nodes(nodes + [bad]))
         assert calls["to_likelihood"] == [bad.obs]
-        assert calls["point_value"] == []
 
     def test_binomial_looks_read_their_priors_moments(self, monkeypatch):
         # A look whose reference is its parent's Beta prior takes that
