@@ -14,9 +14,16 @@ go through it, so none is a dense matrix product, and each costs
 O(arcs x columns).
 
 Nodes in different weakly connected components of the arcs share no
-ancestor, hence no nonzero column of A or covariance, so they share column
-slots (:class:`Packing`), the trivially colored case of column compression
-(Curtis, Powell & Reid, J. Inst. Math. Appl. 13, 1974).
+ancestor, hence no nonzero column of A or covariance, so a row of either
+holds only its own component's columns (:class:`Packing`): A holds sum s l
+entries and the covariance sum s^2, over the components' s members and l
+live ones.  The rows of one length are stored as one block, which the
+kernels read as a 2-D array.  The structure these layouts rest on, the
+depth levels, the components and the evidence groups, is analysed once per
+solve in array passes, apart from the numeric work that is redone each
+iteration, as sparse direct solvers split their symbolic analysis from the
+numeric factorization (George & Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981).
 
 Evidence is absorbed in the factor space of A (Lauritzen & Jensen, "Stable
 local computation with conditional Gaussian distributions", Statistics and
@@ -29,8 +36,9 @@ eigendecomposition, which also gives the condition-number guard, and the
 update is a small factor V_g over those columns (for one column, the
 share 1 - V_g'V_g of its variance kept, in closed form).  The posterior
 covariance is A (I - V'V) A': the variances are row sums of squares, and the
-covariance itself, from which the correlations are read, is formed packed,
-by one more substitution pass, and only the n x n result is unpacked.
+covariance itself, from which the correlations are read, is formed in its
+own layout by one more substitution pass, and only the n x n result is
+unpacked.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ __all__ = [
 # gathered, (nodes, par, c): see _depth_levels and _level_arcs.
 Levels = tuple[tuple[np.ndarray, np.ndarray], ...]
 Arcs = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+# Blocks of rows of one length and the arcs into them: see Rows.
+Blocks = tuple[tuple[slice, int, int, np.ndarray, tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]], ...]
 
 # Above this condition number the evidence block is treated as singular.
 _MAX_CONDITION = 1e12
@@ -110,28 +120,87 @@ class GaussianState(_Record):
         self._fill(order, mean, coeffs, cond_var, cov)
 
 
-def _depth_levels(parents: Sequence[Sequence[int]]) -> Levels:
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``range(lo[i], hi[i])`` for each i in turn, as one array."""
+    size = hi - lo
+    ends = np.add.accumulate(size)
+    out = np.arange(ends[-1] if len(ends) else 0)
+    out += (lo - ends + size).repeat(size)
+    return out
+
+
+def _offsets(index: np.ndarray, n: int) -> np.ndarray:
+    """Where each of n groups starts in ``index`` sorted, and where the last ends: (n + 1,)."""
+    out = np.zeros(n + 1, dtype=np.intp)
+    np.add.accumulate(np.bincount(index, minlength=n), out=out[1:])
+    return out
+
+
+def _depth_levels(child: np.ndarray, parent: np.ndarray, n: int) -> Levels:
     """The nodes that have parents, grouped by their depth in the arcs.
 
-    Node j's parents are ``parents[j]``, all earlier in the order.  A node's
-    depth is one more than its deepest parent's (0 without parents), so the
-    parents of a level's nodes all sit in earlier levels.  Each level is a
-    pair ``(nodes, par)`` of its k nodes and their distinct parents, a
-    (k, p) array whose rows are padded with their own node: its
-    coefficient B_jj is zero.
+    Arc e runs from ``parent[e]`` to ``child[e]``, the arcs sorted by child
+    and each child's in its own order; an arc that repeats counts once, in
+    its first place.  A node's depth is one more than its deepest parent's
+    (0 without parents), so the parents of a level's nodes all sit in
+    earlier levels.  The depths are relaxed over all arcs at once until
+    none changes, one pass more than the deepest level, so a deep diagram
+    costs O(depth x arcs), as the :func:`_substitute` passes over it do.
+    Each level is a pair ``(nodes, par)`` of its k nodes, increasing, and
+    their parents, a (k, p) array whose rows are padded with their own
+    node: its coefficient B_jj is zero.
     """
-    depth = [0] * len(parents)
-    rows: dict[int, list[list[int]]] = {}  # depth -> [node, *parents] per node
-    for j, ps in enumerate(parents):
-        if len(ps):
-            depth[j] = 1 + max(depth[i] for i in ps)
-            rows.setdefault(depth[j], []).append([j, *dict.fromkeys(ps)])
-    levels = []
-    for d in sorted(rows):
-        width = max(map(len, rows[d]))
-        padded = np.array([r + r[:1] * (width - len(r)) for r in rows[d]], dtype=int)
-        levels.append((padded[:, 0], padded[:, 1:]))
-    return tuple(levels)
+    if not len(child):
+        return ()
+    key = child * n + parent
+    order = key.argsort(kind="stable")
+    again = key[order[1:]] == key[order[:-1]]
+    if np.count_nonzero(again):
+        keep = np.ones(len(key), dtype=bool)
+        keep[order[1:][again]] = False
+        child, parent = child[keep], parent[keep]
+    depth = np.zeros(n, dtype=np.intp)
+    while True:
+        deeper = depth.copy()
+        np.maximum.at(deeper, child, depth[parent] + 1)
+        if not np.count_nonzero(deeper != depth):
+            break
+        depth = deeper
+    by_depth = depth.argsort(kind="stable")
+    bounds = depth[by_depth].searchsorted(np.arange(1, depth[by_depth[-1]] + 2)).tolist()
+    nodes = by_depth[bounds[0] :]
+    at = _offsets(child, n)  # node j's parents: parent[at[j]:at[j + 1]]
+    lo, hi = at[nodes], at[nodes + 1]
+    count = hi - lo
+    par = nodes[:, None].repeat(np.maximum.reduce(count), axis=1)
+    arcs = _ranges(lo, hi)
+    par[np.arange(len(nodes)).repeat(count), arcs - lo.repeat(count)] = parent[arcs]
+    bounds = [b - bounds[0] for b in bounds]
+    return tuple(
+        (nodes[lo:hi], par[lo:hi, : np.maximum.reduce(count[lo:hi])].copy())
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+
+
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The connected component of each of n vertices under edges (u[e], v[e]), by first vertex.
+
+    Each round hooks every root onto the least root an edge reaches from its
+    tree, then points every vertex straight at its root (Shiloach & Vishkin,
+    J. Algorithms 3, 1982).  A vertex never points above itself, so a
+    component's root is its least vertex.
+    """
+    root = np.arange(n)
+    a, b = u, v
+    while np.count_nonzero(a != b):
+        low = np.minimum(a, b)
+        np.minimum.at(root, a, low)
+        np.minimum.at(root, b, low)
+        up = root[root]
+        while np.count_nonzero(up != root):
+            root, up = up, up[up]
+        a, b = root[u], root[v]
+    return np.add.accumulate(root == np.arange(n))[root] - 1
 
 
 def _level_arcs(levels: Levels, coeffs: np.ndarray) -> Arcs:
@@ -151,12 +220,33 @@ def _substitute(arcs: Arcs, x: np.ndarray) -> np.ndarray:
     returned.  Row j of X is X0[j] plus sum_i B_ij X[i] over j's parents i,
     which sit in earlier levels, so each level is one gather and one batched
     product: the cost is O(arcs x columns), and rows without parents are
-    not touched.  The sums are :func:`_product`'s, so each column's bits do
-    not depend on how many columns there are.
+    not touched.  Each entry sums its terms from 0 in the order of ``par``,
+    the padding's 0 * X0[j] included, as :func:`_product` does, so its bits
+    do not depend on how many columns there are.
     """
-    rows = x if x.ndim == 2 else x[:, None]
+    if x.ndim == 1:
+        for nodes, par, c in arcs:
+            acc = np.zeros(len(nodes))
+            for s in range(par.shape[1]):
+                acc += c[:, s] * x[par[:, s]]
+            x[nodes] += acc
+        return x
     for nodes, par, c in arcs:
-        rows[nodes] += _product(c[:, None, :], rows[par])[:, 0]
+        x[nodes] += _product(c[:, None, :], x[par])[:, 0]
+    return x
+
+
+def _substitute_blocks(arcs: Arcs, x: np.ndarray, blocks: Blocks) -> np.ndarray:
+    """:func:`_substitute` on the flat ``x`` laid out by ``blocks`` (:class:`Rows`), in place.
+
+    Each block of rows of one length is a 2-D array, and each level's rows
+    in it a batch of their own, so an entry sums the same terms in the same
+    order as in any other layout.
+    """
+    for at, count, width, _, steps in blocks:
+        if steps:
+            rows = x[at].reshape(count, width)
+            _substitute(tuple((nodes, par, arcs[lv][2][at]) for lv, at, nodes, par in steps), rows)
     return x
 
 
@@ -171,72 +261,176 @@ def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("krt,ktw->krw", m, x)
 
 
-class Packing(NamedTuple):
-    """Where A and the covariance keep their entries: packed by connected component.
+class Rows(NamedTuple):
+    """A flat array of one row per node, each row as long as it needs.
 
-    Node i has rank ``slot[i]`` in its component ``comp[i]``, which holds all
-    it covaries with.  Column s of row i of the n x w covariance (w the most
-    members) is node ``cols[i, s]``, member s of i's component, or i itself
-    on the padding.  Column t of A (n x ``live_width``) is the live node of
-    rank t in the row's component; live node j has rank ``live_slot[j]``.
+    Row i holds ``length[i]`` entries from ``start[i]``; entry e is row
+    ``rows[e]``'s column for node ``cols[e]``.  The rows are stored so that
+    runs of rows of one length are blocks (:func:`_layouts`), which the
+    kernels read as 2-D arrays: ``blocks`` holds, for each block of
+    nonempty rows, ``(at, count, width, nodes, steps)``: its slice of the
+    flat array, its shape, its rows' nodes, and for each level with rows in
+    the block a step ``(level, at, nodes, par)``: the level's rows ``at`` and
+    their nodes and parents as rows of the block.
+    """
+
+    start: np.ndarray
+    length: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    blocks: Blocks
+
+
+def _layouts(
+    levels: Levels, comp: np.ndarray, first: np.ndarray, members: np.ndarray,
+    live_first: np.ndarray, live_members: np.ndarray,
+) -> tuple[Rows, Rows]:
+    """The :class:`Rows` of the covariance and of A: row i holds component ``comp[i]``'s
+    members, ``members[first[c]:first[c + 1]]`` for c = comp[i], or its live ones.
+
+    Both store the rows by component size, then live size, then component,
+    then node, so they share their blocks, each a run of rows as long in
+    both, and each block's steps."""
+    n = len(comp)
+    size, live_size = first[1:] - first[:-1], live_first[1:] - live_first[:-1]
+    by_size = np.lexsort((live_size, size))  # the components by size, then live size, then number
+    order = members[_ranges(first[by_size], first[by_size + 1])]
+    size, live_size = size[comp], live_size[comp]
+    cut = (size[order][1:] != size[order][:-1]) | (live_size[order][1:] != live_size[order][:-1])
+    cut = (cut.nonzero()[0] + 1).tolist()
+    spans = list(zip([0, *cut], [*cut, n]))  # each block's span of ``order``
+    which = np.zeros(n, dtype=np.intp)
+    which[cut] = 1
+    which = np.add.accumulate(which)  # the block of each row in ``order``
+    block, local = np.empty((2, n), dtype=np.intp)
+    block[order] = which
+    local[order] = np.arange(n) - np.array([lo for lo, _ in spans], dtype=np.intp)[which]
+    steps: list[list] = [[] for _ in spans]
+    for lv, (level, par) in enumerate(levels):
+        at = block[level].argsort(kind="stable")
+        which = block[level][at]
+        bounds = [0, *((which[1:] != which[:-1]).nonzero()[0] + 1).tolist(), len(at)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = at[lo:hi]
+            steps[which[lo]].append((lv, part, local[level[part]], local[par[part]]))
+
+    def rows(length: np.ndarray, firsts: np.ndarray, nodes: np.ndarray) -> Rows:
+        width = length[order]
+        ends = np.add.accumulate(width)
+        start = np.empty(n, dtype=np.intp)
+        start[order] = ends - width
+        cols = (firsts[comp[order]] - ends + width).repeat(width)
+        cols += np.arange(len(cols))
+        w, end = width.tolist(), ends.tolist()
+        blocks = tuple(
+            (slice(end[lo] - w[lo], end[hi - 1]), hi - lo, w[lo], order[lo:hi], tuple(steps[b]))
+            for b, (lo, hi) in enumerate(spans)
+            if w[lo]
+        )
+        return Rows(start, length, order.repeat(width), nodes[cols], blocks)
+
+    return rows(size, first, members), rows(live_size, live_first, live_members)
+
+
+class Packing(NamedTuple):
+    """Where A and the covariance keep their entries: each row only its own component's.
+
+    Node i is member ``slot[i]`` of its component ``comp[i]``, which holds all
+    it covaries with; component c's members are ``members[first[c]:first[c +
+    1]]``, in the node order.  Row i of the covariance (``cov``, :class:`Rows`)
+    holds one entry per member of i's component, in that order, and row i of
+    A (``a``) one per live member, live node j being live member
+    ``live_slot[j]``.  So the covariance holds sum s^2 entries and A sum s l,
+    over the components' s members and l live ones; ``width`` and
+    ``live_width`` are the most s and l of a component.  Row i of A is zero
+    outside i's live ancestors, itself included; ``crowded`` lists the rows
+    narrower than ``live_width`` with more than two of them (:func:`_times`).
     """
 
     comp: np.ndarray
     slot: np.ndarray
-    members: np.ndarray  # (components, w): the node at each slot, -1 past the end
-    cols: np.ndarray
-    live: np.ndarray
+    members: np.ndarray
+    first: np.ndarray
+    live: np.ndarray  # the live nodes, increasing
     live_slot: np.ndarray
+    cov: Rows
+    a: Rows
+    width: int
     live_width: int
+    crowded: np.ndarray
 
 
 def _packing(levels: Levels, live: np.ndarray) -> Packing:
     """The :class:`Packing` of the nodes whose arcs ``levels`` gives, with v_j > 0 where ``live``.
 
-    A union-find over ``levels``' rows finds the components, numbered by first node.
+    The components are those of the arcs, rows and padding alike
+    (:func:`_components`), numbered by first node.
     """
     n = len(live)
-    root = list(range(n))
-    for nodes, par in levels:  # each row joins its node and parents under one root r
-        for j, ps in zip(nodes.tolist(), par.tolist()):
-            r = -1
-            for i in ps:
-                while root[i] != i:  # up to i's root, halving the path
-                    root[i] = root[root[i]]
-                    i = root[i]
-                r = i if r < 0 else r
-                root[i] = root[j] = r
-    sizes: dict[int, list[int]] = {}  # root -> [component, nodes, live nodes] so far
-    comp, slot, live_slot = [], [], []
-    for i, alive in enumerate(live.tolist()):
-        while root[i] != root[root[i]]:
-            root[i] = root[root[i]]
-        c = sizes.setdefault(root[i], [len(sizes), 0, 0])
-        comp.append(c[0])
-        slot.append(c[1])
-        live_slot.append(c[2])
-        c[1] += 1
-        c[2] += alive
-    comp, slot, live_slot = np.array([comp, slot, live_slot], dtype=np.intp)
-    members = np.full((len(sizes), max((c[1] for c in sizes.values()), default=0)), -1)
-    members[comp, slot] = at = np.arange(n)
-    cols = members[comp]
-    np.copyto(cols, at[:, None], where=cols < 0)
-    widest = max((c[2] for c in sizes.values()), default=0)
-    return Packing(comp, slot, members, cols, np.flatnonzero(live), live_slot, widest)
+    none = np.zeros(0, dtype=np.intp)
+    child = np.concatenate([nodes.repeat(par.shape[1]) for nodes, par in levels] + [none])
+    parent = np.concatenate([par.ravel() for _, par in levels] + [none])
+    comp = _components(child, parent, n)
+    members = comp.argsort(kind="stable")
+    first = _offsets(comp, np.maximum.reduce(comp, initial=-1) + 1)
+    size = first[1:] - first[:-1]
+    slot = np.empty(n, dtype=np.intp)
+    slot[members] = np.arange(n) - first[comp[members]]
+    alive = live[members]
+    before = np.add.accumulate(alive, dtype=np.intp) - alive  # live members before, in all
+    live_slot = np.empty(n, dtype=np.intp)
+    live_slot[members] = before - before[first[comp[members]]]
+    live_first = np.zeros(len(first), dtype=np.intp)
+    live_first[1:] = before[first[1:] - 1] + alive[first[1:] - 1]
+    live_size = live_first[1:] - live_first[:-1]
+    live_width = int(np.maximum.reduce(live_size, initial=0))
+    reach = live.astype(np.intp)  # each node's live ancestors, itself included, counted up to 3
+    for nodes, par in levels if live_width > 2 else ():
+        more = np.add.reduce(np.where(par == nodes[:, None], 0, reach[par]), axis=1)  # no padding
+        reach[nodes] = np.minimum(reach[nodes] + more, 3)
+    return Packing(
+        comp, slot, members, first, live.nonzero()[0], live_slot,
+        *_layouts(levels, comp, first, members, live_first, members[alive]),
+        int(np.maximum.reduce(size, initial=0)), live_width,
+        ((reach > 2) & (live_size[comp] < live_width)).nonzero()[0],
+    )
 
 
 def _forward_factor(arcs: Arcs, scale: np.ndarray, pack: Packing) -> np.ndarray:
-    """The factor A = (I - B)^-T diag(sqrt v) of the covariance A A', packed by ``pack``.
+    """The factor A = (I - B)^-T diag(sqrt v) of the covariance A A', laid out by ``pack.a``.
 
     ``scale`` is sqrt(v) per node; only the columns of nodes with v_j > 0
-    are nonzero.  A solves (I - B') A = diag(sqrt v): row j is sqrt(v_j) at
-    j's own column plus sum_i B_ij A_i over its parents i, one
-    :func:`_substitute` pass over B's ``arcs``.
+    are nonzero, so a row holds the live members of its component.  A
+    solves (I - B') A = diag(sqrt v): row j is sqrt(v_j) at j's own column
+    plus sum_i B_ij A_i over its parents i, one :func:`_substitute_blocks`
+    pass over B's ``arcs`` that touches the sum s l entries.
     """
-    a = np.zeros((len(scale), pack.live_width))
-    a[pack.live, pack.live_slot[pack.live]] = scale[pack.live]
-    return _substitute(arcs, a)
+    a = np.zeros(len(pack.a.rows))
+    a[pack.a.start[pack.live] + pack.live_slot[pack.live]] = scale[pack.live]
+    return _substitute_blocks(arcs, a, pack.a.blocks)
+
+
+def _times(a: np.ndarray, u: np.ndarray, pack: Packing) -> np.ndarray:
+    """A u for A laid out by ``pack.a`` and u by node, each row summed as the padded einsum sums it.
+
+    The solver's outputs keep the bits of ``np.einsum("it,it->i")`` over rows
+    padded with zeros to ``live_width``, whose order of addition depends on
+    that width.  A sum of at most two terms that are not zero comes out the
+    same in any order, so the rows are summed at their own width, and the
+    ``crowded`` ones again, padded.
+    """
+    out, rows = np.zeros(len(pack.comp)), pack.a
+    uc = u[rows.cols]
+    for at, count, width, nodes, _ in rows.blocks:
+        out[nodes] = np.einsum("it,it->i", a[at].reshape(count, width), uc[at].reshape(count, width))
+    crowded = pack.crowded
+    if len(crowded):
+        at = _ranges(rows.start[crowded], rows.start[crowded] + rows.length[crowded])
+        to = at + (np.arange(len(crowded)) * pack.live_width - rows.start[crowded]).repeat(rows.length[crowded])
+        pad = np.zeros((2, len(crowded) * pack.live_width))
+        pad[0, to], pad[1, to] = a[at], uc[at]
+        out[crowded] = np.einsum("it,it->i", *pad.reshape(2, len(crowded), pack.live_width))
+    return out
 
 
 # The update factors V of groups of more than one column are read in runs
@@ -266,73 +460,86 @@ def _posterior_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: S
 
     A group, its columns and the rows where they are nonzero are in one
     component.  A one-column group puts the share of its column it keeps
-    into a (component, column) table of ones that each row's squares are
-    weighted by; a wider one gathers its rows, whose sums are subtracted.
+    into a table of ones by live node that each entry's square is weighted
+    by, and a row's weighted squares are summed in order from 0; a wider
+    group gathers the rows of its component, as many as the widest
+    component's (the padding rows are zero), whose sums are subtracted.
     """
-    kept, wide = np.ones((len(pack.members), a.shape[1])), []
+    n = len(pack.comp)
+    kept, wide = np.ones(n), []
     for anc, v in _runs(ancestors, vs):
         if v.ndim == 1:
-            kept[pack.comp[anc[:, 0]], pack.live_slot[anc[:, 0]]] = v
+            kept[anc[:, 0]] = v
             continue
-        rows = pack.members[pack.comp[anc[:, 0]]]  # (k, w), -1 past each component's end
-        x = a[rows[:, :, None], pack.live_slot[anc][:, None, :]] @ v.swapaxes(1, 2)  # (k, w, s)
-        keep = rows >= 0
-        wide.append(np.bincount(rows[keep], np.einsum("kws,kws->kw", x, x)[keep], minlength=len(a)))
-    return np.einsum("it,it,it->i", a, a, kept[pack.comp]) - sum(wide, np.zeros(len(a)))
+        comp = pack.comp[anc[:, 0]]
+        at = pack.first[comp, None] + np.arange(pack.width)  # (k, w)
+        keep = at < pack.first[comp + 1, None]
+        rows = pack.members[np.where(keep, at, pack.first[comp, None])]  # padded with the first member
+        g = a[pack.a.start[rows][:, :, None] + pack.live_slot[anc][:, None, :]]  # (k, w, l)
+        g[~keep] = 0.0
+        x = g @ v.swapaxes(1, 2)  # (k, w, s)
+        wide.append(np.bincount(rows[keep], np.einsum("kws,kws->kw", x, x)[keep], minlength=n))
+    out, share = np.zeros(n), kept[pack.a.cols]
+    for at, count, width, nodes, _ in pack.a.blocks:
+        block = a[at].reshape(count, width)
+        out[nodes] = np.einsum("it,it,it->i", block, block, share[at].reshape(count, width))
+    return out - sum(wide, np.zeros(n))
 
 
 def _covariance(
     arcs: Arcs, scale: np.ndarray, pack: Packing, a: np.ndarray, ancestors: Sequence, vs: Sequence
 ) -> np.ndarray:
-    """The covariance A (I - V'V) A', packed n x w (:class:`Packing`), exactly symmetric.
+    """The covariance A (I - V'V) A', laid out by ``pack.cov``, exactly symmetric.
 
     ``vs`` are :func:`_factor_update`'s updates on the groups' live
     ``ancestors`` (none for A A').  Y = A' - V'(V A'[L]) is A' with each
     group's rows L_g updated by its own V_g (a one-column group's row scaled
-    by the share 1 - V_g'V_g it keeps), packed like the covariance, and A Y is one
-    :func:`_substitute` pass.  Substitution rounds the two triangles
-    differently, so the result is averaged with its transpose, gathered by
-    each entry's transpose partner.  Padding meets only padding.
+    by the share 1 - V_g'V_g it keeps), laid out like the covariance, and A Y
+    is one :func:`_substitute_blocks` pass over its sum s^2 entries.  Substitution
+    rounds the two triangles differently, so the result is averaged with its
+    transpose, gathered by each entry's transpose partner.
     """
-    x = np.zeros(pack.cols.shape)
-    x[pack.live] = a[pack.cols[pack.live], pack.live_slot[pack.live, None]]
+    rows, cols, start = pack.cov.rows, pack.cov.cols, pack.cov.start
+    x = np.zeros(len(rows))
+    at = _ranges(start[pack.live], start[pack.live] + pack.cov.length[pack.live])  # live nodes' rows
+    x[at] = a[pack.a.start[cols[at]] + pack.live_slot[rows[at]]]
     for anc, v in _runs(ancestors, vs):
+        lo = start[anc]
+        hi = lo + pack.cov.length[anc]  # (k, l): each group's rows are as long
         if v.ndim == 1:
-            x[anc[:, 0]] *= v[:, None]
+            x[_ranges(lo[:, 0], hi[:, 0])] *= np.repeat(v, hi[:, 0] - lo[:, 0])
             continue
-        at = x[anc]  # (k, l, w)
-        at -= _product(v.swapaxes(1, 2), _product(v, at))
-        x[anc] = at
-    x *= scale[:, None]  # the rows of nodes without noise are zero
-    _substitute(arcs, x)
-    partner = pack.cols * x.shape[1]
-    partner += pack.slot[:, None]  # (i, s) and (cols[i, s], slot[i])
-    x += x.ravel()[partner]
+        size = hi[:, 0] - lo[:, 0]
+        keep = np.broadcast_to(np.arange(size.max()) < size[:, None, None], anc.shape + (size.max(),))
+        at = np.where(keep, lo[:, :, None] + np.arange(size.max()), lo[:, :, None])  # (k, l, w)
+        y = x[at]
+        y -= _product(v.swapaxes(1, 2), _product(v, y))
+        x[at[keep]] = y[keep]
+    x *= scale[rows]  # the rows of nodes without noise are zero
+    _substitute_blocks(arcs, x, pack.cov.blocks)
+    x += x[start[cols] + pack.slot[rows]]  # each entry's transpose partner
     x *= 0.5
     return x
 
 
 def _unpack(x: np.ndarray, pack: Packing) -> np.ndarray:
-    """The n x n matrix with x[i, s] at (i, ``pack.cols[i, s]``), zero between components.
-
-    Padding lands on the diagonal, which is written again last.
-    """
-    n, at = len(x), np.arange(len(x))
+    """The n x n matrix of the covariance ``x`` laid out by ``pack.cov``, zero between components."""
+    n = len(pack.comp)
     out = np.zeros((n, n))
-    out.ravel()[pack.cols + n * at[:, None]] = x
-    out[at, at] = x[at, pack.slot]
+    out.ravel()[pack.cov.rows * n + pack.cov.cols] = x
     return out
 
 
 def _unpacked_correlations(cov: np.ndarray, pack: Packing) -> np.ndarray:
-    """The n x n :func:`correlation_matrix` of the packed covariance ``cov``, read in place."""
-    at = np.arange(len(cov))
-    return _unpack(_correlate(cov, at[:, None], pack.cols, (at, pack.slot)), pack)
+    """The n x n :func:`correlation_matrix` of the flat covariance ``cov``, read in place."""
+    rows, cols = pack.cov.rows, pack.cov.cols
+    return _unpack(_correlate(cov, rows, cols, pack.cov.start + pack.slot), pack)
 
 
 def _state_factor(st: GaussianState) -> tuple[Levels, Arcs, np.ndarray, Packing, np.ndarray]:
     """``(levels, arcs, scale, packing, A)`` of ``st``'s arcs (its nonzero coefficients)."""
-    levels = _depth_levels([np.flatnonzero(col) for col in st.coeffs.T])
+    child, parent = np.nonzero(st.coeffs.T)
+    levels = _depth_levels(child, parent, len(st.order))
     arcs = _level_arcs(levels, st.coeffs)
     scale = np.sqrt(st.cond_var)
     pack = _packing(levels, scale > 0.0)
@@ -344,9 +551,9 @@ def propagate_covariance(st: GaussianState) -> GaussianState:
 
     The covariance is A A' with A from :func:`_forward_factor`; both A and
     A A' are :func:`_substitute` passes over the depth levels of B's nonzero
-    arcs, packed by component, and the result is symmetric and positive
-    semidefinite.  The returned state shares ``st``'s other arrays, which
-    were validated when ``st`` was built.
+    arcs, each row holding only its component's entries, and the result is
+    symmetric and positive semidefinite.  The returned state shares ``st``'s
+    other arrays, which were validated when ``st`` was built.
     """
     _, arcs, scale, pack, a = _state_factor(st)
     out = copy.copy(st)
@@ -368,59 +575,83 @@ def _evidence_components(
     therefore disjoint.  This holds for any coefficients on the arcs: a
     zero only removes links.  An arc alone links nothing: an unobserved
     child of two independent parents joins neither.  Only the observed
-    nodes' ancestors are walked, each once, up ``levels``' rows.
+    nodes and their ancestors get their sets of live ancestors, one level
+    at a time, each the union of its parents' sets and itself if live;
+    the groups are then the :func:`_components` of the entries and the
+    live ancestors their nodes reach, or, where no entry reaches more than
+    one, the entries grouped by the one they reach.
 
     Returns ``(components, ancestors)``, one pair of arrays per shape
     class (s, l), in increasing order: ``components`` (k, s) holds each
     group's s entries in increasing order, and ``ancestors`` (k, l) its l
     live ancestors in the node order, rows by first entry.
     """
-    parents = {j: ps for nodes, par in levels for j, ps in zip(nodes.tolist(), par.tolist())}
-    live = live.tolist()
-    targets = dict.fromkeys(observed.tolist())
-    # observed node or its ancestor -> its live ancestors; roots need no walk
-    reach = {j: {j} if live[j] else set() for j in targets if j not in parents}
-    stack = [j for j in targets if j not in reach]
-    while stack:
-        j = stack[-1]
-        ps = [i for i in parents.get(j, ()) if i != j]  # a row is padded with j
-        todo = [i for i in ps if i not in reach]
-        if todo:
-            stack += todo
+    n, m = len(live), len(observed)
+    if not m:
+        return (), ()
+    need = np.zeros(n, dtype=bool)  # the observed nodes and their ancestors
+    need[observed] = True
+    for nodes, par in reversed(levels):
+        need[par[need[nodes]]] = True
+    # node j's live ancestors, increasing: reach[at[j]:at[j] + count[j]]
+    reach = (need & live).nonzero()[0]
+    at, count = np.zeros((2, n), dtype=np.intp)
+    at[reach], count[reach], used = np.arange(len(reach)), 1, len(reach)
+    for nodes, par in levels:
+        pick = need[nodes]
+        if not np.count_nonzero(pick):
             continue
-        stack.pop()
-        reach[j] = set().union([j] if live[j] else [], *(reach[i] for i in ps))
+        nodes, width, par = nodes[pick], par.shape[1], par[pick].ravel()  # padding reads j's own
+        owner = nodes.repeat(width).repeat(count[par])
+        held = reach[_ranges(at[par], at[par] + count[par])]
+        pairs = _distinct(np.concatenate([owner * n + held, nodes[live[nodes]] * (n + 1)]))
+        if used + len(pairs) > len(reach):
+            reach = np.concatenate([reach[:used], np.empty(max(used, len(pairs)), dtype=np.intp)])
+        reach[used : used + len(pairs)] = pairs % n
+        count[nodes] = np.bincount(nodes.searchsorted(pairs // n), minlength=len(nodes))
+        at[nodes] = used + np.add.accumulate(count[nodes]) - count[nodes]
+        used += len(pairs)
 
-    m = len(observed)
-    root = list(range(m))  # union-find forest over the entries
+    lone = count[observed]
+    if np.maximum.reduce(lone) > 1:
+        entry = np.arange(m).repeat(lone)
+        node = reach[_ranges(at[observed], at[observed] + lone)]
+        group = _components(entry, m + node, m + n)[:m]  # numbered by first entry
+        pairs = _distinct(group[entry] * n + node)  # each group's live ancestors, in order
+        owner, node = pairs // n, pairs % n
+    else:  # each entry reaches at most one live ancestor, and shares a group with those on it
+        node, has = n + np.arange(m), lone > 0
+        node[has] = reach[at[observed[has]]]
+        by_node = node.argsort(kind="stable")
+        new = np.ones(m, dtype=bool)
+        new[1:] = node[by_node][1:] != node[by_node][:-1]
+        first = np.empty(m, dtype=np.intp)  # the first entry on each entry's live ancestor
+        first[by_node] = by_node[new][np.add.accumulate(new) - 1]
+        head = first == np.arange(m)
+        group = np.add.accumulate(head)[first] - 1  # numbered by first entry
+        owner, node = group[head & has], node[head & has]
+    s = np.bincount(group)
+    l = np.bincount(owner, minlength=len(s))
+    order = np.lexsort((l, s))  # groups by shape class, then first entry
+    rank = np.empty(len(s), dtype=np.intp)
+    rank[order] = np.arange(len(s))
+    entries = rank[group].argsort(kind="stable")
+    node = node[rank[owner].argsort(kind="stable")]
+    s, l = s[order], l[order]
+    cut = ((s[1:] != s[:-1]) | (l[1:] != l[:-1])).nonzero()[0] + 1
+    components, ancestors, e, c = [], [], 0, 0
+    for lo, hi in zip([0, *cut.tolist()], [*cut.tolist(), len(order)]):
+        k, width, live_width = hi - lo, int(s[lo]), int(l[lo])
+        components.append(entries[e : e + k * width].reshape(k, width))
+        ancestors.append(node[c : c + k * live_width].reshape(k, live_width))
+        e, c = e + k * width, c + k * live_width
+    return tuple(components), tuple(ancestors)
 
-    def find(e: int) -> int:
-        while root[e] != e:
-            root[e] = root[root[e]]
-            e = root[e]
-        return e
 
-    first: dict[int, int] = {}  # live ancestor -> first entry that reaches it
-    for e, node in enumerate(observed.tolist()):
-        for c in reach[node]:
-            root[find(e)] = find(first.setdefault(c, e))
-    members: dict[int, list[int]] = {}
-    for e in range(m):
-        members.setdefault(find(e), []).append(e)
-    owned: dict[int, list[int]] = {}  # group root -> its live ancestors
-    for c, e in first.items():
-        owned.setdefault(find(e), []).append(c)
-    by_shape: dict[tuple[int, int], tuple[list[list[int]], list[list[int]]]] = {}
-    for r, group in members.items():
-        anc = sorted(owned.get(r, ()))
-        rows = by_shape.setdefault((len(group), len(anc)), ([], []))
-        rows[0].append(group)
-        rows[1].append(anc)
-    shapes = sorted(by_shape)
-    return (
-        tuple(np.array(by_shape[sl][0], dtype=int) for sl in shapes),
-        tuple(np.array(by_shape[sl][1], dtype=int) for sl in shapes),
-    )
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, increasing."""
+    x = np.sort(x)
+    return np.concatenate([x[:1], x[1:][x[1:] != x[:-1]]])
 
 
 def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,7 +682,7 @@ def _eigh_blocks(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndar
     """Eigenvalues and eigenvectors of each stack of evidence blocks, behind the guard.
 
     ``blocks`` holds one (k, s, s) stack per shape class; each is one
-    batched ``eigh`` call.  The blocks' eigenvalues together are those of
+    batched ``eigh`` call, but for s = 1.  The blocks' eigenvalues together are those of
     the block-diagonal covariance of the evidence, so they give its 2-norm
     condition number (:func:`_condition_number`).  The guard rejects a
     block with a non-finite entry, a number that is not finite or reaches
@@ -459,7 +690,8 @@ def _eigh_blocks(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndar
     """
     if not all(np.isfinite(b).all() for b in blocks):
         raise ConditioningError("evidence covariance block has a non-finite entry", np.nan)
-    pairs = [np.linalg.eigh(b) for b in blocks]
+    # A 1 x 1 block is its own eigenvalue, with eigenvector 1, as LAPACK's dsyevd returns them
+    pairs = [np.linalg.eigh(b) if b.shape[1] > 1 else (b[:, :, 0], np.ones(b.shape)) for b in blocks]
     lam = np.concatenate([val.ravel() for val, _ in pairs])
     cond_est = _condition_number(lam)
     if not np.isfinite(cond_est) or cond_est >= _MAX_CONDITION:
@@ -501,33 +733,33 @@ def _factor_update(
     instead; its block is still factored, for the guard.
 
     Returns ``(A u, vs)``: the posterior mean is ``mean + A u``, with
-    u[L_g] = V_g' z_g kept by (component, column), and the covariance
+    u[L_g] = V_g' z_g kept by live node (:func:`_times`), and the covariance
     A (I - V'V) A', with ``vs`` per class the (k, s, l) stack of V_g or,
     where l = 1, the (k,) shares 1 - V_g'V_g.
     """
+    n = len(pack.comp)
     if not components:
-        return np.zeros(len(a)), []
-    u = np.zeros((len(pack.members), a.shape[1]))
-    groups, blocks = [], []  # (entries, live ancestors, their columns of A, G) per class
+        return np.zeros(n), []
+    u = np.zeros(n)
+    groups, blocks = [], []  # (entries, live ancestors, G) per class
     for idx, anc in zip(components, ancestors):
-        s, cols = idx.shape[1], pack.live_slot[anc]
-        g = a[par[idx][:, :, None], cols[:, None, :]]  # (k, s, l)
+        s = idx.shape[1]
+        g = a[pack.a.start[par[idx]][:, :, None] + pack.live_slot[anc][:, None, :]]  # (k, s, l)
         block = g @ g.swapaxes(1, 2)
         block[:, np.arange(s), np.arange(s)] += noise[idx]
-        groups.append((idx, anc, cols, g))
+        groups.append((idx, anc, g))
         blocks.append(block)
     vs = []
-    for (idx, anc, cols, g), (val, vecs) in zip(groups, _eigh_blocks(blocks)):
+    for (idx, anc, g), (val, vecs) in zip(groups, _eigh_blocks(blocks)):
         if g.shape[2] == 1:
-            shift, keep = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
-            u[pack.comp[anc[:, 0]], cols[:, 0]] = shift
+            u[anc[:, 0]], keep = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
             vs.append(keep)
             continue
         scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)  # diag(lambda)^-1/2 Q'
         v = scaled @ g
-        u[pack.comp[anc], cols] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
+        u[anc] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
         vs.append(v)
-    return np.einsum("it,it->i", a, u[pack.comp]), vs
+    return _times(a, u, pack), vs
 
 
 def _one_column_update(

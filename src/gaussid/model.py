@@ -570,7 +570,7 @@ def validate(d: Diagram) -> list[tuple[str, str]]:
                 problems.append((n.id, "basic nodes cannot have parents"))
             if n.expr is not None or n.obs is not None:
                 problems.append((n.id, "basic nodes carry no expression or observation"))
-            if n.prior.transform != n.transform:
+            if n.prior.transform is not n.transform and n.prior.transform != n.transform:
                 problems.append((n.id, "prior transform differs from node transform"))
         elif n.kind == DETERMINISTIC:
             if n.expr is None or n.transform is None:
@@ -583,7 +583,7 @@ def validate(d: Diagram) -> list[tuple[str, str]]:
             refs = variables(n.expr)
             if not refs:
                 problems.append((n.id, "expression references no variables"))
-            if set(n.parents) != set(refs):
+            if n.parents != refs and set(n.parents) != set(refs):
                 problems.append(
                     (n.id, f"parents {n.parents} do not match expression variables {refs}")
                 )

@@ -28,14 +28,16 @@ maps the conditioned moments back to the natural scale:
     The levels and the tapes are built once per solve.  A node's row and
     value depend only on its parents' y*, so a node whose parents' y* kept
     every bit since the latest linearization (the prior point's, for the
-    first iteration) keeps them, and only the other members of a tape go
-    through its pass.
+    first iteration) keeps them, and only the other members of a tape are
+    linearized again: in its pass when at least ``_BATCH_MIN`` of them
+    moved, one by one otherwise.
 2.  *Update means* to first order: the shifts from the previous posterior
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
-    by the same kernel, packed by connected component of the arcs: a row's
-    columns are the live parameters (with prior noise) of its component, so
-    A is n x (the most in one component).  *Condition* on all evidence
+    by the same kernel, laid out by connected component of the arcs: a row
+    holds only the live parameters (with prior noise) of its component, so
+    A holds sum s l entries over the components' s members and l live ones.
+    *Condition* on all evidence
     entries, each a noisy observation of one parameter, in the factor space
     of A.  The entries fall into groups that share no live ancestor, found
     once per solve with each group's live ancestors L_g, so each group works
@@ -76,7 +78,7 @@ import math
 
 import numpy as np
 
-from .evidence import BINOMIAL, LikelihoodApprox, _binomial_array, _reference
+from .evidence import _DEFAULT_REFERENCE, BINOMIAL, LikelihoodApprox, _binomial_array
 from .evidence import pool as pool_likelihoods, to_likelihood
 from .gaussian import (
     Arcs,
@@ -158,11 +160,13 @@ _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 # about 16 members (Normal and lognormal ones at 6 to 10), and the fan-in-6
 # shapes of the mixed_expr benchmark at 6 to 8 nodes over a solve of three
 # or four iterations, the tape's building included.  A later iteration maps
-# only a family's members whose inputs moved, by the same rule, while a tape
-# runs for any number of them.  For such subsets the break-even is
-# unmeasured: one Beta costs about 220 us as an array and 37 us on its own,
-# and one timing found 16 moved Betas slower as an array (551 us) than one
-# by one (371 us).
+# only a family's members whose inputs moved, and linearizes only a tape's
+# members whose parents moved, by the same rule.  For such subsets one Beta
+# costs about 220 us as an array and 37 us on its own, and one timing found
+# 16 moved Betas slower as an array (551 us) than one by one (371 us); a
+# fan-in-6 tape's pass costs 125 to 235 us for 1 to 32 of its members, and
+# a walk about 20 us a member, so its subsets break even at 6 to 8 members
+# (mixed_expr, seed 505, after two steps, on the same CPU).
 _BATCH_MIN = 16
 
 # A node's place in B's arcs: (level, row, parameter index, the row of
@@ -177,20 +181,21 @@ class _Tape(_Record):
     :attr:`~gaussid.model.Expr.shape`) with constant slot j holding
     ``consts[j, i]`` (a literal or the sign of a signed add) and variable
     slot s reading parameter ``parents[i, s]``; their transforms are read
-    from :attr:`SolverState.transforms` by these indices.  ``places`` lists the members'
-    places in the arcs, level by level, and ``cells`` has, for each level,
-    its number, the slice of the members in it and the flat index of each
-    slot's coefficient in that level's (rows, parents) coefficient array.
+    from :attr:`SolverState.transforms` by these indices.  The members are
+    in the arcs level by level: member i is row ``rows[i]`` of level
+    ``levels[i]``.  ``cells`` has, for each level, its number, the slice of
+    the members in it and the flat index of each slot's coefficient in that
+    level's (rows, parents) coefficient array.
     """
 
-    __slots__ = ("ops", "nodes", "parents", "consts", "places", "cells")
+    __slots__ = ("ops", "nodes", "parents", "consts", "levels", "rows", "cells")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
         self, ops: tuple[tuple, ...], nodes: np.ndarray, parents: np.ndarray, consts: np.ndarray,
-        places: list[Place], cells: tuple[tuple[int, slice, np.ndarray], ...],
+        levels: np.ndarray, rows: np.ndarray, cells: tuple[tuple[int, slice, np.ndarray], ...],
     ):
-        self._fill(ops, nodes, parents, consts, places, cells)
+        self._fill(ops, nodes, parents, consts, levels, rows, cells)
 
 
 class SolverConfig(_Record):
@@ -361,17 +366,16 @@ def recognize_linear(node: Node, d: Diagram) -> None:
     :attr:`SolverState.linear_coeffs` until the tracer drops both."""
 
 
-def _natural_prior_mean(node: Node) -> float:
-    p = node.prior
-    if p.family == BETA:
-        t = p.transform
-        return t.a + (t.b - t.a) * p.alpha / (p.alpha + p.beta)
-    return p.mean
-
-
 def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     """Build the starting state: prior moments, prior point, evidence entries.
 
+    The diagram is read once, node by node, into arrays: each parameter's
+    transform and family, prior, parent indices and expression shape, and
+    each evidence node's observed parameter.  From them numpy builds the
+    structure the whole solve uses (the symbolic analysis, done once): the
+    depth levels of the arcs, the expression-shape tapes, the evidence
+    groups with their live ancestors and the packing of A and the
+    covariance by component.
     Deterministic nodes take the value of their expression at the parent
     prior means, with conditional variance zero; their transformed means
     follow by applying their transform at that point, level by level: each
@@ -384,62 +388,99 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     pass, keyed by node, or by observed parameter and pooled when the
     configuration asks for it; the entries are grouped into the diagonal
     blocks of their covariance, which the diagram's arcs fix for every
-    iteration, and the columns of the covariance factor are ordered by those
-    groups' live ancestors.  The iteration-0 "posterior" point is defined to
-    be this prior point.  The error raised is the first failing parameter in
+    iteration.  The iteration-0 "posterior" point is defined to be this
+    prior point.  The error raised is the first failing parameter in
     parameter order (prior map or prior point), then the first failing
     observation in declaration order, whatever went through arrays.
     """
     cfg = cfg or SolverConfig()
     ensure_valid(d)
-    topo = topological_order(d)
-    param_ids = tuple(i for i in topo if d.nodes[i].kind != EVIDENCE)
+    nodes = d.nodes
+    param_ids = tuple(i for i in topological_order(d) if nodes[i].kind != EVIDENCE)
     index = {pid: k for k, pid in enumerate(param_ids)}
 
     n = len(param_ids)
-    mean_y = np.zeros(n)
-    mean_x = np.zeros(n)
-    cond_var = np.zeros(n)
+    mean_x, cond_var = np.zeros((2, n))
+    means = [0.0] * n  # natural-scale prior means of the basic parameters
+    ts = []  # each parameter's transform
     families: dict[str, list[int]] = {}  # parameter indices by their transform's family
-    betas: list[int] = []  # the basic parameters with Beta priors, and the others
+    betas: list[int] = []  # the basic parameters with Beta priors, their (alpha, beta), and the others
+    ab: list[tuple[float, float]] = []
     others: list[int] = []
+    parents: list[int] = []  # each parameter's parent indices, in turn
+    fan_in = [0] * n
+    shapes: dict[tuple, int] = {}  # expression shape -> its number, by first appearance
+    shape_of = [-1] * n
+    layouts: dict[int, tuple] = {}  # deterministic node -> (constants, parent of each variable slot)
     for k, pid in enumerate(param_ids):
-        node = d.nodes[pid]
+        node = nodes[pid]
+        ts.append(node.transform)
         families.setdefault(_KIND_FAMILY[node.transform.kind], []).append(k)
         if node.kind == BASIC:
-            (betas if node.prior.family == BETA else others).append(k)
-            mean_y[k] = _natural_prior_mean(node)
+            prior = node.prior
+            if prior.family == BETA:  # the mean of a + (b - a) Beta(alpha, beta)
+                betas.append(k)
+                ab.append((prior.alpha, prior.beta))
+                t = prior.transform
+                means[k] = t.a + (t.b - t.a) * prior.alpha / (prior.alpha + prior.beta)
+            else:
+                others.append(k)
+                means[k] = prior.mean
+            continue
+        ps = [index[p] for p in node.parents]
+        parents += ps
+        fan_in[k] = len(ps)
+        ops, consts, names = node.expr.shape
+        shape_of[k] = shapes.setdefault(ops, len(shapes))
+        layouts[k] = (consts, ps if names == node.parents else [index[p] for p in names])
+    mean_y = np.array(means)
+    ab = np.fromiter(itertools.chain.from_iterable(ab), float, 2 * len(betas)).reshape(-1, 2)
 
     # Prior moments, the Beta family as arrays when it is large enough.
     failed: list[tuple[int, str, ValueError]] = []  # (parameter, what failed, why)
+    unmapped = betas
     if len(betas) >= _BATCH_MIN:
         at = np.array(betas, dtype=np.intp)
-        ab = [(d.nodes[param_ids[k]].prior.alpha, d.nodes[param_ids[k]].prior.beta) for k in betas]
-        mean_x[at], cond_var[at] = _beta_to_moments_lockstep(*np.array(ab).T)
+        mean_x[at], cond_var[at] = _beta_to_moments_lockstep(*ab.T)
         finite = np.isfinite(mean_x[at]) & np.isfinite(cond_var[at])  # what MomentPair checks
-        betas = at[~finite].tolist()
-    for k in others + betas:
+        unmapped = at[~finite].tolist()
+    for k in others + unmapped:
         try:
-            m = forward_moments(d.nodes[param_ids[k]].prior)
+            m = forward_moments(nodes[param_ids[k]].prior)
         except ValueError as err:
             what = f"cannot map the prior of {param_ids[k]!r} to its transformed scale"
             failed.append((k, what, err))
         else:
             mean_x[k], cond_var[k] = m.mean, m.variance
 
-    levels = _depth_levels([[index[p] for p in d.nodes[pid].parents] for pid in param_ids])
+    levels = _depth_levels(np.repeat(np.arange(n), fan_in), np.array(parents, dtype=np.intp), n)
 
-    # Group the deterministic nodes by expression shape, level by level.
-    shapes: dict[tuple, list[Place]] = {}
-    for level, (nodes, par) in enumerate(levels):
-        for row, (k, ps) in enumerate(zip(nodes.tolist(), par.tolist())):
-            shapes.setdefault(d.nodes[param_ids[k]].expr.shape[0], []).append((level, row, k, ps))
-    taped = [(ops, places) for ops, places in shapes.items() if len(places) >= _BATCH_MIN]
-    walked = [place for places in shapes.values() if len(places) < _BATCH_MIN for place in places]
+    # The deterministic nodes level by level, grouped by expression shape:
+    # a tape per shape of at least _BATCH_MIN, the others walked one by one.
+    placed = np.concatenate([level for level, _ in levels] + [np.zeros(0, dtype=np.intp)])
+    count = np.array([len(level) for level, _ in levels], dtype=np.intp)
+    level_of = np.arange(len(levels)).repeat(count)
+    row_of = np.arange(len(placed)) - (np.add.accumulate(count) - count).repeat(count)
+    taped, walked = [], []
+    if len(placed) < _BATCH_MIN:  # too few for a tape
+        walked = _places(levels, level_of, row_of)
+    else:
+        code = np.array(shape_of, dtype=np.intp)[placed]
+        size = np.bincount(code)
+        by_shape = code.argsort(kind="stable")  # by shape, then level, then row
+        bounds = np.add.accumulate(size)
+        first = [int(by_shape[b - s]) for s, b in zip(size.tolist(), bounds.tolist())]
+        ops_of = list(shapes)
+        for c in sorted(range(len(size)), key=first.__getitem__):  # shapes by first place
+            at = by_shape[bounds[c] - size[c] : bounds[c]]
+            if size[c] >= _BATCH_MIN:
+                taped.append((ops_of[c], at))
+            else:
+                walked += _places(levels, level_of[at], row_of[at])
     transforms = None
     if n >= _BATCH_MIN:  # there may be a tape or an array moment map to read it
-        transforms = _TransformArrays.of([d.nodes[pid].transform for pid in param_ids], (n,))
-    tapes = [_tape(d, param_ids, index, levels, *shape) for shape in taped]
+        transforms = _TransformArrays.of(ts, (n,))
+    tapes = [_tape(ops, placed[at], level_of[at], row_of[at], layouts, levels) for ops, at in taped]
 
     # The prior point and the first linearization there, level by level, as
     # linearize makes it: each tape's members in the level at once, then the
@@ -448,13 +489,13 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     by_level: list[list[Place]] = [[] for _ in levels]
     for place in walked:
         by_level[place[0]].append(place)
-    for level, places in enumerate(by_level):
+    for level, todo in enumerate(by_level):
         for tape, at in [(tape, at) for tape in tapes for lv, at, _ in tape.cells if lv == level]:
             members = np.arange(at.start, at.stop)
-            y, failing = _linearize_tape(tape, members, transforms, mean_y, mean_x, c)
+            y, failing = _linearize_tape(tape, members, transforms, mean_y, mean_x, c, levels)
             mean_y[tape.nodes[at]] = y
-            places += failing
-        for place in places:
+            todo += failing
+        for place in todo:
             k = place[2]
             try:
                 mean_y[k] = _linearize_node(d, param_ids, place, mean_y, mean_x, c)
@@ -467,15 +508,15 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     # Evidence entries in order of first appearance, each labelled by its
     # first node: one per node, or one pooled entry per observed parameter.
     ev_nodes = d.evidence_nodes()
-    ev_obs, ev_var = _likelihoods(ev_nodes, d, index, mean_x, cond_var)
-    looks: dict[str, tuple[Node, list[int]]] = {}
-    for i, node in enumerate(ev_nodes):
-        looks.setdefault(node.parents[0] if cfg.pool_evidence else node.id, (node, []))[1].append(i)
+    observed = np.array([index[node.parents[0]] for node in ev_nodes], dtype=np.intp)
+    ev_obs, ev_var = _likelihoods(ev_nodes, d, observed, betas, ab, mean_x, cond_var)
+    entry = np.arange(len(ev_nodes))  # the first node of each entry
     if cfg.pool_evidence:
-        ev_obs, ev_var = _pooled(ev_obs, ev_var, list(looks.values()))
-    order = param_ids + tuple(first.id for first, _ in looks.values())
-    ev_parent = np.array([index[first.parents[0]] for first, _ in looks.values()], dtype=int)
-    components, ancestors = _evidence_components(levels, cond_var > 0.0, ev_parent)
+        ev_obs, ev_var, entry = _pooled(ev_nodes, ev_obs, ev_var, observed)
+    order = param_ids + tuple(ev_nodes[e].id for e in entry.tolist())
+    ev_parent = observed[entry]
+    live = cond_var > 0.0
+    components, ancestors = _evidence_components(levels, live, ev_parent)
 
     return SolverState(
         diagram=d,
@@ -485,7 +526,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         ev_obs=np.array(ev_obs),
         ev_components=components,
         ev_ancestors=ancestors,
-        packing=_packing(levels, cond_var > 0.0),
+        packing=_packing(levels, live),
         levels=levels,
         tapes=tuple(tapes),
         walked=walked,
@@ -502,33 +543,43 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 def _likelihoods(
     nodes: list[Node],
     d: Diagram,
-    index: dict[str, int],
+    observed: np.ndarray,
+    betas: list[int],
+    ab: np.ndarray,
     prior_x: np.ndarray,
     prior_var: np.ndarray,
 ) -> tuple[list[float], list[float]]:
     """The (d, v) of each evidence node, at least ``_BATCH_MIN`` binomial ones as arrays.
 
-    A binomial observation whose reference is its parent's Beta prior reads
-    that prior's log-odds moments from ``prior_x`` and ``prior_var`` (over
-    the parameters, by ``index``), which the prior map found with the same
-    polygammas.  The other nodes, binomial counts from 2**53 on (not all
+    Node i observes parameter ``observed[i]``; the parameters ``betas`` have
+    Beta priors, with (alpha, beta) the rows of ``ab``.  A binomial
+    observation's reference is its own (alpha, beta), else its parent's
+    Beta prior, whose log-odds moments it reads from ``prior_x`` and
+    ``prior_var`` (the prior map found them with the same polygammas), else
+    the default.  The other nodes, binomial counts from 2**53 on (not all
     exact as floats) and the entries the arrays leave NaN are resolved one
     by one in order, so the first failure raises."""
     obs, var = [math.nan] * len(nodes), [math.nan] * len(nodes)
-    batch = [i for i, n in enumerate(nodes) if n.obs.variant == BINOMIAL and n.obs.count < 2**53]
-    if len(batch) >= _BATCH_MIN:
-        rows, shared = [], []
-        for i in batch:
-            spec, parent = nodes[i].obs, d.nodes[nodes[i].parents[0]]
-            rows.append((spec.count, spec.successes, *_reference(spec, parent.prior)))
-            own = spec.alpha is None and parent.prior is not None and parent.prior.family == BETA
-            shared.append(index[parent.id] if own else -1)
-        at = np.array(shared, dtype=np.intp)
+    batch, rows = [], []
+    for i, node in enumerate(nodes):
+        spec = node.obs
+        if spec.variant == BINOMIAL and spec.count < 2**53:
+            batch.append(i)
+            rows.append((spec.count, spec.successes, spec.alpha is None, spec.alpha, spec.beta))
+    if len(batch) >= _BATCH_MIN:  # an absent reference (None) reads as NaN
+        rows = np.fromiter(itertools.chain.from_iterable(rows), float, 5 * len(rows))
+        count, successes, unset, alpha, beta = rows.reshape(-1, 5).T
+        beta_prior = np.full((len(prior_x), 2), math.nan)  # each parameter's Beta prior
+        beta_prior[betas] = ab
+        unset, parent = unset > 0.0, observed[batch]
+        own = unset & ~np.isnan(beta_prior[parent, 0])
+        ref = np.where(own[:, None], beta_prior[parent], _DEFAULT_REFERENCE)
+        alpha, beta = np.where(unset, ref.T, [alpha, beta])
+        at = np.where(own, parent, -1)
         prior = np.where(at >= 0, [prior_x[at], prior_var[at]], math.nan)
-        got = _binomial_array(*np.array(rows, dtype=float).T, prior=prior)
-        for i, x, v, done in zip(batch, *(a.tolist() for a in got)):
-            if done:
-                obs[i], var[i] = x, v
+        x, v, done = _binomial_array(count, successes, alpha, beta, prior=prior)
+        for i, x_i, v_i in zip(np.array(batch)[done].tolist(), x[done].tolist(), v[done].tolist()):
+            obs[i], var[i] = x_i, v_i
     for i, x in enumerate(obs):
         if math.isnan(x):
             like = _resolve(nodes[i], d)
@@ -537,55 +588,70 @@ def _likelihoods(
 
 
 def _pooled(
-    obs: list[float], var: list[float], groups: list[tuple[Node, list[int]]]
-) -> tuple[list[float], list[float]]:
-    """Each group of observations pooled into one by :func:`pool`, in order.
+    nodes: list[Node], obs: list[float], var: list[float], observed: np.ndarray
+) -> tuple[list[float], list[float], np.ndarray]:
+    """The observations of each parameter pooled into one by :func:`pool`: ``(d, v, first)``.
 
-    A group of one keeps its entry, which is what :func:`pool` returns for
-    it; the first group that cannot pool raises, naming its first node."""
-    pooled_obs = [obs[items[0]] for _, items in groups]
-    pooled_var = [var[items[0]] for _, items in groups]
-    for g, (first, items) in enumerate(groups):
-        if len(items) > 1:
+    Node i observes parameter ``observed[i]``; the entries are in order of
+    first appearance, and ``first`` holds each one's first node.  A group of
+    one keeps its entry, which is what :func:`pool` returns for it; the first
+    group that cannot pool raises, naming its first node."""
+    order = observed.argsort(kind="stable")  # the nodes by parameter, then in order
+    seen = observed[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = seen[1:] != seen[:-1]
+    first = np.sort(order[new])
+    pooled_obs = [obs[i] for i in first.tolist()]
+    pooled_var = [var[i] for i in first.tolist()]
+    if len(first) < len(nodes):
+        bounds = [*new.nonzero()[0].tolist(), len(order)]
+        groups = sorted(order[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:]))
+        for g, items in enumerate(groups):
+            if len(items) == 1:
+                continue
             try:
                 like = pool_likelihoods([LikelihoodApprox(obs[i], var[i]) for i in items])
             except ValueError as err:
-                raise InitializationError(
-                    f"cannot pool the observations of {first.id!r}: {err}", first.id
-                ) from err
+                nid = nodes[items[0]].id
+                raise InitializationError(f"cannot pool the observations of {nid!r}: {err}", nid) from err
             pooled_obs[g], pooled_var[g] = like.d, like.v
-    return pooled_obs, pooled_var
+    return pooled_obs, pooled_var, first
 
 
 def _tape(
-    d: Diagram,
-    ids: tuple[str, ...],
-    index: dict[str, int],
+    ops: tuple, nodes: np.ndarray, level: np.ndarray, rows: np.ndarray, layouts: dict[int, tuple],
     levels: Levels,
-    ops: tuple,
-    places: list[Place],
 ) -> _Tape:
-    """The tape of the nodes at ``places`` (level by level), whose expressions' shape is ``ops``."""
-    layouts = [d.nodes[ids[k]].expr.shape for _, _, k, _ in places]
-    parents = np.array([[index[name] for name in names] for _, _, names in layouts], dtype=np.intp)
-    rows = np.array([row for _, row, _, _ in places], dtype=np.intp)
-    cells, start = [], 0
-    for level, group in itertools.groupby(places, key=lambda place: place[0]):
-        at = slice(start, start + len(list(group)))
-        par = levels[level][1][rows[at]]
+    """The tape of ``nodes``, rows ``rows`` of levels ``level`` (level by level), of shape ``ops``.
+
+    ``layouts`` holds each deterministic node's constants and the parent
+    index of each variable slot of its shape."""
+    ks, (consts, slots) = nodes.tolist(), layouts[int(nodes[0])]
+    parents = np.fromiter(
+        itertools.chain.from_iterable(layouts[k][1] for k in ks), np.intp, len(ks) * len(slots)
+    ).reshape(len(ks), -1)
+    cells = []
+    for lv, at in zip(*np.unique(level, return_index=True)):
+        at = slice(at, at + np.count_nonzero(level == lv))
+        par = levels[lv][1][rows[at]]
         # each slot's column in its row: the first, and only, that holds its parent
         column = (par[:, :, None] == parents[at, None, :]).argmax(axis=1)
-        cells.append((level, at, rows[at, None] * par.shape[1] + column))
-        start = at.stop
-    consts = np.array([c for _, c, _ in layouts], dtype=float).reshape(len(places), -1)
+        cells.append((int(lv), at, rows[at, None] * par.shape[1] + column))
+    consts = np.fromiter(
+        itertools.chain.from_iterable(layouts[k][0] for k in ks), float, len(ks) * len(consts)
+    ).reshape(len(ks), -1)
     return _Tape(
-        ops=ops,
-        nodes=np.array([k for _, _, k, _ in places], dtype=np.intp),
-        parents=parents,
-        consts=consts.T.copy(),
-        places=places,
+        ops=ops, nodes=nodes, parents=parents, consts=consts.T.copy(), levels=level, rows=rows,
         cells=tuple(cells),
     )
+
+
+def _places(levels: Levels, level: np.ndarray, rows: np.ndarray) -> list[Place]:
+    """The places of the nodes at rows ``rows`` of levels ``level``."""
+    return [
+        (lv, r, int(levels[lv][0][r]), levels[lv][1][r].tolist())
+        for lv, r in zip(level.tolist(), rows.tolist())
+    ]
 
 
 def _resolve(node: Node, d: Diagram) -> LikelihoodApprox:
@@ -644,10 +710,12 @@ def linearize(state: SolverState) -> Arcs:
         ]
         redo = [np.flatnonzero(moved[tape.parents].any(axis=1)) for tape in state.tapes]
     for tape, members in zip(state.tapes, redo):
-        if members.size:
+        if len(members) >= _BATCH_MIN:
             walked += _linearize_tape(
-                tape, members, state.transforms, state.post_y, state.point_x, c
+                tape, members, state.transforms, state.post_y, state.point_x, c, state.levels
             )[1]
+        else:  # a pass costs about as much whatever its size (see _BATCH_MIN)
+            walked += _places(state.levels, tape.levels[members], tape.rows[members])
     failed: list[tuple[int, ValueError]] = []
     for place in walked:
         try:
@@ -668,6 +736,7 @@ def _linearize_tape(
     post_y: np.ndarray,
     point_x: np.ndarray,
     c: list[np.ndarray],
+    levels: Levels,
 ) -> tuple[np.ndarray, list[Place]]:
     """Linearize a tape's ``members`` at ``post_y`` into ``point_x`` and the coefficients ``c``.
 
@@ -677,8 +746,8 @@ def _linearize_tape(
     value and slopes, bit for bit those of its own walk whatever else is in
     the pass, and marks the members whose walk would raise; their entries
     are written too.  Returns the members' values f(post_y) and the places
-    of the marked ones, for :func:`_linearize_node` to walk them one by
-    one, which rewrites their entries or names the error.
+    of the marked ones in the arcs' ``levels``, for :func:`_linearize_node`
+    to walk them one by one, which rewrites their entries or names the error.
     """
     nodes, parents = tape.nodes[members], tape.parents[members]
     own = transforms[nodes]
@@ -690,7 +759,8 @@ def _linearize_tape(
     for level, at, flat in tape.cells:
         lo, hi = np.searchsorted(members, (at.start, at.stop))
         c[level].reshape(-1)[flat[members[lo:hi] - at.start]] = b[lo:hi]
-    return y, [tape.places[i] for i in members[failed | ~ok].tolist()]
+    bad = members[failed | ~ok]
+    return y, _places(levels, tape.levels[bad], tape.rows[bad])
 
 
 def _linearize_node(

@@ -243,7 +243,7 @@ class _TransformArrays(_Record):
         ids = list(map(id, ts))
         objects = dict(zip(ids, ts))
         pos = {i: k for k, i in enumerate(objects)}
-        which = np.reshape([pos[i] for i in ids], shape)
+        which = np.fromiter(map(pos.__getitem__, ids), np.intp, len(ids)).reshape(shape)
         kinds = np.array([t.kind for t in objects.values()])[which]
         a, b, lo, hi = np.array([(t.a, t.b, *t.support()) for t in objects.values()]).T[:, which]
         with np.errstate(over="ignore"):  # inf, as derivative gives, for a subnormal b - a

@@ -31,19 +31,59 @@ def dense_b(n, arcs):
 
 
 def dense_factor(a, pack):
-    """The factor A packed by ``pack`` as an n x n matrix with one column per node.
+    """The factor A laid out by ``pack.a`` as an n x n matrix with one column per node.
 
-    Column t of row i of the packed ``a`` is the live node of rank t in row
-    i's component; the columns of nodes without noise stay zero.
+    Entry e of ``a`` is row ``pack.a.rows[e]``'s column of live node
+    ``pack.a.cols[e]``; the columns of nodes without noise stay zero.
     """
-    n = len(a)
-    live_members = np.full((len(pack.members), a.shape[1]), -1)
-    live_members[pack.comp[pack.live], pack.live_slot[pack.live]] = pack.live
-    cols = live_members[pack.comp]
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    n = len(pack.comp)
     dense = np.zeros((n, n))
-    dense[rows[cols >= 0], cols[cols >= 0]] = a[cols >= 0]
+    dense[pack.a.rows, pack.a.cols] = a
     return dense
+
+
+def arcs_of(parents):
+    """``(child, parent, n)`` of the parent lists ``parents``, as ``_depth_levels`` reads them."""
+    child = np.repeat(np.arange(len(parents)), [len(ps) for ps in parents])
+    return child, np.array([i for ps in parents for i in ps], dtype=np.intp), len(parents)
+
+
+def depth_levels(parents):
+    """The reference levels: each node's depth by a walk in the node order, as
+    ``[(nodes, par)]`` with each row's distinct parents padded with its node."""
+    depth = [0] * len(parents)
+    rows = {}  # depth -> [node, *parents] per node
+    for j, ps in enumerate(parents):
+        if len(ps):
+            depth[j] = 1 + max(depth[i] for i in ps)
+            rows.setdefault(depth[j], []).append([j, *dict.fromkeys(ps)])
+    levels = []
+    for d in sorted(rows):
+        width = max(map(len, rows[d]))
+        padded = np.array([r + r[:1] * (width - len(r)) for r in rows[d]], dtype=int)
+        levels.append((padded[:, 0], padded[:, 1:]))
+    return levels
+
+
+def components(parents):
+    """Each node's weakly connected component, numbered by first node, by breadth-first search."""
+    n = len(parents)
+    near = [set() for _ in range(n)]
+    for j, ps in enumerate(parents):
+        for i in ps:
+            near[i].add(j)
+            near[j].add(i)
+    comp, count = [-1] * n, 0
+    for start in range(n):
+        if comp[start] < 0:
+            comp[start], queue = count, [start]
+            while queue:
+                for k in near[queue.pop()]:
+                    if comp[k] < 0:
+                        comp[k] = count
+                        queue.append(k)
+            count += 1
+    return comp
 
 
 def _same_tree(a, b):

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from gaussid.gaussian import (
     ConditioningError,
     GaussianState,
+    _components,
     _condition_number,
     _covariance,
     _depth_levels,
@@ -31,7 +32,7 @@ from gaussid.gaussian import (
     correlation_matrix,
     propagate_covariance,
 )
-from helpers import dense_factor
+from helpers import arcs_of, components, dense_factor, depth_levels
 
 
 def make_state(mean, coeffs, cond_var, names=None):
@@ -202,7 +203,7 @@ class TestPropagation:
 def substitute(parents, coeffs, x0):
     """The kernel on B given by its parent lists and coefficients, on a copy of X0."""
     x = np.array(x0, dtype=float)
-    out = _substitute(_level_arcs(_depth_levels(parents), coeffs), x)
+    out = _substitute(_level_arcs(_depth_levels(*arcs_of(parents)), coeffs), x)
     assert out is x  # solved in place
     return out
 
@@ -225,7 +226,7 @@ class TestSubstitution:
     def test_chain_of_full_depth(self, shape):
         rng = np.random.default_rng(71)
         parents = [[]] + [[j - 1] for j in range(1, 40)]
-        assert len(_depth_levels(parents)) == 39
+        assert len(_depth_levels(*arcs_of(parents))) == 39
         coeffs = coefficients(parents, rng)
         x0 = rng.normal(size=shape)
         got = substitute(parents, coeffs, x0)
@@ -236,7 +237,7 @@ class TestSubstitution:
         # Node 5 reads a root (depth 0) and node 4 (depth 3); node 3 has three
         # parents and node 4 one, so one level pads its rows.
         parents = [[], [], [0], [0, 1, 2], [3], [0, 4]]
-        levels = _depth_levels(parents)
+        levels = _depth_levels(*arcs_of(parents))
         assert [nodes.tolist() for nodes, _ in levels] == [[2], [3], [4], [5]]
         rng = np.random.default_rng(73)
         coeffs = coefficients(parents, rng)
@@ -245,7 +246,7 @@ class TestSubstitution:
         np.testing.assert_allclose(got, dense_solve(coeffs, x0), rtol=1e-10, atol=1e-10)
 
     def test_padding_repeats_the_node_itself(self):
-        levels = _depth_levels([[], [], [0, 1], [0]])
+        levels = _depth_levels(*arcs_of([[], [], [0, 1], [0]]))
         assert len(levels) == 1
         nodes, par = levels[0]
         assert nodes.tolist() == [2, 3] and par.tolist() == [[0, 1], [0, 3]]
@@ -274,11 +275,11 @@ class TestSubstitution:
         rng = np.random.default_rng(83)
         coeffs = coefficients(parents, rng)
         cond_var = np.array([1.5, 0.5, 0.0, 2.0, 0.0])
-        levels = _depth_levels(parents)
+        levels = _depth_levels(*arcs_of(parents))
         arcs, scale = _level_arcs(levels, coeffs), np.sqrt(cond_var)
         pack = _packing(levels, cond_var > 0.0)
         a = _forward_factor(arcs, scale, pack)
-        assert a.shape == (5, 3)
+        assert a.shape == (15,)  # one component: 5 rows of its 3 live columns
         want = dense_solve(coeffs, np.diag(scale))
         np.testing.assert_allclose(dense_factor(a, pack), want, rtol=1e-10, atol=1e-10)
         rhs = rng.normal(size=(5, 6))
@@ -479,10 +480,10 @@ class TestConditioning:
         # G G' plus non-negative noise is never indefinite, so the guard is
         # driven through the kernel: G G' = [[1, 2], [2, 4]] plus noise (0, -3).
         g = np.array([[1.0], [2.0]])
-        pack = _packing(_depth_levels([[], [0]]), np.array([True, False]))
+        pack = _packing(_depth_levels(*arcs_of([[], [0]])), np.array([True, False]))
         one = ((np.array([[0, 1]]),), (np.array([[0]]),))
         with pytest.raises(ConditioningError, match="not positive definite") as exc:
-            _factor_update(g, pack, *one, np.array([0, 1]), np.array([0.0, -3.0]), np.zeros(2))
+            _factor_update(g.ravel(), pack, *one, np.array([0, 1]), np.array([0.0, -3.0]), np.zeros(2))
         assert exc.value.condition_estimate == pytest.approx(3.0)
 
     def test_unpropagated_state_conditions_alike(self):
@@ -629,7 +630,7 @@ def dense_kept(vs, ancestors, q):
 
 def factor_space_posterior(parents, coeffs, cond_var, mean, observed, noise, obs):
     """Posterior means, variances and covariance of the nodes, as the solver forms them."""
-    levels = _depth_levels(parents)
+    levels = _depth_levels(*arcs_of(parents))
     arcs, scale = _level_arcs(levels, coeffs), np.sqrt(cond_var)
     components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
     pack = _packing(levels, cond_var > 0.0)
@@ -675,7 +676,7 @@ class TestComponents:
         m = sum(s for s, _ in shapes)
         q = sum(l for _, l in shapes) + 2
         n = m + 3
-        pack = _packing(_depth_levels([[]] * q + [list(range(q))] * (n - q)), np.arange(n) < q)
+        pack = _packing(_depth_levels(*arcs_of([[]] * q + [list(range(q))] * (n - q))), np.arange(n) < q)
         for _ in range(20):
             components = random_components(rng, [s for s, _ in shapes])
             by_size = {idx.shape[1]: idx.tolist() for idx in components}
@@ -695,16 +696,17 @@ class TestComponents:
                     a[np.ix_(par[entries], outside)] = 0.0
             mean, resid, noise = rng.normal(size=n), rng.normal(size=m), rng.uniform(0.1, 1.0, m)
 
-            shift, vs = _factor_update(a, pack, components, ancestors, par, noise, resid)
+            flat = a.ravel()  # every row holds the q live columns, in the node order
+            shift, vs = _factor_update(flat, pack, components, ancestors, par, noise, resid)
             one = ((np.arange(m)[None, :],), (np.arange(q)[None, :],))
-            want_shift, want_vs = _factor_update(a, pack, *one, par, noise, resid)
+            want_shift, want_vs = _factor_update(flat, pack, *one, par, noise, resid)
             np.testing.assert_allclose(mean + shift, mean + want_shift, rtol=1e-10, atol=1e-10)
             got_cov = a @ dense_kept(vs, ancestors, q) @ a.T
             want_cov = a @ (np.eye(q) - want_vs[0][0].T @ want_vs[0][0]) @ a.T
             np.testing.assert_allclose(got_cov, want_cov, rtol=1e-10, atol=1e-10)
-            got_var = _posterior_variance(a, pack, ancestors, vs)
+            got_var = _posterior_variance(flat, pack, ancestors, vs)
             np.testing.assert_allclose(
-                got_var, _posterior_variance(a, pack, one[1], want_vs), rtol=1e-10, atol=1e-10
+                got_var, _posterior_variance(flat, pack, one[1], want_vs), rtol=1e-10, atol=1e-10
             )
             cross = a[par] @ a.T
             gain = cross.T @ np.linalg.inv(a[par] @ a[par].T + np.diag(noise))
@@ -725,7 +727,7 @@ class TestComponents:
                 coeffs[rng.choice(j, size=k, replace=False), j] = rng.uniform(0.2, 1.0, size=k)
             cond_var = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.5, 2.0, size=n))
             observed = rng.integers(0, n, size=15)
-            levels = _depth_levels([np.flatnonzero(coeffs[:, j]).tolist() for j in range(n)])
+            levels = _depth_levels(*arcs_of([np.flatnonzero(coeffs[:, j]).tolist() for j in range(n)]))
             components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
             members = sorted(e for idx in components for e in idx.ravel().tolist())
             assert members == list(range(len(observed)))
@@ -742,12 +744,63 @@ class TestComponents:
             assert np.all(cov[label[:, None] != label[None, :]] == 0.0)
 
     @given(evidence_dags())
+    @example(([[], [0, 0, 0], [1, 0], [2]], [True, False, True, False], [3, 1, 3]))  # repeats
+    @settings(max_examples=200, deadline=None)
+    def test_the_array_analysis_matches_the_references(self, dag):
+        # The levels against a walk in the node order, the components against
+        # a breadth-first search, the groups against the dense reach matrix,
+        # and each row of the packing holding its own component's entries.
+        parents, live, observed = dag
+        levels = _depth_levels(*arcs_of(parents))
+        assert [(nodes.tolist(), par.tolist()) for nodes, par in levels] == [
+            (nodes.tolist(), par.tolist()) for nodes, par in depth_levels(parents)
+        ]
+        live, observed = np.array(live), np.array(observed, dtype=int)
+        got, want = _evidence_components(levels, live, observed), dense_evidence_components(
+            levels, live, observed
+        )
+        for got_part, want_part in zip(got, want, strict=True):
+            assert [g.tolist() for g in got_part] == [w.tolist() for w in want_part]
+        pack = _packing(levels, live)
+        comp = np.array(components(parents), dtype=int)
+        assert pack.comp.tolist() == comp.tolist()
+        size, live_size = np.bincount(comp), np.bincount(comp, live).astype(int)
+        assert len(pack.cov.rows) == (size**2).sum() and len(pack.a.rows) == (size * live_size).sum()
+        pairs = pack.cov.rows * len(comp) + pack.cov.cols
+        assert sorted(pairs.tolist()) == [
+            i * len(comp) + j for i in range(len(comp)) for j in range(len(comp)) if comp[i] == comp[j]
+        ]
+        a_pairs = sorted((pack.a.rows * len(comp) + pack.a.cols).tolist())
+        assert a_pairs == [
+            i * len(comp) + j
+            for i in range(len(comp))
+            for j in range(len(comp))
+            if comp[i] == comp[j] and live[j]
+        ]
+
+    @given(
+        hst.integers(1, 30).flatmap(
+            lambda n: hst.tuples(
+                hst.just(n), hst.lists(hst.tuples(*[hst.integers(0, n - 1)] * 2), max_size=40)
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_components_of_edges_in_any_order(self, graph):
+        n, edges = graph
+        parents = [[] for _ in range(n)]
+        for u, v in edges:
+            parents[max(u, v)].append(min(u, v))
+        u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        assert _components(u, v, n).tolist() == components(parents)
+
+    @given(evidence_dags())
     @example(([[], [], [0, 1]], [True, True, False], [0, 1]))  # unobserved child of two
     @example(([[], [0], [1], [2]], [False, True, False, False], [3, 0, 3, 2, 0]))
     @settings(max_examples=300, deadline=None)
     def test_groups_match_the_dense_reach_matrix(self, dag):
         parents, live, observed = dag
-        args = (_depth_levels(parents), np.array(live), np.array(observed, dtype=int))
+        args = (_depth_levels(*arcs_of(parents)), np.array(live), np.array(observed, dtype=int))
         got, want = _evidence_components(*args), dense_evidence_components(*args)
         for got_part, want_part in zip(got, want, strict=True):  # entries, live ancestors
             assert [g.tolist() for g in got_part] == [w.tolist() for w in want_part]
@@ -788,7 +841,7 @@ class TestComponents:
         cond_var = np.where(live, rng.uniform(0.5, 2.0, size=n), 0.0)
         noise = rng.uniform(0.2, 2.0, size=len(observed))
         resid = rng.normal(size=len(observed))
-        levels = _depth_levels(parents)
+        levels = _depth_levels(*arcs_of(parents))
         arcs, scale = _level_arcs(levels, coeffs), np.sqrt(cond_var)
         components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
         pack = _packing(levels, cond_var > 0.0)
@@ -800,7 +853,10 @@ class TestComponents:
         assert all(v.tobytes() == w.tobytes() for v, w in zip(vs, want_vs, strict=True))
         assert np.all(np.abs(shift - want_a @ u) <= 1e-14 * (np.abs(want_a) @ np.abs(u)))
         np.testing.assert_allclose(
-            np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", want_a, want_a), rtol=1e-14, atol=0
+            np.einsum("ij,ij->i", *[dense_factor(a, pack)] * 2),
+            np.einsum("ij,ij->i", want_a, want_a),
+            rtol=1e-14,
+            atol=0,
         )
         got_var = _posterior_variance(a, pack, ancestors, vs)
         kept, wide = dense_variance_terms(want_a, ancestors, vs)
@@ -816,7 +872,7 @@ class TestComponents:
         assert np.all(corr[between] == 0.0) and not np.signbit(corr[between]).any()
 
     def test_unobserved_child_of_two_links_nothing(self):
-        levels = _depth_levels([[], [], [0, 1]])
+        levels = _depth_levels(*arcs_of([[], [], [0, 1]]))
         got = _evidence_components(levels, np.array([True, True, False]), np.array([0, 1]))
         assert [[x.tolist() for x in part] for part in got] == [[[[0], [1]]], [[[0], [1]]]]
 
@@ -828,7 +884,7 @@ class TestComponents:
         parents = [[]] * n_basic + [
             sorted(rng.choice(n_basic, size=2, replace=False).tolist()) for _ in range(n_det)
         ]
-        levels = _depth_levels(parents)
+        levels = _depth_levels(*arcs_of(parents))
         live = np.arange(n_basic + n_det) < n_basic
         observed = np.arange(n_basic)
         tracemalloc.start()

@@ -73,7 +73,7 @@ from gaussid.transforms import (
     forward_point,
     inverse_point,
 )
-from helpers import bench_generate, dense_b, dense_factor
+from helpers import arcs_of, bench_generate, dense_b, dense_factor
 
 # gaussid.evidence, the module: the package exports the function model.evidence
 # under that name
@@ -973,9 +973,12 @@ class TestSolve:
             rho = r / 10.0
             sd = np.sqrt(state.cond_var[:2])
             w = np.array([[np.sqrt(0.25 - rho / 2)] * 2, [np.sqrt(rho / 2), -np.sqrt(rho / 2)]])
-            state.packing = _packing(_depth_levels([[], [0]]), np.array([True, True]))
+            levels = _depth_levels(*arcs_of([[], [0]]))
+            state.packing = _packing(levels, np.array([True, True]))
             state.ev_ancestors = (np.array([[0, 1]]),)
-            state.snapshot = ((), np.diag(sd), [w[None]], np.full(2, 0.5), np.full(2, 0.01))
+            arcs = tuple((nodes, par, np.zeros(par.shape)) for nodes, par in levels)
+            a = np.diag(sd).ravel()  # rows of both live columns
+            state.snapshot = (arcs, a, [w[None]], np.full(2, 0.5), np.full(2, 0.01))
             return record
 
         d = Diagram.from_nodes(
