@@ -292,6 +292,16 @@ def _layouts(
     then node, so they share their blocks, each a run of rows as long in
     both, and each block's steps."""
     n = len(comp)
+    if len(first) == 2:  # one component: one block, its rows the nodes in order
+        at = np.arange(n)
+        steps = tuple((lv, np.arange(len(nodes)), nodes, par) for lv, (nodes, par) in enumerate(levels))
+
+        def block(nodes: np.ndarray) -> Rows:
+            w = len(nodes)
+            blocks = ((slice(0, n * w), n, w, at, steps),) if w else ()
+            return Rows(at * w, np.full(n, w), at.repeat(w), np.tile(nodes, n), blocks)
+
+        return block(members), block(live_members)
     size, live_size = first[1:] - first[:-1], live_first[1:] - live_first[:-1]
     by_size = np.lexsort((live_size, size))  # the components by size, then live size, then number
     order = members[_ranges(first[by_size], first[by_size + 1])]
@@ -426,7 +436,9 @@ def _times(a: np.ndarray, u: np.ndarray, pack: Packing) -> np.ndarray:
     crowded = pack.crowded
     if len(crowded):
         at = _ranges(rows.start[crowded], rows.start[crowded] + rows.length[crowded])
-        to = at + (np.arange(len(crowded)) * pack.live_width - rows.start[crowded]).repeat(rows.length[crowded])
+        to = at + (np.arange(len(crowded)) * pack.live_width - rows.start[crowded]).repeat(
+            rows.length[crowded]
+        )
         pad = np.zeros((2, len(crowded) * pack.live_width))
         pad[0, to], pad[1, to] = a[at], uc[at]
         out[crowded] = np.einsum("it,it->i", *pad.reshape(2, len(crowded), pack.live_width))
