@@ -269,7 +269,7 @@ def _polygammas_lockstep(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     w = z + _SHIFT
     iw = 1.0 / w
     iw2 = iw * iw
-    log_w = np.array([math.log(v) for v in w.tolist()])
+    log_w = np.fromiter(map(math.log, w.tolist()), float, len(w))
     return (
         psi + log_w - 0.5 * iw - iw2 * (1.0 / 12.0 - iw2 * (1.0 / 120.0 - iw2 / 252.0)),
         psi1 + iw + 0.5 * iw2 + iw * iw2 * (
@@ -306,8 +306,8 @@ def _beta_from_moments_lockstep(
     done = np.zeros(mean.shape, dtype=bool)
     act = np.flatnonzero((var > 0.0) & np.isfinite(mean) & np.isfinite(var))
     m, v = mean[act], var[act]
-    e_pos = np.array([math.exp(x) for x in np.minimum(m, 700.0).tolist()])
-    e_neg = np.array([math.exp(x) for x in np.minimum(-m, 700.0).tolist()])
+    e_pos = np.fromiter(map(math.exp, np.minimum(m, 700.0).tolist()), float, len(m))
+    e_neg = np.fromiter(map(math.exp, np.minimum(-m, 700.0).tolist()), float, len(m))
     with np.errstate(all="ignore"):
         a, b = 0.5 + (1.0 + e_pos) / v, 0.5 + (1.0 + e_neg) / v
         keep = np.isfinite(a) & np.isfinite(b)

@@ -377,6 +377,12 @@ class TestConditioning:
         np.testing.assert_allclose(mean, st.mean)
         np.testing.assert_allclose(cov, st.cov)
 
+    def test_a_state_of_no_nodes(self):
+        st = propagate_covariance(make_state([], np.zeros((0, 0)), []))
+        assert st.cov.shape == (0, 0)
+        mean, cov = condition(st, {})
+        assert mean.shape == (0,) and cov.shape == (0, 0)
+
     def test_two_rows_match_precision_pooling(self):
         # Two independent noisy looks at x are the same as one pooled look.
         st2 = propagate_covariance(

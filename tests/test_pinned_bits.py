@@ -125,6 +125,19 @@ def no_evidence():
     return [normal("u", 1.5, 0.2), normal("v", 0.5, 0.1), det("w", "u * v + u", LOG)]
 
 
+def deep_chain():
+    """c_i = 0.9 c_(i-1) + x_i for i up to 30: a level per node, looks at both ends."""
+    rng = np.random.default_rng(4)
+    nodes = [normal(f"x{i}", rng.uniform(-1, 1), rng.uniform(0.05, 0.2)) for i in range(31)]
+    nodes.append(det("c0", "x0"))
+    nodes += [det(f"c{i}", f"0.9 * c{i - 1} + x{i}") for i in range(1, 31)]
+    return nodes + [look("o0", "c0", 0.3, 0.2), look("o30", "c30", 1.5, 0.4)]
+
+
+def no_nodes():
+    return []
+
+
 DIAGRAMS = {
     "wide_groups": wide_groups,
     "diamond": diamond,
@@ -133,6 +146,8 @@ DIAGRAMS = {
     "singletons": singletons,
     "uneven_fan_in": uneven_fan_in,
     "no_evidence": no_evidence,
+    "deep_chain": deep_chain,
+    "no_nodes": no_nodes,
 }
 
 # name -> (pooled, --no-pool): the first 16 hex digits of the sha256 of stdout
@@ -144,6 +159,8 @@ DIGESTS = {
     "singletons": ("15c42a6e9876aac6", "7d85d0e697308f25"),
     "uneven_fan_in": ("0eacfc760f2b0f9a", "e6b82c6498c366d1"),
     "no_evidence": ("bf196becfb633e11", "bf196becfb633e11"),
+    "deep_chain": ("91204a5a6f868a03", "91204a5a6f868a03"),
+    "no_nodes": ("24d22b8361d19a33", "24d22b8361d19a33"),
 }
 
 
