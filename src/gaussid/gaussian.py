@@ -148,12 +148,14 @@ def _depth_levels(child: np.ndarray, parent: np.ndarray, n: int) -> Levels:
     work, where :func:`_substitute`'s passes read each level's own arcs.
     On the benchmark's diagrams, one or two levels deep, this takes 15 to
     40 us against 90 to 140 for Kahn's level-by-level order (O(arcs) in
-    all, but with a sort of the arcs by parent and more calls per level);
-    on a chain of 1,500 nodes both take 17 to 25 ms, most of it the fixed
-    cost of 1,500 passes, which each step's substitutions pay too (one CPU
-    of a 2-vCPU x86-64 machine).  Each level is a pair ``(nodes, par)`` of
-    its k nodes, increasing, and their parents, a (k, p) array whose rows
-    are padded with their own node: its coefficient B_jj is zero.
+    all, but with a sort of the arcs by parent and more calls per level).
+    A deep diagram pays for it: a chain of 1,500 nodes takes 15 ms, and
+    one whose nodes have up to six parents 46 ms, against 4 and 5 ms for
+    a walk of the nodes in Python, while a solve of a 750-level chain
+    takes about 4 s (one CPU of a 2-vCPU x86-64 machine).  Each level is a
+    pair ``(nodes, par)`` of its k nodes, increasing, and their parents, a
+    (k, p) array whose rows are padded with their own node: its
+    coefficient B_jj is zero.
     """
     if not len(child):
         return ()
@@ -697,8 +699,10 @@ def _eigh_blocks(blocks: Sequence[np.ndarray]) -> list[tuple[np.ndarray, np.ndar
     if not all(np.isfinite(b).all() for b in blocks):
         raise ConditioningError("evidence covariance block has a non-finite entry", np.nan)
     # A 1 x 1 block is its own eigenvalue, with eigenvector 1, as LAPACK's dsyevd
-    # returns them.  Read so, scale_1500's 1,000 such blocks take 12 us, not the
-    # 41 of a batched eigh, in each step (one CPU of a 2-vCPU x86-64 machine).
+    # returns them.  Read so, the 1 x 1 blocks of a warm solve take 12 us in all
+    # on scale_1500 (3,000 blocks) and 13 on mixed_expr (480), against 127 and 51
+    # through eigh, and 16 against 45 us on the two golden models (medians of
+    # 400 alternating rounds, one CPU of a 2-vCPU x86-64 machine).
     pairs = [np.linalg.eigh(b) if b.shape[1] > 1 else (b[:, :, 0], np.ones(b.shape)) for b in blocks]
     lam = np.concatenate([val.ravel() for val, _ in pairs])
     cond_est = _condition_number(lam)
