@@ -134,6 +134,19 @@ def deep_chain():
     return nodes + [look("o0", "c0", 0.3, 0.2), look("o30", "c30", 1.5, 0.4)]
 
 
+def split_shape():
+    """One shape at two levels: 20 nodes a_i = u_i * v_i, then 5 nodes b_j = a_j * v_j.
+
+    The first level holds at least ``_BATCH_MIN`` of the shape's members and
+    the second fewer, with looks on some of each, one node seen twice."""
+    rng = np.random.default_rng(5)
+    nodes = [normal(f"{p}{i}", rng.uniform(0.5, 1.5), rng.uniform(0.05, 0.2)) for i in range(20) for p in "uv"]
+    nodes += [det(f"a{i}", f"u{i} * v{i}") for i in range(20)]
+    nodes += [det(f"b{j}", f"a{j} * v{j}") for j in range(5)]
+    looked = [(f"a{i}", i) for i in range(0, 20, 3)] + [("b1", 0), ("b3", 1), ("b3", 2)]
+    return nodes + [look(f"o{p}_{k}", p, rng.uniform(0.5, 2), rng.uniform(0.2, 0.6)) for p, k in looked]
+
+
 def no_nodes():
     return []
 
@@ -147,6 +160,7 @@ DIAGRAMS = {
     "uneven_fan_in": uneven_fan_in,
     "no_evidence": no_evidence,
     "deep_chain": deep_chain,
+    "split_shape": split_shape,
     "no_nodes": no_nodes,
 }
 
@@ -160,6 +174,7 @@ DIGESTS = {
     "uneven_fan_in": ("0eacfc760f2b0f9a", "e6b82c6498c366d1"),
     "no_evidence": ("bf196becfb633e11", "bf196becfb633e11"),
     "deep_chain": ("91204a5a6f868a03", "91204a5a6f868a03"),
+    "split_shape": ("28a53d8e363107c9", "fa9fd84cf3e931de"),
     "no_nodes": ("24d22b8361d19a33", "24d22b8361d19a33"),
 }
 
