@@ -3,12 +3,12 @@
 A solve starts at the prior point, which :func:`initialize` builds in array
 passes where there are enough members: a family of at least ``_BATCH_MIN``
 Beta priors, as many binomial observations (a reference that is the
-parent's Beta prior read from the prior map), and each expression-shape
-tape (below) level by level.  What a pass cannot finish is redone one by
-one, so the values and errors are the scalar ones.  The walk that gives a
-deterministic node's value there gives its slopes too, so the prior point
-is also the first linearization, and the first iteration walks no
-expression.
+parent's Beta prior read from the prior map), and in each depth level each
+expression-shape tape (below) by the rule a linearization follows.  What
+is left is done one by one, so the values and errors are the scalar ones.
+The walk that gives a deterministic node's value there gives its slopes
+too, so the prior point is also the first linearization, and the first
+iteration walks no expression.
 
 Each iteration rebuilds a Gaussian model of the transformed variables
 around the previous posterior point, conditions it on the evidence, and
@@ -17,20 +17,20 @@ maps the conditioned moments back to the natural scale:
 1.  *Linearize* every deterministic node about the previous posterior
     means y*: a walk of its expression gives its transformed value
     T_j(f_j(y*)) and its slopes by the chain rule through the transforms,
-    written straight into B's arcs by depth level.  The nodes are grouped by
-    expression shape (:attr:`~gaussid.model.Expr.shape`): the operators with
-    slots for the constants and variables, where ``u + v`` and ``u - v`` are
-    one signed add with its sign in a slot and a negated literal is a
-    literal.  The nodes of a shape with at least ``_BATCH_MIN`` of them share
-    one tape, walked once for all of them over numpy columns with the same
-    bits as their own walks, and a member whose walk would fail is walked
-    again on its own.
+    written straight into one flat store of B's coefficients, which the
+    arcs view level by level.  The nodes are grouped by expression shape
+    (:attr:`~gaussid.model.Expr.shape`): the operators with slots for the
+    constants and variables, where ``u + v`` and ``u - v`` are one signed
+    add with its sign in a slot and a negated literal is a literal.  The
+    nodes of a shape with at least ``_BATCH_MIN`` of them share one tape,
+    each member's coefficients at fixed places in the store.
     The levels and the tapes are built once per solve.  A node's row and
     value depend only on its parents' y*, so a node whose parents' y* kept
     every bit since the latest linearization (the prior point's, for the
     first iteration) keeps them, and only the other members of a tape are
-    linearized again: in its pass when at least ``_BATCH_MIN`` of them
-    moved, one by one otherwise.
+    linearized again: in one pass over numpy columns, with the same bits as
+    their own walks, when they are at least ``_BATCH_MIN``, and one by one
+    otherwise, as is a member whose walk would fail.
 2.  *Update means* to first order: the shifts from the previous posterior
     point solve (I - B') s = x0, one forward substitution over the arcs, one
     batch per level.  Build the factor A of the parameters' covariance A A'
@@ -92,6 +92,7 @@ from .gaussian import (
     _forward_factor,
     _packing,
     _posterior_variance,
+    _ranges,
     _substitute,
     _unpacked_correlations,
 )
@@ -161,7 +162,8 @@ _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 # shapes of the mixed_expr benchmark at 6 to 8 nodes over a solve of three
 # or four iterations, the tape's building included.  A later iteration maps
 # only a family's members whose inputs moved, and linearizes only a tape's
-# members whose parents moved, by the same rule.  For such subsets one Beta
+# members whose parents moved, by the same rule, which the prior point follows
+# for a tape's members in each depth level.  For such subsets one Beta
 # costs about 220 us as an array and 37 us on its own, and one timing found
 # 16 moved Betas slower as an array (551 us) than one by one (371 us); a
 # fan-in-6 tape's pass costs 125 to 235 us for 1 to 32 of its members, and
@@ -169,9 +171,9 @@ _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 # (mixed_expr, seed 505, after two steps, on the same CPU).
 _BATCH_MIN = 16
 
-# A node's place in B's arcs: (level, row, parameter index, the row of
-# parameter indices it reads), as linearize walks it.
-Place = tuple[int, int, int, list[int]]
+# A node as _linearize_node walks it: (parameter index, where its coefficients
+# go in the flat store, the parameter each multiplies, the node on padding).
+Place = tuple[int, slice | list[int], list[int]]
 
 
 class _Tape(_Record):
@@ -182,20 +184,18 @@ class _Tape(_Record):
     ``consts[j, i]`` (a literal or the sign of a signed add) and variable
     slot s reading parameter ``parents[i, s]``; their transforms are read
     from :attr:`SolverState.transforms` by these indices.  The members are
-    in the arcs level by level: member i is row ``rows[i]`` of level
-    ``levels[i]``.  ``cells`` has, for each level, its number, the slice of
-    the members in it and the flat index of each slot's coefficient in that
-    level's (rows, parents) coefficient array.
+    in the arcs level by level, and ``flat[i, s]`` is where member i's
+    coefficient on slot s's parent sits in a linearization's flat store.
     """
 
-    __slots__ = ("ops", "nodes", "parents", "consts", "levels", "rows", "cells")
+    __slots__ = ("ops", "nodes", "parents", "consts", "flat")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
         self, ops: tuple[tuple, ...], nodes: np.ndarray, parents: np.ndarray, consts: np.ndarray,
-        levels: np.ndarray, rows: np.ndarray, cells: tuple[tuple[int, slice, np.ndarray], ...],
+        flat: np.ndarray,
     ):
-        self._fill(ops, nodes, parents, consts, levels, rows, cells)
+        self._fill(ops, nodes, parents, consts, flat)
 
 
 class SolverConfig(_Record):
@@ -307,9 +307,8 @@ class SolverState:
         post_y: np.ndarray, point_x: np.ndarray, t: int = 0,
         records: list[IterationRecord] | None = None,
         snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None,
-        linearized: tuple[np.ndarray, list[np.ndarray]] | None = None,
+        linearized: tuple[np.ndarray, np.ndarray] | None = None,
         inverted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-        linear_coeffs: dict[str, dict[str, float]] | None = None,
     ):
         self.diagram = diagram
         self.param_ids = param_ids
@@ -344,8 +343,8 @@ class SolverState:
         self.snapshot = snapshot
         # What the latest linearization and moment inversion read and wrote, kept
         # for the next one to reuse each entry whose inputs have the same bits:
-        # (post_y it linearized at, its coefficients c by level; its values are in
-        # point_x), and (post_mean, post_var it inverted, mean_y, var_y).  Private
+        # (post_y it linearized at, its flat store of B's coefficients; its values
+        # are in point_x), and (post_mean, post_var it inverted, mean_y, var_y).  Private
         # copies.  initialize seeds the first with the prior point's linearization,
         # and a failed linearize leaves it None; the second is None until the
         # first inversion succeeds.
@@ -353,7 +352,7 @@ class SolverState:
         self.inverted = inverted
         # always empty: no node keeps constant coefficients; the benchmark's
         # bench/worker.py::_sizes still reads it under --trace 1
-        self.linear_coeffs = {} if linear_coeffs is None else linear_coeffs
+        self.linear_coeffs = {}
 
     @property
     def n_params(self) -> int:
@@ -378,9 +377,9 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     covariance by component.
     Deterministic nodes take the value of their expression at the parent
     prior means, with conditional variance zero; their transformed means
-    follow by applying their transform at that point, level by level: each
-    tape over its members in the level, the other nodes one by one, by
-    :func:`linearize`'s :func:`_linearize_tape` and :func:`_linearize_node`.
+    follow by applying their transform at that point, level by level, by
+    :func:`_linearize_nodes` under :func:`linearize`'s rule: a tape passes
+    a level's members when they are at least ``_BATCH_MIN``.
     The same walks give their slopes, which seed ``linearized`` as the first
     linearization, at the prior point; a node whose value, transform or
     slope is undefined there fails here.
@@ -455,16 +454,19 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
 
     levels = _depth_levels(np.repeat(np.arange(n), fan_in), np.array(parents, dtype=np.intp), n)
 
-    # The deterministic nodes level by level, grouped by expression shape:
-    # a tape per shape of at least _BATCH_MIN, the others walked one by one.
-    placed = np.concatenate([level for level, _ in levels] + [np.zeros(0, dtype=np.intp)])
-    count = np.array([len(level) for level, _ in levels], dtype=np.intp)
-    level_of = np.arange(len(levels)).repeat(count)
-    row_of = np.arange(len(placed)) - (np.add.accumulate(count) - count).repeat(count)
-    taped, walked = [], []
-    if len(placed) < _BATCH_MIN:  # too few for a tape
-        walked = _places(levels, level_of, row_of)
-    else:
+    # The deterministic nodes by level, each with ``width`` coefficients ending
+    # at ``end`` in one flat store laid out as the levels' parents ``row``; a
+    # tape per expression shape of at least _BATCH_MIN, the others walked.
+    none = np.zeros(0, dtype=np.intp)
+    placed = np.concatenate([level for level, _ in levels] + [none])
+    row = np.concatenate([par.ravel() for _, par in levels] + [none])
+    level_of = np.arange(len(levels)).repeat([len(level) for level, _ in levels])
+    widths = [par.shape[1] for _, par in levels]
+    width = np.array(widths, dtype=np.intp)[level_of]
+    end = np.add.accumulate(width)
+    taped, alone = [], slice(None)  # the positions in ``placed`` of the nodes walked one by one
+    if len(placed) >= _BATCH_MIN:  # enough for a tape
+        small = [none]
         code = np.array(shape_of, dtype=np.intp)[placed]
         size = np.bincount(code)
         by_shape = code.argsort(kind="stable")  # by shape, then level, then row
@@ -476,31 +478,29 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
             if size[c] >= _BATCH_MIN:
                 taped.append((ops_of[c], at))
             else:
-                walked += _places(levels, level_of[at], row_of[at])
+                small.append(at)
+        alone = np.sort(np.concatenate(small))  # by level, then row
+    walks = [[] for _ in levels]  # each level's nodes walked one by one
+    for lv, k, hi in zip(level_of[alone].tolist(), placed[alone].tolist(), end[alone].tolist()):
+        lo = hi - widths[lv]
+        walks[lv].append((k, slice(lo, hi), row[lo:hi].tolist()))
+    walked = [place for places in walks for place in places]
     transforms = None
     if n >= _BATCH_MIN:  # there may be a tape or an array moment map to read it
         transforms = _TransformArrays.of(ts, (n,))
-    tapes = [_tape(ops, placed[at], level_of[at], row_of[at], layouts, levels) for ops, at in taped]
+    tapes, passes = [], [[] for _ in levels]  # and each level's members of each tape
+    for ops, at in taped:
+        tapes.append(_tape(ops, placed[at], end[at], width[at], row, layouts))
+        lv, lo = np.unique(level_of[at], return_index=True)
+        for level, members in zip(lv.tolist(), np.split(np.arange(len(at)), lo[1:])):
+            passes[level].append((tapes[-1], members))
 
-    # The prior point and the first linearization there, level by level, as
-    # linearize makes it: each tape's members in the level at once, then the
-    # level's other nodes and the members a tape cannot finish one by one.
-    c = [np.zeros(par.shape) for _, par in levels]
-    by_level: list[list[Place]] = [[] for _ in levels]
-    for place in walked:
-        by_level[place[0]].append(place)
-    for level, todo in enumerate(by_level):
-        for tape, at in [(tape, at) for tape in tapes for lv, at, _ in tape.cells if lv == level]:
-            members = np.arange(at.start, at.stop)
-            y, failing = _linearize_tape(tape, members, transforms, mean_y, mean_x, c, levels)
-            mean_y[tape.nodes[at]] = y
-            todo += failing
-        for place in todo:
-            k = place[2]
-            try:
-                mean_y[k] = _linearize_node(d, param_ids, place, mean_y, mean_x, c)
-            except ValueError as err:
-                failed.append((k, f"cannot evaluate {param_ids[k]!r} at the prior point", err))
+    # The prior point and the first linearization there, level by level, by
+    # linearize's rule (see _linearize_nodes).
+    c = np.zeros(len(row))
+    for todo, places in zip(passes, walks):
+        bad = _linearize_nodes(d, param_ids, transforms, todo, places, mean_y, mean_x, c, mean_y)
+        failed += [(k, f"cannot evaluate {param_ids[k]!r} at the prior point", e) for k, e in bad]
     if failed:
         k, what, err = min(failed, key=lambda f: f[0])
         raise InitializationError(f"{what}: {err}", param_ids[k]) from err
@@ -619,39 +619,33 @@ def _pooled(
 
 
 def _tape(
-    ops: tuple, nodes: np.ndarray, level: np.ndarray, rows: np.ndarray, layouts: dict[int, tuple],
-    levels: Levels,
+    ops: tuple, nodes: np.ndarray, end: np.ndarray, width: np.ndarray, row: np.ndarray,
+    layouts: dict[int, tuple],
 ) -> _Tape:
-    """The tape of ``nodes``, rows ``rows`` of levels ``level`` (level by level), of shape ``ops``.
+    """The tape of ``nodes`` (level by level), of shape ``ops``.
 
-    ``layouts`` holds each deterministic node's constants and the parent
-    index of each variable slot of its shape."""
+    Node i's row of the flat store is ``row[end[i] - width[i]:end[i]]``, its
+    parents padded with itself; ``layouts`` holds each deterministic node's
+    constants and the parent index of each variable slot of its shape."""
     ks, (consts, slots) = nodes.tolist(), layouts[int(nodes[0])]
     parents = np.fromiter(
         itertools.chain.from_iterable(layouts[k][1] for k in ks), np.intp, len(ks) * len(slots)
     ).reshape(len(ks), -1)
-    cells = []
-    for lv, at in zip(*np.unique(level, return_index=True)):
-        at = slice(at, at + np.count_nonzero(level == lv))
-        par = levels[lv][1][rows[at]]
-        # each slot's column in its row: the first, and only, that holds its parent
-        column = (par[:, :, None] == parents[at, None, :]).argmax(axis=1)
-        cells.append((int(lv), at, rows[at, None] * par.shape[1] + column))
+    # each slot's place in its row: the first, and only, that holds its parent
+    at = _ranges(end - width, end)
+    hit = row[at, None] == parents.repeat(width, axis=0)
     consts = np.fromiter(
         itertools.chain.from_iterable(layouts[k][0] for k in ks), float, len(ks) * len(consts)
     ).reshape(len(ks), -1)
     return _Tape(
-        ops=ops, nodes=nodes, parents=parents, consts=consts.T.copy(), levels=level, rows=rows,
-        cells=tuple(cells),
+        ops=ops, nodes=nodes, parents=parents, consts=consts.T.copy(),
+        flat=at[hit.T.nonzero()[1]].reshape(len(slots), -1).T,
     )
 
 
-def _places(levels: Levels, level: np.ndarray, rows: np.ndarray) -> list[Place]:
-    """The places of the nodes at rows ``rows`` of levels ``level``."""
-    return [
-        (lv, r, int(levels[lv][0][r]), levels[lv][1][r].tolist())
-        for lv, r in zip(level.tolist(), rows.tolist())
-    ]
+def _members(tape: _Tape, members: np.ndarray) -> list[Place]:
+    """The places of a tape's ``members``, each coefficient where its slot's goes."""
+    return list(zip(*(a[members].tolist() for a in (tape.nodes, tape.flat, tape.parents))))
 
 
 def _resolve(node: Node, d: Diagram) -> LikelihoodApprox:
@@ -677,13 +671,11 @@ def linearize(state: SolverState) -> Arcs:
     ``c[k]`` node j = ``nodes[k]``'s coefficients on the parents in row
     ``par[k]``, in that order; the padding columns (j itself) get 0.0.  This
     is the layout :func:`~gaussid.gaussian._level_arcs` gathers from a dense
-    B.  Node j's coefficient on parent i is
-    ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with y* the
-    previous natural-scale posterior means.  Each expression shape with
-    a tape (at least ``_BATCH_MIN`` nodes) is walked once for all its nodes,
-    by :func:`_linearize_tape`; each other node's expression is walked on
-    its own by :func:`_linearize_node`, and so is each node a tape finds
-    failing.  The transformed values T_j(f_j(y*)) are kept in
+    B, each level's ``c`` a view of one flat store.  Node j's coefficient on
+    parent i is ``B_ij = T'_j(f_j(y*)) * (df_j/dy_i)(y*) / T'_i(y*_i)`` with
+    y* the previous natural-scale posterior means.  :func:`_linearize_nodes`
+    linearizes the nodes, by the rule :func:`initialize` follows at the
+    prior point, and keeps their transformed values T_j(f_j(y*)) in
     ``state.point_x`` for :func:`update_means`.  A node's row and value
     depend only on its parents' y*, so a node none of whose parents' y*
     changed a bit since the latest linearization is not walked again: its
@@ -696,58 +688,69 @@ def linearize(state: SolverState) -> Arcs:
     d, ids = state.diagram, state.param_ids
     saved, state.linearized = state.linearized, None  # until this call succeeds
     if saved is None:
-        c = [np.zeros(par.shape) for _, par in state.levels]
-        walked = list(state.walked)
-        redo = [np.arange(len(tape.nodes)) for tape in state.tapes]
+        c = np.zeros(sum(par.size for _, par in state.levels))
+        walked = state.walked
+        redo = [(tape, np.arange(len(tape.nodes))) for tape in state.tapes]
     else:
         at, c = saved
         moved = state.post_y.view(np.int64) != at.view(np.int64)
         flags = moved.tolist()
-        walked = [
-            (level, row, k, ps)
-            for level, row, k, ps in state.walked
-            if any(flags[i] for i in ps if i != k)
-        ]
-        redo = [np.flatnonzero(moved[tape.parents].any(axis=1)) for tape in state.tapes]
-    for tape, members in zip(state.tapes, redo):
-        if len(members) >= _BATCH_MIN:
-            walked += _linearize_tape(
-                tape, members, state.transforms, state.post_y, state.point_x, c, state.levels
-            )[1]
-        else:  # a pass costs about as much whatever its size (see _BATCH_MIN)
-            walked += _places(state.levels, tape.levels[members], tape.rows[members])
-    failed: list[tuple[int, ValueError]] = []
-    for place in walked:
-        try:
-            _linearize_node(d, ids, place, state.post_y, state.point_x, c)
-        except ValueError as err:
-            failed.append((place[2], err))
+        walked = [p for p in state.walked if any(flags[i] for i in p[2] if i != p[0])]
+        redo = [(tape, np.flatnonzero(moved[tape.parents].any(axis=1))) for tape in state.tapes]
+    failed = _linearize_nodes(
+        d, ids, state.transforms, redo, walked, state.post_y, state.point_x, c, np.empty(len(ids))
+    )
     if failed:
         k, err = min(failed, key=lambda f: f[0])
         raise _iteration_error(state, f"cannot linearize {ids[k]!r}", err, ids[k]) from err
-    state.linearized = (state.post_y.copy(), [cl.copy() for cl in c])
-    return tuple((nodes, par, cl) for (nodes, par), cl in zip(state.levels, c))
+    state.linearized = (state.post_y.copy(), c.copy())
+    arcs, lo = [], 0
+    for nodes, par in state.levels:
+        arcs.append((nodes, par, c[lo : lo + par.size].reshape(par.shape)))
+        lo += par.size
+    return tuple(arcs)
+
+
+def _linearize_nodes(
+    d: Diagram, ids: tuple[str, ...], transforms: _TransformArrays | None,
+    passes: list[tuple[_Tape, np.ndarray]], walked: list[Place], post_y: np.ndarray,
+    point_x: np.ndarray, c: np.ndarray, value: np.ndarray,
+) -> list[tuple[int, ValueError]]:
+    """Linearize at ``post_y`` each ``(tape, members)`` of ``passes`` and the nodes ``walked``.
+
+    Their values f(post_y) go into ``value``, their transformed values into
+    ``point_x`` and their coefficients into the flat store ``c``.  A tape
+    passes its members (:func:`_linearize_tape`) when they are at least
+    ``_BATCH_MIN``; fewer, and what a pass cannot finish, are walked one by
+    one (:func:`_linearize_node`).  Returns each failure, (parameter, error).
+    """
+    for tape, members in passes:
+        if len(members) >= _BATCH_MIN:
+            walked = walked + _linearize_tape(tape, members, transforms, post_y, point_x, c, value)
+        else:  # a pass costs about as much whatever its size (see _BATCH_MIN)
+            walked = walked + _members(tape, members)
+    failed = []
+    for place in walked:
+        try:
+            value[place[0]] = _linearize_node(d, ids, place, post_y, point_x, c)
+        except ValueError as err:
+            failed.append((place[0], err))
+    return failed
 
 
 def _linearize_tape(
-    tape: _Tape,
-    members: np.ndarray,
-    transforms: _TransformArrays,
-    post_y: np.ndarray,
-    point_x: np.ndarray,
-    c: list[np.ndarray],
-    levels: Levels,
-) -> tuple[np.ndarray, list[Place]]:
-    """Linearize a tape's ``members`` at ``post_y`` into ``point_x`` and the coefficients ``c``.
+    tape: _Tape, members: np.ndarray, transforms: _TransformArrays, post_y: np.ndarray,
+    point_x: np.ndarray, c: np.ndarray, value: np.ndarray,
+) -> list[Place]:
+    """Linearize a tape's ``members`` at ``post_y`` into ``value``, ``point_x`` and the store ``c``.
 
     ``members`` are increasing member indices, and ``transforms`` holds every
     parameter's transform (:attr:`SolverState.transforms`).  One pass of
     :func:`~gaussid.model._slopes_columns` over them gives each node's
     value and slopes, bit for bit those of its own walk whatever else is in
     the pass, and marks the members whose walk would raise; their entries
-    are written too.  Returns the members' values f(post_y) and the places
-    of the marked ones in the arcs' ``levels``, for :func:`_linearize_node`
-    to walk them one by one, which rewrites their entries or names the error.
+    are written too.  Returns the places of the marked ones, for
+    :func:`_linearize_node` to rewrite their entries or name the error.
     """
     nodes, parents = tape.nodes[members], tape.parents[members]
     own = transforms[nodes]
@@ -755,12 +758,8 @@ def _linearize_tape(
         tape.ops, tape.consts[:, members], post_y[parents], own, transforms[parents]
     )
     x, ok = own.forward(y)
-    point_x[nodes] = x
-    for level, at, flat in tape.cells:
-        lo, hi = np.searchsorted(members, (at.start, at.stop))
-        c[level].reshape(-1)[flat[members[lo:hi] - at.start]] = b[lo:hi]
-    bad = members[failed | ~ok]
-    return y, _places(levels, tape.levels[bad], tape.rows[bad])
+    value[nodes], point_x[nodes], c[tape.flat[members]] = y, x, b
+    return _members(tape, members[failed | ~ok])
 
 
 def _linearize_node(
@@ -769,20 +768,20 @@ def _linearize_node(
     place: Place,
     post_y: np.ndarray,
     point_x: np.ndarray,
-    c: list[np.ndarray],
+    c: np.ndarray,
 ) -> float:
     """Linearize the node at ``place`` on its own, as :func:`_linearize_tape` does its members.
 
     One walk of :func:`~gaussid.model.slopes` at its parents' ``post_y``
-    gives its value f(post_y), which is returned, and its row of ``c``; its
-    transformed value goes into ``point_x``.  Raises ``ValueError`` where
-    the walk or the transform fails.
+    gives its value f(post_y), which is returned, and its coefficients in
+    ``c``; its transformed value goes into ``point_x``.  Raises
+    ``ValueError`` where the walk or the transform fails.
     """
-    level, row, k, ps = place
+    k, at, ps = place
     node = d.nodes[ids[k]]
     y, coeffs = slopes(node, d, {ids[i]: post_y[i] for i in ps if i != k})
     point_x[k] = forward_point(node.transform, y)
-    c[level][row] = [coeffs.get(ids[i], 0.0) for i in ps]  # padding (k itself) reads 0.0
+    c[at] = [coeffs.get(ids[i], 0.0) for i in ps]  # padding (k itself) reads 0.0
     return y
 
 

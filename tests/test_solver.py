@@ -1275,6 +1275,40 @@ def spy_columns(monkeypatch):
     return passes
 
 
+def test_the_prior_point_passes_a_tape_only_where_a_level_holds_batch_min_members(monkeypatch):
+    # c_i = 0.9 * c_(i-1) + x_i for i = 1 .. 40 is a chain of 40 levels of one
+    # shape, and n nodes e_j = 0.5 * c_5 + z_j of that shape join c_6 in its
+    # level.  As linearize would, the prior point passes that level's members
+    # at once and walks every other level's one member: each deterministic
+    # node is evaluated once, with the bits of a walk.
+    n = solver_mod._BATCH_MIN
+    nodes = [normal_p(f"x{i}", 0.1 * i, 0.5) for i in range(41)]
+    nodes += [normal_p(f"z{j}", -0.1 * j, 0.5) for j in range(n)]
+    nodes += [deterministic("c0", TS, Mul(Const(0.9), Var("x0")))]
+    chain = [Add(Mul(Const(0.9), Var(f"c{i - 1}")), Var(f"x{i}")) for i in range(1, 41)]
+    nodes += [deterministic(f"c{i}", TS, e) for i, e in enumerate(chain, 1)]
+    nodes += [deterministic(f"e{j}", TS, Add(Mul(Const(0.5), Var("c5")), Var(f"z{j}"))) for j in range(n)]
+    d = Diagram.from_nodes(nodes + [evidence("look", "c40", normal_look(1.0, 0.5))])
+    passed, walked = [], spy_walks(monkeypatch)
+    run = solver_mod._linearize_tape
+
+    def spy(tape, members, *args):
+        passed.append(tape.nodes[members])
+        return run(tape, members, *args)
+
+    monkeypatch.setattr(solver_mod, "_linearize_tape", spy)
+    state = initialize(d)
+    assert [len(tape.nodes) for tape in state.tapes] == [40 + n]
+    assert [len(members) for members in passed] == [n + 1]
+    evaluated = [state.param_ids[k] for k in passed[0].tolist()] + walked
+    assert sorted(evaluated) == sorted([f"c{i}" for i in range(41)] + [f"e{j}" for j in range(n)])
+    monkeypatch.setattr(solver_mod, "_BATCH_MIN", 10**9)
+    alone = initialize(d)
+    for name in ("post_y", "point_x"):
+        assert getattr(state, name).tobytes() == getattr(alone, name).tobytes()
+    assert state.linearized[1].tobytes() == alone.linearized[1].tobytes()
+
+
 def test_a_shape_of_batch_min_nodes_runs_one_tape_per_step(monkeypatch):
     # _BATCH_MIN nodes q_i = x * (y + c_i) share a shape; three r_j = x * y * c_j
     # share another, too few for a tape; z, affine, is walked like the r_j.
