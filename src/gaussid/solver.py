@@ -380,9 +380,9 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     follow by applying their transform at that point, level by level, by
     :func:`_linearize_nodes` under :func:`linearize`'s rule: a tape passes
     a level's members when they are at least ``_BATCH_MIN``.
-    The same walks give their slopes, which seed ``linearized`` as the first
-    linearization, at the prior point; a node whose value, transform or
-    slope is undefined there fails here.
+    The same passes and walks give their slopes, which seed ``linearized``
+    as the first linearization, at the prior point; a node whose value,
+    transform or slope is undefined there fails here.
     Evidence nodes are resolved to (observation, variance) pairs in one
     pass, keyed by node, or by observed parameter and pooled when the
     configuration asks for it; the entries are grouped into the diagonal
@@ -488,7 +488,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
     transforms = None
     if n >= _BATCH_MIN:  # there may be a tape or an array moment map to read it
         transforms = _TransformArrays.of(ts, (n,))
-    tapes, passes = [], [[] for _ in levels]  # and each level's members of each tape
+    tapes, passes = [], [[] for _ in levels]  # and each level's (tape, members) pairs
     for ops, at in taped:
         tapes.append(_tape(ops, placed[at], end[at], width[at], row, layouts))
         lv, lo = np.unique(level_of[at], return_index=True)
