@@ -697,7 +697,7 @@ def linearize(state: SolverState) -> Arcs:
         flags = moved.tolist()
         walked = [p for p in state.walked if any(flags[i] for i in p[2] if i != p[0])]
         redo = [(tape, np.flatnonzero(moved[tape.parents].any(axis=1))) for tape in state.tapes]
-    failed = _linearize_nodes(
+    failed = _linearize_nodes(  # the values f(y*), into the last argument, go unread
         d, ids, state.transforms, redo, walked, state.post_y, state.point_x, c, np.empty(len(ids))
     )
     if failed:
