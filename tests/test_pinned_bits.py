@@ -147,6 +147,21 @@ def split_shape():
     return nodes + [look(f"o{p}_{k}", p, rng.uniform(0.5, 2), rng.uniform(0.2, 0.6)) for p, k in looked]
 
 
+def unobserved_join():
+    """z = x * y + w and q = z - x, neither looked at, over roots each looked at (y twice)."""
+    return [
+        normal("x", 0.8, 0.3),
+        normal("y", 1.2, 0.2),
+        normal("w", 0.5, 0.1),
+        det("z", "x * y + w"),
+        det("q", "z - x"),
+        look("ox", "x", 1.0, 0.2),
+        look("oy", "y", 1.1, 0.3),
+        look("oy2", "y", 1.3, 0.5),
+        look("ow", "w", 0.4, 0.2),
+    ]
+
+
 def no_nodes():
     return []
 
@@ -161,6 +176,7 @@ DIAGRAMS = {
     "no_evidence": no_evidence,
     "deep_chain": deep_chain,
     "split_shape": split_shape,
+    "unobserved_join": unobserved_join,
     "no_nodes": no_nodes,
 }
 
@@ -175,6 +191,7 @@ DIGESTS = {
     "no_evidence": ("bf196becfb633e11", "bf196becfb633e11"),
     "deep_chain": ("91204a5a6f868a03", "91204a5a6f868a03"),
     "split_shape": ("28a53d8e363107c9", "fa9fd84cf3e931de"),
+    "unobserved_join": ("7bb40997f417ad2e", "4d1f92a4b8d019af"),
     "no_nodes": ("24d22b8361d19a33", "24d22b8361d19a33"),
 }
 
