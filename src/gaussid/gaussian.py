@@ -210,6 +210,13 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.add.accumulate(root == np.arange(n))[root] - 1
 
 
+def _flat_arcs(levels: Levels) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs of ``levels`` as flat ``(child, parent)``, level by level, padding included."""
+    none = np.zeros(0, dtype=np.intp)
+    child = np.concatenate([nodes.repeat(par.shape[1]) for nodes, par in levels] + [none])
+    return child, np.concatenate([par.ravel() for _, par in levels] + [none])
+
+
 def _level_arcs(levels: Levels, coeffs: np.ndarray) -> Arcs:
     """B's arcs by depth level: ``(nodes, par, c)`` with ``c[k] = B[par[k], nodes[k]]``.
 
@@ -388,11 +395,8 @@ def _packing(levels: Levels, live: np.ndarray) -> Packing:
     The components are those of the arcs, rows and padding alike
     (:func:`_components`), numbered by first node.
     """
-    n = len(live)
-    none = np.zeros(0, dtype=np.intp)
-    child = np.concatenate([nodes.repeat(par.shape[1]) for nodes, par in levels] + [none])
-    parent = np.concatenate([par.ravel() for _, par in levels] + [none])
-    comp = _components(child, parent, n)
+    n, none = len(live), np.zeros(0, dtype=np.intp)
+    comp = _components(*_flat_arcs(levels), n)
     members = comp.argsort(kind="stable")
     first = _offsets(comp, np.maximum.reduce(comp, initial=-1) + 1)
     size = first[1:] - first[:-1]
@@ -600,11 +604,15 @@ def _evidence_components(
     closure of that link; the groups' sets of live ancestors L_g are
     therefore disjoint.  This holds for any coefficients on the arcs: a
     zero only removes links.  An arc alone links nothing: an unobserved
-    child of two independent parents joins neither.  Only the observed
-    nodes and their ancestors get their sets of live ancestors, one level
-    at a time, each the union of its parents' sets and itself if live;
-    the groups are then the :func:`_components` of the entries and the
-    live ancestors their nodes reach.
+    child of two independent parents joins neither.  No ancestor set is
+    formed: one pass over the levels marks the needed nodes (the observed
+    ones and their ancestors), one the nodes that have a live ancestor,
+    and the groups are the :func:`_components` of the m entries, then the
+    n nodes, where an entry joins its node and an arc p -> j joins j and p
+    if j is needed, but not from a node or p without a live ancestor.  An
+    edge stays within one observed node's live ancestors, and every live
+    needed node reaches an observed one, so a group's live ancestors are
+    the live needed nodes of its component.
 
     Returns ``(components, ancestors)``, one pair of arrays per shape
     class (s, l), in increasing order: ``components`` (k, s) holds each
@@ -618,31 +626,16 @@ def _evidence_components(
     need[observed] = True
     for nodes, par in reversed(levels):
         need[par[need[nodes]]] = True
-    # node j's live ancestors, increasing: reach[at[j]:at[j] + count[j]]
-    reach = (need & live).nonzero()[0]
-    at, count = np.zeros((2, n), dtype=np.intp)
-    at[reach], count[reach], used = np.arange(len(reach)), 1, len(reach)
-    for nodes, par in levels:
-        pick = need[nodes]
-        if not np.count_nonzero(pick):
-            continue
-        nodes, width, par = nodes[pick], par.shape[1], par[pick].ravel()  # padding reads j's own
-        owner = nodes.repeat(width).repeat(count[par])
-        held = reach[_ranges(at[par], at[par] + count[par])]
-        pairs = _distinct(np.concatenate([owner * n + held, nodes[live[nodes]] * (n + 1)]))
-        if used + len(pairs) > len(reach):
-            reach = np.concatenate([reach[:used], np.empty(max(used, len(pairs)), dtype=np.intp)])
-        reach[used : used + len(pairs)] = pairs % n
-        count[nodes] = np.bincount(nodes.searchsorted(pairs // n), minlength=len(nodes))
-        at[nodes] = used + np.add.accumulate(count[nodes]) - count[nodes]
-        used += len(pairs)
-
-    reaches = count[observed]  # how many live ancestors each entry has
-    entry = np.arange(m).repeat(reaches)
-    node = reach[_ranges(at[observed], at[observed] + reaches)]
-    group = _components(entry, m + node, m + n)[:m]  # numbered by first entry
-    pairs = _distinct(group[entry] * n + node)  # each group's live ancestors, in order
-    owner, node = pairs // n, pairs % n
+    held = live.copy()  # whether a node has a live ancestor, itself included
+    for nodes, par in levels:  # a level's parents sit in earlier levels
+        held[nodes[np.logical_or.reduce(held[par], axis=1)]] = True
+    child, parent = _flat_arcs(levels)
+    join, hit = need[child] & held[parent], held[observed]
+    u = np.concatenate([hit.nonzero()[0], m + child[join]])
+    comp = _components(u, m + np.concatenate([observed[hit], parent[join]]), m + n)
+    group = comp[:m]  # numbered by first entry
+    node = (need & live).nonzero()[0]  # each group's live ancestors, in order
+    owner = comp[m + node]
     s = np.bincount(group)
     l = np.bincount(owner, minlength=len(s))
     order = np.lexsort((l, s))  # groups by shape class, then first entry
@@ -659,12 +652,6 @@ def _evidence_components(
         ancestors.append(node[c : c + k * live_width].reshape(k, live_width))
         e, c = e + k * width, c + k * live_width
     return tuple(components), tuple(ancestors)
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, increasing."""
-    x = np.sort(x)
-    return np.concatenate([x[:1], x[1:][x[1:] != x[:-1]]])
 
 
 def _split_indices(n: int, obs: Mapping[int, float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

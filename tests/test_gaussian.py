@@ -803,6 +803,8 @@ class TestComponents:
     @given(evidence_dags())
     @example(([[], [], [0, 1]], [True, True, False], [0, 1]))  # unobserved child of two
     @example(([[], [0], [1], [2]], [False, True, False, False], [3, 0, 3, 2, 0]))
+    @example(([[], [], [], [0, 1], [0, 2]], [False, True, True, False, False], [3, 4]))  # dead root of two
+    @example(([[], [], [0, 1]], [False, True, False], [0, 0, 2]))  # dead root observed twice
     @settings(max_examples=300, deadline=None)
     def test_groups_match_the_dense_reach_matrix(self, dag):
         parents, live, observed = dag
@@ -902,6 +904,25 @@ class TestComponents:
         assert [c.tolist() for c in components] == [[[e] for e in range(n_basic)]]
         assert [c.tolist() for c in ancestors] == [[[e] for e in range(n_basic)]]
         assert peak < (n_basic + n_det) * n_basic // 4  # a quarter of the n x live booleans
+
+    def test_a_deep_chain_stores_no_ancestor_sets(self):
+        # x_i live roots and c_i = 0.9 c_(i-1) + x_i dead, 1,500 levels deep,
+        # every tenth c_i observed: one group, whose live ancestors are x_0 ..
+        # x_1490, found in memory of the order of the arcs, not of depth x arcs.
+        depth = 1500
+        parents = [[]] * depth + [[0]] + [[depth + i - 1, i] for i in range(1, depth)]
+        levels = _depth_levels(*arcs_of(parents))
+        live = np.arange(2 * depth) < depth
+        observed = np.arange(depth, 2 * depth, 10)
+        tracemalloc.start()
+        try:
+            components, ancestors = _evidence_components(levels, live, observed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [c.tolist() for c in components] == [[list(range(len(observed)))]]
+        assert [c.tolist() for c in ancestors] == [[list(range(depth - 9))]]
+        assert peak < 1000 * (2 * depth - 1)
 
     @given(evidence_dags(), hst.integers(min_value=0, max_value=2**32 - 1))
     @example(([[], [], [0, 1]], [True, True, False], [0, 1]), 0)
