@@ -608,11 +608,11 @@ def _evidence_components(
     formed: one pass over the levels marks the needed nodes (the observed
     ones and their ancestors), one the nodes that have a live ancestor,
     and the groups are the :func:`_components` of the m entries, then the
-    n nodes, where an entry joins its node and an arc p -> j joins j and p
-    if j is needed, but not from a node or p without a live ancestor.  An
-    edge stays within one observed node's live ancestors, and every live
-    needed node reaches an observed one, so a group's live ancestors are
-    the live needed nodes of its component.
+    n nodes: an entry joins its node if that node has a live ancestor, and
+    an arc p -> j joins j and p if j is needed and p has a live ancestor.
+    Each edge stays within one observed node's live ancestors, and every
+    live needed node reaches an observed one, so a group's live ancestors
+    are the live needed nodes of its component.
 
     Returns ``(components, ancestors)``, one pair of arrays per shape
     class (s, l), in increasing order: ``components`` (k, s) holds each
