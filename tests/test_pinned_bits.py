@@ -162,6 +162,26 @@ def unobserved_join():
     ]
 
 
+def mixed_slots():
+    """Two interleaved components of 4 members, 2 live, in one block, whose live
+    members sit at slots {0, 2} and {0, 1}; both groups take the wide update."""
+    return [
+        normal("a", 0.3, 0.2),
+        normal("p", 0.7, 0.1),
+        det("b", "a * a"),
+        normal("q", 1.4, 0.2),
+        normal("c", 1.1, 0.3),
+        det("r", "p * q"),
+        det("d", "b * c"),
+        det("s", "r + p"),
+        look("od1", "d", 0.2, 0.4),
+        look("od2", "d", 0.3, 0.6),
+        look("oc", "c", 1.0, 0.5),
+        look("or", "r", 1.2, 0.3),
+        look("os", "s", 1.6, 0.5),
+    ]
+
+
 def no_nodes():
     return []
 
@@ -177,6 +197,7 @@ DIAGRAMS = {
     "deep_chain": deep_chain,
     "split_shape": split_shape,
     "unobserved_join": unobserved_join,
+    "mixed_slots": mixed_slots,
     "no_nodes": no_nodes,
 }
 
@@ -192,6 +213,7 @@ DIGESTS = {
     "deep_chain": ("91204a5a6f868a03", "91204a5a6f868a03"),
     "split_shape": ("28a53d8e363107c9", "fa9fd84cf3e931de"),
     "unobserved_join": ("7bb40997f417ad2e", "4d1f92a4b8d019af"),
+    "mixed_slots": ("738c11b286234392", "0d1958da6f9b8316"),
     "no_nodes": ("24d22b8361d19a33", "24d22b8361d19a33"),
 }
 
