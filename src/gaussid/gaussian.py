@@ -17,13 +17,12 @@ Nodes in different weakly connected components of the arcs share no
 ancestor, hence no nonzero column of A or covariance, so a row of either
 holds only its own component's columns (:class:`Packing`): A holds sum s l
 entries and the covariance sum s^2, over the components' s members and l
-live ones.  The rows of one length are stored as one block, which the
-kernels read as a 2-D array.  The structure these layouts rest on, the
-depth levels, the components and the evidence groups, is analysed once per
-solve in array passes, apart from the numeric work that is redone each
+live ones.  The components of one shape are one block, a (k, s, l) or
+(k, s, s) array with no index per entry.  The structure these layouts rest
+on, the depth levels, the components and the evidence groups, is analysed
+once per solve in array passes, apart from the numeric work redone each
 iteration, as sparse direct solvers split their symbolic analysis from the
-numeric factorization (George & Liu, Computer Solution of Large Sparse
-Positive Definite Systems, 1981).
+numeric factorization (George & Liu, 1981).
 
 Evidence is absorbed in the factor space of A (Lauritzen & Jensen, "Stable
 local computation with conditional Gaussian distributions", Statistics and
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import copy
 import operator
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,8 +64,8 @@ __all__ = [
 # gathered, (nodes, par, c): see _depth_levels and _level_arcs.
 Levels = tuple[tuple[np.ndarray, np.ndarray], ...]
 Arcs = tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-# Blocks of rows of one length and the arcs into them: see Rows.
-Blocks = tuple[tuple[slice, int, int, np.ndarray, tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]], ...]
+# Blocks of rows of one length, (k, s, w) arrays, and the arcs into them: see Rows.
+Blocks = tuple[tuple[slice, np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]], ...]
 
 # Above this condition number the evidence block is treated as singular.
 _MAX_CONDITION = 1e12
@@ -257,9 +256,9 @@ def _substitute_blocks(arcs: Arcs, x: np.ndarray, blocks: Blocks) -> np.ndarray:
     in it a batch of their own, so an entry sums the same terms in the same
     order as in any other layout.
     """
-    for at, count, width, _, steps in blocks:
+    for at, nodes, cols, steps in blocks:
         if steps:
-            rows = x[at].reshape(count, width)
+            rows = x[at].reshape(nodes.size, cols.shape[1])
             _substitute(tuple((nodes, par, arcs[lv][2][at]) for lv, at, nodes, par in steps), rows)
     return x
 
@@ -276,22 +275,20 @@ def _product(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class Rows(NamedTuple):
-    """A flat array of one row per node, each row as long as it needs.
+    """A flat array of ``size`` entries, one row per node, each row as long as it needs.
 
-    Row i holds ``length[i]`` entries from ``start[i]``; entry e is row
-    ``rows[e]``'s column for node ``cols[e]``.  The rows are stored so that
-    runs of rows of one length are blocks (:func:`_layouts`), which the
-    kernels read as 2-D arrays: ``blocks`` holds, for each block of
-    nonempty rows, ``(at, count, width, nodes, steps)``: its slice of the
-    flat array, its shape, its rows' nodes, and for each level with rows in
-    the block a step ``(level, at, nodes, par)``: the level's rows ``at`` and
-    their nodes and parents as rows of the block.
+    Row i holds ``length[i]`` entries from ``start[i]``, stored by component,
+    then node, so that runs of whole components of one shape are blocks
+    (:func:`_layouts`): ``blocks`` holds ``(at, nodes, cols, steps)`` per
+    block: its slice, a (k, s, w) array of k components of s rows of w
+    entries; each row's node (k, s); each column's node (k, w), alike for a
+    component's rows; and for each level with rows in the block ``(level,
+    at, nodes, par)``: its rows ``at``, nodes and parents in the (k s, w) view.
     """
 
     start: np.ndarray
     length: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
+    size: int
     blocks: Blocks
 
 
@@ -303,24 +300,19 @@ def _layouts(
     members, ``members[first[c]:first[c + 1]]`` for c = comp[i], or its live ones.
 
     Both store the rows by component size, then live size, then component,
-    then node, so they share their blocks, each a run of rows as long in
-    both, and each block's steps."""
+    then node, so their blocks pair up one to one and share their steps."""
     n = len(comp)
-    # One component, as in both golden models: one block, its rows the nodes in
-    # order, in 8.5 and 9.5 us a call on beta_binomial and risk_difference against
-    # 32.4 and 41.2 through the general path below, which builds the same layout;
-    # on scale_1500 and mixed_expr the two take the same time (medians of 400
-    # alternating rounds, one CPU of a 2-vCPU x86-64 machine).
+    # One component, as in both golden models: the k = 1 block of the nodes in
+    # order, in BRANCH_US a call on beta_binomial and risk_difference against
+    # GENERAL_US through the general path below, which builds the same layout
+    # (medians of 400 alternating rounds, one CPU of a 2-vCPU x86-64 machine).
     if len(first) == 2:
-        at = np.arange(n)
         steps = tuple((lv, slice(None), nodes, par) for lv, (nodes, par) in enumerate(levels))
-
-        def block(nodes: np.ndarray) -> Rows:
-            w = len(nodes)
-            blocks = ((slice(0, n * w), n, w, at, steps),) if w else ()
-            return Rows(at * w, np.full(n, w), at.repeat(w), nodes[None].repeat(n, axis=0).ravel(), blocks)
-
-        return block(members), block(live_members)
+        cov, a = (
+            Rows(np.arange(n) * w, np.full(n, w), n * w, ((slice(0, n * w), members[None], cols[None], steps),))
+            for cols, w in ((members, n), (live_members, len(live_members)))
+        )
+        return cov, a
     size, live_size = first[1:] - first[:-1], live_first[1:] - live_first[:-1]
     by_size = np.lexsort((live_size, size))  # the components by size, then live size, then number
     order = members[_ranges(first[by_size], first[by_size + 1])]
@@ -348,15 +340,12 @@ def _layouts(
         ends = np.add.accumulate(width)
         start = np.empty(n, dtype=np.intp)
         start[order] = ends - width
-        cols = (firsts[comp[order]] - ends + width).repeat(width)
-        cols += np.arange(len(cols))
-        w, end = width.tolist(), ends.tolist()
-        blocks = tuple(
-            (slice(end[lo] - w[lo], end[hi - 1]), hi - lo, w[lo], order[lo:hi], tuple(steps[b]))
-            for b, (lo, hi) in enumerate(spans)
-            if w[lo]
-        )
-        return Rows(start, length, order.repeat(width), nodes[cols], blocks)
+        w, end, blocks = width.tolist(), ends.tolist(), []
+        for b, (lo, hi) in enumerate(spans):
+            part = order[lo:hi].reshape(-1, size[order[lo]])  # (k, s)
+            cols = nodes[firsts[comp[part[:, 0]], None] + np.arange(w[lo])]
+            blocks.append((slice(end[lo] - w[lo], end[hi - 1]), part, cols, tuple(steps[b])))
+        return Rows(start, length, end[-1] if n else 0, tuple(blocks))
 
     return rows(size, first, members), rows(live_size, live_first, live_members)
 
@@ -372,8 +361,8 @@ class Packing(NamedTuple):
     ``live_slot[j]``.  So the covariance holds sum s^2 entries and A sum s l,
     over the components' s members and l live ones; ``width`` and
     ``live_width`` are the most s and l of a component.  Row i of A is zero
-    outside i's live ancestors, itself included; ``crowded`` lists the rows
-    narrower than ``live_width`` with more than two of them (:func:`_times`).
+    outside i's live ancestors, itself included; ``crowded`` holds each block's
+    rows with more than two, where it is narrower than ``live_width`` (:func:`_times`).
     """
 
     comp: np.ndarray
@@ -386,7 +375,7 @@ class Packing(NamedTuple):
     a: Rows
     width: int
     live_width: int
-    crowded: np.ndarray
+    crowded: tuple[np.ndarray, ...]
 
 
 def _packing(levels: Levels, live: np.ndarray) -> Packing:
@@ -395,11 +384,10 @@ def _packing(levels: Levels, live: np.ndarray) -> Packing:
     The components are those of the arcs, rows and padding alike
     (:func:`_components`), numbered by first node.
     """
-    n, none = len(live), np.zeros(0, dtype=np.intp)
+    n = len(live)
     comp = _components(*_flat_arcs(levels), n)
     members = comp.argsort(kind="stable")
     first = _offsets(comp, np.maximum.reduce(comp, initial=-1) + 1)
-    size = first[1:] - first[:-1]
     slot, live_slot = np.empty((2, n), dtype=np.intp)
     head = first[comp[members]]  # the first member of each member's component
     slot[members] = np.arange(n) - head
@@ -410,18 +398,15 @@ def _packing(levels: Levels, live: np.ndarray) -> Packing:
     live_first[1:] = before[first[1:] - 1] + alive[first[1:] - 1]
     live_size = live_first[1:] - live_first[:-1]
     live_width = int(np.maximum.reduce(live_size, initial=0))
-    crowded = none
-    if live_width > 2:
-        reach = live.astype(np.intp)  # each node's live ancestors, itself included, counted up to 3
-        for nodes, par in levels:
-            more = np.add.reduce(np.where(par == nodes[:, None], 0, reach[par]), axis=1)  # no padding
-            reach[nodes] = np.minimum(reach[nodes] + more, 3)
-        crowded = ((reach > 2) & (live_size[comp] < live_width)).nonzero()[0]
-    return Packing(
-        comp, slot, members, first, live.nonzero()[0], live_slot,
-        *_layouts(levels, comp, first, members, live_first, members[alive]),
-        int(np.maximum.reduce(size, initial=0)), live_width, crowded,
-    )
+    cov, a = _layouts(levels, comp, first, members, live_first, members[alive])
+    reach = live.astype(np.intp)  # each node's live ancestors, itself included, counted up to 3
+    for nodes, par in levels if np.count_nonzero((live_size > 2) & (live_size < live_width)) else ():
+        more = np.add.reduce(np.where(par == nodes[:, None], 0, reach[par]), axis=1)  # no padding
+        reach[nodes] = np.minimum(reach[nodes] + more, 3)
+    crowded = tuple(np.flatnonzero(reach[nodes] > 2) if 2 < cols.shape[1] < live_width else ()
+                    for _, nodes, cols, _ in a.blocks)
+    width = int(np.maximum.reduce(first[1:] - first[:-1], initial=0))
+    return Packing(comp, slot, members, first, live.nonzero()[0], live_slot, cov, a, width, live_width, crowded)
 
 
 def _forward_factor(arcs: Arcs, scale: np.ndarray, pack: Packing) -> np.ndarray:
@@ -433,7 +418,7 @@ def _forward_factor(arcs: Arcs, scale: np.ndarray, pack: Packing) -> np.ndarray:
     plus sum_i B_ij A_i over its parents i, one :func:`_substitute_blocks`
     pass over B's ``arcs`` that touches the sum s l entries.
     """
-    a = np.zeros(len(pack.a.rows))
+    a = np.zeros(pack.a.size)
     a[pack.a.start[pack.live] + pack.live_slot[pack.live]] = scale[pack.live]
     return _substitute_blocks(arcs, a, pack.a.blocks)
 
@@ -444,22 +429,18 @@ def _times(a: np.ndarray, u: np.ndarray, pack: Packing) -> np.ndarray:
     The solver's outputs keep the bits of ``np.einsum("it,it->i")`` over rows
     padded with zeros to ``live_width``, whose order of addition depends on
     that width.  A sum of at most two terms that are not zero comes out the
-    same in any order, so the rows are summed at their own width, and the
-    ``crowded`` ones again, padded.
+    same in any order, so each block's rows, with u by the block's columns,
+    are summed at their own width, and the ``crowded`` ones again, padded.
     """
-    out, rows = np.zeros(len(pack.comp)), pack.a
-    uc = u[rows.cols]
-    for at, count, width, nodes, _ in rows.blocks:
-        out[nodes] = np.einsum("it,it->i", a[at].reshape(count, width), uc[at].reshape(count, width))
-    crowded = pack.crowded
-    if len(crowded):
-        at = _ranges(rows.start[crowded], rows.start[crowded] + rows.length[crowded])
-        to = at + (np.arange(len(crowded)) * pack.live_width - rows.start[crowded]).repeat(
-            rows.length[crowded]
-        )
-        pad = np.zeros((2, len(crowded) * pack.live_width))
-        pad[0, to], pad[1, to] = a[at], uc[at]
-        out[crowded] = np.einsum("it,it->i", *pad.reshape(2, len(crowded), pack.live_width))
+    out = np.zeros(len(pack.comp))
+    for (at, nodes, cols, _), hit in zip(pack.a.blocks, pack.crowded):
+        width, rows = cols.shape[1], nodes.ravel()
+        block, uc = a[at].reshape(len(rows), width), u[cols].repeat(nodes.shape[1], axis=0)
+        out[rows] = np.einsum("it,it->i", block, uc)
+        if len(hit):
+            pad = np.zeros((2, len(hit), pack.live_width))
+            pad[0, :, :width], pad[1, :, :width] = block[hit], uc[hit]
+            out[rows[hit]] = np.einsum("it,it->i", *pad)
     return out
 
 
@@ -485,6 +466,19 @@ def _runs(ancestors: Sequence, vs: Sequence) -> Iterator[tuple[np.ndarray, np.nd
             yield anc[first : first + step], v[first : first + step]
 
 
+def _views(x: np.ndarray, rows: Rows, pack: Packing, comp: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """``(sel, view, at)`` per shape (s, w) of the components ``comp`` of ``x`` laid out by ``rows``.
+
+    ``view[at]`` (k, s, w) are the components ``comp[sel]``; ``view`` reshapes their run (:func:`_layouts`).
+    """
+    head = pack.members[pack.first[comp]]  # each component's first member
+    lo, size, width = rows.start[head], pack.first[comp + 1] - pack.first[comp], rows.length[head]
+    for s, w in sorted(set(zip(size.tolist(), width.tolist()))):
+        sel = (size == s) & (width == w)
+        base = lo[sel].min()
+        yield sel, x[base : lo[sel].max() + s * w].reshape(-1, s, w), (lo[sel] - base) // (s * w)
+
+
 def _posterior_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: Sequence) -> np.ndarray:
     """The diagonal of A (I - V'V) A': row sums of A^2, less those of (A[:, L_g] V_g')^2.
 
@@ -492,8 +486,8 @@ def _posterior_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: S
     component.  A one-column group puts the share of its column it keeps
     into a table of ones by live node that each entry's square is weighted
     by, and a row's weighted squares are summed in order from 0; a wider
-    group gathers the rows of its component, as many as the widest
-    component's (the padding rows are zero), whose sums are subtracted.
+    group gathers the rows of its component (:func:`_views`), as many as the
+    widest component's (the padding rows are zero), whose sums are subtracted.
     """
     n = len(pack.comp)
     kept, wide = np.ones(n), []
@@ -504,15 +498,15 @@ def _posterior_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: S
         comp = pack.comp[anc[:, 0]]
         at = pack.first[comp, None] + np.arange(pack.width)  # (k, w)
         keep = at < pack.first[comp + 1, None]
-        rows = pack.members[np.where(keep, at, pack.first[comp, None])]  # padded with the first member
-        g = a[pack.a.start[rows][:, :, None] + pack.live_slot[anc][:, None, :]]  # (k, w, l)
-        g[~keep] = 0.0
+        g = np.zeros(keep.shape + anc.shape[1:])  # (k, w, l)
+        for sel, view, c in _views(a, pack.a, pack, comp):
+            g[sel, : view.shape[1]] = np.take_along_axis(view[c], pack.live_slot[anc[sel]][:, None, :], axis=2)
         x = g @ v.swapaxes(1, 2)  # (k, w, s)
-        wide.append(np.bincount(rows[keep], np.einsum("kws,kws->kw", x, x)[keep], minlength=n))
-    out, share = np.zeros(n), kept[pack.a.cols]
-    for at, count, width, nodes, _ in pack.a.blocks:
-        block = a[at].reshape(count, width)
-        out[nodes] = np.einsum("it,it,it->i", block, block, share[at].reshape(count, width))
+        wide.append(np.bincount(pack.members[at[keep]], np.einsum("kws,kws->kw", x, x)[keep], minlength=n))
+    out = np.zeros(n)
+    for at, nodes, cols, _ in pack.a.blocks:
+        block = a[at].reshape(nodes.size, cols.shape[1])
+        out[nodes.ravel()] = np.einsum("it,it,it->i", block, block, kept[cols].repeat(nodes.shape[1], axis=0))
     return out - sum(wide, np.zeros(n))
 
 
@@ -524,30 +518,31 @@ def _covariance(
     ``vs`` are :func:`_factor_update`'s updates on the groups' live
     ``ancestors`` (none for A A').  Y = A' - V'(V A'[L]) is A' with each
     group's rows L_g updated by its own V_g (a one-column group's row scaled
-    by the share 1 - V_g'V_g it keeps), laid out like the covariance, and A Y
-    is one :func:`_substitute_blocks` pass over its sum s^2 entries.  Substitution
-    rounds the two triangles differently, so the result is averaged with its
-    transpose, gathered by each entry's transpose partner.
+    by the share 1 - V_g'V_g it keeps), laid out like the covariance: a
+    block's live rows, at their slots, are A's block transposed.  A Y is one
+    :func:`_substitute_blocks` pass over its sum s^2 entries, and each block
+    is averaged with its transpose, which substitution rounds differently.
     """
-    rows, cols, start = pack.cov.rows, pack.cov.cols, pack.cov.start
-    x = np.zeros(len(rows))
-    at = _ranges(start[pack.live], start[pack.live] + pack.cov.length[pack.live])  # live nodes' rows
-    x[at] = a[pack.a.start[cols[at]] + pack.live_slot[rows[at]]]
+    x, kept = np.zeros(pack.cov.size), np.ones(len(pack.comp))
+    for (at, nodes, _, _), (a_at, _, cols, _) in zip(pack.cov.blocks, pack.a.blocks):
+        (k, s), y = nodes.shape, x[at].reshape(nodes.shape + nodes.shape[1:])
+        y[np.arange(k)[:, None], pack.slot[cols]] = a[a_at].reshape(k, s, -1).swapaxes(1, 2)
     for anc, v in _runs(ancestors, vs):
-        lo = start[anc]
-        hi = lo + pack.cov.length[anc]  # (k, l): each group's rows are as long
         if v.ndim == 1:
-            x[_ranges(lo[:, 0], hi[:, 0])] *= np.repeat(v, hi[:, 0] - lo[:, 0])
+            kept[anc[:, 0]] = v
             continue
-        size = hi[:, 0] - lo[:, 0]
-        keep = np.broadcast_to(np.arange(size.max()) < size[:, None, None], anc.shape + (size.max(),))
-        at = np.where(keep, lo[:, :, None] + np.arange(size.max()), lo[:, :, None])  # (k, l, w)
-        y = x[at]
-        y -= _product(v.swapaxes(1, 2), _product(v, y))
-        x[at[keep]] = y[keep]
-    x *= scale[rows]  # the rows of nodes without noise are zero
+        for sel, view, c in _views(x, pack.cov, pack, pack.comp[anc[:, 0]]):
+            rows = c[:, None], pack.slot[anc[sel]]
+            y = view[rows]  # (k, l, s)
+            y -= _product(v[sel].swapaxes(1, 2), _product(v[sel], y))
+            view[rows] = y
+    blocks = [(x[at].reshape(nodes.shape + nodes.shape[1:]), nodes) for at, nodes, _, _ in pack.cov.blocks]
+    for y, nodes in blocks:
+        y *= kept[nodes][:, :, None]
+        y *= scale[nodes][:, :, None]  # the rows of nodes without noise are zero
     _substitute_blocks(arcs, x, pack.cov.blocks)
-    x += x[start[cols] + pack.slot[rows]]  # each entry's transpose partner
+    for y, _ in blocks:
+        y += y.swapaxes(1, 2)
     x *= 0.5
     return x
 
@@ -556,14 +551,16 @@ def _unpack(x: np.ndarray, pack: Packing) -> np.ndarray:
     """The n x n matrix of the covariance ``x`` laid out by ``pack.cov``, zero between components."""
     n = len(pack.comp)
     out = np.zeros((n, n))
-    out.ravel()[pack.cov.rows * n + pack.cov.cols] = x
+    for at, nodes, cols, _ in pack.cov.blocks:
+        out[nodes[:, :, None], cols[:, None, :]] = x[at].reshape(nodes.shape + cols.shape[1:])
     return out
 
 
 def _unpacked_correlations(cov: np.ndarray, pack: Packing) -> np.ndarray:
-    """The n x n :func:`correlation_matrix` of the flat covariance ``cov``, read in place."""
-    rows, cols = pack.cov.rows, pack.cov.cols
-    return _unpack(_correlate(cov, rows, cols, pack.cov.start + pack.slot), pack)
+    """The n x n :func:`correlation_matrix` of the flat covariance ``cov``, read in place by block."""
+    blocks = [(cov[at].reshape(nodes.shape + nodes.shape[1:]), nodes) for at, nodes, _, _ in pack.cov.blocks]
+    _correlate(cov[pack.cov.start + pack.slot], blocks)
+    return _unpack(cov, pack)
 
 
 def _state_factor(st: GaussianState) -> tuple[Levels, Arcs, np.ndarray, Packing, np.ndarray]:
@@ -834,41 +831,37 @@ def condition_sequential(
     return mean[keep], cov[np.ix_(keep, keep)]
 
 
-def _correlate(
-    cov: np.ndarray, rows: np.ndarray, cols: np.ndarray, diagonal: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Correlations read entry by entry from covariances, overwriting ``cov``.
+def _correlate(var: np.ndarray, blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Overwrite each (k, s, s) stack ``y`` of covariances of variables ``nodes`` (k, s), of variances ``var``.
 
-    Entry e of ``cov`` is the covariance of variables ``rows[e]`` and
-    ``cols[e]`` (``rows`` broadcasts to ``cols``' shape), variable i's
-    variance its entry ``cov[diagonal][i]``.  Where either variance is not
-    positive the correlation is 0, the diagonal included; elsewhere it is
-    the ratio clamped to [-1, 1], and 1 on the diagonal.  A variance outside
-    [2^-500, 2^500] is first scaled into [0.5, 2) by 4^-k, its covariances
-    by 2^-k, so no product of two leaves the normal range; this is exact.
+    Where either variance is not positive the correlation is 0, the diagonal
+    included; elsewhere it is the ratio clamped to [-1, 1], and 1 on the
+    diagonal.  A variance outside [2^-500, 2^500] is first scaled into
+    [0.5, 2) by 4^-k, its covariances by 2^-k, so no product of two leaves
+    the normal range; this is exact.
     """
-    var = cov[diagonal]
     live = var > 0.0
     scale = np.where(live, var, 1.0)  # no zero or negative divisor
     k = np.where((scale < 2.0**-500) | (scale > 2.0**500), np.frexp(scale)[1] // 2, 0)
-    if k.any():
-        scale = np.ldexp(scale, -2 * k)
-        np.ldexp(cov, -(k[rows] + k[cols]), out=cov)
-    root = scale[cols]
-    root *= scale[rows]
-    np.sqrt(root, out=root)
-    np.divide(cov, root, out=cov)
-    np.clip(cov, -1.0, 1.0, out=cov)
-    if not live.all():
-        cov[~live[rows] | ~live[cols]] = 0.0
-    cov[diagonal] = live
-    return cov
+    rescale, dead = k.any(), not live.all()
+    scale = np.ldexp(scale, -2 * k) if rescale else scale
+    for y, nodes in blocks:
+        if rescale:
+            np.ldexp(y, -(k[nodes][:, :, None] + k[nodes][:, None, :]), out=y)
+        root = scale[nodes][:, None, :] * scale[nodes][:, :, None]
+        np.sqrt(root, out=root)
+        np.divide(y, root, out=y)
+        np.clip(y, -1.0, 1.0, out=y)
+        if dead:
+            y[~live[nodes][:, :, None] | ~live[nodes][:, None, :]] = 0.0
+        y.reshape(len(y), -1)[:, :: nodes.shape[1] + 1] = live[nodes]  # the diagonal
 
 
 def correlation_matrix(cov: np.ndarray) -> np.ndarray:
     """Correlations read from a covariance matrix by :func:`_correlate`'s rule."""
-    at = np.arange(len(cov))
-    return _correlate(np.array(cov, dtype=float), at[:, None], np.broadcast_to(at, cov.shape), (at, at))
+    out = np.array(cov, dtype=float)
+    _correlate(np.diagonal(out).copy(), [(out[None], np.arange(len(out))[None])])
+    return out
 
 
 def correlation(post_cov: np.ndarray, i: int, j: int) -> float:

@@ -915,40 +915,47 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
     Divergence: it rises strictly across ``divergence_window``
     consecutive comparisons (the increase counter resets on any
     non-increase).  The reported posterior comes from the last iteration,
-    except on divergence, where the iterate with the smallest change
-    measure is reported instead.
+    except on divergence, where the iterate with the smallest change measure
+    is reported instead.  Out of memory past :func:`initialize` is a
+    :class:`SolverError` naming the widest component's first node.
     """
     cfg = cfg or SolverConfig()
     state = initialize(d, cfg)
     status = MAX_ITERATIONS
     increase_run = 0
     best = None  # (record, snapshot) of the smallest-r_max iterate so far, for divergence
-    for _ in range(cfg.max_iterations):
-        record = step(state)
-        if best is None or record.r_max < best[0].r_max:
-            best = (record, state.snapshot)
-        if record.r_max < cfg.epsilon:
-            status = CONVERGED
-            break
-        if state.t >= 2 and record.r_max > state.records[-2].r_max:
-            increase_run += 1
-            if increase_run >= cfg.divergence_window:
-                status = DIVERGED
+    try:
+        for _ in range(cfg.max_iterations):
+            record = step(state)
+            if best is None or record.r_max < best[0].r_max:
+                best = (record, state.snapshot)
+            if record.r_max < cfg.epsilon:
+                status = CONVERGED
                 break
-        else:
-            increase_run = 0
+            if state.t >= 2 and record.r_max > state.records[-2].r_max:
+                increase_run += 1
+                if increase_run >= cfg.divergence_window:
+                    status = DIVERGED
+                    break
+            else:
+                increase_run = 0
 
-    if status != DIVERGED:
-        best = (state.records[-1], state.snapshot)
+        if status != DIVERGED:
+            best = (state.records[-1], state.snapshot)
 
-    record, (arcs, a, vs, mean_y, var_y) = best
-    scale = np.sqrt(state.cond_var[: state.n_params])
-    cov = _covariance(arcs, scale, state.packing, a, state.ev_ancestors, vs)
-    return SolverResult(
-        status=status,
-        iterations=state.records,
-        posterior_y=dict(zip(state.param_ids, map(MomentPair, mean_y.tolist(), var_y.tolist()))),
-        posterior_correlations=_unpacked_correlations(cov, state.packing),
-        param_ids=state.param_ids,
-        reported_iteration=record.t,
-    )
+        record, (arcs, a, vs, mean_y, var_y) = best
+        scale = np.sqrt(state.cond_var[: state.n_params])
+        cov = _covariance(arcs, scale, state.packing, a, state.ev_ancestors, vs)
+        return SolverResult(
+            status=status,
+            iterations=state.records,
+            posterior_y=dict(zip(state.param_ids, map(MomentPair, mean_y.tolist(), var_y.tolist()))),
+            posterior_correlations=_unpacked_correlations(cov, state.packing),
+            param_ids=state.param_ids,
+            reported_iteration=record.t,
+        )
+    except MemoryError:
+        pack = state.packing
+        node = state.param_ids[pack.members[pack.first[np.argmax(np.diff(pack.first))]]]
+        msg = f"out of memory: the covariance of the component of {node!r} needs {pack.width**2:,} entries"
+        raise SolverError(msg, node) from None

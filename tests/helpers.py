@@ -33,12 +33,14 @@ def dense_b(n, arcs):
 def dense_factor(a, pack):
     """The factor A laid out by ``pack.a`` as an n x n matrix with one column per node.
 
-    Entry e of ``a`` is row ``pack.a.rows[e]``'s column of live node
-    ``pack.a.cols[e]``; the columns of nodes without noise stay zero.
+    Each block of ``pack.a`` is a (k, s, l) array of ``a``: entry (c, i, t)
+    is row ``nodes[c, i]``'s column of live node ``cols[c, t]``; the columns
+    of nodes without noise stay zero.
     """
     n = len(pack.comp)
     dense = np.zeros((n, n))
-    dense[pack.a.rows, pack.a.cols] = a
+    for at, nodes, cols, _ in pack.a.blocks:
+        dense[nodes[:, :, None], cols[:, None, :]] = a[at].reshape(nodes.shape + cols.shape[1:])
     return dense
 
 

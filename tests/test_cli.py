@@ -1239,3 +1239,48 @@ def test_a_pooled_variance_that_underflows_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot pool the observations of 'o0'" in err
     assert "pooled variance 5e-324 / 2.0 underflows to 0" in err
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads the child's address space from /proc")
+def test_a_solve_that_cannot_fit_is_a_typed_error(tmp_path):
+    # A chain of 3,000 states (e_i ~ N(0, 1), x_1 = e_0 + e_1, x_i = x_(i-1) +
+    # e_i, a look on e_0 and on each x_i) is one component of 5,999
+    # parameters, whose A alone needs 137 MiB.  The child limits its own
+    # address space to what it holds after import plus 64 MiB, so the
+    # structure fits and A does not: exit 5 with the typed message, no
+    # traceback.
+    t, nodes = {"kind": "scaled", "a": 0, "b": 1}, []
+    for i in range(3000):
+        prior = {"family": "normal", "mean": 0.0, "variance": 1.0}
+        nodes.append({"id": f"e{i}", "kind": "basic", "transform": t, "prior": prior})
+    for i in range(1, 3000):
+        expr = f"{f'x{i - 1}' if i > 1 else 'e0'} + e{i}"
+        nodes.append({"id": f"x{i}", "kind": "deterministic", "transform": t, "expr": expr})
+    for k, parent in enumerate(["e0"] + [f"x{i}" for i in range(1, 3000)]):
+        look = {"variant": "normal_known_var", "count": 1, "sample_mean": 0.5, "variance": 1.0}
+        nodes.append({"id": f"o{k}", "kind": "evidence", "parent": parent, "evidence": look})
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"schema_version": "1", "nodes": nodes}), encoding="utf-8")
+    code = (
+        "import resource, sys\n"
+        "from gaussid.cli import main\n"
+        "with open('/proc/self/statm') as f:\n"
+        "    held = int(f.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "limit = held + 64 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit if hard < 0 else min(limit, hard), hard))\n"
+        "sys.exit(main(['solve', sys.argv[1], '--json']))\n"
+    )
+    src = Path(gaussid.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == (
+        "error: out of memory: the covariance of the component of 'e0' needs 35,988,001 entries\n"
+    )

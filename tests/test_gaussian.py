@@ -24,6 +24,7 @@ from gaussid.gaussian import (
     _posterior_variance,
     _product,
     _substitute,
+    _times,
     _unpack,
     _unpacked_correlations,
     condition,
@@ -771,18 +772,24 @@ class TestComponents:
         comp = np.array(components(parents), dtype=int)
         assert pack.comp.tolist() == comp.tolist()
         size, live_size = np.bincount(comp), np.bincount(comp, live).astype(int)
-        assert len(pack.cov.rows) == (size**2).sum() and len(pack.a.rows) == (size * live_size).sum()
-        pairs = pack.cov.rows * len(comp) + pack.cov.cols
-        assert sorted(pairs.tolist()) == [
-            i * len(comp) + j for i in range(len(comp)) for j in range(len(comp)) if comp[i] == comp[j]
-        ]
-        a_pairs = sorted((pack.a.rows * len(comp) + pack.a.cols).tolist())
-        assert a_pairs == [
-            i * len(comp) + j
-            for i in range(len(comp))
-            for j in range(len(comp))
-            if comp[i] == comp[j] and live[j]
-        ]
+        assert pack.cov.size == (size**2).sum() and pack.a.size == (size * live_size).sum()
+        n = len(comp)
+        for rows, keep in ((pack.cov, np.ones(n, dtype=bool)), (pack.a, live)):
+            # The blocks tile the flat array in order, each a (k, s, w) array whose
+            # rows start where ``start`` says, and every (row, column) pair of a
+            # component, the column kept, appears exactly once.
+            pairs, end = [], 0
+            for at, nodes, cols, _ in rows.blocks:
+                width = cols.shape[1]
+                assert at.start == end and at.stop == end + nodes.size * width
+                assert rows.start[nodes].ravel().tolist() == (end + width * np.arange(nodes.size)).tolist()
+                assert np.all(rows.length[nodes] == width)
+                pairs += (nodes[:, :, None] * n + cols[:, None, :]).ravel().tolist()
+                end = at.stop
+            assert end == rows.size
+            assert sorted(pairs) == [
+                i * n + j for i in range(n) for j in range(n) if comp[i] == comp[j] and keep[j]
+            ]
 
     @given(
         hst.integers(1, 30).flatmap(
@@ -923,6 +930,45 @@ class TestComponents:
         assert [c.tolist() for c in components] == [[list(range(len(observed)))]]
         assert [c.tolist() for c in ancestors] == [[list(range(depth - 9))]]
         assert peak < 1000 * (2 * depth - 1)
+
+    def test_a_deep_chain_packs_no_index_per_entry(self):
+        # The same chain is one component of 3,000 nodes: 9,000,000 covariance
+        # entries and 4,500,000 of A, whose layouts are packed in memory of
+        # the order of the nodes, with no row or column index per entry.
+        depth = 1500
+        parents = [[]] * depth + [[0]] + [[depth + i - 1, i] for i in range(1, depth)]
+        levels = _depth_levels(*arcs_of(parents))
+        live = np.arange(2 * depth) < depth
+        tracemalloc.start()
+        try:
+            pack = _packing(levels, live)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (pack.cov.size, pack.a.size) == ((2 * depth) ** 2, 2 * depth * depth)
+        assert peak < 1000 * 2 * depth
+
+    def test_a_u_keeps_the_bits_of_rows_padded_to_the_widest(self):
+        # Components of 9 and of 6 live roots, with one child of all nine and
+        # 40 children of all six: A u keeps the bits of einsum over rows
+        # padded with zeros to live_width 9, whose order of addition differs
+        # from that at width 6.
+        parents = [[]] * 15 + [list(range(9))] + [list(range(9, 15))] * 40
+        n, rng = len(parents), np.random.default_rng(11)
+        live = np.arange(n) < 15
+        coeffs = np.zeros((n, n))
+        for j, ps in enumerate(parents):
+            coeffs[ps, j] = rng.uniform(-1.0, 1.0, size=len(ps))
+        levels = _depth_levels(*arcs_of(parents))
+        arcs, scale = _level_arcs(levels, coeffs), np.where(live, rng.uniform(0.5, 2.0, size=n), 0.0)
+        pack = _packing(levels, live)
+        a, u = _forward_factor(arcs, scale, pack), np.where(live, rng.normal(size=n), 0.0)
+        dense, padded = dense_factor(a, pack), np.zeros((2, n, pack.live_width))
+        for i in range(n):
+            cols = (pack.comp == pack.comp[i]) & live
+            padded[:, i, : np.count_nonzero(cols)] = dense[i, cols], u[cols]
+        assert pack.live_width == 9
+        assert _times(a, u, pack).tobytes() == np.einsum("it,it->i", *padded).tobytes()
 
     @given(evidence_dags(), hst.integers(min_value=0, max_value=2**32 - 1))
     @example(([[], [], [0, 1]], [True, True, False], [0, 1]), 0)
