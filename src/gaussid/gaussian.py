@@ -303,8 +303,8 @@ def _layouts(
     then node, so their blocks pair up one to one and share their steps."""
     n = len(comp)
     # One component, as in both golden models: the k = 1 block of the nodes in
-    # order, in BRANCH_US a call on beta_binomial and risk_difference against
-    # GENERAL_US through the general path below, which builds the same layout
+    # order, in 5.2 and 5.7 us a call on beta_binomial and risk_difference against
+    # 21.6 and 25.4 through the general path below, which builds the same blocks
     # (medians of 400 alternating rounds, one CPU of a 2-vCPU x86-64 machine).
     if len(first) == 2:
         steps = tuple((lv, slice(None), nodes, par) for lv, (nodes, par) in enumerate(levels))
@@ -361,8 +361,8 @@ class Packing(NamedTuple):
     ``live_slot[j]``.  So the covariance holds sum s^2 entries and A sum s l,
     over the components' s members and l live ones; ``width`` and
     ``live_width`` are the most s and l of a component.  Row i of A is zero
-    outside i's live ancestors, itself included; ``crowded`` holds each block's
-    rows with more than two, where it is narrower than ``live_width`` (:func:`_times`).
+    outside i's live ancestors, itself included; ``crowded`` holds, for each
+    block of A narrower than ``live_width``, its rows with more than two (:func:`_times`).
     """
 
     comp: np.ndarray
