@@ -41,15 +41,21 @@ def look(nid, parent, mean, variance):
     }
 
 
-def wide_groups():
-    """Twelve groups of two looks on d = u * v + w: one class of groups of three live ancestors."""
+def wide_groups(count=12):
+    """``count`` groups of two looks on d = u * v + w: one class of groups of three live ancestors."""
     rng = np.random.default_rng(1)
     nodes = []
-    for g in range(12):
+    for g in range(count):
         nodes += [normal(f"{p}{g}", rng.uniform(1, 2), rng.uniform(0.05, 0.2)) for p in "uvw"]
         nodes.append(det(f"d{g}", f"u{g} * v{g} + w{g}"))
         nodes += [look(f"o{g}_{k}", f"d{g}", rng.uniform(2, 5), rng.uniform(0.3, 1)) for k in range(2)]
     return nodes
+
+
+def joined_groups(count=12):
+    """:func:`wide_groups` and an unobserved z = d0 + d1 + ...: one component, in which
+    z's variance takes the subtraction of every group."""
+    return wide_groups(count) + [det("z", " + ".join(f"d{g}" for g in range(count)))]
 
 
 def diamond():
@@ -188,6 +194,7 @@ def no_nodes():
 
 DIAGRAMS = {
     "wide_groups": wide_groups,
+    "joined_groups": joined_groups,
     "diamond": diamond,
     "children_first": children_first,
     "difference_chain": difference_chain,
@@ -204,6 +211,7 @@ DIAGRAMS = {
 # name -> (pooled, --no-pool): the first 16 hex digits of the sha256 of stdout
 DIGESTS = {
     "wide_groups": ("1f2f4e0acb4dbdc1", "106ff5a4ed8653fe"),
+    "joined_groups": ("4166b76ba7d656b7", "6b35bd1dcbf8bdf6"),
     "diamond": ("3156bb978edfa41d", "1d2cfd63e3d3ffe7"),
     "children_first": ("6f8441302ffaa053", "6f8441302ffaa053"),
     "difference_chain": ("4ece903689f28b3a", "4ece903689f28b3a"),
