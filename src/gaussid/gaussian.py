@@ -32,12 +32,13 @@ and an observed node's row of A is zero outside its live ancestors, so
 each group works on its own columns L_g of A: its block G_g G_g' + noise,
 with G_g = A[observed][:, L_g], is factored once by a symmetric
 eigendecomposition, which also gives the condition-number guard, and the
-update is a small factor V_g over those columns (for one column, the
-share 1 - V_g'V_g of its variance kept, in closed form).  The posterior
-covariance is A (I - V'V) A': the variances are row sums of squares, and the
-covariance itself, from which the correlations are read, is formed in its
-own layout by one more substitution pass, and only the n x n result is
-unpacked.
+update is a small factor V_g over those columns: one table by live node of
+the share 1 - V_g'V_g a one-column group keeps, in closed form (1
+elsewhere), and a list of the wider groups' V_g by shape class, each read
+in place at its own component's width.  The posterior covariance is
+A (I - V'V) A': the variances are row sums of squares, and the covariance
+itself, from which the correlations are read, is formed in its own layout
+by one more substitution pass, and only the n x n result is unpacked.
 """
 
 from __future__ import annotations
@@ -359,10 +360,10 @@ class Packing(NamedTuple):
     holds one entry per member of i's component, in that order, and row i of
     A (``a``) one per live member, live node j being live member
     ``live_slot[j]``.  So the covariance holds sum s^2 entries and A sum s l,
-    over the components' s members and l live ones; ``width`` and
-    ``live_width`` are the most s and l of a component.  Row i of A is zero
-    outside i's live ancestors, itself included; ``crowded`` holds, for each
-    block of A narrower than ``live_width``, its rows with more than two (:func:`_times`).
+    over the components' s members and l live ones; ``live_width`` is the
+    most l of a component.  Row i of A is zero outside i's live ancestors,
+    itself included; ``crowded`` holds, for each block of A narrower than
+    ``live_width``, its rows with more than two (:func:`_times`).
     """
 
     comp: np.ndarray
@@ -373,7 +374,6 @@ class Packing(NamedTuple):
     live_slot: np.ndarray
     cov: Rows
     a: Rows
-    width: int
     live_width: int
     crowded: tuple[np.ndarray, ...]
 
@@ -405,8 +405,7 @@ def _packing(levels: Levels, live: np.ndarray) -> Packing:
         reach[nodes] = np.minimum(reach[nodes] + more, 3)
     crowded = tuple(np.flatnonzero(reach[nodes] > 2) if 2 < cols.shape[1] < live_width else ()
                     for _, nodes, cols, _ in a.blocks)
-    width = int(np.maximum.reduce(first[1:] - first[:-1], initial=0))
-    return Packing(comp, slot, members, first, live.nonzero()[0], live_slot, cov, a, width, live_width, crowded)
+    return Packing(comp, slot, members, first, live.nonzero()[0], live_slot, cov, a, live_width, crowded)
 
 
 def _forward_factor(arcs: Arcs, scale: np.ndarray, pack: Packing) -> np.ndarray:
@@ -444,28 +443,6 @@ def _times(a: np.ndarray, u: np.ndarray, pack: Packing) -> np.ndarray:
     return out
 
 
-# The update factors V of groups of more than one column are read in runs
-# of at most this many rows or columns per group stack, so no temporary
-# grows to the n x m of all the evidence entries.
-_RUN = 64
-
-
-def _runs(ancestors: Sequence, vs: Sequence) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(live ancestors, V)`` for runs of groups of one shape class.
-
-    ``ancestors`` and ``vs`` hold one (k, l) array and one update stack
-    (:func:`_factor_update`) per shape class.  A class of width l = 1 needs no
-    temporary, so it is one run, and one of width 0 changes nothing, so it has none.
-    """
-    for anc, v in zip(ancestors, vs):
-        k, l = anc.shape
-        if l == 0:
-            continue
-        step = k if l == 1 else max(1, _RUN // max(v.shape[1], l))
-        for first in range(0, k, step):
-            yield anc[first : first + step], v[first : first + step]
-
-
 def _views(x: np.ndarray, rows: Rows, pack: Packing, comp: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """``(sel, view, at)`` per shape (s, w) of the components ``comp`` of ``x`` laid out by ``rows``.
 
@@ -479,58 +456,49 @@ def _views(x: np.ndarray, rows: Rows, pack: Packing, comp: np.ndarray) -> Iterat
         yield sel, x[base : lo[sel].max() + s * w].reshape(-1, s, w), (lo[sel] - base) // (s * w)
 
 
-def _posterior_variance(a: np.ndarray, pack: Packing, ancestors: Sequence, vs: Sequence) -> np.ndarray:
+def _posterior_variance(a: np.ndarray, pack: Packing, kept: np.ndarray, wide: Sequence) -> np.ndarray:
     """The diagonal of A (I - V'V) A': row sums of A^2, less those of (A[:, L_g] V_g')^2.
 
-    A group, its columns and the rows where they are nonzero are in one
-    component.  A one-column group puts the share of its column it keeps
-    into a table of ones by live node that each entry's square is weighted
-    by, and a row's weighted squares are summed in order from 0; a wider
-    group gathers the rows of its component (:func:`_views`), as many as the
-    widest component's (the padding rows are zero), whose sums are subtracted.
+    Each entry's square is weighted by ``kept`` at its column, a row's
+    weighted squares summed in order from 0.  A wide group's columns and the
+    rows where they are nonzero are in one component: its rows, gathered in
+    place at the component's own width (:func:`_views`), give the sums that
+    are subtracted, one ``bincount`` per view.
     """
     n = len(pack.comp)
-    kept, wide = np.ones(n), []
-    for anc, v in _runs(ancestors, vs):
-        if v.ndim == 1:
-            kept[anc[:, 0]] = v
-            continue
-        comp = pack.comp[anc[:, 0]]
-        at = pack.first[comp, None] + np.arange(pack.width)  # (k, w)
-        keep = at < pack.first[comp + 1, None]
-        g = np.zeros(keep.shape + anc.shape[1:])  # (k, w, l)
-        for sel, view, c in _views(a, pack.a, pack, comp):
-            g[sel, : view.shape[1]] = np.take_along_axis(view[c], pack.live_slot[anc[sel]][:, None, :], axis=2)
-        x = g @ v.swapaxes(1, 2)  # (k, w, s)
-        wide.append(np.bincount(pack.members[at[keep]], np.einsum("kws,kws->kw", x, x)[keep], minlength=n))
-    out = np.zeros(n)
+    out, less = np.zeros(n), np.zeros(n)
     for at, nodes, cols, _ in pack.a.blocks:
         block = a[at].reshape(nodes.size, cols.shape[1])
         out[nodes.ravel()] = np.einsum("it,it,it->i", block, block, kept[cols].repeat(nodes.shape[1], axis=0))
-    return out - sum(wide, np.zeros(n))
+    for anc, v in wide:
+        comp = pack.comp[anc[:, 0]]
+        for sel, view, c in _views(a, pack.a, pack, comp):
+            s = view.shape[1]
+            g = view[c[:, None, None], np.arange(s)[:, None], pack.live_slot[anc[sel]][:, None, :]]  # (k, s, l)
+            x = g @ v[sel].swapaxes(1, 2)  # (k, s, entries)
+            rows = pack.members[pack.first[comp[sel], None] + np.arange(s)]
+            less += np.bincount(rows.ravel(), np.einsum("kse,kse->ks", x, x).ravel(), minlength=n)
+    return out - less
 
 
 def _covariance(
-    arcs: Arcs, scale: np.ndarray, pack: Packing, a: np.ndarray, ancestors: Sequence, vs: Sequence
+    arcs: Arcs, scale: np.ndarray, pack: Packing, a: np.ndarray, kept: np.ndarray, wide: Sequence
 ) -> np.ndarray:
     """The covariance A (I - V'V) A', laid out by ``pack.cov``, exactly symmetric.
 
-    ``vs`` are :func:`_factor_update`'s updates on the groups' live
-    ``ancestors`` (none for A A').  Y = A' - V'(V A'[L]) is A' with each
-    group's rows L_g updated by its own V_g (a one-column group's row scaled
-    by the share 1 - V_g'V_g it keeps), laid out like the covariance: a
-    block's live rows, at their slots, are A's block transposed.  A Y is one
+    ``kept`` and ``wide`` are :func:`_factor_update`'s update (ones and none
+    for A A').  Y = A' - V'(V A'[L]) is A' with each wide group's rows L_g
+    updated by its own V_g, read in place (:func:`_views`), and each row
+    scaled by the share ``kept``, laid out like the covariance: a block's
+    live rows, at their slots, are A's block transposed.  A Y is one
     :func:`_substitute_blocks` pass over its sum s^2 entries, and each block
     is averaged with its transpose, which substitution rounds differently.
     """
-    x, kept = np.zeros(pack.cov.size), np.ones(len(pack.comp))
+    x = np.zeros(pack.cov.size)
     for (at, nodes, _, _), (a_at, _, cols, _) in zip(pack.cov.blocks, pack.a.blocks):
         (k, s), y = nodes.shape, x[at].reshape(nodes.shape + nodes.shape[1:])
         y[np.arange(k)[:, None], pack.slot[cols]] = a[a_at].reshape(k, s, -1).swapaxes(1, 2)
-    for anc, v in _runs(ancestors, vs):
-        if v.ndim == 1:
-            kept[anc[:, 0]] = v
-            continue
+    for anc, v in wide:
         for sel, view, c in _views(x, pack.cov, pack, pack.comp[anc[:, 0]]):
             rows = c[:, None], pack.slot[anc[sel]]
             y = view[rows]  # (k, l, s)
@@ -584,7 +552,7 @@ def propagate_covariance(st: GaussianState) -> GaussianState:
     """
     _, arcs, scale, pack, a = _state_factor(st)
     out = copy.copy(st)
-    _set(out, "cov", _unpack(_covariance(arcs, scale, pack, a, (), ()), pack))
+    _set(out, "cov", _unpack(_covariance(arcs, scale, pack, a, np.ones(len(st.order)), ()), pack))
     return out
 
 
@@ -717,7 +685,7 @@ def _factor_update(
     par: np.ndarray,
     noise: np.ndarray,
     resid: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Condition the Gaussian with covariance A A' on noisy observations, in factor space.
 
     Entry e observes node ``par[e]`` with independent noise of variance
@@ -731,17 +699,19 @@ def _factor_update(
     (:func:`_eigh_blocks`), V_g = diag(lambda)^-1/2 Q' G_g and
     z_g = diag(lambda)^-1/2 Q' resid_g.  A group of one live ancestor
     (l = 1) takes V_g' z_g and 1 - V_g'V_g from :func:`_one_column_update`
-    instead; its block is still factored, for the guard.
+    instead, and one of none (l = 0) changes nothing; the blocks of both are
+    still factored, for the guard.
 
-    Returns ``(A u, vs)``: the posterior mean is ``mean + A u``, with
-    u[L_g] = V_g' z_g kept by live node (:func:`_times`), and the covariance
-    A (I - V'V) A', with ``vs`` per class the (k, s, l) stack of V_g or,
-    where l = 1, the (k,) shares 1 - V_g'V_g.
+    Returns ``(A u, kept, wide)``: the posterior mean is ``mean + A u``, with
+    u[L_g] = V_g' z_g by live node (:func:`_times`), and the covariance
+    A (I - V'V) A', with ``kept`` by live node the share 1 - V_g'V_g of a
+    one-column group and 1 elsewhere, and ``wide`` the ``(ancestors, V)``
+    pairs of the classes with l >= 2, V the (k, s, l) stack of V_g.
     """
     n = len(pack.comp)
+    u, kept, wide = np.zeros(n), np.ones(n), []
     if not components:
-        return np.zeros(n), []
-    u = np.zeros(n)
+        return u, kept, wide
     groups, blocks = [], []  # (entries, live ancestors, G) per class
     for idx, anc in zip(components, ancestors):
         s = idx.shape[1]
@@ -750,17 +720,15 @@ def _factor_update(
         block[:, np.arange(s), np.arange(s)] += noise[idx]
         groups.append((idx, anc, g))
         blocks.append(block)
-    vs = []
     for (idx, anc, g), (val, vecs) in zip(groups, _eigh_blocks(blocks)):
         if g.shape[2] == 1:
-            u[anc[:, 0]], keep = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
-            vs.append(keep)
-            continue
-        scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)  # diag(lambda)^-1/2 Q'
-        v = scaled @ g
-        u[anc] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
-        vs.append(v)
-    return _times(a, u, pack), vs
+            u[anc[:, 0]], kept[anc[:, 0]] = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
+        elif g.shape[2]:
+            scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)  # diag(lambda)^-1/2 Q'
+            v = scaled @ g
+            u[anc] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
+            wide.append((anc, v))
+    return _times(a, u, pack), kept, wide
 
 
 def _one_column_update(
@@ -796,8 +764,8 @@ def condition(
     ev, keep, d = _split_indices(len(st.order), obs)
     levels, arcs, scale, pack, a = _state_factor(st)
     components, ancestors = _evidence_components(levels, scale > 0.0, ev)
-    shift, vs = _factor_update(a, pack, components, ancestors, ev, np.zeros(len(ev)), d - st.mean[ev])
-    cov = _unpack(_covariance(arcs, scale, pack, a, ancestors, vs), pack)
+    shift, kept, wide = _factor_update(a, pack, components, ancestors, ev, np.zeros(len(ev)), d - st.mean[ev])
+    cov = _unpack(_covariance(arcs, scale, pack, a, kept, wide), pack)
     return (st.mean + shift)[keep], cov[np.ix_(keep, keep)]
 
 

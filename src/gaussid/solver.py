@@ -306,7 +306,7 @@ class SolverState:
         transforms: _TransformArrays | None, cond_var: np.ndarray, post_x: np.ndarray,
         post_y: np.ndarray, point_x: np.ndarray, t: int = 0,
         records: list[IterationRecord] | None = None,
-        snapshot: tuple[Arcs, np.ndarray, list[np.ndarray], np.ndarray, np.ndarray] | None = None,
+        snapshot: tuple[Arcs, np.ndarray, np.ndarray, list, np.ndarray, np.ndarray] | None = None,
         linearized: tuple[np.ndarray, np.ndarray] | None = None,
         inverted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
@@ -337,9 +337,9 @@ class SolverState:
         self.point_x = point_x
         self.t = t
         self.records = [] if records is None else records
-        # (B by level, A packed, the update factors V per shape class,
-        # natural-scale means, natural-scale variances) of the latest iterate:
-        # its parameter covariance is A (I - V'V) A'
+        # (B by level, A packed, the shares kept by live node, the wide groups'
+        # (ancestors, V) per shape class, natural-scale means, natural-scale
+        # variances) of the latest iterate: its parameter covariance is A (I - V'V) A'
         self.snapshot = snapshot
         # What the latest linearization and moment inversion read and wrote, kept
         # for the next one to reuse each entry whose inputs have the same bits:
@@ -812,7 +812,7 @@ def step(state: SolverState) -> IterationRecord:
     par = state.ev_parent
     try:  # a mean that overflows is reported by name in _natural_moments
         with np.errstate(all="ignore"):
-            shift, vs = _factor_update(
+            shift, kept, wide = _factor_update(
                 a,
                 state.packing,
                 state.ev_components,
@@ -828,7 +828,7 @@ def step(state: SolverState) -> IterationRecord:
     # The diagonal of A (I - V'V) A'.  inf - inf is NaN, which
     # _natural_moments reports by name.
     with np.errstate(invalid="ignore"):
-        post_var = np.maximum(_posterior_variance(a, state.packing, state.ev_ancestors, vs), 0.0)
+        post_var = np.maximum(_posterior_variance(a, state.packing, kept, wide), 0.0)
     mean_y, var_y = _natural_moments(state, post_mean, post_var)
 
     r = _relative_change(post_mean, state.post_x)
@@ -844,7 +844,7 @@ def step(state: SolverState) -> IterationRecord:
         r_max=r_max,
     )
     state.records.append(record)
-    state.snapshot = (arcs, a, vs, mean_y, var_y)
+    state.snapshot = (arcs, a, kept, wide, mean_y, var_y)
     state.post_x = post_mean.copy()
     state.post_y = mean_y
     return record
@@ -943,9 +943,9 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
         if status != DIVERGED:
             best = (state.records[-1], state.snapshot)
 
-        record, (arcs, a, vs, mean_y, var_y) = best
+        record, (arcs, a, kept, wide, mean_y, var_y) = best
         scale = np.sqrt(state.cond_var[: state.n_params])
-        cov = _covariance(arcs, scale, state.packing, a, state.ev_ancestors, vs)
+        cov = _covariance(arcs, scale, state.packing, a, kept, wide)
         return SolverResult(
             status=status,
             iterations=state.records,
@@ -955,7 +955,7 @@ def solve(d: Diagram, cfg: SolverConfig | None = None) -> SolverResult:
             reported_iteration=record.t,
         )
     except MemoryError:
-        pack = state.packing
-        node = state.param_ids[pack.members[pack.first[np.argmax(np.diff(pack.first))]]]
-        msg = f"out of memory: the covariance of the component of {node!r} needs {pack.width**2:,} entries"
+        pack, size = state.packing, np.diff(state.packing.first)
+        node = state.param_ids[pack.members[pack.first[size.argmax()]]]
+        msg = f"out of memory: the covariance of the component of {node!r} needs {int(size.max())**2:,} entries"
         raise SolverError(msg, node) from None

@@ -73,16 +73,18 @@ def times_factor(arcs, scale, rhs):
 
 
 def dense_factor_update(a, components, ancestors, par, noise, resid):
-    """``(u, vs)`` of the factor-space update on the n x n factor ``a``: u has one entry per node.
+    """``(u, kept, wide)`` of the factor-space update on the n x n factor ``a``: u has one entry per node.
 
-    A group of one live ancestor takes the closed form, the others V by eigh."""
-    u, vs = np.zeros(a.shape[1]), []
+    A group of one live ancestor takes the closed form, the wider ones V by
+    eigh, and one of none changes nothing."""
+    u, kept, wide = np.zeros(a.shape[1]), np.ones(a.shape[1]), []
     for idx, anc in zip(components, ancestors):
         s = idx.shape[1]
         g = a[par[idx][:, :, None], anc[:, None, :]]
         if anc.shape[1] == 1:
-            u[anc[:, 0]], keep = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
-            vs.append(keep)
+            u[anc[:, 0]], kept[anc[:, 0]] = _one_column_update(g[:, :, 0], noise[idx], resid[idx])
+            continue
+        if anc.shape[1] == 0:
             continue
         block = g @ g.swapaxes(1, 2)
         block[:, np.arange(s), np.arange(s)] += noise[idx]
@@ -90,32 +92,24 @@ def dense_factor_update(a, components, ancestors, par, noise, resid):
         scaled = (vecs / np.sqrt(val)[:, None, :]).swapaxes(1, 2)
         v = scaled @ g
         u[anc] = (v.swapaxes(1, 2) @ (scaled @ resid[idx][..., None]))[..., 0]
-        vs.append(v)
-    return u, vs
+        wide.append((anc, v))
+    return u, kept, wide
 
 
-def dense_variance_terms(a, ancestors, vs):
+def dense_variance_terms(a, kept, wide):
     """The diagonal of A (I - V'V) A' over all n rows of the n x n factor ``a``, as the
     pair (A^2 by the shares one-column groups keep, A^2 V'V of the wider groups)."""
-    keep, wide = np.ones(a.shape[1]), np.zeros(len(a))
-    for anc, v in zip(ancestors, vs):
-        if v.ndim == 1:
-            keep[anc[:, 0]] = v
-            continue
+    less = np.zeros(len(a))
+    for anc, v in wide:
         x = a[:, anc].swapaxes(0, 1) @ v.swapaxes(1, 2)  # (k, n, s)
-        wide += np.einsum("kns,kns->n", x, x)
-    return (a * a) @ keep, wide
+        less += np.einsum("kns,kns->n", x, x)
+    return (a * a) @ kept, less
 
 
-def dense_covariance(arcs, scale, a, ancestors, vs):
+def dense_covariance(arcs, scale, a, kept, wide):
     """A (I - V'V) A' as an n x n Y and one :func:`times_factor` pass, symmetrized."""
-    y = a.T.copy()
-    for anc, v in zip(ancestors, vs):
-        if anc.shape[1] == 0:  # a group with no live ancestor changes nothing
-            continue
-        if v.ndim == 1:  # one live ancestor: the share of its row the group keeps
-            y[anc[:, 0]] *= v[:, None]
-            continue
+    y = a.T * kept[:, None]  # each row by the share of it a one-column group keeps
+    for anc, v in wide:
         at = y[anc]
         at -= _product(v.swapaxes(1, 2), _product(v, at))
         y[anc] = at
@@ -125,8 +119,9 @@ def dense_covariance(arcs, scale, a, ancestors, vs):
     return cov
 
 
-def packed_covariance(arcs, scale, pack, a, ancestors=(), vs=()):
-    return _unpack(_covariance(arcs, scale, pack, a, ancestors, vs), pack)
+def packed_covariance(arcs, scale, pack, a, kept=None, wide=()):
+    kept = np.ones(len(pack.comp)) if kept is None else kept
+    return _unpack(_covariance(arcs, scale, pack, a, kept, wide), pack)
 
 
 class TestPropagation:
@@ -623,16 +618,14 @@ def evidence_dags(draw):
     return parents, live, observed
 
 
-def dense_kept(vs, ancestors, q):
-    """I - V'V as one dense q x q matrix: each group's block on its own l columns."""
-    kept = np.eye(q)
-    for v, anc in zip(vs, ancestors):
+def dense_kept(kept, wide, q):
+    """I - V'V as one dense q x q matrix: the share of its one column a group
+    keeps on the diagonal, and each wider group's block on its own l columns."""
+    out = np.diag(kept[:q])
+    for anc, v in wide:
         for vg, cols in zip(v, anc):
-            if v.ndim == 1:  # the share of its one column the group keeps
-                kept[cols[0], cols[0]] = vg
-            else:
-                kept[np.ix_(cols, cols)] -= vg.T @ vg
-    return kept
+            out[np.ix_(cols, cols)] -= vg.T @ vg
+    return out
 
 
 def factor_space_posterior(parents, coeffs, cond_var, mean, observed, noise, obs):
@@ -642,9 +635,9 @@ def factor_space_posterior(parents, coeffs, cond_var, mean, observed, noise, obs
     components, ancestors = _evidence_components(levels, cond_var > 0.0, observed)
     pack = _packing(levels, cond_var > 0.0)
     a = _forward_factor(arcs, scale, pack)
-    shift, vs = _factor_update(a, pack, components, ancestors, observed, noise, obs - mean[observed])
-    post_var = _posterior_variance(a, pack, ancestors, vs)
-    return mean + shift, post_var, packed_covariance(arcs, scale, pack, a, ancestors, vs)
+    shift, kept, wide = _factor_update(a, pack, components, ancestors, observed, noise, obs - mean[observed])
+    post_var = _posterior_variance(a, pack, kept, wide)
+    return mean + shift, post_var, packed_covariance(arcs, scale, pack, a, kept, wide)
 
 
 def augmented_posterior(coeffs, cond_var, mean, observed, noise, obs):
@@ -704,16 +697,17 @@ class TestComponents:
             mean, resid, noise = rng.normal(size=n), rng.normal(size=m), rng.uniform(0.1, 1.0, m)
 
             flat = a.ravel()  # every row holds the q live columns, in the node order
-            shift, vs = _factor_update(flat, pack, components, ancestors, par, noise, resid)
+            shift, kept, wide = _factor_update(flat, pack, components, ancestors, par, noise, resid)
             one = ((np.arange(m)[None, :],), (np.arange(q)[None, :],))
-            want_shift, want_vs = _factor_update(flat, pack, *one, par, noise, resid)
+            want_shift, want_kept, want_wide = _factor_update(flat, pack, *one, par, noise, resid)
             np.testing.assert_allclose(mean + shift, mean + want_shift, rtol=1e-10, atol=1e-10)
-            got_cov = a @ dense_kept(vs, ancestors, q) @ a.T
-            want_cov = a @ (np.eye(q) - want_vs[0][0].T @ want_vs[0][0]) @ a.T
+            got_cov = a @ dense_kept(kept, wide, q) @ a.T
+            ((_, want_v),) = want_wide
+            want_cov = a @ (np.eye(q) - want_v[0].T @ want_v[0]) @ a.T
             np.testing.assert_allclose(got_cov, want_cov, rtol=1e-10, atol=1e-10)
-            got_var = _posterior_variance(flat, pack, ancestors, vs)
+            got_var = _posterior_variance(flat, pack, kept, wide)
             np.testing.assert_allclose(
-                got_var, _posterior_variance(flat, pack, one[1], want_vs), rtol=1e-10, atol=1e-10
+                got_var, _posterior_variance(flat, pack, want_kept, want_wide), rtol=1e-10, atol=1e-10
             )
             cross = a[par] @ a.T
             gain = cross.T @ np.linalg.inv(a[par] @ a[par].T + np.diag(noise))
@@ -863,9 +857,13 @@ class TestComponents:
         a, want_a = _forward_factor(arcs, scale, pack), dense_forward_factor(arcs, scale)
         assert dense_factor(a, pack).tobytes() == want_a.tobytes()
 
-        shift, vs = _factor_update(a, pack, components, ancestors, observed, noise, resid)
-        u, want_vs = dense_factor_update(want_a, components, ancestors, observed, noise, resid)
-        assert all(v.tobytes() == w.tobytes() for v, w in zip(vs, want_vs, strict=True))
+        shift, kept, wide = _factor_update(a, pack, components, ancestors, observed, noise, resid)
+        u, want_kept, want_wide = dense_factor_update(want_a, components, ancestors, observed, noise, resid)
+        assert kept.tobytes() == want_kept.tobytes()
+        assert all(
+            anc.tobytes() == want_anc.tobytes() and v.tobytes() == w.tobytes()
+            for (anc, v), (want_anc, w) in zip(wide, want_wide, strict=True)
+        )
         assert np.all(np.abs(shift - want_a @ u) <= 1e-14 * (np.abs(want_a) @ np.abs(u)))
         np.testing.assert_allclose(
             np.einsum("ij,ij->i", *[dense_factor(a, pack)] * 2),
@@ -873,13 +871,13 @@ class TestComponents:
             rtol=1e-14,
             atol=0,
         )
-        got_var = _posterior_variance(a, pack, ancestors, vs)
-        kept, wide = dense_variance_terms(want_a, ancestors, vs)
-        terms = kept + dense_variance_terms(np.abs(want_a), ancestors, [np.abs(v) for v in vs])[1]
-        assert np.all(np.abs(got_var - (kept - wide)) <= 1e-14 * terms)
+        got_var = _posterior_variance(a, pack, kept, wide)
+        sq, less = dense_variance_terms(want_a, kept, wide)
+        terms = sq + dense_variance_terms(np.abs(want_a), kept, [(anc, np.abs(v)) for anc, v in wide])[1]
+        assert np.all(np.abs(got_var - (sq - less)) <= 1e-14 * terms)
 
-        got = _covariance(arcs, scale, pack, a, ancestors, vs)
-        want = dense_covariance(arcs, scale, want_a, ancestors, vs)
+        got = _covariance(arcs, scale, pack, a, kept, wide)
+        want = dense_covariance(arcs, scale, want_a, kept, wide)
         assert _unpack(got, pack).tobytes() == want.tobytes()
         corr = _unpacked_correlations(got, pack)
         assert corr.tobytes() == correlation_matrix(want).tobytes()

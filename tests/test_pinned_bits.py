@@ -14,7 +14,6 @@ import json
 import numpy as np
 import pytest
 
-import gaussid.gaussian as gaussian_mod
 from gaussid.cli import main
 
 SCALED = {"kind": "scaled", "a": 0.0, "b": 1.0}
@@ -195,6 +194,7 @@ def no_nodes():
 DIAGRAMS = {
     "wide_groups": wide_groups,
     "joined_groups": joined_groups,
+    "joined_groups_60": lambda: joined_groups(60),
     "diamond": diamond,
     "children_first": children_first,
     "difference_chain": difference_chain,
@@ -212,6 +212,7 @@ DIAGRAMS = {
 DIGESTS = {
     "wide_groups": ("1f2f4e0acb4dbdc1", "106ff5a4ed8653fe"),
     "joined_groups": ("4166b76ba7d656b7", "6b35bd1dcbf8bdf6"),
+    "joined_groups_60": ("bda4ffbdff7b0e6d", "a2f91e315b6a418a"),
     "diamond": ("3156bb978edfa41d", "1d2cfd63e3d3ffe7"),
     "children_first": ("6f8441302ffaa053", "6f8441302ffaa053"),
     "difference_chain": ("4ece903689f28b3a", "4ece903689f28b3a"),
@@ -239,11 +240,3 @@ def test_solve_prints_the_pinned_bytes(name, tmp_path, capsys):
     nodes = DIAGRAMS[name]()
     got = (solve_digest(tmp_path, capsys, nodes), solve_digest(tmp_path, capsys, nodes, "--no-pool"))
     assert got == DIGESTS[name]
-
-
-@pytest.mark.parametrize("run", [1, 64])
-def test_wide_groups_print_the_pinned_bytes_in_any_run_length(run, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(gaussian_mod, "_RUN", run)
-    nodes = wide_groups()
-    got = (solve_digest(tmp_path, capsys, nodes), solve_digest(tmp_path, capsys, nodes, "--no-pool"))
-    assert got == DIGESTS["wide_groups"]

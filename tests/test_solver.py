@@ -74,6 +74,7 @@ from gaussid.transforms import (
     inverse_point,
 )
 from helpers import arcs_of, bench_generate, dense_b, dense_factor
+from test_pinned_bits import joined_groups
 
 # gaussid.evidence, the module: the package exports the function model.evidence
 # under that name
@@ -647,9 +648,9 @@ class TestStep:
         record = step(state)
         np.testing.assert_allclose(record.posterior_mean_x, want_mean, rtol=1e-12, atol=0)
         np.testing.assert_allclose(record.posterior_var_x, np.diag(want_cov), rtol=1e-12, atol=0)
-        arcs, a, vs, _, _ = state.snapshot
+        arcs, a, kept, wide, _, _ = state.snapshot
         scale, pack = np.sqrt(state.cond_var[:n]), state.packing
-        cov = _unpack(_covariance(arcs, scale, pack, a, state.ev_ancestors, vs), pack)
+        cov = _unpack(_covariance(arcs, scale, pack, a, kept, wide), pack)
         np.testing.assert_allclose(cov, want_cov, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("conditioner", [condition, condition_sequential])
@@ -692,7 +693,7 @@ class TestStep:
             label[group] = k
         for _ in range(3):
             step(state)
-            _, a, _, _, _ = state.snapshot
+            _, a, _, _, _, _ = state.snapshot
             a = dense_factor(a, state.packing)
             want = a[par] @ a[par].T
             assert np.all(want[label[:, None] != label[None, :]] == 0.0)
@@ -938,7 +939,7 @@ class TestSolve:
                 r_max=r,
             )
             state.records.append(record)
-            state.snapshot = ((), np.eye(1), np.zeros((0, 1)), np.array([r]), np.array([0.01]))
+            state.snapshot = ((), np.eye(1), np.ones(1), [], np.array([r]), np.array([0.01]))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
@@ -975,10 +976,10 @@ class TestSolve:
             w = np.array([[np.sqrt(0.25 - rho / 2)] * 2, [np.sqrt(rho / 2), -np.sqrt(rho / 2)]])
             levels = _depth_levels(*arcs_of([[], [0]]))
             state.packing = _packing(levels, np.array([True, True]))
-            state.ev_ancestors = (np.array([[0, 1]]),)
             arcs = tuple((nodes, par, np.zeros(par.shape)) for nodes, par in levels)
             a = np.diag(sd).ravel()  # rows of both live columns
-            state.snapshot = (arcs, a, [w[None]], np.full(2, 0.5), np.full(2, 0.01))
+            wide = [(np.array([[0, 1]]), w[None])]
+            state.snapshot = (arcs, a, np.ones(2), wide, np.full(2, 0.5), np.full(2, 0.01))
             return record
 
         d = Diagram.from_nodes(
@@ -1013,7 +1014,7 @@ class TestSolve:
                 r_max=r,
             )
             state.records.append(record)
-            state.snapshot = ((), np.eye(1), np.zeros((0, 1)), np.array([0.5]), np.array([0.01]))
+            state.snapshot = ((), np.eye(1), np.ones(1), [], np.array([0.5]), np.array([0.01]))
             return record
 
         monkeypatch.setattr(solver_mod, "step", fake_step)
@@ -1076,6 +1077,25 @@ def test_a_solve_forms_no_n_by_n_array_but_its_correlations():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * n
+
+
+def test_wide_groups_are_read_in_place_for_the_variances():
+    # 120 groups of two looks on d = u * v + w, unpooled, joined into one
+    # component by an unobserved z = d0 + ... + d119: each group reads its own
+    # rows of A, so no group copies the component's block of A, and the peak
+    # of _posterior_variance stays below four times A's bytes.
+    d, _ = parse_model(json.dumps({"schema_version": "1", "nodes": joined_groups(120)}))
+    state = initialize(d, SolverConfig(pool_evidence=False))
+    step(state)
+    _, a, kept, wide, _, _ = state.snapshot
+    assert [v.shape for _, v in wide] == [(120, 2, 3)] and len(state.packing.first) == 2
+    tracemalloc.start()
+    try:
+        gaussian_mod._posterior_variance(a, state.packing, kept, wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * state.packing.a.size
 
 
 class TestChangeMeasure:
@@ -1517,39 +1537,6 @@ def test_a_merged_tape_solves_as_its_members_walked_one_by_one(pool, monkeypatch
     assert len(got.iterations) > 2 and result_bits(got) == result_bits(want)
 
 
-@pytest.mark.parametrize("pool", [True, False])
-def test_wide_evidence_groups_solve_the_same_bits_in_runs_of_one_group(pool, monkeypatch):
-    # Twelve groups of two looks, each on d = u * v + w with three live
-    # ancestors, make one shape class of width 3: one run at the real _RUN,
-    # and twelve with _RUN at 1.
-    rng = np.random.default_rng(1)
-    nodes = []
-    for g in range(12):
-        nodes += [normal_p(f"{p}{g}", rng.uniform(1, 2), rng.uniform(0.05, 0.2)) for p in "uvw"]
-        nodes += [deterministic(f"d{g}", TS, Add(Mul(Var(f"u{g}"), Var(f"v{g}")), Var(f"w{g}")))]
-        nodes += [
-            evidence(f"o{g}_{k}", f"d{g}", normal_look(rng.uniform(2, 5), rng.uniform(0.3, 1)))
-            for k in range(2)
-        ]
-    d, cfg = Diagram.from_nodes(nodes), SolverConfig(pool_evidence=pool)
-    assert [anc.shape for anc in initialize(d, cfg).ev_ancestors] == [(12, 3)]
-    runs, split = [], gaussian_mod._runs
-
-    def spy(ancestors, vs):
-        for run in split(ancestors, vs):
-            runs.append(len(run[0]))
-            yield run
-
-    monkeypatch.setattr(gaussian_mod, "_runs", spy)
-    got = solve(d, cfg)
-    assert got.status == CONVERGED and set(runs) == {12}
-    runs.clear()
-    monkeypatch.setattr(gaussian_mod, "_RUN", 1)
-    want = solve(d, cfg)
-    assert set(runs) == {1}
-    assert result_bits(got) == result_bits(want)
-
-
 def models_for_equivalence():
     generate = bench_generate()
     root = Path(__file__).resolve().parents[1]
@@ -1843,11 +1830,12 @@ def solve_without_reuse(d, cfg, monkeypatch):
 def iteration_arrays(record, snapshot):
     """The arrays an iteration hands out: its record's and its snapshot's.
 
-    The arcs' node and parent tables are the solve's fixed structure, shared
-    by design; their coefficients are the iteration's own."""
-    arcs, a, vs, mean_y, var_y = snapshot
+    The arcs' node and parent tables and the wide groups' ancestors are the
+    solve's fixed structure, shared by design; the coefficients and the
+    update factors are the iteration's own."""
+    arcs, a, kept, wide, mean_y, var_y = snapshot
     arrays = [record.prior_mean_x, record.posterior_mean_x, record.posterior_var_x, record.r]
-    return arrays + [c for _, _, c in arcs] + [a, *vs, mean_y, var_y]
+    return arrays + [c for _, _, c in arcs] + [a, kept, *(v for _, v in wide), mean_y, var_y]
 
 
 def result_bits(result):
@@ -1880,7 +1868,7 @@ class TestReuse:
             got = run(state)
             assert record_bits([got]) == record_bits([want])
             assert state.post_y.tobytes() == twin.post_y.tobytes()
-            assert state.snapshot[4].tobytes() == twin.snapshot[4].tobytes()
+            assert state.snapshot[5].tobytes() == twin.snapshot[5].tobytes()
             assert state.point_x.tobytes() == twin.point_x.tobytes()
             for (_, _, c), (_, _, c_want) in zip(state.snapshot[0], twin.snapshot[0]):
                 assert c.tobytes() == c_want.tobytes()
