@@ -74,7 +74,7 @@ from gaussid.transforms import (
     inverse_point,
 )
 from helpers import arcs_of, bench_generate, dense_b, dense_factor
-from test_pinned_bits import joined_groups
+from test_pinned_bits import joined_groups, wide_groups
 
 # gaussid.evidence, the module: the package exports the function model.evidence
 # under that name
@@ -1535,6 +1535,34 @@ def test_a_merged_tape_solves_as_its_members_walked_one_by_one(pool, monkeypatch
     monkeypatch.setattr(solver_mod, "_BATCH_MIN", 10**9)
     want = solve(d, cfg)
     assert len(got.iterations) > 2 and result_bits(got) == result_bits(want)
+
+
+@pytest.mark.parametrize("pool", [True, False])
+def test_wide_evidence_groups_solve_the_same_bits_in_runs_of_one_group(pool, monkeypatch):
+    # Twelve groups of two looks, each on d = u * v + w with three live
+    # ancestors, make one shape class of width 3: one (ancestors, V) pair of
+    # twelve groups as _factor_update returns it, and twelve pairs of one
+    # group when it is split. Each group reads its own rows in place, so the
+    # split solves to the same bits, whether the groups sit in components of
+    # their own or are joined in one by an unobserved z = d0 + ... + d11.
+    update, runs = solver_mod._factor_update, []
+
+    def split(*args):
+        shift, kept, wide = update(*args)
+        runs.extend(len(anc) for anc, _ in wide)
+        return shift, kept, [(anc[i : i + 1], v[i : i + 1]) for anc, v in wide for i in range(len(anc))]
+
+    for nodes in (wide_groups(), joined_groups()):
+        d, _ = parse_model(json.dumps({"schema_version": "1", "nodes": nodes}))
+        cfg = SolverConfig(pool_evidence=pool)
+        assert [anc.shape for anc in initialize(d, cfg).ev_ancestors] == [(12, 3)]
+        got = solve(d, cfg)
+        monkeypatch.setattr(solver_mod, "_factor_update", split)
+        want = solve(d, cfg)
+        monkeypatch.undo()
+        assert got.status == CONVERGED and len(want.iterations) > 1 and set(runs) == {12}
+        runs.clear()
+        assert result_bits(got) == result_bits(want)
 
 
 def models_for_equivalence():
