@@ -206,8 +206,9 @@ def binomial(count: int, successes: int, alpha: float, beta: float) -> Likelihoo
     x2, v2 = beta_to_moments(BetaParams(alpha + successes, beta + count - successes))
     if not v2 < v1:
         raise ValueError(
-            f"observation adds no precision (v2 = {v2} >= v1 = {v1}); "
-            "this arises only for an empty experiment"
+            f"observation adds no precision (v2 = {v2} >= v1 = {v1}): the counts leave the "
+            "reference's log-odds variance unchanged in floating point, as for a reference "
+            "so large that they barely move it, or so small that both variances are infinite"
         )
     v = 1.0 / (1.0 / v2 - 1.0 / v1)
     d = v * (x2 / v2 - x1 / v1)

@@ -164,11 +164,12 @@ _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 # only a family's members whose inputs moved, and linearizes only a tape's
 # members whose parents moved, by the same rule, which the prior point follows
 # for a tape's members in each depth level.  For such subsets one Beta
-# costs about 220 us as an array and 37 us on its own, and one timing found
-# 16 moved Betas slower as an array (551 us) than one by one (371 us); a
-# fan-in-6 tape's pass costs 125 to 235 us for 1 to 32 of its members, and
-# a walk about 20 us a member, so its subsets break even at 6 to 8 members
-# (mixed_expr, seed 505, after two steps, on the same CPU).
+# costs about 280 us as an array and 23 us on its own, and 16 Betas about
+# 320 us as an array against 290 us one by one (scale_1500, seed 505, at the
+# first step's moments); a fan-in-6 tape's pass costs 125 to 235 us for 1 to
+# 32 of its members, and a walk about 20 us a member, so its subsets break
+# even at 6 to 8 members (mixed_expr, seed 505, after two steps; both on the
+# same CPU).
 _BATCH_MIN = 16
 
 # A node as _linearize_node walks it: (parameter index, where its coefficients
@@ -523,7 +524,7 @@ def initialize(d: Diagram, cfg: SolverConfig | None = None) -> SolverState:
         param_ids=param_ids,
         order=order,
         ev_parent=ev_parent,
-        ev_obs=np.array(ev_obs),
+        ev_obs=ev_obs,
         ev_components=components,
         ev_ancestors=ancestors,
         packing=_packing(levels, live),
@@ -548,7 +549,7 @@ def _likelihoods(
     ab: np.ndarray,
     prior_x: np.ndarray,
     prior_var: np.ndarray,
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The (d, v) of each evidence node, at least ``_BATCH_MIN`` binomial ones as arrays.
 
     Node i observes parameter ``observed[i]``; the parameters ``betas`` have
@@ -559,37 +560,35 @@ def _likelihoods(
     the default.  The other nodes, binomial counts from 2**53 on (not all
     exact as floats) and the entries the arrays leave NaN are resolved one
     by one in order, so the first failure raises."""
-    obs, var = [math.nan] * len(nodes), [math.nan] * len(nodes)
-    batch, rows = [], []
-    for i, node in enumerate(nodes):
-        spec = node.obs
-        if spec.variant == BINOMIAL and spec.count < 2**53:
-            batch.append(i)
-            rows.append((spec.count, spec.successes, spec.alpha is None, spec.alpha, spec.beta))
+    obs, var = np.full((2, len(nodes)), math.nan)
+    specs = [node.obs for node in nodes]
+    batch = [i for i, spec in enumerate(specs) if spec.variant == BINOMIAL and spec.count < 2**53]
     if len(batch) >= _BATCH_MIN:  # an absent reference (None) reads as NaN
-        rows = np.fromiter(itertools.chain.from_iterable(rows), float, 5 * len(rows))
-        count, successes, unset, alpha, beta = rows.reshape(-1, 5).T
+        specs, k = [specs[i] for i in batch], len(batch)
+        count = np.fromiter([spec.count for spec in specs], float, k)
+        successes = np.fromiter([spec.successes for spec in specs], float, k)
+        alpha = np.fromiter([spec.alpha for spec in specs], float, k)
+        beta = np.fromiter([spec.beta for spec in specs], float, k)
         beta_prior = np.full((len(prior_x), 2), math.nan)  # each parameter's Beta prior
         beta_prior[betas] = ab
-        unset, parent = unset > 0.0, observed[batch]
+        unset, parent = np.isnan(alpha), observed[batch]
         own = unset & ~np.isnan(beta_prior[parent, 0])
         ref = np.where(own[:, None], beta_prior[parent], _DEFAULT_REFERENCE)
         alpha, beta = np.where(unset, ref.T, [alpha, beta])
         at = np.where(own, parent, -1)
         prior = np.where(at >= 0, [prior_x[at], prior_var[at]], math.nan)
         x, v, done = _binomial_array(count, successes, alpha, beta, prior=prior)
-        for i, x_i, v_i in zip(np.array(batch)[done].tolist(), x[done].tolist(), v[done].tolist()):
-            obs[i], var[i] = x_i, v_i
-    for i, x in enumerate(obs):
-        if math.isnan(x):
-            like = _resolve(nodes[i], d)
-            obs[i], var[i] = like.d, like.v
+        at = np.array(batch)[done]
+        obs[at], var[at] = x[done], v[done]
+    for i in np.isnan(obs).nonzero()[0].tolist():
+        like = _resolve(nodes[i], d)
+        obs[i], var[i] = like.d, like.v
     return obs, var
 
 
 def _pooled(
-    nodes: list[Node], obs: list[float], var: list[float], observed: np.ndarray
-) -> tuple[list[float], list[float], np.ndarray]:
+    nodes: list[Node], obs: np.ndarray, var: np.ndarray, observed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The observations of each parameter pooled into one by :func:`pool`: ``(d, v, first)``.
 
     Node i observes parameter ``observed[i]``; the entries are in order of
@@ -601,9 +600,9 @@ def _pooled(
     new = np.ones(len(order), dtype=bool)
     new[1:] = seen[1:] != seen[:-1]
     first = np.sort(order[new])
-    pooled_obs = [obs[i] for i in first.tolist()]
-    pooled_var = [var[i] for i in first.tolist()]
+    pooled_obs, pooled_var = obs[first], var[first]
     if len(first) < len(nodes):
+        obs, var = obs.tolist(), var.tolist()  # floats, whose overflow pool handles
         bounds = [*new.nonzero()[0].tolist(), len(order)]
         groups = sorted(order[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:]))
         for g, items in enumerate(groups):

@@ -249,23 +249,28 @@ def beta_from_moments(mean: float, var: float) -> BetaParams:
 def _polygammas_lockstep(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_polygammas` over an array of positive arguments, bit for bit.
 
-    Row i holds the shift term z + i; ``add.accumulate`` sums the rows in
-    order, as the scalar loop does (it starts from 0.0, so subtracting each
-    term is negating the running sum of the terms).  The terms are formed
-    in two buffers, in place, which keeps the transient memory of a large
-    family small.  Where a tiny z's powers underflow or their reciprocals
-    overflow, the divisions give the scalar loop's infinities, with numpy
-    warnings that callers silence.
+    Row i holds the shift term z + i, and the rows are added in order, as
+    the scalar loop does (it starts from 0.0, so subtracting each term is
+    negating the running sum of the terms), one row at a time:
+    ``add.accumulate`` keeps that order but runs column by column, about
+    nine times slower at 2,000 arguments, and ``add.reduce`` adds one column
+    pairwise.  The terms are formed in three buffers, in place, which keeps
+    the transient memory of a large family small.  Where a tiny z's powers
+    underflow or their reciprocals overflow, the divisions give the scalar
+    loop's infinities, with numpy warnings that callers silence.
     """
     d = z + _SHIFTS
     t = np.divide(1.0, d)
-    psi = -np.add.accumulate(t, out=t)[-1]
-    np.multiply(d, d, out=t)  # d^2
-    d *= t  # d^3
+    d2 = d * d
+    d *= d2  # d^3
     np.divide(2.0, d, out=d)
-    psi2 = -np.add.accumulate(d, out=d)[-1]
-    np.divide(1.0, t, out=t)
-    psi1 = np.add.accumulate(t, out=t)[-1]
+    np.divide(1.0, d2, out=d2)
+    psi, psi1, psi2 = t[0] + t[1], d2[0] + d2[1], d[0] + d[1]
+    for i in range(2, _SHIFT):
+        psi += t[i]
+        psi1 += d2[i]
+        psi2 += d[i]
+    psi, psi2 = -psi, -psi2
     w = z + _SHIFT
     iw = 1.0 / w
     iw2 = iw * iw

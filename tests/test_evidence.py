@@ -103,6 +103,12 @@ class TestBinomial:
                 assert lik.v > 0.0
                 assert math.isfinite(lik.d)
 
+    def test_a_reference_the_counts_cannot_move_adds_no_precision(self):
+        # 1e17 + 7 rounds to 1e17 and 1e17 + 13 to the next float up, 16 on,
+        # so v2 and v1 are the same float: the count is not empty.
+        with pytest.raises(ValueError, match="adds no precision .*unchanged in floating point"):
+            binomial(20, 7, 1e17, 1e17)
+
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             binomial(0, 0, 1.0, 1.0)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gaussid.cli import main
+from helpers import bench_generate
 
 SCALED = {"kind": "scaled", "a": 0.0, "b": 1.0}
 LOG = {"kind": "log_scaled", "a": 0.0, "b": 1.0}
@@ -191,6 +192,13 @@ def no_nodes():
     return []
 
 
+def beta_family():
+    """The benchmark's scaling diagram at 40 Betas, each with a binomial count, and 20
+    ratios: the prior map, the binomial references and each Beta inversion run as
+    polygamma passes over arrays."""
+    return bench_generate().scale_doc(1, 40, 20)["nodes"]
+
+
 DIAGRAMS = {
     "wide_groups": wide_groups,
     "joined_groups": joined_groups,
@@ -206,6 +214,7 @@ DIAGRAMS = {
     "unobserved_join": unobserved_join,
     "mixed_slots": mixed_slots,
     "no_nodes": no_nodes,
+    "beta_family": beta_family,
 }
 
 # name -> (pooled, --no-pool): the first 16 hex digits of the sha256 of stdout
@@ -224,6 +233,7 @@ DIGESTS = {
     "unobserved_join": ("7bb40997f417ad2e", "4d1f92a4b8d019af"),
     "mixed_slots": ("738c11b286234392", "0d1958da6f9b8316"),
     "no_nodes": ("24d22b8361d19a33", "24d22b8361d19a33"),
+    "beta_family": ("5bb0c216e3ffe73d", "5bb0c216e3ffe73d"),
 }
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import gaussid.gaussian as gaussian_mod
 import gaussid.solver as solver_mod
+import gaussid.specfun as specfun_mod
 from gaussid.cli import parse_expression, parse_model
 from gaussid.evidence import EvidenceSpec, binomial
 from gaussid.gaussian import (
@@ -1254,6 +1255,24 @@ def spy_walks(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "slopes", spy)
     return walked
+
+
+def test_a_beta_family_solve_runs_one_polygamma_pass_per_map(monkeypatch):
+    # 40 Betas with a binomial count each: the prior map, the binomial
+    # references and three Newton passes of the first step's inversion take
+    # 80 arguments each, the inversion's last pass the 3 Betas still moving;
+    # in the later steps fewer than _BATCH_MIN Betas move, mapped one by one.
+    sizes = []
+    run = specfun_mod._polygammas_lockstep
+
+    def spy(z):
+        sizes.append(len(z))
+        return run(z)
+
+    monkeypatch.setattr(specfun_mod, "_polygammas_lockstep", spy)
+    d, cfg = parse_model(json.dumps(bench_generate().scale_doc(1, 40, 20)))
+    assert solve(d, cfg).status == CONVERGED
+    assert sizes == [80, 80, 80, 80, 80, 6]
 
 
 def test_a_solve_recognizes_no_linear_node(monkeypatch):

@@ -310,10 +310,15 @@ class TestLockstepInversion:
                 10.0 ** rng.uniform(-323.5, math.log10(0.5), 10000),
             ]
         )
+        z = z[z > 0.0]
+        # Batches of one and two arguments too: numpy sums a single column
+        # pairwise along axis 0 (np.add.reduce, np.sum), out of the loop's order.
+        batches = [z, *np.split(z[:1000], 1000), *np.split(z[:1000], 500)]
         with np.errstate(all="ignore"):
-            psi, psi1, psi2 = _polygammas_lockstep(z[z > 0.0])
-        for k, x in enumerate(z[z > 0.0].tolist()):
-            assert _polygammas(x) == (psi[k], psi1[k], psi2[k])
+            for batch in batches:
+                psi, psi1, psi2 = _polygammas_lockstep(batch)
+                for k, x in enumerate(batch.tolist()):
+                    assert _polygammas(x) == (psi[k], psi1[k], psi2[k])
 
     @settings(max_examples=60, deadline=None)
     @given(
