@@ -164,12 +164,12 @@ _KIND_FAMILY = {kind: family for family, kind in FAMILY_TRANSFORMS.items()}
 # only a family's members whose inputs moved, and linearizes only a tape's
 # members whose parents moved, by the same rule, which the prior point follows
 # for a tape's members in each depth level.  For such subsets one Beta
-# costs about 280 us as an array and 23 us on its own, and 16 Betas about
-# 320 us as an array against 290 us one by one (scale_1500, seed 505, at the
-# first step's moments); a fan-in-6 tape's pass costs 125 to 235 us for 1 to
-# 32 of its members, and a walk about 20 us a member, so its subsets break
-# even at 6 to 8 members (mixed_expr, seed 505, after two steps; both on the
-# same CPU).
+# costs about 270 us as an array and 23 us on its own, and 16 Betas 290 to
+# 320 us as an array against 280 to 295 us one by one (scale_1500, seed 505,
+# at the first step's moments); a fan-in-6 tape's pass costs 125 to 235 us
+# for 1 to 32 of its members, and a walk about 20 us a member, so its subsets
+# break even at 6 to 8 members (mixed_expr, seed 505, after two steps; both
+# on the same CPU).
 _BATCH_MIN = 16
 
 # A node as _linearize_node walks it: (parameter index, where its coefficients
