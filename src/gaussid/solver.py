@@ -578,8 +578,8 @@ def _likelihoods(
         at = np.where(own, parent, -1)
         prior = np.where(at >= 0, [prior_x[at], prior_var[at]], math.nan)
         x, v, done = _binomial_array(count, successes, alpha, beta, prior=prior)
-        at = np.array(batch)[done]
-        obs[at], var[at] = x[done], v[done]
+        found = np.array(batch)[done]
+        obs[found], var[found] = x[done], v[done]
     for i in np.isnan(obs).nonzero()[0].tolist():
         like = _resolve(nodes[i], d)
         obs[i], var[i] = like.d, like.v
